@@ -14,7 +14,7 @@ XTOOLS_VERSION      ?= v0.24.0
 
 LINT_TOOL := bin/loopschedlint
 
-.PHONY: all build vet test race fuzz bench bench-json experiments baseline check-baseline clean \
+.PHONY: all build vet test race fuzz bench bench-json bench-compare experiments baseline check-baseline clean \
 	lint lint-tool lint-json lint-diff escape-check fmt-check staticcheck govulncheck
 
 all: build vet lint test
@@ -105,6 +105,34 @@ bench-json:
 	./bin/benchjson -only BenchmarkScheduler -o BENCH_service.json < bench_service.txt
 	$(GO) test -run '^$$' -bench BenchmarkLedger -benchmem -count=1 . | tee bench_ledger.txt
 	./bin/benchjson -only BenchmarkLedger -o BENCH_ledger.json < bench_ledger.txt
+
+# bench-compare is "paired, alternating runs of parent and change" as
+# one command (benchmark/README.md): it builds ./benchmark at BASE and
+# at the working tree, runs PAIRS pairs of -out results — base first in
+# odd pairs, head first in even ones, so neither side always meets the
+# machine second — and judges each pair with -compare (BENCHMARK.json's
+# bounds). BENCH_ARGS narrows a run, e.g.
+#   make bench-compare BASE=HEAD~1 PAIRS=10 BENCH_ARGS='-workload mandel_homog_tfss -seconds 20'
+# Results stay in .bench_build/ (git-ignored); the exit status is
+# non-zero if any pair shows a regression.
+BASE       ?=
+PAIRS      ?= 2
+BENCH_ARGS ?=
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<git ref> [PAIRS=n] [BENCH_ARGS='...']"; exit 2; }
+	rm -rf .bench_build && mkdir -p .bench_build/base
+	git archive $(BASE) | tar -x -C .bench_build/base
+	cd .bench_build/base && $(GO) build -o ../bench_base ./benchmark
+	$(GO) build -o .bench_build/bench_head ./benchmark
+	@status=0; for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			echo "== pair $$i: $$side"; \
+			./.bench_build/bench_$$side $(BENCH_ARGS) -out .bench_build/$$side.$$i.json || status=1; \
+		done; \
+		echo "== pair $$i: $(BASE) -> working tree"; \
+		./.bench_build/bench_head -compare .bench_build/base.$$i.json .bench_build/head.$$i.json || status=1; \
+	done; exit $$status
 
 experiments:
 	$(GO) run ./cmd/experiments

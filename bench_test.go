@@ -836,7 +836,7 @@ func BenchmarkLedger(b *testing.B) {
 							// Both sides run at the default credit window of 1
 							// (the PR 5 double buffer): the master path
 							// pipelines one prefetched grant per round trip,
-							// the ledger path claims ledgerClaimFactor steps.
+							// the ledger path claims up to ledgerClaimFactor steps.
 							w := loopsched.Worker{
 								ID: id, Kernel: kernel,
 								Transport:   "binary",

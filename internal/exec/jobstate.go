@@ -22,7 +22,8 @@ type JobConfig struct {
 	Workload workload.Workload
 	// Workers is the fleet size p: the job gets one deque per worker.
 	Workers int
-	// Window is the refill batch size (DefaultStealWindow when <= 0).
+	// Window caps the refill batch (DefaultStealWindow when <= 0); how
+	// many chunks a refill actually takes is share-bounded, see Refill.
 	Window int
 	// InitACP seeds the per-worker ACP figures distributed schemes
 	// plan with (the paper's step 1(a) gather). nil means every
@@ -230,10 +231,17 @@ func (s *JobState) Steal(thief int) (sched.Assignment, bool) {
 
 // Refill is the steal engine's stand-in for one master round-trip: it
 // reports the worker's current ACP, applies any pending feedback,
-// re-plans on majority ACP change, and pulls up to a window of chunks
-// from the policy. The first chunk is returned for immediate
-// execution; the rest land in the worker's (empty — refill only runs
-// after its own pop failed, and thieves never add) deque for this job.
+// re-plans on majority ACP change, and pulls a batch of chunks from the
+// policy: at most a window, and share-bounded (sched.BatchLimit) — the
+// batch ends as soon as another chunk the size of the last one would
+// carry its iteration total past the limit, so a worker never parks
+// more than its share of what is left in its own deque. The policy
+// cannot be asked for a chunk's size without granting it, hence the
+// last size as the predictor: exact for the paper's non-increasing
+// sequences, off by at most one chunk's growth otherwise. The first
+// chunk is returned for immediate execution; the rest land in the
+// worker's (empty — refill only runs after its own pop failed, and
+// thieves never add) deque for this job.
 // The int result is the number of iterations granted by this refill,
 // which a fair-share arbiter charges against the job's credit budget.
 func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.Assignment, int, bool) {
@@ -275,6 +283,8 @@ func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.
 			s.bus.Publish(e)
 		}
 	}
+	total := s.w.Len()
+	limit := sched.BatchLimit(total-s.base, total, s.p)
 	for len(batch) < window {
 		a, ok := s.policy.Next(sched.Request{Worker: worker, ACP: float64(acpNow)})
 		if !ok {
@@ -293,6 +303,9 @@ func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.
 		e.At, e.Seconds = now, now-reqAt
 		s.bus.Publish(e)
 		batch = append(batch, a)
+		if iters+a.Size > limit {
+			break // one more chunk like this one would pass the share
+		}
 	}
 	s.mu.Unlock()
 
@@ -311,9 +324,11 @@ func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.
 	return batch[0], iters, true
 }
 
-// refillLedger is Refill on the scheduling-step ledger: one
-// fetch-and-add claims a whole window of steps, the table maps each
-// step to its chunk, and nothing touches s.mu — p workers refilling
+// refillLedger is Refill on the scheduling-step ledger: the table
+// sizes the batch from where the counter stands (ledger.Table.Batch —
+// the same share bound, exact here because the table knows every
+// chunk's size), one fetch-and-add claims it, the table maps each step
+// to its chunk, and nothing touches s.mu — p workers refilling
 // concurrently contend on a single atomic instead of serialising
 // through the policy lock. Feedback and re-planning don't apply: the
 // ledger only arms for step-deterministic schemes, whose chunks ignore
@@ -329,16 +344,16 @@ func (s *JobState) refillLedger(worker, acpNow int) (sched.Assignment, int, bool
 	req.At = reqAt
 	s.bus.Publish(req)
 	batch := s.scratch[worker][:0]
-	window := cap(s.scratch[worker])
 	iters := 0
 
-	step, _ := s.ledgerCtr.FetchAdd(window)
+	n := s.ledgerTab.Batch(s.ledgerCtr.Next(), cap(s.scratch[worker]))
+	step, _ := s.ledgerCtr.FetchAdd(n)
 	claimAt := s.bus.Now()
 	fetch := s.event(telemetry.LedgerFetch, worker)
-	fetch.Start = window
+	fetch.Start = n
 	fetch.At, fetch.Seconds = claimAt, claimAt-reqAt
 	s.bus.Publish(fetch)
-	for i := 0; i < window; i++ {
+	for i := 0; i < n; i++ {
 		a, ok := s.ledgerTab.Chunk(step + uint64(i))
 		if !ok {
 			// Steps past the table's end: the loop is fully claimed.

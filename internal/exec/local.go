@@ -90,7 +90,7 @@ type Local struct {
 	// DefaultStealWindow). Ignored by the channel engine.
 	Window int
 	// Ledger requests the scheduling-step ledger for steal-engine
-	// refills: one fetch-and-add claims the whole window, no refill
+	// refills: one fetch-and-add claims the whole batch, no refill
 	// mutex. Empty uses DefaultLedger (the LOOPSCHED_LEDGER environment
 	// variable); schemes that are not step-deterministic silently keep
 	// the policy path. Ignored by the channel engine.

@@ -2,11 +2,12 @@ package exec
 
 import (
 	"context"
-	"sync"
+	"sort"
 	"sync/atomic"
 	"testing"
 
 	"loopsched/internal/sched"
+	"loopsched/internal/trace"
 	"loopsched/internal/workload"
 )
 
@@ -75,35 +76,61 @@ func TestLocalHeterogeneous(t *testing.T) {
 	}
 }
 
-// TestLocalDistributedFavoursFast: with scale-1 and scale-4 workers, a
-// distributed scheme should hand most iterations to the fast worker.
+// TestLocalDistributedFavoursFast: with scale-1 and scale-4 workers a
+// distributed scheme must answer every request in proportion to the
+// requester's ACP share — the fast worker reports 4× the slow one's
+// ACP, so a request of its gets 4× the iterations a slow request would
+// at the same stage. The assertion is on the plan: the trace, read in
+// grant order, must be exactly what a DFSS policy planned with the two
+// reported ACPs answers to the same requests (C_j = SC_k·A_j/A). Who
+// wins how many requests is goroutine timing on a near-empty body —
+// inferring ownership from it failed about one suite run in six.
 func TestLocalDistributedFavoursFast(t *testing.T) {
 	const n = 4000
-	var mu sync.Mutex
-	owner := make([]int, n)
-	l := &Local{Scheme: sched.NewDFSS(), Workers: specs(1, 4)}
-	rep, err := l.Run(workload.Uniform{N: n}, func(i int) {
-		mu.Lock()
-		owner[i]++
-		mu.Unlock()
-	})
+	tr := &trace.Trace{}
+	l := &Local{Scheme: sched.NewDFSS(), Workers: specs(1, 4), Trace: tr}
+	rep, err := l.Run(workload.Uniform{N: n}, func(int) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The DFSS plan gives the scale-1 worker (V=4) 4× the share of the
-	// scale-4 worker (V=1): body runs = n_fast·1 + n_slow·4 with
-	// n_fast ≈ 4·n_slow.
-	var runs int
-	for _, c := range owner {
-		runs += c
+	fast, slow := l.ACP.ACP(4, 1), l.ACP.ACP(1, 1)
+	if fast != 4*slow {
+		t.Fatalf("ACP model gives fast %d, slow %d, want 4:1", fast, slow)
 	}
-	nSlow := (runs - n) / 3
-	nFast := n - nSlow
-	if nFast < 2*nSlow {
-		t.Errorf("fast worker got %d of %d iterations, want ≫ slow's %d", nFast, n, nSlow)
+	plan := func() sched.Policy {
+		pol, err := l.Scheme.NewPolicy(sched.Config{
+			Iterations: n, Workers: 2, Powers: []float64{float64(fast), float64(slow)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pol
 	}
-	if rep.Chunks == 0 {
-		t.Error("no chunks recorded")
+	// The plan favours the fast worker 4:1 at equal stage...
+	cf, _ := plan().Next(sched.Request{Worker: 0, ACP: float64(fast)})
+	cs, _ := plan().Next(sched.Request{Worker: 1, ACP: float64(slow)})
+	if cf.Size != 4*cs.Size {
+		t.Errorf("first grant: fast gets %d, slow %d, want 4:1", cf.Size, cs.Size)
+	}
+	// ...and the run granted exactly that plan.
+	pol := plan()
+	events := tr.Events()
+	sort.Slice(events, func(i, j int) bool { return events[i].Start < events[j].Start })
+	for _, e := range events {
+		if want := [2]int{fast, slow}[e.Worker]; e.ACP != want {
+			t.Fatalf("worker %d reported ACP %d, want %d", e.Worker, e.ACP, want)
+		}
+		a, ok := pol.Next(sched.Request{Worker: e.Worker, ACP: float64(e.ACP)})
+		if !ok || a.Start != e.Start || a.Size != e.Size {
+			t.Fatalf("worker %d (ACP %d) ran [%d,+%d), the DFSS plan answers [%d,+%d) (ok=%v)",
+				e.Worker, e.ACP, e.Start, e.Size, a.Start, a.Size, ok)
+		}
+	}
+	if _, ok := pol.Next(sched.Request{}); ok {
+		t.Error("the plan has chunks the run never granted")
+	}
+	if rep.Chunks != len(events) || rep.Iterations != n {
+		t.Errorf("report has %d chunks, %d iterations; trace has %d events over %d", rep.Chunks, rep.Iterations, len(events), n)
 	}
 }
 

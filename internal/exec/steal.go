@@ -14,12 +14,14 @@ import (
 	"loopsched/internal/workload"
 )
 
-// DefaultStealWindow is the refill batch size when Local.Window is
+// DefaultStealWindow is the refill batch cap when Local.Window is
 // unset: one trip to the policy under the refill lock yields up to
-// this many chunks, one executed immediately and the rest parked in
-// the worker's deque for later pops or steals. It mirrors the wire
-// path's credit window (PR 5): larger windows amortise the lock but
-// delay feedback and re-planning, which only see ACP at refill time.
+// this many chunks (fewer while chunks are large against the worker's
+// share of what is left, see JobState.Refill), one executed immediately
+// and the rest parked in the worker's deque for later pops or steals.
+// It mirrors the wire path's credit window: larger windows amortise
+// the lock but delay feedback and re-planning, which only see ACP at
+// refill time.
 const DefaultStealWindow = 8
 
 func (l *Local) stealWindow() int {

@@ -30,12 +30,15 @@ type BatchFunc func(args ChunkArgs, credits int, rep *wire.Reply) error
 // and fetchadd frames drop the connection.
 type FetchAddFunc func(worker, n int) uint64
 
-// ledgerClaimFactor is how many credit windows one ledger claim
-// reserves. Master-path credits pay per grant (reply encoding, result
-// ingest, requeue bookkeeping), so the window stays small; a one-sided
-// claim is a constant-size frame whose boundaries the table fixes at
-// any batch size, so it amortises the counter round trip over several
-// windows. See docs/LEDGER.md for the tail-waste tradeoff.
+// ledgerClaimFactor is how many credit windows one ledger claim may
+// reserve at most. Master-path credits pay per grant (reply encoding,
+// result ingest, requeue bookkeeping), so the window stays small; a
+// one-sided claim is a constant-size frame whose boundaries the table
+// fixes at any batch size, so it may amortise the counter round trip
+// over several windows — but only while the claimed chunks stay within
+// the claimant's share of what is left (docs/LEDGER.md "Share-bounded
+// batches"): the cap is reached on fine loops, never on a loop of a
+// few large decreasing chunks.
 const ledgerClaimFactor = 4
 
 // sniffedConn replays the bytes a protocol sniffer buffered ahead of
@@ -415,14 +418,14 @@ func (w Worker) runWireLedger(c *wire.Conn) error {
 		comp, idle float64
 		lastACP    int
 	)
-	// A one-sided claim costs the same few bytes whatever it claims, it
-	// cannot be requeued on failure anyway, and the table fixes the
-	// boundaries at any batch size — so unlike master-path credits,
-	// whose reply and requeue cost grow with the window, the claim
-	// batch can run deeper than the window for free. Four windows per
-	// fetch-add quarters the round trips per chunk; the tail waste is
-	// at most one batch of the scheme's final (smallest) chunks.
-	claimN := ledgerClaimFactor * w.window()
+	// A one-sided claim costs the same few bytes whatever it claims, so
+	// wire cost alone would let the batch run as deep as it likes; what
+	// bounds it is assignment. Every chunk a claim takes is withheld
+	// from the other workers until this one gets to it, so each claim
+	// is sized by the table's share rule (Table.Batch) up to maxClaim:
+	// four windows per fetch-add on a fine loop, one chunk at a time
+	// while the scheme's chunks are still a large part of what is left.
+	maxClaim := ledgerClaimFactor * w.window()
 	// Hello deposit: fetchadd frames carry no worker id, so an empty
 	// no-reply request labels the connection (and joins the fleet)
 	// before the first one-sided claim. Queued, not flushed: it rides
@@ -459,34 +462,46 @@ func (w Worker) runWireLedger(c *wire.Conn) error {
 	// this round computes the chunks of claim k-1 and waits for claim
 	// k's step, claim k+1 is already travelling, so the wire never goes
 	// quiet between batches. Step replies come back in claim order;
-	// starts is the matching FIFO of send times for the RTT metric. The
-	// one extra in-flight claim wastes at most claimN steps past the
-	// table's end, which the claim-then-check protocol absorbs.
+	// starts and sizes are the matching FIFOs of send times (for the RTT
+	// metric) and claim sizes. A claim is sized where the counter is
+	// known to stand at least — the end of the last answered claim plus
+	// the claims still travelling; other workers can only have moved it
+	// further, onto smaller chunks. The one extra in-flight claim wastes
+	// at most maxClaim steps past the table's end, which the
+	// claim-then-check protocol absorbs.
 	var (
-		starts     [2]time.Time
-		sent, read int
+		starts      [2]time.Time
+		sizes       [2]int
+		sent, read  int
+		known       uint64 // end of the last answered claim
+		outstanding int    // steps claimed but not yet answered
 	)
 	sendClaim := func() error {
-		starts[sent&1] = time.Now()
+		n := tab.Batch(known+uint64(outstanding), maxClaim)
+		starts[sent&1], sizes[sent&1] = time.Now(), n
+		outstanding += n
 		sent++
-		return c.WriteFetchAdd(claimN)
+		return c.WriteFetchAdd(n)
 	}
-	readClaim := func() (uint64, error) {
+	// readClaim returns the answered claim's first step and size.
+	readClaim := func() (uint64, int, error) {
 		waitStart := time.Now()
 		step, err := c.ReadStep()
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		idle += time.Since(waitStart).Seconds()
+		n := sizes[read&1]
+		known, outstanding = step+uint64(n), outstanding-n
 		if w.Telemetry != nil {
 			w.Telemetry.Publish(telemetry.Event{
 				Kind: telemetry.LedgerFetch, Worker: w.TelemetryID, Shard: w.TelemetryShard,
-				Start: claimN, At: w.Telemetry.Now(),
+				Start: n, At: w.Telemetry.Now(),
 				Seconds: time.Since(starts[read&1]).Seconds(),
 			})
 		}
 		read++
-		return step, nil
+		return step, n, nil
 	}
 	if err := sendClaim(); err != nil {
 		return err
@@ -506,11 +521,11 @@ func (w Worker) runWireLedger(c *wire.Conn) error {
 			}
 		}
 		queue = queue[:0]
-		step, err := readClaim()
+		step, n, err := readClaim()
 		if err != nil {
 			return err
 		}
-		for i := 0; i < claimN; i++ {
+		for i := 0; i < n; i++ {
 			a, ok := tab.Chunk(step + uint64(i))
 			if !ok {
 				drained = true // steps past the end: the loop is fully claimed
@@ -527,7 +542,7 @@ func (w Worker) runWireLedger(c *wire.Conn) error {
 	// Drain the reply of the still-outstanding claim; its steps are at
 	// or past the table's end, so they grant nothing.
 	for read < sent {
-		if _, err := readClaim(); err != nil {
+		if _, _, err := readClaim(); err != nil {
 			return err
 		}
 	}

@@ -15,6 +15,7 @@ import (
 var hotGuards = map[string]func(t *testing.T){
 	"(*Local).FetchAdd": claimGuard,
 	"(*Table).Chunk":    claimGuard,
+	"(*Table).Batch":    claimGuard,
 }
 
 // TestHotPathGuardTable pins hotGuards to the annotation set.
@@ -48,8 +49,8 @@ func TestHotPathAllocGuards(t *testing.T) {
 }
 
 // claimGuard is the zero-alloc acceptance criterion for the whole PR:
-// one steady-state claim — fetch-add the counter, look the step up in
-// both table shapes — allocates nothing.
+// one steady-state claim — size the batch, fetch-add the counter, look
+// the step up in both table shapes — allocates nothing.
 func claimGuard(t *testing.T) {
 	var l Local
 	analytic, err := Build(sched.CSSScheme{K: 16}, sched.Config{Iterations: 1 << 20, Workers: 8})
@@ -61,9 +62,12 @@ func claimGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		step, err := l.FetchAdd(1)
+		step, err := l.FetchAdd(analytic.Batch(l.Next()%uint64(analytic.Steps()), 8))
 		if err != nil {
 			panic(err)
+		}
+		if replayed.Batch(step%uint64(replayed.Steps()), 8) < 1 {
+			panic("empty batch")
 		}
 		// Wrap each lookup into its table's range: the guard measures
 		// the claim cycle, not a full drain (TSS has ~32 steps here).

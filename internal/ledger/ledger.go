@@ -89,10 +89,11 @@ func (l *Local) Store(v uint64) { l.next.Store(v) }
 // immutable after Build and safe for concurrent lookups from any
 // number of workers.
 type Table struct {
-	total int
-	fixed int   // >0: analytic fixed-chunk scheme, no starts array
-	steps int   // number of chunks in the sequence
-	start []int // prefix starts, len steps+1 with start[steps] == total
+	total   int
+	workers int   // p of the run the table was built for (Batch's share rule)
+	fixed   int   // >0: analytic fixed-chunk scheme, no starts array
+	steps   int   // number of chunks in the sequence
+	start   []int // prefix starts, len steps+1 with start[steps] == total
 }
 
 // Build precomputes the chunk table for s under cfg, or reports
@@ -113,7 +114,7 @@ func Build(s sched.Scheme, cfg sched.Config) (*Table, error) {
 	}
 	if k, ok := sched.FixedChunk(s, cfg); ok && k > 0 {
 		steps := (cfg.Iterations + k - 1) / k
-		return &Table{total: cfg.Iterations, fixed: k, steps: steps}, nil
+		return &Table{total: cfg.Iterations, workers: cfg.Workers, fixed: k, steps: steps}, nil
 	}
 	pol, err := s.NewPolicy(cfg)
 	if err != nil {
@@ -125,7 +126,7 @@ func Build(s sched.Scheme, cfg sched.Config) (*Table, error) {
 		// would diverge from.
 		return nil, fmt.Errorf("%w: %s policy takes feedback", ErrIneligible, s.Name())
 	}
-	t := &Table{total: cfg.Iterations}
+	t := &Table{total: cfg.Iterations, workers: cfg.Workers}
 	t.start = append(t.start, 0)
 	for {
 		a, ok := pol.Next(sched.Request{})
@@ -181,4 +182,38 @@ func (t *Table) Chunk(step uint64) (sched.Assignment, bool) {
 	}
 	s := int(step)
 	return sched.Assignment{Start: t.start[s], Size: t.start[s+1] - t.start[s]}, true
+}
+
+// Batch answers "how many steps should one claim take from step?": the
+// longest run of consecutive chunks starting there whose iteration
+// total stays within sched.BatchLimit of what the table has left at
+// that step — at least 1 (a single chunk may exceed the limit; so may a
+// step at or past Steps(), which claims nothing and only has to move
+// the counter), at most max. Claimants pass the counter position as
+// they know it; a stale (lower) position only ever sizes the batch for
+// earlier, larger chunks than the claim will actually receive.
+//
+//lint:loopsched-hotpath
+func (t *Table) Batch(step uint64, max int) int {
+	if max <= 1 || step >= uint64(t.steps) {
+		return 1
+	}
+	s := int(step)
+	if t.fixed > 0 {
+		n := sched.BatchLimit(t.total-s*t.fixed, t.total, t.workers) / t.fixed
+		if n < 1 {
+			return 1
+		}
+		if n > max {
+			return max
+		}
+		return n
+	}
+	first := t.start[s]
+	limit := sched.BatchLimit(t.total-first, t.total, t.workers)
+	n := 1
+	for n < max && s+n < t.steps && t.start[s+n+1]-first <= limit {
+		n++
+	}
+	return n
 }

@@ -14,7 +14,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		acpVal, compMicros, entries, err := decodeRequest(data)
+		acpVal, compNanos, entries, err := decodeRequest(data)
 		if err != nil {
 			return
 		}
@@ -24,11 +24,11 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 		}
 		// Round-trip through the encoder.
-		again, cm2, entries2, err := decodeRequest(encodeRequest(acpVal, compMicros, entries))
+		again, cm2, entries2, err := decodeRequest(encodeRequest(acpVal, compNanos, entries))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if again != acpVal || cm2 != compMicros || len(entries2) != len(entries) {
+		if again != acpVal || cm2 != compNanos || len(entries2) != len(entries) {
 			t.Fatalf("round trip changed shape")
 		}
 		for i := range entries {

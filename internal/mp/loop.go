@@ -27,16 +27,17 @@ const (
 )
 
 // encodeRequest packs ACP, the previous chunk's computation time (in
-// microseconds, for the master's per-PE breakdown) and piggy-backed
-// results.
-func encodeRequest(acp int, compMicros int64, results []resultEntry) []byte {
+// nanoseconds, for the master's per-PE breakdown; 0 means "no chunk to
+// report", so a worker reports a real completion as at least 1) and
+// piggy-backed results.
+func encodeRequest(acp int, compNanos int64, results []resultEntry) []byte {
 	n := 12
 	for _, r := range results {
 		n += 8 + len(r.data)
 	}
 	buf := make([]byte, 0, n)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(acp)))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(compMicros))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(compNanos))
 	for _, r := range results {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(r.index)))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.data)))
@@ -50,12 +51,12 @@ type resultEntry struct {
 	data  []byte
 }
 
-func decodeRequest(data []byte) (acpVal int, compMicros int64, results []resultEntry, err error) {
+func decodeRequest(data []byte) (acpVal int, compNanos int64, results []resultEntry, err error) {
 	if len(data) < 12 {
 		return 0, 0, nil, fmt.Errorf("mp: short request (%d bytes)", len(data))
 	}
 	acpVal = int(int32(binary.BigEndian.Uint32(data[0:4])))
-	compMicros = int64(binary.BigEndian.Uint64(data[4:12]))
+	compNanos = int64(binary.BigEndian.Uint64(data[4:12]))
 	rest := data[12:]
 	for len(rest) > 0 {
 		if len(rest) < 8 {
@@ -70,7 +71,7 @@ func decodeRequest(data []byte) (acpVal int, compMicros int64, results []resultE
 		results = append(results, resultEntry{index: idx, data: rest[:n:n]})
 		rest = rest[n:]
 	}
-	return acpVal, compMicros, results, nil
+	return acpVal, compNanos, results, nil
 }
 
 func encodeAssign(a sched.Assignment) []byte {
@@ -97,8 +98,9 @@ type MasterOptions struct {
 	// Telemetry, when non-nil, receives live protocol events. Workers
 	// are identified by rank−1 (matching Report.PerWorker indexing).
 	// Completion events are emitted when a slave's timing report
-	// arrives piggy-backed on its next request, so the last chunk of a
-	// stopped slave has no completion event.
+	// arrives piggy-backed on its next request — for its last chunk,
+	// the request that is answered with stop — so only a cancelled run
+	// leaves chunks without a completion event.
 	Telemetry *telemetry.Bus
 }
 
@@ -202,7 +204,7 @@ func RunMasterContext(ctx context.Context, c Comm, scheme sched.Scheme, iteratio
 	lastAssign := make([]sched.Assignment, workers+1) // chunk awaiting its timing report
 	// arrived notes a request's protocol events and returns its arrival
 	// instant for the grant-latency measurement.
-	arrived := func(rank, acpVal int, compMicros int64) float64 {
+	arrived := func(rank, acpVal int, compNanos int64) float64 {
 		at := bus.Now()
 		if !joined[rank] {
 			joined[rank] = true
@@ -211,11 +213,11 @@ func RunMasterContext(ctx context.Context, c Comm, scheme sched.Scheme, iteratio
 				ACP: acpVal, At: at,
 			})
 		}
-		if compMicros > 0 && lastAssign[rank].Size > 0 {
+		if compNanos > 0 && lastAssign[rank].Size > 0 {
 			bus.Publish(telemetry.Event{
 				Kind: telemetry.ChunkCompleted, Worker: rank - 1,
 				Start: lastAssign[rank].Start, Size: lastAssign[rank].Size,
-				ACP: acpVal, At: at, Seconds: float64(compMicros) / 1e6,
+				ACP: acpVal, At: at, Seconds: float64(compNanos) / 1e9,
 			})
 			lastAssign[rank] = sched.Assignment{}
 		}
@@ -309,17 +311,17 @@ func RunMasterContext(ctx context.Context, c Comm, scheme sched.Scheme, iteratio
 		if msg.From == wakeSource || ctx.Err() != nil {
 			return cancelled()
 		}
-		a, compMicros, entries, err := decodeRequest(msg.Data)
+		a, compNanos, entries, err := decodeRequest(msg.Data)
 		if err != nil {
 			return nil, rep, err
 		}
-		if compMicros > 0 {
-			perWorker[msg.From-1].Comp += float64(compMicros) / 1e6
+		if compNanos > 0 {
+			perWorker[msg.From-1].Comp += float64(compNanos) / 1e9
 		}
 		if err := store(entries); err != nil {
 			return nil, rep, err
 		}
-		if err := serve(pending{worker: msg.From, acp: a, at: arrived(msg.From, a, compMicros)}); err != nil {
+		if err := serve(pending{worker: msg.From, acp: a, at: arrived(msg.From, a, compNanos)}); err != nil {
 			return nil, rep, err
 		}
 	}
@@ -363,14 +365,14 @@ func RunWorker(c Comm, opts WorkerOptions) error {
 		scale = 1
 	}
 	var held []resultEntry
-	var compMicros int64
+	var compNanos int64
 	for {
 		load := 0
 		if opts.LoadProbe != nil {
 			load = opts.LoadProbe()
 		}
 		a := opts.ACP.ACP(power, 1+load)
-		if err := c.Send(0, tagRequest, encodeRequest(a, compMicros, held)); err != nil {
+		if err := c.Send(0, tagRequest, encodeRequest(a, compNanos, held)); err != nil {
 			return err
 		}
 		held = held[:0]
@@ -393,6 +395,11 @@ func RunWorker(c Comm, opts WorkerOptions) error {
 			}
 			held = append(held, resultEntry{index: i, data: data})
 		}
-		compMicros = time.Since(start).Microseconds()
+		// 0 is the "nothing to report" value: a real completion, however
+		// short, reports at least 1 so the master books its Comp and
+		// publishes its ChunkCompleted.
+		if compNanos = time.Since(start).Nanoseconds(); compNanos < 1 {
+			compNanos = 1
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"loopsched/internal/acp"
 	"loopsched/internal/sched"
+	"loopsched/internal/telemetry"
 )
 
 func squareKernel(i int) []byte {
@@ -264,5 +265,70 @@ func TestLoopEquivalenceAcrossTransports(t *testing.T) {
 		if !bytes.Equal(inproc[i], overTCP[i]) {
 			t.Fatalf("transports disagree at %d", i)
 		}
+	}
+}
+
+// kindCounter tallies bus events by kind.
+type kindCounter struct {
+	mu sync.Mutex
+	n  map[telemetry.Kind]int
+}
+
+func (k *kindCounter) BeginRun(telemetry.RunMeta) {}
+func (k *kindCounter) Close() error               { return nil }
+func (k *kindCounter) OnEvent(e telemetry.Event) {
+	k.mu.Lock()
+	k.n[e.Kind]++
+	k.mu.Unlock()
+}
+
+// TestEmptyBodyCompletionsReconcile: every granted chunk publishes its
+// ChunkCompleted and books its Comp even when it computes in
+// well under a microsecond. The completion time used to travel as whole
+// microseconds with 0 meaning "none", so an empty-body CSS loop lost
+// most of its completions.
+func TestEmptyBodyCompletionsReconcile(t *testing.T) {
+	const n, workers = 4096, 2
+	bus := telemetry.NewBus(1 << 15)
+	defer bus.Close()
+	events := &kindCounter{n: map[telemetry.Kind]int{}}
+	bus.Subscribe(events)
+
+	world, err := NewWorld(workers + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for r := 1; r <= workers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			if err := RunWorker(world[r], WorkerOptions{Kernel: func(int) []byte { return nil }}); err != nil {
+				t.Errorf("worker %d: %v", r, err)
+			}
+		}(r)
+	}
+	_, rep, err := RunMaster(world[0], sched.CSSScheme{K: 4}, n, MasterOptions{Telemetry: bus})
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus.Flush()
+	if d := bus.Dropped(); d != 0 {
+		t.Fatalf("%d events dropped; the ring is too small for this test", d)
+	}
+	events.mu.Lock()
+	defer events.mu.Unlock()
+	if got := events.n[telemetry.ChunkCompleted]; got != rep.Chunks || rep.Chunks != n/4 {
+		t.Errorf("%d ChunkCompleted events for %d chunks (want %d)", got, rep.Chunks, n/4)
+	}
+	// Which worker ran how many chunks is timing; that each chunk booked
+	// at least its nanosecond is not.
+	comp := 0.0
+	for _, pw := range rep.PerWorker {
+		comp += pw.Comp
+	}
+	if comp < float64(rep.Chunks)*1e-9 {
+		t.Errorf("%d chunks booked %g s of Comp in all, want at least a nanosecond each", rep.Chunks, comp)
 	}
 }

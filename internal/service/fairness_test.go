@@ -35,6 +35,13 @@ func TestWeightedFairShare(t *testing.T) {
 	}
 	heavy := submit("heavy", 2)
 	light := submit("light", 1)
+	// Count from the moment both jobs compete: on a loaded box the
+	// admission goroutine can trail the spinning fleet by milliseconds,
+	// and whatever heavy is granted while it runs alone says nothing
+	// about the arbiter's ratio.
+	waitState(t, heavy, StateRunning)
+	waitState(t, light, StateRunning)
+	gh0, gl0 := heavy.Granted(), light.Granted()
 
 	// Let the fleet grant a meaningful share of both loops, then
 	// snapshot. 120k iterations is ~2000 arbitrated refills, far past
@@ -43,7 +50,7 @@ func TestWeightedFairShare(t *testing.T) {
 	deadline := time.Now().Add(20 * time.Second)
 	var gh, gl int64
 	for {
-		gh, gl = heavy.Granted(), light.Granted()
+		gh, gl = heavy.Granted()-gh0, light.Granted()-gl0
 		if gh+gl >= target {
 			break
 		}

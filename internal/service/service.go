@@ -54,9 +54,9 @@ type Options struct {
 	// Workers is the shared fleet: one long-lived goroutine per entry,
 	// heterogeneity emulated by WorkScale exactly as in exec.Local.
 	Workers []*exec.WorkerSpec
-	// Window is the per-refill credit window (chunks pulled from a
-	// job's policy per arbitration grant); <= 0 means
-	// exec.DefaultStealWindow.
+	// Window caps the chunks one arbitration grant pulls from a job's
+	// policy; <= 0 means exec.DefaultStealWindow. Below the cap a refill
+	// is share-bounded (docs/LEDGER.md "Share-bounded batches").
 	Window int
 	// ACP is the availability model distributed schemes report with.
 	ACP acp.Model

@@ -564,3 +564,40 @@ type negativeWorkload struct{}
 func (negativeWorkload) Name() string     { return "negative" }
 func (negativeWorkload) Len() int         { return -1 }
 func (negativeWorkload) Cost(int) float64 { return 1 }
+
+// TestJobNeverHeldByOneWorker is the service leg of the starvation
+// regression (exec.TestNoWorkerHoldsTheWholeLoop): on a TFSS N=2000
+// job over a two-worker fleet, iteration 0 does not return until some
+// other iteration has started — which only another worker can do while
+// the first sits in iteration 0's chunk. The refill that fetches chunk
+// 0 must leave the rest of the loop to be refilled or stolen.
+func TestJobNeverHeldByOneWorker(t *testing.T) {
+	s := newTestScheduler(t, Options{Workers: fleet(1, 1)})
+	other := make(chan struct{})
+	var once sync.Once
+	var starved atomic.Bool
+	j, err := s.Submit(testCtx(t), JobSpec{
+		Scheme:   sched.TFSSScheme{},
+		Workload: workload.Uniform{N: 2000},
+		Body: func(i int) {
+			if i != 0 {
+				once.Do(func() { close(other) })
+				return
+			}
+			select {
+			case <-other:
+			case <-time.After(5 * time.Second):
+				starved.Store(true) // give up so the job still ends
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if _, err := j.Wait(testCtx(t)); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if starved.Load() {
+		t.Error("iteration 0 waited 5s and no other worker started a chunk of the job")
+	}
+}

@@ -100,8 +100,13 @@ type RunSpec struct {
 	// CreditWindow is the batched-grant depth on the binary
 	// transport: how many chunks a worker may hold beyond the one it
 	// is computing (0 means 1, the classic double buffer). Larger
-	// windows amortise master round trips over several chunks at the
-	// cost of coarser tail balancing.
+	// windows amortise master round trips over several chunks; on the
+	// master path every credit is spent, so the tail balances no finer
+	// than a window of the scheme's last chunks. Where the window is
+	// only a cap — one-sided ledger claims (at most 4 windows each) and
+	// steal-engine refills — batches are share-bounded and shrink to a
+	// single chunk while chunks are large (docs/LEDGER.md
+	// "Share-bounded batches").
 	CreditWindow int
 	// Ledger requests the decentralized scheduling ledger: "on" lets
 	// workers claim scheduling steps with a single fetch-and-add and
@@ -119,7 +124,7 @@ type RunSpec struct {
 	// goroutine over an unbuffered channel exactly as the paper's
 	// protocol reads; "steal" runs per-worker work-stealing deques
 	// with batched policy refills (internal/steal, docs/LOCAL.md).
-	// CreditWindow sets the steal engine's refill batch size. Flat
+	// CreditWindow caps the steal engine's refill batch. Flat
 	// runs only — the hierarchical local runtime has its own
 	// submaster structure.
 	LocalEngine string

@@ -8,9 +8,11 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"loopsched"
+	"loopsched/internal/telemetry"
 )
 
 // scrapeMetrics fetches the Prometheus text exposition from the debug
@@ -213,8 +215,8 @@ func TestTelemetryHierarchyReconciles(t *testing.T) {
 }
 
 // TestTelemetryMPReconciles runs the message-passing backend under
-// telemetry. Completion timing there rides the *next* request, so the
-// last chunk of each stopped slave never reports — grants must still
+// telemetry. Completion timing there rides the *next* request (the one
+// answered with stop, for a slave's last chunk) — grants must still
 // reconcile exactly.
 func TestTelemetryMPReconciles(t *testing.T) {
 	tele, err := loopsched.NewTelemetry(loopsched.TelemetryOptions{})
@@ -317,6 +319,28 @@ func TestTelemetryHistogramsReconcile(t *testing.T) {
 			})
 			return result{rep.Chunks, rep, true, true}
 		}},
+		// Share-bounded claims vary in size: on a loop of a few large
+		// decreasing chunks every claim is one step, on TSS above they
+		// grow toward the cap. The identities must hold either way, and
+		// the steps the LedgerFetch events say were claimed must cover
+		// every granted chunk (checked below for all ledger cases).
+		{"local-steal-ledger-tfss", func(t *testing.T, tele *loopsched.Telemetry) result {
+			rep := runForTelemetry(t, loopsched.RunSpec{
+				Scheme: loopsched.NewTFSS(), Workload: loopsched.Uniform{N: n, C: 1},
+				Backend: loopsched.BackendLocal, LocalEngine: loopsched.EngineSteal,
+				Workers: runWorkers(), Body: func(i int) {}, Ledger: "on",
+				Telemetry: tele,
+			})
+			return result{rep.Chunks, rep, true, true}
+		}},
+		{"rpc-ledger-tfss", func(t *testing.T, tele *loopsched.Telemetry) result {
+			rep := runForTelemetry(t, loopsched.RunSpec{
+				Scheme: loopsched.NewTFSS(), Workload: loopsched.Uniform{N: n, C: 1},
+				Backend: loopsched.BackendRPC, Workers: runWorkers(),
+				Kernel: kernel, Ledger: "on", Telemetry: tele,
+			})
+			return result{rep.Chunks, rep, true, true}
+		}},
 		{"hier-local", func(t *testing.T, tele *loopsched.Telemetry) result {
 			rep := runForTelemetry(t, loopsched.RunSpec{
 				Scheme: scheme, Workload: loopsched.Uniform{N: n, C: 1},
@@ -365,6 +389,8 @@ func TestTelemetryHistogramsReconcile(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer tele.Close()
+			claims := &claimedSteps{}
+			tele.Bus().Subscribe(claims)
 
 			res := tc.run(t, tele)
 			if res.chunks == 0 {
@@ -401,8 +427,28 @@ func TestTelemetryHistogramsReconcile(t *testing.T) {
 				if got := sumMetric(t, text, "loopsched_ledger_fetch_seconds_count"); got != fetches {
 					t.Errorf("ledger fetch histogram counted %g claims, counter says %g", got, fetches)
 				}
+				// LedgerFetch.Start is the claim actually made, not the
+				// cap: summed, the claims cover every chunk granted.
+				if got := claims.steps.Load(); got < int64(res.chunks) {
+					t.Errorf("LedgerFetch events claimed %d steps in all, run granted %d chunks", got, res.chunks)
+				}
+				if got := claims.n.Load(); float64(got) != fetches {
+					t.Errorf("%d LedgerFetch events on the bus, counter says %g", got, fetches)
+				}
 			}
 		})
+	}
+}
+
+// claimedSteps sums what the bus's LedgerFetch events say was claimed.
+type claimedSteps struct{ n, steps atomic.Int64 }
+
+func (c *claimedSteps) BeginRun(telemetry.RunMeta) {}
+func (c *claimedSteps) Close() error               { return nil }
+func (c *claimedSteps) OnEvent(e telemetry.Event) {
+	if e.Kind == telemetry.LedgerFetch {
+		c.n.Add(1)
+		c.steps.Add(int64(e.Start))
 	}
 }
 
