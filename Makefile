@@ -14,8 +14,8 @@ XTOOLS_VERSION      ?= v0.24.0
 
 LINT_TOOL := bin/loopschedlint
 
-.PHONY: all build vet test race fuzz bench bench-json bench-compare experiments baseline check-baseline clean \
-	lint lint-tool lint-json lint-diff escape-check fmt-check staticcheck govulncheck
+.PHONY: all build vet test race fuzz bench bench-compare experiments baseline check-baseline clean \
+	lint lint-tool lint-json lint-diff escape-check dup-check fmt-check staticcheck govulncheck
 
 all: build vet lint test
 
@@ -58,6 +58,15 @@ lint-diff:
 escape-check:
 	$(GO) run ./cmd/escapecheck
 
+# dup-check keeps the master algorithm in one place: outside the
+# scheme and ledger packages only internal/dispense may build, offset
+# or re-plan a policy (DESIGN.md "The dispenser"). The two definitions
+# the pattern also matches are allowed by name.
+dup-check:
+	@! grep -rn 'NewPolicy(\|MajorityChanged(\|sched\.Offset(' --include='*.go' . \
+		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/' \
+		| grep -v 'func (s RootScheme) NewPolicy(\|func MajorityChanged('
+
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -84,27 +93,6 @@ fuzz:
 
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# bench-json runs the protocol benchmark matrices and writes both the
-# raw benchstat-compatible text and the parsed JSON artifacts that CI
-# archives: the wire protocol (gob vs binary × credit window,
-# docs/PROTOCOL.md → BENCH_wire.json), the local engines (channel
-# master vs work-stealing deques × worker count, docs/LOCAL.md →
-# BENCH_local.json), the multi-tenant scheduler daemon (job
-# streams × fleet/tenant mix, docs/SERVICE.md → BENCH_service.json
-# with jobs/s and chunks/s), and the scheduling-step ledger (in-process
-# fetch-add contention plus master-path vs one-sided loopback,
-# docs/LEDGER.md → BENCH_ledger.json).
-bench-json:
-	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench BenchmarkRPCPipeline -benchmem -count=1 . | tee bench_wire.txt
-	./bin/benchjson -only BenchmarkRPCPipeline -o BENCH_wire.json < bench_wire.txt
-	$(GO) test -run '^$$' -bench BenchmarkLocalEngine -benchmem -count=1 . | tee bench_local.txt
-	./bin/benchjson -only BenchmarkLocalEngine -o BENCH_local.json < bench_local.txt
-	$(GO) test -run '^$$' -bench BenchmarkScheduler -benchmem -count=1 . | tee bench_service.txt
-	./bin/benchjson -only BenchmarkScheduler -o BENCH_service.json < bench_service.txt
-	$(GO) test -run '^$$' -bench BenchmarkLedger -benchmem -count=1 . | tee bench_ledger.txt
-	./bin/benchjson -only BenchmarkLedger -o BENCH_ledger.json < bench_ledger.txt
 
 # bench-compare is "paired, alternating runs of parent and change" as
 # one command (benchmark/README.md): it builds ./benchmark at BASE and

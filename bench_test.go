@@ -1,6 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper, plus
-// ablations of the design choices documented in DESIGN.md §6 and
-// micro-benchmarks of the hot paths.
+// ablations of the design choices documented in DESIGN.md §6 and the
+// simulators' event-loop throughput. The real runtimes' end-to-end and
+// per-layer numbers are the repository benchmark's (BENCHMARK.json,
+// benchmark/README.md), not this file's.
 //
 //	go test -bench=. -benchmem            # everything, paper scale
 //	go test -bench=BenchmarkTable2 -v     # one artefact, with its rows
@@ -11,22 +13,15 @@
 package loopsched_test
 
 import (
-	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
-	"net"
-	"net/rpc"
 	"sync"
 	"testing"
 
-	"loopsched"
 	"loopsched/internal/acp"
 	"loopsched/internal/experiments"
-	"loopsched/internal/ledger"
 	"loopsched/internal/mandelbrot"
 	"loopsched/internal/metrics"
-	"loopsched/internal/mp"
 	"loopsched/internal/sched"
 	"loopsched/internal/sim"
 	"loopsched/internal/tree"
@@ -430,30 +425,7 @@ func BenchmarkAblationPowerRatio(b *testing.B) {
 	}
 }
 
-// ---- Micro-benchmarks ----
-
-// BenchmarkPolicyNext measures raw chunk-computation throughput.
-func BenchmarkPolicyNext(b *testing.B) {
-	for _, name := range []string{"SS", "GSS", "TSS", "FSS", "FISS", "TFSS", "DTSS", "DFSS", "DTFSS"} {
-		s, err := sched.Lookup(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := sched.Config{Iterations: 1 << 30, Workers: 8}
-			pol, err := s.NewPolicy(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, ok := pol.Next(sched.Request{Worker: i & 7, ACP: 1}); !ok {
-					pol, _ = s.NewPolicy(cfg)
-				}
-			}
-		})
-	}
-}
+// ---- Simulator throughput ----
 
 // BenchmarkSimulator measures discrete-event throughput.
 func BenchmarkSimulator(b *testing.B) {
@@ -479,392 +451,4 @@ func BenchmarkTreeSimulator(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkRPCRoundTrip measures one NextChunk call through the real
-// net/rpc stack over loopback TCP.
-func BenchmarkRPCRoundTrip(b *testing.B) {
-	// 1M single-iteration chunks outlast any realistic benchtime
-	// without allocating a gigantic result table.
-	m, err := loopsched.NewMaster(loopsched.NewSS(), 1_000_000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	if err := m.Serve(l); err != nil {
-		b.Fatal(err)
-	}
-	client, err := rpc.Dial("tcp", l.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var reply loopsched.ChunkReply
-		if err := client.Call("Master.NextChunk", loopsched.ChunkArgs{Worker: 0}, &reply); err != nil {
-			b.Fatal(err)
-		}
-		if reply.Stop {
-			b.Fatal("exhausted")
-		}
-	}
-}
-
-// BenchmarkRPCPipeline runs a full 512-chunk master/worker loop over
-// loopback TCP across the codec matrix: the original net/rpc+gob
-// protocol (serial and double-buffered) against the binary wire codec
-// at credit windows 1, 2 and 8. The kernel is near-free and the
-// payload small, so the numbers isolate protocol overhead — encoding,
-// allocation, and round-trip count — which is exactly what the binary
-// codec and the batched-grant window exist to shrink. One benchmark op
-// is one complete run (512 chunks), so ns/op and allocs/op compare
-// whole-loop protocol cost between variants; `make bench-json`
-// publishes the table as BENCH_wire.json.
-func BenchmarkRPCPipeline(b *testing.B) {
-	const n = 512
-	kernel := func(i int) []byte {
-		buf := make([]byte, 1024)
-		binary.LittleEndian.PutUint64(buf, uint64(i)+1)
-		return buf
-	}
-	for _, variant := range []struct {
-		name      string
-		transport loopsched.RPCTransport
-		pipeline  bool
-		window    int
-	}{
-		{"gob-serial", "netrpc", false, 0},
-		{"gob-pipelined", "netrpc", true, 0},
-		{"binary-w1", "binary", true, 1},
-		{"binary-w2", "binary", true, 2},
-		{"binary-w8", "binary", true, 8},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m, err := loopsched.NewMaster(loopsched.NewSS(), n, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				m.SetWindow(variant.window)
-				l, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := m.Serve(l); err != nil {
-					b.Fatal(err)
-				}
-				w := loopsched.Worker{
-					ID: 0, Kernel: kernel,
-					Pipeline:  variant.pipeline,
-					Transport: variant.transport,
-					Window:    variant.window,
-				}
-				if err := w.Run(l.Addr().String()); err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := m.Wait(); err != nil {
-					b.Fatal(err)
-				}
-				l.Close()
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "chunks/s")
-		})
-	}
-}
-
-// BenchmarkMPRoundTrip measures one request/assign exchange through
-// the in-process message-passing world.
-func BenchmarkMPRoundTrip(b *testing.B) {
-	world, err := mp.NewWorld(2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Minimal master loop: answer every request with a fixed frame.
-	go func() {
-		for {
-			if _, err := world[0].Recv(mp.AnySource, mp.AnyTag); err != nil {
-				return
-			}
-			if err := world[0].Send(1, 2, []byte{0, 0, 0, 0, 0, 0, 0, 1}); err != nil {
-				return
-			}
-		}
-	}()
-	defer world[0].Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := world[1].Send(0, 1, []byte{0, 0, 0, 1}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := world[1].Recv(0, mp.AnyTag); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMandelbrotColumn measures the workload kernel.
-func BenchmarkMandelbrotColumn(b *testing.B) {
-	p := mandelbrot.Params{Region: mandelbrot.PaperRegion, Width: 4000, Height: 2000, MaxIter: 160}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		mandelbrot.ColumnWork(p, i%p.Width)
-	}
-}
-
-// BenchmarkLocalEngine races the two local runtimes — the channel
-// master and the work-stealing deques — at growing worker counts on a
-// fixed-chunk scheme with an empty body, so the numbers are pure
-// scheduling overhead. The channel master serialises every grant
-// through one goroutine; the steal engine amortises the policy lock
-// over credit-window-sized refills and otherwise runs lock-free, so
-// the gap should widen with p. One benchmark op is one complete run
-// (n/K chunks); `make bench-json` publishes the table as
-// BENCH_local.json.
-func BenchmarkLocalEngine(b *testing.B) {
-	const (
-		n = 1 << 17 // iterations per run
-		k = 4       // CSS chunk size: 32768 chunks per run
-	)
-	for _, engine := range []string{loopsched.EngineChannel, loopsched.EngineSteal} {
-		for _, p := range []int{8, 32, 128} {
-			b.Run(fmt.Sprintf("%s-p%d", engine, p), func(b *testing.B) {
-				workers := make([]*loopsched.WorkerSpec, p)
-				for i := range workers {
-					workers[i] = &loopsched.WorkerSpec{WorkScale: 1}
-				}
-				ex := &loopsched.LocalExecutor{
-					Scheme:  loopsched.NewCSS(k),
-					Workers: workers,
-					Engine:  engine,
-				}
-				w := loopsched.Uniform{N: n}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rep, err := ex.Run(w, func(int) {})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if rep.Iterations != n {
-						b.Fatalf("ran %d of %d iterations", rep.Iterations, n)
-					}
-				}
-				b.ReportMetric(float64(n/k)*float64(b.N)/b.Elapsed().Seconds(), "chunks/s")
-			})
-		}
-	}
-}
-
-// BenchmarkLocalExecutor measures the goroutine master–worker loop on
-// a trivial body (scheduling overhead dominated).
-func BenchmarkLocalExecutor(b *testing.B) {
-	ex := &loopsched.LocalExecutor{
-		Scheme: loopsched.NewTFSS(),
-		Workers: []*loopsched.WorkerSpec{
-			{WorkScale: 1}, {WorkScale: 1}, {WorkScale: 1}, {WorkScale: 1},
-		},
-	}
-	w := loopsched.Uniform{N: 10000}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var sink int64
-		if _, err := ex.Run(w, func(it int) { sink += int64(it) }); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkScheduler measures the multi-tenant scheduler daemon as a
-// job-stream pipeline: one long-lived fleet, batches of concurrent
-// jobs from several tenants, trivial bodies so admission, arbitration
-// and refill dominate. Headline metrics are jobs/s and chunks/s
-// (published to BENCH_service.json by make bench-json).
-func BenchmarkScheduler(b *testing.B) {
-	const (
-		batch = 32      // concurrent jobs per iteration
-		n     = 1 << 12 // iterations per job
-		k     = 8       // CSS chunk size: n/k chunks per job
-	)
-	ctx := context.Background()
-	for _, cfg := range []struct {
-		name       string
-		p, tenants int
-	}{
-		{"p8-t1", 8, 1},
-		{"p8-t4", 8, 4},
-		{"p32-t8", 32, 8},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			workers := make([]*loopsched.WorkerSpec, cfg.p)
-			for i := range workers {
-				workers[i] = &loopsched.WorkerSpec{WorkScale: 1}
-			}
-			s, err := loopsched.NewScheduler(loopsched.SchedulerOptions{
-				Workers:      workers,
-				CreditWindow: 8,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			var chunks int64
-			for i := 0; i < b.N; i++ {
-				jobs := make([]*loopsched.Job, batch)
-				for j := range jobs {
-					jobs[j], err = s.Submit(ctx, loopsched.JobSpec{
-						Scheme:   loopsched.NewCSS(k),
-						Workload: loopsched.Uniform{N: n},
-						Body:     func(int) {},
-						Tenant:   fmt.Sprintf("tenant-%d", j%cfg.tenants),
-						Weight:   float64(1 + j%3),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				for _, j := range jobs {
-					if _, err := j.Wait(ctx); err != nil {
-						b.Fatal(err)
-					}
-					chunks += int64(j.ChunksGranted())
-				}
-			}
-			elapsed := b.Elapsed().Seconds()
-			b.ReportMetric(float64(batch)*float64(b.N)/elapsed, "jobs/s")
-			b.ReportMetric(float64(chunks)/elapsed, "chunks/s")
-		})
-	}
-}
-
-// BenchmarkLedger measures the scheduling-step ledger at both layers;
-// `make bench-json` publishes the table as BENCH_ledger.json.
-//
-// The simulated matrix hammers the in-process half — one fetch-and-add
-// on the shared step counter plus a table lookup — from p concurrent
-// claimers, which is the whole per-chunk acquire cost the steal engine
-// and the master's ledger branch pay. The loopback matrix runs full
-// master/worker loops over TCP with the ledger off (the PR 5
-// credit-window grant path: every chunk is requested and granted in a
-// master frame) and on (workers claim with one-sided FetchAdd frames
-// and self-compute boundaries from a table replica), so chunks/s
-// compares what the protocol costs per chunk end to end.
-func BenchmarkLedger(b *testing.B) {
-	b.Run("simulated", func(b *testing.B) {
-		tab, err := ledger.Build(sched.TSSScheme{}, sched.Config{Iterations: 1 << 20, Workers: 64})
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps := uint64(tab.Steps())
-		for _, p := range []int{128, 1024, 8192} {
-			b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-				var ctr ledger.Local
-				b.ReportAllocs()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for g := 0; g < p; g++ {
-					claims := b.N / p
-					if g < b.N%p {
-						claims++
-					}
-					if claims == 0 {
-						continue
-					}
-					wg.Add(1)
-					go func(claims int) {
-						defer wg.Done()
-						for j := 0; j < claims; j++ {
-							step, _ := ctr.FetchAdd(1)
-							// Claim-then-check: wrap so the table never
-							// drains while the benchmark runs.
-							if _, ok := tab.Chunk(step % steps); !ok {
-								panic("table lookup failed")
-							}
-						}
-					}(claims)
-				}
-				wg.Wait()
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "chunks/s")
-			})
-		}
-	})
-
-	b.Run("loopback", func(b *testing.B) {
-		const n = 2048 // SS: one iteration per chunk, 2048 protocol acquisitions per op
-		kernel := func(i int) []byte {
-			buf := make([]byte, 1024)
-			binary.LittleEndian.PutUint64(buf, uint64(i)+1)
-			return buf
-		}
-		for _, p := range []int{2, 8, 32} {
-			for _, mode := range []string{"master", "ledger"} {
-				b.Run(fmt.Sprintf("%s-p%d", mode, p), func(b *testing.B) {
-					b.ReportAllocs()
-					chunks := 0
-					for i := 0; i < b.N; i++ {
-						m, err := loopsched.NewMaster(loopsched.NewSS(), n, p)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if mode == "ledger" {
-							if err := m.SetLedger("on"); err != nil {
-								b.Fatal(err)
-							}
-							if !m.LedgerActive() {
-								b.Fatal("ledger did not arm")
-							}
-						}
-						l, err := net.Listen("tcp", "127.0.0.1:0")
-						if err != nil {
-							b.Fatal(err)
-						}
-						if err := m.Serve(l); err != nil {
-							b.Fatal(err)
-						}
-						var wg sync.WaitGroup
-						errs := make([]error, p)
-						for id := 0; id < p; id++ {
-							// Both sides run at the default credit window of 1
-							// (the PR 5 double buffer): the master path
-							// pipelines one prefetched grant per round trip,
-							// the ledger path claims up to ledgerClaimFactor steps.
-							w := loopsched.Worker{
-								ID: id, Kernel: kernel,
-								Transport:   "binary",
-								Pipeline:    mode == "master",
-								LedgerTable: m.Ledger(), // nil in master mode
-							}
-							wg.Add(1)
-							go func(id int, w loopsched.Worker) {
-								defer wg.Done()
-								errs[id] = w.Run(l.Addr().String())
-							}(id, w)
-						}
-						wg.Wait()
-						for id, err := range errs {
-							if err != nil {
-								b.Fatalf("worker %d: %v", id, err)
-							}
-						}
-						if _, rep, err := m.Wait(); err != nil {
-							b.Fatal(err)
-						} else {
-							chunks += rep.Chunks
-						}
-						l.Close()
-					}
-					b.ReportMetric(float64(chunks)/b.Elapsed().Seconds(), "chunks/s")
-				})
-			}
-		}
-	})
 }

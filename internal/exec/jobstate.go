@@ -5,8 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"loopsched/internal/acp"
-	"loopsched/internal/ledger"
+	"loopsched/internal/dispense"
 	"loopsched/internal/sched"
 	"loopsched/internal/steal"
 	"loopsched/internal/telemetry"
@@ -29,6 +28,9 @@ type JobConfig struct {
 	// plan with (the paper's step 1(a) gather). nil means every
 	// worker reports ACP 1 until its first refill.
 	InitACP []int
+	// Powers are the workers' static virtual powers, which the
+	// static-weight schemes (WF, WS) split by; nil weighs them equally.
+	Powers []float64
 	// DisableReplan turns off the majority re-plan.
 	DisableReplan bool
 	// Telemetry receives the job's chunk events; nil is inert.
@@ -55,25 +57,21 @@ type JobCounts struct {
 }
 
 // JobState is the fleet-shareable core of the work-stealing engine:
-// one job's per-worker deques plus everything a master would keep
-// private — the scheme policy, live/plan ACP, grant accounting —
-// guarded by one amortised refill mutex. A single JobState backs a
-// whole stealRun; a scheduler keeps many JobStates alive at once on
-// one worker fleet, each worker holding one deque per job.
+// one job's per-worker deques plus what a master would keep private —
+// the dispenser (internal/dispense) and the grant accounting. A single
+// JobState backs a whole steal-engine run; a scheduler keeps many
+// JobStates alive at once on one worker fleet, each worker holding one
+// deque per job.
 //
-// Termination is masterless: drained flips when the policy runs dry
-// (it can never un-dry — a re-plan covers only the remaining
-// iterations, which is zero by then), after which granted is frozen;
-// the job is finished once drained && completed == granted, i.e.
-// every granted iteration has been executed by somebody.
+// Termination is masterless: the dispenser drains when its last chunk
+// is handed out (it can never un-drain), after which granted is
+// frozen; the job is finished once drained && completed == granted,
+// i.e. every granted iteration has been executed by somebody.
 type JobState struct {
-	scheme        sched.Scheme
-	w             workload.Workload
-	dist          bool
-	p             int
-	disableReplan bool
-	bus           *telemetry.Bus
-	job, tenant   int
+	w           workload.Workload
+	p           int
+	bus         *telemetry.Bus
+	job, tenant int
 
 	deques   []*steal.Deque
 	counters []steal.AtomicCounters
@@ -82,27 +80,19 @@ type JobState struct {
 
 	waitHist *hist.Sharded // request-to-grant latency (shard = worker)
 
-	// Scheduling-step ledger (JobConfig.Ledger): when armed, Refill
-	// bypasses s.mu entirely — one fetch-and-add claims a window of
-	// steps and the table maps each to its chunk. nil keeps the policy
-	// path. ledgerChunks is the ledger's share of the chunk tally,
-	// folded into Counts alongside the mu-guarded chunks.
-	ledgerTab    *ledger.Table
-	ledgerCtr    ledger.Local
-	ledgerChunks atomic.Int64
+	// d hands out the job's chunks. With JobConfig.Ledger on and a
+	// step-deterministic scheme it arms a step table and Refill is
+	// lock-free (ledger is true); otherwise every Refill draws from the
+	// policy under mu.
+	d      *dispense.Dispenser
+	ledger bool
 
+	chunks    atomic.Int64
 	granted   atomic.Int64
 	completed atomic.Int64
-	drained   atomic.Bool
 	aborted   atomic.Bool
 
-	mu      sync.Mutex // guards everything below
-	policy  sched.Policy
-	liveACP []int
-	planACP []int
-	base    int
-	chunks  int
-	replans int
+	mu sync.Mutex // serialises policy-backed use of d
 }
 
 // NewJobState plans the job's first policy and allocates its deques.
@@ -112,79 +102,47 @@ func NewJobState(cfg JobConfig) (*JobState, error) {
 	if window <= 0 {
 		window = DefaultStealWindow
 	}
-	s := &JobState{
-		scheme:        cfg.Scheme,
-		w:             cfg.Workload,
-		dist:          sched.Distributed(cfg.Scheme),
-		p:             p,
-		disableReplan: cfg.DisableReplan,
-		bus:           cfg.Telemetry,
-		job:           cfg.Job,
-		tenant:        cfg.Tenant,
-		deques:        make([]*steal.Deque, p),
-		counters:      make([]steal.AtomicCounters, p),
-		scratch:       make([][]sched.Assignment, p),
-		compHist:      hist.NewSharded(p),
-		waitHist:      hist.NewSharded(p),
-		liveACP:       make([]int, p),
-		planACP:       make([]int, p),
-	}
-	for i := 0; i < p; i++ {
-		s.deques[i] = steal.NewDeque(window)
-		s.scratch[i] = make([]sched.Assignment, 0, window)
-	}
-	if s.dist {
-		for i := 0; i < p; i++ {
-			a := 1
-			if i < len(cfg.InitACP) {
-				a = cfg.InitACP[i]
-			}
-			s.liveACP[i] = a
-		}
-	}
-	var err error
-	s.policy, err = s.plan()
-	if err != nil {
-		return nil, err
-	}
 	mode, ok := cfg.Ledger.Normalize()
 	if !ok {
 		return nil, fmt.Errorf("exec: unknown ledger mode %q", cfg.Ledger)
 	}
-	if mode == LedgerOn {
-		// Advisory: a build failure (ineligible scheme, over-long loop)
-		// keeps the policy path, so "on" is always safe.
-		if tab, err := ledger.Build(cfg.Scheme, sched.Config{Iterations: cfg.Workload.Len(), Workers: p}); err == nil {
-			s.ledgerTab = tab
-		}
+	s := &JobState{
+		w:        cfg.Workload,
+		p:        p,
+		bus:      cfg.Telemetry,
+		job:      cfg.Job,
+		tenant:   cfg.Tenant,
+		deques:   make([]*steal.Deque, p),
+		counters: make([]steal.AtomicCounters, p),
+		scratch:  make([][]sched.Assignment, p),
+		compHist: hist.NewSharded(p),
+		waitHist: hist.NewSharded(p),
+		d: dispense.New(dispense.Config{
+			Scheme:   cfg.Scheme,
+			Workers:  p,
+			Powers:   cfg.Powers,
+			NoReplan: cfg.DisableReplan,
+			Table:    mode == LedgerOn,
+		}),
 	}
+	for i := 0; i < p; i++ {
+		s.deques[i] = steal.NewDeque(window)
+		s.scratch[i] = make([]sched.Assignment, 0, window)
+		a := 1
+		if i < len(cfg.InitACP) {
+			a = cfg.InitACP[i]
+		}
+		s.d.Report(i, a)
+	}
+	if err := s.d.Stage(0, cfg.Workload.Len()); err != nil {
+		return nil, err
+	}
+	s.ledger = s.d.Table() != nil
 	return s, nil
 }
 
 // Workload returns the job's loop (for feedback cost lookups).
 func (s *JobState) Workload() workload.Workload { return s.w }
-
-// plan builds a policy over the remaining iterations, offset past what
-// has already been granted. Caller holds s.mu (or is pre-spawn).
-func (s *JobState) plan() (sched.Policy, error) {
-	cfg := sched.Config{Iterations: s.w.Len() - s.base, Workers: s.p}
-	if s.dist {
-		powers := make([]float64, s.p)
-		for i, a := range s.liveACP {
-			if a < 1 {
-				a = 1
-			}
-			powers[i] = float64(a)
-		}
-		cfg.Powers = powers
-	}
-	pol, err := s.scheme.NewPolicy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	copy(s.planACP, s.liveACP)
-	return sched.Offset(pol, s.base), nil
-}
 
 // event returns an Event pre-tagged with the job's identity.
 //
@@ -230,84 +188,78 @@ func (s *JobState) Steal(thief int) (sched.Assignment, bool) {
 }
 
 // Refill is the steal engine's stand-in for one master round-trip: it
-// reports the worker's current ACP, applies any pending feedback,
-// re-plans on majority ACP change, and pulls a batch of chunks from the
-// policy: at most a window, and share-bounded (sched.BatchLimit) — the
-// batch ends as soon as another chunk the size of the last one would
-// carry its iteration total past the limit, so a worker never parks
-// more than its share of what is left in its own deque. The policy
-// cannot be asked for a chunk's size without granting it, hence the
-// last size as the predictor: exact for the paper's non-increasing
-// sequences, off by at most one chunk's growth otherwise. The first
+// applies any pending feedback and claims a batch from the dispenser —
+// which records the worker's ACP, re-plans on a majority change and
+// share-bounds the batch (at most a window, dispense.Claim). The first
 // chunk is returned for immediate execution; the rest land in the
 // worker's (empty — refill only runs after its own pop failed, and
 // thieves never add) deque for this job.
 // The int result is the number of iterations granted by this refill,
 // which a fair-share arbiter charges against the job's credit budget.
+//
+// On the ledger the claim is one fetch-and-add and nothing touches
+// s.mu, so p workers refilling concurrently contend on a single atomic
+// instead of serialising through the policy lock. Cancellation there is
+// best-effort where the mutex path is exact: a refill racing Abort may
+// grant one final window. Those grants still publish their events, so
+// telemetry reconciliation holds either way.
 func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.Assignment, int, bool) {
 	if s.aborted.Load() {
 		return sched.Assignment{}, 0, false
 	}
-	if s.ledgerTab != nil {
-		return s.refillLedger(worker, acpNow)
-	}
 	c := &s.counters[worker]
 	reqAt := s.bus.Now()
 	req := s.event(telemetry.ChunkRequested, worker)
 	req.ACP = acpNow
 	req.At = reqAt
 	s.bus.Publish(req)
-	batch := s.scratch[worker][:0]
-	window := cap(s.scratch[worker])
-	iters := 0
 
-	s.mu.Lock()
-	if s.aborted.Load() {
-		// Re-checked under the refill mutex: Abort followed by a
-		// mutex-acquiring Counts snapshot therefore observes every
-		// grant that will ever happen, so a cancelled job's report
-		// reconciles exactly with its telemetry.
+	if !s.ledger {
+		s.mu.Lock()
+		if s.aborted.Load() {
+			// Re-checked under the refill mutex: Abort followed by a
+			// mutex-acquiring Counts snapshot therefore observes every
+			// grant that will ever happen, so a cancelled job's report
+			// reconciles exactly with its telemetry.
+			s.mu.Unlock()
+			return sched.Assignment{}, 0, false
+		}
+		s.d.Feedback(worker, fbWork, fbElapsed)
+	}
+	batch, replanned := s.d.Claim(worker, acpNow, cap(s.scratch[worker]), s.scratch[worker][:0])
+	if replanned {
+		e := s.event(telemetry.StageAdvanced, worker)
+		e.At = s.bus.Now()
+		s.bus.Publish(e)
+	}
+	if s.ledger {
+		// Start is what the claim yielded; a claim past the table's end
+		// still spent one fetch-and-add.
+		now := s.bus.Now()
+		fetch := s.event(telemetry.LedgerFetch, worker)
+		fetch.Start = len(batch)
+		if fetch.Start == 0 {
+			fetch.Start = 1
+		}
+		fetch.At, fetch.Seconds = now, now-reqAt
+		s.bus.Publish(fetch)
+	}
+	iters := 0
+	for _, a := range batch {
+		s.granted.Add(int64(a.Size))
+		iters += a.Size
+		now := s.bus.Now()
+		s.waitHist.Record(worker, now-reqAt)
+		e := s.event(telemetry.ChunkGranted, worker)
+		e.Start, e.Size, e.ACP = a.Start, a.Size, acpNow
+		e.Span = telemetry.SpanID(s.job, a.Start)
+		e.At, e.Seconds = now, now-reqAt
+		s.bus.Publish(e)
+	}
+	s.chunks.Add(int64(len(batch)))
+	if !s.ledger {
 		s.mu.Unlock()
-		return sched.Assignment{}, 0, false
 	}
-	s.liveACP[worker] = acpNow
-	if fb, ok := s.policy.(sched.FeedbackPolicy); ok && fbElapsed > 0 {
-		fb.Feedback(worker, fbWork, fbElapsed)
-	}
-	if s.dist && !s.disableReplan && acp.MajorityChanged(s.planACP, s.liveACP) {
-		if p2, err2 := s.plan(); err2 == nil {
-			s.policy = p2
-			s.replans++
-			e := s.event(telemetry.StageAdvanced, worker)
-			e.At = s.bus.Now()
-			s.bus.Publish(e)
-		}
-	}
-	total := s.w.Len()
-	limit := sched.BatchLimit(total-s.base, total, s.p)
-	for len(batch) < window {
-		a, ok := s.policy.Next(sched.Request{Worker: worker, ACP: float64(acpNow)})
-		if !ok {
-			s.drained.Store(true)
-			break
-		}
-		s.base = a.End()
-		s.chunks++
-		s.granted.Add(int64(a.Size))
-		iters += a.Size
-		now := s.bus.Now()
-		s.waitHist.Record(worker, now-reqAt)
-		e := s.event(telemetry.ChunkGranted, worker)
-		e.Start, e.Size, e.ACP = a.Start, a.Size, acpNow
-		e.Span = telemetry.SpanID(s.job, a.Start)
-		e.At, e.Seconds = now, now-reqAt
-		s.bus.Publish(e)
-		batch = append(batch, a)
-		if iters+a.Size > limit {
-			break // one more chunk like this one would pass the share
-		}
-	}
-	s.mu.Unlock()
 
 	if len(batch) == 0 {
 		return sched.Assignment{}, 0, false
@@ -315,72 +267,6 @@ func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.
 	for _, a := range batch[1:] {
 		s.deques[worker].Push(a) // cannot fail: deque empty, cap >= window
 	}
-	c.Refills.Add(1)
-	c.RefillChunks.Add(int64(len(batch)))
-	e := s.event(telemetry.DequeRefilled, worker)
-	e.Start, e.Size, e.ACP = batch[0].Start, len(batch), acpNow
-	e.At = s.bus.Now()
-	s.bus.Publish(e)
-	return batch[0], iters, true
-}
-
-// refillLedger is Refill on the scheduling-step ledger: the table
-// sizes the batch from where the counter stands (ledger.Table.Batch —
-// the same share bound, exact here because the table knows every
-// chunk's size), one fetch-and-add claims it, the table maps each step
-// to its chunk, and nothing touches s.mu — p workers refilling
-// concurrently contend on a single atomic instead of serialising
-// through the policy lock. Feedback and re-planning don't apply: the
-// ledger only arms for step-deterministic schemes, whose chunks ignore
-// everything the master path would feed back.
-//
-// Cancellation here is best-effort where the mutex path is exact: a
-// refill racing Abort may grant one final window. Those grants still
-// publish their events, so telemetry reconciliation holds either way.
-func (s *JobState) refillLedger(worker, acpNow int) (sched.Assignment, int, bool) {
-	reqAt := s.bus.Now()
-	req := s.event(telemetry.ChunkRequested, worker)
-	req.ACP = acpNow
-	req.At = reqAt
-	s.bus.Publish(req)
-	batch := s.scratch[worker][:0]
-	iters := 0
-
-	n := s.ledgerTab.Batch(s.ledgerCtr.Next(), cap(s.scratch[worker]))
-	step, _ := s.ledgerCtr.FetchAdd(n)
-	claimAt := s.bus.Now()
-	fetch := s.event(telemetry.LedgerFetch, worker)
-	fetch.Start = n
-	fetch.At, fetch.Seconds = claimAt, claimAt-reqAt
-	s.bus.Publish(fetch)
-	for i := 0; i < n; i++ {
-		a, ok := s.ledgerTab.Chunk(step + uint64(i))
-		if !ok {
-			// Steps past the table's end: the loop is fully claimed.
-			// Over-claimed steps are harmlessly wasted — the counter
-			// only ever moves forward.
-			s.drained.Store(true)
-			break
-		}
-		s.ledgerChunks.Add(1)
-		s.granted.Add(int64(a.Size))
-		iters += a.Size
-		now := s.bus.Now()
-		s.waitHist.Record(worker, now-reqAt)
-		e := s.event(telemetry.ChunkGranted, worker)
-		e.Start, e.Size, e.ACP = a.Start, a.Size, acpNow
-		e.Span = telemetry.SpanID(s.job, a.Start)
-		e.At, e.Seconds = now, now-reqAt
-		s.bus.Publish(e)
-		batch = append(batch, a)
-	}
-	if len(batch) == 0 {
-		return sched.Assignment{}, 0, false
-	}
-	for _, a := range batch[1:] {
-		s.deques[worker].Push(a) // cannot fail: deque empty, cap >= window
-	}
-	c := &s.counters[worker]
 	c.Refills.Add(1)
 	c.RefillChunks.Add(int64(len(batch)))
 	e := s.event(telemetry.DequeRefilled, worker)
@@ -392,7 +278,7 @@ func (s *JobState) refillLedger(worker, acpNow int) (sched.Assignment, int, bool
 
 // LedgerActive reports whether refills draw from the scheduling-step
 // ledger instead of the mutex-guarded policy.
-func (s *JobState) LedgerActive() bool { return s.ledgerTab != nil }
+func (s *JobState) LedgerActive() bool { return s.ledger }
 
 // Feedback applies one completed chunk's measured cost to the policy,
 // for schedulers whose workers interleave many jobs and cannot carry
@@ -402,9 +288,7 @@ func (s *JobState) Feedback(worker int, work, elapsed float64) {
 		return
 	}
 	s.mu.Lock()
-	if fb, ok := s.policy.(sched.FeedbackPolicy); ok {
-		fb.Feedback(worker, work, elapsed)
-	}
+	s.d.Feedback(worker, work, elapsed)
 	s.mu.Unlock()
 }
 
@@ -424,7 +308,7 @@ func (s *JobState) Complete(worker int, a sched.Assignment, acpNow int, seconds 
 	e.Span = telemetry.SpanID(s.job, a.Start)
 	e.At, e.Seconds = s.bus.Now(), seconds
 	s.bus.Publish(e)
-	return s.drained.Load() && done >= s.granted.Load()
+	return s.Drained() && done >= s.granted.Load()
 }
 
 // Latency snapshots the job's request-to-grant and per-chunk compute
@@ -437,19 +321,16 @@ func (s *JobState) Latency() (wait, comp hist.Snapshot) {
 // already granted but still queued in deques become stale — the owner
 // discards them — so only the chunk each worker is currently executing
 // runs to completion (preemption never splits a granted chunk).
-func (s *JobState) Abort() {
-	s.aborted.Store(true)
-	s.drained.Store(true)
-}
+func (s *JobState) Abort() { s.aborted.Store(true) }
 
 // Drained reports whether the policy has run dry (or the job was
 // aborted): no refill will ever grant more work.
-func (s *JobState) Drained() bool { return s.drained.Load() }
+func (s *JobState) Drained() bool { return s.aborted.Load() || s.d.Drained() }
 
 // Finished reports whether the job is complete: the policy is dry and
 // every granted iteration has been executed.
 func (s *JobState) Finished() bool {
-	return s.drained.Load() && s.completed.Load() >= s.granted.Load()
+	return s.Drained() && s.completed.Load() >= s.granted.Load()
 }
 
 // Granted returns the iterations granted so far.
@@ -461,10 +342,10 @@ func (s *JobState) Completed() int64 { return s.completed.Load() }
 // Counts snapshots the job's chunk accounting.
 func (s *JobState) Counts() JobCounts {
 	s.mu.Lock()
-	chunks, replans := s.chunks, s.replans
+	chunks, replans := s.chunks.Load(), s.d.Replans()
 	s.mu.Unlock()
 	c := JobCounts{
-		Chunks:    chunks + int(s.ledgerChunks.Load()),
+		Chunks:    int(chunks),
 		Replans:   replans,
 		Granted:   s.granted.Load(),
 		Completed: s.completed.Load(),

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"loopsched/internal/acp"
+	"loopsched/internal/dispense"
 	"loopsched/internal/metrics"
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
@@ -103,18 +104,178 @@ const (
 	EngineSteal   = "steal"
 )
 
-type localRequest struct {
-	worker    int
-	acp       int
-	fbWork    float64 // cost of the previous chunk (0 = none)
-	fbElapsed float64 // its measured execution time
-	at        float64 // send instant on the telemetry clock (0 = no bus)
-	reply     chan localReply
+// VirtualPowers derives V_i for each worker spec: the slowest worker
+// has power 1 and the rest scale up, mirroring the paper's testbed
+// power normalisation.
+func VirtualPowers(workers []*WorkerSpec) []float64 {
+	maxScale := 1
+	for _, w := range workers {
+		if w.scale() > maxScale {
+			maxScale = w.scale()
+		}
+	}
+	out := make([]float64, len(workers))
+	for i, w := range workers {
+		out[i] = float64(maxScale) / float64(w.scale())
+	}
+	return out
 }
 
-type localReply struct {
-	assign sched.Assignment
-	ok     bool
+// ChannelRequest is one in-process slave's demand for work, sent to
+// its (sub)master over an unbuffered channel: the paper's request
+// message with the previous chunk's measured cost piggy-backed.
+type ChannelRequest struct {
+	Worker    int     // the id the master knows the slave by
+	ACP       int     // the slave's A_i at send time
+	FbWork    float64 // cost of the previous chunk (0 = none)
+	FbElapsed float64 // its measured execution time
+	At        float64 // send instant on the telemetry clock (0 = no bus)
+	Reply     chan ChannelReply
+}
+
+// ChannelReply answers a ChannelRequest; OK false is the stop message.
+type ChannelReply struct {
+	Assign sched.Assignment
+	OK     bool
+}
+
+// Slaves is what the goroutine slaves of one in-process run share.
+// Local's two engines and hier.LocalRun's shards all start their
+// workers through it, so the probe–request–execute loop exists once.
+type Slaves struct {
+	Workers   []*WorkerSpec
+	ACP       acp.Model
+	Workload  workload.Workload
+	Body      func(i int)
+	Telemetry *telemetry.Bus
+	Trace     *trace.Trace
+
+	Powers []float64 // VirtualPowers(Workers)
+	Start  time.Time
+	// WaitHist and CompHist collect request-to-grant and per-chunk
+	// compute latency (shard = run-global worker id).
+	WaitHist, CompHist *hist.Sharded
+}
+
+// Begin stamps the run's start and labels its trace.
+func (r *Slaves) Begin(scheme sched.Scheme) {
+	p := len(r.Workers)
+	r.Powers = VirtualPowers(r.Workers)
+	r.WaitHist, r.CompHist = hist.NewSharded(p), hist.NewSharded(p)
+	r.Start = time.Now()
+	if r.Trace != nil {
+		r.Trace.Scheme = scheme.Name()
+		r.Trace.Workload = r.Workload.Name()
+		r.Trace.Workers = p
+	}
+}
+
+// Go starts slave(id) on one goroutine per worker. The returned join
+// waits for them all and returns each worker's measured times and the
+// iterations they executed in total.
+func (r *Slaves) Go(slave func(id int) (metrics.Times, int)) (join func() ([]metrics.Times, int)) {
+	times := make([]metrics.Times, len(r.Workers))
+	done := make([]int, len(r.Workers))
+	var wg sync.WaitGroup
+	for i := range r.Workers {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			times[id], done[id] = slave(id)
+		}(i)
+	}
+	return func() ([]metrics.Times, int) {
+		wg.Wait()
+		iters := 0
+		for _, n := range done {
+			iters += n
+		}
+		return times, iters
+	}
+}
+
+// acpNow is worker id's A_i under its current emulated load.
+func (r *Slaves) acpNow(id int) int {
+	return r.ACP.ACP(r.Powers[id], 1+r.Workers[id].Load())
+}
+
+// compute executes chunk g on worker id, emulating its WorkScale, and
+// returns the chunk's cost and measured time for the feedback loop.
+func (r *Slaves) compute(id, acpNow int, g sched.Assignment) (work, elapsed float64) {
+	scale := r.Workers[id].scale()
+	compStart := time.Now()
+	for it := g.Start; it < g.End(); it++ {
+		for n := 0; n < scale; n++ {
+			r.Body(it)
+		}
+	}
+	work = workload.RangeCost(r.Workload, g.Start, g.End())
+	// One reading serves the feedback loop, the Comp metric and the
+	// trace span: separate time.Since calls drift apart by the work
+	// between them, so Feedback would see an elapsed time that never
+	// equals the reported Comp.
+	elapsed = time.Since(compStart).Seconds()
+	if r.Trace != nil {
+		begin := compStart.Sub(r.Start).Seconds()
+		r.Trace.Add(trace.Event{
+			Worker: id,
+			Start:  g.Start,
+			Size:   g.Size,
+			Begin:  begin,
+			End:    begin + elapsed,
+			ACP:    acpNow,
+		})
+	}
+	return work, elapsed
+}
+
+// Slave is the paper's slave loop for worker id against a channel
+// master: probe the load, request with A_i and the previous chunk's
+// cost, execute the reply, until the master says stop or ctx ends.
+// slot is the id its master knows it by (shard-local under a
+// submaster) and shard labels its events. It returns the worker's
+// measured times and executed iteration count.
+func (r *Slaves) Slave(ctx context.Context, id, slot, shard int, requests chan<- ChannelRequest) (times metrics.Times, iters int) {
+	bus := r.Telemetry
+	reply := make(chan ChannelReply, 1)
+	bus.Publish(telemetry.Event{
+		Kind: telemetry.WorkerJoined, Worker: id, Shard: shard,
+		At: bus.Now(),
+	})
+	var fbWork, fbElapsed float64
+	for {
+		a := r.acpNow(id)
+		reqAt := bus.Now()
+		bus.Publish(telemetry.Event{
+			Kind: telemetry.ChunkRequested, Worker: id, Shard: shard,
+			ACP: a, At: reqAt,
+		})
+		waitStart := time.Now()
+		select {
+		case requests <- ChannelRequest{Worker: slot, ACP: a,
+			FbWork: fbWork, FbElapsed: fbElapsed, At: reqAt, Reply: reply}:
+		case <-ctx.Done():
+			return times, iters
+		}
+		rep := <-reply // an accepted request is always answered
+		wait := time.Since(waitStart).Seconds()
+		times.Wait += wait
+		if !rep.OK {
+			return times, iters
+		}
+		r.WaitHist.Record(id, wait)
+		g := rep.Assign
+		fbWork, fbElapsed = r.compute(id, a, g)
+		times.Comp += fbElapsed
+		r.CompHist.Record(id, fbElapsed)
+		iters += g.Size
+		bus.Publish(telemetry.Event{
+			Kind: telemetry.ChunkCompleted, Worker: id, Shard: shard,
+			Start: g.Start, Size: g.Size, ACP: a,
+			Span: telemetry.SpanID(0, g.Start),
+			At:   bus.Now(), Seconds: fbElapsed,
+		})
+	}
 }
 
 // Run executes body(i) exactly once for every iteration i of the
@@ -139,119 +300,33 @@ func (l *Local) RunContext(ctx context.Context, w workload.Workload, body func(i
 	if p == 0 {
 		return metrics.Report{}, fmt.Errorf("exec: no workers")
 	}
+	run := &Slaves{
+		Workers: l.Workers, ACP: l.ACP, Workload: w, Body: body,
+		Telemetry: l.Telemetry, Trace: l.Trace,
+	}
+	var rep metrics.Report
+	var err error
 	switch l.Engine {
 	case "", EngineChannel:
+		run.Begin(l.Scheme)
+		requests := make(chan ChannelRequest)
+		join := run.Go(func(id int) (metrics.Times, int) {
+			return run.Slave(ctx, id, id, 0, requests)
+		})
+		rep, err = l.master(ctx, w.Len(), run.Powers, requests)
+		rep.PerWorker, rep.Iterations = join()
+		close(requests) // lets a failed master's drain goroutine exit
+		rep.GrantLatency = run.WaitHist.Snapshot().Summarize()
+		rep.CompLatency = run.CompHist.Snapshot().Summarize()
 	case EngineSteal:
-		return l.runSteal(ctx, w, body)
+		rep, err = l.runSteal(ctx, run)
 	default:
 		return metrics.Report{}, fmt.Errorf("exec: unknown local engine %q (want %q or %q)", l.Engine, EngineChannel, EngineSteal)
 	}
-	dist := sched.Distributed(l.Scheme)
-
-	maxScale := 1
-	for _, ws := range l.Workers {
-		if ws.scale() > maxScale {
-			maxScale = ws.scale()
-		}
-	}
-	virtual := func(i int) float64 {
-		return float64(maxScale) / float64(l.Workers[i].scale())
-	}
-
-	requests := make(chan localRequest)
-	var wg sync.WaitGroup
-	times := make([]metrics.Times, p)
-	iters := make([]int64, p)
-	waitHist := hist.NewSharded(p)
-	compHist := hist.NewSharded(p)
-
-	start := time.Now()
-	if l.Trace != nil {
-		l.Trace.Scheme = l.Scheme.Name()
-		l.Trace.Workload = w.Name()
-		l.Trace.Workers = p
-	}
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			spec := l.Workers[id]
-			reply := make(chan localReply, 1)
-			l.Telemetry.Publish(telemetry.Event{
-				Kind: telemetry.WorkerJoined, Worker: id,
-				At: l.Telemetry.Now(),
-			})
-			var fbWork, fbElapsed float64
-			for {
-				a := l.ACP.ACP(virtual(id), 1+spec.Load())
-				reqAt := l.Telemetry.Now()
-				l.Telemetry.Publish(telemetry.Event{
-					Kind: telemetry.ChunkRequested, Worker: id,
-					ACP: a, At: reqAt,
-				})
-				waitStart := time.Now()
-				select {
-				case requests <- localRequest{worker: id, acp: a,
-					fbWork: fbWork, fbElapsed: fbElapsed, at: reqAt, reply: reply}:
-				case <-ctx.Done():
-					return
-				}
-				r := <-reply // an accepted request is always answered
-				wait := time.Since(waitStart).Seconds()
-				times[id].Wait += wait
-				if !r.ok {
-					return
-				}
-				waitHist.Record(id, wait)
-				compStart := time.Now()
-				for it := r.assign.Start; it < r.assign.End(); it++ {
-					for rep := 0; rep < spec.scale(); rep++ {
-						body(it)
-					}
-				}
-				fbWork = workload.RangeCost(w, r.assign.Start, r.assign.End())
-				// One reading serves the feedback loop, the Comp metric
-				// and the trace span: separate time.Since calls drift
-				// apart by the work between them, so Feedback would see
-				// an elapsed time that never equals the reported Comp.
-				fbElapsed = time.Since(compStart).Seconds()
-				times[id].Comp += fbElapsed
-				compHist.Record(id, fbElapsed)
-				atomic.AddInt64(&iters[id], int64(r.assign.Size))
-				l.Telemetry.Publish(telemetry.Event{
-					Kind: telemetry.ChunkCompleted, Worker: id,
-					Start: r.assign.Start, Size: r.assign.Size, ACP: a,
-					Span: telemetry.SpanID(0, r.assign.Start),
-					At:   l.Telemetry.Now(), Seconds: fbElapsed,
-				})
-				if l.Trace != nil {
-					begin := compStart.Sub(start).Seconds()
-					l.Trace.Add(trace.Event{
-						Worker: id,
-						Start:  r.assign.Start,
-						Size:   r.assign.Size,
-						Begin:  begin,
-						End:    begin + fbElapsed,
-						ACP:    a,
-					})
-				}
-			}
-		}(i)
-	}
-
-	rep, err := l.master(ctx, w, p, dist, requests)
-	wg.Wait()
-	close(requests) // lets a failed master's drain goroutine exit
-	rep.Tp = time.Since(start).Seconds()
-	rep.GrantLatency = waitHist.Snapshot().Summarize()
-	rep.CompLatency = compHist.Snapshot().Summarize()
+	rep.Tp = time.Since(run.Start).Seconds()
 	rep.Scheme = l.Scheme.Name()
 	rep.Workload = w.Name()
 	rep.Workers = p
-	for i := 0; i < p; i++ {
-		rep.PerWorker = append(rep.PerWorker, times[i])
-		rep.Iterations += int(iters[i])
-	}
 	if err != nil {
 		return rep, err
 	}
@@ -263,101 +338,62 @@ func (l *Local) RunContext(ctx context.Context, w workload.Workload, body func(i
 
 // master services requests until the loop is exhausted and every
 // worker has been told to stop, or the context is cancelled.
-func (l *Local) master(ctx context.Context, w workload.Workload, p int, dist bool, requests chan localRequest) (metrics.Report, error) {
-	var rep metrics.Report
-	liveACP := make([]int, p)
-	planACP := make([]int, p)
-	base := 0
-
-	plan := func() (sched.Policy, error) {
-		cfg := sched.Config{Iterations: w.Len() - base, Workers: p}
-		if dist {
-			powers := make([]float64, p)
-			for i, a := range liveACP {
-				if a < 1 {
-					a = 1
-				}
-				powers[i] = float64(a)
-			}
-			cfg.Powers = powers
-		}
-		pol, err := l.Scheme.NewPolicy(cfg)
-		if err != nil {
-			return nil, err
-		}
-		copy(planACP, liveACP)
-		return sched.Offset(pol, base), nil
-	}
-
-	var policy sched.Policy
-	var pending []localRequest
+func (l *Local) master(ctx context.Context, n int, powers []float64, requests chan ChannelRequest) (rep metrics.Report, err error) {
+	p := len(l.Workers)
+	d := dispense.New(dispense.Config{
+		Scheme: l.Scheme, Workers: p, Powers: powers, NoReplan: l.DisableReplan,
+	})
+	defer func() { rep.Replans = d.Replans() }()
+	var pending []ChannelRequest
 
 	// Distributed masters gather every worker's first report before
 	// planning (paper master step 1(a)).
-	if dist {
-		seen := make([]bool, p)
-		n := 0
-		for n < p {
-			select {
-			case req := <-requests:
-				liveACP[req.worker] = req.acp
-				if !seen[req.worker] {
-					seen[req.worker] = true
-					n++
-				}
-				pending = append(pending, req)
-			case <-ctx.Done():
-				for _, req := range pending {
-					req.reply <- localReply{}
-				}
-				return rep, ctx.Err()
+	for sched.Distributed(l.Scheme) && !d.Gathered() {
+		select {
+		case req := <-requests:
+			d.Report(req.Worker, req.ACP)
+			pending = append(pending, req)
+		case <-ctx.Done():
+			for _, req := range pending {
+				req.Reply <- ChannelReply{}
 			}
+			return rep, ctx.Err()
 		}
 	}
-	var err error
-	policy, err = plan()
-	if err != nil {
+	if err := d.Stage(0, n); err != nil {
 		// Drain workers so they exit.
 		go func() {
 			for req := range requests {
-				req.reply <- localReply{}
+				req.Reply <- ChannelReply{}
 			}
 		}()
 		return rep, err
 	}
 
 	stopped := 0
-	serve := func(req localRequest) {
-		liveACP[req.worker] = req.acp
-		if fb, ok := policy.(sched.FeedbackPolicy); ok && req.fbElapsed > 0 {
-			fb.Feedback(req.worker, req.fbWork, req.fbElapsed)
+	serve := func(req ChannelRequest) {
+		d.Feedback(req.Worker, req.FbWork, req.FbElapsed)
+		a, ok, replanned := d.Next(req.Worker, req.ACP)
+		if replanned {
+			l.Telemetry.Publish(telemetry.Event{
+				Kind: telemetry.StageAdvanced, Worker: req.Worker,
+				At: l.Telemetry.Now(),
+			})
 		}
-		if dist && !l.DisableReplan && acp.MajorityChanged(planACP, liveACP) {
-			if p2, err2 := plan(); err2 == nil {
-				policy = p2
-				rep.Replans++
-				l.Telemetry.Publish(telemetry.Event{
-					Kind: telemetry.StageAdvanced, Worker: req.worker,
-					At: l.Telemetry.Now(),
-				})
-			}
-		}
-		a, ok := policy.Next(sched.Request{Worker: req.worker, ACP: float64(req.acp)})
 		if !ok {
 			stopped++
-			req.reply <- localReply{}
+			req.Reply <- ChannelReply{}
 			return
 		}
-		base = a.End()
 		rep.Chunks++
 		now := l.Telemetry.Now()
 		l.Telemetry.Publish(telemetry.Event{
-			Kind: telemetry.ChunkGranted, Worker: req.worker,
-			Start: a.Start, Size: a.Size, ACP: req.acp,
+			Kind: telemetry.ChunkGranted, Worker: req.Worker,
+			Start: a.Start, Size: a.Size, ACP: req.ACP,
 			Span: telemetry.SpanID(0, a.Start),
-			At:   now, Seconds: now - req.at,
+			At:   now, Seconds: now - req.At,
 		})
-		req.reply <- localReply{assign: a, ok: true}
+		req.Reply <- ChannelReply{Assign: a, OK: true}
 	}
 	for _, req := range pending {
 		serve(req)

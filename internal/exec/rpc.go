@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"loopsched/internal/acp"
+	"loopsched/internal/dispense"
 	"loopsched/internal/ledger"
 	"loopsched/internal/metrics"
 	"loopsched/internal/sched"
@@ -41,12 +42,13 @@ import (
 // The master's hot path is de-contended: results deposit into a
 // lock-free ledger (one atomic flip per iteration index), per-worker
 // protocol state lives in per-worker slots with their own locks, and
-// for fixed-chunk schemes (sched.FixedChunker: SS, CSS) grants come
-// from an atomic iteration counter, so steady-state requests from
-// different workers never share a lock. Stateful stage-based schemes
-// (GSS, TSS, factoring, ...) and every recovery path (failures,
-// requeues, parking, cancellation) fall back to the original locked
-// scheduler under Master.mu. See docs/PROTOCOL.md for the handshake.
+// whenever the dispenser armed a step table (every step-deterministic
+// scheme, DESIGN.md "The dispenser") grants are one fetch-and-add, so
+// steady-state requests from different workers never share a lock.
+// Schemes that read the request (the distributed family, WF, AWF) and
+// every recovery path (failures, requeues, parking, cancellation) go
+// through the locked scheduler under Master.mu. See docs/PROTOCOL.md
+// for the handshake.
 
 // ChunkResult carries the output of one computed iteration back to
 // the master.
@@ -122,7 +124,6 @@ type Master struct {
 	iterations int
 	workers    int
 	window     int // credit window; per-worker ledger cap is window+1
-	disableRe  bool
 	serveWG    sync.WaitGroup
 	bus        *telemetry.Bus // nil unless SetTelemetry was called
 
@@ -135,22 +136,21 @@ type Master struct {
 	results  [][]byte
 	chunks   atomic.Int64
 
-	// De-contended grant counter for fixed-chunk schemes. fastStep is
-	// the constant chunk size (0 disables the fast path); fastNext is
-	// the first unassigned iteration; fastOff forces every request
-	// through the locked scheduler once failures or requeues exist.
-	fastStep int
-	fastNext atomic.Int64
+	// d is the single source of every fresh grant (internal/dispense);
+	// dcfg rebuilds it when a Set* call changes its configuration. fast
+	// is fixed before Serve: the dispenser armed a step table, so grants
+	// need no Master.mu — until fastOff forces every request through
+	// the locked scheduler once failures or requeues exist. ledgerOn
+	// (SetLedger) additionally lets wire workers claim steps from the
+	// same table directly with FetchAdd frames; master-path grants (gob
+	// workers, mixed fleets, the requeue tail) draw from the same
+	// counter, so no range is ever issued twice across the two
+	// protocols.
+	d        *dispense.Dispenser
+	dcfg     dispense.Config
+	fast     bool
 	fastOff  atomic.Bool
-
-	// Decentralized scheduling ledger (SetLedger): when ledgerTab is
-	// non-nil, the step counter + table pair is the single source of
-	// every fresh grant — wire workers claim steps directly with
-	// FetchAdd frames, and the master-path grants (gob workers, mixed
-	// fleets, the requeue tail) draw from the same counter, so no
-	// range is ever issued twice across the two protocols.
-	ledgerTab *ledger.Table
-	ledgerCtr ledger.Local
+	ledgerOn bool
 
 	// Latency histograms for the report: request-to-grant on the
 	// master's clock (recorded only when a bus supplies that clock)
@@ -162,15 +162,8 @@ type Master struct {
 
 	mu         sync.Mutex
 	conns      []net.Conn // accepted by Serve, closed by Shutdown
-	gathered   int
-	seen       []bool
 	ready      *sync.Cond
-	policy     sched.Policy
-	liveACP    []int
-	planACP    []int
-	base       int
 	stoppedSet []bool
-	replans    int
 	requeued   []sched.Assignment // failed workers' chunks to re-issue
 	failed     map[int]bool
 	parked     []bool // workers idling inside a held NextChunk call
@@ -195,9 +188,7 @@ func NewMaster(scheme sched.Scheme, iterations, workers int) (*Master, error) {
 		iterations: iterations,
 		workers:    workers,
 		window:     1,
-		seen:       make([]bool, workers),
-		liveACP:    make([]int, workers),
-		planACP:    make([]int, workers),
+		dcfg:       dispense.Config{Scheme: scheme, Workers: workers, Table: true},
 		results:    make([][]byte, iterations),
 		got:        make([]atomic.Bool, iterations),
 		slots:      make([]slot, workers),
@@ -213,21 +204,38 @@ func NewMaster(scheme sched.Scheme, iterations, workers int) (*Master, error) {
 		m.slots[i].lastSeen = m.started
 	}
 	m.ready = sync.NewCond(&m.mu)
-	cfg := sched.Config{Iterations: iterations, Workers: workers}
-	if !sched.Distributed(scheme) {
-		pol, err := scheme.NewPolicy(cfg)
-		if err != nil {
-			return nil, err
-		}
-		m.policy = pol
-		if step, ok := sched.FixedChunk(scheme, cfg); ok && step > 0 {
-			m.fastStep = step
-		}
+	if err := m.rearm(); err != nil {
+		return nil, err
 	}
 	if iterations == 0 {
 		m.maybeFinish()
 	}
 	return m, nil
+}
+
+// rearm builds the dispenser from dcfg. A distributed scheme is staged
+// once every worker has reported (lockedGrants); everything else plans
+// here, so a bad configuration fails NewMaster and the table, if any,
+// is armed before the first request. Only valid before Serve.
+func (m *Master) rearm() error {
+	m.d = dispense.New(m.dcfg)
+	if !sched.Distributed(m.scheme) {
+		if err := m.d.Stage(0, m.iterations); err != nil {
+			return err
+		}
+	}
+	m.fast = m.d.Table() != nil
+	return nil
+}
+
+// SetPowers hands the master the workers' static virtual powers, which
+// the static-weight schemes (WF, WS) split by. Without them — a
+// stand-alone master knows nothing of its slaves' hardware before they
+// connect — those schemes weigh every worker equally. Call before
+// Serve.
+func (m *Master) SetPowers(powers []float64) error {
+	m.dcfg.Powers = powers
+	return m.rearm()
 }
 
 // SetTelemetry attaches an event bus: the master publishes protocol
@@ -259,40 +267,33 @@ func (m *Master) ledgerCap() int { return m.window + 1 }
 
 // SetLedger requests the decentralized scheduling ledger. With
 // LedgerOn (or "" resolving to it via LOOPSCHED_LEDGER) and a
-// step-deterministic scheme, the master precomputes the run's chunk
-// table and serves one-sided FetchAdd claims; ineligible schemes
-// silently keep the master path, so callers may pass "on"
-// unconditionally. Call before Serve. Ledger mode trades failure
-// recovery for speed: steps a wire worker claimed for itself are not
-// tracked in any per-worker ledger, so FailWorker cannot requeue them
-// (see docs/LEDGER.md).
+// step-deterministic scheme, the master serves one-sided FetchAdd
+// claims on its step table; ineligible schemes silently keep the
+// master path, so callers may pass "on" unconditionally. Call before
+// Serve. Ledger mode trades failure recovery for speed: steps a wire
+// worker claimed for itself are not tracked in any per-worker ledger,
+// so FailWorker cannot requeue them (see docs/LEDGER.md).
 func (m *Master) SetLedger(mode LedgerMode) error {
 	mode, ok := mode.Normalize()
 	if !ok {
 		return fmt.Errorf("exec: unknown ledger mode %q", mode)
 	}
-	if mode != LedgerOn {
-		m.ledgerTab = nil
-		return nil
-	}
-	tab, err := ledger.Build(m.scheme, sched.Config{Iterations: m.iterations, Workers: m.workers})
-	if err != nil {
-		if errors.Is(err, ledger.ErrIneligible) {
-			return nil // master path; the request is advisory
-		}
-		return err
-	}
-	m.ledgerTab = tab
+	m.ledgerOn = mode == LedgerOn
 	return nil
 }
 
-// LedgerActive reports whether grants come from the fetch-and-add
-// ledger (SetLedger accepted the scheme).
-func (m *Master) LedgerActive() bool { return m.ledgerTab != nil }
+// LedgerActive reports whether wire workers may claim from the
+// fetch-and-add ledger (SetLedger accepted the scheme).
+func (m *Master) LedgerActive() bool { return m.ledgerOn && m.fast }
 
-// Ledger returns the armed ledger table (nil when inactive) — hand it
-// to Worker.LedgerTable so binary-transport workers claim one-sided.
-func (m *Master) Ledger() *ledger.Table { return m.ledgerTab }
+// Ledger returns the ledger table (nil when inactive) — hand it to
+// Worker.LedgerTable so binary-transport workers claim one-sided.
+func (m *Master) Ledger() *ledger.Table {
+	if !m.LedgerActive() {
+		return nil
+	}
+	return m.d.Table()
+}
 
 // ledgerFetchAdd services one wire-level claim: bump the shared step
 // counter by n and account every valid claimed step as a granted
@@ -307,13 +308,14 @@ func (m *Master) ledgerFetchAdd(worker, n int) uint64 {
 	if m.bus != nil {
 		claimAt = m.bus.Now()
 	}
-	first, _ := m.ledgerCtr.FetchAdd(n)
+	tab := m.d.Table()
+	first, _ := m.d.FetchAdd(n)
 	end := first + uint64(n)
-	if steps := uint64(m.ledgerTab.Steps()); end > steps {
+	if steps := uint64(tab.Steps()); end > steps {
 		end = steps
 	}
 	for s := first; s < end; s++ {
-		a, ok := m.ledgerTab.Chunk(s)
+		a, ok := tab.Chunk(s)
 		if !ok {
 			break
 		}
@@ -334,7 +336,7 @@ func (m *Master) ledgerFetchAdd(worker, n int) uint64 {
 // fetchAddFunc returns the wire ledger hook, or nil when the master
 // hosts no ledger (FetchAdd frames then drop the connection).
 func (m *Master) fetchAddFunc() FetchAddFunc {
-	if m.ledgerTab == nil {
+	if !m.LedgerActive() {
 		return nil
 	}
 	return m.ledgerFetchAdd
@@ -387,28 +389,6 @@ func (m *Master) Shutdown(l net.Listener) {
 		c.Close()
 	}
 	m.serveWG.Wait()
-}
-
-// plan (re)builds the policy from the live ACPs; callers hold mu.
-func (m *Master) plan() error {
-	powers := make([]float64, m.workers)
-	for i, a := range m.liveACP {
-		if a < 1 {
-			a = 1
-		}
-		powers[i] = float64(a)
-	}
-	pol, err := m.scheme.NewPolicy(sched.Config{
-		Iterations: m.iterations - m.base,
-		Workers:    m.workers,
-		Powers:     powers,
-	})
-	if err != nil {
-		return err
-	}
-	m.policy = sched.Offset(pol, m.base)
-	copy(m.planACP, m.liveACP)
-	return nil
 }
 
 // NextChunk is the net/rpc entry point the gob slaves call: deposit
@@ -576,12 +556,12 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 }
 
 // fastGrants serves a request entirely without Master.mu: grants come
-// from the atomic iteration counter, the ledger update from the
-// worker's own slot lock. It reports false when the request needs the
-// locked scheduler (non-fixed scheme, failures pending, counter
-// drained on a parkable request, run finished).
+// from the dispenser's step table, the ledger update from the worker's
+// own slot lock. It reports false when the request needs the locked
+// scheduler (no table armed, failures pending, table drained on a
+// parkable request, run finished).
 func (m *Master) fastGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt float64) bool {
-	if (m.fastStep == 0 && m.ledgerTab == nil) || m.fastOff.Load() || m.doneClosed() {
+	if !m.fast || m.fastOff.Load() || m.doneClosed() {
 		return false
 	}
 	s := &m.slots[args.Worker]
@@ -591,7 +571,7 @@ func (m *Master) fastGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt
 		return false // FailWorker won the race; locked path replies Stop
 	}
 	for len(rep.Grants) < credits && len(s.outstanding) < m.ledgerCap() {
-		a, ok := m.fastTake(args.Worker)
+		a, ok := m.take(args.Worker, args.ACP)
 		if !ok {
 			if len(rep.Grants) > 0 {
 				return true // partial batch; the tail is someone else's
@@ -612,82 +592,52 @@ func (m *Master) fastGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt
 	return true
 }
 
-// fastTake claims the next fixed-size chunk from the atomic counter,
-// clipping the final chunk to the remaining iterations exactly as the
-// policy's counter would. In ledger mode the claim is a fetch-and-add
-// on the shared step counter instead, so master-path grants and the
-// workers' one-sided claims interleave without double-assignment; each
-// successful in-process claim counts as one ledger fetch (zero round
-// trip) so loopsched_ledger_fetchadds_total tallies every fetch-and-add
-// regardless of which side issued it.
-func (m *Master) fastTake(w int) (sched.Assignment, bool) {
-	if m.ledgerTab != nil {
-		step, _ := m.ledgerCtr.FetchAdd(1)
-		a, ok := m.ledgerTab.Chunk(step)
-		if ok && m.bus != nil {
-			m.bus.Publish(telemetry.Event{
-				Kind: telemetry.LedgerFetch, Worker: w,
-				Start: 1, At: m.bus.Now(),
-			})
-		}
-		return a, ok
+// take is the single source of fresh grants for both paths, so fast
+// and locked grants can never double-assign: one draw from the
+// dispenser — a fetch-and-add when it armed a table (callers on the
+// fast path hold no lock), the policy otherwise (callers hold mu). In
+// ledger mode each successful in-process claim counts as one ledger
+// fetch (zero round trip) so loopsched_ledger_fetchadds_total tallies
+// every fetch-and-add regardless of which side issued it.
+func (m *Master) take(w, acpNow int) (sched.Assignment, bool) {
+	a, ok, replanned := m.d.Next(w, acpNow)
+	if replanned {
+		m.bus.Publish(telemetry.Event{
+			Kind: telemetry.StageAdvanced, Worker: w, At: m.bus.Now(),
+		})
 	}
-	total := int64(m.iterations)
-	for {
-		cur := m.fastNext.Load()
-		if cur >= total {
-			return sched.Assignment{}, false
-		}
-		size := int64(m.fastStep)
-		if rest := total - cur; size > rest {
-			size = rest
-		}
-		if m.fastNext.CompareAndSwap(cur, cur+size) {
-			return sched.Assignment{Start: int(cur), Size: int(size)}, true
-		}
+	if ok && m.bus != nil && m.LedgerActive() {
+		m.bus.Publish(telemetry.Event{
+			Kind: telemetry.LedgerFetch, Worker: w,
+			Start: 1, At: m.bus.Now(),
+		})
 	}
+	return a, ok
 }
 
 // lockedGrants is the fallback scheduler: the distributed gather
-// barrier, mid-run replans, requeued chunks, parking and stop
-// handling all live here, under Master.mu as in the original
-// protocol.
+// barrier, policy draws (and with them the mid-run replans), requeued
+// chunks, parking and stop handling all live here, under Master.mu as
+// in the original protocol.
 func (m *Master) lockedGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt float64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.liveACP[args.Worker] = args.ACP
-	if m.policy == nil { // distributed: gather all first reports
-		if !m.seen[args.Worker] {
-			m.seen[args.Worker] = true
-			m.gathered++
+	m.d.Report(args.Worker, args.ACP)
+	if !m.d.Planned() { // distributed: gather all first reports
+		// A cancelled run closes done without ever completing the
+		// gather; the barrier must observe that or waiters hang.
+		for !m.d.Planned() && m.err == nil && !m.d.Gathered() && !m.doneClosed() {
+			m.ready.Wait()
 		}
-		if m.gathered < m.workers {
-			// A cancelled run closes done without ever completing the
-			// gather; the barrier must observe that or waiters hang.
-			for m.policy == nil && m.err == nil && m.gathered < m.workers && !m.doneClosed() {
-				m.ready.Wait()
-			}
-		}
-		if m.policy == nil && m.err == nil && !m.doneClosed() {
-			m.err = m.plan()
+		if !m.d.Planned() && m.err == nil && !m.doneClosed() {
+			m.err = m.d.Stage(0, m.iterations)
 			m.ready.Broadcast()
 		}
 		if m.err != nil {
 			m.ready.Broadcast()
 			return m.err
 		}
-		if m.policy == nil { // cancelled mid-gather: assign sends Stop
-			return m.assign(args, credits, rep, reqAt)
-		}
-	} else if sched.Distributed(m.scheme) && !m.disableRe &&
-		acp.MajorityChanged(m.planACP, m.liveACP) {
-		if err := m.plan(); err == nil {
-			m.replans++
-			m.bus.Publish(telemetry.Event{
-				Kind: telemetry.StageAdvanced, Worker: args.Worker,
-				At: m.bus.Now(),
-			})
-		}
+		// Cancelled mid-gather: assign sends Stop.
 	}
 	return m.assign(args, credits, rep, reqAt)
 }
@@ -728,7 +678,7 @@ func (m *Master) assign(args *ChunkArgs, credits int, rep *wire.Reply, reqAt flo
 			m.recordGrantLocked(s, args, a, rep, reqAt)
 			break
 		}
-		if a, ok := m.policyNext(w, float64(args.ACP)); ok {
+		if a, ok := m.take(w, args.ACP); ok {
 			m.recordGrantLocked(s, args, a, rep, reqAt)
 			break
 		}
@@ -752,7 +702,7 @@ func (m *Master) assign(args *ChunkArgs, credits int, rep *wire.Reply, reqAt flo
 		m.slotLedger(s) < m.ledgerCap() {
 		a, ok := m.takeRequeued()
 		if !ok {
-			a, ok = m.policyNext(w, float64(args.ACP))
+			a, ok = m.take(w, args.ACP)
 		}
 		if !ok {
 			break
@@ -760,21 +710,6 @@ func (m *Master) assign(args *ChunkArgs, credits int, rep *wire.Reply, reqAt flo
 		m.recordGrantLocked(s, args, a, rep, reqAt)
 	}
 	return nil
-}
-
-// policyNext is the single source of fresh grants for both paths:
-// the atomic counter for fixed-chunk schemes (so fast and locked
-// grants can never double-assign), the policy otherwise. Callers
-// hold mu.
-func (m *Master) policyNext(w int, acpv float64) (sched.Assignment, bool) {
-	if m.fastStep > 0 || m.ledgerTab != nil {
-		return m.fastTake(w)
-	}
-	a, ok := m.policy.Next(sched.Request{Worker: w, ACP: acpv})
-	if ok {
-		m.base = a.End()
-	}
-	return a, ok
 }
 
 // slotLedger reads the worker's in-flight count; callers hold mu.
@@ -918,12 +853,8 @@ func (m *Master) FailWorker(worker int) error {
 	}
 	// A worker that dies during the distributed gather must not stall
 	// the barrier.
-	if m.policy == nil && !m.seen[worker] {
-		m.seen[worker] = true
-		m.gathered++
-		if m.gathered >= m.workers {
-			m.err = m.plan()
-		}
+	if !m.d.Planned() && m.d.Report(worker, m.d.ACP(worker)) && m.d.Gathered() {
+		m.err = m.d.Stage(0, m.iterations)
 	}
 	m.checkDone()
 	m.ready.Broadcast() // wake parked workers: requeued work or all-failed finish
@@ -1018,8 +949,11 @@ func (m *Master) Parked() int {
 // bookkeeping would corrupt. Call before serving.
 func (m *Master) DisableReplan() {
 	m.mu.Lock()
-	m.disableRe = true
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	m.dcfg.NoReplan = true
+	if err := m.rearm(); err != nil {
+		m.err = err // cannot newly fail: NewMaster armed the same scheme
+	}
 }
 
 // Cancel aborts the run: parked workers are released with Stop
@@ -1068,7 +1002,7 @@ func (m *Master) Wait() ([][]byte, metrics.Report, error) {
 		Workers:    m.workers,
 		Iterations: m.iterations,
 		Chunks:     int(m.chunks.Load()),
-		Replans:    m.replans,
+		Replans:    m.d.Replans(),
 		Tp:         m.finished.Sub(m.started).Seconds(),
 		PerWorker:  make([]metrics.Times, m.workers),
 	}

@@ -2,16 +2,12 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"loopsched/internal/metrics"
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
-	"loopsched/internal/trace"
-	"loopsched/internal/workload"
 )
 
 // DefaultStealWindow is the refill batch cap when Local.Window is
@@ -24,55 +20,18 @@ import (
 // refill time.
 const DefaultStealWindow = 8
 
-func (l *Local) stealWindow() int {
-	if l.Window > 0 {
-		return l.Window
-	}
-	return DefaultStealWindow
-}
-
-// stealRun drives one single-job work-stealing execution over a
-// JobState — the fleet-shareable core holding the per-worker deques,
-// the policy under its amortised refill mutex, and the masterless
-// granted/completed/drained termination accounting. stealRun adds only
-// what a one-shot run needs on top: the worker goroutines themselves,
-// their ACP probes, and per-worker timing for the report.
-type stealRun struct {
-	l    *Local
-	w    workload.Workload
-	body func(i int)
-	p    int
-
-	virtual func(i int) float64
-	start   time.Time
-
-	js *JobState
-}
-
 // runSteal executes the loop with per-worker Chase–Lev deques instead
-// of a channel master. Each worker pops its own deque (LIFO), then
+// of a channel master, as one single-job run over a JobState — the
+// fleet-shareable core holding the deques, the dispenser under its
+// amortised refill mutex, and the masterless granted/completed/drained
+// termination accounting. Each worker pops its own deque (LIFO), then
 // scans victims (FIFO steal), and only when the whole system looks
 // empty takes the refill lock to pull a fresh batch from the policy —
 // so the serialised section runs once per window, not once per chunk.
-func (l *Local) runSteal(ctx context.Context, w workload.Workload, body func(i int)) (metrics.Report, error) {
-	p := len(l.Workers)
+func (l *Local) runSteal(ctx context.Context, run *Slaves) (metrics.Report, error) {
 	var rep metrics.Report
-	rep.Scheme = l.Scheme.Name()
-	rep.Workload = w.Name()
-	rep.Workers = p
-
-	maxScale := 1
-	for _, ws := range l.Workers {
-		if ws.scale() > maxScale {
-			maxScale = ws.scale()
-		}
-	}
-	s := &stealRun{
-		l: l, w: w, body: body, p: p,
-		virtual: func(i int) float64 {
-			return float64(maxScale) / float64(l.Workers[i].scale())
-		},
-	}
+	run.Begin(l.Scheme)
+	p := len(l.Workers)
 
 	// The paper's master gathers every worker's first ACP report
 	// before planning (step 1(a)). With no master goroutine we take
@@ -81,17 +40,17 @@ func (l *Local) runSteal(ctx context.Context, w workload.Workload, body func(i i
 	var initACP []int
 	if sched.Distributed(l.Scheme) {
 		initACP = make([]int, p)
-		for i := 0; i < p; i++ {
-			initACP[i] = l.ACP.ACP(s.virtual(i), 1+l.Workers[i].Load())
+		for i := range initACP {
+			initACP[i] = run.acpNow(i)
 		}
 	}
-	var err error
-	s.js, err = NewJobState(JobConfig{
+	js, err := NewJobState(JobConfig{
 		Scheme:        l.Scheme,
-		Workload:      w,
+		Workload:      run.Workload,
 		Workers:       p,
-		Window:        l.stealWindow(),
+		Window:        l.Window,
 		InitACP:       initACP,
+		Powers:        run.Powers,
 		DisableReplan: l.DisableReplan,
 		Telemetry:     l.Telemetry,
 		Ledger:        l.Ledger,
@@ -99,75 +58,48 @@ func (l *Local) runSteal(ctx context.Context, w workload.Workload, body func(i i
 	if err != nil {
 		return rep, err
 	}
+	run.Start = time.Now() // planning is setup, not T_p
 
-	s.start = time.Now()
-	if l.Trace != nil {
-		l.Trace.Scheme = l.Scheme.Name()
-		l.Trace.Workload = w.Name()
-		l.Trace.Workers = p
-	}
-	times := make([]metrics.Times, p)
-	iters := make([]int64, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			s.worker(ctx, id, &times[id], &iters[id])
-		}(i)
-	}
-	wg.Wait()
+	rep.PerWorker, rep.Iterations = run.Go(func(id int) (metrics.Times, int) {
+		return run.stealSlave(ctx, id, js)
+	})()
 
-	counts := s.js.Counts()
-	rep.Tp = time.Since(s.start).Seconds()
-	wait, comp := s.js.Latency()
+	counts := js.Counts()
+	wait, comp := js.Latency()
 	rep.GrantLatency = wait.Summarize()
 	rep.CompLatency = comp.Summarize()
 	rep.Chunks = counts.Chunks
 	rep.Replans = counts.Replans
 	rep.Steals = int(counts.Steals)
-	for i := 0; i < p; i++ {
-		rep.PerWorker = append(rep.PerWorker, times[i])
-		rep.Iterations += int(iters[i])
-	}
-	if ctx.Err() != nil {
-		return rep, ctx.Err()
-	}
-	if rep.Iterations != w.Len() {
-		return rep, fmt.Errorf("exec: executed %d of %d iterations", rep.Iterations, w.Len())
-	}
-	return rep, nil
+	return rep, ctx.Err()
 }
 
-// worker is one goroutine's acquire–execute loop: own pop, then steal,
-// then refill, spinning (with Gosched) only in the terminal window
-// where the policy is dry but granted chunks still sit in deques.
-func (s *stealRun) worker(ctx context.Context, id int, times *metrics.Times, iters *int64) {
-	l, bus, js := s.l, s.l.Telemetry, s.js
-	spec := l.Workers[id]
+// stealSlave is one goroutine's acquire–execute loop: own pop, then
+// steal, then refill, spinning (with Gosched) only in the terminal
+// window where the policy is dry but granted chunks still sit in
+// deques.
+func (r *Slaves) stealSlave(ctx context.Context, id int, js *JobState) (times metrics.Times, iters int) {
+	bus := r.Telemetry
 	bus.Publish(telemetry.Event{
 		Kind: telemetry.WorkerJoined, Worker: id,
 		At: bus.Now(),
 	})
 	var fbWork, fbElapsed float64
-	acpNow := l.ACP.ACP(s.virtual(id), 1+spec.Load())
-	for {
-		if ctx.Err() != nil {
-			return
-		}
+	acpNow := r.acpNow(id)
+	for ctx.Err() == nil {
 		waitStart := time.Now()
 		a, ok := js.Pop(id)
 		if !ok {
 			a, ok = js.Steal(id)
 		}
 		if !ok {
-			acpNow = l.ACP.ACP(s.virtual(id), 1+spec.Load())
+			acpNow = r.acpNow(id)
 			a, _, ok = js.Refill(id, acpNow, fbWork, fbElapsed)
 			fbWork, fbElapsed = 0, 0
 		}
 		if !ok {
 			if js.Finished() {
-				return
+				break
 			}
 			// Granted work is still in flight in other deques (or the
 			// policy will yield more once someone reports): yield and
@@ -176,27 +108,10 @@ func (s *stealRun) worker(ctx context.Context, id int, times *metrics.Times, ite
 			continue
 		}
 		times.Wait += time.Since(waitStart).Seconds()
-		compStart := time.Now()
-		for it := a.Start; it < a.End(); it++ {
-			for rep := 0; rep < spec.scale(); rep++ {
-				s.body(it)
-			}
-		}
-		fbWork = workload.RangeCost(s.w, a.Start, a.End())
-		fbElapsed = time.Since(compStart).Seconds() // single reading: feedback == Comp == trace span
+		fbWork, fbElapsed = r.compute(id, acpNow, a)
 		times.Comp += fbElapsed
-		*iters += int64(a.Size)
+		iters += a.Size
 		js.Complete(id, a, acpNow, fbElapsed)
-		if l.Trace != nil {
-			begin := compStart.Sub(s.start).Seconds()
-			l.Trace.Add(trace.Event{
-				Worker: id,
-				Start:  a.Start,
-				Size:   a.Size,
-				Begin:  begin,
-				End:    begin + fbElapsed,
-				ACP:    acpNow,
-			})
-		}
 	}
+	return times, iters
 }

@@ -187,7 +187,7 @@ func (w Worker) runWire(ctx context.Context, conn net.Conn) error {
 	if w.Pipeline {
 		return w.runWirePipelined(c)
 	}
-	return w.runWireSerial(c)
+	return w.runWireSerial(c, 0)
 }
 
 // toRecords converts kernel results into wire records, reusing dst's
@@ -248,7 +248,10 @@ func (w Worker) wireRequest(req *wire.Request, prefetch bool, credits int, recor
 // runWireSerial is the paper's slave loop on the binary transport:
 // one synchronous round trip fetches up to a window of grants, the
 // worker computes them all, and the results ride on the next request.
-func (w Worker) runWireSerial(c *wire.Conn) error {
+// idle is stall time the caller has yet to report (the ledger loop's
+// drain enters here with its last claim wait); it rides the first
+// request.
+func (w Worker) runWireSerial(c *wire.Conn, idle float64) error {
 	var (
 		req     wire.Request
 		rep     wire.Reply
@@ -265,7 +268,7 @@ func (w Worker) runWireSerial(c *wire.Conn) error {
 			spans = echoSpans(spans, results)
 			reqSpans = spans
 		}
-		acpv := w.wireRequest(&req, false, w.window(), records, reqSpans, comp, 0)
+		acpv := w.wireRequest(&req, false, w.window(), records, reqSpans, comp, idle)
 		if err := c.Call(&req, &rep); err != nil {
 			return err
 		}
@@ -274,7 +277,7 @@ func (w Worker) runWireSerial(c *wire.Conn) error {
 		}
 		echo = echo || len(rep.Spans) > 0
 		results = results[:0]
-		comp = 0
+		comp, idle = 0, 0
 		for i, a := range rep.Grants {
 			span := grantSpan(&rep, i, a)
 			start := time.Now()
@@ -410,13 +413,10 @@ func (w Worker) runWireLedger(c *wire.Conn) error {
 	tab := w.LedgerTable
 	var (
 		req     wire.Request
-		rep     wire.Reply
 		queue   []sched.Assignment
-		pending []ChunkResult
 		records []wire.Record
-
-		comp, idle float64
-		lastACP    int
+		idle    float64
+		lastACP int
 	)
 	// A one-sided claim costs the same few bytes whatever it claims, so
 	// wire cost alone would let the batch run as deep as it likes; what
@@ -548,27 +548,5 @@ func (w Worker) runWireLedger(c *wire.Conn) error {
 	}
 	// The ledger is dry; finish on the synchronous master path, which
 	// hands out requeued chunks (if any) and owns the stop decision.
-	for {
-		records = toRecords(records, pending)
-		acpv := w.wireRequest(&req, false, w.window(), records, nil, comp, idle)
-		if err := c.Call(&req, &rep); err != nil {
-			return err
-		}
-		if rep.Stop {
-			return nil
-		}
-		pending, comp, idle = pending[:0], 0, 0
-		for i, a := range rep.Grants {
-			span := grantSpan(&rep, i, a)
-			start := time.Now()
-			rs := w.compute(a)
-			chunkComp := time.Since(start).Seconds()
-			comp += chunkComp
-			w.publishCompleted(a, span, acpv, chunkComp)
-			for j := range rs {
-				rs[j].Span = span
-			}
-			pending = append(pending, rs...)
-		}
-	}
+	return w.runWireSerial(c, idle)
 }

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"loopsched/internal/acp"
+	"loopsched/internal/dispense"
 	"loopsched/internal/exec"
 	"loopsched/internal/metrics"
 	"loopsched/internal/sched"
@@ -38,25 +38,11 @@ type LocalRun struct {
 	Telemetry *telemetry.Bus
 }
 
-type hlReq struct {
-	local     int // index within the shard
-	acp       int
-	fbWork    float64
-	fbElapsed float64
-	at        float64 // send instant on the telemetry clock (0 = no bus)
-	reply     chan hlReply
-}
-
-type hlReply struct {
-	assign sched.Assignment
-	ok     bool
-}
-
 // shardState is one submaster's bookkeeping, written by its goroutine
 // and read by Run after all goroutines join.
 type shardState struct {
 	members  []int
-	requests chan hlReq
+	requests chan exec.ChannelRequest
 	chunks   int
 	iters    int
 	finished float64
@@ -73,46 +59,31 @@ func (l *LocalRun) Run(ctx context.Context, w workload.Workload, body func(i int
 	dist := sched.Distributed(l.Scheme)
 	cfg := l.Config.withDefaults(w.Len(), p)
 
-	maxScale := 1
-	for _, ws := range l.Workers {
-		s := ws.WorkScale
-		if s < 1 {
-			s = 1
-		}
-		if s > maxScale {
-			maxScale = s
-		}
+	run := &exec.Slaves{
+		Workers: l.Workers, ACP: l.ACP, Workload: w, Body: body,
+		Telemetry: l.Telemetry, Trace: l.Trace,
 	}
-	scale := func(i int) int {
-		if s := l.Workers[i].WorkScale; s > 1 {
-			return s
-		}
-		return 1
-	}
-	virtual := func(i int) float64 { return float64(maxScale) / float64(scale(i)) }
+	run.Begin(l.Scheme)
+	powers, start := run.Powers, run.Start
 
-	powers := make([]float64, p)
-	for i := range powers {
-		powers[i] = virtual(i)
-	}
 	assignment := AssignShards(powers, cfg.Shards)
 	shardPowers := make([]float64, len(assignment))
 	shards := make([]*shardState, len(assignment))
 	shardOf := make([]int, p)
 	localOf := make([]int, p)
 	for si, members := range assignment {
-		shards[si] = &shardState{members: members, requests: make(chan hlReq)}
+		shards[si] = &shardState{members: members, requests: make(chan exec.ChannelRequest)}
 		for li, wi := range members {
 			shardOf[wi] = si
 			localOf[wi] = li
 			if dist {
-				a := l.ACP.ACP(virtual(wi), 1+l.Workers[wi].Load())
+				a := l.ACP.ACP(powers[wi], 1+l.Workers[wi].Load())
 				if a < 1 {
 					a = 1
 				}
 				shardPowers[si] += float64(a)
 			} else {
-				shardPowers[si] += virtual(wi)
+				shardPowers[si] += powers[wi]
 			}
 		}
 	}
@@ -122,80 +93,10 @@ func (l *LocalRun) Run(ctx context.Context, w workload.Workload, body func(i int
 	}
 	root.SetTelemetry(l.Telemetry)
 
-	start := time.Now()
-	if l.Trace != nil {
-		l.Trace.Scheme = l.Scheme.Name()
-		l.Trace.Workload = w.Name()
-		l.Trace.Workers = p
-	}
-
-	times := make([]metrics.Times, p)
-	iters := make([]int64, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			spec := l.Workers[id]
-			sh := shards[shardOf[id]]
-			reply := make(chan hlReply, 1)
-			l.Telemetry.Publish(telemetry.Event{
-				Kind: telemetry.WorkerJoined, Worker: id,
-				Shard: shardOf[id], At: l.Telemetry.Now(),
-			})
-			var fbWork, fbElapsed float64
-			for {
-				a := l.ACP.ACP(virtual(id), 1+spec.Load())
-				reqAt := l.Telemetry.Now()
-				l.Telemetry.Publish(telemetry.Event{
-					Kind: telemetry.ChunkRequested, Worker: id,
-					Shard: shardOf[id], ACP: a, At: reqAt,
-				})
-				waitStart := time.Now()
-				select {
-				case sh.requests <- hlReq{local: localOf[id], acp: a,
-					fbWork: fbWork, fbElapsed: fbElapsed, at: reqAt, reply: reply}:
-				case <-ctx.Done():
-					return
-				}
-				r := <-reply // an accepted request is always answered
-				times[id].Wait += time.Since(waitStart).Seconds()
-				if !r.ok {
-					return
-				}
-				compStart := time.Now()
-				for it := r.assign.Start; it < r.assign.End(); it++ {
-					for rep := 0; rep < scale(id); rep++ {
-						body(it)
-					}
-				}
-				fbWork = workload.RangeCost(w, r.assign.Start, r.assign.End())
-				fbElapsed = time.Since(compStart).Seconds()
-				times[id].Comp += fbElapsed
-				atomic.AddInt64(&iters[id], int64(r.assign.Size))
-				l.Telemetry.Publish(telemetry.Event{
-					Kind: telemetry.ChunkCompleted, Worker: id,
-					Shard: shardOf[id], Start: r.assign.Start,
-					Size: r.assign.Size, ACP: a,
-					At: l.Telemetry.Now(), Seconds: fbElapsed,
-				})
-				if l.Trace != nil {
-					// Reuse the fbElapsed reading: a fresh time.Since
-					// would close the span later than the chunk actually
-					// finished (by however long the publish above took).
-					begin := compStart.Sub(start).Seconds()
-					l.Trace.Add(trace.Event{
-						Worker: id,
-						Start:  r.assign.Start,
-						Size:   r.assign.Size,
-						Begin:  begin,
-						End:    begin + fbElapsed,
-						ACP:    a,
-					})
-				}
-			}
-		}(i)
-	}
+	join := run.Go(func(id int) (metrics.Times, int) {
+		si := shardOf[id]
+		return run.Slave(ctx, id, localOf[id], si, shards[si].requests)
+	})
 
 	errs := make([]error, len(shards))
 	var mwg sync.WaitGroup
@@ -209,14 +110,14 @@ func (l *LocalRun) Run(ctx context.Context, w workload.Workload, body func(i int
 				// channel is closed once they have all joined.
 				go func() {
 					for req := range shards[si].requests {
-						req.reply <- hlReply{}
+						req.Reply <- exec.ChannelReply{}
 					}
 				}()
 			}
 		}(si)
 	}
 	mwg.Wait()
-	wg.Wait()
+	times, iters := join()
 	for _, sh := range shards {
 		close(sh.requests)
 	}
@@ -227,10 +128,11 @@ func (l *LocalRun) Run(ctx context.Context, w workload.Workload, body func(i int
 		Workers:  p,
 		Tp:       time.Since(start).Seconds(),
 		Steals:   root.Steals(),
-	}
-	for i := 0; i < p; i++ {
-		rep.PerWorker = append(rep.PerWorker, times[i])
-		rep.Iterations += int(iters[i])
+
+		PerWorker:    times,
+		Iterations:   iters,
+		GrantLatency: run.WaitHist.Snapshot().Summarize(),
+		CompLatency:  run.CompHist.Snapshot().Summarize(),
 	}
 	for si, sh := range shards {
 		rep.Chunks += sh.chunks
@@ -253,109 +155,66 @@ func (l *LocalRun) Run(ctx context.Context, w workload.Workload, body func(i int
 }
 
 // submaster drives one shard: it fetches super-chunks from the root
-// and schedules them over its members with the configured scheme,
-// re-planning from the freshest ACP reports at every super-chunk
-// boundary (the hierarchy's adaptivity cadence).
+// and stages each on the shard's dispenser, so every super-chunk is a
+// fresh plan from the freshest ACP reports (the hierarchy's adaptivity
+// cadence).
 func (l *LocalRun) submaster(ctx context.Context, root *Root, si int, sh *shardState, virtual []float64, dist bool, start time.Time) error {
 	k := len(sh.members)
-	liveACP := make([]int, k)
-	var policy sched.Policy
-	var pending []hlReq
+	powers := make([]float64, k)
+	for li, wi := range sh.members {
+		powers[li] = virtual[wi]
+	}
+	d := dispense.New(dispense.Config{Scheme: l.Scheme, Workers: k, Powers: powers, NoReplan: true})
+	var pending []exec.ChannelRequest
 
 	// Distributed submasters gather every member's first report before
 	// the first plan, so it reflects real ACPs (master step 1(a),
 	// applied per shard).
-	if dist {
-		seen := make([]bool, k)
-		n := 0
-		for n < k {
-			select {
-			case req := <-sh.requests:
-				liveACP[req.local] = req.acp
-				if !seen[req.local] {
-					seen[req.local] = true
-					n++
-				}
-				pending = append(pending, req)
-			case <-ctx.Done():
-				for _, req := range pending {
-					req.reply <- hlReply{}
-				}
-				return ctx.Err()
+	for dist && !d.Gathered() {
+		select {
+		case req := <-sh.requests:
+			d.Report(req.Worker, req.ACP)
+			pending = append(pending, req)
+		case <-ctx.Done():
+			for _, req := range pending {
+				req.Reply <- exec.ChannelReply{}
 			}
+			return ctx.Err()
 		}
-	}
-
-	// plan points the policy at the next super-chunk; false = root dry.
-	plan := func() (bool, error) {
-		g, ok := root.Next(si)
-		if !ok {
-			return false, nil
-		}
-		cfg := sched.Config{Iterations: g.Size(), Workers: k}
-		switch l.Scheme.(type) {
-		case sched.WFScheme, sched.WeightedStaticScheme:
-			powers := make([]float64, k)
-			for li, wi := range sh.members {
-				powers[li] = virtual[wi]
-			}
-			cfg.Powers = powers
-		default:
-			if dist {
-				powers := make([]float64, k)
-				for li, a := range liveACP {
-					if a < 1 {
-						a = 1
-					}
-					powers[li] = float64(a)
-				}
-				cfg.Powers = powers
-			}
-		}
-		pol, err := l.Scheme.NewPolicy(cfg)
-		if err != nil {
-			return false, err
-		}
-		policy = sched.Offset(pol, g.Start)
-		// Each super-chunk is a fresh scheduling stage for the shard.
-		l.Telemetry.Publish(telemetry.Event{
-			Kind: telemetry.StageAdvanced, Shard: si,
-			Start: g.Start, Size: g.Size(), At: l.Telemetry.Now(),
-		})
-		return true, nil
 	}
 
 	stopped := 0
-	serve := func(req hlReq) error {
-		liveACP[req.local] = req.acp
-		if fb, ok := policy.(sched.FeedbackPolicy); ok && req.fbElapsed > 0 {
-			fb.Feedback(req.local, req.fbWork, req.fbElapsed)
-		}
+	serve := func(req exec.ChannelRequest) error {
+		d.Feedback(req.Worker, req.FbWork, req.FbElapsed)
 		for {
-			if policy != nil {
-				if a, ok := policy.Next(sched.Request{Worker: req.local, ACP: float64(req.acp)}); ok {
-					sh.chunks++
-					sh.iters += a.Size
-					now := l.Telemetry.Now()
-					l.Telemetry.Publish(telemetry.Event{
-						Kind: telemetry.ChunkGranted, Worker: sh.members[req.local],
-						Shard: si, Start: a.Start, Size: a.Size, ACP: req.acp,
-						At: now, Seconds: now - req.at,
-					})
-					req.reply <- hlReply{assign: a, ok: true}
-					return nil
-				}
-			}
-			ok, err := plan()
-			if err != nil {
-				req.reply <- hlReply{}
-				return err
-			}
-			if !ok {
-				stopped++
-				req.reply <- hlReply{}
+			if a, ok, _ := d.Next(req.Worker, req.ACP); ok {
+				sh.chunks++
+				sh.iters += a.Size
+				now := l.Telemetry.Now()
+				l.Telemetry.Publish(telemetry.Event{
+					Kind: telemetry.ChunkGranted, Worker: sh.members[req.Worker],
+					Shard: si, Start: a.Start, Size: a.Size, ACP: req.ACP,
+					Span: telemetry.SpanID(0, a.Start),
+					At:   now, Seconds: now - req.At,
+				})
+				req.Reply <- exec.ChannelReply{Assign: a, OK: true}
 				return nil
 			}
+			g, ok := root.Next(si)
+			if !ok { // root dry
+				stopped++
+				req.Reply <- exec.ChannelReply{}
+				return nil
+			}
+			if err := d.Stage(g.Start, g.Size()); err != nil {
+				req.Reply <- exec.ChannelReply{}
+				return err
+			}
+			// Each super-chunk is a fresh scheduling stage for the shard.
+			l.Telemetry.Publish(telemetry.Event{
+				Kind: telemetry.StageAdvanced, Shard: si,
+				Start: g.Start, Size: g.Size(), At: l.Telemetry.Now(),
+			})
 		}
 	}
 	for _, req := range pending {

@@ -8,8 +8,8 @@ import (
 	"sync"
 	"time"
 
+	"loopsched/internal/dispense"
 	"loopsched/internal/exec"
-	"loopsched/internal/ledger"
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
 	"loopsched/internal/wire"
@@ -85,8 +85,6 @@ func (r *wireRoot) Close() error { return r.c.Close() }
 type Submaster struct {
 	shard   int
 	workers int
-	scheme  sched.Scheme
-	dist    bool
 	root    rootCaller
 	bg      sync.WaitGroup // in-flight prefetch goroutines
 	serveWG sync.WaitGroup // accept loop + per-connection servers
@@ -97,26 +95,21 @@ type Submaster struct {
 	mu       sync.Mutex
 	conns    []net.Conn // accepted by Serve, closed by Close
 	cond     *sync.Cond
-	policy   sched.Policy
 	buffered []sched.Assignment // fetched super-chunks not yet planned
 	fetching bool
 	rootDone bool
 	rootErr  error
 
-	// Stage-local scheduling ledger (SetLedger): when the scheme is
-	// step-deterministic, every super-chunk grant from the root seeds a
-	// fresh prefix table and resets the step counter, and local grants
-	// become a fetch-add plus a table lookup instead of a policy
-	// mutation. ledgerTab is nil on the policy path or once the stage
-	// drains; ledgerBase is the super-chunk's offset in the loop.
-	ledgerOn   bool
-	ledgerTab  *ledger.Table
-	ledgerCtr  ledger.Local
-	ledgerBase int
-
-	liveACP  []int
-	seen     []bool
-	gathered int
+	// d stages one super-chunk at a time (planLocked), each a fresh plan
+	// from the members' latest ACP reports — the hierarchy's
+	// per-super-chunk adaptivity. The submaster has no machine table for
+	// its remote workers, so for the static-weight schemes those reports
+	// stand in for virtual powers (proportional on an unloaded slave).
+	// With SetLedger on and a step-deterministic scheme every stage arms
+	// a fresh step table and local grants become a fetch-add plus a
+	// table lookup instead of a policy mutation.
+	d    *dispense.Dispenser
+	dcfg dispense.Config
 
 	pending     []exec.ChunkResult // results awaiting the next fetch
 	outstanding int                // granted iterations not yet deposited back
@@ -172,13 +165,11 @@ func NewSubmasterTransport(shard int, scheme sched.Scheme, workers int, rootAddr
 	s := &Submaster{
 		shard:   shard,
 		workers: workers,
-		scheme:  scheme,
-		dist:    sched.Distributed(scheme),
 		root:    root,
-		liveACP: make([]int, workers),
-		seen:    make([]bool, workers),
+		dcfg:    dispense.Config{Scheme: scheme, Workers: workers, NoReplan: true},
 		done:    make(chan struct{}),
 	}
+	s.d = dispense.New(s.dcfg)
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
 }
@@ -205,43 +196,24 @@ func (s *Submaster) SetLedger(mode exec.LedgerMode) error {
 		return fmt.Errorf("hier: unknown ledger mode %q", mode)
 	}
 	s.mu.Lock()
-	s.ledgerOn = mode == exec.LedgerOn && !s.dist && sched.StepDeterministic(s.scheme)
+	s.dcfg.Table = mode == exec.LedgerOn
+	s.d = dispense.New(s.dcfg)
 	s.mu.Unlock()
 	return nil
 }
 
-// fetchAddFunc reports the worker-facing one-sided claim hook. The
-// shard's ledger is stage-local — its table changes with every
-// super-chunk the root grants — so workers cannot hold a static
-// replica and wire-level claims are not served; the ledger accelerates
-// the shard's own grant path instead.
-func (s *Submaster) fetchAddFunc() exec.FetchAddFunc { return nil }
-
-// takeLocked draws the next local chunk for req, from the stage ledger
-// when one is armed (fetch-add + table lookup + offset) and from the
-// policy otherwise. A drained ledger stage disarms itself so the loop
-// proceeds to plan the next super-chunk. Callers hold mu.
-func (s *Submaster) takeLocked(req sched.Request) (sched.Assignment, bool) {
-	if s.ledgerTab != nil {
-		step, _ := s.ledgerCtr.FetchAdd(1)
-		a, ok := s.ledgerTab.Chunk(step)
-		if !ok {
-			s.ledgerTab = nil
-			return sched.Assignment{}, false
-		}
-		a.Start += s.ledgerBase
-		if s.bus != nil {
-			s.bus.Publish(telemetry.Event{
-				Kind: telemetry.LedgerFetch, Worker: s.telemetryID(req.Worker),
-				Shard: s.shard, Start: 1, At: s.bus.Now(),
-			})
-		}
-		return a, true
+// takeLocked draws the next local chunk for worker from the staged
+// super-chunk; a ledger draw (fetch-add + table lookup) is tallied as
+// one ledger fetch. Callers hold mu.
+func (s *Submaster) takeLocked(worker, acp int) (sched.Assignment, bool) {
+	a, ok, _ := s.d.Next(worker, acp)
+	if ok && s.bus != nil && s.d.Table() != nil {
+		s.bus.Publish(telemetry.Event{
+			Kind: telemetry.LedgerFetch, Worker: s.telemetryID(worker),
+			Shard: s.shard, Start: 1, At: s.bus.Now(),
+		})
 	}
-	if s.policy == nil {
-		return sched.Assignment{}, false
-	}
-	return s.policy.Next(req)
+	return a, ok
 }
 
 // telemetryID maps a shard-local worker index to the id published in
@@ -277,7 +249,10 @@ func (s *Submaster) Serve(l net.Listener) error {
 			s.serveWG.Add(1)
 			go func() {
 				defer s.serveWG.Done()
-				exec.ServeSniffed(srv, conn, bus, s.shard, s.nextBatch, s.fetchAddFunc())
+				// No FetchAddFunc: the shard's ledger is stage-local — its
+				// table changes with every super-chunk — so workers cannot
+				// hold a replica and wire-level claims are not served.
+				exec.ServeSniffed(srv, conn, bus, s.shard, s.nextBatch, nil)
 			}()
 		}
 	}()
@@ -375,7 +350,8 @@ func (s *Submaster) Counts() (iters, chunks, fetches int, comp float64, finished
 // aggregateACP sums the freshest member reports; callers hold mu.
 func (s *Submaster) aggregateACP() int {
 	total := 0
-	for _, a := range s.liveACP {
+	for w := 0; w < s.workers; w++ {
+		a := s.d.ACP(w)
 		if a < 1 {
 			a = 1
 		}
@@ -406,15 +382,12 @@ func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error
 	if args.CompSeconds > 0 {
 		s.comp += args.CompSeconds
 	}
-	s.liveACP[args.Worker] = args.ACP
-	if !s.seen[args.Worker] {
-		s.seen[args.Worker] = true
-		s.gathered++
+	if s.d.Report(args.Worker, args.ACP) {
 		s.bus.Publish(telemetry.Event{
 			Kind: telemetry.WorkerJoined, Worker: s.telemetryID(args.Worker),
 			Shard: s.shard, ACP: args.ACP, At: reqAt,
 		})
-		if s.gathered == s.workers {
+		if s.d.Gathered() {
 			s.cond.Broadcast() // gather complete: the first fetch may go
 		}
 	}
@@ -427,7 +400,7 @@ func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error
 		if s.rootErr != nil {
 			return s.rootErr
 		}
-		if a, ok := s.takeLocked(sched.Request{Worker: args.Worker, ACP: float64(args.ACP)}); ok {
+		if a, ok := s.takeLocked(args.Worker, args.ACP); ok {
 			s.chunks++
 			s.iters += a.Size
 			s.outstanding += a.Size
@@ -482,7 +455,7 @@ func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error
 		// Plain request with nothing local. Fetch from the root once the
 		// shard is quiescent (gather done, no undelivered results, no
 		// fetch already in flight); otherwise wait for state to change.
-		if !s.fetching && s.gathered == s.workers && s.outstanding == 0 {
+		if !s.fetching && s.d.Gathered() && s.outstanding == 0 {
 			if err := s.blockingFetchLocked(); err != nil {
 				return err
 			}
@@ -492,45 +465,15 @@ func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error
 	}
 }
 
-// planLocked pops the next buffered super-chunk into a fresh local
-// policy — powers re-derived from the members' latest ACP reports, the
-// hierarchy's per-super-chunk adaptivity — and keeps the root pipeline
-// primed. Callers hold mu.
+// planLocked stages the next buffered super-chunk and keeps the root
+// pipeline primed. Callers hold mu.
 func (s *Submaster) planLocked() error {
 	g := s.buffered[0]
 	s.buffered = s.buffered[1:]
-	cfg := sched.Config{Iterations: g.Size, Workers: s.workers}
-	if s.dist || s.isWeighted() {
-		powers := make([]float64, s.workers)
-		for i, a := range s.liveACP {
-			if a < 1 {
-				a = 1
-			}
-			powers[i] = float64(a)
-		}
-		cfg.Powers = powers
-	}
-	s.policy, s.ledgerTab = nil, nil
-	if s.ledgerOn {
-		// Seed a fresh ledger from the root's grant. Exactly one grant
-		// source per stage: the policy stays nil while the table is
-		// armed, so ledger claims and policy grants cannot overlap.
-		if tab, err := ledger.Build(s.scheme, cfg); err == nil {
-			s.ledgerTab = tab
-			s.ledgerBase = g.Start
-			s.ledgerCtr.Store(0)
-		}
-		// Any build error (over-long stage, scheme surprise) simply
-		// falls back to the policy path below.
-	}
-	if s.ledgerTab == nil {
-		pol, err := s.scheme.NewPolicy(cfg)
-		if err != nil {
-			s.rootErr = err
-			s.cond.Broadcast()
-			return err
-		}
-		s.policy = sched.Offset(pol, g.Start)
+	if err := s.d.Stage(g.Start, g.Size); err != nil {
+		s.rootErr = err
+		s.cond.Broadcast()
+		return err
 	}
 	// Each super-chunk is a fresh scheduling stage for the shard.
 	s.bus.Publish(telemetry.Event{
@@ -541,18 +484,6 @@ func (s *Submaster) planLocked() error {
 		s.launchPrefetchLocked()
 	}
 	return nil
-}
-
-// isWeighted reports whether the scheme wants static weights; the
-// submaster has no machine table for its remote workers, so their
-// reported ACPs stand in (proportional to virtual power on an
-// unloaded slave).
-func (s *Submaster) isWeighted() bool {
-	switch s.scheme.(type) {
-	case sched.WFScheme, sched.WeightedStaticScheme:
-		return true
-	}
-	return false
 }
 
 // takeFetchArgs snapshots the outgoing fetch payload; callers hold mu.
@@ -572,7 +503,7 @@ func (s *Submaster) takeFetchArgs(prefetch bool) exec.ChunkArgs {
 // pipeline is idle. The root answers immediately — possibly with an
 // empty reply — so this never parks. Callers hold mu.
 func (s *Submaster) launchPrefetchLocked() {
-	if s.fetching || s.rootDone || s.gathered < s.workers {
+	if s.fetching || s.rootDone || !s.d.Gathered() {
 		return
 	}
 	s.fetching = true

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"loopsched/internal/dispense"
 	"loopsched/internal/metrics"
 	"loopsched/internal/sched"
 	"loopsched/internal/sim"
@@ -78,9 +79,7 @@ type hworker struct {
 
 type hsub struct {
 	members      []int
-	policy       sched.Policy
-	gathered     bool // distributed: all members reported an ACP
-	initSeen     int
+	d            *dispense.Dispenser // stages one super-chunk at a time
 	buffered     []Range
 	fetching     bool
 	rootDone     bool
@@ -97,15 +96,12 @@ type hsim struct {
 	cluster  sim.Cluster
 	params   sim.Params
 	cfg      Config
-	scheme   sched.Scheme
 	work     workload.Workload
 	dist     bool
 	root     *Root
 	shardOf  []int
 	subs     []hsub
 	workers  []hworker
-	liveACP  []int
-	joined   []bool
 	shardTr  []*trace.Trace // per-shard traces, merged into params.Trace
 	mbw      float64        // submaster/root NIC bandwidth, bytes/s
 	events   heventQueue
@@ -148,13 +144,10 @@ func Simulate(ctx context.Context, c sim.Cluster, scheme sched.Scheme, w workloa
 		cluster: c,
 		params:  p,
 		cfg:     cfg,
-		scheme:  scheme,
 		work:    w,
 		dist:    sched.Distributed(scheme),
 		shardOf: make([]int, n),
 		workers: make([]hworker, n),
-		liveACP: make([]int, n),
-		joined:  make([]bool, n),
 		mbw:     c.MasterBandwidth,
 	}
 	if s.mbw <= 0 {
@@ -170,15 +163,24 @@ func Simulate(ctx context.Context, c sim.Cluster, scheme sched.Scheme, w workloa
 	shardPowers := make([]float64, len(shards))
 	for si, members := range shards {
 		s.subs[si].members = members
+		// The local plan takes worker powers from the latest reports,
+		// which is where the distributed schemes' load adaptivity lives
+		// at this level (re-plan cadence = one super-chunk); the
+		// static-weight schemes see the machines' virtual powers.
+		powers := make([]float64, len(members))
 		for li, wi := range members {
+			powers[li] = c.Machines[wi].Power
 			s.shardOf[wi] = si
 			s.workers[wi].local = li
 			if s.dist {
-				shardPowers[si] += float64(maxInt(1, s.acpAt(wi, 0)))
+				shardPowers[si] += float64(max(1, s.acpAt(wi, 0)))
 			} else {
 				shardPowers[si] += c.Machines[wi].Power
 			}
 		}
+		s.subs[si].d = dispense.New(dispense.Config{
+			Scheme: scheme, Workers: len(members), Powers: powers, NoReplan: true,
+		})
 	}
 	root, err := NewRoot(w.Len(), shardPowers, cfg)
 	if err != nil {
@@ -235,13 +237,6 @@ func Simulate(ctx context.Context, c sim.Cluster, scheme sched.Scheme, w workloa
 	return report, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func (s *hsim) push(e hevent) {
 	e.seq = s.seq
 	s.seq++
@@ -251,6 +246,11 @@ func (s *hsim) push(e hevent) {
 func (s *hsim) acpAt(w int, t float64) int {
 	m := s.cluster.Machines[w]
 	return s.params.ACP.ACP(m.Power, m.RunQueue(t))
+}
+
+// acpOf is worker w's latest reported ACP, as its submaster holds it.
+func (s *hsim) acpOf(w int) int {
+	return s.subs[s.shardOf[w]].d.ACP(s.workers[w].local)
 }
 
 // sendRequest models worker w transmitting a request (plus previous
@@ -286,42 +286,6 @@ func (s *hsim) launchFetch(si int, t float64) {
 	s.push(hevent{t: t + d, kind: hevRReq, worker: si, bytes: inbound})
 }
 
-// planRange points the shard's policy at a fresh super-chunk. The
-// local plan recomputes worker powers from the latest reports, which
-// is where the distributed schemes' load adaptivity lives at this
-// level (re-plan cadence = one super-chunk).
-func (s *hsim) planRange(si int, g Range) error {
-	sub := &s.subs[si]
-	cfg := sched.Config{Iterations: g.Size(), Workers: len(sub.members)}
-	switch s.scheme.(type) {
-	case sched.WFScheme, sched.WeightedStaticScheme:
-		powers := make([]float64, len(sub.members))
-		for li, wi := range sub.members {
-			powers[li] = s.cluster.Machines[wi].Power
-		}
-		cfg.Powers = powers
-	default:
-		if s.dist {
-			powers := make([]float64, len(sub.members))
-			for li, wi := range sub.members {
-				powers[li] = float64(maxInt(1, s.liveACP[wi]))
-			}
-			cfg.Powers = powers
-		}
-	}
-	pol, err := s.scheme.NewPolicy(cfg)
-	if err != nil {
-		return err
-	}
-	sub.policy = sched.Offset(pol, g.Start)
-	// Each super-chunk is a fresh scheduling stage for the shard.
-	s.params.Telemetry.Publish(telemetry.Event{
-		Kind: telemetry.StageAdvanced, Shard: si,
-		Start: g.Start, Size: g.Size(), At: s.now,
-	})
-	return nil
-}
-
 func (s *hsim) run(ctx context.Context) error {
 	heap.Init(&s.events)
 	for si := range s.subs {
@@ -349,30 +313,26 @@ func (s *hsim) run(ctx context.Context) error {
 			w := e.worker
 			si := s.shardOf[w]
 			sub := &s.subs[si]
-			s.liveACP[w] = s.acpAt(w, s.workers[w].reqSent)
-			if !s.joined[w] {
-				s.joined[w] = true
+			a := s.acpAt(w, s.workers[w].reqSent)
+			first := sub.d.Report(s.workers[w].local, a)
+			if first {
 				s.params.Telemetry.Publish(telemetry.Event{
 					Kind: telemetry.WorkerJoined, Worker: w, Shard: si,
-					ACP: s.liveACP[w], At: e.t,
+					ACP: a, At: e.t,
 				})
 			}
 			s.params.Telemetry.Publish(telemetry.Event{
 				Kind: telemetry.ChunkRequested, Worker: w, Shard: si,
-				ACP: s.liveACP[w], At: e.t,
+				ACP: a, At: e.t,
 			})
 			sub.pendingBytes += e.bytes
-			sub.queue = append(sub.queue, hpending{worker: w, arrival: e.t, acp: s.liveACP[w], bytes: e.bytes})
-			if s.dist && !sub.gathered {
-				sub.initSeen++
-				if sub.initSeen >= len(sub.members) {
-					sub.gathered = true
-					// Serve the initial shard queue fastest-first
-					// (master step 1(a), per shard).
-					sort.SliceStable(sub.queue, func(i, j int) bool {
-						return sub.queue[i].acp > sub.queue[j].acp
-					})
-				}
+			sub.queue = append(sub.queue, hpending{worker: w, arrival: e.t, acp: a, bytes: e.bytes})
+			if s.dist && first && sub.d.Gathered() {
+				// Serve the initial shard queue fastest-first
+				// (master step 1(a), per shard).
+				sort.SliceStable(sub.queue, func(i, j int) bool {
+					return sub.queue[i].acp > sub.queue[j].acp
+				})
 			}
 			if err := s.serviceShard(si); err != nil {
 				return err
@@ -414,13 +374,13 @@ func (s *hsim) run(ctx context.Context) error {
 					Size:   e.assign.Size,
 					Begin:  e.t,
 					End:    e.t + d,
-					ACP:    s.liveACP[w],
+					ACP:    s.acpOf(w),
 				})
 			}
 			s.params.Telemetry.Publish(telemetry.Event{
 				Kind: telemetry.ChunkCompleted, Worker: w, Shard: s.shardOf[w],
 				Start: e.assign.Start, Size: e.assign.Size,
-				ACP: s.liveACP[w], At: e.t + d, Seconds: d,
+				ACP: s.acpOf(w), At: e.t + d, Seconds: d,
 			})
 			st.iterations += e.assign.Size
 			st.lastChunk = e.assign.Size
@@ -481,22 +441,23 @@ func (s *hsim) serviceShard(si int) error {
 		if sub.busy || len(sub.queue) == 0 {
 			return nil
 		}
-		if s.dist && !sub.gathered {
+		if s.dist && !sub.d.Gathered() {
 			return nil // still gathering the shard's first reports
 		}
 		req := sub.queue[0]
-		var assign sched.Assignment
-		var ok bool
-		if sub.policy != nil {
-			assign, ok = sub.policy.Next(sched.Request{Worker: s.workers[req.worker].local, ACP: float64(req.acp)})
-		}
+		assign, ok, _ := sub.d.Next(s.workers[req.worker].local, req.acp)
 		if !ok {
 			if len(sub.buffered) > 0 {
 				g := sub.buffered[0]
 				sub.buffered = sub.buffered[1:]
-				if err := s.planRange(si, g); err != nil {
+				if err := sub.d.Stage(g.Start, g.Size()); err != nil {
 					return err
 				}
+				// Each super-chunk is a fresh scheduling stage for the shard.
+				s.params.Telemetry.Publish(telemetry.Event{
+					Kind: telemetry.StageAdvanced, Shard: si,
+					Start: g.Start, Size: g.Size(), At: s.now,
+				})
 				if len(sub.buffered) == 0 {
 					s.launchFetch(si, s.now)
 				}

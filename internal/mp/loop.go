@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"loopsched/internal/acp"
+	"loopsched/internal/dispense"
 	"loopsched/internal/metrics"
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
@@ -95,6 +96,10 @@ func decodeAssign(data []byte) (sched.Assignment, error) {
 type MasterOptions struct {
 	// DisableReplan turns off the step-2(c) majority re-plan.
 	DisableReplan bool
+	// Powers are the slaves' static virtual powers (index rank−1), which
+	// the static-weight schemes (WF, WS) split by; nil weighs them
+	// equally.
+	Powers []float64
 	// Telemetry, when non-nil, receives live protocol events. Workers
 	// are identified by rank−1 (matching Report.PerWorker indexing).
 	// Completion events are emitted when a slave's timing report
@@ -126,7 +131,6 @@ func RunMasterContext(ctx context.Context, c Comm, scheme sched.Scheme, iteratio
 	if workers < 1 {
 		return nil, metrics.Report{}, fmt.Errorf("mp: no slaves in a world of %d", c.Size())
 	}
-	dist := sched.Distributed(scheme)
 	results := make([][]byte, iterations)
 	rep := metrics.Report{Scheme: scheme.Name(), Workers: workers, Iterations: iterations}
 
@@ -153,28 +157,9 @@ func RunMasterContext(ctx context.Context, c Comm, scheme sched.Scheme, iteratio
 		}
 	}
 
-	liveACP := make([]int, workers)
-	planACP := make([]int, workers)
-	base := 0
-	plan := func() (sched.Policy, error) {
-		cfg := sched.Config{Iterations: iterations - base, Workers: workers}
-		if dist {
-			powers := make([]float64, workers)
-			for i, a := range liveACP {
-				if a < 1 {
-					a = 1
-				}
-				powers[i] = float64(a)
-			}
-			cfg.Powers = powers
-		}
-		pol, err := scheme.NewPolicy(cfg)
-		if err != nil {
-			return nil, err
-		}
-		copy(planACP, liveACP)
-		return sched.Offset(pol, base), nil
-	}
+	d := dispense.New(dispense.Config{
+		Scheme: scheme, Workers: workers, Powers: opts.Powers, NoReplan: opts.DisableReplan,
+	})
 
 	perWorker := make([]metrics.Times, workers)
 	got := make([]bool, iterations)
@@ -230,9 +215,8 @@ func RunMasterContext(ctx context.Context, c Comm, scheme sched.Scheme, iteratio
 
 	// Step 1(a): a distributed master waits for every slave's first
 	// report before planning.
-	if dist {
-		seen := make(map[int]bool, workers)
-		for len(seen) < workers {
+	if sched.Distributed(scheme) {
+		for !d.Gathered() {
 			msg, err := c.Recv(AnySource, tagRequest)
 			if err != nil {
 				return nil, rep, err
@@ -247,8 +231,7 @@ func RunMasterContext(ctx context.Context, c Comm, scheme sched.Scheme, iteratio
 			if err := store(entries); err != nil {
 				return nil, rep, err
 			}
-			liveACP[msg.From-1] = a
-			seen[msg.From] = true
+			d.Report(msg.From-1, a)
 			queue = append(queue, pending{worker: msg.From, acp: a, at: arrived(msg.From, a, 0)})
 		}
 		// Service the initial queue in decreasing-ACP order.
@@ -261,31 +244,24 @@ func RunMasterContext(ctx context.Context, c Comm, scheme sched.Scheme, iteratio
 		}
 	}
 
-	policy, err := plan()
-	if err != nil {
+	if err := d.Stage(0, iterations); err != nil {
 		return nil, rep, err
 	}
 
 	stopped := 0
 	serve := func(p pending) error {
-		liveACP[p.worker-1] = p.acp
-		if dist && !opts.DisableReplan && acp.MajorityChanged(planACP, liveACP) {
-			if p2, err := plan(); err == nil {
-				policy = p2
-				rep.Replans++
-				bus.Publish(telemetry.Event{
-					Kind: telemetry.StageAdvanced, Worker: p.worker - 1,
-					Start: base, Size: iterations - base, At: bus.Now(),
-				})
-			}
+		a, ok, replanned := d.Next(p.worker-1, p.acp)
+		if replanned {
+			rep.Replans++
+			bus.Publish(telemetry.Event{
+				Kind: telemetry.StageAdvanced, Worker: p.worker - 1, At: bus.Now(),
+			})
 		}
-		a, ok := policy.Next(sched.Request{Worker: p.worker - 1, ACP: float64(p.acp)})
 		if !ok {
 			stopped++
 			stoppedSet[p.worker] = true
 			return c.Send(p.worker, tagStop, nil)
 		}
-		base = a.End()
 		rep.Chunks++
 		lastAssign[p.worker] = a
 		if bus != nil {

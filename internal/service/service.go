@@ -148,29 +148,16 @@ func New(o Options) (*Scheduler, error) {
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = DefaultRetryBackoff
 	}
-	maxScale := 1
-	for _, ws := range o.Workers {
-		if ws.WorkScale > maxScale {
-			maxScale = ws.WorkScale
-		}
-	}
 	s := &Scheduler{
 		opts:    o,
 		p:       p,
 		window:  window,
 		quantum: quantum,
-		virtual: make([]float64, p),
+		virtual: exec.VirtualPowers(o.Workers),
 		bus:     o.Telemetry,
 		tenants: make(map[string]*tenant),
 		admitCh: make(chan struct{}, 1),
 		stop:    make(chan struct{}),
-	}
-	for i, ws := range o.Workers {
-		scale := ws.WorkScale
-		if scale < 1 {
-			scale = 1
-		}
-		s.virtual[i] = float64(maxScale) / float64(scale)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.bus.BeginRun(telemetry.RunMeta{Backend: "service", Workers: p})
@@ -495,6 +482,7 @@ func (s *Scheduler) startLocked(j *Job, now time.Time) error {
 		Workers:       s.p,
 		Window:        s.window,
 		InitACP:       initACP,
+		Powers:        s.virtual,
 		DisableReplan: s.opts.DisableReplan,
 		Telemetry:     s.bus,
 		Job:           j.id,

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"loopsched/internal/acp"
+	"loopsched/internal/dispense"
 	"loopsched/internal/metrics"
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
@@ -163,7 +164,6 @@ type workerState struct {
 type simulator struct {
 	cluster  Cluster
 	params   Params
-	scheme   sched.Scheme
 	work     workload.Workload
 	dist     bool
 	ctx      context.Context
@@ -174,15 +174,8 @@ type simulator struct {
 	queue    []pendingReq
 	busy     bool
 	workers  []workerState
-	policy   sched.Policy
-	planACP  []int // ACPs at last (re)plan
-	liveACP  []int // most recently reported ACPs
-	base     int   // iterations assigned so far
-	planned  bool
-	initSeen int
+	d        *dispense.Dispenser // the master's gather / plan / draw state
 	chunks   int
-	replans  int
-	joined   []bool // workers whose first request arrived (telemetry)
 	lastTime float64
 	busBusy  bool
 	busQueue []busJob
@@ -251,14 +244,17 @@ func RunContext(ctx context.Context, c Cluster, s sched.Scheme, w workload.Workl
 	sim := &simulator{
 		cluster: c,
 		params:  p,
-		scheme:  s,
 		work:    w,
 		ctx:     ctx,
 		dist:    sched.Distributed(s),
 		workers: make([]workerState, len(c.Machines)),
-		planACP: make([]int, len(c.Machines)),
-		liveACP: make([]int, len(c.Machines)),
-		joined:  make([]bool, len(c.Machines)),
+		// Static-weight schemes (WF, WS) see the plan-time virtual
+		// powers but never the run-time load (the paper's section 6
+		// distinction).
+		d: dispense.New(dispense.Config{
+			Scheme: s, Workers: len(c.Machines), Powers: c.Powers(),
+			NoReplan: p.DisableReplan,
+		}),
 	}
 	if err := sim.run(); err != nil {
 		return metrics.Report{}, err
@@ -278,7 +274,7 @@ func RunContext(ctx context.Context, c Cluster, s sched.Scheme, w workload.Workl
 		Workers:  len(c.Machines),
 		Tp:       sim.lastTime,
 		Chunks:   sim.chunks,
-		Replans:  sim.replans,
+		Replans:  sim.d.Replans(),
 	}
 	for i := range sim.workers {
 		report.PerWorker = append(report.PerWorker, sim.workers[i].times)
@@ -321,43 +317,12 @@ func (s *simulator) sendRequest(w int, t float64) {
 	s.transfer(w, t, d, event{kind: evRequestArrive, worker: w, assign: sched.Assignment{Size: int(inbound)}})
 }
 
-func (s *simulator) plan() error {
-	powers := make([]float64, len(s.liveACP))
-	for i, a := range s.liveACP {
-		if a < 1 {
-			a = 1
-		}
-		powers[i] = float64(a)
-	}
-	cfg := sched.Config{
-		Iterations: s.work.Len() - s.base,
-		Workers:    len(s.cluster.Machines),
-	}
-	if s.dist {
-		cfg.Powers = powers
-	}
-	// Static-weight schemes (WF, WS) see the plan-time virtual powers
-	// but never the run-time load (the paper's section 6 distinction).
-	switch s.scheme.(type) {
-	case sched.WFScheme, sched.WeightedStaticScheme:
-		cfg.Powers = s.cluster.Powers()
-	}
-	pol, err := s.scheme.NewPolicy(cfg)
-	if err != nil {
-		return err
-	}
-	s.policy = sched.Offset(pol, s.base)
-	copy(s.planACP, s.liveACP)
-	s.planned = true
-	return nil
-}
-
 func (s *simulator) run() error {
 	heap.Init(&s.events)
 	// Simple schemes plan immediately; distributed masters first wait
 	// for every slave to report its A_i (master step 1(a)).
 	if !s.dist {
-		if err := s.plan(); err != nil {
+		if err := s.d.Stage(0, s.work.Len()); err != nil {
 			return err
 		}
 	}
@@ -384,34 +349,32 @@ func (s *simulator) run() error {
 		switch e.kind {
 		case evRequestArrive:
 			w := e.worker
-			s.liveACP[w] = s.acpAt(w, s.workers[w].reqSent)
-			if !s.joined[w] {
-				s.joined[w] = true
+			a := s.acpAt(w, s.workers[w].reqSent)
+			if s.d.Report(w, a) {
 				s.params.Telemetry.Publish(telemetry.Event{
 					Kind: telemetry.WorkerJoined, Worker: w,
-					ACP: s.liveACP[w], At: e.t,
+					ACP: a, At: e.t,
 				})
 			}
 			s.params.Telemetry.Publish(telemetry.Event{
 				Kind: telemetry.ChunkRequested, Worker: w,
-				ACP: s.liveACP[w], At: e.t,
+				ACP: a, At: e.t,
 			})
 			s.queue = append(s.queue, pendingReq{
 				worker:  w,
 				arrival: e.t,
-				acp:     s.liveACP[w],
+				acp:     a,
 				bytes:   float64(e.assign.Size),
 			})
-			if !s.planned {
-				s.initSeen++
-				if s.initSeen < len(s.cluster.Machines) {
+			if !s.d.Planned() {
+				if !s.d.Gathered() {
 					continue // master still gathering initial reports
 				}
 				// Sort the initial queue by ACP decreasing (step 1a).
 				sort.SliceStable(s.queue, func(i, j int) bool {
 					return s.queue[i].acp > s.queue[j].acp
 				})
-				if err := s.plan(); err != nil {
+				if err := s.d.Stage(0, s.work.Len()); err != nil {
 					return err
 				}
 			}
@@ -461,27 +424,7 @@ func (s *simulator) run() error {
 				}
 				continue
 			}
-			m := s.cluster.Machines[w]
-			work := workload.RangeCost(s.work, e.assign.Start, e.assign.End())
-			d := m.ComputeTime(s.params.BaseRate, e.t, work)
-			st.times.Comp += d
-			st.fbWork, st.fbElapsed = work, d
-			if s.params.Trace != nil {
-				s.params.Trace.Add(trace.Event{
-					Worker: w,
-					Start:  e.assign.Start,
-					Size:   e.assign.Size,
-					Begin:  e.t,
-					End:    e.t + d,
-					ACP:    s.liveACP[w],
-				})
-			}
-			s.params.Telemetry.Publish(telemetry.Event{
-				Kind: telemetry.ChunkCompleted, Worker: w,
-				Start: e.assign.Start, Size: e.assign.Size,
-				ACP: s.liveACP[w], At: e.t + d, Seconds: d,
-			})
-			st.iterations += e.assign.Size
+			d := s.compute(w, e.assign, e.t)
 			st.lastChunk = e.assign.Size
 			if s.params.CollectAtEnd {
 				st.heldBytes += float64(e.assign.Size) * s.params.BytesPerIter
@@ -506,6 +449,34 @@ func (s *simulator) run() error {
 	return nil
 }
 
+// compute books worker w executing chunk a from time t — its duration
+// under the machine's load script, the feedback sample, the trace span
+// and the completion event — and returns the duration.
+func (s *simulator) compute(w int, a sched.Assignment, t float64) float64 {
+	st := &s.workers[w]
+	work := workload.RangeCost(s.work, a.Start, a.End())
+	d := s.cluster.Machines[w].ComputeTime(s.params.BaseRate, t, work)
+	st.times.Comp += d
+	st.fbWork, st.fbElapsed = work, d
+	if s.params.Trace != nil {
+		s.params.Trace.Add(trace.Event{
+			Worker: w,
+			Start:  a.Start,
+			Size:   a.Size,
+			Begin:  t,
+			End:    t + d,
+			ACP:    s.d.ACP(w),
+		})
+	}
+	s.params.Telemetry.Publish(telemetry.Event{
+		Kind: telemetry.ChunkCompleted, Worker: w,
+		Start: a.Start, Size: a.Size,
+		ACP: s.d.ACP(w), At: t + d, Seconds: d,
+	})
+	st.iterations += a.Size
+	return d
+}
+
 // startCompute begins executing assignment a on worker w at time t and
 // immediately sends the next (prefetch) request — carrying the results
 // of the previously finished chunk — so the master round-trip overlaps
@@ -518,27 +489,7 @@ func (s *simulator) startCompute(w int, a sched.Assignment, t float64) {
 			st.times.Idle += stall
 		}
 	}
-	m := s.cluster.Machines[w]
-	work := workload.RangeCost(s.work, a.Start, a.End())
-	d := m.ComputeTime(s.params.BaseRate, t, work)
-	st.times.Comp += d
-	st.fbWork, st.fbElapsed = work, d
-	if s.params.Trace != nil {
-		s.params.Trace.Add(trace.Event{
-			Worker: w,
-			Start:  a.Start,
-			Size:   a.Size,
-			Begin:  t,
-			End:    t + d,
-			ACP:    s.liveACP[w],
-		})
-	}
-	s.params.Telemetry.Publish(telemetry.Event{
-		Kind: telemetry.ChunkCompleted, Worker: w,
-		Start: a.Start, Size: a.Size,
-		ACP: s.liveACP[w], At: t + d, Seconds: d,
-	})
-	st.iterations += a.Size
+	d := s.compute(w, a, t)
 	st.computing = true
 	s.push(event{t: t + d, kind: evComputeDone, worker: w, assign: a})
 	s.sendRequest(w, t)
@@ -600,7 +551,7 @@ func (s *simulator) prefetchComputeDone(e event) {
 // overhead. The waiting time (queueing + service) is charged to the
 // slave, matching the paper's T_wait.
 func (s *simulator) serviceNext() {
-	if s.busy || len(s.queue) == 0 || !s.planned {
+	if s.busy || len(s.queue) == 0 || !s.d.Planned() {
 		return
 	}
 	req := s.queue[0]
@@ -621,31 +572,21 @@ func (s *simulator) serviceNext() {
 
 	// Timing feedback for learning policies (AWF): the master measures
 	// each chunk's turnaround when the next request arrives.
-	st2 := &s.workers[req.worker]
-	if fb, ok := s.policy.(sched.FeedbackPolicy); ok && st2.fbElapsed > 0 {
-		fb.Feedback(req.worker, st2.fbWork, st2.fbElapsed)
-		st2.fbElapsed = 0
+	if st.fbElapsed > 0 {
+		s.d.Feedback(req.worker, st.fbWork, st.fbElapsed)
+		st.fbElapsed = 0
 	}
 
-	// DTSS step 2(c): re-plan when a majority of ACPs changed.
-	if s.dist && !s.params.DisableReplan && acp.MajorityChanged(s.planACP, s.liveACP) {
-		if err := s.plan(); err != nil {
-			// Surface via a stop reply; Run's coverage check reports it.
-			s.push(event{t: done, kind: evServiceDone, worker: req.worker, stop: true})
-			return
-		}
-		s.replans++
+	a, ok, replanned := s.d.Next(req.worker, req.acp)
+	if replanned { // DTSS step 2(c): a majority of ACPs changed
 		s.params.Telemetry.Publish(telemetry.Event{
 			Kind: telemetry.StageAdvanced, Worker: req.worker, At: done,
 		})
 	}
-
-	a, ok := s.policy.Next(sched.Request{Worker: req.worker, ACP: float64(req.acp)})
 	if !ok {
 		s.push(event{t: done, kind: evServiceDone, worker: req.worker, stop: true})
 		return
 	}
-	s.base = a.End()
 	s.chunks++
 	s.params.Telemetry.Publish(telemetry.Event{
 		Kind: telemetry.ChunkGranted, Worker: req.worker,

@@ -312,27 +312,6 @@ func (s RunSpec) kernel() (Kernel, error) {
 	return nil, fmt.Errorf("loopsched: RunSpec needs Kernel or Body on backend %q", s.Backend)
 }
 
-// virtualPowers derives V_i for each worker spec: the slowest worker
-// has power 1 and the rest scale up, mirroring the paper's testbed
-// power normalisation.
-func virtualPowers(workers []*WorkerSpec) []float64 {
-	maxScale := 1
-	for _, w := range workers {
-		if w.WorkScale > maxScale {
-			maxScale = w.WorkScale
-		}
-	}
-	out := make([]float64, len(workers))
-	for i, w := range workers {
-		s := w.WorkScale
-		if s < 1 {
-			s = 1
-		}
-		out[i] = float64(maxScale) / float64(s)
-	}
-	return out
-}
-
 // ---- Simulator backend ----
 
 type simExecutor struct{}
@@ -441,6 +420,10 @@ func runRPCFlat(ctx context.Context, spec RunSpec, kernel Kernel) (Report, error
 	if spec.DisableReplan {
 		master.DisableReplan()
 	}
+	powers := exec.VirtualPowers(spec.Workers)
+	if err := master.SetPowers(powers); err != nil {
+		return Report{}, err
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return Report{}, err
@@ -450,7 +433,6 @@ func runRPCFlat(ctx context.Context, spec RunSpec, kernel Kernel) (Report, error
 		return Report{}, err
 	}
 
-	powers := virtualPowers(spec.Workers)
 	var wg sync.WaitGroup
 	for i := range spec.Workers {
 		w := rpcWorker(spec, kernel, powers, i)
@@ -478,7 +460,7 @@ func runRPCFlat(ctx context.Context, spec RunSpec, kernel Kernel) (Report, error
 func runRPCHierarchy(ctx context.Context, spec RunSpec, kernel Kernel) (Report, error) {
 	n := spec.Workload.Len()
 	p := len(spec.Workers)
-	powers := virtualPowers(spec.Workers)
+	powers := exec.VirtualPowers(spec.Workers)
 	k := spec.Hierarchy.Shards
 	if k <= 0 {
 		k = hier.DefaultShards(p)
@@ -629,7 +611,7 @@ func (mpExecutor) Run(ctx context.Context, spec RunSpec) (Report, error) {
 		}
 	}()
 
-	powers := virtualPowers(spec.Workers)
+	powers := exec.VirtualPowers(spec.Workers)
 	var wg sync.WaitGroup
 	workerErrs := make([]error, p)
 	for i := 0; i < p; i++ {
@@ -647,7 +629,7 @@ func (mpExecutor) Run(ctx context.Context, spec RunSpec) (Report, error) {
 		}(i)
 	}
 	_, rep, err := mp.RunMasterContext(ctx, world[0], spec.Scheme, spec.Workload.Len(),
-		mp.MasterOptions{DisableReplan: spec.DisableReplan, Telemetry: spec.Telemetry.Bus()})
+		mp.MasterOptions{DisableReplan: spec.DisableReplan, Powers: powers, Telemetry: spec.Telemetry.Bus()})
 	wg.Wait()
 	rep.Workload = spec.Workload.Name()
 	if err != nil {
