@@ -1,0 +1,362 @@
+package exec
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"net/rpc"
+	"reflect"
+	"sync"
+	"testing"
+
+	"loopsched/internal/sched"
+	"loopsched/internal/wire"
+)
+
+// linkScript says how the scripted master departs from steady grants.
+// Requests are numbered from 1 in arrival order.
+type linkScript struct {
+	name       string
+	emptyEvery int   // every k-th prefetch is answered empty (0: never)
+	stopAt     int   // this request and every later one is answered Stop (0: only when drained)
+	errAt      int   // this request is answered with Reply.Err
+	dropAt     int   // the link fails while this request's reply is awaited
+	wantErr    error // what runWindow must return; nil means a clean Stop
+}
+
+var errLinkDown = errors.New("fake link: connection lost")
+
+var linkScripts = []linkScript{
+	{name: "steady"},
+	{name: "empty prefetch reply", emptyEvery: 2},
+	{name: "stop while results pending", stopAt: 4},
+	{name: "reply error", errAt: 5, wantErr: wire.ServerError("scripted failure")},
+	{name: "link error in flight", dropAt: 4, wantErr: errLinkDown},
+}
+
+// fakeLink is a scripted in-memory master behind the Link interface: no
+// sockets, no goroutines, no clock. It grants fixed-size chunks of
+// [0, n) one credit each, keeps the master's ledger of what the worker
+// holds, and checks every request against the rules of DESIGN.md §9.
+type fakeLink struct {
+	t        *testing.T
+	script   linkScript
+	window   int
+	prefetch bool
+	n, size  int
+
+	next      int                // first iteration not yet granted
+	held      []sched.Assignment // granted, results not yet shipped (grant order)
+	started   int                // chunks the kernel has entered
+	delivered int                // chunks in replies the worker has received
+	stopped   bool               // a Stop the worker has received: no more prefetches
+	computed  []int              // kernel calls per iteration
+	shipped   []int              // result records per iteration
+	requests  int
+	prefetchs int
+	finalStop bool        // a synchronous request was answered Stop
+	reply     *wire.Reply // answer to the unanswered Send, nil if none
+	replyErr  error
+}
+
+func (f *fakeLink) hold() int {
+	if f.prefetch {
+		return f.window + 1
+	}
+	return f.window
+}
+
+// kernel is the worker's kernel: it counts executions and, on a
+// chunk's first iteration, checks that a refill is in flight exactly
+// when the window rule says one must be.
+func (f *fakeLink) kernel(i int) []byte {
+	f.computed[i]++
+	if i%f.size == 0 {
+		f.started++
+		queued := f.delivered - f.started
+		want := f.prefetch && !f.stopped && queued < (f.window+1)/2
+		if got := f.reply != nil || f.replyErr != nil; got != want {
+			f.t.Errorf("chunk at %d: %d queued, refill in flight = %v, want %v", i, queued, got, want)
+		}
+	}
+	return []byte{byte(i)}
+}
+
+func (f *fakeLink) Send(req *wire.Request) error {
+	t := f.t
+	if f.reply != nil || f.replyErr != nil {
+		t.Fatalf("request %d sent while request %d is unanswered", f.requests+1, f.requests)
+	}
+	if f.finalStop {
+		t.Errorf("request after the final Stop")
+	}
+	f.requests++
+	for _, r := range req.Results {
+		f.shipped[r.Index]++
+		if f.computed[r.Index] == 0 {
+			t.Errorf("result %d shipped before it was computed", r.Index)
+		}
+	}
+	for len(f.held) > 0 && f.shipped[f.held[0].End()-1] > 0 {
+		f.held = f.held[1:]
+	}
+	// Credits are the worker's to size (DESIGN.md §9):
+	// a synchronous request holds nothing and asks for all it may hold,
+	// a prefetch asks for the window less what is still queued.
+	wantCredits := f.hold()
+	if req.Prefetch {
+		f.prefetchs++
+		if !f.prefetch || f.stopped {
+			t.Errorf("request %d: unexpected prefetch", f.requests)
+		}
+		wantCredits = f.window + 1 - len(f.held)
+	} else if len(f.held) != 0 {
+		t.Errorf("request %d: synchronous with %d chunks unshipped", f.requests, len(f.held))
+	}
+	if req.Credits != wantCredits {
+		t.Errorf("request %d (prefetch %v, %d held): %d credits, want %d",
+			f.requests, req.Prefetch, len(f.held), req.Credits, wantCredits)
+	}
+
+	rep := &wire.Reply{}
+	switch s := f.script; {
+	case f.requests == s.dropAt:
+		f.replyErr = errLinkDown
+		return nil
+	case f.requests == s.errAt:
+		rep.Err = "scripted failure"
+		f.replyErr = wire.ServerError(rep.Err) // what wire.Conn.Recv makes of it
+		return nil
+	case s.stopAt > 0 && f.requests >= s.stopAt,
+		f.next >= f.n && !req.Prefetch:
+		rep.Stop = true
+		f.finalStop = !req.Prefetch
+	case req.Prefetch && s.emptyEvery > 0 && f.prefetchs%s.emptyEvery == 0:
+		// nothing to grant right now
+	default:
+		for c := 0; c < req.Credits && f.next < f.n; c++ {
+			a := sched.Assignment{Start: f.next, Size: min(f.size, f.n-f.next)}
+			f.next = a.End()
+			f.held = append(f.held, a)
+			rep.Grants = append(rep.Grants, a)
+		}
+	}
+	if len(f.held) > f.window+1 {
+		t.Errorf("request %d: worker holds %d chunks, window is %d", f.requests, len(f.held), f.window)
+	}
+	f.reply = rep
+	return nil
+}
+
+func (f *fakeLink) Recv(rep *wire.Reply) error {
+	if f.reply == nil && f.replyErr == nil {
+		f.t.Fatal("Recv with no request outstanding")
+	}
+	err := f.replyErr
+	if f.reply != nil {
+		*rep = *f.reply
+		f.delivered += len(rep.Grants)
+		f.stopped = f.stopped || rep.Stop
+	}
+	f.reply, f.replyErr = nil, nil
+	return err
+}
+
+func (f *fakeLink) Call(req *wire.Request, rep *wire.Reply) error {
+	if err := f.Send(req); err != nil {
+		return err
+	}
+	return f.Recv(rep)
+}
+
+func (f *fakeLink) Close() error { return nil }
+
+// TestWindowLoopAgainstScriptedLink drives the one slave loop over
+// every window × prefetch × script cell and holds it to the rules:
+// each granted iteration computed once and shipped once, never more
+// than window+1 chunks held, credits sized as documented, a refill in
+// flight exactly when the queue is below the mark, and a return only
+// on a Stop to a synchronous request (or the link's own error).
+func TestWindowLoopAgainstScriptedLink(t *testing.T) {
+	const n, size = 103, 4
+	for _, window := range []int{1, 2, 4, 8} {
+		for _, prefetch := range []bool{false, true} {
+			for _, script := range linkScripts {
+				t.Run(fmt.Sprintf("w%d/prefetch=%v/%s", window, prefetch, script.name), func(t *testing.T) {
+					f := &fakeLink{
+						t: t, script: script, window: window, prefetch: prefetch,
+						n: n, size: size, computed: make([]int, n), shipped: make([]int, n),
+					}
+					w := Worker{ID: 3, Kernel: f.kernel}
+					err := w.runWindow(f, window, prefetch, 0)
+					if err != script.wantErr {
+						t.Fatalf("runWindow returned %v, want %v", err, script.wantErr)
+					}
+					if err == nil && !f.finalStop {
+						t.Error("returned without a Stop to a synchronous request")
+					}
+					for i := 0; i < n; i++ {
+						granted := i < f.next
+						switch {
+						case f.computed[i] > 1 || f.shipped[i] > 1:
+							t.Fatalf("iteration %d computed %d times, shipped %d times", i, f.computed[i], f.shipped[i])
+						case !granted && f.computed[i] > 0:
+							t.Fatalf("iteration %d computed but never granted", i)
+						case err == nil && granted && (f.computed[i] != 1 || f.shipped[i] != 1):
+							t.Fatalf("granted iteration %d computed %d times, shipped %d times", i, f.computed[i], f.shipped[i])
+						}
+					}
+					if err == nil && script.stopAt == 0 && f.next != n {
+						t.Errorf("run ended with %d of %d iterations granted", f.next, n)
+					}
+				})
+			}
+		}
+	}
+}
+
+// argsRecorder is a one-grant-per-call master behind both server
+// adapters: it records every ChunkArgs it is handed (timing masked)
+// and grants chunks of three until [0, n) is out — then empty replies
+// to prefetches and Stop to synchronous requests.
+type argsRecorder struct {
+	mu   sync.Mutex
+	next int
+	n    int
+	seen []ChunkArgs
+}
+
+func (r *argsRecorder) forget() {
+	r.mu.Lock()
+	r.seen = r.seen[:0]
+	r.mu.Unlock()
+}
+
+func (r *argsRecorder) batch(args ChunkArgs, _ int, rep *wire.Reply) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	args.Results = append([]ChunkResult(nil), args.Results...)
+	args.CompSeconds, args.IdleSeconds = 0, 0
+	r.seen = append(r.seen, args)
+	switch {
+	case r.next < r.n:
+		a := sched.Assignment{Start: r.next, Size: min(3, r.n-r.next)}
+		r.next = a.End()
+		rep.Grants = append(rep.Grants, a)
+	case !args.Prefetch:
+		rep.Stop = true
+	}
+	return nil
+}
+
+func (r *argsRecorder) NextChunk(args ChunkArgs, reply *ChunkReply) error {
+	var rep wire.Reply
+	if err := r.batch(args, 1, &rep); err != nil {
+		return err
+	}
+	reply.Stop = rep.Stop
+	if len(rep.Grants) > 0 {
+		reply.Assign = rep.Grants[0]
+	}
+	return nil
+}
+
+// pipeLink connects a link of the given transport to rec over an
+// in-memory pipe served by ServeSniffed, as Endpoint.Serve would.
+func pipeLink(t *testing.T, transport Transport, rec *argsRecorder) Link {
+	t.Helper()
+	srv := rpc.NewServer()
+	if err := srv.RegisterName("Master", rec); err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	go ServeSniffed(srv, server, nil, 0, rec.batch, nil)
+	t.Cleanup(func() { client.Close() })
+	if transport == TransportNetRPC {
+		return newGobLink(client)
+	}
+	c, err := wire.NewClient(client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestLinksCarryTheSameDialogue is the codec-equivalence property at
+// the link seam: the same loop over the gob link and over the wire
+// link must put the identical ChunkArgs sequence in front of the
+// server — same flags, same results in the same requests.
+func TestLinksCarryTheSameDialogue(t *testing.T) {
+	for _, prefetch := range []bool{false, true} {
+		var seen [2][]ChunkArgs
+		for i, transport := range []Transport{TransportNetRPC, TransportBinary} {
+			rec := &argsRecorder{n: 40}
+			w := Worker{ID: 1, Kernel: intKernel, VirtualPower: 2}
+			if err := w.runWindow(pipeLink(t, transport, rec), 1, prefetch, 0); err != nil {
+				t.Fatalf("%s prefetch=%v: %v", transport, prefetch, err)
+			}
+			seen[i] = rec.seen
+		}
+		if len(seen[0]) < 14 {
+			t.Fatalf("prefetch=%v: only %d requests recorded", prefetch, len(seen[0]))
+		}
+		if !reflect.DeepEqual(seen[0], seen[1]) {
+			t.Errorf("prefetch=%v: the server saw different dialogues\n gob:  %+v\n wire: %+v", prefetch, seen[0], seen[1])
+		}
+	}
+}
+
+// TestGobLinkCycleAllocations bounds the gob link's own garbage: a
+// Send/Recv cycle reuses its args, reply and completion channel, so it
+// must allocate less than the bare rpc.Client.Call of the same payload
+// it replaced (which boxes the args and makes a Call and a channel per
+// round trip). Both sides of the comparison include net/rpc's and
+// gob's own allocations on client and server.
+func TestGobLinkCycleAllocations(t *testing.T) {
+	payload := []wire.Record{{Index: 1, Data: make([]byte, 64)}, {Index: 2, Data: make([]byte, 64)}}
+	serve := func() (io.ReadWriteCloser, *argsRecorder) {
+		rec := &argsRecorder{n: 1 << 30}
+		srv := rpc.NewServer()
+		if err := srv.RegisterName("Master", rec); err != nil {
+			t.Fatal(err)
+		}
+		client, server := net.Pipe()
+		go srv.ServeConn(server)
+		t.Cleanup(func() { client.Close() })
+		return client, rec
+	}
+
+	conn, rec := serve()
+	link := newGobLink(conn)
+	req := wire.Request{Worker: 1, ACP: 10, Prefetch: true, Credits: 1, Results: payload}
+	var rep wire.Reply
+	cycle := func() {
+		if err := link.Send(&req); err != nil {
+			panic(err)
+		}
+		if err := link.Recv(&rep); err != nil || len(rep.Grants) != 1 {
+			panic(fmt.Sprint("gob link cycle: ", err, rep))
+		}
+	}
+	cycle() // gob ships type descriptors on first use
+	linked := testing.AllocsPerRun(200, func() { cycle(); rec.forget() })
+
+	conn, rec = serve()
+	bare := rpc.NewClient(conn)
+	args := ChunkArgs{Worker: 1, ACP: 10, Prefetch: true, Results: []ChunkResult{
+		{Index: 1, Data: payload[0].Data}, {Index: 2, Data: payload[1].Data}}}
+	call := func() {
+		var reply ChunkReply
+		if err := bare.Call("Master.NextChunk", args, &reply); err != nil {
+			panic(err)
+		}
+	}
+	call()
+	raw := testing.AllocsPerRun(200, func() { call(); rec.forget() })
+
+	if linked >= raw {
+		t.Fatalf("gob link Send/Recv allocates %.1f times per cycle, a bare rpc call %.1f", linked, raw)
+	}
+	t.Logf("allocations per round trip: gob link %.1f, bare rpc.Client.Call %.1f", linked, raw)
+}

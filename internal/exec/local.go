@@ -1,8 +1,9 @@
 // Package exec runs parallel loops for real — not simulated — under
 // any self-scheduling scheme: Local drives goroutine workers through
 // an in-process master (the shared-memory analogue of the paper's MPI
-// program), and Master/Worker in rpc.go speak net/rpc over TCP, which
-// is the stdlib stand-in for the paper's mpich master–slave processes.
+// program), and Master/Worker in rpc.go speak the chunk protocol over
+// TCP — net/rpc or the binary framing of internal/wire — the stand-in
+// for the paper's mpich master–slave processes.
 package exec
 
 import (
@@ -313,7 +314,20 @@ func (l *Local) RunContext(ctx context.Context, w workload.Workload, body func(i
 		join := run.Go(func(id int) (metrics.Times, int) {
 			return run.Slave(ctx, id, id, 0, requests)
 		})
-		rep, err = l.master(ctx, w.Len(), run.Powers, requests)
+		staged := false
+		var tally ChannelTally
+		tally, err = ChannelMaster{
+			Config: dispense.Config{
+				Scheme: l.Scheme, Workers: p, Powers: run.Powers, NoReplan: l.DisableReplan,
+			},
+			Requests:  requests,
+			Telemetry: l.Telemetry,
+			More: func() (start, size int, ok bool) { // the whole loop, once
+				ok, staged = !staged, true
+				return 0, w.Len(), ok
+			},
+		}.Serve(ctx)
+		rep.Chunks, rep.Replans = tally.Chunks, tally.Replans
 		rep.PerWorker, rep.Iterations = join()
 		close(requests) // lets a failed master's drain goroutine exit
 		rep.GrantLatency = run.WaitHist.Snapshot().Summarize()
@@ -336,75 +350,111 @@ func (l *Local) RunContext(ctx context.Context, w workload.Workload, body func(i
 	return rep, nil
 }
 
-// master services requests until the loop is exhausted and every
-// worker has been told to stop, or the context is cancelled.
-func (l *Local) master(ctx context.Context, n int, powers []float64, requests chan ChannelRequest) (rep metrics.Report, err error) {
-	p := len(l.Workers)
-	d := dispense.New(dispense.Config{
-		Scheme: l.Scheme, Workers: p, Powers: powers, NoReplan: l.DisableReplan,
-	})
-	defer func() { rep.Replans = d.Replans() }()
-	var pending []ChannelRequest
+// ChannelMaster is the in-process master: one goroutine answering the
+// ChannelRequests of one group of slaves from one dispenser. Local
+// runs one over the whole loop; hier.LocalRun runs one per shard.
+type ChannelMaster struct {
+	// Config plans for the Config.Workers slaves sending on Requests.
+	Config   dispense.Config
+	Requests chan ChannelRequest
+	// More is asked for the next range to stage whenever the staged
+	// one is drained; ok false is final and stops the asking slave. It
+	// runs between a request and its reply: it may take a lock or
+	// publish a stage event, never wait on a slave (DESIGN.md §9).
+	More func() (start, size int, ok bool)
+	// Telemetry (nil allowed) receives the grant and re-plan events,
+	// labelled with Shard and Members[slot], the slot's run-global id
+	// (nil Members: the slot itself).
+	Telemetry *telemetry.Bus
+	Shard     int
+	Members   []int
+}
 
-	// Distributed masters gather every worker's first report before
-	// planning (paper master step 1(a)).
-	for sched.Distributed(l.Scheme) && !d.Gathered() {
-		select {
-		case req := <-requests:
-			d.Report(req.Worker, req.ACP)
-			pending = append(pending, req)
-		case <-ctx.Done():
-			for _, req := range pending {
-				req.Reply <- ChannelReply{}
-			}
-			return rep, ctx.Err()
+// ChannelTally is what one ChannelMaster handed out.
+type ChannelTally struct{ Chunks, Iterations, Replans int }
+
+// Serve answers requests until every slave has been told to stop, or
+// ctx ends. On an error it stops the slaves it already holds and keeps
+// answering stop until the caller, having joined its slaves, closes
+// Requests.
+func (m ChannelMaster) Serve(ctx context.Context) (t ChannelTally, err error) {
+	d := dispense.New(m.Config)
+	bus := m.Telemetry
+	var pending []ChannelRequest
+	defer func() {
+		t.Replans = d.Replans()
+		if err == nil {
+			return
 		}
-	}
-	if err := d.Stage(0, n); err != nil {
-		// Drain workers so they exit.
+		for _, req := range pending {
+			req.Reply <- ChannelReply{}
+		}
 		go func() {
-			for req := range requests {
+			for req := range m.Requests {
 				req.Reply <- ChannelReply{}
 			}
 		}()
-		return rep, err
+	}()
+	// Distributed masters gather every slave's first report before
+	// planning (paper master step 1(a)).
+	for sched.Distributed(m.Config.Scheme) && !d.Gathered() {
+		select {
+		case req := <-m.Requests:
+			d.Report(req.Worker, req.ACP)
+			pending = append(pending, req)
+		case <-ctx.Done():
+			return t, ctx.Err()
+		}
 	}
-
-	stopped := 0
-	serve := func(req ChannelRequest) {
+	for stopped := 0; stopped < m.Config.Workers; {
+		var req ChannelRequest
+		if len(pending) > 0 {
+			req, pending = pending[0], pending[1:]
+		} else {
+			select {
+			case req = <-m.Requests:
+			case <-ctx.Done():
+				return t, ctx.Err()
+			}
+		}
+		id := req.Worker
+		if m.Members != nil {
+			id = m.Members[id]
+		}
 		d.Feedback(req.Worker, req.FbWork, req.FbElapsed)
 		a, ok, replanned := d.Next(req.Worker, req.ACP)
 		if replanned {
-			l.Telemetry.Publish(telemetry.Event{
-				Kind: telemetry.StageAdvanced, Worker: req.Worker,
-				At: l.Telemetry.Now(),
+			bus.Publish(telemetry.Event{
+				Kind: telemetry.StageAdvanced, Worker: id, Shard: m.Shard,
+				At: bus.Now(),
 			})
+		}
+		for !ok {
+			start, size, more := m.More()
+			if !more {
+				break
+			}
+			if err := d.Stage(start, size); err != nil {
+				req.Reply <- ChannelReply{}
+				return t, err
+			}
+			a, ok, _ = d.Next(req.Worker, req.ACP)
 		}
 		if !ok {
 			stopped++
 			req.Reply <- ChannelReply{}
-			return
+			continue
 		}
-		rep.Chunks++
-		now := l.Telemetry.Now()
-		l.Telemetry.Publish(telemetry.Event{
-			Kind: telemetry.ChunkGranted, Worker: req.Worker,
+		t.Chunks++
+		t.Iterations += a.Size
+		now := bus.Now()
+		bus.Publish(telemetry.Event{
+			Kind: telemetry.ChunkGranted, Worker: id, Shard: m.Shard,
 			Start: a.Start, Size: a.Size, ACP: req.ACP,
 			Span: telemetry.SpanID(0, a.Start),
 			At:   now, Seconds: now - req.At,
 		})
 		req.Reply <- ChannelReply{Assign: a, OK: true}
 	}
-	for _, req := range pending {
-		serve(req)
-	}
-	for stopped < p {
-		select {
-		case req := <-requests:
-			serve(req)
-		case <-ctx.Done():
-			return rep, ctx.Err()
-		}
-	}
-	return rep, nil
+	return t, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,19 +26,20 @@ import (
 // chunk on each request (§5's communication optimisation), and the
 // master replies with an iteration interval or a stop flag.
 //
-// On top of the paper's protocol the runtime supports a pipelined,
-// double-buffered mode (Worker.Pipeline): the slave requests chunk
-// k+1 while still computing chunk k, so the master round-trip and the
-// result transfer overlap with the kernel instead of serialising with
-// it. The per-worker assignment ledger holds up to window+1 chunks —
-// the one being computed plus the credit window of prefetched ones
-// (SetWindow; the default window of 1 is the classic double buffer).
+// This file is the master and the Worker type. The slave side is one
+// loop (runWindow in wire.go) over one Link (link.go), whatever the
+// codec: with Worker.Pipeline it requests the next chunks while still
+// computing, so the master round-trip and the result transfer overlap
+// with the kernel, and the per-worker assignment ledger holds up to
+// window+1 chunks — the one being computed plus the credit window of
+// prefetched ones (SetWindow; the default window of 1 is the classic
+// double buffer). DESIGN.md §9 states the loop's rules.
 //
-// Two transports speak this protocol (see transport.go): the original
-// net/rpc + gob encoding, one chunk per round trip, and the binary
-// framing codec of internal/wire, which batches N completion records
-// and up to `credits` grants into single frames. Serve sniffs the
-// first byte of each connection, so one listener carries both.
+// Two codecs carry the dialogue (transport.go): net/rpc + gob, one
+// chunk per round trip, and the binary framing of internal/wire, which
+// batches N completion records and up to `credits` grants into single
+// frames. Serve sniffs the first byte of each connection, so one
+// listener carries both.
 //
 // The master's hot path is de-contended: results deposit into a
 // lock-free ledger (one atomic flip per iteration index), per-worker
@@ -124,7 +126,7 @@ type Master struct {
 	iterations int
 	workers    int
 	window     int // credit window; per-worker ledger cap is window+1
-	serveWG    sync.WaitGroup
+	ep         Endpoint
 	bus        *telemetry.Bus // nil unless SetTelemetry was called
 
 	// Lock-free result ledger: got[i] flips exactly once (CAS); the
@@ -161,7 +163,6 @@ type Master struct {
 	slots []slot
 
 	mu         sync.Mutex
-	conns      []net.Conn // accepted by Serve, closed by Shutdown
 	ready      *sync.Cond
 	stoppedSet []bool
 	requeued   []sched.Assignment // failed workers' chunks to re-issue
@@ -348,29 +349,12 @@ func (m *Master) fetchAddFunc() FetchAddFunc {
 // speaking the original gob protocol. It returns immediately; close
 // the listener after Wait to shut down.
 func (m *Master) Serve(l net.Listener) error {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Master", m); err != nil {
-		return err
-	}
-	m.serveWG.Add(1)
-	go func() {
-		defer m.serveWG.Done()
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			m.mu.Lock()
-			m.conns = append(m.conns, conn)
-			m.mu.Unlock()
-			m.serveWG.Add(1)
-			go func() {
-				defer m.serveWG.Done()
-				ServeSniffed(srv, conn, m.bus, 0, m.nextBatch, m.fetchAddFunc())
-			}()
-		}
-	}()
-	return nil
+	return m.ep.Serve(l, m, func(srv *rpc.Server, conn net.Conn) {
+		m.mu.Lock()
+		bus := m.bus
+		m.mu.Unlock()
+		ServeSniffed(srv, conn, bus, 0, m.nextBatch, m.fetchAddFunc())
+	})
 }
 
 // Shutdown closes the listener and every connection accepted by Serve,
@@ -381,14 +365,7 @@ func (m *Master) Shutdown(l net.Listener) {
 	if l != nil {
 		l.Close()
 	}
-	m.mu.Lock()
-	conns := m.conns
-	m.conns = nil
-	m.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	m.serveWG.Wait()
+	m.ep.Close()
 }
 
 // NextChunk is the net/rpc entry point the gob slaves call: deposit
@@ -1033,8 +1010,9 @@ func (m *Master) Wait() ([][]byte, metrics.Report, error) {
 // Kernel computes one iteration and returns its serialized result.
 type Kernel func(iteration int) []byte
 
-// Worker is an RPC slave: it loops requesting chunks from the master,
-// computing them with the kernel, and piggy-backing results.
+// Worker is an RPC slave: it dials a Link to the master and runs the
+// slave loop over it (runWindow) — requesting chunks, computing them
+// with the kernel and piggy-backing the results.
 type Worker struct {
 	ID int
 	// Kernel computes one iteration.
@@ -1042,16 +1020,16 @@ type Worker struct {
 	// VirtualPower is the slave's V_i (≥ 1; 0 means 1).
 	VirtualPower float64
 	// LoadProbe returns the current external load (Q_i − 1); nil
-	// means unloaded. In pipelined mode it is called from the
-	// communication goroutine, concurrently with the kernel.
+	// means unloaded. It is called once per request, on the worker's
+	// own goroutine.
 	LoadProbe func() int
 	// ACPModel converts power and load into the reported ACP.
 	ACPModel acp.Model
 	// WorkScale repeats the kernel per iteration to emulate a slower
 	// machine (1 = full speed).
 	WorkScale int
-	// Pipeline enables the double-buffered protocol: the next chunk is
-	// prefetched and the previous results uploaded while the kernel
+	// Pipeline turns the slave loop's prefetch on: the next chunks are
+	// requested and the previous results uploaded while the kernel
 	// runs, hiding the master round-trip whenever it is shorter than
 	// the chunk's computation.
 	Pipeline bool
@@ -1059,10 +1037,9 @@ type Worker struct {
 	// i.e. the LOOPSCHED_TRANSPORT environment variable or the binary
 	// codec).
 	Transport Transport
-	// Window is the credit window on the binary transport: how many
-	// granted chunks the worker queues beyond the one it is computing
-	// (0 means 1). The gob transport ignores it — its protocol carries
-	// one grant per round trip.
+	// Window is the credit window: how many granted chunks the worker
+	// queues (0 means 1). Over the gob transport it has no effect — that
+	// server grants one chunk per call whatever is asked.
 	Window int
 	// LedgerTable, when non-nil, switches the binary transport to the
 	// one-sided ledger protocol: the worker claims scheduling steps
@@ -1078,20 +1055,6 @@ type Worker struct {
 	Telemetry      *telemetry.Bus
 	TelemetryID    int
 	TelemetryShard int
-}
-
-// publishCompleted reports one computed chunk to the telemetry bus
-// (no-op when none is attached). reportedACP is the ACP carried on the
-// request that fetched the chunk; span is the chunk's trace span id —
-// the one the master stamped on the grant, or the deterministic local
-// id when the master sent none.
-func (w Worker) publishCompleted(a sched.Assignment, span uint64, reportedACP int, comp float64) {
-	w.Telemetry.Publish(telemetry.Event{
-		Kind:   telemetry.ChunkCompleted,
-		Worker: w.TelemetryID, Shard: w.TelemetryShard,
-		Start: a.Start, Size: a.Size, ACP: reportedACP, Span: span,
-		At: w.Telemetry.Now(), Seconds: comp,
-	})
 }
 
 func (w Worker) power() float64 {
@@ -1115,33 +1078,30 @@ func (w Worker) window() int {
 	return w.Window
 }
 
-// args builds one request from the worker's current state.
-func (w Worker) args(prefetch bool, results []ChunkResult, comp, idle float64) ChunkArgs {
-	load := 0
-	if w.LoadProbe != nil {
-		load = w.LoadProbe()
-	}
-	return ChunkArgs{
-		Worker:      w.ID,
-		ACP:         w.ACPModel.ACP(w.power(), 1+load),
-		CompSeconds: comp,
-		IdleSeconds: idle,
-		Results:     results,
-		Prefetch:    prefetch,
-	}
-}
-
-// compute runs the kernel over one assignment.
-func (w Worker) compute(a sched.Assignment) []ChunkResult {
-	results := make([]ChunkResult, 0, a.Size)
+// compute runs and times the kernel over one assignment, appending one
+// record per iteration to dst, and reports the completion to the
+// telemetry bus, if any. span is the chunk's trace id — the one the
+// master put on the grant, or the deterministic local one when it sent
+// none; reportedACP is the ACP carried on the request that fetched the
+// chunk.
+func (w Worker) compute(dst []wire.Record, a sched.Assignment, span uint64, reportedACP int) ([]wire.Record, float64) {
+	start := time.Now()
+	dst = slices.Grow(dst, a.Size)
 	for i := a.Start; i < a.End(); i++ {
 		var data []byte
 		for rep := 0; rep < w.scale(); rep++ {
 			data = w.Kernel(i)
 		}
-		results = append(results, ChunkResult{Index: i, Data: data})
+		dst = append(dst, wire.Record{Index: i, Data: data})
 	}
-	return results
+	comp := time.Since(start).Seconds()
+	w.Telemetry.Publish(telemetry.Event{
+		Kind:   telemetry.ChunkCompleted,
+		Worker: w.TelemetryID, Shard: w.TelemetryShard,
+		Start: a.Start, Size: a.Size, ACP: reportedACP, Span: span,
+		At: w.Telemetry.Now(), Seconds: comp,
+	})
+	return dst, comp
 }
 
 // Run connects to the master at addr and participates until stopped.
@@ -1150,142 +1110,30 @@ func (w Worker) Run(addr string) error {
 }
 
 // RunContext is Run with cancellation: the dial honours ctx, and a
-// cancellation mid-run closes the connection, which unblocks any
-// in-flight call; the method then returns ctx's error.
+// cancellation mid-run closes the link, which unblocks any in-flight
+// call; the method then returns ctx's error.
 func (w Worker) RunContext(ctx context.Context, addr string) error {
 	if w.Kernel == nil {
 		return errors.New("exec: worker needs a kernel")
 	}
-	transport, ok := w.Transport.Normalize()
-	if !ok {
-		return fmt.Errorf("exec: unknown transport %q", w.Transport)
-	}
-	var dialer net.Dialer
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
+	link, err := Dial(ctx, addr, w.Transport)
 	if err != nil {
 		return err
 	}
-	if transport == TransportBinary {
-		err = w.runWire(ctx, conn)
+	defer link.Close()
+	stop := context.AfterFunc(ctx, func() { link.Close() }) // unblocks an in-flight call
+	defer stop()
+	c, binary := link.(*wire.Conn)
+	if binary {
+		c.SetTelemetry(w.Telemetry, w.TelemetryID, w.TelemetryShard)
+	}
+	if binary && w.LedgerTable != nil {
+		err = w.runWireLedger(c)
 	} else {
-		err = w.runNetRPC(ctx, conn)
+		err = w.runWindow(link, w.window(), w.Pipeline, 0)
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
 	}
 	return err
-}
-
-// runNetRPC drives the original gob protocol over conn.
-func (w Worker) runNetRPC(ctx context.Context, conn net.Conn) error {
-	client := rpc.NewClient(conn)
-	defer client.Close()
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			client.Close()
-		case <-watchDone:
-		}
-	}()
-	if w.Pipeline {
-		return w.runPipelined(client)
-	}
-	return w.runSerial(client)
-}
-
-// runSerial is the paper's §3.1 slave loop: request, compute, piggy-
-// back, repeat. Communication is strictly serialised with computation.
-func (w Worker) runSerial(client *rpc.Client) error {
-	var results []ChunkResult
-	var compSeconds float64
-	for {
-		req := w.args(false, results, compSeconds, 0)
-		var reply ChunkReply
-		if err := client.Call("Master.NextChunk", req, &reply); err != nil {
-			return err
-		}
-		if reply.Stop {
-			return nil
-		}
-		start := time.Now()
-		results = w.compute(reply.Assign)
-		compSeconds = time.Since(start).Seconds()
-		w.publishCompleted(reply.Assign, telemetry.SpanID(0, reply.Assign.Start), req.ACP, compSeconds)
-	}
-}
-
-// replyPool recycles the asynchronous call replies of the pipelined
-// gob loop: rpc.Client.Go needs a reply value that outlives the call,
-// and allocating one per chunk made the reply path the loop's only
-// steady-state garbage.
-var replyPool = sync.Pool{New: func() any { return new(ChunkReply) }}
-
-// getReply takes a zeroed reply from the pool.
-func getReply() *ChunkReply {
-	r := replyPool.Get().(*ChunkReply)
-	*r = ChunkReply{}
-	return r
-}
-
-// runPipelined overlaps communication with computation: while the
-// kernel runs on chunk k, the request for chunk k+1 — carrying chunk
-// k−1's results — is already in flight on a second goroutine, so the
-// master round-trip is hidden whenever it is shorter than the kernel.
-func (w Worker) runPipelined(client *rpc.Client) error {
-	// The first chunk is fetched synchronously (for distributed
-	// schemes this request also joins the gather barrier).
-	var reply ChunkReply
-	if err := client.Call("Master.NextChunk", w.args(false, nil, 0, 0), &reply); err != nil {
-		return err
-	}
-	var pending []ChunkResult // computed results not yet shipped
-	var comp, idle float64    // their timing, not yet shipped
-	for {
-		switch {
-		case reply.Stop:
-			if len(pending) == 0 {
-				return nil
-			}
-			// Ship the final chunk's results; the master answers Stop
-			// again (or, if it somehow has work, the loop runs it).
-			if err := client.Call("Master.NextChunk", w.args(false, pending, comp, idle), &reply); err != nil {
-				return err
-			}
-			pending, comp, idle = nil, 0, 0
-
-		case reply.Assign.Size == 0:
-			// Empty prefetch reply: the master had nothing to issue.
-			// Deliver what we hold and ask again without the flag —
-			// the call parks at the master until the run completes or
-			// a failed worker's chunk needs a new home.
-			if err := client.Call("Master.NextChunk", w.args(false, pending, comp, idle), &reply); err != nil {
-				return err
-			}
-			pending, comp, idle = nil, 0, 0
-
-		default:
-			// Launch the prefetch for the next chunk (carrying the
-			// previous chunk's results), then compute this one.
-			req := w.args(true, pending, comp, idle)
-			asyncReply := getReply()
-			fetch := client.Go("Master.NextChunk", req, asyncReply, nil)
-			start := time.Now()
-			results := w.compute(reply.Assign)
-			comp = time.Since(start).Seconds()
-			w.publishCompleted(reply.Assign, telemetry.SpanID(0, reply.Assign.Start), req.ACP, comp)
-
-			waitStart := time.Now()
-			<-fetch.Done
-			idle = time.Since(waitStart).Seconds() // prefetch-miss stall
-			if fetch.Error != nil {
-				replyPool.Put(asyncReply)
-				return fetch.Error
-			}
-			reply = *asyncReply
-			replyPool.Put(asyncReply)
-			pending = results
-		}
-	}
 }

@@ -298,25 +298,3 @@ func TestMixedTransportsOneListener(t *testing.T) {
 		}
 	}
 }
-
-// TestReplyPoolRecycles guards the pipelined gob loop's reply-path
-// fix: taking and returning the pooled reply must not allocate once
-// the pool is warm, and the reply always comes back zeroed.
-func TestReplyPoolRecycles(t *testing.T) {
-	r := getReply()
-	r.Assign = sched.Assignment{Start: 7, Size: 3}
-	r.Stop = true
-	replyPool.Put(r)
-
-	allocs := testing.AllocsPerRun(1000, func() {
-		r := getReply()
-		if r.Assign.Size != 0 || r.Assign.Start != 0 || r.Stop {
-			panic("pooled reply not zeroed")
-		}
-		r.Assign = sched.Assignment{Start: 1, Size: 1}
-		replyPool.Put(r)
-	})
-	if allocs >= 1 {
-		t.Fatalf("pooled reply cycle allocates %.1f times per op, want 0", allocs)
-	}
-}

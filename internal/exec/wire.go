@@ -2,9 +2,9 @@ package exec
 
 import (
 	"bufio"
-	"context"
 	"net"
 	"net/rpc"
+	"sync"
 	"time"
 
 	"loopsched/internal/sched"
@@ -12,10 +12,11 @@ import (
 	"loopsched/internal/wire"
 )
 
-// This file is the binary-transport half of the chunk protocol: the
-// sniffing connection router shared by the flat master and the
-// hierarchical submasters, the server-side frame loop, and the worker
-// loops that speak internal/wire instead of net/rpc.
+// This file is the chunk protocol in wire.Request / wire.Reply terms:
+// the accept-and-route endpoint and sniffing connection router shared
+// by the flat master and the hierarchical submasters, the server-side
+// frame loop, the one slave loop every Link runs (runWindow), and the
+// binary-only ledger claim loop that drains into it.
 
 // BatchFunc answers one batched chunk request: deposit args.Results,
 // then append up to `credits` grants (or a stop/park verdict) into
@@ -40,6 +41,59 @@ type FetchAddFunc func(worker, n int) uint64
 // batches"): the cap is reached on fine loops, never on a loop of a
 // few large decreasing chunks.
 const ledgerClaimFactor = 4
+
+// Endpoint is the accept-and-route half of a chunk server, shared by
+// the flat master and the hierarchical submaster: it accepts worker
+// connections, remembers them so Close can unblock their server
+// loops, and serves each on its own goroutine. The zero value is ready.
+type Endpoint struct {
+	mu    sync.Mutex
+	conns []net.Conn
+	wg    sync.WaitGroup // accept loop + per-connection servers
+}
+
+// Serve registers rcvr as the net/rpc "Master" service — the name gob
+// slaves call — and accepts connections until l closes, running serve
+// (a ServeSniffed call with the owner's handlers) on each. It returns
+// immediately.
+func (e *Endpoint) Serve(l net.Listener, rcvr any, serve func(*rpc.Server, net.Conn)) error {
+	srv := rpc.NewServer()
+	if err := srv.RegisterName("Master", rcvr); err != nil {
+		return err
+	}
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			e.mu.Lock()
+			e.conns = append(e.conns, conn)
+			e.mu.Unlock()
+			e.wg.Add(1)
+			go func() {
+				defer e.wg.Done()
+				serve(srv, conn)
+			}()
+		}
+	}()
+	return nil
+}
+
+// Close closes every accepted connection and joins the serving
+// goroutines. Close the listener first so the accept loop can exit.
+func (e *Endpoint) Close() {
+	e.mu.Lock()
+	conns := e.conns
+	e.conns = nil
+	e.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
+	}
+	e.wg.Wait()
+}
 
 // sniffedConn replays the bytes a protocol sniffer buffered ahead of
 // the gob stream.
@@ -163,66 +217,6 @@ func serveWire(c *wire.Conn, bus *telemetry.Bus, shard int, batch BatchFunc, fet
 	}
 }
 
-// runWire drives the binary protocol over conn until stopped.
-func (w Worker) runWire(ctx context.Context, conn net.Conn) error {
-	c, err := wire.NewClient(conn)
-	if err != nil {
-		conn.Close()
-		return err
-	}
-	defer c.Close()
-	c.SetTelemetry(w.Telemetry, w.TelemetryID, w.TelemetryShard)
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			c.Close()
-		case <-watchDone:
-		}
-	}()
-	if w.LedgerTable != nil {
-		return w.runWireLedger(c)
-	}
-	if w.Pipeline {
-		return w.runWirePipelined(c)
-	}
-	return w.runWireSerial(c, 0)
-}
-
-// toRecords converts kernel results into wire records, reusing dst's
-// capacity so the steady-state loop allocates nothing.
-func toRecords(dst []wire.Record, results []ChunkResult) []wire.Record {
-	dst = dst[:0]
-	for _, r := range results {
-		dst = append(dst, wire.Record{Index: r.Index, Data: r.Data})
-	}
-	return dst
-}
-
-// echoSpans rebuilds the per-record span echo for a request, reusing
-// dst's capacity. The codec requires the span block to be empty or
-// match the record count, so callers attach it only once the master
-// has shown it is span-tagging grants.
-func echoSpans(dst []uint64, results []ChunkResult) []uint64 {
-	dst = dst[:0]
-	for _, r := range results {
-		dst = append(dst, r.Span)
-	}
-	return dst
-}
-
-// grantSpan is the trace span of grant i in the reply: the id the
-// master stamped when it is span-tagging, else the deterministic local
-// id — so an in-process bus still pairs grants with completions when
-// the transport carries no spans (e.g. a bus-less master).
-func grantSpan(rep *wire.Reply, i int, a sched.Assignment) uint64 {
-	if i < len(rep.Spans) {
-		return rep.Spans[i]
-	}
-	return telemetry.SpanID(0, a.Start)
-}
-
 // wireRequest fills req from the worker's current state and returns
 // the ACP it reported. spans, when non-nil, is the per-record span
 // echo.
@@ -245,156 +239,100 @@ func (w Worker) wireRequest(req *wire.Request, prefetch bool, credits int, recor
 	return acpv
 }
 
-// runWireSerial is the paper's slave loop on the binary transport:
-// one synchronous round trip fetches up to a window of grants, the
-// worker computes them all, and the results ride on the next request.
-// idle is stall time the caller has yet to report (the ledger loop's
-// drain enters here with its last claim wait); it rides the first
-// request.
-func (w Worker) runWireSerial(c *wire.Conn, idle float64) error {
+// runWindow is the slave loop — the paper's §3.1 "request, compute,
+// piggy-back", generalised to a credit window; DESIGN.md §9 states its
+// rules. The worker queues up to `window` granted chunks. With prefetch
+// off it refills only when the queue is empty, in one synchronous round
+// trip that ships every pending result. With prefetch on it also
+// refills whenever the queue drops below the refill mark, in a request
+// sent before the kernel runs and collected after, so the upload and
+// the grant latency hide behind computation. idle is stall time the
+// caller has yet to report (the ledger loop's drain enters here with
+// its last claim wait); it rides the first request.
+func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error {
 	var (
-		req     wire.Request
-		rep     wire.Reply
-		results []ChunkResult
-		records []wire.Record
-		spans   []uint64
-		comp    float64
-		echo    bool
+		req       wire.Request
+		rep       wire.Reply
+		queue     []sched.Assignment
+		spanQueue []uint64      // parallel to queue: one span per grant
+		pending   []wire.Record // computed, not yet shipped
+		spans     []uint64      // parallel to pending: one span per record
+		comp      float64
+		stopSeen  bool
+		echo      bool // the master span-tags its grants: echo the spans back
+		lastACP   int
 	)
-	for {
-		records = toRecords(records, results)
-		var reqSpans []uint64
-		if echo {
-			spans = echoSpans(spans, results)
-			reqSpans = spans
-		}
-		acpv := w.wireRequest(&req, false, w.window(), records, reqSpans, comp, idle)
-		if err := c.Call(&req, &rep); err != nil {
-			return err
-		}
-		if rep.Stop {
-			return nil
-		}
-		echo = echo || len(rep.Spans) > 0
-		results = results[:0]
-		comp, idle = 0, 0
-		for i, a := range rep.Grants {
-			span := grantSpan(&rep, i, a)
-			start := time.Now()
-			rs := w.compute(a)
-			chunkComp := time.Since(start).Seconds()
-			comp += chunkComp
-			w.publishCompleted(a, span, acpv, chunkComp)
-			for j := range rs {
-				rs[j].Span = span
-			}
-			results = append(results, rs...)
-		}
+	hold := window // chunks held at most: the queue, plus the one a prefetch overlaps
+	if prefetch {
+		hold++
 	}
-}
-
-// runWirePipelined is the credit-window loop: the worker keeps up to
-// `window` granted chunks queued beyond the one it is computing, and
-// whenever the queue drops below the refill mark it ships every
-// pending result and asks for the missing credits in one frame that
-// is written before the kernel runs and collected after — so both the
-// upload and the grant latency hide behind computation, and with a
-// window of W one round trip pays for roughly W/2 chunks.
-func (w Worker) runWirePipelined(c *wire.Conn) error {
-	var (
-		req        wire.Request
-		rep        wire.Reply
-		queue      []sched.Assignment
-		spanQueue  []uint64 // parallel to queue: one span per grant
-		pending    []ChunkResult
-		records    []wire.Record
-		spans      []uint64
-		comp, idle float64
-		stopSeen   bool
-		echo       bool
-		lastACP    int
-	)
-	window := w.window()
-	ledger := window + 1
 	refillAt := (window + 1) / 2
-	if refillAt < 1 {
-		refillAt = 1
-	}
 	absorb := func() {
 		if rep.Stop {
 			stopSeen = true
 		}
 		echo = echo || len(rep.Spans) > 0
 		for i, g := range rep.Grants {
-			queue = append(queue, g)
-			spanQueue = append(spanQueue, grantSpan(&rep, i, g))
+			// Without a span from the master the deterministic local id
+			// still pairs grant and completion on an in-process bus.
+			span := telemetry.SpanID(0, g.Start)
+			if i < len(rep.Spans) {
+				span = rep.Spans[i]
+			}
+			queue, spanQueue = append(queue, g), append(spanQueue, span)
 		}
 	}
-	ship := func() []uint64 {
-		records = toRecords(records, pending)
-		if !echo {
-			return nil
+	// fill loads req with everything pending and the worker's state.
+	// The codec wants one span per record or none at all.
+	fill := func(pre bool, credits int) {
+		var echoed []uint64
+		if echo {
+			echoed = spans
 		}
-		spans = echoSpans(spans, pending)
-		return spans
+		lastACP = w.wireRequest(&req, pre, credits, pending, echoed, comp, idle)
+		pending, spans, comp, idle = pending[:0], spans[:0], 0, 0
 	}
 	for {
 		if len(queue) == 0 {
-			if stopSeen && len(pending) == 0 {
-				return nil
-			}
 			// Synchronous (re)fill: ships everything pending and may
 			// park at the master until work or the end of the run.
-			reqSpans := ship()
-			lastACP = w.wireRequest(&req, false, ledger, records, reqSpans, comp, idle)
-			if err := c.Call(&req, &rep); err != nil {
+			fill(false, hold)
+			if err := l.Call(&req, &rep); err != nil {
 				return err
 			}
-			pending, comp, idle = pending[:0], 0, 0
 			absorb()
 			if rep.Stop {
-				return nil // a sync request ships everything, so this is final
+				return nil // the one way out: this request shipped everything
 			}
 			continue
 		}
 		a, span := queue[0], spanQueue[0]
 		queue, spanQueue = queue[1:], spanQueue[1:]
-		inflight := false
-		if !stopSeen && len(queue) < refillAt {
+		inflight := prefetch && !stopSeen && len(queue) < refillAt
+		if inflight {
 			// Refill the credit window (shipping pending results) while
 			// the kernel runs; the reply is collected after the chunk.
-			credits := ledger - len(queue) - 1
-			if credits < 1 {
-				credits = 1
-			}
-			reqSpans := ship()
-			lastACP = w.wireRequest(&req, true, credits, records, reqSpans, comp, idle)
-			if err := c.WriteRequest(&req); err != nil {
+			fill(true, window-len(queue))
+			if err := l.Send(&req); err != nil {
 				return err
 			}
-			pending, comp, idle = pending[:0], 0, 0
-			inflight = true
 		}
-		start := time.Now()
-		results := w.compute(a)
-		chunkComp := time.Since(start).Seconds()
+		// Send has consumed req, so the chunk's records may reuse the
+		// buffers it was built from.
+		var chunkComp float64
+		pending, chunkComp = w.compute(pending, a, span, lastACP)
 		comp += chunkComp
-		w.publishCompleted(a, span, lastACP, chunkComp)
-		for j := range results {
-			results[j].Span = span
+		for i := 0; i < a.Size; i++ {
+			spans = append(spans, span)
 		}
 		if inflight {
 			waitStart := time.Now()
-			if err := c.ReadReply(&rep); err != nil {
+			if err := l.Recv(&rep); err != nil {
 				return err
 			}
 			idle += time.Since(waitStart).Seconds() // prefetch-miss stall
-			if rep.Err != "" {
-				return wire.ServerError(rep.Err)
-			}
 			absorb()
 		}
-		pending = append(pending, results...)
 	}
 }
 
@@ -444,15 +382,8 @@ func (w Worker) runWireLedger(c *wire.Conn) error {
 	// runs. The extra frames share one flush, so the round still costs
 	// one write and one read.
 	run := func(a sched.Assignment) error {
-		span := telemetry.SpanID(0, a.Start)
-		start := time.Now()
-		rs := w.compute(a)
-		chunkComp := time.Since(start).Seconds()
-		w.publishCompleted(a, span, lastACP, chunkComp)
-		for j := range rs {
-			rs[j].Span = span
-		}
-		records = toRecords(records, rs)
+		var chunkComp float64
+		records, chunkComp = w.compute(records[:0], a, telemetry.SpanID(0, a.Start), lastACP)
 		lastACP = w.wireRequest(&req, true, 0, records, nil, chunkComp, idle)
 		req.NoReply = true
 		idle = 0
@@ -548,5 +479,5 @@ func (w Worker) runWireLedger(c *wire.Conn) error {
 	}
 	// The ledger is dry; finish on the synchronous master path, which
 	// hands out requeued chunks (if any) and owns the stop decision.
-	return w.runWireSerial(c, idle)
+	return w.runWindow(c, w.window(), false, idle)
 }

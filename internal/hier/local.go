@@ -43,8 +43,7 @@ type LocalRun struct {
 type shardState struct {
 	members  []int
 	requests chan exec.ChannelRequest
-	chunks   int
-	iters    int
+	tally    exec.ChannelTally
 	finished float64
 }
 
@@ -98,23 +97,43 @@ func (l *LocalRun) Run(ctx context.Context, w workload.Workload, body func(i int
 		return run.Slave(ctx, id, localOf[id], si, shards[si].requests)
 	})
 
+	// One channel master per shard: it stages every super-chunk the root
+	// grants on the shard's dispenser, so each is a fresh plan from the
+	// freshest ACP reports (the hierarchy's adaptivity cadence).
 	errs := make([]error, len(shards))
 	var mwg sync.WaitGroup
-	for si := range shards {
+	for si, sh := range shards {
+		shardVirtual := make([]float64, len(sh.members))
+		for li, wi := range sh.members {
+			shardVirtual[li] = powers[wi]
+		}
+		m := exec.ChannelMaster{
+			Config: dispense.Config{
+				Scheme: l.Scheme, Workers: len(sh.members), Powers: shardVirtual, NoReplan: true,
+			},
+			Requests:  sh.requests,
+			Telemetry: l.Telemetry,
+			Shard:     si,
+			Members:   sh.members,
+			More: func() (int, int, bool) {
+				g, ok := root.Next(si)
+				if ok {
+					l.Telemetry.Publish(telemetry.Event{
+						Kind: telemetry.StageAdvanced, Shard: si,
+						Start: g.Start, Size: g.Size(), At: l.Telemetry.Now(),
+					})
+				}
+				return g.Start, g.Size(), ok
+			},
+		}
 		mwg.Add(1)
-		go func(si int) {
+		go func() {
 			defer mwg.Done()
-			errs[si] = l.submaster(ctx, root, si, shards[si], powers, dist, start)
-			if errs[si] != nil {
-				// Keep draining so the shard's workers can exit; the
-				// channel is closed once they have all joined.
-				go func() {
-					for req := range shards[si].requests {
-						req.Reply <- exec.ChannelReply{}
-					}
-				}()
+			sh.tally, errs[si] = m.Serve(ctx)
+			if errs[si] == nil {
+				sh.finished = time.Since(start).Seconds()
 			}
-		}(si)
+		}()
 	}
 	mwg.Wait()
 	times, iters := join()
@@ -135,13 +154,13 @@ func (l *LocalRun) Run(ctx context.Context, w workload.Workload, body func(i int
 		CompLatency:  run.CompHist.Snapshot().Summarize(),
 	}
 	for si, sh := range shards {
-		rep.Chunks += sh.chunks
+		rep.Chunks += sh.tally.Chunks
 		var comp float64
 		for _, wi := range sh.members {
 			comp += times[wi].Comp
 		}
 		rep.Shards = append(rep.Shards,
-			shardStats(si, sh.members, sh.iters, sh.chunks, comp, sh.finished, root))
+			shardStats(si, sh.members, sh.tally.Iterations, sh.tally.Chunks, comp, sh.finished, root))
 	}
 	for _, e := range errs {
 		if e != nil {
@@ -152,86 +171,4 @@ func (l *LocalRun) Run(ctx context.Context, w workload.Workload, body func(i int
 		return rep, fmt.Errorf("hier: executed %d of %d iterations", rep.Iterations, w.Len())
 	}
 	return rep, nil
-}
-
-// submaster drives one shard: it fetches super-chunks from the root
-// and stages each on the shard's dispenser, so every super-chunk is a
-// fresh plan from the freshest ACP reports (the hierarchy's adaptivity
-// cadence).
-func (l *LocalRun) submaster(ctx context.Context, root *Root, si int, sh *shardState, virtual []float64, dist bool, start time.Time) error {
-	k := len(sh.members)
-	powers := make([]float64, k)
-	for li, wi := range sh.members {
-		powers[li] = virtual[wi]
-	}
-	d := dispense.New(dispense.Config{Scheme: l.Scheme, Workers: k, Powers: powers, NoReplan: true})
-	var pending []exec.ChannelRequest
-
-	// Distributed submasters gather every member's first report before
-	// the first plan, so it reflects real ACPs (master step 1(a),
-	// applied per shard).
-	for dist && !d.Gathered() {
-		select {
-		case req := <-sh.requests:
-			d.Report(req.Worker, req.ACP)
-			pending = append(pending, req)
-		case <-ctx.Done():
-			for _, req := range pending {
-				req.Reply <- exec.ChannelReply{}
-			}
-			return ctx.Err()
-		}
-	}
-
-	stopped := 0
-	serve := func(req exec.ChannelRequest) error {
-		d.Feedback(req.Worker, req.FbWork, req.FbElapsed)
-		for {
-			if a, ok, _ := d.Next(req.Worker, req.ACP); ok {
-				sh.chunks++
-				sh.iters += a.Size
-				now := l.Telemetry.Now()
-				l.Telemetry.Publish(telemetry.Event{
-					Kind: telemetry.ChunkGranted, Worker: sh.members[req.Worker],
-					Shard: si, Start: a.Start, Size: a.Size, ACP: req.ACP,
-					Span: telemetry.SpanID(0, a.Start),
-					At:   now, Seconds: now - req.At,
-				})
-				req.Reply <- exec.ChannelReply{Assign: a, OK: true}
-				return nil
-			}
-			g, ok := root.Next(si)
-			if !ok { // root dry
-				stopped++
-				req.Reply <- exec.ChannelReply{}
-				return nil
-			}
-			if err := d.Stage(g.Start, g.Size()); err != nil {
-				req.Reply <- exec.ChannelReply{}
-				return err
-			}
-			// Each super-chunk is a fresh scheduling stage for the shard.
-			l.Telemetry.Publish(telemetry.Event{
-				Kind: telemetry.StageAdvanced, Shard: si,
-				Start: g.Start, Size: g.Size(), At: l.Telemetry.Now(),
-			})
-		}
-	}
-	for _, req := range pending {
-		if err := serve(req); err != nil {
-			return err
-		}
-	}
-	for stopped < k {
-		select {
-		case req := <-sh.requests:
-			if err := serve(req); err != nil {
-				return err
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	sh.finished = time.Since(start).Seconds()
-	return nil
 }

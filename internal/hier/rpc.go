@@ -15,65 +15,13 @@ import (
 	"loopsched/internal/wire"
 )
 
-// rootCaller abstracts the submaster's upward link so the root fetch
-// can ride either transport. Calls are serialised by the `fetching`
-// flag — at most one fetch is in flight — so implementations need no
-// internal locking.
-type rootCaller interface {
-	Call(args exec.ChunkArgs, reply *exec.ChunkReply) error
-	Close() error
-}
-
-// netrpcRoot speaks the original gob protocol to the root.
-type netrpcRoot struct{ c *rpc.Client }
-
-func (r netrpcRoot) Call(args exec.ChunkArgs, reply *exec.ChunkReply) error {
-	return r.c.Call("Master.NextChunk", args, reply)
-}
-
-func (r netrpcRoot) Close() error { return r.c.Close() }
-
-// wireRoot speaks the binary framing codec to the root, one
-// super-chunk per round trip (the shard-level pipeline, not the
-// credit window, hides the root latency here).
-type wireRoot struct {
-	c   *wire.Conn
-	req wire.Request
-	rep wire.Reply
-}
-
-func (r *wireRoot) Call(args exec.ChunkArgs, reply *exec.ChunkReply) error {
-	r.req = wire.Request{
-		Worker:      args.Worker,
-		ACP:         args.ACP,
-		CompSeconds: args.CompSeconds,
-		IdleSeconds: args.IdleSeconds,
-		Prefetch:    args.Prefetch,
-		Credits:     1,
-		Results:     r.req.Results[:0],
-	}
-	for _, res := range args.Results {
-		r.req.Results = append(r.req.Results, wire.Record{Index: res.Index, Data: res.Data})
-	}
-	if err := r.c.Call(&r.req, &r.rep); err != nil {
-		return err
-	}
-	reply.Stop = r.rep.Stop
-	if len(r.rep.Grants) > 0 {
-		reply.Assign = r.rep.Grants[0]
-	}
-	return nil
-}
-
-func (r *wireRoot) Close() error { return r.c.Close() }
-
 // Submaster is the middle tier of the RPC hierarchy. To its workers it
 // is indistinguishable from a flat master: it registers the same
 // "Master" RPC service name and speaks the same NextChunk protocol, so
 // stock exec.Worker slaves connect unchanged. To the root it is a
-// pipelined client: it fetches super-chunks with the same
-// double-buffered Prefetch handshake the flat runtime uses between
-// worker and master, piggy-backing its shard's accumulated results on
+// pipelined client over the same exec.Link a worker dials: it fetches
+// super-chunks one Call at a time — a Prefetch one while the shard
+// still has work — piggy-backing the shard's accumulated results on
 // every fetch, so the root round-trip hides behind local computation.
 //
 // Deadlock discipline: a blocking (parkable) fetch is issued only when
@@ -85,15 +33,20 @@ func (r *wireRoot) Close() error { return r.c.Close() }
 type Submaster struct {
 	shard   int
 	workers int
-	root    rootCaller
+	ep      exec.Endpoint
 	bg      sync.WaitGroup // in-flight prefetch goroutines
-	serveWG sync.WaitGroup // accept loop + per-connection servers
+
+	// root is the upward link, one super-chunk per round trip (the
+	// shard-level pipeline, not the credit window, hides its latency).
+	// The fetching flag serialises it, and with it rootReq and rootRep.
+	root    exec.Link
+	rootReq wire.Request
+	rootRep wire.Reply
 
 	bus      *telemetry.Bus // nil unless SetTelemetry was called
 	globalID []int          // shard-local worker index → run-global id
 
 	mu       sync.Mutex
-	conns    []net.Conn // accepted by Serve, closed by Close
 	cond     *sync.Cond
 	buffered []sched.Assignment // fetched super-chunks not yet planned
 	fetching bool
@@ -139,28 +92,9 @@ func NewSubmasterTransport(shard int, scheme sched.Scheme, workers int, rootAddr
 	if workers <= 0 {
 		return nil, fmt.Errorf("hier: submaster needs at least one worker")
 	}
-	transport, ok := transport.Normalize()
-	if !ok {
-		return nil, fmt.Errorf("hier: unknown transport %q", transport)
-	}
-	var root rootCaller
-	if transport == exec.TransportNetRPC {
-		client, err := rpc.Dial("tcp", rootAddr)
-		if err != nil {
-			return nil, err
-		}
-		root = netrpcRoot{client}
-	} else {
-		conn, err := net.Dial("tcp", rootAddr)
-		if err != nil {
-			return nil, err
-		}
-		wc, err := wire.NewClient(conn)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		root = &wireRoot{c: wc}
+	root, err := exec.Dial(context.Background(), rootAddr, transport)
+	if err != nil {
+		return nil, err
 	}
 	s := &Submaster{
 		shard:   shard,
@@ -230,33 +164,15 @@ func (s *Submaster) telemetryID(local int) int {
 // flat master it sniffs each connection's first byte, so gob and
 // binary workers coexist on one listener.
 func (s *Submaster) Serve(l net.Listener) error {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Master", s); err != nil {
-		return err
-	}
-	s.serveWG.Add(1)
-	go func() {
-		defer s.serveWG.Done()
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			s.conns = append(s.conns, conn)
-			bus := s.bus
-			s.mu.Unlock()
-			s.serveWG.Add(1)
-			go func() {
-				defer s.serveWG.Done()
-				// No FetchAddFunc: the shard's ledger is stage-local — its
-				// table changes with every super-chunk — so workers cannot
-				// hold a replica and wire-level claims are not served.
-				exec.ServeSniffed(srv, conn, bus, s.shard, s.nextBatch, nil)
-			}()
-		}
-	}()
-	return nil
+	return s.ep.Serve(l, s, func(srv *rpc.Server, conn net.Conn) {
+		s.mu.Lock()
+		bus := s.bus
+		s.mu.Unlock()
+		// No FetchAddFunc: the shard's ledger is stage-local — its table
+		// changes with every super-chunk — so workers cannot hold a replica
+		// and wire-level claims are not served.
+		exec.ServeSniffed(srv, conn, bus, s.shard, s.nextBatch, nil)
+	})
 }
 
 // nextBatch adapts the submaster to the batched wire service: the
@@ -318,13 +234,8 @@ func (s *Submaster) Close() error {
 		s.rootErr = fmt.Errorf("hier: submaster closed")
 	}
 	s.cond.Broadcast()
-	conns := s.conns
-	s.conns = nil
 	s.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	s.serveWG.Wait()
+	s.ep.Close()
 	return err
 }
 
@@ -486,17 +397,22 @@ func (s *Submaster) planLocked() error {
 	return nil
 }
 
-// takeFetchArgs snapshots the outgoing fetch payload; callers hold mu.
-func (s *Submaster) takeFetchArgs(prefetch bool) exec.ChunkArgs {
-	args := exec.ChunkArgs{
+// fillFetchLocked loads rootReq with the outgoing fetch: the shard's
+// aggregate ACP and every result accumulated since the last one.
+// Callers hold mu and have set fetching.
+func (s *Submaster) fillFetchLocked(prefetch bool) {
+	s.rootReq = wire.Request{
 		Worker:   s.shard,
 		ACP:      s.aggregateACP(),
-		Results:  s.pending,
 		Prefetch: prefetch,
+		Credits:  1,
+		Results:  s.rootReq.Results[:0],
+	}
+	for _, res := range s.pending {
+		s.rootReq.Results = append(s.rootReq.Results, wire.Record{Index: res.Index, Data: res.Data})
 	}
 	s.pending = nil
 	s.fetches++
-	return args
 }
 
 // launchPrefetchLocked starts an asynchronous Prefetch fetch if the
@@ -507,54 +423,43 @@ func (s *Submaster) launchPrefetchLocked() {
 		return
 	}
 	s.fetching = true
-	args := s.takeFetchArgs(true)
+	s.fillFetchLocked(true)
 	s.bg.Add(1)
 	go func() {
 		defer s.bg.Done()
-		var reply exec.ChunkReply
-		err := s.root.Call(args, &reply)
+		err := s.root.Call(&s.rootReq, &s.rootRep)
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		s.fetching = false
-		if err != nil {
-			// The results rode on this call; without knowing whether the
-			// root got them, the run cannot continue safely.
-			s.rootErr = err
-		} else {
-			s.absorbReplyLocked(reply)
-		}
-		s.cond.Broadcast()
+		s.absorbReplyLocked(err)
 	}()
 }
 
 // blockingFetchLocked performs a plain (parkable) fetch, dropping mu
-// for the duration of the RPC. Only called when the shard is quiescent
+// for the duration of the call. Only called when the shard is quiescent
 // — see the type comment for why that makes parking at the root safe.
 // Callers hold mu; it is held again on return.
 func (s *Submaster) blockingFetchLocked() error {
 	s.fetching = true
-	args := s.takeFetchArgs(false)
+	s.fillFetchLocked(false)
 	s.mu.Unlock()
-	var reply exec.ChunkReply
-	err := s.root.Call(args, &reply)
+	err := s.root.Call(&s.rootReq, &s.rootRep)
 	s.mu.Lock()
-	s.fetching = false
-	if err != nil {
-		s.rootErr = err
-		s.cond.Broadcast()
-		return err
-	}
-	s.absorbReplyLocked(reply)
-	s.cond.Broadcast()
-	return nil
+	s.absorbReplyLocked(err)
+	return err
 }
 
-// absorbReplyLocked files a root reply; callers hold mu.
-func (s *Submaster) absorbReplyLocked(reply exec.ChunkReply) {
+// absorbReplyLocked files the finished fetch. Its results rode on the
+// call, so after an error — without knowing whether the root got them
+// — the run cannot continue safely. Callers hold mu.
+func (s *Submaster) absorbReplyLocked(err error) {
+	s.fetching = false
 	switch {
-	case reply.Stop:
+	case err != nil:
+		s.rootErr = err
+	case s.rootRep.Stop:
 		s.rootDone = true
-	case reply.Assign.Size > 0:
-		s.buffered = append(s.buffered, reply.Assign)
+	case len(s.rootRep.Grants) > 0:
+		s.buffered = append(s.buffered, s.rootRep.Grants[0])
 	}
+	s.cond.Broadcast()
 }

@@ -91,6 +91,52 @@ func TestRunMasterContextCancelTCP(t *testing.T) {
 	runCancelled(t, master, workers)
 }
 
+// TestCancelReachesLateDialler pins the held-frame fix: a master
+// cancelled before the last rank has dialled must still stop that rank
+// when it connects. Before the fix the stop was dropped ("rank not
+// connected") and the late slave blocked in Recv until the master's
+// Close.
+func TestCancelReachesLateDialler(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 3
+	master, err := ListenTCP(ln, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer master.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	scheme, _ := sched.Lookup("TSS")
+	if _, _, err := RunMasterContext(ctx, master, scheme, 1000, MasterOptions{}); err != context.Canceled {
+		t.Fatalf("master returned %v, want context.Canceled", err)
+	}
+	// Nobody has dialled yet; every rank's stop is being held.
+	errc := make(chan error, size-1)
+	for r := 1; r < size; r++ {
+		wc, err := DialTCP(ln.Addr().String(), r, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer wc.Close()
+		go func() {
+			errc <- RunWorker(wc, WorkerOptions{Kernel: func(int) []byte { return nil }})
+		}()
+	}
+	for r := 1; r < size; r++ {
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Errorf("late slave: %v", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("a slave that dialled after the cancel never saw its stop")
+		}
+	}
+}
+
 func TestRunMasterContextPreCancelled(t *testing.T) {
 	world, err := NewWorld(2)
 	if err != nil {

@@ -138,7 +138,7 @@ func RunMasterContext(ctx context.Context, c Comm, scheme sched.Scheme, iteratio
 	cancelled := func() ([][]byte, metrics.Report, error) {
 		for r := 1; r <= workers; r++ {
 			if !stoppedSet[r] {
-				_ = c.Send(r, tagStop, nil) // best effort: rank may not be connected yet
+				_ = c.Send(r, tagStop, nil) // best effort; the TCP star holds it for a rank still dialling
 			}
 		}
 		return results, rep, ctx.Err()

@@ -421,15 +421,18 @@ func (c *Conn) ReadClientFrame(r *Request) (Kind, int, error) {
 	return KindRequest, 0, nil
 }
 
-// Call performs one synchronous round trip: write the request, block
-// for the reply. A protocol-level failure reported by the server
-// surfaces as a ServerError.
+// Send writes one request and does not wait: the reply is collected by
+// a later Recv, so the caller may compute in between.
 //
 //lint:loopsched-hotpath
-func (c *Conn) Call(req *Request, rep *Reply) error {
-	if err := c.WriteRequest(req); err != nil {
-		return err
-	}
+func (c *Conn) Send(req *Request) error { return c.WriteRequest(req) }
+
+// Recv blocks for the reply to the oldest unanswered request. A
+// protocol-level failure reported by the server surfaces as a
+// ServerError.
+//
+//lint:loopsched-hotpath
+func (c *Conn) Recv(rep *Reply) error {
 	if err := c.ReadReply(rep); err != nil {
 		return err
 	}
@@ -441,4 +444,14 @@ func (c *Conn) Call(req *Request, rep *Reply) error {
 		return ServerError(rep.Err)
 	}
 	return nil
+}
+
+// Call performs one synchronous round trip: Send, then Recv.
+//
+//lint:loopsched-hotpath
+func (c *Conn) Call(req *Request, rep *Reply) error {
+	if err := c.Send(req); err != nil {
+		return err
+	}
+	return c.Recv(rep)
 }

@@ -15,7 +15,8 @@ import (
 // that test until a guard lands here. One steady-state cycle guards
 // several hot functions at once: the codec round trip covers the
 // append/decode/reset layer, the framed round trip covers the Conn
-// layer on top of it (Call is WriteRequest + ReadReply composed).
+// layer on top of it (Send is WriteRequest, Recv is ReadReply plus the
+// error check, Call is the two composed).
 var hotGuards = map[string]func(t *testing.T){
 	"(*Request).reset":        codecGuard,
 	"(*Reply).Reset":          codecGuard,
@@ -33,6 +34,8 @@ var hotGuards = map[string]func(t *testing.T){
 	"(*Conn).publishReceived": connGuard,
 	"(*Conn).ReadRequest":     connGuard,
 	"(*Conn).ReadReply":       connGuard,
+	"(*Conn).Send":            connGuard,
+	"(*Conn).Recv":            connGuard,
 	"(*Conn).Call":            connGuard,
 	"appendFetchAdd":          ledgerCodecGuard,
 	"decodeFetchAdd":          ledgerCodecGuard,
@@ -177,7 +180,7 @@ func ledgerConnGuard(t *testing.T) {
 }
 
 // connGuard extends the guard through the framing layer: after
-// warm-up, a full WriteRequest/ReadRequest + WriteReply/ReadReply
+// warm-up, a full Send/ReadRequest + WriteReply/Recv
 // cycle over a Conn allocates nothing. The bound is < 1 rather than
 // == 0 only to tolerate a GC emptying the encode buffer pool
 // mid-measurement.
@@ -196,7 +199,7 @@ func connGuard(t *testing.T) {
 	decRep := Reply{Grants: make([]sched.Assignment, 0, 4)}
 
 	cycle := func() {
-		if err := client.WriteRequest(&req); err != nil {
+		if err := client.Send(&req); err != nil {
 			panic(err)
 		}
 		if err := server.ReadRequest(&decReq); err != nil {
@@ -205,7 +208,7 @@ func connGuard(t *testing.T) {
 		if err := server.WriteReply(&rep); err != nil {
 			panic(err)
 		}
-		if err := client.ReadReply(&decRep); err != nil {
+		if err := client.Recv(&decRep); err != nil {
 			panic(err)
 		}
 	}

@@ -488,6 +488,7 @@ func TestTelemetryWireCountersScrape(t *testing.T) {
 		Backend: loopsched.BackendRPC, Workers: runWorkers(),
 		Kernel:    func(i int) []byte { return []byte{byte(i)} },
 		Pipeline:  true,
+		Transport: "binary", // the counters under test are the binary codec's
 		Telemetry: tele,
 	})
 	tele.Flush()
