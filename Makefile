@@ -94,17 +94,21 @@ govulncheck:
 test:
 	$(GO) test -shuffle=on ./...
 
+# race runs the concurrent packages under the race detector twice: in
+# the default ledger mode and with LOOPSCHED_LEDGER=on, which flips every
+# default-mode run onto the fetch-and-add paths (step tables, and the
+# unit table of the distributed schemes on the rpc master) — the mode
+# CI's `ledger` job covers.
+RACE_PKGS = ./internal/exec/ ./internal/steal/ ./internal/mp/ ./internal/hier/ ./internal/telemetry/ \
+	./internal/service/ ./internal/dispense/ ./internal/ledger/ ./internal/sched/ .
 race:
-	$(GO) test -race ./internal/exec/ ./internal/steal/ ./internal/mp/ ./internal/hier/ ./internal/telemetry/ ./internal/service/ .
+	$(GO) test -race $(RACE_PKGS)
+	LOOPSCHED_LEDGER=on $(GO) test -race $(RACE_PKGS)
 
 # flake is the determinism gate (ROADMAP item 5): the runtime suites,
-# twenty times over on two cores — one package at a time (-p 1), so a
-# timing-sensitive test competes only with its own suite:
-# TestRPCPerWorkerTimes needs both workers to get a chunk of a 4 ms
-# loop, and loses that race about once in 60 suite runs when three
-# packages share the two cores (at the parent commit too).
+# twenty times over on two cores, the three packages sharing them.
 flake:
-	GOMAXPROCS=2 $(GO) test -p 1 -count=20 ./internal/exec ./internal/hier ./internal/mp
+	GOMAXPROCS=2 $(GO) test -count=20 ./internal/exec ./internal/hier ./internal/mp
 
 # bench-smoke runs the repository benchmark under the driver's own
 # contract — one short traced workload — and fails unless the last

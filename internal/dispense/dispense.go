@@ -12,12 +12,15 @@
 // assignment of Eleliemy & Ciorba (arXiv:2101.07050); DESIGN.md "The
 // dispenser" states the rules.
 //
-// Concurrency: a Dispenser has no lock of its own. Report, Feedback,
-// Stage and a policy-backed Claim must be serialised by the caller —
-// the mutex or single master goroutine it already has. Once a stage
-// has armed a step table (Table() != nil), Claim and FetchAdd are one
-// atomic fetch-and-add plus immutable lookups and are safe from any
-// number of goroutines until the next Stage.
+// Concurrency: a Dispenser has no lock of its own. Report, Revise,
+// Feedback, Stage and a policy-backed Claim must be serialised by the
+// caller — the mutex or single master goroutine it already has. A stage
+// that armed a table publishes it and its counter as one object behind
+// one atomic pointer (Ledger): Claim and Ledger.FetchAdd are then one
+// atomic fetch-and-add plus immutable lookups, safe from any number of
+// goroutines, also while a later Stage or a Revise swaps the object — a
+// claimant still holding the old one gets what is left of it, or
+// nothing.
 package dispense
 
 import (
@@ -45,6 +48,71 @@ type Config struct {
 	// accepts the scheme; draws are then lock-free. Ineligible schemes
 	// silently keep the policy, so asking is always safe.
 	Table bool
+	// Units also asks for a unit table (ledger.BuildUnits) where no step
+	// table can be had: a share-deterministic distributed scheme is then
+	// handed out in units of computing power from the ACPs the stage was
+	// planned with, and Revise — not Claim — takes the majority re-plan.
+	// Only a site that can route a changed ACP to Revise asks.
+	Units bool
+}
+
+// Ledger is what a stage that armed a table publishes: the table and
+// the counter that hands it out, as one object. Remote claimants hold
+// Table() as their replica and claim through FetchAdd.
+type Ledger struct {
+	tab     *ledger.Table
+	base    int // chunk starts in tab are relative to the stage
+	ctr     ledger.Local
+	drained atomic.Bool
+}
+
+// Table returns the armed table; its chunk starts are relative to the
+// stage.
+func (l *Ledger) Table() *ledger.Table { return l.tab }
+
+// FetchAdd is the raw one-sided claim behind the wire protocol's
+// FetchAdd frame: reserve n steps — or units, on a unit table — and
+// return the first. A result at or past Table().End() claimed nothing:
+// the table is drained, or a re-plan closed it.
+func (l *Ledger) FetchAdd(n int) uint64 {
+	first, _ := l.ctr.FetchAdd(n)
+	return first
+}
+
+// Claim is Dispenser.Claim on this ledger, whatever the dispenser has
+// staged since: the lock-free draw of a site that loaded the ledger and
+// must not fall onto a policy another goroutine re-planned in meanwhile.
+// On a unit table a chunk is the span of acpNow units — the paper's
+// C_j = SC_k·A_j/A with the A_j of this request, the plan's A_j when the
+// request carries none; on a step table it is one step.
+func (l *Ledger) Claim(worker, acpNow, max int, dst []sched.Assignment) []sched.Assignment {
+	a := acpNow
+	if a < 1 || !l.tab.Units() {
+		a = l.tab.Share(worker)
+	}
+	if a < 1 {
+		a = 1
+	}
+	for got := len(dst); len(dst) == got; {
+		n := l.tab.SpanBatch(l.ctr.Next(), a, max)
+		u := l.FetchAdd(n * a)
+		for i := 0; i < n; i++ {
+			s, ok := l.tab.Span(u+uint64(i*a), a)
+			if !ok {
+				// Past the table's end the claim is wasted: the counter
+				// only moves forward, so nothing is handed out twice and
+				// nothing needs retracting.
+				l.drained.Store(true)
+				return dst
+			}
+			if s.Size == 0 {
+				continue // a share that rounds to nothing; draw again
+			}
+			s.Start += l.base
+			dst = append(dst, s)
+		}
+	}
+	return dst
 }
 
 // Dispenser hands out one loop, or one super-chunk of it at a time.
@@ -64,9 +132,8 @@ type Dispenser struct {
 	fb         sched.FeedbackPolicy // policy, when it learns from completions
 	replans    int
 
-	tab     *ledger.Table // armed step table of the stage, or nil
-	ctr     ledger.Local
-	drained atomic.Bool
+	led     atomic.Pointer[Ledger] // armed table of the stage, or nil
+	drained atomic.Bool            // policy path; a Ledger carries its own
 }
 
 // New returns a Dispenser with no stage: nothing can be claimed until
@@ -114,19 +181,26 @@ func (d *Dispenser) ACP(worker int) int { return d.liveACP[worker] }
 // plan from the latest reports.
 func (d *Dispenser) Stage(start, size int) error {
 	d.base, d.size, d.next = start, size, start
-	d.policy, d.fb, d.tab = nil, nil, nil
+	d.policy, d.fb = nil, nil
+	// Any build failure (ineligible scheme, over-long sequence) keeps
+	// the policy; a bad configuration fails NewPolicy below.
+	var tab *ledger.Table
+	cfg := sched.Config{Iterations: size, Workers: d.cfg.Workers}
 	if d.cfg.Table {
-		// Any build failure (ineligible scheme, over-long sequence)
-		// keeps the policy; a bad configuration fails NewPolicy below.
-		if tab, err := ledger.Build(d.cfg.Scheme, sched.Config{Iterations: size, Workers: d.cfg.Workers}); err == nil {
-			d.tab = tab
-			d.ctr.Store(0)
+		tab, _ = ledger.Build(d.cfg.Scheme, cfg)
+	}
+	if tab == nil && d.cfg.Units {
+		if tab, _ = ledger.BuildUnits(d.cfg.Scheme, cfg, d.liveACP); tab != nil {
+			copy(d.planACP, d.liveACP)
 		}
 	}
-	if d.tab == nil {
+	if tab == nil {
+		d.led.Store(nil)
 		if err := d.plan(); err != nil {
 			return err
 		}
+	} else {
+		d.led.Store(&Ledger{tab: tab, base: start})
 	}
 	d.drained.Store(false)
 	return nil
@@ -164,7 +238,7 @@ func (d *Dispenser) plan() error {
 }
 
 // Planned reports whether a stage has been planned.
-func (d *Dispenser) Planned() bool { return d.policy != nil || d.tab != nil }
+func (d *Dispenser) Planned() bool { return d.policy != nil || d.led.Load() != nil }
 
 // Feedback applies one completed chunk's measured cost to a learning
 // policy (AWF); other policies ignore it. Call it before the Claim it
@@ -175,6 +249,32 @@ func (d *Dispenser) Feedback(worker int, work, elapsed float64) {
 	}
 }
 
+// Revise is Report for a site that asked for unit tables: a unit-table
+// stage is drawn lock-free and its Claim records nothing, so the site
+// sends every ACP that differs from the worker's last one here. When a
+// majority of ACPs now differ from the plan's, the stage re-plans: the
+// ledger is closed — one fetch-add past its end, which returns the
+// first unit u* no claim had taken — and a policy over [P(u*), end of
+// the stage) is planned from the live ACPs. A claim racing the close
+// landed either wholly before it, and is valid under the old plan, or
+// past the end, and is void, exactly like a drain. On any other stage
+// Revise only records. An error means the policy could not be built;
+// nothing can be claimed any more.
+func (d *Dispenser) Revise(worker, acpNow int) (replanned bool, err error) {
+	d.liveACP[worker] = acpNow
+	l := d.led.Load()
+	if l == nil || !l.tab.Units() || d.cfg.NoReplan || !acp.MajorityChanged(d.planACP, d.liveACP) {
+		return false, nil
+	}
+	d.next = l.base + l.tab.Pos(l.ctr.Close())
+	d.led.Store(nil)
+	if err := d.plan(); err != nil {
+		return false, err
+	}
+	d.replans++
+	return true, nil
+}
+
 // Claim appends to dst the next chunks for worker, at most max and at
 // least one unless the stage is drained, and returns dst. The batch is
 // share-bounded (sched.BatchLimit over what the stage has left): a
@@ -183,6 +283,8 @@ func (d *Dispenser) Feedback(worker int, work, elapsed float64) {
 // batch ends as soon as one more chunk the size of the last would pass
 // the bound — exact for the paper's non-increasing sequences.
 //
+// On a table the draw is Ledger.Claim and records nothing — see Revise.
+//
 // Off the table Claim first records acpNow — also when no stage is
 // planned or the stage is drained, so the next Stage sees it — and, for
 // a distributed scheme, re-plans over the remaining iterations when a
@@ -190,22 +292,8 @@ func (d *Dispenser) Feedback(worker int, work, elapsed float64) {
 // from; replanned reports that it did. A re-plan that fails keeps the
 // plan.
 func (d *Dispenser) Claim(worker, acpNow, max int, dst []sched.Assignment) (_ []sched.Assignment, replanned bool) {
-	if d.tab != nil {
-		n := d.tab.Batch(d.ctr.Next(), max)
-		step, _ := d.ctr.FetchAdd(n)
-		for i := 0; i < n; i++ {
-			a, ok := d.tab.Chunk(step + uint64(i))
-			if !ok {
-				// Steps past the table's end are wasted claims: the
-				// counter only moves forward, so nothing is handed out
-				// twice and nothing needs retracting.
-				d.drained.Store(true)
-				break
-			}
-			a.Start += d.base
-			dst = append(dst, a)
-		}
-		return dst, false
+	if l := d.led.Load(); l != nil {
+		return l.Claim(worker, acpNow, max, dst), false
 	}
 	d.liveACP[worker] = acpNow
 	if d.policy == nil {
@@ -250,17 +338,25 @@ func (d *Dispenser) Next(worker, acpNow int) (a sched.Assignment, ok, replanned 
 // Drained reports whether the stage has been handed out in full (true
 // before the first Stage). A flat run never un-drains: a re-plan covers
 // only what is left, which is nothing by then.
-func (d *Dispenser) Drained() bool { return d.drained.Load() }
+func (d *Dispenser) Drained() bool {
+	if l := d.led.Load(); l != nil {
+		return l.drained.Load()
+	}
+	return d.drained.Load()
+}
 
-// Replans returns how many majority re-plans Claim has taken.
+// Replans returns how many majority re-plans Claim and Revise have
+// taken.
 func (d *Dispenser) Replans() int { return d.replans }
 
-// Table returns the stage's armed step table, or nil on the policy
-// path. Remote workers hold it as their replica and claim through
-// FetchAdd; its chunk starts are relative to the stage.
-func (d *Dispenser) Table() *ledger.Table { return d.tab }
+// Ledger returns what the stage armed — its table and counter — or nil
+// on the policy path.
+func (d *Dispenser) Ledger() *Ledger { return d.led.Load() }
 
-// FetchAdd is the raw one-sided claim behind the wire protocol's
-// FetchAdd frame: reserve n steps of the armed table and return the
-// first. The Dispenser is the ledger.Ledger of its table.
-func (d *Dispenser) FetchAdd(n int) (uint64, error) { return d.ctr.FetchAdd(n) }
+// Table returns the stage's armed table, or nil on the policy path.
+func (d *Dispenser) Table() *ledger.Table {
+	if l := d.led.Load(); l != nil {
+		return l.tab
+	}
+	return nil
+}

@@ -66,8 +66,8 @@ func TestNoWorkerHoldsTheWholeLoop(t *testing.T) {
 			return intKernel(i)
 		}
 		runWorkers(t, addr, []Worker{
-			{ID: 0, Kernel: kernel, Transport: TransportBinary, LedgerTable: m.Ledger()},
-			{ID: 1, Kernel: kernel, Transport: TransportBinary, LedgerTable: m.Ledger()},
+			{ID: 0, Kernel: kernel, Transport: TransportBinary, LedgerTable: m.Ledger},
+			{ID: 1, Kernel: kernel, Transport: TransportBinary, LedgerTable: m.Ledger},
 		})
 		if _, rep, err := m.Wait(); err != nil || rep.Iterations != n {
 			t.Fatalf("run: %d iterations, err %v", rep.Iterations, err)

@@ -66,7 +66,12 @@ type JobCounts struct {
 // Termination is masterless: the dispenser drains when its last chunk
 // is handed out (it can never un-drain), after which granted is
 // frozen; the job is finished once drained && completed == granted,
-// i.e. every granted iteration has been executed by somebody.
+// i.e. every granted iteration has been executed by somebody. The
+// dispenser reads drained as soon as the last chunk is drawn, which is
+// before the refill that drew it has booked it — and on the ledger a
+// later claimant can find the table dry before an earlier one has booked
+// its chunks at all — so granted is frozen only once no refill is
+// between its draw and its booking (granting).
 type JobState struct {
 	w           workload.Workload
 	p           int
@@ -89,6 +94,7 @@ type JobState struct {
 
 	chunks    atomic.Int64
 	granted   atomic.Int64
+	granting  atomic.Int64 // refills that have drawn, not yet booked in granted
 	completed atomic.Int64
 	aborted   atomic.Bool
 
@@ -226,6 +232,7 @@ func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.
 		}
 		s.d.Feedback(worker, fbWork, fbElapsed)
 	}
+	s.granting.Add(1)
 	batch, replanned := s.d.Claim(worker, acpNow, cap(s.scratch[worker]), s.scratch[worker][:0])
 	if replanned {
 		e := s.event(telemetry.StageAdvanced, worker)
@@ -257,6 +264,7 @@ func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.
 		s.bus.Publish(e)
 	}
 	s.chunks.Add(int64(len(batch)))
+	s.granting.Add(-1)
 	if !s.ledger {
 		s.mu.Unlock()
 	}
@@ -308,8 +316,15 @@ func (s *JobState) Complete(worker int, a sched.Assignment, acpNow int, seconds 
 	e.Span = telemetry.SpanID(s.job, a.Start)
 	e.At, e.Seconds = s.bus.Now(), seconds
 	s.bus.Publish(e)
-	return s.Drained() && done >= s.granted.Load()
+	return s.frozen() && done >= s.granted.Load()
 }
+
+// frozen reports whether granted has its final value: nothing is left
+// to hand out and every refill that drew something has booked it. A
+// refill that starts after the dispenser read dry draws nothing, so the
+// order — drained first, then the refills in flight — is what makes the
+// answer safe.
+func (s *JobState) frozen() bool { return s.Drained() && s.granting.Load() == 0 }
 
 // Latency snapshots the job's request-to-grant and per-chunk compute
 // latency histograms.
@@ -330,7 +345,7 @@ func (s *JobState) Drained() bool { return s.aborted.Load() || s.d.Drained() }
 // Finished reports whether the job is complete: the policy is dry and
 // every granted iteration has been executed.
 func (s *JobState) Finished() bool {
-	return s.Drained() && s.completed.Load() >= s.granted.Load()
+	return s.frozen() && s.completed.Load() >= s.granted.Load()
 }
 
 // Granted returns the iterations granted so far.

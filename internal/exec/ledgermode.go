@@ -7,8 +7,9 @@ import "os"
 // with a fetch-and-add and compute their own chunk boundaries from a
 // replicated table, instead of round-tripping every chunk through the
 // master's grant path. The mode is a request, not a guarantee — a
-// scheme that is not step-deterministic (sched.StepDeterministic)
-// silently stays on the master path, so "on" is always safe.
+// scheme that is neither step-deterministic nor, on the rpc master,
+// share-deterministic (docs/LEDGER.md "Eligibility") silently stays on
+// the master path, so "on" is always safe.
 type LedgerMode string
 
 const (

@@ -44,13 +44,15 @@ import (
 // The master's hot path is de-contended: results deposit into a
 // lock-free ledger (one atomic flip per iteration index), per-worker
 // protocol state lives in per-worker slots with their own locks, and
-// whenever the dispenser armed a step table (every step-deterministic
-// scheme, DESIGN.md "The dispenser") grants are one fetch-and-add, so
-// steady-state requests from different workers never share a lock.
-// Schemes that read the request (the distributed family, WF, AWF) and
-// every recovery path (failures, requeues, parking, cancellation) go
-// through the locked scheduler under Master.mu. See docs/PROTOCOL.md
-// for the handshake.
+// whenever the dispenser armed a table — a step table for every
+// step-deterministic scheme, with the ledger on also a unit table for
+// the paper's distributed family once the gather is in (DESIGN.md "The
+// dispenser") — grants are one fetch-and-add, so steady-state requests
+// from different workers never share a lock. Schemes that read more of
+// the request than its ACP share (WF, AWF), the distributed family with
+// the ledger off or after a re-plan, and every recovery path (failures,
+// requeues, parking, cancellation) go through the locked scheduler
+// under Master.mu. See docs/PROTOCOL.md for the handshake.
 
 // ChunkResult carries the output of one computed iteration back to
 // the master.
@@ -117,6 +119,7 @@ type slot struct {
 	lastReply   time.Time
 	joined      bool
 	failed      bool // mirror of Master.failed, for the lock-free path
+	acp         int  // ACP on the worker's last request
 }
 
 // Master is the RPC scheduling service. Create with NewMaster, expose
@@ -130,27 +133,27 @@ type Master struct {
 	bus        *telemetry.Bus // nil unless SetTelemetry was called
 
 	// Lock-free result ledger: got[i] flips exactly once (CAS); the
-	// winner stores results[i] and then bumps received, so the
-	// goroutine that observes received == iterations also observes
-	// every stored result.
+	// winner stores results[i], and its request bumps received once its
+	// timing is booked too, so the goroutine that observes
+	// received == iterations also observes every stored result and every
+	// delivering request's accounting.
 	got      []atomic.Bool
 	received atomic.Int64
 	results  [][]byte
 	chunks   atomic.Int64
 
 	// d is the single source of every fresh grant (internal/dispense);
-	// dcfg rebuilds it when a Set* call changes its configuration. fast
-	// is fixed before Serve: the dispenser armed a step table, so grants
-	// need no Master.mu — until fastOff forces every request through
-	// the locked scheduler once failures or requeues exist. ledgerOn
-	// (SetLedger) additionally lets wire workers claim steps from the
-	// same table directly with FetchAdd frames; master-path grants (gob
-	// workers, mixed fleets, the requeue tail) draw from the same
-	// counter, so no range is ever issued twice across the two
-	// protocols.
+	// dcfg rebuilds it when a Set* call changes its configuration. While
+	// the current stage has a table armed (d.Table() != nil) grants need
+	// no Master.mu — until fastOff forces every request through the
+	// locked scheduler once failures or requeues exist. ledgerOn
+	// (SetLedger) additionally lets wire workers claim from the same
+	// table directly with FetchAdd frames, and asks the distributed
+	// schemes' stage for a unit table; master-path grants (gob workers,
+	// mixed fleets, the requeue tail) draw from the same counter, so no
+	// range is ever issued twice across the two protocols.
 	d        *dispense.Dispenser
 	dcfg     dispense.Config
-	fast     bool
 	fastOff  atomic.Bool
 	ledgerOn bool
 
@@ -221,11 +224,8 @@ func NewMaster(scheme sched.Scheme, iterations, workers int) (*Master, error) {
 func (m *Master) rearm() error {
 	m.d = dispense.New(m.dcfg)
 	if !sched.Distributed(m.scheme) {
-		if err := m.d.Stage(0, m.iterations); err != nil {
-			return err
-		}
+		return m.d.Stage(0, m.iterations)
 	}
-	m.fast = m.d.Table() != nil
 	return nil
 }
 
@@ -267,58 +267,83 @@ func (m *Master) SetWindow(w int) {
 func (m *Master) ledgerCap() int { return m.window + 1 }
 
 // SetLedger requests the decentralized scheduling ledger. With
-// LedgerOn (or "" resolving to it via LOOPSCHED_LEDGER) and a
-// step-deterministic scheme, the master serves one-sided FetchAdd
-// claims on its step table; ineligible schemes silently keep the
-// master path, so callers may pass "on" unconditionally. Call before
-// Serve. Ledger mode trades failure recovery for speed: steps a wire
-// worker claimed for itself are not tracked in any per-worker ledger,
-// so FailWorker cannot requeue them (see docs/LEDGER.md).
+// LedgerOn (or "" resolving to it via LOOPSCHED_LEDGER) the master
+// serves one-sided FetchAdd claims on its table: the step table of a
+// step-deterministic scheme, or the unit table a share-deterministic
+// distributed scheme arms once every worker has reported. Any other
+// scheme silently keeps the master path, so callers may pass "on"
+// unconditionally. Call before Serve. Ledger mode trades failure
+// recovery for speed: what a wire worker claimed for itself is not
+// tracked in any per-worker ledger, so FailWorker cannot requeue it
+// (see docs/LEDGER.md).
 func (m *Master) SetLedger(mode LedgerMode) error {
 	mode, ok := mode.Normalize()
 	if !ok {
 		return fmt.Errorf("exec: unknown ledger mode %q", mode)
 	}
 	m.ledgerOn = mode == LedgerOn
+	m.dcfg.Units = m.ledgerOn
+	if sched.Distributed(m.scheme) {
+		// Nothing is staged before the gather; only what the stage will
+		// be asked for changes.
+		return m.rearm()
+	}
 	return nil
 }
 
-// LedgerActive reports whether wire workers may claim from the
-// fetch-and-add ledger (SetLedger accepted the scheme).
-func (m *Master) LedgerActive() bool { return m.ledgerOn && m.fast }
+// LedgerActive reports whether wire workers may claim one-sided
+// (SetLedger accepted the scheme): a table is armed, or the gather will
+// arm a unit table.
+func (m *Master) LedgerActive() bool {
+	return m.ledgerOn && (m.d.Table() != nil || sched.ShareDeterministic(m.scheme))
+}
 
-// Ledger returns the ledger table (nil when inactive) — hand it to
-// Worker.LedgerTable so binary-transport workers claim one-sided.
+// Ledger returns the table armed right now, or nil: none yet (a
+// distributed scheme before its gather), none any more (a re-plan closed
+// it), or the ledger is off. Its method value is the handle to give
+// Worker.LedgerTable, so binary-transport workers claim one-sided.
 func (m *Master) Ledger() *ledger.Table {
-	if !m.LedgerActive() {
+	if !m.ledgerOn {
 		return nil
 	}
 	return m.d.Table()
 }
 
-// ledgerFetchAdd services one wire-level claim: bump the shared step
-// counter by n and account every valid claimed step as a granted
-// chunk — the self-computing worker will derive the same boundaries
-// from its table replica. Steps past the table are wasted claims and
-// count nothing. A one-sided claim has no request-to-grant wait, so
-// the grant-latency histogram records the claim's service time — near
-// zero by design, which is the ledger's whole point — keeping the
-// histogram count reconciled with the chunk tally.
+// ledgerFetchAdd services one wire-level claim: bump the shared counter
+// by n and account every chunk the claim covers as granted — the
+// self-computing worker will derive the same boundaries from its table
+// replica. On a unit table n is in units of computing power and a chunk
+// is the claimant's plan-time ACP of them, so the connection must have
+// been labeled by a request; a claim that is not, or that arrives when
+// no table is armed, takes nothing and is answered as closed. Claims
+// past the table's end are wasted and count nothing, and a span that
+// rounds to no iterations is nobody's chunk. A one-sided claim has no
+// request-to-grant wait, so the grant-latency histogram records the
+// claim's service time — near zero by design, which is the ledger's
+// whole point — keeping the histogram count reconciled with the chunk
+// tally.
 func (m *Master) ledgerFetchAdd(worker, n int) uint64 {
 	var claimAt float64
 	if m.bus != nil {
 		claimAt = m.bus.Now()
 	}
-	tab := m.d.Table()
-	first, _ := m.d.FetchAdd(n)
-	end := first + uint64(n)
-	if steps := uint64(tab.Steps()); end > steps {
-		end = steps
+	l := m.d.Ledger()
+	if l == nil {
+		return ledger.Closed
 	}
-	for s := first; s < end; s++ {
-		a, ok := tab.Chunk(s)
+	tab := l.Table()
+	a := tab.Share(worker)
+	if a < 1 {
+		return ledger.Closed
+	}
+	first := l.FetchAdd(n)
+	for off := 0; off+a <= n; off += a {
+		s, ok := tab.Span(first+uint64(off), a)
 		if !ok {
 			break
+		}
+		if s.Size == 0 {
+			continue
 		}
 		m.chunks.Add(1)
 		if m.bus != nil {
@@ -326,7 +351,7 @@ func (m *Master) ledgerFetchAdd(worker, n int) uint64 {
 			m.waitHist.Record(worker, now-claimAt)
 			m.bus.Publish(telemetry.Event{
 				Kind: telemetry.ChunkGranted, Worker: worker,
-				Start: a.Start, Size: a.Size, Span: telemetry.SpanID(0, a.Start),
+				Start: s.Start, Size: s.Size, Span: telemetry.SpanID(0, s.Start),
 				At: now, Seconds: now - claimAt,
 			})
 		}
@@ -412,11 +437,20 @@ func (m *Master) nextBatch(args ChunkArgs, credits int, rep *wire.Reply) (err er
 	}()
 
 	// Deposit piggy-backed results first — they are valid data even
-	// when the sender has since been declared dead.
-	if err := m.deposit(args.Results); err != nil {
+	// when the sender has since been declared dead — but count them
+	// towards completion only after the request's timing is booked: the
+	// count that reaches the loop's length releases Wait.
+	fresh, err := m.deposit(args.Results)
+	if err != nil {
+		m.credit(fresh)
 		return err
 	}
-	if m.account(&args, now, reqAt) {
+	rejected, acpChanged := m.account(&args, now, reqAt)
+	m.credit(fresh)
+	if acpChanged && !rejected {
+		m.revise(&args)
+	}
+	if rejected {
 		// Resurrected-worker race: a worker declared dead that calls
 		// again was merely slow. Its chunks were requeued, so handing
 		// it more work would compute iterations twice; send it home,
@@ -437,30 +471,62 @@ func (m *Master) nextBatch(args ChunkArgs, credits int, rep *wire.Reply) (err er
 }
 
 // deposit files piggy-backed results into the lock-free ledger and
-// finishes the run when the last iteration lands.
-func (m *Master) deposit(results []ChunkResult) error {
+// returns how many of them were new.
+func (m *Master) deposit(results []ChunkResult) (fresh int, err error) {
 	for _, r := range results {
 		if r.Index < 0 || r.Index >= m.iterations {
-			return fmt.Errorf("exec: result index %d out of range", r.Index)
+			return fresh, fmt.Errorf("exec: result index %d out of range", r.Index)
 		}
 		if m.got[r.Index].CompareAndSwap(false, true) {
 			m.results[r.Index] = r.Data
-			m.received.Add(1)
+			fresh++
 		}
 	}
-	if m.iterations > 0 && int(m.received.Load()) >= m.iterations {
+	return fresh, nil
+}
+
+// credit counts a request's new results as received and finishes the
+// run when the last iteration lands. Every request credits only after
+// account has booked its timing, so the report Wait builds once done
+// closes misses no delivered chunk's sample.
+func (m *Master) credit(fresh int) {
+	if fresh > 0 && int(m.received.Add(int64(fresh))) >= m.iterations {
 		m.mu.Lock()
 		m.maybeFinish()
 		m.mu.Unlock()
 	}
-	return nil
+}
+
+// revise routes a changed ACP to the dispenser while a unit table is
+// armed — its draws are lock-free and record nothing — and with it the
+// majority re-plan: the table is closed, one-sided claimants find it
+// drained and fall back to the dialogue, and the rest of the loop is
+// granted from the policy under mu. On every other stage the locked
+// draw records the ACP itself.
+func (m *Master) revise(args *ChunkArgs) {
+	if t := m.d.Table(); t == nil || !t.Units() {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	replanned, err := m.d.Revise(args.Worker, args.ACP)
+	if err != nil && m.err == nil {
+		m.err = err
+		m.ready.Broadcast()
+	}
+	if replanned {
+		m.bus.Publish(telemetry.Event{
+			Kind: telemetry.StageAdvanced, Worker: args.Worker, At: m.bus.Now(),
+		})
+	}
 }
 
 // account retires delivered assignments from the worker's ledger,
 // requeues abandoned ones, publishes the join/request events and
-// books the reported timing. It reports true when the worker has been
-// declared dead and must be sent home.
-func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejected bool) {
+// books the reported timing. It reports whether the worker has been
+// declared dead and must be sent home, and whether the request carries a
+// different ACP than the worker's last one.
+func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejected, acpChanged bool) {
 	s := &m.slots[args.Worker]
 	var requeue []sched.Assignment
 	s.mu.Lock()
@@ -480,6 +546,7 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 	}
 	s.outstanding = kept
 	rejected = s.failed
+	acpChanged, s.acp = args.ACP != s.acp, args.ACP
 	if !rejected {
 		if !s.joined {
 			s.joined = true
@@ -529,7 +596,7 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 			Kind: telemetry.WorkerRejected, Worker: args.Worker, At: reqAt,
 		})
 	}
-	return rejected
+	return rejected, acpChanged
 }
 
 // fastGrants serves a request entirely without Master.mu: grants come
@@ -538,7 +605,8 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 // scheduler (no table armed, failures pending, table drained on a
 // parkable request, run finished).
 func (m *Master) fastGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt float64) bool {
-	if !m.fast || m.fastOff.Load() || m.doneClosed() {
+	l := m.d.Ledger()
+	if l == nil || m.fastOff.Load() || m.doneClosed() {
 		return false
 	}
 	s := &m.slots[args.Worker]
@@ -548,7 +616,7 @@ func (m *Master) fastGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt
 		return false // FailWorker won the race; locked path replies Stop
 	}
 	for len(rep.Grants) < credits && len(s.outstanding) < m.ledgerCap() {
-		a, ok := m.take(args.Worker, args.ACP)
+		a, ok := m.take(l, args.Worker, args.ACP)
 		if !ok {
 			if len(rep.Grants) > 0 {
 				return true // partial batch; the tail is someone else's
@@ -571,25 +639,35 @@ func (m *Master) fastGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt
 
 // take is the single source of fresh grants for both paths, so fast
 // and locked grants can never double-assign: one draw from the
-// dispenser — a fetch-and-add when it armed a table (callers on the
-// fast path hold no lock), the policy otherwise (callers hold mu). In
-// ledger mode each successful in-process claim counts as one ledger
-// fetch (zero round trip) so loopsched_ledger_fetchadds_total tallies
-// every fetch-and-add regardless of which side issued it.
-func (m *Master) take(w, acpNow int) (sched.Assignment, bool) {
-	a, ok, replanned := m.d.Next(w, acpNow)
-	if replanned {
-		m.bus.Publish(telemetry.Event{
-			Kind: telemetry.StageAdvanced, Worker: w, At: m.bus.Now(),
-		})
+// dispenser. The fast path passes the ledger it loaded and holds no
+// lock — a re-plan may close that ledger under it, never swap a policy
+// in; the locked path passes the stage's current one, nil when the draw
+// is the policy's, and holds mu. In ledger mode each successful
+// in-process claim counts as one ledger fetch (zero round trip) so
+// loopsched_ledger_fetchadds_total tallies every fetch-and-add
+// regardless of which side issued it.
+func (m *Master) take(l *dispense.Ledger, w, acpNow int) (sched.Assignment, bool) {
+	if l == nil {
+		a, ok, replanned := m.d.Next(w, acpNow)
+		if replanned {
+			m.bus.Publish(telemetry.Event{
+				Kind: telemetry.StageAdvanced, Worker: w, At: m.bus.Now(),
+			})
+		}
+		return a, ok
 	}
-	if ok && m.bus != nil && m.LedgerActive() {
+	var one [1]sched.Assignment
+	got := l.Claim(w, acpNow, 1, one[:0])
+	if len(got) == 0 {
+		return sched.Assignment{}, false
+	}
+	if m.bus != nil && m.ledgerOn {
 		m.bus.Publish(telemetry.Event{
 			Kind: telemetry.LedgerFetch, Worker: w,
 			Start: 1, At: m.bus.Now(),
 		})
 	}
-	return a, ok
+	return got[0], true
 }
 
 // lockedGrants is the fallback scheduler: the distributed gather
@@ -655,7 +733,7 @@ func (m *Master) assign(args *ChunkArgs, credits int, rep *wire.Reply, reqAt flo
 			m.recordGrantLocked(s, args, a, rep, reqAt)
 			break
 		}
-		if a, ok := m.take(w, args.ACP); ok {
+		if a, ok := m.take(m.d.Ledger(), w, args.ACP); ok {
 			m.recordGrantLocked(s, args, a, rep, reqAt)
 			break
 		}
@@ -679,7 +757,7 @@ func (m *Master) assign(args *ChunkArgs, credits int, rep *wire.Reply, reqAt flo
 		m.slotLedger(s) < m.ledgerCap() {
 		a, ok := m.takeRequeued()
 		if !ok {
-			a, ok = m.take(w, args.ACP)
+			a, ok = m.take(m.d.Ledger(), w, args.ACP)
 		}
 		if !ok {
 			break
@@ -1042,12 +1120,15 @@ type Worker struct {
 	// server grants one chunk per call whatever is asked.
 	Window int
 	// LedgerTable, when non-nil, switches the binary transport to the
-	// one-sided ledger protocol: the worker claims scheduling steps
-	// with fetch-and-add frames and computes chunk boundaries from this
-	// replica of the master's table, reporting completions in no-reply
-	// deposits. It must be built from the same scheme and Config as the
-	// master's (SetLedger); the gob transport ignores it.
-	LedgerTable *ledger.Table
+	// one-sided ledger protocol: the worker claims scheduling steps — or
+	// units of computing power — with fetch-and-add frames and computes
+	// chunk boundaries from the replica of the master's table this handle
+	// returns, reporting completions in no-reply deposits. The handle is
+	// Master.Ledger as a method value: nil until a table is armed, which
+	// for a distributed scheme is after the gather, so the worker's first
+	// request is then the ordinary synchronous one. The gob transport
+	// ignores it.
+	LedgerTable func() *ledger.Table
 	// Telemetry, when non-nil, receives a ChunkCompleted event for
 	// every chunk this worker computes. TelemetryID and TelemetryShard
 	// label those events; TelemetryID must be the run-global worker id

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"loopsched/internal/sched"
+	"loopsched/internal/telemetry"
 )
 
 // startMaster spins up a master on an ephemeral localhost TCP port.
@@ -107,12 +108,17 @@ func TestRPCDistributed(t *testing.T) {
 
 // TestRPCPerWorkerTimes: the master's report carries a per-PE
 // T_com/T_wait/T_comp breakdown derived from worker-reported
-// computation times.
+// computation times. Both workers must compute something for that, and
+// on two cores a 4 ms loop can be over before the second one is
+// granted a chunk, so iteration 0 holds its worker until the other has
+// started one (starveGate).
 func TestRPCPerWorkerTimes(t *testing.T) {
 	const n = 400
 	m, addr, stop := startMaster(t, sched.TSSScheme{}, n, 2)
 	defer stop()
+	g := newStarveGate()
 	slowKernel := func(i int) []byte {
+		g.visit(i)
 		// Enough work per iteration to register on the clock.
 		h := uint64(i)
 		for k := 0; k < 20000; k++ {
@@ -130,6 +136,7 @@ func TestRPCPerWorkerTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.check(t)
 	if len(rep.PerWorker) != 2 {
 		t.Fatalf("%d worker rows", len(rep.PerWorker))
 	}
@@ -139,6 +146,60 @@ func TestRPCPerWorkerTimes(t *testing.T) {
 		}
 		if tt.Total() > rep.Tp*1.05+1e-3 {
 			t.Errorf("worker %d: total %.4f exceeds Tp %.4f", i, tt.Total(), rep.Tp)
+		}
+	}
+}
+
+// TestReportMissesNoDeliveredChunk is the regression test for a lost
+// sample: the request that delivers the run's last result must have its
+// timing booked before it releases Wait, or the report is one chunk's
+// compute time short — CompLatency.Count == Chunks − 1, and a worker
+// that computed only that chunk reads Comp == 0. Short runs back to back
+// make the window easy to hit, and a subscribed telemetry bus makes it
+// wider (the booking publishes two events first): at the parent this
+// failed within the 300 in 4 of 10 tries on two cores, 5 of 5 under
+// -race.
+func TestReportMissesNoDeliveredChunk(t *testing.T) {
+	const n, p, runs = 8, 2, 300
+	for run := 0; run < runs; run++ {
+		m, addr, stop := startMaster(t, sched.SelfScheduling, n, p)
+		bus := telemetry.NewBus(0)
+		bus.Subscribe(&eventLog{})
+		m.SetTelemetry(bus)
+		var delivered [p]atomic.Bool
+		workers := make([]Worker, p)
+		for w := range workers {
+			w := w
+			workers[w] = Worker{ID: w, Transport: TransportBinary, Kernel: func(i int) []byte {
+				delivered[w].Store(true)
+				h := uint64(i)
+				for k := 0; k < 200; k++ { // long enough to register on the clock
+					h = h*0x9e3779b97f4a7c15 + 1
+				}
+				return intKernel(int(h % 1000))
+			}}
+		}
+		// Wait is already blocked on the run when the last result lands,
+		// as it is under loopsched.Run.
+		joined := make(chan struct{})
+		go func() {
+			defer close(joined)
+			runWorkers(t, addr, workers)
+		}()
+		_, rep, err := m.Wait()
+		<-joined
+		stop()
+		bus.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Chunks != n || rep.CompLatency.Count != uint64(rep.Chunks) {
+			t.Fatalf("run %d: %d chunks granted, %d compute-time samples in the report", run, rep.Chunks, rep.CompLatency.Count)
+		}
+		for w := range workers {
+			if delivered[w].Load() && rep.PerWorker[w].Comp <= 0 {
+				t.Fatalf("run %d: worker %d delivered results but the report books it no compute time: %+v", run, w, rep.PerWorker[w])
+			}
 		}
 	}
 }

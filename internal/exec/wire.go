@@ -337,18 +337,29 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 }
 
 // runWireLedger is the one-sided claim loop: instead of asking the
-// master which chunk to run, the worker fetch-adds a batch of
-// scheduling steps on the master's ledger and computes the chunk
-// boundaries itself from its table replica — the master only ever
-// sees an 11-byte claim and answers with an 11-byte step, so the
-// grant path carries no policy lock, no result copying and no reply
-// encoding. Completions ride no-reply deposits written while the next
-// claim is in flight. When the table drains the loop falls back to the
-// synchronous master dialogue, which ships the final results, absorbs
-// any chunks the master requeued from failed workers, and ends on the
-// master's stop verdict.
+// master which chunk to run, the worker fetch-adds a batch on the
+// master's ledger and computes the chunk boundaries itself from its
+// table replica — the master only ever sees an 11-byte claim and
+// answers with an 11-byte position, so the grant path carries no policy
+// lock, no result copying and no reply encoding. Completions ride
+// no-reply deposits written while the next claim is in flight.
+//
+// The counter moves in the table's units (ledger.Table.Share): one
+// scheduling step per chunk on a step table; on the unit table of a
+// distributed scheme a chunk is the worker's plan-time ACP A_j of them
+// and covers C_j = SC_k·A_j/A iterations. A unit table exists only once
+// every worker has reported, so there the first request is the ordinary
+// synchronous one — the gather — and its grants are computed like
+// claimed chunks.
+//
+// The loop ends when a claim comes back past the table's end — drained,
+// or closed by a re-plan — or when the worker's ACP no longer is the one
+// the plan gave it a share for. It then computes what its outstanding
+// claims still cover and falls to the dialogue Pipeline selects
+// (runWindow), which ships nothing new, absorbs whatever the master
+// still has to grant — a re-planned rest of the loop, chunks requeued
+// from failed workers — and ends on the master's stop verdict.
 func (w Worker) runWireLedger(c *wire.Conn) error {
-	tab := w.LedgerTable
 	var (
 		req     wire.Request
 		queue   []sched.Assignment
@@ -356,23 +367,46 @@ func (w Worker) runWireLedger(c *wire.Conn) error {
 		idle    float64
 		lastACP int
 	)
+	tab := w.LedgerTable()
+	if tab == nil {
+		var rep wire.Reply
+		lastACP = w.wireRequest(&req, false, w.window(), nil, nil, 0, 0)
+		if err := c.Call(&req, &rep); err != nil {
+			return err
+		}
+		if rep.Stop {
+			return nil
+		}
+		queue = append(queue, rep.Grants...)
+		tab = w.LedgerTable()
+	} else {
+		// Hello deposit: fetchadd frames carry no worker id, so an empty
+		// no-reply request labels the connection (and joins the fleet)
+		// before the first one-sided claim. Queued, not flushed: it rides
+		// the first claim's segment.
+		lastACP = w.wireRequest(&req, true, 0, nil, nil, 0, 0)
+		req.NoReply = true
+		if err := c.QueueRequest(&req); err != nil {
+			return err
+		}
+	}
+	// share is the units one chunk of this worker's takes. It claims
+	// while it has one and, on a unit table, reports the ACP the plan
+	// gave it that share for.
+	share := 0
+	if tab != nil {
+		share = tab.Share(w.ID)
+	}
+	onPlan := func() bool { return share > 0 && (!tab.Units() || share == lastACP) }
 	// A one-sided claim costs the same few bytes whatever it claims, so
 	// wire cost alone would let the batch run as deep as it likes; what
 	// bounds it is assignment. Every chunk a claim takes is withheld
 	// from the other workers until this one gets to it, so each claim
-	// is sized by the table's share rule (Table.Batch) up to maxClaim:
-	// four windows per fetch-add on a fine loop, one chunk at a time
-	// while the scheme's chunks are still a large part of what is left.
+	// is sized by the table's share rule (Table.SpanBatch) up to
+	// maxClaim: four windows per fetch-add on a fine loop, one chunk at a
+	// time while the scheme's chunks are still a large part of what is
+	// left.
 	maxClaim := ledgerClaimFactor * w.window()
-	// Hello deposit: fetchadd frames carry no worker id, so an empty
-	// no-reply request labels the connection (and joins the fleet)
-	// before the first one-sided claim. Queued, not flushed: it rides
-	// the first claim's segment.
-	lastACP = w.wireRequest(&req, true, 0, nil, nil, 0, 0)
-	req.NoReply = true
-	if err := c.QueueRequest(&req); err != nil {
-		return err
-	}
 	// run computes one chunk and queues its completion deposit —
 	// unflushed, so it rides the next claim's segment. One deposit per
 	// chunk (not per claim batch) keeps the master's per-chunk
@@ -389,56 +423,89 @@ func (w Worker) runWireLedger(c *wire.Conn) error {
 		idle = 0
 		return c.QueueRequest(&req)
 	}
+	runQueue := func() error {
+		for _, a := range queue {
+			if err := run(a); err != nil {
+				return err
+			}
+		}
+		queue = queue[:0]
+		return nil
+	}
 	// Two claims stay in flight (the ledger's double buffer): while
 	// this round computes the chunks of claim k-1 and waits for claim
-	// k's step, claim k+1 is already travelling, so the wire never goes
-	// quiet between batches. Step replies come back in claim order;
-	// starts and sizes are the matching FIFOs of send times (for the RTT
-	// metric) and claim sizes. A claim is sized where the counter is
-	// known to stand at least — the end of the last answered claim plus
-	// the claims still travelling; other workers can only have moved it
-	// further, onto smaller chunks. The one extra in-flight claim wastes
-	// at most maxClaim steps past the table's end, which the
-	// claim-then-check protocol absorbs.
+	// k's answer, claim k+1 is already travelling, so the wire never goes
+	// quiet between batches. Answers come back in claim order; starts and
+	// sizes are the matching FIFOs of send times (for the RTT metric) and
+	// claim sizes in units. A claim is sized where the counter is known to
+	// stand at least — the end of the last answered claim plus the claims
+	// still travelling; other workers can only have moved it further,
+	// onto smaller chunks. The one extra in-flight claim wastes at most
+	// maxClaim chunks past the table's end, which the claim-then-check
+	// protocol absorbs.
 	var (
 		starts      [2]time.Time
 		sizes       [2]int
 		sent, read  int
 		known       uint64 // end of the last answered claim
-		outstanding int    // steps claimed but not yet answered
+		outstanding int    // units claimed but not yet answered
 	)
+	// A second claim goes out behind one still travelling only when it
+	// needs to. On a step table it always does: the chunks are anybody's.
+	// On a unit table the claimants are unequal by construction, and a
+	// claim the share rule cut below the cap says chunks are large — the
+	// round trip hides behind the chunk being computed without it, while
+	// a slow worker holding three of a DTSS loop's eight chunks (one
+	// computing, two claimed) is the static split the scheme exists to
+	// avoid.
 	sendClaim := func() error {
-		n := tab.Batch(known+uint64(outstanding), maxClaim)
+		n := tab.SpanBatch(known+uint64(outstanding), share, maxClaim)
+		if sent > read && tab.Units() && n < maxClaim {
+			return nil
+		}
+		n *= share
 		starts[sent&1], sizes[sent&1] = time.Now(), n
 		outstanding += n
 		sent++
 		return c.WriteFetchAdd(n)
 	}
-	// readClaim returns the answered claim's first step and size.
-	readClaim := func() (uint64, int, error) {
+	// readClaim queues the chunks of the oldest unanswered claim and
+	// reports whether all of it lay inside the table.
+	readClaim := func() (bool, error) {
 		waitStart := time.Now()
-		step, err := c.ReadStep()
+		first, err := c.ReadStep()
 		if err != nil {
-			return 0, 0, err
+			return false, err
 		}
 		idle += time.Since(waitStart).Seconds()
 		n := sizes[read&1]
-		known, outstanding = step+uint64(n), outstanding-n
+		known, outstanding = first+uint64(n), outstanding-n
 		if w.Telemetry != nil {
 			w.Telemetry.Publish(telemetry.Event{
 				Kind: telemetry.LedgerFetch, Worker: w.TelemetryID, Shard: w.TelemetryShard,
-				Start: n, At: w.Telemetry.Now(),
+				Start: n / share, At: w.Telemetry.Now(),
 				Seconds: time.Since(starts[read&1]).Seconds(),
 			})
 		}
 		read++
-		return step, n, nil
+		for off := 0; off < n; off += share {
+			a, ok := tab.Span(first+uint64(off), share)
+			if !ok {
+				return false, nil // past the end: fully claimed, or closed
+			}
+			if a.Size > 0 {
+				queue = append(queue, a)
+			}
+		}
+		return true, nil
 	}
-	if err := sendClaim(); err != nil {
-		return err
+	claiming := onPlan()
+	if claiming {
+		if err := sendClaim(); err != nil {
+			return err
+		}
 	}
-	drained := false
-	for !drained {
+	for claiming {
 		// The claim's flush ships the deposits run queued last round in
 		// the same segment: a steady-state round costs the worker one
 		// write and one read, exactly like the master path's piggybacked
@@ -446,38 +513,24 @@ func (w Worker) runWireLedger(c *wire.Conn) error {
 		if err := sendClaim(); err != nil {
 			return err
 		}
-		for _, a := range queue {
-			if err := run(a); err != nil {
-				return err
-			}
+		if err := runQueue(); err != nil {
+			return err
 		}
-		queue = queue[:0]
-		step, n, err := readClaim()
+		inside, err := readClaim()
 		if err != nil {
 			return err
 		}
-		for i := 0; i < n; i++ {
-			a, ok := tab.Chunk(step + uint64(i))
-			if !ok {
-				drained = true // steps past the end: the loop is fully claimed
-				break
-			}
-			queue = append(queue, a)
-		}
+		claiming = inside && onPlan()
 	}
-	for _, a := range queue {
-		if err := run(a); err != nil {
-			return err
-		}
-	}
-	// Drain the reply of the still-outstanding claim; its steps are at
-	// or past the table's end, so they grant nothing.
+	// What the outstanding claims still cover is this worker's to
+	// compute; after a drain that is nothing.
 	for read < sent {
-		if _, _, err := readClaim(); err != nil {
+		if _, err := readClaim(); err != nil {
 			return err
 		}
 	}
-	// The ledger is dry; finish on the synchronous master path, which
-	// hands out requeued chunks (if any) and owns the stop decision.
-	return w.runWindow(c, w.window(), false, idle)
+	if err := runQueue(); err != nil {
+		return err
+	}
+	return w.runWindow(c, w.window(), w.Pipeline, idle)
 }

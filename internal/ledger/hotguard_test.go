@@ -13,9 +13,12 @@ import (
 // The fetch-add + table-lookup pair IS the decentralized scheduling
 // round trip, so both share one steady-state cycle guard.
 var hotGuards = map[string]func(t *testing.T){
-	"(*Local).FetchAdd": claimGuard,
-	"(*Table).Chunk":    claimGuard,
-	"(*Table).Batch":    claimGuard,
+	"(*Local).FetchAdd":  claimGuard,
+	"(*Table).Chunk":     claimGuard,
+	"(*Table).Batch":     claimGuard,
+	"(*Table).Pos":       unitClaimGuard,
+	"(*Table).Span":      unitClaimGuard,
+	"(*Table).SpanBatch": unitClaimGuard,
 }
 
 // TestHotPathGuardTable pins hotGuards to the annotation set.
@@ -80,5 +83,43 @@ func claimGuard(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("claim cycle allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// unitClaimGuard is the same criterion for the unit view: size a claim
+// of a-unit spans, fetch-add the units, look every span up — on a unit
+// table and on a step table read through the unit view.
+func unitClaimGuard(t *testing.T) {
+	var l Local
+	units, err := BuildUnits(sched.NewDCSS(4), sched.Config{Iterations: 1 << 20, Workers: 2}, []int{30, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps, err := Build(sched.TSSScheme{}, sched.Config{Iterations: 1 << 20, Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := units.Share(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		n := units.SpanBatch(l.Next()%units.End(), a, 8)
+		u, err := l.FetchAdd(n * a)
+		if err != nil {
+			panic(err)
+		}
+		u %= units.End()
+		for i := 0; i < n; i++ {
+			if _, ok := units.Span(u+uint64(i*a), a); !ok {
+				break // wrapped onto the tail: the rest is past the end
+			}
+		}
+		if steps.SpanBatch(u%steps.End(), 1, 8) < 1 {
+			panic("empty batch")
+		}
+		if _, ok := steps.Span(u%steps.End(), 1); !ok {
+			panic("step table dry")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("unit claim cycle allocates %.1f times per op, want 0", allocs)
 	}
 }

@@ -39,6 +39,10 @@ func (d RequestDistributedScheme) Name() string { return d.name }
 // Distributed marks the scheme as load-adaptive for sched.Distributed.
 func (RequestDistributedScheme) Distributed() bool { return true }
 
+// ShareDeterministic: the unit-share chunk depends on how much is left
+// and a request enters only as A_j·p/A.
+func (RequestDistributedScheme) ShareDeterministic() bool { return true }
+
 func (d RequestDistributedScheme) NewPolicy(cfg Config) (Policy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

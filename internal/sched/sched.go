@@ -191,6 +191,35 @@ func StepDeterministic(s Scheme) bool {
 	return false
 }
 
+// ShareDeterministicScheme is implemented by distributed schemes whose
+// chunk depends on the request only through the requester's share
+// A_j/A of the plan-time total — the paper's C_j = SC_k·A_j/A (§6) and
+// DTSS's "A_j consecutive unit-power chunks" (§5.2). For those the
+// sequence a homogeneous system would get (the scheme replayed once
+// with equal powers) fixes every boundary: a shared counter advances in
+// ACP units and a claimant that takes A_j units gets its share of the
+// stage by interpolation (internal/ledger, "unit tables"). Schemes that
+// read worker identity (WF) or learn from feedback (AWF) must not
+// implement this.
+type ShareDeterministicScheme interface {
+	Scheme
+	// ShareDeterministic reports whether every policy the scheme builds
+	// sizes a chunk from the request's ACP share alone.
+	ShareDeterministic() bool
+}
+
+// ShareDeterministic reports whether s declares the share-only
+// dependence; false for schemes that do not implement
+// ShareDeterministicScheme. Together with StepDeterministic it gives
+// the three classes of docs/LEDGER.md: step-deterministic (step
+// tables), share-deterministic (unit tables), neither (master path).
+func ShareDeterministic(s Scheme) bool {
+	if d, ok := s.(ShareDeterministicScheme); ok {
+		return d.ShareDeterministic()
+	}
+	return false
+}
+
 // counter is the shared bookkeeping every policy embeds: the next
 // iteration index and clipping per equation (1) of the paper.
 type counter struct {

@@ -19,6 +19,14 @@ type chunkPair struct{ Start, Size int }
 // through the master path).
 func ledgerChunkSeq(t *testing.T, spec loopsched.RunSpec) ([]chunkPair, uint64) {
 	t.Helper()
+	seq, fetches, _, _ := ledgerRun(t, spec)
+	return seq, fetches
+}
+
+// ledgerRun is ledgerChunkSeq that also returns the run's report and
+// the number of grants the session saw published.
+func ledgerRun(t *testing.T, spec loopsched.RunSpec) (seq []chunkPair, fetches uint64, rep loopsched.Report, granted uint64) {
+	t.Helper()
 	tele, err := loopsched.NewTelemetry(loopsched.TelemetryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +35,7 @@ func ledgerChunkSeq(t *testing.T, spec loopsched.RunSpec) ([]chunkPair, uint64) 
 	tr := &loopsched.Trace{}
 	spec.Telemetry, spec.Trace = tele, tr
 
-	rep, err := loopsched.Run(context.Background(), spec)
+	rep, err = loopsched.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +46,7 @@ func ledgerChunkSeq(t *testing.T, spec loopsched.RunSpec) ([]chunkPair, uint64) 
 	tele.Flush()
 
 	evs := tr.Events()
-	seq := make([]chunkPair, 0, len(evs))
+	seq = make([]chunkPair, 0, len(evs))
 	for _, e := range evs {
 		seq = append(seq, chunkPair{e.Start, e.Size})
 	}
@@ -55,7 +63,8 @@ func ledgerChunkSeq(t *testing.T, spec loopsched.RunSpec) ([]chunkPair, uint64) 
 	if next != n {
 		t.Fatalf("chunk sequence covers [0,%d), want [0,%d)", next, n)
 	}
-	return seq, tele.Aggregator().Snapshot().LedgerFetches
+	snap := tele.Aggregator().Snapshot()
+	return seq, snap.LedgerFetches, rep, snap.ChunksGranted
 }
 
 // stepDeterministicSchemes returns every registered scheme that
@@ -149,6 +158,137 @@ func TestLedgerTransportEquivalence(t *testing.T) {
 					}
 				})
 			}
+		})
+	}
+}
+
+// shareDeterministicSchemes returns every registered scheme of the
+// paper's distributed family — the ones the ledger serves from a unit
+// table — and the benchmark's DCSS(4).
+func shareDeterministicSchemes(t *testing.T) []loopsched.Scheme {
+	t.Helper()
+	out := []loopsched.Scheme{loopsched.NewDCSS(4)}
+	for _, name := range loopsched.SchemeNames() {
+		s, err := loopsched.LookupScheme(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sched.ShareDeterministic(s) {
+			out = append(out, s)
+		}
+	}
+	if len(out) < 7 {
+		t.Fatalf("only %d share-deterministic schemes registered", len(out)-1)
+	}
+	return out
+}
+
+// policySeq replays the scheme's policy for p workers of the given ACP
+// (0: a homogeneous system without powers), every request carrying it.
+func policySeq(t *testing.T, s loopsched.Scheme, n, p, acp int) []chunkPair {
+	t.Helper()
+	cfg := sched.Config{Iterations: n, Workers: p}
+	if acp > 0 {
+		cfg.Powers = make([]float64, p)
+		for i := range cfg.Powers {
+			cfg.Powers[i] = float64(acp)
+		}
+	}
+	pol, err := s.NewPolicy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq []chunkPair
+	for i := 0; ; i++ {
+		a, ok := pol.Next(sched.Request{Worker: i % p, ACP: float64(acp)})
+		if !ok {
+			return seq
+		}
+		seq = append(seq, chunkPair{a.Start, a.Size})
+	}
+}
+
+func sameSeq(t *testing.T, what string, got, want []chunkPair) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d chunks, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: chunk %d = %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestLedgerDistributedEquivalence is the distributed leg of the
+// ledger's correctness property. The unit table of a share-deterministic
+// scheme is a different — power-invariant — reading of C_j = SC_k·A_j/A
+// than the recursive policy, so ledger on and off are not compared
+// chunk for chunk on unequal workers; what must hold is:
+//
+//   - on 1:3 workers the ledger-on run tiles the loop, engages the
+//     ledger, and reports exactly the grants it published;
+//   - on equal workers every claim advances the same number of units,
+//     so the run is deterministic: it reproduces the sequence the
+//     scheme's policy grants a homogeneous system, which for DFSS,
+//     DTFSS, DCSS(k) and DGSS is the simple counterpart's ledger-on
+//     sequence;
+//   - with the ledger off nothing changed: no fetch-add is recorded,
+//     and at p = 1 the run is the policy replay chunk for chunk.
+func TestLedgerDistributedEquivalence(t *testing.T) {
+	const n = 3000
+	w := loopsched.Uniform{N: n, C: 1}
+	spec := func(s loopsched.Scheme, workers []*loopsched.WorkerSpec, ledger string) loopsched.RunSpec {
+		return loopsched.RunSpec{
+			Scheme: s, Workload: w,
+			Backend: loopsched.BackendRPC, Transport: "binary", Workers: workers,
+			Kernel: func(i int) []byte { return []byte{byte(i)} },
+			Ledger: ledger,
+		}
+	}
+	simple := map[string]loopsched.Scheme{
+		"DFSS": loopsched.NewFSS(), "DTFSS": loopsched.NewTFSS(), "DGSS": loopsched.NewGSS(0),
+		"DCSS(4)": loopsched.NewCSS(4), "DCSS(16)": loopsched.NewCSS(16),
+	}
+	for _, s := range shareDeterministicSchemes(t) {
+		s := s
+		t.Run(s.Name(), func(t *testing.T) {
+			t.Parallel()
+			hetero := []*loopsched.WorkerSpec{{WorkScale: 1}, {WorkScale: 3}}
+			_, fetches, rep, granted := ledgerRun(t, spec(s, hetero, "on"))
+			if fetches == 0 {
+				t.Error("ledger-on run recorded no ledger fetches: the unit table never engaged")
+			}
+			if uint64(rep.Chunks) != granted {
+				t.Errorf("Report.Chunks = %d, %d grants were published", rep.Chunks, granted)
+			}
+			if rep.Replans != 0 {
+				t.Errorf("%d re-plans on constant ACPs", rep.Replans)
+			}
+
+			equal := func() []*loopsched.WorkerSpec {
+				return []*loopsched.WorkerSpec{{WorkScale: 1}, {WorkScale: 1}, {WorkScale: 1}}
+			}
+			on, fetches := ledgerChunkSeq(t, spec(s, equal(), "on"))
+			if fetches == 0 {
+				t.Error("equal-worker ledger-on run recorded no ledger fetches")
+			}
+			sameSeq(t, "equal workers, ledger on vs the homogeneous policy", on, policySeq(t, s, n, 3, 0))
+			if counterpart, ok := simple[s.Name()]; ok {
+				want, _ := ledgerChunkSeq(t, spec(counterpart, equal(), "on"))
+				sameSeq(t, "equal workers, ledger on vs "+counterpart.Name()+" ledger on", on, want)
+			}
+
+			_, offFetches := ledgerChunkSeq(t, spec(s, hetero, "off"))
+			if offFetches != 0 {
+				t.Errorf("ledger-off run recorded %d ledger fetches", offFetches)
+			}
+			one := []*loopsched.WorkerSpec{{WorkScale: 1}}
+			off, offFetches := ledgerChunkSeq(t, spec(s, one, "off"))
+			if offFetches != 0 {
+				t.Errorf("p=1 ledger-off run recorded %d ledger fetches", offFetches)
+			}
+			sameSeq(t, "p=1, ledger off vs the policy replay", off, policySeq(t, s, n, 1, 10))
 		})
 	}
 }

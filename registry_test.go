@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"loopsched"
+	"loopsched/internal/ledger"
+	"loopsched/internal/sched"
 )
 
 // TestSchemeRegistryRoundTrip pins the catalogue API contract: every
@@ -67,5 +69,57 @@ func TestDescribeSchemesCoversCatalogue(t *testing.T) {
 		if !strings.Contains(only, info.Formula) {
 			t.Errorf("DescribeSchemes(%q) misses its own formula", info.Name)
 		}
+	}
+}
+
+// TestSchemeLedgerClasses pins the three-way classification of
+// docs/LEDGER.md "Eligibility" for every registered scheme: a step
+// table (step-deterministic), a unit table (share-deterministic — the
+// paper's distributed family), or the master path. A scheme cannot
+// register, or change class, without this table saying where it goes;
+// the two builders must agree with the declaration.
+func TestSchemeLedgerClasses(t *testing.T) {
+	const step, share, neither = "step", "share", "neither"
+	want := map[string]string{
+		"S": step, "SS": step, "CSS(16)": step, "CSS(125)": step, "GSS": step, "GSS(8)": step,
+		"TSS": step, "FSS": step, "FISS": step, "TFSS": step,
+		"DTSS": share, "DFSS": share, "DFISS": share, "DTFSS": share, "DCSS(16)": share, "DGSS": share,
+		"WS": neither, "WF": neither, "AWF": neither,
+	}
+	cfg := sched.Config{Iterations: 1000, Workers: 2}
+	for _, name := range loopsched.SchemeNames() {
+		s, err := loopsched.LookupScheme(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		class := neither
+		switch {
+		case sched.StepDeterministic(s) && sched.ShareDeterministic(s):
+			t.Errorf("%s declares both classes", name)
+		case sched.StepDeterministic(s):
+			class = step
+		case sched.ShareDeterministic(s):
+			class = share
+		}
+		if w, ok := want[name]; !ok {
+			t.Errorf("%s is registered but not classified here (it declares %q)", name, class)
+		} else if class != w {
+			t.Errorf("%s declares %q, want %q", name, class, w)
+		}
+		if class == share && !sched.Distributed(s) {
+			t.Errorf("%s is share-deterministic but not distributed: it would be staged before the gather", name)
+		}
+		_, stepErr := ledger.Build(s, cfg)
+		_, unitErr := ledger.BuildUnits(s, cfg, []int{30, 10})
+		if got := stepErr == nil; got != (class == step) {
+			t.Errorf("%s (%s): ledger.Build error = %v", name, class, stepErr)
+		}
+		if got := unitErr == nil; got != (class == share) {
+			t.Errorf("%s (%s): ledger.BuildUnits error = %v", name, class, unitErr)
+		}
+		delete(want, name)
+	}
+	for name := range want {
+		t.Errorf("%s is classified here but not registered", name)
 	}
 }

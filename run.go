@@ -115,9 +115,14 @@ type RunSpec struct {
 	// claims (local backend, steal engine), and gives each rpc
 	// submaster a stage-local ledger (hierarchies). Empty consults the
 	// LOOPSCHED_LEDGER environment variable and falls back to "off".
-	// The mode is advisory: schemes that are not step-deterministic
-	// (adaptive and feedback schemes) silently keep the master path,
-	// so "on" is always safe. See docs/LEDGER.md.
+	// On the flat rpc backend the paper's distributed schemes (DTSS,
+	// DFSS, DFISS, DTFSS, DCSS, DGSS) claim one-sided too, in units of
+	// computing power from a table planned at the gather — a
+	// power-invariant reading of C_j = SC_k·A_j/A whose chunk sequence
+	// differs from the recursive policy's on unequal workers; elsewhere
+	// they keep the policy. The mode is advisory: schemes in neither
+	// class (WF, AWF) keep the master path, so "on" is always safe. See
+	// docs/LEDGER.md.
 	Ledger string
 	// LocalEngine selects the in-process runtime on BackendLocal:
 	// "channel" (the default, also chosen by "") drives one master
@@ -436,11 +441,14 @@ func runRPCFlat(ctx context.Context, spec RunSpec, kernel Kernel) (Report, error
 	var wg sync.WaitGroup
 	for i := range spec.Workers {
 		w := rpcWorker(spec, kernel, powers, i)
-		// When the master armed its ledger, hand every worker a table
-		// replica: binary-transport workers switch to one-sided claims,
-		// gob workers ignore it and keep the master path — which draws
-		// from the same step counter, so a mixed fleet stays exact.
-		w.LedgerTable = master.Ledger()
+		// When the master hosts a ledger, hand every worker the handle to
+		// its table — armed already, or after the gather for a distributed
+		// scheme: binary-transport workers switch to one-sided claims, gob
+		// workers ignore it and keep the master path — which draws from
+		// the same counter, so a mixed fleet stays exact.
+		if master.LedgerActive() {
+			w.LedgerTable = master.Ledger
+		}
 		wg.Add(1)
 		go func(w exec.Worker) {
 			defer wg.Done()

@@ -341,6 +341,27 @@ func TestTelemetryHistogramsReconcile(t *testing.T) {
 			})
 			return result{rep.Chunks, rep, true, true}
 		}},
+		// The paper's distributed schemes claim from a unit table armed
+		// after the gather: the gather's own grants come off the same
+		// counter through the master path, a claim is A_j units per
+		// chunk, a span that rounds to nothing is nobody's chunk — and
+		// every identity above must hold unchanged.
+		{"rpc-ledger-dtss", func(t *testing.T, tele *loopsched.Telemetry) result {
+			rep := runForTelemetry(t, loopsched.RunSpec{
+				Scheme: loopsched.NewDTSS(), Workload: loopsched.Uniform{N: n, C: 1},
+				Backend: loopsched.BackendRPC, Workers: runWorkers(),
+				Kernel: kernel, Ledger: "on", Telemetry: tele,
+			})
+			return result{rep.Chunks, rep, true, true}
+		}},
+		{"rpc-ledger-dcss", func(t *testing.T, tele *loopsched.Telemetry) result {
+			rep := runForTelemetry(t, loopsched.RunSpec{
+				Scheme: loopsched.NewDCSS(3), Workload: loopsched.Uniform{N: n, C: 1},
+				Backend: loopsched.BackendRPC, Workers: runWorkers(),
+				Kernel: kernel, Ledger: "on", Telemetry: tele,
+			})
+			return result{rep.Chunks, rep, true, true}
+		}},
 		{"hier-local", func(t *testing.T, tele *loopsched.Telemetry) result {
 			rep := runForTelemetry(t, loopsched.RunSpec{
 				Scheme: scheme, Workload: loopsched.Uniform{N: n, C: 1},
