@@ -70,7 +70,9 @@ escape-check:
 # the gob link in internal/exec is the one file that names the net/rpc
 # method or builds an rpc client (DESIGN.md "The link and the slave
 # loop"); every other client, hier's root fetch included, goes through
-# exec.Dial.
+# exec.Dial. And the batch rule: sched.BatchLimit is applied by the
+# dispenser and the ledger table only — a master reaches it through
+# Claim, never re-implements it (docs/LEDGER.md "Share-bounded batches").
 dup-check:
 	@! grep -rn 'NewPolicy(\|MajorityChanged(\|sched\.Offset(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/' \
@@ -78,6 +80,8 @@ dup-check:
 	@files="$$(grep -rl '"Master.NextChunk"\|rpc\.NewClient(\|rpc\.Dial(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/lint/testdata/')"; \
 	test "$$files" = ./internal/exec/link.go || { echo "net/rpc client code outside the gob link:"; echo "$$files"; exit 1; }
+	@! grep -rn 'BatchLimit(' --include='*.go' . \
+		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/'
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

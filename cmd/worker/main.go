@@ -25,9 +25,9 @@ func main() {
 		height     = flag.Int("height", 900, "image height — must match the master")
 		maxIter    = flag.Int("maxiter", 200, "escape-time bound — must match the master")
 		probeOS    = flag.Bool("os-load", true, "report the host's real run queue (/proc/loadavg) as Q_i")
-		pipeline   = flag.Bool("pipeline", true, "prefetch the next chunk while computing (double-buffered protocol)")
+		pipeline   = flag.Bool("pipeline", true, "request more work one master round trip before running out (pipelined protocol)")
 		transport  = flag.String("transport", "", "wire format: binary or netrpc (default: $LOOPSCHED_TRANSPORT, else binary)")
-		window     = flag.Int("window", 0, "credit window on the binary transport: chunks held beyond the one computing (0 = 1)")
+		window     = flag.Int("window", 0, "credit window on the binary transport: chunks held at most beyond the one computing (0 = 8)")
 	)
 	flag.Parse()
 

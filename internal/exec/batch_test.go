@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
+	"loopsched/internal/wire"
 	"loopsched/internal/workload"
 )
 
@@ -17,18 +19,25 @@ import (
 // other iteration has started. The worker inside iteration 0's chunk is
 // stuck there, so any other iteration that starts is a different
 // worker's — which can only happen if the batcher left it chunks to
-// claim (or, on the steal engine, to steal).
+// claim (or, on the steal engine, to steal). With need set the gate
+// opens only once every one of those iterations has started.
 type starveGate struct {
+	need    []int
+	started atomic.Int32 // how many of need have
 	other   chan struct{}
 	once    sync.Once
 	starved atomic.Bool
 }
 
-func newStarveGate() *starveGate { return &starveGate{other: make(chan struct{})} }
+func newStarveGate(need ...int) *starveGate {
+	return &starveGate{need: need, other: make(chan struct{})}
+}
 
 func (g *starveGate) visit(i int) {
 	if i != 0 {
-		g.once.Do(func() { close(g.other) })
+		if len(g.need) == 0 || slices.Contains(g.need, i) && int(g.started.Add(1)) == len(g.need) {
+			g.once.Do(func() { close(g.other) })
+		}
 		return
 	}
 	select {
@@ -41,7 +50,7 @@ func (g *starveGate) visit(i int) {
 func (g *starveGate) check(t *testing.T) {
 	t.Helper()
 	if g.starved.Load() {
-		t.Error("iteration 0 waited 5s and no other worker started a chunk: one worker held every chunk of the loop")
+		t.Error("iteration 0 waited 5s and no other worker started the chunks that open the gate: the stuck worker held them")
 	}
 }
 
@@ -51,9 +60,32 @@ func (g *starveGate) check(t *testing.T) {
 // take them all. The wire ledger did exactly that with two 4-step
 // claims in flight and no way for the second worker to get any back;
 // the steal engine's 8-chunk refill was rescued by stealing and must
-// keep passing.
+// keep passing; the rpc master's replies are share-bounded batches too,
+// at any window and with or without the pipeline.
 func TestNoWorkerHoldsTheWholeLoop(t *testing.T) {
 	const n, p = 2000, 2
+	for _, pipeline := range []bool{false, true} {
+		for _, window := range []int{0, 8} {
+			t.Run(fmt.Sprintf("rpc-binary/pipeline=%v/w%d", pipeline, window), func(t *testing.T) {
+				m, addr, stop := startMaster(t, sched.TFSSScheme{}, n, p)
+				defer stop()
+				m.SetWindow(window)
+				g := newStarveGate()
+				kernel := func(i int) []byte {
+					g.visit(i)
+					return intKernel(i)
+				}
+				runWorkers(t, addr, []Worker{
+					{ID: 0, Kernel: kernel, Transport: TransportBinary, Window: window, Pipeline: pipeline},
+					{ID: 1, Kernel: kernel, Transport: TransportBinary, Window: window, Pipeline: pipeline},
+				})
+				if _, rep, err := m.Wait(); err != nil || rep.Iterations != n {
+					t.Fatalf("run: %d iterations, err %v", rep.Iterations, err)
+				}
+				g.check(t)
+			})
+		}
+	}
 	t.Run("rpc-binary-ledger", func(t *testing.T) {
 		m, addr, stop := startLedgerMaster(t, sched.TFSSScheme{}, n, p)
 		defer stop()
@@ -84,6 +116,33 @@ func TestNoWorkerHoldsTheWholeLoop(t *testing.T) {
 			g.check(t)
 		})
 	}
+}
+
+// TestPrefetchBindsLate holds the pipeline to late binding on the same
+// loop: iteration 0 does not return until iterations 464 and 928 — the
+// second and the third chunk — have both started. The worker stuck in
+// the first chunk has timed nothing yet, so it must not have asked for
+// more: both are then the other worker's, the third granted when that
+// one nears the end of the second. A worker that prefetches as it starts
+// its first chunk takes one of the two with it, whichever request the
+// master sees first, and the gate never opens.
+func TestPrefetchBindsLate(t *testing.T) {
+	const n, p = 2000, 2
+	m, addr, stop := startMaster(t, sched.TFSSScheme{}, n, p)
+	defer stop()
+	g := newStarveGate(464, 928)
+	kernel := func(i int) []byte {
+		g.visit(i)
+		return intKernel(i)
+	}
+	runWorkers(t, addr, []Worker{
+		{ID: 0, Kernel: kernel, Transport: TransportBinary, Pipeline: true},
+		{ID: 1, Kernel: kernel, Transport: TransportBinary, Pipeline: true},
+	})
+	if _, rep, err := m.Wait(); err != nil || rep.Iterations != n {
+		t.Fatalf("run: %d iterations, err %v", rep.Iterations, err)
+	}
+	g.check(t)
 }
 
 // eventLog collects bus events for a test driving a JobState from one
@@ -216,5 +275,84 @@ func checkRefillBatches(t *testing.T, s sched.Scheme, mode LedgerMode, p, n, win
 	// long loop must still fill its window.
 	if k, ok := sched.FixedChunk(s, sched.Config{Iterations: n, Workers: p}); ok && k*window <= n/(32*p) && multi == 0 {
 		t.Errorf("no refill of this fine loop (chunk %d, N %d) took more than one chunk", k, n)
+	}
+}
+
+// TestMasterRepliesAreShareBounded is the same property on the rpc
+// master path, for every registered scheme: whatever the window, the
+// chunks of one reply stay within sched.BatchLimit of what was left
+// when it was cut, unless it is a single chunk — exactly on a table,
+// with the last chunk replaced by its predecessor on the policy path.
+// One goroutine plays every worker: each request delivers what the
+// worker holds and asks, as a prefetch so that nothing parks, for all
+// the window allows; the gather of a distributed scheme is the same
+// requests, answered empty until the last report is in.
+func TestMasterRepliesAreShareBounded(t *testing.T) {
+	for _, name := range sched.Names() {
+		s, err := sched.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 2, 3, 8} {
+			for _, n := range []int{p - 1, 2000, 65536} {
+				for _, window := range []int{0, 1, 8} {
+					t.Run(fmt.Sprintf("%s/p%d/n%d/w%d", name, p, n, window), func(t *testing.T) {
+						checkMasterReplies(t, s, p, n, window)
+					})
+				}
+			}
+		}
+	}
+}
+
+func checkMasterReplies(t *testing.T, s sched.Scheme, p, n, window int) {
+	m, err := NewMaster(s, n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetWindow(window)
+	held := make([][]ChunkResult, p)
+	var rep wire.Reply
+	granted, multi := 0, 0
+	for w := 0; granted < n; w = (w + 1) % p {
+		rep.Reset()
+		onTable := m.d.Table() != nil
+		args := ChunkArgs{Worker: w, ACP: 1 + w, Prefetch: true, Results: held[w]}
+		if err := m.nextBatch(args, m.ledgerCap(), &rep); err != nil {
+			t.Fatal(err)
+		}
+		held[w] = held[w][:0]
+		if rep.Stop {
+			t.Fatalf("stopped with %d of %d iterations granted", granted, n)
+		}
+		if len(rep.Grants) > m.ledgerCap() {
+			t.Fatalf("reply of %d chunks, ledger cap %d", len(rep.Grants), m.ledgerCap())
+		}
+		iters := 0
+		for _, g := range rep.Grants {
+			if g.Start != granted+iters {
+				t.Fatalf("grant starts at %d, %d iterations are out", g.Start, granted+iters)
+			}
+			iters += g.Size
+			for i := g.Start; i < g.End(); i++ {
+				held[w] = append(held[w], ChunkResult{Index: i})
+			}
+		}
+		if k := len(rep.Grants); k > 1 {
+			multi++
+			bounded := iters
+			if !onTable {
+				bounded += rep.Grants[k-2].Size - rep.Grants[k-1].Size
+			}
+			if limit := sched.BatchLimit(n-granted, n, p); bounded > limit {
+				t.Fatalf("reply at %d of %d carries %v = %d iterations, limit %d", granted, n, rep.Grants, iters, limit)
+			}
+		}
+		granted += iters
+	}
+	// The floor keeps fine loops batching: a fixed-chunk scheme over a
+	// long loop must still fill its window.
+	if k, ok := sched.FixedChunk(s, sched.Config{Iterations: n, Workers: p}); ok && k*m.ledgerCap() <= n/(32*p) && m.window > 1 && multi == 0 {
+		t.Errorf("no reply on this fine loop (chunk %d, N %d) carried more than one chunk", k, n)
 	}
 }

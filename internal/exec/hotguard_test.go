@@ -1,11 +1,13 @@
 package exec
 
 import (
+	"io"
 	"sort"
 	"testing"
 
 	"loopsched/internal/hotpath"
 	"loopsched/internal/sched"
+	"loopsched/internal/wire"
 	"loopsched/internal/workload"
 )
 
@@ -13,11 +15,13 @@ import (
 // //lint:loopsched-hotpath function, checked against the annotations
 // by TestHotPathGuardTable. The single guard drives the steal engine's
 // whole per-chunk cycle — pop, steal, refill, complete — because those
-// operations only occur interleaved.
+// operations only occur interleaved; the rpc master's guard drives a
+// whole request, because a reply is booked only inside one.
 var hotGuards = map[string]func(t *testing.T){
 	"(*JobState).Pop":      jobStateCycleGuard,
 	"(*JobState).Steal":    jobStateCycleGuard,
 	"(*JobState).Complete": jobStateCycleGuard,
+	"(*Master).book":       masterReplyGuard,
 }
 
 // TestHotPathGuardTable pins hotGuards to the annotation set.
@@ -79,5 +83,50 @@ func jobStateCycleGuard(t *testing.T) {
 		js.Complete(0, a, 1, 0)
 	}); avg > 0 {
 		t.Errorf("pop/steal/refill/complete cycle allocates %.1f objects per op, want 0", avg)
+	}
+}
+
+// discardConn is the far end of a reply nobody reads.
+type discardConn struct{ io.Reader }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+func (discardConn) Close() error                { return nil }
+
+// masterReplyGuard pins the rpc master's steady-state request at zero
+// allocations with telemetry off, at the default window's full depth:
+// deposit the nine chunks of the last reply, retire them from the
+// worker's ledger, claim and book nine more in one share-bounded batch,
+// encode the reply. The benchmark's allocs_per_chunk.rpc_binary rests on
+// this staying flat however deep a reply runs.
+func masterReplyGuard(t *testing.T) {
+	const k = 4
+	m, err := NewMaster(sched.CSSScheme{K: k}, 1<<16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := wire.NewServer(discardConn{}, nil)
+	depth := m.ledgerCap()
+	var rep wire.Reply
+	results := make([]ChunkResult, 0, depth*k)
+	data := []byte{1}
+	cycle := func() {
+		args := ChunkArgs{Worker: 0, Prefetch: true, CompSeconds: 1e-6, Results: results}
+		rep.Reset()
+		if err := m.nextBatch(args, depth, &rep); err != nil || len(rep.Grants) != depth {
+			panic("master reply guard: short reply")
+		}
+		if err := conn.WriteReply(&rep); err != nil {
+			panic(err)
+		}
+		results = results[:0]
+		for _, g := range rep.Grants {
+			for i := g.Start; i < g.End(); i++ {
+				results = append(results, ChunkResult{Index: i, Data: data})
+			}
+		}
+	}
+	cycle() // sizes the slot's ledger and the reply's grant buffer
+	if avg := testing.AllocsPerRun(200, cycle); avg > 0 {
+		t.Errorf("a %d-grant request/reply cycle allocates %.1f objects, want 0", depth, avg)
 	}
 }

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/rpc"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"loopsched/internal/sched"
 	"loopsched/internal/wire"
@@ -36,29 +39,39 @@ var linkScripts = []linkScript{
 }
 
 // fakeLink is a scripted in-memory master behind the Link interface: no
-// sockets, no goroutines, no clock. It grants fixed-size chunks of
-// [0, n) one credit each, keeps the master's ledger of what the worker
-// holds, and checks every request against the rules of DESIGN.md §9.
+// sockets, no goroutines, and a clock of its own — the kernel takes cost
+// per iteration, a reply lands rtt after its request, nothing else takes
+// time. It grants fixed-size chunks of [0, n) one credit each, keeps the
+// master's ledger of what the worker holds, and checks every request
+// against the rules of DESIGN.md §9.
 type fakeLink struct {
-	t        *testing.T
-	script   linkScript
-	window   int
-	prefetch bool
-	n, size  int
+	t         *testing.T
+	script    linkScript
+	window    int
+	prefetch  bool
+	n, size   int
+	cost, rtt time.Duration
 
+	now       time.Duration      // the scripted clock
+	sentAt    time.Duration      // when the last request left: the master's reply stamp
+	sentSync  bool               // it was synchronous: its round trip is nobody's idle time
+	replyAt   time.Duration      // when the unanswered request's reply lands
 	next      int                // first iteration not yet granted
 	held      []sched.Assignment // granted, results not yet shipped (grant order)
-	started   int                // chunks the kernel has entered
-	delivered int                // chunks in replies the worker has received
+	arrived   int                // iterations in replies the worker has received
+	entered   int                // iterations the kernel has entered
 	stopped   bool               // a Stop the worker has received: no more prefetches
 	computed  []int              // kernel calls per iteration
 	shipped   []int              // result records per iteration
 	requests  int
 	prefetchs int
+	comp      float64     // CompSeconds reported so far
 	finalStop bool        // a synchronous request was answered Stop
 	reply     *wire.Reply // answer to the unanswered Send, nil if none
 	replyErr  error
 }
+
+func (f *fakeLink) clock() time.Time { return time.Unix(0, 0).Add(f.now) }
 
 func (f *fakeLink) hold() int {
 	if f.prefetch {
@@ -67,19 +80,28 @@ func (f *fakeLink) hold() int {
 	return f.window
 }
 
-// kernel is the worker's kernel: it counts executions and, on a
-// chunk's first iteration, checks that a refill is in flight exactly
-// when the window rule says one must be.
+// due is the time rule, evaluated before the next iteration: the work
+// still held lasts no longer than a round trip, the worker has timed at
+// least one iteration, its queue has room, and a full window of chunks
+// like the one in hand would outlast the round trip.
+func (f *fakeLink) due() bool {
+	chunk := min(f.size, f.n-f.entered/f.size*f.size)
+	queued := (f.arrived+f.size-1)/f.size - f.entered/f.size - 1 // chunks behind the one in hand
+	return f.prefetch && !f.stopped && f.entered > 0 && queued < f.window &&
+		time.Duration(f.hold()*chunk)*f.cost >= f.rtt &&
+		time.Duration(f.arrived-f.entered)*f.cost <= f.rtt
+}
+
+// kernel is the worker's kernel: it counts executions and, before every
+// iteration, checks that no refill the time rule wants is still unsent
+// (Send checks that none leaves before the rule wants it).
 func (f *fakeLink) kernel(i int) []byte {
 	f.computed[i]++
-	if i%f.size == 0 {
-		f.started++
-		queued := f.delivered - f.started
-		want := f.prefetch && !f.stopped && queued < (f.window+1)/2
-		if got := f.reply != nil || f.replyErr != nil; got != want {
-			f.t.Errorf("chunk at %d: %d queued, refill in flight = %v, want %v", i, queued, got, want)
-		}
+	if f.reply == nil && f.replyErr == nil && f.due() {
+		f.t.Errorf("iteration %d: %d iterations held and no refill in flight", i, f.arrived-f.entered)
 	}
+	f.entered++
+	f.now += f.cost
 	return []byte{byte(i)}
 }
 
@@ -92,6 +114,19 @@ func (f *fakeLink) Send(req *wire.Request) error {
 		t.Errorf("request after the final Stop")
 	}
 	f.requests++
+	// What the master books as communication — the gap since its last
+	// reply less the reported kernel and stall time (Master.account) — is
+	// a synchronous round trip, or nothing: never kernel time, wherever
+	// in a chunk the request leaves.
+	comm, want := (f.now-f.sentAt).Seconds()-req.CompSeconds-req.IdleSeconds, 0.0
+	if f.sentSync {
+		want = f.rtt.Seconds()
+	}
+	if f.requests > 1 && math.Abs(comm-want) > 1e-9 {
+		t.Errorf("request %d: the master would book %.6fs as communication, want %.6fs", f.requests, comm, want)
+	}
+	f.sentAt, f.sentSync, f.replyAt = f.now, !req.Prefetch, f.now+f.rtt
+	f.comp += req.CompSeconds
 	for _, r := range req.Results {
 		f.shipped[r.Index]++
 		if f.computed[r.Index] == 0 {
@@ -103,12 +138,13 @@ func (f *fakeLink) Send(req *wire.Request) error {
 	}
 	// Credits are the worker's to size (DESIGN.md §9):
 	// a synchronous request holds nothing and asks for all it may hold,
-	// a prefetch asks for the window less what is still queued.
+	// a prefetch asks for the window less what is still queued behind
+	// the chunk in hand.
 	wantCredits := f.hold()
 	if req.Prefetch {
 		f.prefetchs++
-		if !f.prefetch || f.stopped {
-			t.Errorf("request %d: unexpected prefetch", f.requests)
+		if !f.due() {
+			t.Errorf("request %d: prefetch with %d iterations held, before the time rule wants one", f.requests, f.arrived-f.entered)
 		}
 		wantCredits = f.window + 1 - len(f.held)
 	} else if len(f.held) != 0 {
@@ -153,10 +189,13 @@ func (f *fakeLink) Recv(rep *wire.Reply) error {
 	if f.reply == nil && f.replyErr == nil {
 		f.t.Fatal("Recv with no request outstanding")
 	}
+	f.now = max(f.now, f.replyAt)
 	err := f.replyErr
 	if f.reply != nil {
 		*rep = *f.reply
-		f.delivered += len(rep.Grants)
+		for _, g := range rep.Grants {
+			f.arrived += g.Size
+		}
 		f.stopped = f.stopped || rep.Stop
 	}
 	f.reply, f.replyErr = nil, nil
@@ -173,46 +212,73 @@ func (f *fakeLink) Call(req *wire.Request, rep *wire.Reply) error {
 func (f *fakeLink) Close() error { return nil }
 
 // TestWindowLoopAgainstScriptedLink drives the one slave loop over
-// every window × prefetch × script cell and holds it to the rules:
-// each granted iteration computed once and shipped once, never more
-// than window+1 chunks held, credits sized as documented, a refill in
-// flight exactly when the queue is below the mark, and a return only
-// on a Stop to a synchronous request (or the link's own error).
+// every window × prefetch × grain × script cell and holds it to the
+// rules: each granted iteration computed once and shipped once, never
+// more than window+1 chunks held, credits sized as documented, a refill
+// in flight exactly from the iteration at which the work still held
+// lasts no longer than a round trip, every kernel second reported
+// exactly once, and a return only on a Stop to a synchronous request (or
+// the link's own error). The grains put the round trip at two and a half
+// iterations (the refill leaves mid-chunk, near the end of what is
+// held), at ten and a half (it leaves with chunks still queued, or at
+// once) and beyond a full window (nothing to hide it behind: every
+// request is synchronous).
 func TestWindowLoopAgainstScriptedLink(t *testing.T) {
-	const n, size = 103, 4
+	const cost = time.Millisecond
 	for _, window := range []int{1, 2, 4, 8} {
 		for _, prefetch := range []bool{false, true} {
 			for _, script := range linkScripts {
 				t.Run(fmt.Sprintf("w%d/prefetch=%v/%s", window, prefetch, script.name), func(t *testing.T) {
-					f := &fakeLink{
-						t: t, script: script, window: window, prefetch: prefetch,
-						n: n, size: size, computed: make([]int, n), shipped: make([]int, n),
-					}
-					w := Worker{ID: 3, Kernel: f.kernel}
-					err := w.runWindow(f, window, prefetch, 0)
-					if err != script.wantErr {
-						t.Fatalf("runWindow returned %v, want %v", err, script.wantErr)
-					}
-					if err == nil && !f.finalStop {
-						t.Error("returned without a Stop to a synchronous request")
-					}
-					for i := 0; i < n; i++ {
-						granted := i < f.next
-						switch {
-						case f.computed[i] > 1 || f.shipped[i] > 1:
-							t.Fatalf("iteration %d computed %d times, shipped %d times", i, f.computed[i], f.shipped[i])
-						case !granted && f.computed[i] > 0:
-							t.Fatalf("iteration %d computed but never granted", i)
-						case err == nil && granted && (f.computed[i] != 1 || f.shipped[i] != 1):
-							t.Fatalf("granted iteration %d computed %d times, shipped %d times", i, f.computed[i], f.shipped[i])
-						}
-					}
-					if err == nil && script.stopAt == 0 && f.next != n {
-						t.Errorf("run ended with %d of %d iterations granted", f.next, n)
+					for _, rtt := range []time.Duration{cost * 5 / 2, cost * 21 / 2, cost * 1000} {
+						t.Run(fmt.Sprintf("rtt=%v", rtt), func(t *testing.T) {
+							checkWindowLoop(t, script, window, prefetch, cost, rtt)
+						})
 					}
 				})
 			}
 		}
+	}
+}
+
+func checkWindowLoop(t *testing.T, script linkScript, window int, prefetch bool, cost, rtt time.Duration) {
+	const n, size = 103, 4
+	f := &fakeLink{
+		t: t, script: script, window: window, prefetch: prefetch, cost: cost, rtt: rtt,
+		n: n, size: size, computed: make([]int, n), shipped: make([]int, n),
+	}
+	w := Worker{ID: 3, Kernel: f.kernel, clock: f.clock}
+	err := w.runWindow(f, window, prefetch, 0)
+	wantErr := script.wantErr
+	if f.requests < max(script.errAt, script.dropAt) {
+		wantErr = nil // the run was over in fewer requests
+	}
+	if err != wantErr {
+		t.Fatalf("runWindow returned %v, want %v", err, wantErr)
+	}
+	if err == nil && !f.finalStop {
+		t.Error("returned without a Stop to a synchronous request")
+	}
+	if fine := rtt > time.Duration((window+1)*size)*cost; fine && f.prefetchs > 0 {
+		t.Errorf("%d prefetches on a loop too fine to hide a round trip behind", f.prefetchs)
+	} else if prefetch && !fine && f.prefetchs == 0 {
+		t.Error("no prefetch on a loop whose window outlasts the round trip")
+	}
+	if want := (time.Duration(f.entered) * cost).Seconds(); err == nil && math.Abs(f.comp-want) > 1e-9 {
+		t.Errorf("requests reported %.6fs of kernel time, the kernel ran %.6fs", f.comp, want)
+	}
+	for i := 0; i < n; i++ {
+		granted := i < f.next
+		switch {
+		case f.computed[i] > 1 || f.shipped[i] > 1:
+			t.Fatalf("iteration %d computed %d times, shipped %d times", i, f.computed[i], f.shipped[i])
+		case !granted && f.computed[i] > 0:
+			t.Fatalf("iteration %d computed but never granted", i)
+		case err == nil && granted && (f.computed[i] != 1 || f.shipped[i] != 1):
+			t.Fatalf("granted iteration %d computed %d times, shipped %d times", i, f.computed[i], f.shipped[i])
+		}
+	}
+	if err == nil && script.stopAt == 0 && f.next != n {
+		t.Errorf("run ended with %d of %d iterations granted", f.next, n)
 	}
 }
 
@@ -251,15 +317,7 @@ func (r *argsRecorder) batch(args ChunkArgs, _ int, rep *wire.Reply) error {
 }
 
 func (r *argsRecorder) NextChunk(args ChunkArgs, reply *ChunkReply) error {
-	var rep wire.Reply
-	if err := r.batch(args, 1, &rep); err != nil {
-		return err
-	}
-	reply.Stop = rep.Stop
-	if len(rep.Grants) > 0 {
-		reply.Assign = rep.Grants[0]
-	}
-	return nil
+	return BatchFunc(r.batch).NextChunk(args, reply)
 }
 
 // pipeLink connects a link of the given transport to rec over an
@@ -286,13 +344,24 @@ func pipeLink(t *testing.T, transport Transport, rec *argsRecorder) Link {
 // TestLinksCarryTheSameDialogue is the codec-equivalence property at
 // the link seam: the same loop over the gob link and over the wire
 // link must put the identical ChunkArgs sequence in front of the
-// server — same flags, same results in the same requests.
+// server — same flags, same results in the same requests. When a refill
+// leaves is a matter of time, so both workers read a clock that moves
+// one tick per reading — four at the second, which ends the round trip
+// the lead is measured on: the same loop then sees the same times
+// whatever the codec costs, and a round trip worth a chunk or so.
 func TestLinksCarryTheSameDialogue(t *testing.T) {
 	for _, prefetch := range []bool{false, true} {
 		var seen [2][]ChunkArgs
 		for i, transport := range []Transport{TransportNetRPC, TransportBinary} {
 			rec := &argsRecorder{n: 40}
-			w := Worker{ID: 1, Kernel: intKernel, VirtualPower: 2}
+			var reads, ticks time.Duration
+			w := Worker{ID: 1, Kernel: intKernel, VirtualPower: 2, clock: func() time.Time {
+				if reads++; reads == 2 {
+					ticks += 3 * time.Millisecond
+				}
+				ticks += time.Millisecond
+				return time.Unix(0, 0).Add(ticks)
+			}}
 			if err := w.runWindow(pipeLink(t, transport, rec), 1, prefetch, 0); err != nil {
 				t.Fatalf("%s prefetch=%v: %v", transport, prefetch, err)
 			}
@@ -300,6 +369,9 @@ func TestLinksCarryTheSameDialogue(t *testing.T) {
 		}
 		if len(seen[0]) < 14 {
 			t.Fatalf("prefetch=%v: only %d requests recorded", prefetch, len(seen[0]))
+		}
+		if prefetch && !slices.ContainsFunc(seen[0], func(a ChunkArgs) bool { return a.Prefetch }) {
+			t.Error("the pipelined dialogue holds no prefetch")
 		}
 		if !reflect.DeepEqual(seen[0], seen[1]) {
 			t.Errorf("prefetch=%v: the server saw different dialogues\n gob:  %+v\n wire: %+v", prefetch, seen[0], seen[1])

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,12 +27,14 @@ import (
 //
 // This file is the master and the Worker type. The slave side is one
 // loop (runWindow in wire.go) over one Link (link.go), whatever the
-// codec: with Worker.Pipeline it requests the next chunks while still
-// computing, so the master round-trip and the result transfer overlap
-// with the kernel, and the per-worker assignment ledger holds up to
-// window+1 chunks — the one being computed plus the credit window of
-// prefetched ones (SetWindow; the default window of 1 is the classic
-// double buffer). DESIGN.md §9 states the loop's rules.
+// codec: with Worker.Pipeline it requests the next chunks one master
+// round trip before it runs out of work, so the round trip and the
+// result transfer overlap with the kernel, and the per-worker
+// assignment ledger holds up to window+1 chunks — the one being
+// computed plus the credit window (SetWindow). The window only caps a
+// reply: what it carries is one share-bounded batch (sched.BatchLimit),
+// so how far a worker runs ahead is a number of iterations, not of
+// chunks. DESIGN.md §9 states the loop's rules.
 //
 // Two codecs carry the dialogue (transport.go): net/rpc + gob, one
 // chunk per round trip, and the binary framing of internal/wire, which
@@ -72,9 +73,9 @@ type ChunkArgs struct {
 	// ACP is the slave's available computing power (0 for simple
 	// schemes / unknown).
 	ACP int
-	// CompSeconds is the measured computation time of the previous
-	// chunk (0 on the first request) — the master derives the paper's
-	// per-PE T_comp/T_comm breakdown from it.
+	// CompSeconds is the computation time measured since the last
+	// request (0 on the first) — the master derives the paper's per-PE
+	// T_comp/T_comm breakdown from it.
 	CompSeconds float64
 	// IdleSeconds is how long the worker's compute loop sat stalled
 	// waiting for the previous request to be answered. Serial workers
@@ -82,14 +83,15 @@ type ChunkArgs struct {
 	// workers report the prefetch-miss residue so the master can tell
 	// hidden communication from a genuine stall.
 	IdleSeconds float64
-	// Results are the outputs of the previously assigned chunk.
+	// Results are the outputs computed since the last request.
 	Results []ChunkResult
-	// Prefetch marks a double-buffered request: the worker is still
-	// computing its current chunk and wants the next one in advance.
-	// The master answers immediately — with more assignments, or
-	// with an empty reply (no grant, Stop false) when nothing can be
-	// issued right now — and must not treat the worker's in-flight
-	// chunk as abandoned.
+	// Prefetch marks a request sent ahead of need: the worker still
+	// holds work — it may be in the middle of a chunk, in which case
+	// CompSeconds and Results cover that chunk so far — and wants more
+	// in advance. The master answers immediately — with more
+	// assignments, or with an empty reply (no grant, Stop false) when
+	// nothing can be issued right now — and must not treat the worker's
+	// unfinished chunks as abandoned.
 	Prefetch bool
 	// DepositOnly marks a ledger worker's completion report: file the
 	// results and the timing, grant nothing. The wire transport maps
@@ -100,8 +102,8 @@ type ChunkArgs struct {
 
 // ChunkReply is the master's answer on the net/rpc transport. An
 // empty reply (zero Assign, Stop false) to a Prefetch request means
-// "nothing to prefetch right now": the worker should finish its
-// current chunk and ask again without the flag.
+// "nothing right now": the worker finishes what it holds and asks again
+// without the flag.
 type ChunkReply struct {
 	Assign sched.Assignment
 	Stop   bool
@@ -115,6 +117,7 @@ type slot struct {
 	mu          sync.Mutex
 	outstanding []sched.Assignment // chunks in flight (≤ ledger cap)
 	times       metrics.Times
+	comp        float64 // reported compute seconds of chunks not yet retired
 	lastSeen    time.Time
 	lastReply   time.Time
 	joined      bool
@@ -191,7 +194,7 @@ func NewMaster(scheme sched.Scheme, iterations, workers int) (*Master, error) {
 		scheme:     scheme,
 		iterations: iterations,
 		workers:    workers,
-		window:     1,
+		window:     DefaultStealWindow,
 		dcfg:       dispense.Config{Scheme: scheme, Workers: workers, Table: true},
 		results:    make([][]byte, iterations),
 		got:        make([]atomic.Bool, iterations),
@@ -252,11 +255,13 @@ func (m *Master) SetTelemetry(bus *telemetry.Bus) {
 
 // SetWindow sets the credit window: how many chunks a worker may hold
 // beyond the one it is computing, i.e. the per-worker ledger caps at
-// window+1 assignments. The default of 1 reproduces the classic
-// double-buffered protocol. Binary-transport workers ask for up to
-// their own window's worth of grants per frame; the master clamps to
-// the ledger room regardless of what a request asks. Call before
-// Serve.
+// window+1 assignments. It is a cap, not a quota: a reply carries one
+// share-bounded batch (dispense.Claim), so a deep window is filled on a
+// fine loop and stays at a chunk or two while chunks are large. The
+// default is DefaultStealWindow, w < 1 keeps it, and 1 is the classic
+// double buffer. Binary-transport workers ask for up to their own
+// window's worth of grants per frame; the master clamps to the ledger
+// room regardless of what a request asks. Call before Serve.
 func (m *Master) SetWindow(w int) {
 	if w >= 1 {
 		m.window = w
@@ -393,28 +398,17 @@ func (m *Master) Shutdown(l net.Listener) {
 	m.ep.Close()
 }
 
-// NextChunk is the net/rpc entry point the gob slaves call: deposit
-// previous results, get the next interval (or, with Prefetch, the one
-// after it). It is the one-grant special case of nextBatch.
+// NextChunk is the net/rpc entry point the gob slaves call: the
+// one-grant case of nextBatch.
 func (m *Master) NextChunk(args ChunkArgs, reply *ChunkReply) error {
-	var grants [1]sched.Assignment
-	rep := wire.Reply{Grants: grants[:0]}
-	if err := m.nextBatch(args, 1, &rep); err != nil {
-		return err
-	}
-	reply.Stop = rep.Stop
-	if len(rep.Grants) > 0 {
-		reply.Assign = rep.Grants[0]
-	}
-	return nil
+	return BatchFunc(m.nextBatch).NextChunk(args, reply)
 }
 
 // nextBatch is the transport-independent request handler: deposit the
-// piggy-backed results, account the worker's timing, then grant up to
-// `credits` chunks into rep (clamped to the ledger room). The first
-// grant carries the full protocol semantics — parking a drained
-// worker, Stop on completion, empty replies for unlucky prefetches —
-// while further grants are best-effort top-ups.
+// piggy-backed results, account the worker's timing, then grant one
+// share-bounded batch of up to `credits` chunks into rep (clamped to the
+// ledger room) — or park a drained worker, Stop on completion, or
+// answer an unlucky prefetch empty.
 func (m *Master) nextBatch(args ChunkArgs, credits int, rep *wire.Reply) (err error) {
 	if args.Worker < 0 || args.Worker >= m.workers {
 		return fmt.Errorf("exec: unknown worker %d", args.Worker)
@@ -536,6 +530,10 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 			kept = append(kept, a)
 		}
 	}
+	retired := len(s.outstanding) - len(kept)
+	if retired == 0 && args.DepositOnly && args.CompSeconds > 0 {
+		retired = 1 // a one-sided claim's chunk: nobody's ledger holds it
+	}
 	if !args.Prefetch && len(kept) > 0 {
 		// A non-prefetch request declares the worker has nothing left
 		// in flight: any still-undelivered chunk was abandoned (e.g.
@@ -569,10 +567,21 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 		// communication (request/result transfer) from the master's
 		// point of view. The gap is charged even for near-zero-duration
 		// chunks — only the very first request (no previous reply) has
-		// no gap to measure.
+		// no gap to measure. A request reports the seconds since the last
+		// one, whatever they covered — several chunks of a batch, or the
+		// first part of the chunk in hand when it is sent mid-chunk — so
+		// the compute-latency histogram takes its one sample per chunk
+		// when the chunk retires: an even split of what has been reported
+		// since the last one did.
 		if args.CompSeconds > 0 {
 			s.times.Comp += args.CompSeconds
-			m.compHist.Record(args.Worker, args.CompSeconds)
+			s.comp += args.CompSeconds
+		}
+		for i := 0; i < retired; i++ {
+			m.compHist.Record(args.Worker, s.comp/float64(retired))
+		}
+		if retired > 0 {
+			s.comp = 0
 		}
 		if args.IdleSeconds > 0 {
 			s.times.Idle += args.IdleSeconds
@@ -599,11 +608,13 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 	return rejected, acpChanged
 }
 
-// fastGrants serves a request entirely without Master.mu: grants come
-// from the dispenser's step table, the ledger update from the worker's
+// fastGrants serves a request entirely without Master.mu: one claim on
+// the table the dispenser armed, the ledger update under the worker's
 // own slot lock. It reports false when the request needs the locked
 // scheduler (no table armed, failures pending, table drained on a
-// parkable request, run finished).
+// parkable request, run finished). The fast path passes the ledger it
+// loaded: a re-plan may close that ledger under it, never swap a policy
+// in.
 func (m *Master) fastGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt float64) bool {
 	l := m.d.Ledger()
 	if l == nil || m.fastOff.Load() || m.doneClosed() {
@@ -615,134 +626,78 @@ func (m *Master) fastGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt
 	if s.failed {
 		return false // FailWorker won the race; locked path replies Stop
 	}
-	for len(rep.Grants) < credits && len(s.outstanding) < m.ledgerCap() {
-		a, ok := m.take(l, args.Worker, args.ACP)
-		if !ok {
-			if len(rep.Grants) > 0 {
-				return true // partial batch; the tail is someone else's
-			}
-			if args.Prefetch {
-				m.publishMiss(args.Worker, reqAt)
-				return true // empty: finish your chunk, ask again plainly
-			}
+	if room := min(credits, m.ledgerCap()-len(s.outstanding)); room > 0 {
+		rep.Grants = l.Claim(args.Worker, args.ACP, room, rep.Grants)
+		if len(rep.Grants) == 0 && !args.Prefetch {
 			return false // drained sync request: park on the locked path
 		}
-		m.recordGrant(s, args, a, rep, reqAt)
 	}
-	if len(rep.Grants) == 0 {
-		// Ledger full — only reachable on a prefetch from a worker
-		// that has not delivered yet. Empty reply: ask again later.
-		m.publishMiss(args.Worker, reqAt)
-	}
+	m.book(s, args, rep, len(rep.Grants), reqAt)
 	return true
-}
-
-// take is the single source of fresh grants for both paths, so fast
-// and locked grants can never double-assign: one draw from the
-// dispenser. The fast path passes the ledger it loaded and holds no
-// lock — a re-plan may close that ledger under it, never swap a policy
-// in; the locked path passes the stage's current one, nil when the draw
-// is the policy's, and holds mu. In ledger mode each successful
-// in-process claim counts as one ledger fetch (zero round trip) so
-// loopsched_ledger_fetchadds_total tallies every fetch-and-add
-// regardless of which side issued it.
-func (m *Master) take(l *dispense.Ledger, w, acpNow int) (sched.Assignment, bool) {
-	if l == nil {
-		a, ok, replanned := m.d.Next(w, acpNow)
-		if replanned {
-			m.bus.Publish(telemetry.Event{
-				Kind: telemetry.StageAdvanced, Worker: w, At: m.bus.Now(),
-			})
-		}
-		return a, ok
-	}
-	var one [1]sched.Assignment
-	got := l.Claim(w, acpNow, 1, one[:0])
-	if len(got) == 0 {
-		return sched.Assignment{}, false
-	}
-	if m.bus != nil && m.ledgerOn {
-		m.bus.Publish(telemetry.Event{
-			Kind: telemetry.LedgerFetch, Worker: w,
-			Start: 1, At: m.bus.Now(),
-		})
-	}
-	return got[0], true
 }
 
 // lockedGrants is the fallback scheduler: the distributed gather
 // barrier, policy draws (and with them the mid-run replans), requeued
 // chunks, parking and stop handling all live here, under Master.mu as
-// in the original protocol.
+// in the original protocol. A reply is one batch — requeued chunks
+// before fresh ones, the fresh ones a single share-bounded Claim, so
+// sched.BatchLimit bounds this path exactly as it bounds ledger claims
+// and steal refills. When nothing can be granted a prefetch gets an
+// immediate empty reply, while a plain request parks inside the call
+// until the gather completes, the run ends or a failure requeues work —
+// so a late FailWorker always finds a live worker to absorb the chunk
+// (the lost-iterations fix).
 func (m *Master) lockedGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt float64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.d.Report(args.Worker, args.ACP)
-	if !m.d.Planned() { // distributed: gather all first reports
-		// A cancelled run closes done without ever completing the
-		// gather; the barrier must observe that or waiters hang.
-		for !m.d.Planned() && m.err == nil && !m.d.Gathered() && !m.doneClosed() {
-			m.ready.Wait()
-		}
-		if !m.d.Planned() && m.err == nil && !m.doneClosed() {
-			m.err = m.d.Stage(0, m.iterations)
-			m.ready.Broadcast()
-		}
-		if m.err != nil {
-			m.ready.Broadcast()
-			return m.err
-		}
-		// Cancelled mid-gather: assign sends Stop.
-	}
-	return m.assign(args, credits, rep, reqAt)
-}
-
-// assign hands the worker its next interval(s): requeued chunks
-// before fresh policy assignments. When the policy is drained, a
-// prefetch request gets an immediate empty reply, while a plain
-// request parks inside the call until the run completes or a failure
-// requeues work — so a late FailWorker always finds a live worker to
-// absorb the chunk (the lost-iterations fix). Once a first grant is
-// in hand, further credits are filled best-effort without parking.
-// Callers hold mu.
-func (m *Master) assign(args *ChunkArgs, credits int, rep *wire.Reply, reqAt float64) error {
 	w := args.Worker
 	s := &m.slots[w]
-	for len(rep.Grants) == 0 {
-		select {
-		case <-m.done:
-			if !m.stoppedSet[w] {
-				m.stoppedSet[w] = true
-			}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.d.Report(w, args.ACP)
+	for {
+		switch {
+		case m.doneClosed(): // finished, or cancelled (also mid-gather)
+			m.stoppedSet[w] = true
 			rep.Stop = true
 			return nil
-		default:
-		}
-		if m.err != nil {
+		case m.err != nil:
 			return m.err
-		}
-		if m.failed[w] { // failed while parked
+		case m.failed[w]: // failed while parked
 			rep.Stop = true
 			return nil
+		case !m.d.Planned() && m.d.Gathered(): // distributed: every first report is in
+			m.err = m.d.Stage(0, m.iterations)
+			m.ready.Broadcast()
+			continue
 		}
-		if m.slotLedger(s) >= m.ledgerCap() {
-			m.publishMiss(w, m.bus.Now())
+		s.mu.Lock()
+		room := min(credits, m.ledgerCap()-len(s.outstanding))
+		full := room <= 0 // a prefetch from a worker that has not delivered yet
+		for ; room > 0; room-- {
+			a, ok := m.takeRequeued()
+			if !ok {
+				break
+			}
+			rep.Grants = append(rep.Grants, a)
+		}
+		fetched := 0
+		if room > 0 {
+			requeued, replanned := len(rep.Grants), false
+			rep.Grants, replanned = m.d.Claim(w, args.ACP, room, rep.Grants)
+			if replanned {
+				m.bus.Publish(telemetry.Event{
+					Kind: telemetry.StageAdvanced, Worker: w, At: m.bus.Now(),
+				})
+			}
+			if m.d.Ledger() != nil {
+				fetched = len(rep.Grants) - requeued
+			}
+		}
+		if len(rep.Grants) > 0 || args.Prefetch || full {
+			m.book(s, args, rep, fetched, reqAt)
+			s.mu.Unlock()
 			return nil
 		}
-		if a, ok := m.takeRequeued(); ok {
-			m.recordGrantLocked(s, args, a, rep, reqAt)
-			break
-		}
-		if a, ok := m.take(m.d.Ledger(), w, args.ACP); ok {
-			m.recordGrantLocked(s, args, a, rep, reqAt)
-			break
-		}
-		if args.Prefetch {
-			// Nothing to prefetch right now; the worker still has its
-			// current chunk to finish and deliver.
-			m.publishMiss(w, m.bus.Now())
-			return nil
-		}
+		s.mu.Unlock()
 		// The worker is idle with nothing in flight. Hold the call:
 		// either the run completes (Stop) or a failed worker's chunk
 		// is requeued and lands here.
@@ -753,43 +708,42 @@ func (m *Master) assign(args *ChunkArgs, credits int, rep *wire.Reply, reqAt flo
 		s.lastSeen = time.Now() // parked, not silent
 		s.mu.Unlock()
 	}
-	for len(rep.Grants) < credits && !m.doneClosed() && !m.failed[w] &&
-		m.slotLedger(s) < m.ledgerCap() {
-		a, ok := m.takeRequeued()
-		if !ok {
-			a, ok = m.take(m.d.Ledger(), w, args.ACP)
-		}
-		if !ok {
-			break
-		}
-		m.recordGrantLocked(s, args, a, rep, reqAt)
+}
+
+// book enters a reply's grants into the worker's ledger and publishes
+// each, span-tagged and with its request-to-grant latency, to the
+// telemetry bus; an empty reply is published as the prefetch miss it
+// is. The spans ride back in the reply's span block only when telemetry
+// is attached, so a bus-less master's frames stay byte-identical to
+// protocol v1. fetched is how many of the grants one claim on the armed
+// table yielded: in ledger mode it counts as one ledger fetch (zero
+// round trip), so loopsched_ledger_fetchadds_total tallies every
+// fetch-and-add regardless of which side issued it. Callers hold s.mu.
+//
+//lint:loopsched-hotpath
+func (m *Master) book(s *slot, args *ChunkArgs, rep *wire.Reply, fetched int, reqAt float64) {
+	if len(rep.Grants) == 0 {
+		m.bus.Publish(telemetry.Event{Kind: telemetry.PrefetchMissed, Worker: args.Worker, At: reqAt})
+		return
 	}
-	return nil
-}
-
-// slotLedger reads the worker's in-flight count; callers hold mu.
-func (m *Master) slotLedger(s *slot) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.outstanding)
-}
-
-// recordGrant books one assignment into the worker's ledger and the
-// reply, publishing the span-tagged grant (with its request-to-grant
-// latency) to the telemetry bus. The span rides back in the reply's
-// span block only when telemetry is attached, so a bus-less master's
-// frames stay byte-identical to protocol v1. Callers hold s.mu.
-func (m *Master) recordGrant(s *slot, args *ChunkArgs, a sched.Assignment, rep *wire.Reply, reqAt float64) {
-	s.outstanding = append(s.outstanding, a)
-	m.chunks.Add(1)
-	rep.Grants = append(rep.Grants, a)
-	if m.bus != nil {
+	s.outstanding = append(s.outstanding, rep.Grants...)
+	m.chunks.Add(int64(len(rep.Grants)))
+	if m.bus == nil {
+		return
+	}
+	if fetched > 0 && m.ledgerOn {
+		m.bus.Publish(telemetry.Event{
+			Kind: telemetry.LedgerFetch, Worker: args.Worker,
+			Start: fetched, At: m.bus.Now(),
+		})
+	}
+	kind := telemetry.ChunkGranted
+	if args.Prefetch {
+		kind = telemetry.ChunkPrefetched
+	}
+	for _, a := range rep.Grants {
 		span := telemetry.SpanID(0, a.Start)
 		rep.Spans = append(rep.Spans, span)
-		kind := telemetry.ChunkGranted
-		if args.Prefetch {
-			kind = telemetry.ChunkPrefetched
-		}
 		now := m.bus.Now()
 		m.waitHist.Record(args.Worker, now-reqAt)
 		m.bus.Publish(telemetry.Event{
@@ -797,21 +751,6 @@ func (m *Master) recordGrant(s *slot, args *ChunkArgs, a sched.Assignment, rep *
 			ACP: args.ACP, Span: span, At: now, Seconds: now - reqAt,
 		})
 	}
-}
-
-// recordGrantLocked is recordGrant for callers holding mu (but not
-// the slot lock).
-func (m *Master) recordGrantLocked(s *slot, args *ChunkArgs, a sched.Assignment, rep *wire.Reply, reqAt float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m.recordGrant(s, args, a, rep, reqAt)
-}
-
-// publishMiss reports a prefetch that could not be served.
-func (m *Master) publishMiss(w int, at float64) {
-	m.bus.Publish(telemetry.Event{
-		Kind: telemetry.PrefetchMissed, Worker: w, At: at,
-	})
 }
 
 // takeRequeued pops the next requeued chunk that still has undelivered
@@ -970,7 +909,7 @@ func (m *Master) WatchTimeouts(interval, timeout time.Duration, stop <-chan stru
 
 // Outstanding returns the chunks currently in flight, keyed by worker.
 // A worker can hold up to window+1 entries: the chunk being computed
-// and its credit window of prefetched ones.
+// and its credit window.
 func (m *Master) Outstanding() map[int][]sched.Assignment {
 	out := make(map[int][]sched.Assignment)
 	for w := range m.slots {
@@ -1107,17 +1046,19 @@ type Worker struct {
 	// machine (1 = full speed).
 	WorkScale int
 	// Pipeline turns the slave loop's prefetch on: the next chunks are
-	// requested and the previous results uploaded while the kernel
-	// runs, hiding the master round-trip whenever it is shorter than
-	// the chunk's computation.
+	// requested, and the results so far uploaded, one measured master
+	// round trip before the work in hand runs out, hiding the round trip
+	// whenever it is shorter than that work.
 	Pipeline bool
 	// Transport selects the wire format (empty uses DefaultTransport,
 	// i.e. the LOOPSCHED_TRANSPORT environment variable or the binary
 	// codec).
 	Transport Transport
 	// Window is the credit window: how many granted chunks the worker
-	// queues (0 means 1). Over the gob transport it has no effect — that
-	// server grants one chunk per call whatever is asked.
+	// queues at most (0 means DefaultStealWindow). It caps what a request
+	// asks for; the master's share-bounded reply decides how much of it
+	// is filled. Over the gob transport it has no effect — that server
+	// grants one chunk per call whatever is asked.
 	Window int
 	// LedgerTable, when non-nil, switches the binary transport to the
 	// one-sided ledger protocol: the worker claims scheduling steps — or
@@ -1136,6 +1077,8 @@ type Worker struct {
 	Telemetry      *telemetry.Bus
 	TelemetryID    int
 	TelemetryShard int
+
+	clock func() time.Time // scripted time, for tests; nil means time.Now
 }
 
 func (w Worker) power() float64 {
@@ -1154,35 +1097,43 @@ func (w Worker) scale() int {
 
 func (w Worker) window() int {
 	if w.Window < 1 {
-		return 1
+		return DefaultStealWindow
 	}
 	return w.Window
 }
 
-// compute runs and times the kernel over one assignment, appending one
-// record per iteration to dst, and reports the completion to the
-// telemetry bus, if any. span is the chunk's trace id — the one the
-// master put on the grant, or the deterministic local one when it sent
-// none; reportedACP is the ACP carried on the request that fetched the
-// chunk.
-func (w Worker) compute(dst []wire.Record, a sched.Assignment, span uint64, reportedACP int) ([]wire.Record, float64) {
-	start := time.Now()
-	dst = slices.Grow(dst, a.Size)
-	for i := a.Start; i < a.End(); i++ {
+// now reads the clock the slave loop times its kernel and its round
+// trips by.
+func (w Worker) now() time.Time {
+	if w.clock != nil {
+		return w.clock()
+	}
+	return time.Now()
+}
+
+// run computes iterations [lo, hi), appending one record each to dst.
+func (w Worker) run(dst []wire.Record, lo, hi int) []wire.Record {
+	for i := lo; i < hi; i++ {
 		var data []byte
 		for rep := 0; rep < w.scale(); rep++ {
 			data = w.Kernel(i)
 		}
 		dst = append(dst, wire.Record{Index: i, Data: data})
 	}
-	comp := time.Since(start).Seconds()
+	return dst
+}
+
+// completed reports one computed chunk to the telemetry bus, if any.
+// span is the chunk's trace id — the one the master put on the grant, or
+// the deterministic local one when it sent none; reportedACP is the ACP
+// on the worker's latest request.
+func (w Worker) completed(a sched.Assignment, span uint64, reportedACP int, comp float64) {
 	w.Telemetry.Publish(telemetry.Event{
 		Kind:   telemetry.ChunkCompleted,
 		Worker: w.TelemetryID, Shard: w.TelemetryShard,
 		Start: a.Start, Size: a.Size, ACP: reportedACP, Span: span,
 		At: w.Telemetry.Now(), Seconds: comp,
 	})
-	return dst, comp
 }
 
 // Run connects to the master at addr and participates until stopped.

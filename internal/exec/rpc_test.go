@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -618,6 +619,7 @@ func TestRPCPipelinedFailWorker(t *testing.T) {
 	const n = 400
 	m, addr, stop := startMaster(t, sched.FSSScheme{}, n, 3)
 	defer stop()
+	m.SetWindow(1) // the classic double buffer: a ledger of two slots
 
 	// Worker 2 double-buffers two chunks into flight…
 	var r1, r2 ChunkReply
@@ -712,6 +714,62 @@ func TestRPCCommGapZeroComp(t *testing.T) {
 	if rep.PerWorker[0].Comm < 0.015 {
 		t.Errorf("Comm = %.4fs, want ≥ 0.015s (zero-comp gap dropped)", rep.PerWorker[0].Comm)
 	}
+}
+
+// TestRPCCommHonestUnderLateRequests: a refill sent in the middle of a
+// chunk reports the kernel seconds spent so far, the chunk in hand
+// included, so the master does not book that chunk's kernel time as
+// communication. Two chunks of 256 spinning iterations on one pipelined
+// worker: the share bound keeps the first reply to one chunk, so the
+// second is fetched by a prefetch sent a few iterations before the first
+// ends. All of the kernel time must come back as Comp, and Comm — three
+// round trips — stay far below one chunk's worth. The bounds are on wall
+// time, so a run the machine disturbed gets two more tries; the fault
+// this guards against books most of a chunk as Comm on every one
+// (TestWindowLoopAgainstScriptedLink pins the worker's side of it on a
+// scripted clock).
+func TestRPCCommHonestUnderLateRequests(t *testing.T) {
+	const n, k = 512, 256
+	var failure string
+	for try := 0; try < 3; try++ {
+		m, addr, stop := startMaster(t, sched.CSSScheme{K: k}, n, 1)
+		bus := telemetry.NewBus(0)
+		log := &eventLog{}
+		bus.Subscribe(log)
+		m.SetTelemetry(bus)
+
+		var kernelTime time.Duration // the one worker's goroutine only
+		kernel := func(i int) []byte {
+			start := time.Now()
+			for time.Since(start) < 20*time.Microsecond {
+			}
+			kernelTime += time.Since(start)
+			return intKernel(i)
+		}
+		runWorkers(t, addr, []Worker{{ID: 0, Kernel: kernel, Pipeline: true}})
+		_, rep, err := m.Wait()
+		stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bus.Close(); err != nil {
+			t.Fatal(err)
+		}
+		late := false
+		for _, e := range log.drain() {
+			late = late || e.Kind == telemetry.ChunkPrefetched && e.Start == k
+		}
+		if !late {
+			t.Fatal("the second chunk was not fetched by a prefetch: the run did not exercise a mid-chunk request")
+		}
+		total, chunk := kernelTime.Seconds(), kernelTime.Seconds()/2
+		comp, comm := rep.PerWorker[0].Comp, rep.PerWorker[0].Comm
+		if comp >= 0.95*total && comp <= 1.25*total && comm <= 0.4*chunk {
+			return
+		}
+		failure = fmt.Sprintf("Comp = %.4fs of %.4fs kernel time, Comm = %.4fs with chunks of %.4fs", comp, total, comm, chunk)
+	}
+	t.Errorf("%s: kernel time booked as communication", failure)
 }
 
 // TestRPCLastReplyNotStampedOnError: an errored NextChunk produces no

@@ -49,10 +49,9 @@ func (g *grantCollector) OnEvent(e telemetry.Event) {
 	}
 }
 
-// grantSequence runs one serial worker to completion over the given
-// transport and returns the granted chunk sequence the master
-// published.
-func grantSequence(t *testing.T, transport Transport, s sched.Scheme, n int) []sched.Assignment {
+// grantSequence runs one worker to completion over the given transport
+// and returns the granted chunk sequence the master published.
+func grantSequence(t *testing.T, transport Transport, pipeline bool, s sched.Scheme, n int) []sched.Assignment {
 	t.Helper()
 	bus := telemetry.NewBus(0)
 	col := &grantCollector{}
@@ -62,7 +61,7 @@ func grantSequence(t *testing.T, transport Transport, s sched.Scheme, n int) []s
 	defer stop()
 	m.SetTelemetry(bus)
 
-	runWorkers(t, addr, []Worker{{ID: 0, Kernel: intKernel, Transport: transport}})
+	runWorkers(t, addr, []Worker{{ID: 0, Kernel: intKernel, Transport: transport, Pipeline: pipeline}})
 	results, rep, err := m.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -82,25 +81,30 @@ func grantSequence(t *testing.T, transport Transport, s sched.Scheme, n int) []s
 }
 
 // TestTransportsGrantIdenticalSequence is the codec-equivalence
-// property: with a deterministic scheme and a single serial worker,
-// the gob and binary protocols must produce the exact same chunk
-// sequence — same starts, same sizes, same order. Any framing or
-// batching bug that loses, reorders or resizes a grant shows up here.
+// property: with a deterministic scheme and a single worker, the gob
+// protocol (one chunk per call), the binary one (share-bounded batches
+// at the default window) and the binary one pipelined (refills sent
+// late, possibly mid-chunk) must produce the exact same chunk sequence
+// — same starts, same sizes, same order. Batching and late binding move
+// who holds a chunk when, never the sequence; any framing or batching
+// bug that loses, reorders or resizes a grant shows up here.
 func TestTransportsGrantIdenticalSequence(t *testing.T) {
 	const n = 700
 	for _, scheme := range []sched.Scheme{sched.TSSScheme{}, sched.GSSScheme{}} {
-		gob := grantSequence(t, TransportNetRPC, scheme, n)
-		bin := grantSequence(t, TransportBinary, scheme, n)
+		gob := grantSequence(t, TransportNetRPC, false, scheme, n)
 		if len(gob) == 0 {
 			t.Fatalf("%s: no grants observed over netrpc", scheme.Name())
 		}
-		if len(gob) != len(bin) {
-			t.Fatalf("%s: netrpc granted %d chunks, binary %d", scheme.Name(), len(gob), len(bin))
-		}
-		for i := range gob {
-			if gob[i] != bin[i] {
-				t.Fatalf("%s: grant %d differs: netrpc %+v, binary %+v",
-					scheme.Name(), i, gob[i], bin[i])
+		for _, pipeline := range []bool{false, true} {
+			bin := grantSequence(t, TransportBinary, pipeline, scheme, n)
+			if len(gob) != len(bin) {
+				t.Fatalf("%s: netrpc granted %d chunks, binary (pipeline %v) %d", scheme.Name(), len(gob), pipeline, len(bin))
+			}
+			for i := range gob {
+				if gob[i] != bin[i] {
+					t.Fatalf("%s: grant %d differs: netrpc %+v, binary (pipeline %v) %+v",
+						scheme.Name(), i, gob[i], pipeline, bin[i])
+				}
 			}
 		}
 		// The sequence must also tile [0, n) exactly.
@@ -142,16 +146,7 @@ func (r *spanRecorder) batch(args ChunkArgs, credits int, rep *wire.Reply) error
 // NextChunk mirrors Master.NextChunk: the one-grant gob adapter over
 // the recorded batch handler.
 func (r *spanRecorder) NextChunk(args ChunkArgs, reply *ChunkReply) error {
-	var grants [1]sched.Assignment
-	rep := wire.Reply{Grants: grants[:0]}
-	if err := r.batch(args, 1, &rep); err != nil {
-		return err
-	}
-	reply.Stop = rep.Stop
-	if len(rep.Grants) > 0 {
-		reply.Assign = rep.Grants[0]
-	}
-	return nil
+	return BatchFunc(r.batch).NextChunk(args, reply)
 }
 
 // startRecordedMaster serves a master on a sniffed listener exactly as
@@ -243,13 +238,15 @@ func TestSpanTaggingPreservesGrantSequence(t *testing.T) {
 	}
 }
 
-// TestRPCWireCreditWindow runs the batched-grant protocol in anger: a
-// wide credit window, pipelined heterogeneous workers, and a fixed-chunk
-// scheme that exercises the master's lock-free fast path. Every result
-// must arrive exactly once.
+// TestRPCWireCreditWindow runs the batched-grant protocol in anger: the
+// default credit window and explicit ones, narrow and wide, pipelined
+// heterogeneous workers, and a fixed-chunk scheme that exercises the
+// master's lock-free fast path. Every result must arrive exactly once,
+// and every chunk's compute time be sampled exactly once however many
+// chunks one request reports on.
 func TestRPCWireCreditWindow(t *testing.T) {
 	const n = 900
-	for _, window := range []int{2, 8} {
+	for _, window := range []int{0, 2, 8} {
 		m, addr, stop := startMaster(t, sched.CSSScheme{K: 5}, n, 3)
 		m.SetWindow(window)
 
@@ -265,6 +262,9 @@ func TestRPCWireCreditWindow(t *testing.T) {
 		}
 		if rep.Iterations != n {
 			t.Fatalf("window %d: iterations = %d", window, rep.Iterations)
+		}
+		if got := int(rep.CompLatency.Count); got != rep.Chunks {
+			t.Errorf("window %d: %d compute-time samples for %d chunks", window, got, rep.Chunks)
 		}
 		for i, r := range results {
 			if !bytes.Equal(r, intKernel(i)) {

@@ -24,6 +24,21 @@ import (
 // implement it.
 type BatchFunc func(args ChunkArgs, credits int, rep *wire.Reply) error
 
+// NextChunk answers a net/rpc call — the gob protocol's one chunk per
+// round trip — as the one-grant case of the batch handler.
+func (batch BatchFunc) NextChunk(args ChunkArgs, reply *ChunkReply) error {
+	var grants [1]sched.Assignment
+	rep := wire.Reply{Grants: grants[:0]}
+	if err := batch(args, 1, &rep); err != nil {
+		return err
+	}
+	reply.Stop = rep.Stop
+	if len(rep.Grants) > 0 {
+		reply.Assign = rep.Grants[0]
+	}
+	return nil
+}
+
 // FetchAddFunc answers one ledger claim: atomically reserve n
 // scheduling steps and return the first reserved step. worker is the
 // claimer's id when the connection has been labeled by a prior
@@ -32,14 +47,13 @@ type BatchFunc func(args ChunkArgs, credits int, rep *wire.Reply) error
 type FetchAddFunc func(worker, n int) uint64
 
 // ledgerClaimFactor is how many credit windows one ledger claim may
-// reserve at most. Master-path credits pay per grant (reply encoding,
-// result ingest, requeue bookkeeping), so the window stays small; a
+// reserve at most. A master-path reply pays per grant (reply encoding,
+// result ingest, requeue bookkeeping) and is capped at the window; a
 // one-sided claim is a constant-size frame whose boundaries the table
 // fixes at any batch size, so it may amortise the counter round trip
-// over several windows — but only while the claimed chunks stay within
-// the claimant's share of what is left (docs/LEDGER.md "Share-bounded
-// batches"): the cap is reached on fine loops, never on a loop of a
-// few large decreasing chunks.
+// over several windows. Both are caps on the same share-bounded batch
+// (docs/LEDGER.md "Share-bounded batches"): reached on fine loops, never
+// on a loop of a few large decreasing chunks.
 const ledgerClaimFactor = 4
 
 // Endpoint is the accept-and-route half of a chunk server, shared by
@@ -243,30 +257,38 @@ func (w Worker) wireRequest(req *wire.Request, prefetch bool, credits int, recor
 // piggy-back", generalised to a credit window; DESIGN.md §9 states its
 // rules. The worker queues up to `window` granted chunks. With prefetch
 // off it refills only when the queue is empty, in one synchronous round
-// trip that ships every pending result. With prefetch on it also
-// refills whenever the queue drops below the refill mark, in a request
-// sent before the kernel runs and collected after, so the upload and
-// the grant latency hide behind computation. idle is stall time the
-// caller has yet to report (the ledger loop's drain enters here with
-// its last claim wait); it rides the first request.
+// trip that ships every pending result. With prefetch on it also sends a
+// refill ahead of need — when the work it still holds is estimated to
+// last no longer than one master round trip — and collects the reply
+// when the queue has run dry, so the upload and the grant latency hide
+// behind computation and a chunk is bound to this worker only when it is
+// about to need it. idle is stall time the caller has yet to report (the
+// ledger loop's drain enters here with its last claim wait); it rides
+// the first request.
 func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error {
 	var (
 		req       wire.Request
 		rep       wire.Reply
 		queue     []sched.Assignment
 		spanQueue []uint64      // parallel to queue: one span per grant
+		queued    int           // iterations in queue
 		pending   []wire.Record // computed, not yet shipped
 		spans     []uint64      // parallel to pending: one span per record
-		comp      float64
+		comp      float64       // kernel seconds not yet reported
+		busy      float64       // kernel seconds so far, over
+		ran       int           // this many iterations: the running cost estimate
+		lead      float64       // measured master round trip
+		mark      time.Time     // kernel time is booked up to here
+		sentAt    time.Time     // when the unanswered prefetch left
+		inflight  bool          // a prefetch is unanswered
 		stopSeen  bool
 		echo      bool // the master span-tags its grants: echo the spans back
 		lastACP   int
 	)
-	hold := window // chunks held at most: the queue, plus the one a prefetch overlaps
+	hold := window // chunks held at most: the queue, plus the one in hand a prefetch overlaps
 	if prefetch {
 		hold++
 	}
-	refillAt := (window + 1) / 2
 	absorb := func() {
 		if rep.Stop {
 			stopSeen = true
@@ -279,7 +301,7 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			if i < len(rep.Spans) {
 				span = rep.Spans[i]
 			}
-			queue, spanQueue = append(queue, g), append(spanQueue, span)
+			queue, spanQueue, queued = append(queue, g), append(spanQueue, span), queued+g.Size
 		}
 	}
 	// fill loads req with everything pending and the worker's state.
@@ -292,13 +314,41 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		lastACP = w.wireRequest(&req, pre, credits, pending, echoed, comp, idle)
 		pending, spans, comp, idle = pending[:0], spans[:0], 0, 0
 	}
+	// lap books the kernel time since mark.
+	lap := func() {
+		now := w.now()
+		d := now.Sub(mark).Seconds()
+		comp, busy, mark = comp+d, busy+d, now
+	}
 	for {
+		if len(queue) == 0 && inflight {
+			// Out of work with a refill on its way: collect it. What is
+			// left of the round trip is a stall, and a reply really waited
+			// for (a quarter of the lead or more) left too late: its round
+			// trip, which no kernel time stretched, raises the lead.
+			waitStart := w.now()
+			if err := l.Recv(&rep); err != nil {
+				return err
+			}
+			now := w.now()
+			wait := now.Sub(waitStart).Seconds()
+			if rtt := now.Sub(sentAt).Seconds(); wait > lead/4 && rtt > lead {
+				lead = rtt
+			}
+			idle, inflight = idle+wait, false
+			absorb()
+			continue
+		}
 		if len(queue) == 0 {
 			// Synchronous (re)fill: ships everything pending and may
 			// park at the master until work or the end of the run.
 			fill(false, hold)
+			sentAt = w.now()
 			if err := l.Call(&req, &rep); err != nil {
 				return err
+			}
+			if lead == 0 {
+				lead = w.now().Sub(sentAt).Seconds()
 			}
 			absorb()
 			if rep.Stop {
@@ -307,32 +357,51 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			continue
 		}
 		a, span := queue[0], spanQueue[0]
-		queue, spanQueue = queue[1:], spanQueue[1:]
-		inflight := prefetch && !stopSeen && len(queue) < refillAt
-		if inflight {
-			// Refill the credit window (shipping pending results) while
-			// the kernel runs; the reply is collected after the chunk.
-			fill(true, window-len(queue))
-			if err := l.Send(&req); err != nil {
-				return err
+		queue, spanQueue, queued = queue[1:], spanQueue[1:], queued-a.Size
+		start := w.now()
+		mark = start
+		for i := a.Start; i < a.End(); {
+			next := a.End()
+			if prefetch && !inflight && !stopSeen && len(queue) < window {
+				// The refill leaves when what is still held — the rest of
+				// this chunk and the queue — costs no more than a round
+				// trip at this worker's measured rate; until then it looks
+				// again after one iteration (nothing measured yet) or half
+				// the slack. When even a full window of chunks like this one
+				// would not outlast the round trip there is nothing to hide
+				// it behind and an early request only comes back smaller:
+				// the loop asks when it is dry, for all it may hold.
+				if i > a.Start { // mark is this very instant otherwise
+					lap()
+				}
+				next = i + 1
+				rtt := lead * float64(ran) / busy // in iterations of this worker's kernel
+				switch slack := float64(a.End()-i+queued) - rtt; {
+				case ran == 0:
+				case float64(hold*a.Size) < rtt:
+					next = a.End()
+				case slack > 0:
+					next = min(i+max(1, int(slack/2)), a.End())
+				default:
+					// Ships what is computed, this chunk's part and its
+					// kernel seconds included; the rest rides the next request.
+					sentAt = mark
+					fill(true, window-len(queue))
+					if err := l.Send(&req); err != nil {
+						return err
+					}
+					inflight, next, mark = true, a.End(), w.now()
+				}
+			}
+			// Send has consumed req, so the records may reuse the buffers
+			// it was built from.
+			pending = w.run(pending, i, next)
+			for ran += next - i; i < next; i++ {
+				spans = append(spans, span)
 			}
 		}
-		// Send has consumed req, so the chunk's records may reuse the
-		// buffers it was built from.
-		var chunkComp float64
-		pending, chunkComp = w.compute(pending, a, span, lastACP)
-		comp += chunkComp
-		for i := 0; i < a.Size; i++ {
-			spans = append(spans, span)
-		}
-		if inflight {
-			waitStart := time.Now()
-			if err := l.Recv(&rep); err != nil {
-				return err
-			}
-			idle += time.Since(waitStart).Seconds() // prefetch-miss stall
-			absorb()
-		}
+		lap()
+		w.completed(a, span, lastACP, mark.Sub(start).Seconds())
 	}
 }
 
@@ -403,9 +472,9 @@ func (w Worker) runWireLedger(c *wire.Conn) error {
 	// bounds it is assignment. Every chunk a claim takes is withheld
 	// from the other workers until this one gets to it, so each claim
 	// is sized by the table's share rule (Table.SpanBatch) up to
-	// maxClaim: four windows per fetch-add on a fine loop, one chunk at a
-	// time while the scheme's chunks are still a large part of what is
-	// left.
+	// maxClaim: four windows (32 chunks at the default) per fetch-add on
+	// a fine loop, one chunk at a time while the scheme's chunks are
+	// still a large part of what is left.
 	maxClaim := ledgerClaimFactor * w.window()
 	// run computes one chunk and queues its completion deposit —
 	// unflushed, so it rides the next claim's segment. One deposit per
@@ -416,8 +485,10 @@ func (w Worker) runWireLedger(c *wire.Conn) error {
 	// runs. The extra frames share one flush, so the round still costs
 	// one write and one read.
 	run := func(a sched.Assignment) error {
-		var chunkComp float64
-		records, chunkComp = w.compute(records[:0], a, telemetry.SpanID(0, a.Start), lastACP)
+		start := time.Now()
+		records = w.run(records[:0], a.Start, a.End())
+		chunkComp := time.Since(start).Seconds()
+		w.completed(a, telemetry.SpanID(0, a.Start), lastACP, chunkComp)
 		lastACP = w.wireRequest(&req, true, 0, records, nil, chunkComp, idle)
 		req.NoReply = true
 		idle = 0

@@ -136,20 +136,6 @@ func (s *Submaster) SetLedger(mode exec.LedgerMode) error {
 	return nil
 }
 
-// takeLocked draws the next local chunk for worker from the staged
-// super-chunk; a ledger draw (fetch-add + table lookup) is tallied as
-// one ledger fetch. Callers hold mu.
-func (s *Submaster) takeLocked(worker, acp int) (sched.Assignment, bool) {
-	a, ok, _ := s.d.Next(worker, acp)
-	if ok && s.bus != nil && s.d.Table() != nil {
-		s.bus.Publish(telemetry.Event{
-			Kind: telemetry.LedgerFetch, Worker: s.telemetryID(worker),
-			Shard: s.shard, Start: 1, At: s.bus.Now(),
-		})
-	}
-	return a, ok
-}
-
 // telemetryID maps a shard-local worker index to the id published in
 // telemetry events. Callers hold mu.
 func (s *Submaster) telemetryID(local int) int {
@@ -175,48 +161,11 @@ func (s *Submaster) Serve(l net.Listener) error {
 	})
 }
 
-// nextBatch adapts the submaster to the batched wire service: the
-// first grant carries NextChunk's full semantics (parking a drained
-// worker, stop on completion), and the remaining credits are filled
-// best-effort from the already planned local stage — top-ups use the
-// prefetch form, which never blocks and keeps the root pipeline
-// primed, so a batched worker cannot deadlock the shard.
-func (s *Submaster) nextBatch(args exec.ChunkArgs, credits int, rep *wire.Reply) error {
-	var first exec.ChunkReply
-	if err := s.NextChunk(args, &first); err != nil {
-		return err
-	}
-	if first.Stop {
-		rep.Stop = true
-		return nil
-	}
-	if first.Assign.Size == 0 {
-		return nil // empty prefetch answer: ask again plainly
-	}
-	rep.Grants = append(rep.Grants, first.Assign)
-	topup := exec.ChunkArgs{Worker: args.Worker, ACP: args.ACP, Prefetch: true}
-	for len(rep.Grants) < credits {
-		var r exec.ChunkReply
-		if err := s.NextChunk(topup, &r); err != nil {
-			return err
-		}
-		if r.Assign.Size == 0 {
-			break
-		}
-		rep.Grants = append(rep.Grants, r.Assign)
-	}
-	// Span-tag the batch when telemetry is attached, mirroring the ids
-	// NextChunk stamped on the grant events, so the worker's completion
-	// closes the same flow. A bus-less shard sends v1-identical frames.
-	s.mu.Lock()
-	tagged := s.bus != nil
-	s.mu.Unlock()
-	if tagged {
-		for _, g := range rep.Grants {
-			rep.Spans = append(rep.Spans, telemetry.SpanID(0, g.Start))
-		}
-	}
-	return nil
+// NextChunk is the worker-facing net/rpc entry point, protocol-
+// compatible with exec.Master.NextChunk: the one-grant case of
+// nextBatch.
+func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error {
+	return exec.BatchFunc(s.nextBatch).NextChunk(args, reply)
 }
 
 // Close joins the in-flight prefetch (the root answers prefetches
@@ -271,9 +220,15 @@ func (s *Submaster) aggregateACP() int {
 	return total
 }
 
-// NextChunk is the worker-facing RPC, protocol-compatible with
-// exec.Master.NextChunk.
-func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error {
+// nextBatch answers one worker request: file its results and report,
+// then reply with one share-bounded batch of at most `credits` chunks
+// from the staged super-chunk (dispense.Claim — the same rule as the
+// flat master's replies), staging the next buffered one or fetching from
+// the root when the stage is drained. A plain request with nothing to
+// grant parks until there is, or until the root says stop; a prefetch is
+// answered empty at once and keeps the root pipeline primed, so a
+// batched worker cannot deadlock the shard.
+func (s *Submaster) nextBatch(args exec.ChunkArgs, credits int, rep *wire.Reply) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if args.Worker < 0 || args.Worker >= s.workers {
@@ -284,6 +239,7 @@ func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error
 		return fmt.Errorf("hier: unknown worker %d", args.Worker)
 	}
 	reqAt := s.bus.Now()
+	id := s.telemetryID(args.Worker)
 
 	if len(args.Results) > 0 {
 		s.pending = append(s.pending, args.Results...)
@@ -295,7 +251,7 @@ func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error
 	}
 	if s.d.Report(args.Worker, args.ACP) {
 		s.bus.Publish(telemetry.Event{
-			Kind: telemetry.WorkerJoined, Worker: s.telemetryID(args.Worker),
+			Kind: telemetry.WorkerJoined, Worker: id,
 			Shard: s.shard, ACP: args.ACP, At: reqAt,
 		})
 		if s.d.Gathered() {
@@ -303,7 +259,7 @@ func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error
 		}
 	}
 	s.bus.Publish(telemetry.Event{
-		Kind: telemetry.ChunkRequested, Worker: s.telemetryID(args.Worker),
+		Kind: telemetry.ChunkRequested, Worker: id,
 		Shard: s.shard, ACP: args.ACP, At: reqAt,
 	})
 
@@ -311,24 +267,8 @@ func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error
 		if s.rootErr != nil {
 			return s.rootErr
 		}
-		if a, ok := s.takeLocked(args.Worker, args.ACP); ok {
-			s.chunks++
-			s.iters += a.Size
-			s.outstanding += a.Size
-			reply.Assign = a
-			kind := telemetry.ChunkGranted
-			if args.Prefetch {
-				kind = telemetry.ChunkPrefetched
-			}
-			if s.bus != nil {
-				now := s.bus.Now()
-				s.bus.Publish(telemetry.Event{
-					Kind: kind, Worker: s.telemetryID(args.Worker),
-					Shard: s.shard, Start: a.Start, Size: a.Size,
-					ACP: args.ACP, Span: telemetry.SpanID(0, a.Start),
-					At: now, Seconds: now - reqAt,
-				})
-			}
+		if rep.Grants, _ = s.d.Claim(args.Worker, args.ACP, max(credits, 1), rep.Grants); len(rep.Grants) > 0 {
+			s.grantLocked(id, &args, rep, reqAt)
 			return nil
 		}
 		if len(s.buffered) > 0 {
@@ -337,30 +277,24 @@ func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error
 			}
 			continue
 		}
+		if args.Prefetch {
+			// Can't give the pipelined worker anything yet: keep a root
+			// prefetch moving (a no-op once the root is done) and answer
+			// empty — finish your chunk, ask again plainly.
+			s.launchPrefetchLocked()
+			s.bus.Publish(telemetry.Event{
+				Kind: telemetry.PrefetchMissed, Worker: id,
+				Shard: s.shard, At: reqAt,
+			})
+			return nil
+		}
 		if s.rootDone {
-			if args.Prefetch {
-				s.bus.Publish(telemetry.Event{
-					Kind: telemetry.PrefetchMissed, Worker: s.telemetryID(args.Worker),
-					Shard: s.shard, At: reqAt,
-				})
-				return nil // empty: finish your chunk, ask again plainly
-			}
-			reply.Stop = true
+			rep.Stop = true
 			s.stopped++
 			if s.stopped >= s.workers {
 				s.finishedAt = time.Now()
 				close(s.done)
 			}
-			return nil
-		}
-		if args.Prefetch {
-			// Can't give the pipelined worker anything yet; keep a root
-			// prefetch moving and answer empty.
-			s.launchPrefetchLocked()
-			s.bus.Publish(telemetry.Event{
-				Kind: telemetry.PrefetchMissed, Worker: s.telemetryID(args.Worker),
-				Shard: s.shard, At: reqAt,
-			})
 			return nil
 		}
 		// Plain request with nothing local. Fetch from the root once the
@@ -373,6 +307,40 @@ func (s *Submaster) NextChunk(args exec.ChunkArgs, reply *exec.ChunkReply) error
 			continue
 		}
 		s.cond.Wait()
+	}
+}
+
+// grantLocked books a reply's grants and publishes them — one ledger
+// fetch for the claim when the stage armed a table — span-tagging the
+// reply when telemetry is attached so the worker's completion closes the
+// same flow; a bus-less shard sends v1-identical frames. Callers hold mu.
+func (s *Submaster) grantLocked(id int, args *exec.ChunkArgs, rep *wire.Reply, reqAt float64) {
+	s.chunks += len(rep.Grants)
+	for _, a := range rep.Grants {
+		s.iters += a.Size
+		s.outstanding += a.Size
+	}
+	if s.bus == nil {
+		return
+	}
+	if s.d.Table() != nil {
+		s.bus.Publish(telemetry.Event{
+			Kind: telemetry.LedgerFetch, Worker: id,
+			Shard: s.shard, Start: len(rep.Grants), At: s.bus.Now(),
+		})
+	}
+	kind := telemetry.ChunkGranted
+	if args.Prefetch {
+		kind = telemetry.ChunkPrefetched
+	}
+	for _, a := range rep.Grants {
+		span := telemetry.SpanID(0, a.Start)
+		rep.Spans = append(rep.Spans, span)
+		now := s.bus.Now()
+		s.bus.Publish(telemetry.Event{
+			Kind: kind, Worker: id, Shard: s.shard, Start: a.Start, Size: a.Size,
+			ACP: args.ACP, Span: span, At: now, Seconds: now - reqAt,
+		})
 	}
 }
 

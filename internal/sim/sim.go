@@ -36,10 +36,12 @@ type Params struct {
 	// slaves hold their results and dump them to the master when the
 	// loop ends (the slower alternative §5 describes).
 	CollectAtEnd bool
-	// Prefetch models the pipelined, double-buffered runtime: a slave
-	// requests chunk k+1 the moment chunk k starts computing, so the
-	// master round-trip overlaps with the kernel. Transfers and master
-	// services still shape the timeline, but they are no longer charged
+	// Prefetch models the pipelined runtime: a slave requests chunk k+1
+	// one uncontended master round trip before chunk k ends (at once when
+	// the chunk is shorter than that), so the round trip overlaps with the
+	// kernel and the next chunk is bound as late as hiding it allows.
+	// Transfers and master services still shape the timeline, but they are
+	// no longer charged
 	// to Comm/Wait — only the residue the pipeline fails to hide is
 	// charged, as Idle (compute stalls between consecutive chunks).
 	// Incompatible with CollectAtEnd: the pipeline piggy-backs results
@@ -99,6 +101,7 @@ const (
 	evComputeDone          // slave finished computing its chunk
 	evDumpArrive           // collect-at-end result dump reached master
 	evBusDone              // a shared-bus transfer finished
+	evRefillDue            // a pipelined slave's next request leaves
 )
 
 type event struct {
@@ -438,6 +441,9 @@ func (s *simulator) run() error {
 			}
 			s.sendRequest(e.worker, e.t)
 
+		case evRefillDue:
+			s.sendRequest(e.worker, e.t)
+
 		case evBusDone:
 			s.busBusy = false
 			if e.payload != nil {
@@ -478,10 +484,12 @@ func (s *simulator) compute(w int, a sched.Assignment, t float64) float64 {
 }
 
 // startCompute begins executing assignment a on worker w at time t and
-// immediately sends the next (prefetch) request — carrying the results
-// of the previously finished chunk — so the master round-trip overlaps
-// with the kernel. Any gap since the last chunk ended is the stall the
-// pipeline failed to hide, charged as Idle.
+// schedules the next (prefetch) request — carrying the results of the
+// previously finished chunk — one round trip before the chunk ends, so
+// the round trip overlaps with the kernel without binding the next chunk
+// earlier than that takes (exec.Worker's time rule, with the lead the
+// link model gives instead of a measured one). Any gap since the last
+// chunk ended is the stall the pipeline failed to hide, charged as Idle.
 func (s *simulator) startCompute(w int, a sched.Assignment, t float64) {
 	st := &s.workers[w]
 	if st.computedOnce {
@@ -492,7 +500,13 @@ func (s *simulator) startCompute(w int, a sched.Assignment, t float64) {
 	d := s.compute(w, a, t)
 	st.computing = true
 	s.push(event{t: t + d, kind: evComputeDone, worker: w, assign: a})
-	s.sendRequest(w, t)
+	// The lead: request out with the held results, master receive and
+	// scheduling, reply back — 2·latency + transfers + service.
+	m := s.cluster.Machines[w]
+	payload := float64(st.lastChunk) * s.params.BytesPerIter
+	lead := m.Link.Transfer(s.params.RequestBytes+payload) + s.params.MasterOverhead +
+		payload/s.cluster.masterBandwidth() + m.Link.Transfer(s.params.ReplyBytes)
+	s.push(event{t: max(t, t+d-lead), kind: evRefillDue, worker: w})
 }
 
 // prefetchReply handles a master reply in pipelined mode: an

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"loopsched/internal/mandelbrot"
 	"loopsched/internal/metrics"
 	"loopsched/internal/sched"
 	"loopsched/internal/trace"
@@ -316,6 +317,41 @@ func TestPrefetchHidesCommunication(t *testing.T) {
 	}
 	if h := metrics.HiddenComm(ser, pip); h <= 0 {
 		t.Errorf("HiddenComm = %g, want > 0", h)
+	}
+}
+
+// TestPrefetchBindsLate is the simulator's half of the late-binding
+// rule, on the paper's own loop: Mandelbrot columns under TFSS, on two
+// equal machines and on the 3 fast + 5 slow cluster. Requesting the next
+// chunk one round trip before the current one ends hides the round trip
+// without claiming the chunk any earlier than that takes, so the
+// pipelined run must finish no later than the serial one and balance
+// compute time no worse — a pipeline that binds early wins the round
+// trips and loses them again, and more, in the tail. It must agree with
+// exec.TestPrefetchBindsLate on the real runtime, or the simulator
+// predicts a win the runtime does not deliver.
+func TestPrefetchBindsLate(t *testing.T) {
+	mp := mandelbrot.Params{Region: mandelbrot.PaperRegion, Width: 2000, Height: 200}
+	w := workload.FromCosts{Label: "mandelbrot", Costs: mandelbrot.ColumnCosts(mp)}
+	p := Params{BaseRate: 3e6, BytesPerIter: float64(2 * mp.Height)}
+	pre := p
+	pre.Prefetch = true
+	for name, c := range map[string]Cluster{"2 equal": testCluster(2, 0), "3 fast + 5 slow": testCluster(3, 5)} {
+		ser := mustRun(t, c, sched.TFSSScheme{}, w, p)
+		pip := mustRun(t, c, sched.TFSSScheme{}, w, pre)
+		if pip.Chunks != ser.Chunks || pip.Iterations != ser.Iterations {
+			t.Fatalf("%s: pipelined %d chunks / %d iterations, serial %d / %d",
+				name, pip.Chunks, pip.Iterations, ser.Chunks, ser.Iterations)
+		}
+		if pip.Tp > ser.Tp {
+			t.Errorf("%s: pipelined Tp %.4f above serial %.4f", name, pip.Tp, ser.Tp)
+		}
+		if pip.CompImbalance() > ser.CompImbalance()+1e-9 {
+			t.Errorf("%s: pipelined compute imbalance %.3f worse than serial %.3f",
+				name, pip.CompImbalance(), ser.CompImbalance())
+		}
+		t.Logf("%s: Tp serial %.4f pipelined %.4f, imbalance %.3f / %.3f",
+			name, ser.Tp, pip.Tp, ser.CompImbalance(), pip.CompImbalance())
 	}
 }
 

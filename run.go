@@ -89,7 +89,10 @@ type RunSpec struct {
 	Kernel Kernel
 	// ACP is the availability model distributed schemes report with.
 	ACP ACPModel
-	// Pipeline enables the double-buffered RPC worker protocol.
+	// Pipeline lets RPC workers request more work ahead of need: one
+	// measured master round trip before what they hold runs out, so the
+	// round trip hides behind the kernel and a chunk is bound to a worker
+	// only when it is about to need it (DESIGN.md §9).
 	Pipeline bool
 	// Transport selects the RPC wire format: "binary" (the framing
 	// codec of internal/wire, the default) or "netrpc" (net/rpc +
@@ -97,16 +100,15 @@ type RunSpec struct {
 	// variable and falls back to binary. The master side needs no
 	// configuration — it serves both on one listener.
 	Transport string
-	// CreditWindow is the batched-grant depth on the binary
+	// CreditWindow caps the batched-grant depth on the binary
 	// transport: how many chunks a worker may hold beyond the one it
-	// is computing (0 means 1, the classic double buffer). Larger
-	// windows amortise master round trips over several chunks; on the
-	// master path every credit is spent, so the tail balances no finer
-	// than a window of the scheme's last chunks. Where the window is
-	// only a cap — one-sided ledger claims (at most 4 windows each) and
-	// steal-engine refills — batches are share-bounded and shrink to a
-	// single chunk while chunks are large (docs/LEDGER.md
-	// "Share-bounded batches").
+	// is computing (0 means 8, the steal engine's default; 1 is the
+	// classic double buffer). It is a cap everywhere, never a quota:
+	// master replies, one-sided ledger claims (at most 4 windows each)
+	// and steal-engine refills are all share-bounded batches, which
+	// fill the window on a fine loop — amortising a round trip over
+	// several chunks — and shrink to a single chunk while chunks are
+	// large (docs/LEDGER.md "Share-bounded batches").
 	CreditWindow int
 	// Ledger requests the decentralized scheduling ledger: "on" lets
 	// workers claim scheduling steps with a single fetch-and-add and
