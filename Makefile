@@ -73,6 +73,9 @@ escape-check:
 # exec.Dial. And the batch rule: sched.BatchLimit is applied by the
 # dispenser and the ledger table only — a master reaches it through
 # Claim, never re-implements it (docs/LEDGER.md "Share-bounded batches").
+# And the transport rule: internal/mp carries bytes and knows neither a
+# scheme nor a dispenser, and a dispenser is built only by the four
+# sites that answer requests (exec, hier, sim, service).
 dup-check:
 	@! grep -rn 'NewPolicy(\|MajorityChanged(\|sched\.Offset(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/' \
@@ -82,6 +85,9 @@ dup-check:
 	test "$$files" = ./internal/exec/link.go || { echo "net/rpc client code outside the gob link:"; echo "$$files"; exit 1; }
 	@! grep -rn 'BatchLimit(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/'
+	@! grep -rn '"loopsched/internal/dispense"\|"loopsched/internal/sched"' --include='*.go' internal/mp
+	@! grep -rn 'dispense\.New(' --include='*.go' . \
+		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/exec/\|^./internal/hier/\|^./internal/sim/\|^./internal/service/'
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -110,7 +116,9 @@ race:
 	LOOPSCHED_LEDGER=on $(GO) test -race $(RACE_PKGS)
 
 # flake is the determinism gate (ROADMAP item 5): the runtime suites,
-# twenty times over on two cores, the three packages sharing them.
+# twenty times over on two cores, the three packages sharing them —
+# internal/mp for its stream and TCP star and for the loop the root
+# package runs over them.
 flake:
 	GOMAXPROCS=2 $(GO) test -count=20 ./internal/exec ./internal/hier ./internal/mp
 
@@ -124,7 +132,6 @@ bench-smoke:
 fuzz:
 	$(GO) test -fuzz FuzzSchemeCoverage -fuzztime 30s ./internal/sched/
 	$(GO) test -fuzz FuzzWeightedCoverage -fuzztime 30s ./internal/sched/
-	$(GO) test -fuzz FuzzDecodeRequest -fuzztime 30s ./internal/mp/
 	$(GO) test -fuzz FuzzWireDecode -fuzztime 30s ./internal/wire/
 
 bench:

@@ -3,12 +3,12 @@
 // over the iterations that are left, re-plan when a majority of the
 // A_i changed (step 2(c)), and hand out the next [start, end).
 //
-// Every runtime in this repository — the channel, steal/service, rpc
-// and mp masters, the three hierarchical submasters and both
-// simulators — owns one Dispenser and differs only in how a claim
-// travels to it: the waiting (condition variable, channel, mp inbox,
-// event heap), the clock, the telemetry and the completion accounting
-// stay at the site. This is the split of chunk calculation from chunk
+// Every runtime in this repository — the channel, steal/service and
+// rpc masters (the last also behind the mp backend), the three
+// hierarchical submasters and both simulators — owns one Dispenser and
+// differs only in how a claim travels to it: the waiting (condition
+// variable, channel, event heap), the clock, the telemetry and the
+// completion accounting stay at the site. This is the split of chunk calculation from chunk
 // assignment of Eleliemy & Ciorba (arXiv:2101.07050); DESIGN.md "The
 // dispenser" states the rules.
 //

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"loopsched/internal/mp"
 	"loopsched/internal/sched"
 	"loopsched/internal/wire"
 )
@@ -320,20 +321,12 @@ func (r *argsRecorder) NextChunk(args ChunkArgs, reply *ChunkReply) error {
 	return BatchFunc(r.batch).NextChunk(args, reply)
 }
 
-// pipeLink connects a link of the given transport to rec over an
-// in-memory pipe served by ServeSniffed, as Endpoint.Serve would.
-func pipeLink(t *testing.T, transport Transport, rec *argsRecorder) Link {
+// wireLink is the binary link over client, its dialogue served from
+// server by ServeSniffed as Endpoint.Serve and Master.ServeConn would.
+func wireLink(t *testing.T, client, server io.ReadWriteCloser, srv *rpc.Server, rec *argsRecorder) Link {
 	t.Helper()
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Master", rec); err != nil {
-		t.Fatal(err)
-	}
-	client, server := net.Pipe()
 	go ServeSniffed(srv, server, nil, 0, rec.batch, nil)
 	t.Cleanup(func() { client.Close() })
-	if transport == TransportNetRPC {
-		return newGobLink(client)
-	}
 	c, err := wire.NewClient(client)
 	if err != nil {
 		t.Fatal(err)
@@ -341,18 +334,66 @@ func pipeLink(t *testing.T, transport Transport, rec *argsRecorder) Link {
 	return c
 }
 
+// dialogueLinks are the ways a slave's dialogue can travel: either codec
+// over a socket-like pipe, and the binary codec over a rank pair of each
+// message-passing transport.
+var dialogueLinks = []struct {
+	name string
+	open func(t *testing.T, rec *argsRecorder) Link
+}{
+	{"gob", func(t *testing.T, rec *argsRecorder) Link {
+		srv := rpc.NewServer()
+		if err := srv.RegisterName("Master", rec); err != nil {
+			t.Fatal(err)
+		}
+		client, server := net.Pipe()
+		go ServeSniffed(srv, server, nil, 0, rec.batch, nil)
+		t.Cleanup(func() { client.Close() })
+		return newGobLink(client)
+	}},
+	{"wire", func(t *testing.T, rec *argsRecorder) Link {
+		client, server := net.Pipe()
+		return wireLink(t, client, server, rpc.NewServer(), rec)
+	}},
+	{"wire over an in-process world", func(t *testing.T, rec *argsRecorder) Link {
+		world, err := mp.NewWorld(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { world[0].Close() })
+		return wireLink(t, mp.Stream(world[1], 0), mp.Stream(world[0], 1), nil, rec)
+	}},
+	{"wire over a TCP star", func(t *testing.T, rec *argsRecorder) Link {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		master, err := mp.ListenTCP(ln, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { master.Close() })
+		slave, err := mp.DialTCP(ln.Addr().String(), 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wireLink(t, mp.Stream(slave, 0), mp.Stream(master, 1), nil, rec)
+	}},
+}
+
 // TestLinksCarryTheSameDialogue is the codec-equivalence property at
-// the link seam: the same loop over the gob link and over the wire
-// link must put the identical ChunkArgs sequence in front of the
-// server — same flags, same results in the same requests. When a refill
-// leaves is a matter of time, so both workers read a clock that moves
-// one tick per reading — four at the second, which ends the round trip
-// the lead is measured on: the same loop then sees the same times
-// whatever the codec costs, and a round trip worth a chunk or so.
+// the link seam: the same loop over the gob link, the wire link and the
+// wire link over a message-passing rank pair must put the identical
+// ChunkArgs sequence in front of the server — same flags, same results
+// in the same requests. When a refill leaves is a matter of time, so
+// every worker reads a clock that moves one tick per reading — four at
+// the second, which ends the round trip the lead is measured on: the same
+// loop then sees the same times whatever the link costs, and a round trip
+// worth a chunk or so.
 func TestLinksCarryTheSameDialogue(t *testing.T) {
 	for _, prefetch := range []bool{false, true} {
-		var seen [2][]ChunkArgs
-		for i, transport := range []Transport{TransportNetRPC, TransportBinary} {
+		var first []ChunkArgs
+		for i, link := range dialogueLinks {
 			rec := &argsRecorder{n: 40}
 			var reads, ticks time.Duration
 			w := Worker{ID: 1, Kernel: intKernel, VirtualPower: 2, clock: func() time.Time {
@@ -362,19 +403,23 @@ func TestLinksCarryTheSameDialogue(t *testing.T) {
 				ticks += time.Millisecond
 				return time.Unix(0, 0).Add(ticks)
 			}}
-			if err := w.runWindow(pipeLink(t, transport, rec), 1, prefetch, 0); err != nil {
-				t.Fatalf("%s prefetch=%v: %v", transport, prefetch, err)
+			if err := w.runWindow(link.open(t, rec), 1, prefetch, 0); err != nil {
+				t.Fatalf("%s prefetch=%v: %v", link.name, prefetch, err)
 			}
-			seen[i] = rec.seen
+			if i == 0 {
+				first = rec.seen
+				continue
+			}
+			if !reflect.DeepEqual(first, rec.seen) {
+				t.Errorf("prefetch=%v: the server saw different dialogues\n %s: %+v\n %s: %+v",
+					prefetch, dialogueLinks[0].name, first, link.name, rec.seen)
+			}
 		}
-		if len(seen[0]) < 14 {
-			t.Fatalf("prefetch=%v: only %d requests recorded", prefetch, len(seen[0]))
+		if len(first) < 14 {
+			t.Fatalf("prefetch=%v: only %d requests recorded", prefetch, len(first))
 		}
-		if prefetch && !slices.ContainsFunc(seen[0], func(a ChunkArgs) bool { return a.Prefetch }) {
+		if prefetch && !slices.ContainsFunc(first, func(a ChunkArgs) bool { return a.Prefetch }) {
 			t.Error("the pipelined dialogue holds no prefetch")
-		}
-		if !reflect.DeepEqual(seen[0], seen[1]) {
-			t.Errorf("prefetch=%v: the server saw different dialogues\n gob:  %+v\n wire: %+v", prefetch, seen[0], seen[1])
 		}
 	}
 }

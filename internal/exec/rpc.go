@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/rpc"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +42,8 @@ import (
 // chunk per round trip, and the binary framing of internal/wire, which
 // batches N completion records and up to `credits` grants into single
 // frames. Serve sniffs the first byte of each connection, so one
-// listener carries both.
+// listener carries both; ServeConn serves the binary codec over any byte
+// stream, which is how internal/mp's worlds reach the same master.
 //
 // The master's hot path is de-contended: results deposit into a
 // lock-free ledger (one atomic flip per iteration index), per-worker
@@ -53,7 +56,7 @@ import (
 // the request than its ACP share (WF, AWF), the distributed family with
 // the ledger off or after a re-plan, and every recovery path (failures,
 // requeues, parking, cancellation) go through the locked scheduler
-// under Master.mu. See docs/PROTOCOL.md for the handshake.
+// under Master.mu. See docs/PROTOCOL.md for the dialogue.
 
 // ChunkResult carries the output of one computed iteration back to
 // the master.
@@ -118,6 +121,8 @@ type slot struct {
 	outstanding []sched.Assignment // chunks in flight (≤ ledger cap)
 	times       metrics.Times
 	comp        float64 // reported compute seconds of chunks not yet retired
+	fbIters     int     // retired iterations and their compute seconds not yet
+	fbSecs      float64 // fed back to a learning policy (lockedGrants)
 	lastSeen    time.Time
 	lastReply   time.Time
 	joined      bool
@@ -174,6 +179,7 @@ type Master struct {
 	requeued   []sched.Assignment // failed workers' chunks to re-issue
 	failed     map[int]bool
 	parked     []bool // workers idling inside a held NextChunk call
+	turn       []int  // first requests the gather released, in the order they draw
 	started    time.Time
 	finished   time.Time
 	done       chan struct{}
@@ -258,8 +264,8 @@ func (m *Master) SetTelemetry(bus *telemetry.Bus) {
 // window+1 assignments. It is a cap, not a quota: a reply carries one
 // share-bounded batch (dispense.Claim), so a deep window is filled on a
 // fine loop and stays at a chunk or two while chunks are large. The
-// default is DefaultStealWindow, w < 1 keeps it, and 1 is the classic
-// double buffer. Binary-transport workers ask for up to their own
+// default is DefaultStealWindow, w < 1 keeps it, and 1 is a double
+// buffer. Binary-transport workers ask for up to their own
 // window's worth of grants per frame; the master clamps to the ledger
 // room regardless of what a request asks. Call before Serve.
 func (m *Master) SetWindow(w int) {
@@ -376,15 +382,23 @@ func (m *Master) fetchAddFunc() FetchAddFunc {
 // Serve accepts connections until the listener closes, sniffing each
 // connection's first byte to route it: the binary wire preamble to
 // the framed chunk service, anything else to a net/rpc server
-// speaking the original gob protocol. It returns immediately; close
-// the listener after Wait to shut down.
+// speaking the gob protocol. It returns immediately; close the
+// listener after Wait to shut down.
 func (m *Master) Serve(l net.Listener) error {
-	return m.ep.Serve(l, m, func(srv *rpc.Server, conn net.Conn) {
-		m.mu.Lock()
-		bus := m.bus
-		m.mu.Unlock()
-		ServeSniffed(srv, conn, bus, 0, m.nextBatch, m.fetchAddFunc())
-	})
+	return m.ep.Serve(l, m, func(srv *rpc.Server, conn net.Conn) { m.serveConn(srv, conn) })
+}
+
+// ServeConn serves one slave's dialogue over a byte stream the caller
+// holds (an mp.Stream to a rank, a pipe) and closes it when the dialogue
+// ends: on the Stop that answers a synchronous request, or a stream
+// error. Binary codec only — Serve registers the net/rpc service.
+func (m *Master) ServeConn(rwc io.ReadWriteCloser) { m.serveConn(nil, rwc) }
+
+func (m *Master) serveConn(srv *rpc.Server, rwc io.ReadWriteCloser) {
+	m.mu.Lock()
+	bus := m.bus
+	m.mu.Unlock()
+	ServeSniffed(srv, rwc, bus, 0, m.nextBatch, m.fetchAddFunc())
 }
 
 // Shutdown closes the listener and every connection accepted by Serve,
@@ -524,9 +538,11 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 	s := &m.slots[args.Worker]
 	var requeue []sched.Assignment
 	s.mu.Lock()
-	kept := s.outstanding[:0]
+	kept, iters := s.outstanding[:0], 0
 	for _, a := range s.outstanding {
-		if !m.delivered(a) {
+		if m.delivered(a) {
+			iters += a.Size
+		} else {
 			kept = append(kept, a)
 		}
 	}
@@ -572,7 +588,9 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 		// first part of the chunk in hand when it is sent mid-chunk — so
 		// the compute-latency histogram takes its one sample per chunk
 		// when the chunk retires: an even split of what has been reported
-		// since the last one did.
+		// since the last one did. The same seconds, over the iterations
+		// retired, are AWF's feedback on the worker's next locked draw: a
+		// stand-alone master knows no workload cost, so work is iterations.
 		if args.CompSeconds > 0 {
 			s.times.Comp += args.CompSeconds
 			s.comp += args.CompSeconds
@@ -581,6 +599,7 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 			m.compHist.Record(args.Worker, s.comp/float64(retired))
 		}
 		if retired > 0 {
+			s.fbIters, s.fbSecs = s.fbIters+iters, s.fbSecs+s.comp
 			s.comp = 0
 		}
 		if args.IdleSeconds > 0 {
@@ -637,10 +656,10 @@ func (m *Master) fastGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt
 }
 
 // lockedGrants is the fallback scheduler: the distributed gather
-// barrier, policy draws (and with them the mid-run replans), requeued
-// chunks, parking and stop handling all live here, under Master.mu as
-// in the original protocol. A reply is one batch — requeued chunks
-// before fresh ones, the fresh ones a single share-bounded Claim, so
+// barrier and its release order, policy draws (and with them the mid-run
+// replans and AWF's timing feedback), requeued chunks, parking and stop
+// handling all live here, under Master.mu. A reply is one batch: requeued
+// chunks before fresh ones, the fresh ones a single share-bounded Claim, so
 // sched.BatchLimit bounds this path exactly as it bounds ledger claims
 // and steal refills. When nothing can be granted a prefetch gets an
 // immediate empty reply, while a plain request parks inside the call
@@ -665,13 +684,22 @@ func (m *Master) lockedGrants(args *ChunkArgs, credits int, rep *wire.Reply, req
 			rep.Stop = true
 			return nil
 		case !m.d.Planned() && m.d.Gathered(): // distributed: every first report is in
-			m.err = m.d.Stage(0, m.iterations)
-			m.ready.Broadcast()
+			m.stageGathered(w)
 			continue
 		}
 		s.mu.Lock()
 		room := min(credits, m.ledgerCap()-len(s.outstanding))
 		full := room <= 0 // a prefetch from a worker that has not delivered yet
+		if len(m.turn) > 0 {
+			if m.turn[0] == w {
+				m.turn = m.turn[1:]
+				m.ready.Broadcast() // the next in line draws after this one
+			} else {
+				room = 0 // the gather released others first: nothing right now
+			}
+		}
+		m.d.Feedback(w, float64(s.fbIters), s.fbSecs)
+		s.fbIters, s.fbSecs = 0, 0
 		for ; room > 0; room-- {
 			a, ok := m.takeRequeued()
 			if !ok {
@@ -753,6 +781,23 @@ func (m *Master) book(s *slot, args *ChunkArgs, rep *wire.Reply, fetched int, re
 	}
 }
 
+// stageGathered plans the loop once the step-1(a) gather is in and lines
+// up the first requests it releases — the parked ones and `also`, the
+// one that completed it (-1: a failure did) — to draw in decreasing order
+// of reported ACP, ties by worker id, as the paper's master serves its
+// initial queue (§3.1) and the simulator does. Callers hold mu.
+func (m *Master) stageGathered(also int) {
+	m.err = m.d.Stage(0, m.iterations)
+	m.turn = m.turn[:0]
+	for w, parked := range m.parked {
+		if (parked || w == also) && !m.failed[w] {
+			m.turn = append(m.turn, w)
+		}
+	}
+	slices.SortStableFunc(m.turn, func(a, b int) int { return m.d.ACP(b) - m.d.ACP(a) })
+	m.ready.Broadcast()
+}
+
 // takeRequeued pops the next requeued chunk that still has undelivered
 // iterations (a failed worker may have delivered its chunk after the
 // requeue); callers hold mu.
@@ -779,13 +824,10 @@ func (m *Master) delivered(a sched.Assignment) bool {
 	return true
 }
 
-// failedCount is the number of workers declared dead; callers hold mu.
-func (m *Master) failedCount() int { return len(m.failed) }
-
 // checkDone finishes the run when every result is in, or when no
 // worker is left to produce the missing ones; callers hold mu.
 func (m *Master) checkDone() {
-	if int(m.received.Load()) >= m.iterations || m.failedCount() >= m.workers {
+	if int(m.received.Load()) >= m.iterations || len(m.failed) >= m.workers {
 		m.maybeFinish()
 	}
 }
@@ -846,10 +888,11 @@ func (m *Master) FailWorker(worker int) error {
 		m.requeued = append(m.requeued, out...)
 	}
 	// A worker that dies during the distributed gather must not stall
-	// the barrier.
+	// the barrier, nor one that dies in the release line hold it up.
 	if !m.d.Planned() && m.d.Report(worker, m.d.ACP(worker)) && m.d.Gathered() {
-		m.err = m.d.Stage(0, m.iterations)
+		m.stageGathered(-1)
 	}
+	m.turn = slices.DeleteFunc(m.turn, func(w int) bool { return w == worker })
 	m.checkDone()
 	m.ready.Broadcast() // wake parked workers: requeued work or all-failed finish
 	return nil
@@ -1113,6 +1156,7 @@ func (w Worker) now() time.Time {
 
 // run computes iterations [lo, hi), appending one record each to dst.
 func (w Worker) run(dst []wire.Record, lo, hi int) []wire.Record {
+	dst = slices.Grow(dst, hi-lo)
 	for i := lo; i < hi; i++ {
 		var data []byte
 		for rep := 0; rep < w.scale(); rep++ {
@@ -1145,14 +1189,21 @@ func (w Worker) Run(addr string) error {
 // cancellation mid-run closes the link, which unblocks any in-flight
 // call; the method then returns ctx's error.
 func (w Worker) RunContext(ctx context.Context, addr string) error {
-	if w.Kernel == nil {
-		return errors.New("exec: worker needs a kernel")
-	}
 	link, err := Dial(ctx, addr, w.Transport)
 	if err != nil {
 		return err
 	}
+	return w.RunLink(ctx, link)
+}
+
+// RunLink is RunContext over a ready link — a dialled one, or
+// wire.NewClient over any byte stream (an mp.Stream to rank 0) — which
+// the worker closes when the dialogue ends or ctx does.
+func (w Worker) RunLink(ctx context.Context, link Link) (err error) {
 	defer link.Close()
+	if w.Kernel == nil {
+		return errors.New("exec: worker needs a kernel")
+	}
 	stop := context.AfterFunc(ctx, func() { link.Close() }) // unblocks an in-flight call
 	defer stop()
 	c, binary := link.(*wire.Conn)

@@ -2,8 +2,10 @@ package exec
 
 import (
 	"bufio"
+	"io"
 	"net"
 	"net/rpc"
+	"slices"
 	"sync"
 	"time"
 
@@ -112,34 +114,32 @@ func (e *Endpoint) Close() {
 // sniffedConn replays the bytes a protocol sniffer buffered ahead of
 // the gob stream.
 type sniffedConn struct {
-	net.Conn
+	io.ReadWriteCloser
 	r *bufio.Reader
 }
 
 func (c sniffedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
 
-// ServeSniffed serves one accepted connection, routing by its first
-// byte: the binary wire preamble (wire.Magic, which no gob stream can
-// open with) goes to the framed batch service, everything else to the
-// net/rpc server. It returns when the dialogue ends and closes the
-// connection. bus (nil allowed) receives wire frame counters; shard
-// labels them.
-func ServeSniffed(srv *rpc.Server, conn net.Conn, bus *telemetry.Bus, shard int, batch BatchFunc, fetch FetchAddFunc) {
+// ServeSniffed serves one worker's byte stream — an accepted connection,
+// an mp.Stream — routing by its first byte: the binary wire preamble
+// (wire.Magic, which no gob stream can open with) goes to the framed
+// batch service, everything else to the net/rpc server, or is dropped
+// when srv is nil. It returns when the dialogue ends and closes the
+// stream. bus (nil allowed) receives wire frame counters; shard labels them.
+func ServeSniffed(srv *rpc.Server, conn io.ReadWriteCloser, bus *telemetry.Bus, shard int, batch BatchFunc, fetch FetchAddFunc) {
+	defer conn.Close() // after net/rpc's own close on the gob route, harmlessly
 	br := bufio.NewReader(conn)
 	first, err := br.Peek(1)
 	if err != nil {
-		conn.Close()
 		return
 	}
-	if first[0] != wire.Magic {
-		srv.ServeConn(sniffedConn{Conn: conn, r: br})
+	if first[0] != wire.Magic && srv != nil {
+		srv.ServeConn(sniffedConn{ReadWriteCloser: conn, r: br})
 		return
 	}
 	if err := wire.ConsumePreamble(br); err != nil {
-		conn.Close()
 		return
 	}
-	defer conn.Close()
 	serveWire(wire.NewServer(conn, br), bus, shard, batch, fetch)
 }
 
@@ -180,7 +180,7 @@ func serveWire(c *wire.Conn, bus *telemetry.Bus, shard int, batch BatchFunc, fet
 			labeled = true
 			worker = req.Worker
 		}
-		results = results[:0]
+		results = slices.Grow(results[:0], len(req.Results))
 		for i, r := range req.Results {
 			// Record data aliases the connection's read buffer; the
 			// master keeps results for the whole run, so copy here.

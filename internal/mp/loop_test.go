@@ -1,16 +1,23 @@
-package mp
+package mp_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
+	"time"
 
-	"loopsched/internal/acp"
-	"loopsched/internal/sched"
+	"loopsched"
 	"loopsched/internal/telemetry"
 )
+
+// The master/slave program these tests drive is not this package's any
+// more: it is exec.Master and the one slave loop, reached through
+// mp.Stream by loopsched.RunMPMasterContext / RunMPWorker. They stay
+// here because what they pin is the transport's side of that bargain —
+// the same loop, intact, over the in-process world and the TCP star.
 
 func squareKernel(i int) []byte {
 	var buf [8]byte
@@ -18,249 +25,148 @@ func squareKernel(i int) []byte {
 	return buf[:]
 }
 
-// runLoop executes the master/slave program over an in-process world.
-func runLoop(t *testing.T, scheme sched.Scheme, iterations, workers int, opts func(int) WorkerOptions) [][]byte {
+func acpModel() loopsched.ACPModel { return loopsched.ACPModel{Scale: 10} }
+
+func scheme(t *testing.T, name string) loopsched.Scheme {
 	t.Helper()
-	world, err := NewWorld(workers + 1)
+	s, err := loopsched.LookupScheme(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for r := 1; r <= workers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			if err := RunWorker(world[r], opts(r)); err != nil {
-				t.Errorf("worker %d: %v", r, err)
-			}
-		}(r)
-	}
-	results, rep, err := RunMaster(world[0], scheme, iterations, MasterOptions{})
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Chunks < 1 && iterations > 0 {
-		t.Errorf("no chunks in report %+v", rep)
-	}
-	return results
+	return s
 }
 
-func TestLoopInProcess(t *testing.T) {
-	const n = 700
-	for _, name := range []string{"SS", "TSS", "FSS", "TFSS", "DTSS", "DFISS"} {
-		s, err := sched.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results := runLoop(t, s, n, 3, func(r int) WorkerOptions {
-			o := WorkerOptions{Kernel: squareKernel, ACP: acpModel()}
-			if r == 3 {
-				o.VirtualPower = 1
-				o.WorkScale = 2
-			} else {
-				o.VirtualPower = 2
-			}
-			return o
-		})
-		for i, r := range results {
-			if !bytes.Equal(r, squareKernel(i)) {
-				t.Fatalf("%s: result %d corrupted", name, i)
-			}
-		}
-	}
-}
-
-func acpModel() acp.Model { return acp.Model{Scale: 10} }
-
-func TestLoopOverTCP(t *testing.T) {
-	const n = 300
-	const workers = 3
+// tcpWorld is rank 0 of a TCP star and a dialler for its slave ranks.
+func tcpWorld(t *testing.T, workers int) (master loopsched.Comm, dial func(rank int) loopsched.Comm) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	master, err := ListenTCP(ln, workers+1)
+	master, err = loopsched.ListenTCP(ln, workers+1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer master.Close()
+	t.Cleanup(func() { master.Close() })
+	return master, func(rank int) loopsched.Comm {
+		c, err := loopsched.DialTCP(ln.Addr().String(), rank, workers+1)
+		if err != nil {
+			t.Fatalf("dial %d: %v", rank, err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+}
 
+// localWorld is an in-process world's rank 0 and its slave ranks.
+func localWorld(t *testing.T, workers int) (master loopsched.Comm, slave func(rank int) loopsched.Comm) {
+	t.Helper()
+	world, err := loopsched.NewWorld(workers + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return world[0], func(rank int) loopsched.Comm { return world[rank] }
+}
+
+// runLoop executes the master/slave program over a world and returns the
+// results once the master and every slave are back.
+func runLoop(t *testing.T, master loopsched.Comm, slave func(int) loopsched.Comm, s loopsched.Scheme, iterations, workers int, opts func(rank int) loopsched.MPWorkerOptions) ([][]byte, loopsched.Report) {
+	t.Helper()
 	var wg sync.WaitGroup
 	for r := 1; r <= workers; r++ {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			comm, err := DialTCP(ln.Addr().String(), r, workers+1)
-			if err != nil {
-				t.Errorf("dial %d: %v", r, err)
-				return
-			}
-			defer comm.Close()
-			if err := RunWorker(comm, WorkerOptions{
-				Kernel: squareKernel, VirtualPower: float64(r), ACP: acpModel(),
-			}); err != nil {
+			if err := loopsched.RunMPWorker(slave(r), opts(r)); err != nil {
 				t.Errorf("worker %d: %v", r, err)
 			}
-		}(r)
+		}()
 	}
-	results, rep, err := RunMaster(master, sched.DTSSScheme{}, n, MasterOptions{})
+	results, rep, err := loopsched.RunMPMaster(master, s, iterations, loopsched.MPMasterOptions{})
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Iterations != n {
-		t.Errorf("iterations %d", rep.Iterations)
+	if rep.Iterations != iterations || rep.Chunks < 1 && iterations > 0 {
+		t.Errorf("report %+v", rep)
 	}
+	return results, rep
+}
+
+func checkSquares(t *testing.T, what string, results [][]byte) {
+	t.Helper()
 	for i, r := range results {
 		if !bytes.Equal(r, squareKernel(i)) {
-			t.Fatalf("TCP result %d corrupted", i)
+			t.Fatalf("%s: result %d corrupted", what, i)
 		}
 	}
 }
 
+func TestLoopInProcess(t *testing.T) {
+	for _, name := range []string{"SS", "TSS", "FSS", "TFSS", "DTSS", "DFISS"} {
+		master, slave := localWorld(t, 3)
+		results, _ := runLoop(t, master, slave, scheme(t, name), 700, 3, func(r int) loopsched.MPWorkerOptions {
+			o := loopsched.MPWorkerOptions{Kernel: squareKernel, ACP: acpModel(), VirtualPower: 2}
+			if r == 3 {
+				o.VirtualPower, o.WorkScale = 1, 2
+			}
+			return o
+		})
+		checkSquares(t, name, results)
+	}
+}
+
+func TestLoopOverTCP(t *testing.T) {
+	master, dial := tcpWorld(t, 3)
+	results, _ := runLoop(t, master, dial, scheme(t, "DTSS"), 300, 3, func(r int) loopsched.MPWorkerOptions {
+		return loopsched.MPWorkerOptions{Kernel: squareKernel, VirtualPower: float64(r), ACP: acpModel()}
+	})
+	checkSquares(t, "TCP", results)
+}
+
 func TestLoopValidation(t *testing.T) {
-	world, _ := NewWorld(2)
-	if _, _, err := RunMaster(world[1], sched.TSSScheme{}, 10, MasterOptions{}); err == nil {
+	world, _ := loopsched.NewWorld(2)
+	tss := scheme(t, "TSS")
+	if _, _, err := loopsched.RunMPMaster(world[1], tss, 10, loopsched.MPMasterOptions{}); err == nil {
 		t.Error("non-zero-rank master accepted")
 	}
-	if err := RunWorker(world[0], WorkerOptions{Kernel: squareKernel}); err == nil {
+	if err := loopsched.RunMPWorker(world[0], loopsched.MPWorkerOptions{Kernel: squareKernel}); err == nil {
 		t.Error("rank-0 worker accepted")
 	}
-	if err := RunWorker(world[1], WorkerOptions{}); err == nil {
+	if err := loopsched.RunMPWorker(world[1], loopsched.MPWorkerOptions{}); err == nil {
 		t.Error("kernel-less worker accepted")
 	}
-	solo, _ := NewWorld(1)
-	if _, _, err := RunMaster(solo[0], sched.TSSScheme{}, 10, MasterOptions{}); err == nil {
+	solo, _ := loopsched.NewWorld(1)
+	if _, _, err := loopsched.RunMPMaster(solo[0], tss, 10, loopsched.MPMasterOptions{}); err == nil {
 		t.Error("worker-less world accepted")
 	}
 }
 
-func TestTCPValidation(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	if _, err := ListenTCP(ln, 1); err == nil {
-		t.Error("1-rank TCP world accepted")
-	}
-	if _, err := DialTCP(ln.Addr().String(), 0, 3); err == nil {
-		t.Error("rank-0 dial accepted")
-	}
-	if _, err := DialTCP("127.0.0.1:1", 1, 2); err == nil {
-		t.Error("dial to closed port succeeded")
-	}
-}
-
-func TestTCPWorkerCannotReachPeers(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	master, err := ListenTCP(ln, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
-	w, err := DialTCP(ln.Addr().String(), 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if err := w.Send(2, 1, nil); err == nil {
-		t.Error("worker-to-worker send accepted on star topology")
-	}
-}
-
 // TestTCPStress: eight TCP workers hammer one master with thousands
-// of small chunks; everything must arrive intact.
+// of one-iteration chunks; everything must arrive intact.
 func TestTCPStress(t *testing.T) {
-	const n = 4000
-	const workers = 8
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	master, err := ListenTCP(ln, workers+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
-	var wg sync.WaitGroup
-	for r := 1; r <= workers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			comm, err := DialTCP(ln.Addr().String(), r, workers+1)
-			if err != nil {
-				t.Errorf("dial %d: %v", r, err)
-				return
-			}
-			defer comm.Close()
-			if err := RunWorker(comm, WorkerOptions{
-				Kernel:       squareKernel,
-				VirtualPower: float64(1 + r%3),
-				ACP:          acpModel(),
-			}); err != nil {
-				t.Errorf("worker %d: %v", r, err)
-			}
-		}(r)
-	}
-	// SS maximises protocol traffic: one round trip per iteration.
-	results, rep, err := RunMaster(master, sched.SelfScheduling, n, MasterOptions{})
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+	const n, workers = 4000, 8
+	master, dial := tcpWorld(t, workers)
+	results, rep := runLoop(t, master, dial, scheme(t, "SS"), n, workers, func(r int) loopsched.MPWorkerOptions {
+		return loopsched.MPWorkerOptions{Kernel: squareKernel, VirtualPower: float64(1 + r%3), ACP: acpModel()}
+	})
 	if rep.Chunks != n {
 		t.Errorf("chunks = %d, want %d", rep.Chunks, n)
 	}
-	for i, r := range results {
-		if !bytes.Equal(r, squareKernel(i)) {
-			t.Fatalf("result %d corrupted under stress", i)
-		}
-	}
+	checkSquares(t, "stress", results)
 }
 
 // TestLoopEquivalenceAcrossTransports: in-process and TCP runs of the
 // same scheme produce identical result sets.
 func TestLoopEquivalenceAcrossTransports(t *testing.T) {
 	const n = 200
-	inproc := runLoop(t, sched.TFSSScheme{}, n, 2, func(r int) WorkerOptions {
-		return WorkerOptions{Kernel: squareKernel, ACP: acpModel()}
-	})
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	opts := func(int) loopsched.MPWorkerOptions {
+		return loopsched.MPWorkerOptions{Kernel: squareKernel, ACP: acpModel()}
 	}
-	master, err := ListenTCP(ln, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
-	var wg sync.WaitGroup
-	for r := 1; r <= 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			comm, err := DialTCP(ln.Addr().String(), r, 3)
-			if err != nil {
-				t.Errorf("dial: %v", err)
-				return
-			}
-			defer comm.Close()
-			if err := RunWorker(comm, WorkerOptions{Kernel: squareKernel, ACP: acpModel()}); err != nil {
-				t.Errorf("worker: %v", err)
-			}
-		}(r)
-	}
-	overTCP, _, err := RunMaster(master, sched.TFSSScheme{}, n, MasterOptions{})
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+	master, slave := localWorld(t, 2)
+	inproc, _ := runLoop(t, master, slave, scheme(t, "TFSS"), n, 2, opts)
+	master, dial := tcpWorld(t, 2)
+	overTCP, _ := runLoop(t, master, dial, scheme(t, "TFSS"), n, 2, opts)
 	for i := range inproc {
 		if !bytes.Equal(inproc[i], overTCP[i]) {
 			t.Fatalf("transports disagree at %d", i)
@@ -268,67 +174,150 @@ func TestLoopEquivalenceAcrossTransports(t *testing.T) {
 	}
 }
 
-// kindCounter tallies bus events by kind.
-type kindCounter struct {
-	mu sync.Mutex
-	n  map[telemetry.Kind]int
-}
-
-func (k *kindCounter) BeginRun(telemetry.RunMeta) {}
-func (k *kindCounter) Close() error               { return nil }
-func (k *kindCounter) OnEvent(e telemetry.Event) {
-	k.mu.Lock()
-	k.n[e.Kind]++
-	k.mu.Unlock()
-}
-
 // TestEmptyBodyCompletionsReconcile: every granted chunk publishes its
-// ChunkCompleted and books its Comp even when it computes in
-// well under a microsecond. The completion time used to travel as whole
-// microseconds with 0 meaning "none", so an empty-body CSS loop lost
-// most of its completions.
+// ChunkCompleted and books its Comp even when it computes in well under
+// a microsecond. Completions are the workers' to publish, as on rpc, so
+// the run goes through Run(BackendMP), which hands them the bus.
 func TestEmptyBodyCompletionsReconcile(t *testing.T) {
-	const n, workers = 4096, 2
-	bus := telemetry.NewBus(1 << 15)
-	defer bus.Close()
-	events := &kindCounter{n: map[telemetry.Kind]int{}}
-	bus.Subscribe(events)
-
-	world, err := NewWorld(workers + 1)
+	const n = 4096
+	tel, err := loopsched.NewTelemetry(loopsched.TelemetryOptions{BufferSize: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for r := 1; r <= workers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			if err := RunWorker(world[r], WorkerOptions{Kernel: func(int) []byte { return nil }}); err != nil {
-				t.Errorf("worker %d: %v", r, err)
-			}
-		}(r)
-	}
-	_, rep, err := RunMaster(world[0], sched.CSSScheme{K: 4}, n, MasterOptions{Telemetry: bus})
-	wg.Wait()
+	defer tel.Close()
+	var mu sync.Mutex
+	completed := 0
+	tel.Bus().Subscribe(completionCounter{&mu, &completed})
+	rep, err := loopsched.Run(context.Background(), loopsched.RunSpec{
+		Scheme:    loopsched.NewCSS(4),
+		Workload:  loopsched.Uniform{N: n},
+		Backend:   loopsched.BackendMP,
+		Workers:   []*loopsched.WorkerSpec{{}, {}},
+		Kernel:    func(int) []byte { return nil },
+		Telemetry: tel,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bus.Flush()
-	if d := bus.Dropped(); d != 0 {
+	if d := tel.Bus().Dropped(); d != 0 {
 		t.Fatalf("%d events dropped; the ring is too small for this test", d)
 	}
-	events.mu.Lock()
-	defer events.mu.Unlock()
-	if got := events.n[telemetry.ChunkCompleted]; got != rep.Chunks || rep.Chunks != n/4 {
-		t.Errorf("%d ChunkCompleted events for %d chunks (want %d)", got, rep.Chunks, n/4)
+	mu.Lock()
+	defer mu.Unlock()
+	if completed != rep.Chunks || rep.Chunks != n/4 {
+		t.Errorf("%d ChunkCompleted events for %d chunks (want %d)", completed, rep.Chunks, n/4)
 	}
-	// Which worker ran how many chunks is timing; that each chunk booked
-	// at least its nanosecond is not.
-	comp := 0.0
-	for _, pw := range rep.PerWorker {
-		comp += pw.Comp
+	if rep.CompLatency.Count != uint64(rep.Chunks) {
+		t.Errorf("%d compute-latency samples for %d chunks", rep.CompLatency.Count, rep.Chunks)
 	}
-	if comp < float64(rep.Chunks)*1e-9 {
-		t.Errorf("%d chunks booked %g s of Comp in all, want at least a nanosecond each", rep.Chunks, comp)
+}
+
+type completionCounter struct {
+	mu *sync.Mutex
+	n  *int
+}
+
+func (completionCounter) BeginRun(telemetry.RunMeta) {}
+func (completionCounter) Close() error               { return nil }
+func (c completionCounter) OnEvent(e telemetry.Event) {
+	if e.Kind == telemetry.ChunkCompleted {
+		c.mu.Lock()
+		*c.n++
+		c.mu.Unlock()
 	}
+}
+
+// runCancelled drives a world where the context is cancelled once the
+// first kernel call lands, and asserts the master returns with
+// ctx.Err() while every worker unwinds cleanly (no goroutine left
+// blocked on a reply that will never come).
+func runCancelled(t *testing.T, master loopsched.Comm, slave func(int) loopsched.Comm, workers int) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	var wg sync.WaitGroup
+	workerErrs := make([]error, workers)
+	for r := 1; r <= workers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			workerErrs[r-1] = loopsched.RunMPWorker(slave(r), loopsched.MPWorkerOptions{
+				Kernel: func(int) []byte {
+					once.Do(cancel)
+					return nil
+				},
+			})
+		}()
+	}
+	_, _, err := loopsched.RunMPMasterContext(ctx, master, scheme(t, "TSS"), 1<<20, loopsched.MPMasterOptions{})
+	if err != context.Canceled {
+		t.Fatalf("master returned %v, want context.Canceled", err)
+	}
+	// The master is back, so every slave has been answered Stop.
+	wg.Wait()
+	for i, werr := range workerErrs {
+		if werr != nil {
+			t.Errorf("worker %d: %v", i, werr)
+		}
+	}
+}
+
+func TestRunMasterContextCancelLocal(t *testing.T) {
+	master, slave := localWorld(t, 3)
+	runCancelled(t, master, slave, 3)
+}
+
+func TestRunMasterContextCancelTCP(t *testing.T) {
+	master, dial := tcpWorld(t, 3)
+	runCancelled(t, master, dial, 3)
+}
+
+// lateSlaves cancels a master before any slave has made a request, then
+// lets the slaves arrive: each must be answered Stop without computing
+// anything, and only then may the master return.
+func lateSlaves(t *testing.T, master loopsched.Comm, slave func(int) loopsched.Comm, workers int) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	masterErr := make(chan error, 1)
+	go func() {
+		_, _, err := loopsched.RunMPMasterContext(ctx, master, scheme(t, "TSS"), 1000, loopsched.MPMasterOptions{})
+		masterErr <- err
+	}()
+	errc := make(chan error, workers)
+	for r := 1; r <= workers; r++ {
+		c := slave(r)
+		go func() {
+			errc <- loopsched.RunMPWorker(c, loopsched.MPWorkerOptions{Kernel: func(i int) []byte {
+				t.Errorf("iteration %d computed after the cancel", i)
+				return nil
+			}})
+		}()
+	}
+	for r := 1; r <= workers; r++ {
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Errorf("late slave: %v", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("a slave that arrived after the cancel never saw its stop")
+		}
+	}
+	if err := <-masterErr; err != context.Canceled {
+		t.Fatalf("master returned %v, want context.Canceled", err)
+	}
+}
+
+// TestCancelReachesLateDialler: a master cancelled before the ranks have
+// even dialled must still stop each one when it connects and asks.
+func TestCancelReachesLateDialler(t *testing.T) {
+	master, dial := tcpWorld(t, 2)
+	lateSlaves(t, master, dial, 2)
+}
+
+func TestRunMasterContextPreCancelled(t *testing.T) {
+	master, slave := localWorld(t, 1)
+	lateSlaves(t, master, slave, 1)
 }

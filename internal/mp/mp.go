@@ -3,9 +3,9 @@
 // numbered ranks exchanging tagged point-to-point messages, with
 // any-source/any-tag receives. Two transports are provided — an
 // in-process channel world (rank = goroutine) and a TCP star (rank 0
-// accepts, workers dial) — and loop.go implements the paper's
-// master/slave self-scheduling program directly on top, mirroring the
-// §3.1 pseudocode.
+// accepts, workers dial). It is a transport and nothing else: the paper's
+// master/slave program (§3.1) is exec.Master and the one slave loop, which
+// reach each other through Stream, the byte-stream view of a rank pair.
 package mp
 
 import (
@@ -46,21 +46,6 @@ type Comm interface {
 
 // ErrClosed is returned by operations on a closed communicator.
 var ErrClosed = errors.New("mp: communicator closed")
-
-// wakeSource is an impossible rank used to wake a blocked master Recv
-// when its context is cancelled. Neither transport ever produces it
-// from a real peer (ranks are ≥ 0 and AnySource is −1).
-const wakeSource = -2
-
-// injector delivers a synthetic message straight into a rank's own
-// inbox. Both built-in transports implement it; RunMasterContext uses
-// it for prompt cancellation (a tcpMaster cannot Send to itself — it
-// holds no connection for rank 0 — so the wake must be injected).
-type injector interface {
-	inject(Message) error
-}
-
-func (c *localComm) inject(m Message) error { return c.in.put(m) }
 
 // inbox is a matching queue shared by both transports.
 type inbox struct {
@@ -126,14 +111,9 @@ func NewWorld(n int) ([]Comm, error) {
 		return nil, fmt.Errorf("mp: world size %d", n)
 	}
 	ranks := make([]*localComm, n)
-	for i := range ranks {
-		ranks[i] = &localComm{rank: i, size: n, in: newInbox()}
-	}
-	for i := range ranks {
-		ranks[i].world = ranks
-	}
 	out := make([]Comm, n)
 	for i := range ranks {
+		ranks[i] = &localComm{rank: i, size: n, world: ranks, in: newInbox()}
 		out[i] = ranks[i]
 	}
 	return out, nil

@@ -1,12 +1,9 @@
 package mp
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
-
-	"loopsched/internal/sched"
 )
 
 func TestWorldBasics(t *testing.T) {
@@ -145,52 +142,6 @@ func TestConcurrentSenders(t *testing.T) {
 			t.Fatalf("rank %d out of order: got %d want %d", msg.From, msg.Data[0], counts[msg.From])
 		}
 		counts[msg.From]++
-	}
-}
-
-func TestRequestCodec(t *testing.T) {
-	in := []resultEntry{
-		{index: 3, data: []byte("abc")},
-		{index: 0, data: nil},
-		{index: 7, data: bytes.Repeat([]byte{9}, 100)},
-	}
-	a, cm, out, err := decodeRequest(encodeRequest(42, 777, in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != 42 || cm != 777 || len(out) != 3 {
-		t.Fatalf("acp %d, comp %d, %d entries", a, cm, len(out))
-	}
-	for i := range in {
-		if out[i].index != in[i].index || !bytes.Equal(out[i].data, in[i].data) {
-			t.Fatalf("entry %d: %+v vs %+v", i, out[i], in[i])
-		}
-	}
-	// Corrupt frames are rejected.
-	if _, _, _, err := decodeRequest([]byte{1}); err == nil {
-		t.Error("short request accepted")
-	}
-	if _, _, _, err := decodeRequest(append(encodeRequest(1, 0, nil), 0, 0, 0, 1)); err == nil {
-		t.Error("truncated header accepted")
-	}
-	bad := encodeRequest(1, 0, []resultEntry{{index: 1, data: []byte("xy")}})
-	if _, _, _, err := decodeRequest(bad[:len(bad)-1]); err == nil {
-		t.Error("truncated payload accepted")
-	}
-}
-
-func TestAssignCodec(t *testing.T) {
-	for _, a := range []sched.Assignment{{Start: 0, Size: 1}, {Start: 123456, Size: 789}, {Start: 1 << 30, Size: 1}} {
-		got, err := decodeAssign(encodeAssign(a))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != a {
-			t.Fatalf("roundtrip %+v -> %+v", a, got)
-		}
-	}
-	if _, err := decodeAssign([]byte{1, 2}); err == nil {
-		t.Error("bad frame accepted")
 	}
 }
 

@@ -58,13 +58,7 @@ type tcpMaster struct {
 	mu    sync.Mutex
 	wmu   sync.Mutex // serialises frame writes (a frame is two Writes)
 	conns map[int]net.Conn
-	// held keeps frames sent to a rank whose hello has not arrived yet
-	// (a stop sent by a cancelled master must still reach a slave that
-	// dials late, or it blocks in Recv forever); serve flushes them when
-	// the rank connects, Close drops them and sets closed.
-	held   map[int][]Message
-	closed bool
-	ln     net.Listener
+	ln    net.Listener
 }
 
 // ListenTCP creates rank 0 of a `size`-rank world on the listener and
@@ -74,7 +68,7 @@ func ListenTCP(ln net.Listener, size int) (Comm, error) {
 	if size < 2 {
 		return nil, fmt.Errorf("mp: TCP world needs ≥ 2 ranks")
 	}
-	m := &tcpMaster{size: size, in: newInbox(), conns: map[int]net.Conn{}, held: map[int][]Message{}, ln: ln}
+	m := &tcpMaster{size: size, in: newInbox(), conns: map[int]net.Conn{}, ln: ln}
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
@@ -108,27 +102,12 @@ func (m *tcpMaster) serve(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	// wmu first: a Send that sees the rank connected must queue behind
-	// the held frames, which were sent before it.
-	m.wmu.Lock()
 	m.mu.Lock()
 	if old, dup := m.conns[hello.From]; dup {
 		old.Close()
 	}
 	m.conns[hello.From] = conn
-	held := m.held[hello.From]
-	delete(m.held, hello.From)
 	m.mu.Unlock()
-	for _, f := range held {
-		if err = writeFrame(conn, 0, f.Tag, f.Data); err != nil {
-			break
-		}
-	}
-	m.wmu.Unlock()
-	if err != nil {
-		conn.Close()
-		return
-	}
 	for {
 		msg, err := readFrame(conn)
 		if err != nil {
@@ -147,11 +126,6 @@ func (m *tcpMaster) Size() int { return m.size }
 func (m *tcpMaster) Send(to, tag int, data []byte) error {
 	m.mu.Lock()
 	conn, ok := m.conns[to]
-	if !ok && !m.closed && to >= 1 && to < m.size {
-		m.held[to] = append(m.held[to], Message{Tag: tag, Data: append([]byte(nil), data...)})
-		m.mu.Unlock()
-		return nil
-	}
 	m.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("mp: rank %d not connected", to)
@@ -163,12 +137,9 @@ func (m *tcpMaster) Send(to, tag int, data []byte) error {
 
 func (m *tcpMaster) Recv(from, tag int) (Message, error) { return m.in.get(from, tag) }
 
-func (m *tcpMaster) inject(msg Message) error { return m.in.put(msg) }
-
 func (m *tcpMaster) Close() error {
 	m.in.close()
 	m.mu.Lock()
-	m.closed, m.held = true, nil
 	for _, c := range m.conns {
 		c.Close()
 	}

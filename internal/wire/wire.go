@@ -66,6 +66,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"loopsched/internal/sched"
@@ -375,6 +376,8 @@ func decodeRequest(body []byte, r *Request) error {
 	if n > d.remaining()/2 {
 		return fmt.Errorf("%w: %d results cannot fit in %d bytes", ErrCorrupt, n, d.remaining())
 	}
+	//lint:loopsched-ignore hotalloc bounded one-off growth of the reused record slice, in one step
+	r.Results = slices.Grow(r.Results, n)
 	for i := 0; i < n; i++ {
 		var rec Record
 		if rec.Index, err = d.smallInt("result index"); err != nil {

@@ -29,9 +29,11 @@ package loopsched
 
 import (
 	"context"
+	"fmt"
 	"image"
 	"io"
 	"net"
+	"sync"
 
 	"loopsched/internal/acp"
 	"loopsched/internal/affinity"
@@ -47,6 +49,7 @@ import (
 	"loopsched/internal/trace"
 	"loopsched/internal/tree"
 	"loopsched/internal/viz"
+	"loopsched/internal/wire"
 	"loopsched/internal/workload"
 )
 
@@ -437,11 +440,33 @@ type (
 	Comm = mp.Comm
 	// MPMessage is one received tagged message.
 	MPMessage = mp.Message
-	// MPMasterOptions tune RunMPMaster.
-	MPMasterOptions = mp.MasterOptions
-	// MPWorkerOptions describe one RunMPWorker slave.
-	MPWorkerOptions = mp.WorkerOptions
 )
+
+// MPMasterOptions tune RunMPMaster.
+type MPMasterOptions struct {
+	// DisableReplan turns off the step-2(c) majority re-plan.
+	DisableReplan bool
+	// Powers are the slaves' static virtual powers (index rank−1), which
+	// the static-weight schemes (WF, WS) split by; nil weighs them equally.
+	Powers []float64
+	// Telemetry, when non-nil, receives the master's live protocol
+	// events; workers are rank−1, as in Report.PerWorker.
+	Telemetry *telemetry.Bus
+}
+
+// MPWorkerOptions describe one RunMPWorker slave.
+type MPWorkerOptions struct {
+	// Kernel computes one iteration's result.
+	Kernel func(iteration int) []byte
+	// VirtualPower is V_i (0 means 1).
+	VirtualPower float64
+	// LoadProbe returns the current external load Q_i − 1 (nil = 0).
+	LoadProbe func() int
+	// ACP converts power and run-queue into the reported A_i.
+	ACP ACPModel
+	// WorkScale repeats the kernel to emulate a slower machine.
+	WorkScale int
+}
 
 // Receive wildcards.
 const (
@@ -465,15 +490,82 @@ func DialTCP(addr string, rank, size int) (Comm, error) { return mp.DialTCP(addr
 // worlds, or RunMPMasterContext when you need cancellation over your
 // own Comm. See the deprecation policy in README.md.
 func RunMPMaster(c Comm, scheme Scheme, iterations int, opts MPMasterOptions) ([][]byte, Report, error) {
-	return mp.RunMaster(c, scheme, iterations, opts)
+	return RunMPMasterContext(context.Background(), c, scheme, iterations, opts)
 }
 
-// RunMPMasterContext is RunMPMaster with cancellation: when ctx ends
-// the master stops every slave it has not already stopped and returns
-// ctx's error.
+// RunMPMasterContext schedules `iterations` loop iterations over the
+// communicator's size−1 slaves and collects their results (indexed by
+// iteration). The master is the rpc runtime's: each rank's dialogue
+// reaches it as wire frames over mp.Stream, in-process or over TCP.
+//
+// It returns when every slave has been told to stop. When ctx ends the
+// master answers each slave's next request with Stop (a parked one at
+// once) and returns ctx's error with whatever results arrived; a rank
+// yet to make that request — one still dialling — holds the return
+// until it has, as a rank that never joins holds an uncancelled run.
 func RunMPMasterContext(ctx context.Context, c Comm, scheme Scheme, iterations int, opts MPMasterOptions) ([][]byte, Report, error) {
-	return mp.RunMasterContext(ctx, c, scheme, iterations, opts)
+	if c.Rank() != 0 {
+		return nil, Report{}, fmt.Errorf("loopsched: the mp master must be rank 0, not %d", c.Rank())
+	}
+	master, err := exec.NewMaster(scheme, iterations, c.Size()-1)
+	if err != nil {
+		return nil, Report{}, err
+	}
+	master.SetTelemetry(opts.Telemetry)
+	if opts.DisableReplan {
+		master.DisableReplan()
+	}
+	if err := master.SetPowers(opts.Powers); err != nil {
+		return nil, Report{}, err
+	}
+	defer serveRanks(master, c)() // joined on the way out: every rank has its Stop
+	return master.WaitContext(ctx)
 }
 
-// RunMPWorker runs the paper's slave program on a non-zero rank.
-func RunMPWorker(c Comm, opts MPWorkerOptions) error { return mp.RunWorker(c, opts) }
+// RunMPWorker runs the paper's slave program (§3.1: probe load, request
+// with A_i and piggy-backed results, compute) on a non-zero rank: the
+// rpc runtime's slave loop over mp.Stream, until the master stops it.
+func RunMPWorker(c Comm, opts MPWorkerOptions) error {
+	if c.Rank() == 0 {
+		return fmt.Errorf("loopsched: rank 0 is the mp master")
+	}
+	w := exec.Worker{
+		ID:           c.Rank() - 1,
+		Kernel:       opts.Kernel,
+		VirtualPower: opts.VirtualPower,
+		LoadProbe:    opts.LoadProbe,
+		ACPModel:     opts.ACP,
+		WorkScale:    opts.WorkScale,
+	}
+	return runOverStream(context.Background(), w, callerOwned{mp.Stream(c, 0)})
+}
+
+// runOverStream is w's whole dialogue, as wire frames over rwc.
+func runOverStream(ctx context.Context, w exec.Worker, rwc io.ReadWriteCloser) error {
+	link, err := wire.NewClient(rwc)
+	if err != nil {
+		return err
+	}
+	return w.RunLink(ctx, link)
+}
+
+// callerOwned is a stream over a Comm the caller passed in: the end of a
+// dialogue must not close the endpoint under the others, or the next run.
+type callerOwned struct{ io.ReadWriter }
+
+func (callerOwned) Close() error { return nil }
+
+// serveRanks answers every slave rank of c from master, one dialogue
+// per rank, and returns the function that joins them: a dialogue ends on
+// the Stop that answers the rank's last request, or when c is closed.
+func serveRanks(master *exec.Master, c Comm) (join func()) {
+	var wg sync.WaitGroup
+	for r := 1; r < c.Size(); r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			master.ServeConn(callerOwned{mp.Stream(c, r)})
+		}()
+	}
+	return wg.Wait
+}

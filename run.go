@@ -35,8 +35,9 @@ const (
 	// BackendRPC self-hosts the net/rpc master and workers on loopback
 	// TCP — the full wire protocol without external processes.
 	BackendRPC Backend = "rpc"
-	// BackendMP runs the MPI-style master/slave program on an
-	// in-process message-passing world.
+	// BackendMP runs the same master and slaves as BackendRPC over an
+	// in-process message-passing world: MPI-style ranks instead of
+	// sockets.
 	BackendMP Backend = "mp"
 )
 
@@ -89,7 +90,7 @@ type RunSpec struct {
 	Kernel Kernel
 	// ACP is the availability model distributed schemes report with.
 	ACP ACPModel
-	// Pipeline lets RPC workers request more work ahead of need: one
+	// Pipeline lets rpc and mp workers request more work ahead of need: one
 	// measured master round trip before what they hold runs out, so the
 	// round trip hides behind the kernel and a chunk is bound to a worker
 	// only when it is about to need it (DESIGN.md §9).
@@ -98,12 +99,13 @@ type RunSpec struct {
 	// codec of internal/wire, the default) or "netrpc" (net/rpc +
 	// gob). Empty consults the LOOPSCHED_TRANSPORT environment
 	// variable and falls back to binary. The master side needs no
-	// configuration — it serves both on one listener.
+	// configuration — it serves both on one listener. The mp backend
+	// always speaks binary.
 	Transport string
 	// CreditWindow caps the batched-grant depth on the binary
 	// transport: how many chunks a worker may hold beyond the one it
-	// is computing (0 means 8, the steal engine's default; 1 is the
-	// classic double buffer). It is a cap everywhere, never a quota:
+	// is computing (0 means 8, the steal engine's default; 1 is a
+	// double buffer). It is a cap everywhere, never a quota:
 	// master replies, one-sided ledger claims (at most 4 windows each)
 	// and steal-engine refills are all share-bounded batches, which
 	// fill the window on a fine loop — amortising a round trip over
@@ -112,14 +114,14 @@ type RunSpec struct {
 	CreditWindow int
 	// Ledger requests the decentralized scheduling ledger: "on" lets
 	// workers claim scheduling steps with a single fetch-and-add and
-	// compute chunk boundaries from a replicated table (rpc backend,
-	// binary transport), turns steal-engine refills into lock-free
-	// claims (local backend, steal engine), and gives each rpc
+	// compute chunk boundaries from a replicated table (rpc backend on
+	// the binary transport, mp backend), turns steal-engine refills into
+	// lock-free claims (local backend, steal engine), and gives each rpc
 	// submaster a stage-local ledger (hierarchies). Empty consults the
 	// LOOPSCHED_LEDGER environment variable and falls back to "off".
-	// On the flat rpc backend the paper's distributed schemes (DTSS,
-	// DFSS, DFISS, DTFSS, DCSS, DGSS) claim one-sided too, in units of
-	// computing power from a table planned at the gather — a
+	// On the flat rpc and mp backends the paper's distributed schemes
+	// (DTSS, DFSS, DFISS, DTFSS, DCSS, DGSS) claim one-sided too, in units
+	// of computing power from a table planned at the gather — a
 	// power-invariant reading of C_j = SC_k·A_j/A whose chunk sequence
 	// differs from the recursive policy's on unequal workers; elsewhere
 	// they keep the policy. The mode is advisory: schemes in neither
@@ -169,9 +171,9 @@ func NewExecutor(b Backend) (Executor, error) {
 	case BackendLocal:
 		return localExecutor{}, nil
 	case BackendRPC:
-		return rpcExecutor{}, nil
+		return masterExecutor{BackendRPC, loopbackTCP}, nil
 	case BackendMP:
-		return mpExecutor{}, nil
+		return masterExecutor{BackendMP, mpWorld}, nil
 	default:
 		return nil, fmt.Errorf("loopsched: unknown backend %q", b)
 	}
@@ -375,12 +377,17 @@ func (localExecutor) Run(ctx context.Context, spec RunSpec) (Report, error) {
 	return l.RunContext(ctx, spec.Workload, body)
 }
 
-// ---- net/rpc backend (self-hosted on loopback) ----
+// ---- rpc and mp backends: exec.Master and its slaves, self-hosted ----
 
-type rpcExecutor struct{}
+// masterExecutor self-hosts exec.Master and its slaves; open is the
+// backend's way from one to the other.
+type masterExecutor struct {
+	backend Backend
+	open    reach
+}
 
-func (rpcExecutor) Run(ctx context.Context, spec RunSpec) (Report, error) {
-	spec.Backend = BackendRPC
+func (e masterExecutor) Run(ctx context.Context, spec RunSpec) (Report, error) {
+	spec.Backend = e.backend
 	if err := spec.validate(); err != nil {
 		return Report{}, err
 	}
@@ -388,10 +395,10 @@ func (rpcExecutor) Run(ctx context.Context, spec RunSpec) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	if spec.Hierarchy != nil {
+	if spec.Hierarchy != nil { // rpc only: validate refuses it on mp
 		return runRPCHierarchy(ctx, spec, kernel)
 	}
-	return runRPCFlat(ctx, spec, kernel)
+	return runFlat(ctx, spec, kernel, e.open)
 }
 
 // rpcWorker builds the exec.Worker for spec.Workers[i].
@@ -412,7 +419,49 @@ func rpcWorker(spec RunSpec, kernel Kernel, powers []float64, i int) exec.Worker
 	}
 }
 
-func runRPCFlat(ctx context.Context, spec RunSpec, kernel Kernel) (Report, error) {
+// reach is how a flat run's p workers get to its master: run is one
+// worker's whole dialogue, done tears the serving side down and joins it.
+type reach func(m *exec.Master, p int) (run func(context.Context, exec.Worker) error, done func(), err error)
+
+// loopbackTCP (rpc): the master serves a loopback listener, workers dial.
+func loopbackTCP(m *exec.Master, _ int) (func(context.Context, exec.Worker) error, func(), error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := m.Serve(ln); err != nil {
+		ln.Close()
+		return nil, nil, err
+	}
+	addr := ln.Addr().String()
+	return func(ctx context.Context, w exec.Worker) error { return w.RunContext(ctx, addr) },
+		func() { m.Shutdown(ln) }, nil
+}
+
+// mpWorld (mp): the master is rank 0 of an in-process world, worker i is
+// rank i+1 and speaks the binary codec over its stream to rank 0. The
+// world is the run's own, so a cancelled worker unblocks itself by closing
+// its endpoint and closing them all ends any dialogue left open.
+func mpWorld(m *exec.Master, p int) (func(context.Context, exec.Worker) error, func(), error) {
+	world, err := mp.NewWorld(p + 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	join := serveRanks(m, world[0])
+	run := func(ctx context.Context, w exec.Worker) error {
+		return runOverStream(ctx, w, mp.Stream(world[w.ID+1], 0))
+	}
+	return run, func() {
+		for _, c := range world {
+			c.Close()
+		}
+		join()
+	}, nil
+}
+
+// runFlat is the flat run of the rpc and mp backends: one exec.Master,
+// one exec.Worker per spec.Workers entry, and open between them.
+func runFlat(ctx context.Context, spec RunSpec, kernel Kernel, open reach) (Report, error) {
 	n := spec.Workload.Len()
 	p := len(spec.Workers)
 	master, err := exec.NewMaster(spec.Scheme, n, p)
@@ -431,14 +480,11 @@ func runRPCFlat(ctx context.Context, spec RunSpec, kernel Kernel) (Report, error
 	if err := master.SetPowers(powers); err != nil {
 		return Report{}, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	run, done, err := open(master, p)
 	if err != nil {
 		return Report{}, err
 	}
-	defer master.Shutdown(ln)
-	if err := master.Serve(ln); err != nil {
-		return Report{}, err
-	}
+	defer done()
 
 	var wg sync.WaitGroup
 	for i := range spec.Workers {
@@ -454,10 +500,10 @@ func runRPCFlat(ctx context.Context, spec RunSpec, kernel Kernel) (Report, error
 		wg.Add(1)
 		go func(w exec.Worker) {
 			defer wg.Done()
-			if werr := w.RunContext(ctx, ln.Addr().String()); werr != nil && ctx.Err() == nil {
+			if werr := run(ctx, w); werr != nil && ctx.Err() == nil {
 				// A broken worker must not hang the run: surface its
 				// error through the master.
-				master.Cancel(fmt.Errorf("loopsched: rpc worker %d: %w", w.ID, werr))
+				master.Cancel(fmt.Errorf("loopsched: %s worker %d: %w", spec.Backend, w.ID, werr))
 			}
 		}(w)
 	}
@@ -595,60 +641,4 @@ func runRPCHierarchy(ctx context.Context, spec RunSpec, kernel Kernel) (Report, 
 		}
 	}
 	return rep, err
-}
-
-// ---- Message-passing backend ----
-
-type mpExecutor struct{}
-
-func (mpExecutor) Run(ctx context.Context, spec RunSpec) (Report, error) {
-	spec.Backend = BackendMP
-	if err := spec.validate(); err != nil {
-		return Report{}, err
-	}
-	kernel, err := spec.kernel()
-	if err != nil {
-		return Report{}, err
-	}
-	p := len(spec.Workers)
-	world, err := mp.NewWorld(p + 1)
-	if err != nil {
-		return Report{}, err
-	}
-	defer func() {
-		for _, c := range world {
-			c.Close()
-		}
-	}()
-
-	powers := exec.VirtualPowers(spec.Workers)
-	var wg sync.WaitGroup
-	workerErrs := make([]error, p)
-	for i := 0; i < p; i++ {
-		ws := spec.Workers[i]
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			workerErrs[i] = mp.RunWorker(world[i+1], mp.WorkerOptions{
-				Kernel:       kernel,
-				VirtualPower: powers[i],
-				LoadProbe:    ws.Load,
-				ACP:          spec.ACP,
-				WorkScale:    ws.WorkScale,
-			})
-		}(i)
-	}
-	_, rep, err := mp.RunMasterContext(ctx, world[0], spec.Scheme, spec.Workload.Len(),
-		mp.MasterOptions{DisableReplan: spec.DisableReplan, Powers: powers, Telemetry: spec.Telemetry.Bus()})
-	wg.Wait()
-	rep.Workload = spec.Workload.Name()
-	if err != nil {
-		return rep, err
-	}
-	for i, werr := range workerErrs {
-		if werr != nil {
-			return rep, fmt.Errorf("loopsched: mp worker %d: %w", i, werr)
-		}
-	}
-	return rep, nil
 }

@@ -215,9 +215,8 @@ func TestTelemetryHierarchyReconciles(t *testing.T) {
 }
 
 // TestTelemetryMPReconciles runs the message-passing backend under
-// telemetry. Completion timing there rides the *next* request (the one
-// answered with stop, for a slave's last chunk) — grants must still
-// reconcile exactly.
+// telemetry: the grants its master publishes, reached over mp.Stream
+// instead of a socket, must reconcile exactly.
 func TestTelemetryMPReconciles(t *testing.T) {
 	tele, err := loopsched.NewTelemetry(loopsched.TelemetryOptions{})
 	if err != nil {
@@ -298,6 +297,16 @@ func TestTelemetryHistogramsReconcile(t *testing.T) {
 			})
 			return result{rep.Chunks, rep, true, false}
 		}},
+		// mp is the rpc master and slave loop over a message-passing
+		// world, so it measures what rpc measures.
+		{"mp", func(t *testing.T, tele *loopsched.Telemetry) result {
+			rep := runForTelemetry(t, loopsched.RunSpec{
+				Scheme: scheme, Workload: loopsched.Uniform{N: n, C: 1},
+				Backend: loopsched.BackendMP, Workers: runWorkers(),
+				Kernel: kernel, Telemetry: tele,
+			})
+			return result{rep.Chunks, rep, true, false}
+		}},
 		// The ledger paths grant chunks without a master round trip, but
 		// the accounting identity must survive: one-sided claims and
 		// lock-free deque refills still publish exactly one span-tagged
@@ -350,6 +359,14 @@ func TestTelemetryHistogramsReconcile(t *testing.T) {
 			rep := runForTelemetry(t, loopsched.RunSpec{
 				Scheme: loopsched.NewDTSS(), Workload: loopsched.Uniform{N: n, C: 1},
 				Backend: loopsched.BackendRPC, Workers: runWorkers(),
+				Kernel: kernel, Ledger: "on", Telemetry: tele,
+			})
+			return result{rep.Chunks, rep, true, true}
+		}},
+		{"mp-ledger-dtss", func(t *testing.T, tele *loopsched.Telemetry) result {
+			rep := runForTelemetry(t, loopsched.RunSpec{
+				Scheme: loopsched.NewDTSS(), Workload: loopsched.Uniform{N: n, C: 1},
+				Backend: loopsched.BackendMP, Workers: runWorkers(),
 				Kernel: kernel, Ledger: "on", Telemetry: tele,
 			})
 			return result{rep.Chunks, rep, true, true}
