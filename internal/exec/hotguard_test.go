@@ -22,6 +22,7 @@ var hotGuards = map[string]func(t *testing.T){
 	"(*JobState).Steal":    jobStateCycleGuard,
 	"(*JobState).Complete": jobStateCycleGuard,
 	"(*Master).book":       masterReplyGuard,
+	"(Worker).run":         workerRunGuard,
 }
 
 // TestHotPathGuardTable pins hotGuards to the annotation set.
@@ -128,5 +129,20 @@ func masterReplyGuard(t *testing.T) {
 	cycle() // sizes the slot's ledger and the reply's grant buffer
 	if avg := testing.AllocsPerRun(200, cycle); avg > 0 {
 		t.Errorf("a %d-grant request/reply cycle allocates %.1f objects, want 0", depth, avg)
+	}
+}
+
+// workerRunGuard pins the worker's half of run coding: over a kernel
+// that returns no bytes, a 256-iteration run call appends one record
+// covering all of them, and in steady state — the record buffer reused
+// call over call, as runWindow reuses pending — it allocates nothing.
+func workerRunGuard(t *testing.T) {
+	w := Worker{Kernel: func(int) []byte { return nil }}
+	recs := w.run(nil, 0, 256)
+	if len(recs) != 1 || recs[0].Index != 0 || recs[0].Count != 256 || recs[0].Data != nil {
+		t.Fatalf("256 empty results coded as %+v, want one run {0, 256}", recs)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { recs = w.run(recs[:0], 256, 512) }); avg > 0 {
+		t.Errorf("a 256-iteration run call allocates %.1f objects, want 0", avg)
 	}
 }

@@ -81,7 +81,7 @@ func (g *gobLink) Send(req *wire.Request) error {
 		Results:     slices.Grow(g.args.Results[:0], len(req.Results)),
 	}
 	for i, r := range req.Results {
-		cr := ChunkResult{Index: r.Index, Data: r.Data}
+		cr := ChunkResult{Index: r.Index, Count: r.Count, Data: r.Data}
 		if i < len(req.Spans) {
 			cr.Span = req.Spans[i]
 		}

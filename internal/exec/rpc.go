@@ -46,7 +46,8 @@ import (
 // stream, which is how internal/mp's worlds reach the same master.
 //
 // The master's hot path is de-contended: results deposit into a
-// lock-free ledger (one atomic flip per iteration index), per-worker
+// lock-free ledger (one atomic flip per iteration index; a run of empty
+// results is one range, flipped index by index), per-worker
 // protocol state lives in per-worker slots with their own locks, and
 // whenever the dispenser armed a table — a step table for every
 // step-deterministic scheme, with the ledger on also a unit table for
@@ -59,9 +60,12 @@ import (
 // under Master.mu. See docs/PROTOCOL.md for the dialogue.
 
 // ChunkResult carries the output of one computed iteration back to
-// the master.
+// the master — or, with Count > 0, the completion of Count consecutive
+// iterations from Index whose kernel returned no bytes: a run, which
+// carries no Data and travels as one record on every link.
 type ChunkResult struct {
 	Index int
+	Count int
 	Data  []byte
 	// Span echoes the trace span id of the chunk that produced this
 	// result (zero means untraced); see telemetry.SpanID. The binary
@@ -69,6 +73,9 @@ type ChunkResult struct {
 	// flow stays connected across processes.
 	Span uint64
 }
+
+// Iterations is how many iterations the result completes.
+func (r ChunkResult) Iterations() int { return max(r.Count, 1) }
 
 // ChunkArgs is a slave's work request.
 type ChunkArgs struct {
@@ -185,6 +192,8 @@ type Master struct {
 	done       chan struct{}
 	err        error
 	cancelErr  error
+
+	clock func() time.Time // times requests and replies; scripted in tests, nil means time.Now
 }
 
 // NewMaster builds a master scheduling `iterations` loop iterations
@@ -430,7 +439,7 @@ func (m *Master) nextBatch(args ChunkArgs, credits int, rep *wire.Reply) (err er
 	if credits < 1 {
 		credits = 1
 	}
-	now := time.Now()
+	now := m.now()
 	reqAt := m.bus.Now() // request arrival on the telemetry clock
 	// Stamp the reply time only when a reply is actually produced: an
 	// errored call never reaches the worker's loop, so stamping it
@@ -439,7 +448,7 @@ func (m *Master) nextBatch(args ChunkArgs, credits int, rep *wire.Reply) (err er
 		if err == nil {
 			s := &m.slots[args.Worker]
 			s.mu.Lock()
-			s.lastReply = time.Now()
+			s.lastReply = m.now()
 			s.mu.Unlock()
 		}
 	}()
@@ -479,15 +488,23 @@ func (m *Master) nextBatch(args ChunkArgs, credits int, rep *wire.Reply) (err er
 }
 
 // deposit files piggy-backed results into the lock-free ledger and
-// returns how many of them were new.
+// returns how many iterations were new. A result's whole range is
+// checked before any of its flags flips.
 func (m *Master) deposit(results []ChunkResult) (fresh int, err error) {
-	for _, r := range results {
-		if r.Index < 0 || r.Index >= m.iterations {
-			return fresh, fmt.Errorf("exec: result index %d out of range", r.Index)
+	for j := range results {
+		r := &results[j]
+		n := r.Iterations()
+		switch {
+		case r.Index < 0 || r.Count < 0 || r.Index > m.iterations-n:
+			return fresh, fmt.Errorf("exec: result range [%d, +%d) out of range", r.Index, n)
+		case r.Count > 0 && len(r.Data) > 0:
+			return fresh, fmt.Errorf("exec: run [%d, +%d) carries data", r.Index, n)
 		}
-		if m.got[r.Index].CompareAndSwap(false, true) {
-			m.results[r.Index] = r.Data
-			fresh++
+		for i := r.Index; i < r.Index+n; i++ {
+			if m.got[i].CompareAndSwap(false, true) {
+				m.results[i] = r.Data
+				fresh++
+			}
 		}
 	}
 	return fresh, nil
@@ -733,7 +750,7 @@ func (m *Master) lockedGrants(args *ChunkArgs, credits int, rep *wire.Reply, req
 		m.ready.Wait()
 		m.parked[w] = false
 		s.mu.Lock()
-		s.lastSeen = time.Now() // parked, not silent
+		s.lastSeen = m.now() // parked, not silent
 		s.mu.Unlock()
 	}
 }
@@ -832,6 +849,16 @@ func (m *Master) checkDone() {
 	}
 }
 
+// now reads the clock the master times its workers by: the
+// communication gap between a reply and the next request, and the
+// silence WatchTimeouts acts on.
+func (m *Master) now() time.Time {
+	if m.clock != nil {
+		return m.clock()
+	}
+	return time.Now()
+}
+
 // doneClosed reports whether the run has finished (or been
 // cancelled).
 func (m *Master) doneClosed() bool {
@@ -926,7 +953,7 @@ func (m *Master) WatchTimeouts(interval, timeout time.Duration, stop <-chan stru
 		case <-stop:
 			return
 		case <-ticker.C:
-			now := time.Now()
+			now := m.now()
 			m.mu.Lock()
 			var stale []int
 			for w := 0; w < m.workers; w++ {
@@ -1154,15 +1181,33 @@ func (w Worker) now() time.Time {
 	return time.Now()
 }
 
-// run computes iterations [lo, hi), appending one record each to dst.
+// run computes iterations [lo, hi) and appends their completion records
+// to dst: one per result that carries bytes, and one run per stretch of
+// consecutive iterations whose kernel returned none. A run never reaches
+// across calls, so what one call appends is what its caller ships.
+//
+//lint:loopsched-hotpath
 func (w Worker) run(dst []wire.Record, lo, hi int) []wire.Record {
-	dst = slices.Grow(dst, hi-lo)
+	open := false // dst's last record is a run this call may extend
 	for i := lo; i < hi; i++ {
 		var data []byte
 		for rep := 0; rep < w.scale(); rep++ {
 			data = w.Kernel(i)
 		}
-		dst = append(dst, wire.Record{Index: i, Data: data})
+		switch {
+		case len(data) > 0:
+			if len(dst) == cap(dst) {
+				// Room for the rest of the range at once: a loop whose
+				// results carry bytes takes one record per iteration.
+				//lint:loopsched-ignore hotalloc one growth step per outgrown buffer; runWindow reuses it after
+				dst = slices.Grow(dst, hi-i)
+			}
+			dst, open = append(dst, wire.Record{Index: i, Data: data}), false
+		case open:
+			dst[len(dst)-1].Count++
+		default:
+			dst, open = append(dst, wire.Record{Index: i, Count: 1}), true
+		}
 	}
 	return dst
 }

@@ -3,7 +3,6 @@ package exec
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -719,57 +718,65 @@ func TestRPCCommGapZeroComp(t *testing.T) {
 // TestRPCCommHonestUnderLateRequests: a refill sent in the middle of a
 // chunk reports the kernel seconds spent so far, the chunk in hand
 // included, so the master does not book that chunk's kernel time as
-// communication. Two chunks of 256 spinning iterations on one pipelined
-// worker: the share bound keeps the first reply to one chunk, so the
-// second is fetched by a prefetch sent a few iterations before the first
-// ends. All of the kernel time must come back as Comp, and Comm — three
-// round trips — stay far below one chunk's worth. The bounds are on wall
-// time, so a run the machine disturbed gets two more tries; the fault
-// this guards against books most of a chunk as Comm on every one
-// (TestWindowLoopAgainstScriptedLink pins the worker's side of it on a
-// scripted clock).
+// communication. Two chunks of 256 iterations on one pipelined worker:
+// the share bound keeps the first reply to one chunk, so the second is
+// fetched by a prefetch sent a few iterations before the first ends.
+// All of the kernel time must come back as Comp, and Comm — a few round
+// trips — stay far below one chunk's worth. Time is scripted, not read
+// off the wall: worker and master share one clock, which every kernel
+// iteration advances by cost and every master reading by tick, so a
+// round trip takes two ticks. The one freedom left is how a prefetch's
+// two ticks interleave with the iterations still running behind it,
+// which moves Comp and Comm by a few ticks at most
+// (TestWindowLoopAgainstScriptedLink pins the worker's side exactly).
 func TestRPCCommHonestUnderLateRequests(t *testing.T) {
 	const n, k = 512, 256
-	var failure string
-	for try := 0; try < 3; try++ {
-		m, addr, stop := startMaster(t, sched.CSSScheme{K: k}, n, 1)
-		bus := telemetry.NewBus(0)
-		log := &eventLog{}
-		bus.Subscribe(log)
-		m.SetTelemetry(bus)
-
-		var kernelTime time.Duration // the one worker's goroutine only
-		kernel := func(i int) []byte {
-			start := time.Now()
-			for time.Since(start) < 20*time.Microsecond {
-			}
-			kernelTime += time.Since(start)
-			return intKernel(i)
-		}
-		runWorkers(t, addr, []Worker{{ID: 0, Kernel: kernel, Pipeline: true}})
-		_, rep, err := m.Wait()
-		stop()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := bus.Close(); err != nil {
-			t.Fatal(err)
-		}
-		late := false
-		for _, e := range log.drain() {
-			late = late || e.Kind == telemetry.ChunkPrefetched && e.Start == k
-		}
-		if !late {
-			t.Fatal("the second chunk was not fetched by a prefetch: the run did not exercise a mid-chunk request")
-		}
-		total, chunk := kernelTime.Seconds(), kernelTime.Seconds()/2
-		comp, comm := rep.PerWorker[0].Comp, rep.PerWorker[0].Comm
-		if comp >= 0.95*total && comp <= 1.25*total && comm <= 0.4*chunk {
-			return
-		}
-		failure = fmt.Sprintf("Comp = %.4fs of %.4fs kernel time, Comm = %.4fs with chunks of %.4fs", comp, total, comm, chunk)
+	const cost, tick = 20 * time.Microsecond, 20 * time.Microsecond
+	var clock atomic.Int64 // scripted nanoseconds
+	m, err := NewMaster(sched.CSSScheme{K: k}, n, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Errorf("%s: kernel time booked as communication", failure)
+	m.clock = func() time.Time { return time.Unix(0, clock.Add(int64(tick))) }
+	bus := telemetry.NewBus(0)
+	log := &eventLog{}
+	bus.Subscribe(log)
+	m.SetTelemetry(bus)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := m.Serve(l); err != nil {
+		t.Fatal(err)
+	}
+
+	kernel := func(i int) []byte {
+		clock.Add(int64(cost))
+		return intKernel(i)
+	}
+	runWorkers(t, l.Addr().String(), []Worker{{ID: 0, Kernel: kernel, Pipeline: true,
+		clock: func() time.Time { return time.Unix(0, clock.Load()) }}})
+	_, rep, err := m.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bus.Close(); err != nil {
+		t.Fatal(err)
+	}
+	late := false
+	for _, e := range log.drain() {
+		late = late || e.Kind == telemetry.ChunkPrefetched && e.Start == k
+	}
+	if !late {
+		t.Fatal("the second chunk was not fetched by a prefetch: the run did not exercise a mid-chunk request")
+	}
+	total, chunk := (n * cost).Seconds(), (k * cost).Seconds()
+	comp, comm := rep.PerWorker[0].Comp, rep.PerWorker[0].Comm
+	if comp < 0.999*total || comp > 1.05*total || comm > 0.1*chunk {
+		t.Errorf("Comp = %.6fs of %.6fs kernel time, Comm = %.6fs with chunks of %.6fs: kernel time booked as communication",
+			comp, total, comm, chunk)
+	}
 }
 
 // TestRPCLastReplyNotStampedOnError: an errored NextChunk produces no
@@ -822,5 +829,78 @@ func TestRPCBadWorkerID(t *testing.T) {
 	}
 	if err := m.NextChunk(ChunkArgs{Worker: 0, Results: []ChunkResult{{Index: 99}}}, &reply); err == nil {
 		t.Error("out-of-range result index accepted")
+	}
+}
+
+// TestDepositRuns: a run deposits its whole range exactly once — the
+// fresh count is the iterations newly flipped, whatever part of the range
+// an earlier record already delivered — and a range that is out of
+// bounds, negative or a run carrying data is refused before any of its
+// flags flips.
+func TestDepositRuns(t *testing.T) {
+	m, err := NewMaster(sched.TSSScheme{}, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		results []ChunkResult
+		fresh   int
+		bad     bool
+	}{
+		{results: []ChunkResult{{Index: 2, Count: 5}}, fresh: 5},
+		{results: []ChunkResult{{Index: 0, Count: 3}}, fresh: 2},
+		{results: []ChunkResult{{Index: 7, Data: []byte{7}}, {Index: 7, Count: 1}}, fresh: 1},
+		{results: []ChunkResult{{Index: 8, Count: 3}}, bad: true},
+		{results: []ChunkResult{{Index: 8, Count: -1}}, bad: true},
+		{results: []ChunkResult{{Index: -1, Count: 2}}, bad: true},
+		{results: []ChunkResult{{Index: 8, Count: 2, Data: []byte{1}}}, bad: true},
+		{results: []ChunkResult{{Index: 8, Count: 2}}, fresh: 2},
+	} {
+		fresh, err := m.deposit(c.results)
+		if (err != nil) != c.bad || fresh != c.fresh {
+			t.Fatalf("deposit %+v: fresh %d, err %v; want fresh %d, refused %v", c.results, fresh, err, c.fresh, c.bad)
+		}
+	}
+	for i := range m.got {
+		if !m.got[i].Load() {
+			t.Errorf("iteration %d never delivered", i)
+		}
+	}
+	if m.results[7] == nil || m.results[2] != nil {
+		t.Errorf("results %v: the data record must win iteration 7, runs store nothing", m.results)
+	}
+}
+
+// TestRPCEmptyResultsTravelAsRuns runs a loop whose kernel returns no
+// bytes over both codecs, serial and pipelined: every iteration runs
+// exactly once, and the master ends with every result delivered, nil.
+func TestRPCEmptyResultsTravelAsRuns(t *testing.T) {
+	const n = 700
+	for _, transport := range []Transport{TransportBinary, TransportNetRPC} {
+		for _, pipeline := range []bool{false, true} {
+			m, addr, stop := startMaster(t, sched.FSSScheme{}, n, 2)
+			counts := make([]int32, n)
+			kernel := func(i int) []byte {
+				atomic.AddInt32(&counts[i], 1)
+				return nil
+			}
+			runWorkers(t, addr, []Worker{
+				{ID: 0, Kernel: kernel, Transport: transport, Pipeline: pipeline},
+				{ID: 1, Kernel: kernel, Transport: transport, Pipeline: pipeline, WorkScale: 2},
+			})
+			results, rep, err := m.Wait()
+			stop()
+			if err != nil {
+				t.Fatalf("%s pipeline=%v: %v", transport, pipeline, err)
+			}
+			for i, r := range results {
+				if c := atomic.LoadInt32(&counts[i]); r != nil || (c != 1 && c != 2) {
+					t.Fatalf("%s pipeline=%v: iteration %d ran %d times, result %v", transport, pipeline, i, c, r)
+				}
+			}
+			if rep.Iterations != n || rep.CompLatency.Count != uint64(rep.Chunks) {
+				t.Errorf("%s pipeline=%v: report %+v", transport, pipeline, rep)
+			}
+		}
 	}
 }

@@ -180,19 +180,7 @@ func serveWire(c *wire.Conn, bus *telemetry.Bus, shard int, batch BatchFunc, fet
 			labeled = true
 			worker = req.Worker
 		}
-		results = slices.Grow(results[:0], len(req.Results))
-		for i, r := range req.Results {
-			// Record data aliases the connection's read buffer; the
-			// master keeps results for the whole run, so copy here.
-			cr := ChunkResult{
-				Index: r.Index,
-				Data:  append([]byte(nil), r.Data...),
-			}
-			if i < len(req.Spans) {
-				cr.Span = req.Spans[i]
-			}
-			results = append(results, cr)
-		}
+		results = chunkResults(results, &req)
 		args := ChunkArgs{
 			Worker:      req.Worker,
 			ACP:         req.ACP,
@@ -229,6 +217,25 @@ func serveWire(c *wire.Conn, bus *telemetry.Bus, shard int, batch BatchFunc, fet
 			return
 		}
 	}
+}
+
+// chunkResults converts a decoded request's records into the master's
+// results, reusing dst: a run passes through as one result. Record data
+// aliases the connection's read buffer while the master keeps results
+// for the whole run, so it is copied — when there is some.
+func chunkResults(dst []ChunkResult, req *wire.Request) []ChunkResult {
+	dst = slices.Grow(dst[:0], len(req.Results))[:len(req.Results)]
+	for i := range req.Results {
+		r := &req.Results[i]
+		dst[i] = ChunkResult{Index: r.Index, Count: r.Count}
+		if len(r.Data) > 0 {
+			dst[i].Data = append([]byte(nil), r.Data...)
+		}
+		if i < len(req.Spans) {
+			dst[i].Span = req.Spans[i]
+		}
+	}
+	return dst
 }
 
 // wireRequest fills req from the worker's current state and returns
@@ -272,7 +279,7 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		queue     []sched.Assignment
 		spanQueue []uint64      // parallel to queue: one span per grant
 		queued    int           // iterations in queue
-		pending   []wire.Record // computed, not yet shipped
+		pending   []wire.Record // computed, not yet shipped (a run of empty results is one record)
 		spans     []uint64      // parallel to pending: one span per record
 		comp      float64       // kernel seconds not yet reported
 		busy      float64       // kernel seconds so far, over
@@ -395,10 +402,12 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			}
 			// Send has consumed req, so the records may reuse the buffers
 			// it was built from.
+			from := len(pending)
 			pending = w.run(pending, i, next)
-			for ran += next - i; i < next; i++ {
+			for range pending[from:] {
 				spans = append(spans, span)
 			}
+			ran, i = ran+next-i, next
 		}
 		lap()
 		w.completed(a, span, lastACP, mark.Sub(start).Seconds())

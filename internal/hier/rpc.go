@@ -64,7 +64,7 @@ type Submaster struct {
 	d    *dispense.Dispenser
 	dcfg dispense.Config
 
-	pending     []exec.ChunkResult // results awaiting the next fetch
+	pending     []exec.ChunkResult // results awaiting the next fetch, runs as runs
 	outstanding int                // granted iterations not yet deposited back
 
 	iters      int
@@ -243,7 +243,9 @@ func (s *Submaster) nextBatch(args exec.ChunkArgs, credits int, rep *wire.Reply)
 
 	if len(args.Results) > 0 {
 		s.pending = append(s.pending, args.Results...)
-		s.outstanding -= len(args.Results)
+		for _, r := range args.Results {
+			s.outstanding -= r.Iterations()
+		}
 		s.cond.Broadcast() // a drained peer may now issue the fetch
 	}
 	if args.CompSeconds > 0 {
@@ -377,7 +379,7 @@ func (s *Submaster) fillFetchLocked(prefetch bool) {
 		Results:  s.rootReq.Results[:0],
 	}
 	for _, res := range s.pending {
-		s.rootReq.Results = append(s.rootReq.Results, wire.Record{Index: res.Index, Data: res.Data})
+		s.rootReq.Results = append(s.rootReq.Results, wire.Record{Index: res.Index, Count: res.Count, Data: res.Data})
 	}
 	s.pending = nil
 	s.fetches++

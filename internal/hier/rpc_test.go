@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,8 +20,8 @@ import (
 // captured allocator, the submasters and their member counts. When
 // bus is non-nil the submasters, workers and root allocator publish
 // telemetry to it (the root master itself stays silent: its grants
-// are super-chunks and would double-count).
-func startHierarchy(t *testing.T, scheme sched.Scheme, n int, members [][]int, pipeline bool, bus *telemetry.Bus) (*exec.Master, **Root, []*Submaster, chan error) {
+// are super-chunks and would double-count). The workers run kernel.
+func startHierarchy(t *testing.T, scheme sched.Scheme, n int, members [][]int, pipeline bool, bus *telemetry.Bus, kernel exec.Kernel) (*exec.Master, **Root, []*Submaster, chan error) {
 	t.Helper()
 	workerErrs := make(chan error, 16)
 	k := len(members)
@@ -84,11 +85,7 @@ func startHierarchy(t *testing.T, scheme sched.Scheme, n int, members [][]int, p
 				Telemetry:      bus,
 				TelemetryID:    globalID[si][li],
 				TelemetryShard: si,
-				Kernel: func(i int) []byte {
-					buf := make([]byte, 8)
-					binary.LittleEndian.PutUint64(buf, uint64(i*i))
-					return buf
-				},
+				Kernel:         kernel,
 			}
 			go func(w exec.Worker, addr string) {
 				if err := w.Run(addr); err != nil {
@@ -101,6 +98,14 @@ func startHierarchy(t *testing.T, scheme sched.Scheme, n int, members [][]int, p
 		}
 	}
 	return root, captured, subs, workerErrs
+}
+
+// squareKernel is the hierarchy tests' kernel: iteration i's result is
+// i² in eight bytes, which checkResults verifies.
+func squareKernel(i int) []byte {
+	buf := make([]byte, 8)
+	binary.LittleEndian.PutUint64(buf, uint64(i*i))
+	return buf
 }
 
 func checkResults(t *testing.T, results [][]byte, n int) {
@@ -133,7 +138,7 @@ func TestRPCHierarchyEndToEnd(t *testing.T) {
 			}
 			// Worker entries are WorkScales; two shards of three.
 			members := [][]int{{1, 2, 4}, {1, 2, 4}}
-			root, captured, subs, workerErrs := startHierarchy(t, scheme, n, members, tc.pipeline, nil)
+			root, captured, subs, workerErrs := startHierarchy(t, scheme, n, members, tc.pipeline, nil, squareKernel)
 
 			results, rep, err := root.Wait()
 			if err != nil {
@@ -178,7 +183,7 @@ func TestRPCHierarchyCancel(t *testing.T) {
 	const n = 1 << 20
 	scheme, _ := sched.Lookup("TSS")
 	members := [][]int{{1, 1}, {1, 1}}
-	root, _, subs, _ := startHierarchy(t, scheme, n, members, false, nil)
+	root, _, subs, _ := startHierarchy(t, scheme, n, members, false, nil, squareKernel)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -220,7 +225,7 @@ func TestRPCHierarchyTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := [][]int{{1, 2}, {1, 4}}
-	root, _, subs, workerErrs := startHierarchy(t, scheme, n, members, true, tele.Bus())
+	root, _, subs, workerErrs := startHierarchy(t, scheme, n, members, true, tele.Bus(), squareKernel)
 
 	results, rep, err := root.Wait()
 	if err != nil {
@@ -259,5 +264,58 @@ func TestRPCHierarchyTelemetry(t *testing.T) {
 	}
 	if err := tele.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRPCHierarchyDrainsRuns: workers whose kernel returns no bytes
+// report each stretch of iterations as one run record. A submaster that
+// counted records instead of iterations would never see its shard
+// quiescent (outstanding > 0 forever) and would never fetch again; here
+// every shard must drain with nothing outstanding, having forwarded the
+// runs so the root holds every iteration exactly once.
+func TestRPCHierarchyDrainsRuns(t *testing.T) {
+	const n = 3000
+	scheme, err := sched.Lookup("FSS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pipeline := range []bool{false, true} {
+		counts := make([]atomic.Int32, n)
+		kernel := func(i int) []byte {
+			counts[i].Add(1)
+			return nil
+		}
+		root, _, subs, workerErrs := startHierarchy(t, scheme, n, [][]int{{1, 1}, {1, 2}}, pipeline, nil, kernel)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		results, rep, err := root.WaitContext(ctx)
+		if err != nil {
+			cancel()
+			t.Fatalf("pipeline=%v: %v", pipeline, err)
+		}
+		if rep.Iterations != n {
+			t.Errorf("pipeline=%v: report iterations %d", pipeline, rep.Iterations)
+		}
+		for i, r := range results {
+			if c := counts[i].Load(); r != nil || c < 1 || c > 2 {
+				t.Fatalf("pipeline=%v: iteration %d ran %d times, result %v", pipeline, i, c, r)
+			}
+		}
+		for si, sub := range subs {
+			if err := sub.Wait(ctx); err != nil {
+				t.Fatalf("pipeline=%v: shard %d did not drain: %v", pipeline, si, err)
+			}
+			sub.mu.Lock()
+			outstanding, pending := sub.outstanding, len(sub.pending)
+			sub.mu.Unlock()
+			if outstanding != 0 || pending != 0 {
+				t.Errorf("pipeline=%v: shard %d drained with %d iterations outstanding, %d results unforwarded", pipeline, si, outstanding, pending)
+			}
+		}
+		cancel()
+		select {
+		case err := <-workerErrs:
+			t.Fatal(err)
+		default:
+		}
 	}
 }

@@ -40,7 +40,7 @@ type workerStats struct {
 type wireStats struct {
 	Frames   uint64  // frames on the wire
 	Bytes    uint64  // bytes on the wire, length prefix included
-	Items    uint64  // batch items carried (results or grants)
+	Items    uint64  // batch items carried (completed iterations or grants)
 	CodecSec float64 // encode (sent) / decode (received) seconds
 }
 
@@ -632,7 +632,7 @@ func (a *Aggregator) WriteProm(w io.Writer) error {
 	for i, d := range dirs {
 		pf("loopsched_wire_bytes_total{dir=%q} %d\n", d, wire[i].Bytes)
 	}
-	pf("# HELP loopsched_wire_batch_items_total Batch items (completion records / grants) carried in frames.\n")
+	pf("# HELP loopsched_wire_batch_items_total Batch items (completed iterations / grants) carried in frames.\n")
 	pf("# TYPE loopsched_wire_batch_items_total counter\n")
 	for i, d := range dirs {
 		pf("loopsched_wire_batch_items_total{dir=%q} %d\n", d, wire[i].Items)

@@ -89,9 +89,10 @@ const (
 
 	// WireFrameSent marks one binary-protocol frame written to a
 	// connection. Size is the frame's bytes on the wire (header
-	// included), Start the batch item count it carried (completion
-	// records for requests, grants for replies), Seconds the encode
-	// time. Worker/Shard label the connection's owner.
+	// included), Start the batch item count it carried (the iterations
+	// a request's completion records cover — a run counts its length —
+	// or a reply's grants), Seconds the encode time. Worker/Shard label
+	// the connection's owner.
 	WireFrameSent
 
 	// WireFrameReceived marks one binary-protocol frame decoded from

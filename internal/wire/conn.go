@@ -85,7 +85,9 @@ func (c *Conn) SetTelemetry(bus *telemetry.Bus, worker, shard int) {
 func (c *Conn) Close() error { return c.rwc.Close() }
 
 // writeFrame appends the body's length prefix and the body to the
-// stream and flushes. items is the batch size for telemetry.
+// stream and flushes. items is the batch size for telemetry: grants,
+// or the iterations a request's records complete (a run counts its
+// length).
 //
 //lint:loopsched-hotpath
 func (c *Conn) writeFrame(body []byte, items int, encodeSec float64) error {
@@ -135,10 +137,11 @@ func (c *Conn) WriteRequest(r *Request) error {
 	}
 	*bp = body
 	var enc float64
+	var items int
 	if c.bus != nil {
-		enc = time.Since(t0).Seconds()
+		enc, items = time.Since(t0).Seconds(), r.iterations()
 	}
-	err = c.writeFrame(body, len(r.Results), enc)
+	err = c.writeFrame(body, items, enc)
 	bufPool.Put(bp)
 	return err
 }
@@ -162,10 +165,11 @@ func (c *Conn) QueueRequest(r *Request) error {
 	}
 	*bp = body
 	var enc float64
+	var items int
 	if c.bus != nil {
-		enc = time.Since(t0).Seconds()
+		enc, items = time.Since(t0).Seconds(), r.iterations()
 	}
-	err = c.queueFrame(body, len(r.Results), enc)
+	err = c.queueFrame(body, items, enc)
 	bufPool.Put(bp)
 	return err
 }
@@ -297,11 +301,9 @@ func (c *Conn) ReadRequest(r *Request) error {
 	if err := decodeRequest(body, r); err != nil {
 		return err
 	}
-	var dec float64
 	if c.bus != nil {
-		dec = time.Since(t0).Seconds()
+		c.publishReceived(r.iterations(), len(body), time.Since(t0).Seconds())
 	}
-	c.publishReceived(len(r.Results), len(body), dec)
 	return nil
 }
 
@@ -413,11 +415,9 @@ func (c *Conn) ReadClientFrame(r *Request) (Kind, int, error) {
 	if err := decodeRequest(body, r); err != nil {
 		return 0, 0, err
 	}
-	var dec float64
 	if c.bus != nil {
-		dec = time.Since(t0).Seconds()
+		c.publishReceived(r.iterations(), len(body), time.Since(t0).Seconds())
 	}
-	c.publishReceived(len(r.Results), len(body), dec)
 	return KindRequest, 0, nil
 }
 

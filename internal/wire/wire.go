@@ -26,11 +26,14 @@
 //
 //	request body: 0x01 | uvarint worker | uvarint acp |
 //	              fixed64 compSeconds | fixed64 idleSeconds |
-//	              flags (bit0 prefetch, bit1 record spans, bit2 no-reply) |
+//	              flags (bit0 prefetch, bit1 record spans, bit2 no-reply,
+//	                     bit3 runs) |
 //	              uvarint credits |
 //	              uvarint nResults | nResults × record |
 //	              [nResults × uvarint span]          (iff bit1 set)
 //	record:       uvarint index | uvarint dataLen | dataLen bytes
+//	              (bit3 set: uvarint dataLen<<1 | dataLen bytes, or
+//	               uvarint count<<1|1 — a run, no bytes)
 //
 //	reply body:   0x02 | flags (bit0 stop, bit1 error, bit2 spans) |
 //	              [uvarint errLen | errLen bytes] |
@@ -48,12 +51,22 @@
 // deposit-only request — piggy-backed completion records for which the
 // client will not read a reply; servers must not write one.
 //
+// A completion record is a range, not an iteration: a run of count
+// consecutive iterations whose kernel returned no bytes travels as one
+// record (Record.Count). A request carrying a run sets the runs flag
+// (bit3), and under it every record's length field is tagged
+// len<<1 | isRun; a request without runs is byte-identical to protocol
+// v1, so records that carry data pay nothing for the coding. A run of
+// count 0, a run reaching past MaxFrame, and a runs flag on a frame with
+// no run are corrupt.
+//
 // Span blocks are optional trailing fields: a frame without the span
 // flag is byte-identical to protocol v1, so span-aware and span-less
 // peers interoperate on the same sniffed listener, and the gob
 // fallback is unaffected. A span flag with a zero item count is
-// rejected as non-canonical (the encoder never produces it), which
-// keeps decode→re-encode byte-stable.
+// rejected as non-canonical (the encoder never produces it), and so is
+// any flag bit the decoder does not know, which keeps decode→re-encode
+// byte-stable.
 //
 // A connection opens with a 4-byte preamble (Magic 'L' 'S' Version)
 // written by the client, which lets a server share one listener
@@ -80,9 +93,10 @@ const (
 	Magic = 0xA7
 
 	// Version is the protocol revision carried in the preamble's
-	// fourth byte. Decoders reject preambles from a later major
-	// revision instead of misparsing them.
-	Version = 1
+	// fourth byte. A peer speaking any other revision is refused with
+	// ErrVersion instead of misparsed: version 2 added run records,
+	// which a version-1 peer would read as single iterations.
+	Version = 2
 
 	// MaxFrame bounds a frame body. Matches the mp transport's 1 GiB
 	// sanity limit; anything larger is a corrupt or hostile header.
@@ -96,9 +110,13 @@ const (
 	flagPrefetch    = 1 << 0
 	flagRecordSpans = 1 << 1 // request carries one span id per record
 	flagNoReply     = 1 << 2 // deposit-only request: server must not reply
-	flagStop        = 1 << 0
-	flagError       = 1 << 1
-	flagSpans       = 1 << 2 // reply carries one span id per grant
+	flagRuns        = 1 << 3 // request carries run records: record lengths are tagged
+	requestFlags    = flagPrefetch | flagRecordSpans | flagNoReply | flagRuns
+
+	flagStop   = 1 << 0
+	flagError  = 1 << 1
+	flagSpans  = 1 << 2 // reply carries one span id per grant
+	replyFlags = flagStop | flagError | flagSpans
 )
 
 // Kind discriminates the client-originated frame types a ledger-aware
@@ -132,11 +150,17 @@ type ServerError string
 
 func (e ServerError) Error() string { return string(e) }
 
-// Record is one piggy-backed iteration result.
+// Record is one piggy-backed completion: the result of iteration Index,
+// or — Count > 0 — a run of Count consecutive iterations from Index
+// whose kernel returned no bytes, which carries no Data.
 type Record struct {
 	Index int
+	Count int
 	Data  []byte
 }
+
+// Iterations is how many iterations the record completes.
+func (r Record) Iterations() int { return max(r.Count, 1) }
 
 // Request is a slave's work request: the previous batch's completion
 // records ride along, and Credits asks for up to that many grants in
@@ -156,6 +180,16 @@ type Request struct {
 	Credits int
 	Results []Record
 	Spans   []uint64
+}
+
+// iterations is how many iterations the request's records complete —
+// the batch item count its frame reports to telemetry.
+func (r *Request) iterations() int {
+	n := 0
+	for i := range r.Results {
+		n += r.Results[i].Iterations()
+	}
+	return n
 }
 
 // reset clears the request for reuse, keeping slice capacity.
@@ -219,15 +253,34 @@ func appendRequest(b []byte, r *Request) ([]byte, error) {
 	if r.NoReply {
 		flags |= flagNoReply
 	}
+	for i := range r.Results {
+		if r.Results[i].Count != 0 {
+			flags |= flagRuns
+			break
+		}
+	}
 	b = append(b, flags)
 	b = binary.AppendUvarint(b, uint64(r.Credits))
 	b = binary.AppendUvarint(b, uint64(len(r.Results)))
-	for _, rec := range r.Results {
-		if rec.Index < 0 {
-			return b, fmt.Errorf("%w: negative result index", ErrCorrupt)
+	for i := range r.Results {
+		rec := &r.Results[i]
+		switch {
+		case rec.Index < 0 || rec.Count < 0:
+			return b, fmt.Errorf("%w: negative result field", ErrCorrupt)
+		case rec.Count > 0 && len(rec.Data) > 0:
+			return b, fmt.Errorf("%w: a run carries data", ErrCorrupt)
+		case rec.Count > 0 && rec.Count > MaxFrame-rec.Index:
+			return b, fmt.Errorf("%w: run [%d, +%d) reaches past %d", ErrCorrupt, rec.Index, rec.Count, MaxFrame)
 		}
 		b = binary.AppendUvarint(b, uint64(rec.Index))
-		b = binary.AppendUvarint(b, uint64(len(rec.Data)))
+		switch {
+		case rec.Count > 0:
+			b = binary.AppendUvarint(b, uint64(rec.Count)<<1|1)
+		case flags&flagRuns != 0:
+			b = binary.AppendUvarint(b, uint64(len(rec.Data))<<1)
+		default:
+			b = binary.AppendUvarint(b, uint64(len(rec.Data)))
+		}
 		b = append(b, rec.Data...)
 	}
 	for _, s := range r.Spans {
@@ -362,6 +415,9 @@ func decodeRequest(body []byte, r *Request) error {
 	if err != nil {
 		return err
 	}
+	if flags&^requestFlags != 0 {
+		return fmt.Errorf("%w: unknown request flags 0x%02x", ErrCorrupt, flags&^requestFlags)
+	}
 	r.Prefetch = flags&flagPrefetch != 0
 	r.NoReply = flags&flagNoReply != 0
 	if r.Credits, err = d.smallInt("credits"); err != nil {
@@ -377,20 +433,39 @@ func decodeRequest(body []byte, r *Request) error {
 		return fmt.Errorf("%w: %d results cannot fit in %d bytes", ErrCorrupt, n, d.remaining())
 	}
 	//lint:loopsched-ignore hotalloc bounded one-off growth of the reused record slice, in one step
-	r.Results = slices.Grow(r.Results, n)
-	for i := 0; i < n; i++ {
-		var rec Record
-		if rec.Index, err = d.smallInt("result index"); err != nil {
-			return err
-		}
-		size, err := d.smallInt("result size")
+	r.Results = slices.Grow(r.Results, n)[:n]
+	tagged, runs := flags&flagRuns != 0, false
+	for i := range r.Results {
+		index, err := d.smallInt("result index")
 		if err != nil {
 			return err
 		}
-		if rec.Data, err = d.bytes(size, "result data"); err != nil {
+		size, err := d.uvarint()
+		if err != nil {
 			return err
 		}
-		r.Results = append(r.Results, rec)
+		if tagged {
+			run := size&1 != 0
+			size >>= 1
+			if run {
+				if size == 0 || size > uint64(MaxFrame-index) {
+					return fmt.Errorf("%w: run of %d from %d", ErrCorrupt, size, index)
+				}
+				r.Results[i], runs = Record{Index: index, Count: int(size)}, true
+				continue
+			}
+		}
+		if size > MaxFrame {
+			return fmt.Errorf("%w: result size %d out of range", ErrCorrupt, size)
+		}
+		data, err := d.bytes(int(size), "result data")
+		if err != nil {
+			return err
+		}
+		r.Results[i] = Record{Index: index, Data: data}
+	}
+	if tagged && !runs {
+		return fmt.Errorf("%w: runs flag with no run", ErrCorrupt)
 	}
 	if flags&flagRecordSpans != 0 {
 		if n == 0 {
@@ -426,6 +501,9 @@ func decodeReply(body []byte, r *Reply) error {
 	flags, err := d.byte("flags")
 	if err != nil {
 		return err
+	}
+	if flags&^replyFlags != 0 {
+		return fmt.Errorf("%w: unknown reply flags 0x%02x", ErrCorrupt, flags&^replyFlags)
 	}
 	r.Stop = flags&flagStop != 0
 	if flags&flagError != 0 {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"loopsched/internal/sched"
+	"loopsched/internal/telemetry"
 )
 
 // pipeEnd is one direction of an in-memory duplex pipe: reads drain
@@ -72,7 +73,34 @@ func sampleRequests() []Request {
 			Worker: 5, Prefetch: true, NoReply: true,
 			Results: []Record{{Index: 12, Data: []byte{6, 6, 6}}},
 		},
+		// Run records: alone, as a no-reply deposit, mixed with data
+		// records (an empty one among them), and mixed with a span block.
+		{Worker: 1, Credits: 8, Results: []Record{{Index: 0, Count: 256}}},
+		{Worker: 4, NoReply: true, Results: []Record{{Index: 1 << 20, Count: 1}}},
+		{
+			Worker: 6, Prefetch: true, Credits: 3,
+			Results: []Record{
+				{Index: 0, Count: 3},
+				{Index: 3, Data: []byte{1, 2}},
+				{Index: 4, Data: []byte{}},
+				{Index: 5, Count: 1},
+				{Index: 1 << 29, Count: 1 << 29},
+			},
+		},
+		{
+			Worker: 7, Credits: 1,
+			Results: []Record{{Index: 40, Count: 8}, {Index: 48, Data: []byte{0xEE}}},
+			Spans:   []uint64{1<<40 | 40, 1<<40 | 48},
+		},
 	}
+}
+
+// reqHeader is a request body up to and including its flags and
+// credits, every other field zero.
+func reqHeader(flags byte) []byte {
+	b := []byte{frameRequest, 0, 0}
+	b = append(b, make([]byte, 16)...)
+	return append(b, flags, 0)
 }
 
 func sampleReplies() []Reply {
@@ -116,7 +144,7 @@ func reqEqual(a, b *Request) bool {
 		return false
 	}
 	for i := range a.Results {
-		if a.Results[i].Index != b.Results[i].Index ||
+		if a.Results[i].Index != b.Results[i].Index || a.Results[i].Count != b.Results[i].Count ||
 			!bytes.Equal(a.Results[i].Data, b.Results[i].Data) {
 			return false
 		}
@@ -174,6 +202,9 @@ func TestEncodeRejectsNegativeFields(t *testing.T) {
 		{ACP: -1},
 		{Credits: -1},
 		{Results: []Record{{Index: -1}}},
+		{Results: []Record{{Index: 1, Count: -1}}},
+		{Results: []Record{{Index: 1, Count: 2, Data: []byte{1}}}},
+		{Results: []Record{{Index: MaxFrame - 1, Count: 2}}},
 	} {
 		if _, err := appendRequest(nil, &r); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("request case %d: err = %v, want ErrCorrupt", i, err)
@@ -227,6 +258,18 @@ func TestDecodeErrors(t *testing.T) {
 		{"reply span flag without grants", []byte{frameReply, flagSpans, 0x00}},
 		{"reply span block truncated", []byte{frameReply, flagSpans, 0x02, 0x00, 0x01, 0x01, 0x02, 0x07}},
 		{"reply span block overlong", []byte{frameReply, flagSpans, 0x01, 0x00, 0x01, 0x07, 0x08}},
+		// Run records: a run of nothing, a run reaching past MaxFrame, a
+		// run tag under a frame without the runs flag (read as a data
+		// length, it claims 513 bytes that are not there), and the flag
+		// on a frame that holds no run.
+		{"run of count 0", append(reqHeader(flagRuns), 0x01, 0x00, 0x01)},
+		{"run past MaxFrame", append(append(reqHeader(flagRuns), 0x01),
+			append(binary.AppendUvarint(nil, MaxFrame-1), 2<<1|1)...)},
+		{"run tag without the runs flag", append(reqHeader(0), 0x01, 0x00, 0x81, 0x04)},
+		{"runs flag with no run", append(reqHeader(flagRuns), 0x01, 0x00, 0x00)},
+		// Flag bits the decoders do not know would be dropped on re-encode.
+		{"request stray flag bit", append(reqHeader(1<<5), 0x00)},
+		{"reply stray flag bit", []byte{frameReply, 1 << 5, 0x00}},
 	}
 	for _, c := range cases {
 		var req Request
@@ -267,6 +310,73 @@ func TestSpanlessEncodingMatchesV1(t *testing.T) {
 	}
 	if !bytes.Equal(repBody, repGolden) {
 		t.Errorf("span-less reply encoding drifted from v1:\ngot  % x\nwant % x", repBody, repGolden)
+	}
+}
+
+// TestRunRecordsTagLengths pins the run coding: a request with a run
+// sets the runs flag and tags every record length len<<1 | isRun — data
+// records included — while the same records without the run encode as
+// protocol v1 (TestSpanlessEncodingMatchesV1).
+func TestRunRecordsTagLengths(t *testing.T) {
+	req := Request{Worker: 3, Credits: 2, Results: []Record{
+		{Index: 7, Data: []byte{0xAA, 0xBB}},
+		{Index: 8, Count: 300},
+	}}
+	golden := reqHeader(flagRuns)
+	golden[1], golden[len(golden)-1] = 3, 2 // worker, credits
+	golden = append(golden, 2, 7, 2<<1, 0xAA, 0xBB)
+	golden = append(golden, 8)
+	golden = binary.AppendUvarint(golden, 300<<1|1)
+	body, err := appendRequest(nil, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, golden) {
+		t.Errorf("run encoding:\ngot  % x\nwant % x", body, golden)
+	}
+	if got := req.iterations(); got != 301 {
+		t.Errorf("the request completes %d iterations, want 301", got)
+	}
+}
+
+// TestRunsThroughConnCountIterations sends a run-carrying request over
+// a Conn with telemetry on: the frame's batch items are the iterations
+// it completes, a run counting its length, on both ends.
+func TestRunsThroughConnCountIterations(t *testing.T) {
+	client, server := connPair(t)
+	bus := telemetry.NewBus(0)
+	log := &frameLog{}
+	bus.Subscribe(log)
+	client.SetTelemetry(bus, 1, 0)
+	server.SetTelemetry(bus, -1, 0)
+	req := sampleRequests()[8]
+	if err := client.WriteRequest(&req); err != nil {
+		t.Fatal(err)
+	}
+	var got Request
+	if err := server.ReadRequest(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !reqEqual(&req, &got) {
+		t.Fatalf("request mismatch:\nsent %+v\ngot  %+v", req, got)
+	}
+	if err := bus.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := 3 + 1 + 1 + 1 + 1<<29
+	if len(log.items) != 2 || log.items[0] != want || log.items[1] != want {
+		t.Errorf("frames report %v batch items, want %d sent and received", log.items, want)
+	}
+}
+
+// frameLog records the batch item count of every wire frame event.
+type frameLog struct{ items []int }
+
+func (l *frameLog) BeginRun(telemetry.RunMeta) {}
+func (l *frameLog) Close() error               { return nil }
+func (l *frameLog) OnEvent(e telemetry.Event) {
+	if e.Kind == telemetry.WireFrameSent || e.Kind == telemetry.WireFrameReceived {
+		l.items = append(l.items, e.Start)
 	}
 }
 
@@ -324,6 +434,7 @@ func TestConsumePreamble(t *testing.T) {
 		{"bad magic", []byte{0x01, 'L', 'S', Version}, ErrCorrupt},
 		{"bad tag", []byte{Magic, 'X', 'S', Version}, ErrCorrupt},
 		{"future version", []byte{Magic, 'L', 'S', Version + 1}, ErrVersion},
+		{"v1 peer, which cannot read runs", []byte{Magic, 'L', 'S', 1}, ErrVersion},
 		{"truncated", preamble[:2], io.ErrUnexpectedEOF},
 	}
 	for _, c := range cases {
@@ -487,6 +598,17 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{frameFetchAdd, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
 	f.Add([]byte{frameFetchAdd, 0x80})
 	f.Add([]byte{frameStep, 0x07, 0x07})
+	// Run records the decoder must refuse — count 0, index+count past
+	// MaxFrame, a run tag under a frame without the runs flag — and
+	// frames with a flag bit no decoder knows.
+	f.Add(append(reqHeader(flagRuns), 0x01, 0x00, 0x01))
+	f.Add(append(append(reqHeader(flagRuns), 0x01), append(binary.AppendUvarint(nil, MaxFrame-1), 2<<1|1)...))
+	f.Add(append(reqHeader(0), 0x01, 0x00, 0x81, 0x04))
+	f.Add(append(reqHeader(0), 0x01, 0x00, 0x03, 0x01, 0x02, 0x03))
+	f.Add(append(reqHeader(1<<5|flagPrefetch), 0x00))
+	f.Add(append(reqHeader(1<<7), 0x00))
+	f.Add([]byte{frameReply, 1<<5 | flagStop, 0x00})
+	f.Add([]byte{frameReply, 1 << 7, 0x00})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req Request
