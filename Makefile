@@ -13,13 +13,13 @@ GOVULNCHECK_VERSION ?= v1.1.3
 XTOOLS_VERSION      ?= v0.24.0
 
 LINT_TOOL := bin/loopschedlint
-# The lint targets cover every package but the frozen benchmark
+# The lint target covers every package but the frozen benchmark
 # instrument (docs/LINTING.md "Scope"): no PR may edit it, so a finding
 # there can be neither fixed nor suppressed.
 LINT_PKGS = $(shell $(GO) list ./... | grep -v '^loopsched/benchmark')
 
 .PHONY: all build vet test race fuzz bench bench-compare experiments baseline check-baseline clean \
-	lint lint-tool lint-json lint-diff escape-check dup-check fmt-check staticcheck govulncheck \
+	lint lint-tool escape-check dup-check fmt-check staticcheck govulncheck \
 	flake bench-smoke
 
 all: build vet lint test
@@ -36,30 +36,17 @@ lint-tool:
 	@$(GO) build -o $(LINT_TOOL) ./cmd/loopschedlint
 	@echo $(abspath $(LINT_TOOL))
 
-# lint runs the loopsched analyzer suite (docs/LINTING.md) through the
-# go vet driver, which caches per-package results.
+# lint is the one lint gate: the loopsched analyzer suite
+# (docs/LINTING.md) run by go vet, which caches per-package results.
 lint:
 	$(GO) build -o $(LINT_TOOL) ./cmd/loopschedlint
 	$(GO) vet -vettool=$(abspath $(LINT_TOOL)) $(LINT_PKGS)
 
-# lint-json writes machine-readable diagnostics to lint-report.json
-# (uploaded as a CI artifact); it reports but never fails.
-lint-json:
-	$(GO) build -o $(LINT_TOOL) ./cmd/loopschedlint
-	./$(LINT_TOOL) -json $(LINT_PKGS) > lint-report.json || true
-	@cat lint-report.json
-
-# lint-diff is the CI gate: it fails only on findings not recorded in
-# the checked-in baseline (lint-baseline.json, kept empty — fix or
-# suppress findings rather than baselining them), and writes both the
-# JSON and SARIF artifacts CI uploads either way.
-lint-diff:
-	$(GO) build -o $(LINT_TOOL) ./cmd/loopschedlint
-	./$(LINT_TOOL) -json -sarif lint-report.sarif -baseline lint-baseline.json $(LINT_PKGS) > lint-report.json
-
-# escape-check cross-checks the hotalloc analyzer against the
-# compiler's own escape analysis (-gcflags=-m) on every
-# //lint:loopsched-hotpath function; see cmd/escapecheck.
+# escape-check is the static zero-allocation guard: the compiler's own
+# escape analysis (-gcflags=-m) must report no unaccounted heap
+# allocation in any //lint:loopsched-hotpath function; see
+# cmd/escapecheck. The hotguard_test.go AllocsPerRun tables are the
+# dynamic guard, run by `make test`.
 escape-check:
 	$(GO) run ./cmd/escapecheck
 

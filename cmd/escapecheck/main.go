@@ -1,14 +1,12 @@
-// Command escapecheck cross-checks the hotalloc analyzer against the
-// compiler's own escape analysis. It finds every package with
-// //lint:loopsched-hotpath annotations, compiles them with
-// -gcflags=-m, and fails if the compiler reports a heap allocation
-// ("escapes to heap" / "moved to heap") inside an annotated function's
-// span that neither a //lint:loopsched-ignore hotalloc directive nor
-// the cold-error exemption (a line calling fmt.Errorf or errors.New)
-// accounts for. Together with `loopschedlint` exiting clean, a clean
-// escapecheck run means the analyzer and the compiler agree on every
-// annotated hot path: no allocation the analyzer models is missing
-// from the binary, and none the binary performs evades the analyzer.
+// Command escapecheck is the static zero-allocation guard. It finds
+// every package with //lint:loopsched-hotpath annotations, compiles
+// them with -gcflags=-m, and fails if the compiler reports a heap
+// allocation ("escapes to heap" / "moved to heap") inside an annotated
+// function's span that neither a //lint:loopsched-ignore hotalloc
+// directive nor the cold-error exemption (a line calling fmt.Errorf or
+// errors.New) accounts for. The compiler's escape analysis is the
+// ground truth for what allocates; the hotguard_test.go AllocsPerRun
+// tables are the dynamic guard beside it.
 //
 // The go build cache replays compile diagnostics, so repeat runs are
 // cheap; no -a rebuild is needed.
@@ -20,6 +18,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -29,11 +28,6 @@ import (
 	"strings"
 
 	"loopsched/internal/hotpath"
-)
-
-var (
-	rootDir = flag.String("root", ".", "module root to scan for annotated packages")
-	verbose = flag.Bool("v", false, "list every annotated function and its verdict")
 )
 
 // span is one annotated function's file region.
@@ -48,34 +42,37 @@ type span struct {
 var escapeLine = regexp.MustCompile(`^(.+\.go):(\d+):\d+: (.*(?:escapes to heap|moved to heap).*)$`)
 
 func main() {
+	root := flag.String("root", ".", "module root to scan for annotated packages")
+	verbose := flag.Bool("v", false, "list every annotated function and its verdict")
 	flag.Parse()
-	code, err := run()
+	code, err := run(*root, *verbose, os.Stdout, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "escapecheck:", err)
-		os.Exit(1)
 	}
 	os.Exit(code)
 }
 
-func run() (int, error) {
-	pkgs, spans, err := annotatedPackages(*rootDir)
+// run checks the module at root and returns the exit code: 0 clean, 2
+// when an annotated function allocates unaccounted, 1 on error.
+func run(root string, verbose bool, stdout, stderr io.Writer) (int, error) {
+	pkgs, spans, err := annotatedPackages(root)
 	if err != nil {
 		return 1, err
 	}
 	if len(pkgs) == 0 {
-		return 1, fmt.Errorf("no //lint:%s annotations under %s", hotpath.Directive, *rootDir)
+		return 1, fmt.Errorf("no //%s annotations under %s", hotpath.Directive, root)
 	}
-	if *verbose {
+	if verbose {
 		for _, file := range sortedKeys(spans) {
 			for _, s := range spans[file] {
-				fmt.Printf("# %s:%d %s\n", file, s.line, s.name)
+				fmt.Fprintf(stdout, "# %s:%d %s\n", file, s.line, s.name)
 			}
 		}
 	}
 
 	args := append([]string{"build", "-gcflags=-m"}, pkgs...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = *rootDir
+	cmd.Dir = root
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		return 1, fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, out)
@@ -94,23 +91,23 @@ func run() (int, error) {
 		if fn == "" {
 			continue // allocation outside every annotated hot path
 		}
-		why, allowed := allowedAt(filepath.Join(*rootDir, file), line)
+		why, allowed := allowedAt(filepath.Join(root, file), line)
 		if allowed {
-			if *verbose {
-				fmt.Printf("ok   %s:%d (%s): %s [%s]\n", file, line, fn, msg, why)
+			if verbose {
+				fmt.Fprintf(stdout, "ok   %s:%d (%s): %s [%s]\n", file, line, fn, msg, why)
 			}
 			continue
 		}
-		bad = append(bad, fmt.Sprintf("%s:%d: hot path %s: %s (compiler escape analysis; hotalloc saw no finding here — annotate with //lint:loopsched-ignore hotalloc <reason> if intended, else remove the allocation)", file, line, fn, msg))
+		bad = append(bad, fmt.Sprintf("%s:%d: hot path %s: %s (compiler escape analysis — remove the allocation, or annotate it with //lint:loopsched-ignore hotalloc <reason> if intended)", file, line, fn, msg))
 	}
 
 	if len(bad) > 0 {
 		for _, b := range bad {
-			fmt.Fprintln(os.Stderr, b)
+			fmt.Fprintln(stderr, b)
 		}
 		return 2, nil
 	}
-	fmt.Printf("escapecheck: %d packages, analyzer and compiler agree on every annotated hot path\n", len(pkgs))
+	fmt.Fprintf(stdout, "escapecheck: %d packages, no unaccounted heap allocation on any annotated hot path\n", len(pkgs))
 	return 0, nil
 }
 
@@ -169,9 +166,8 @@ func inSpan(spans []span, line int) string {
 
 // allowedAt reports whether an in-span allocation at file:line is
 // accounted for: a //lint:loopsched-ignore hotalloc directive on the
-// line or the line above (the analyzer's own suppression scope), or a
-// cold error construction (fmt.Errorf / errors.New), which hotalloc
-// exempts when it feeds a return or panic.
+// line or the line above, or a cold error construction (fmt.Errorf /
+// errors.New), which only a failing call pays for.
 func allowedAt(file string, line int) (string, bool) {
 	lines, err := fileLines(file)
 	if err != nil || line < 1 || line > len(lines) {
@@ -189,15 +185,15 @@ func allowedAt(file string, line int) (string, bool) {
 	return "", false
 }
 
-// ignoresHotalloc matches the analyzer's directive grammar: the
-// hotalloc (or all) analyzer name right after //lint:loopsched-ignore.
+// ignoresHotalloc matches the suppression grammar: the hotalloc (or
+// all) key right after //lint:loopsched-ignore, then a reason.
 func ignoresHotalloc(text string) bool {
 	i := strings.Index(text, "//lint:loopsched-ignore")
 	if i < 0 {
 		return false
 	}
 	rest := strings.Fields(text[i+len("//lint:loopsched-ignore"):])
-	return len(rest) > 0 && (rest[0] == "hotalloc" || rest[0] == "all")
+	return len(rest) > 1 && (rest[0] == "hotalloc" || rest[0] == "all")
 }
 
 var lineCache = map[string][]string{}

@@ -1,22 +1,18 @@
 // Command loopschedlint runs loopsched's domain-aware analyzer suite
-// (internal/lint): ctxloop, chunkmath, locksafe, regsync, gojoin,
-// timesample, atomicdiscipline, hotalloc, wirebounds and the
-// module-wide lockorder — the concurrency, chunk-math and hot-path
-// invariants behind the paper's termination and work-conservation
-// arguments, machine-checked.
+// (internal/lint): chunkmath, gojoin, atomicdiscipline and wirebounds
+// — the chunk-math, goroutine-join, atomic-access and wire-decoding
+// invariants behind the paper's work-conservation argument and the
+// runtime's safety on untrusted input, machine-checked.
 //
-// It speaks two protocols:
+// It is a vet tool, and nothing else:
 //
-//	loopschedlint [-json] [-sarif file] [-baseline file] [packages]
-//	go vet -vettool=$(which loopschedlint) ./...
+//	go vet -vettool=$(make -s lint-tool) ./...
 //
-// The vettool mode implements cmd/go's (unpublished) vet driver
-// protocol: -V=full and -flags queries, then one invocation per
-// package with a JSON .cfg file naming the sources and the export
-// data of every dependency. Module-wide analyzers degrade there to
-// the current unit's single package; the standalone mode sees the
-// whole module. See docs/LINTING.md for the analyzers, their
-// invariants, and the //lint:loopsched-ignore suppression directive.
+// It implements cmd/go's (unpublished) vet tool protocol: -V=full
+// and -flags queries, then one invocation per package with a JSON
+// .cfg file naming the sources and the export data of every
+// dependency. See docs/LINTING.md for the analyzers, their invariants,
+// and the //lint:loopsched-ignore suppression directive.
 package main
 
 import (
@@ -35,10 +31,6 @@ import (
 var (
 	versionFlag = flag.String("V", "", "print version information (cmd/go tool protocol)")
 	printFlags  = flag.Bool("flags", false, "print analyzer flags in JSON (cmd/go vet protocol)")
-	jsonOut     = flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	sarifOut    = flag.String("sarif", "", "also write diagnostics as SARIF 2.1.0 to this file")
-	baseline    = flag.String("baseline", "", "suppress findings present in this JSON baseline file; exit 2 only on new findings")
-	only        = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 )
 
 func main() {
@@ -47,11 +39,13 @@ func main() {
 	case *versionFlag != "":
 		printVersion()
 	case *printFlags:
-		printFlagDefs()
+		// The suite has no flags of its own.
+		fmt.Println("[]")
 	case flag.NArg() == 1 && strings.HasSuffix(flag.Arg(0), ".cfg"):
 		os.Exit(runUnit(flag.Arg(0)))
 	default:
-		os.Exit(runStandalone(flag.Args()))
+		fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(command -v loopschedlint) [packages]")
+		os.Exit(1)
 	}
 }
 
@@ -67,171 +61,6 @@ func printVersion() {
 		}
 	}
 	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", progname, h.Sum(nil))
-}
-
-// printFlagDefs answers cmd/go's `-flags` query.
-func printFlagDefs() {
-	type flagDef struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	defs := []flagDef{
-		{Name: "json", Bool: true, Usage: "emit diagnostics as a JSON array on stdout"},
-		{Name: "analyzers", Bool: false, Usage: "comma-separated subset of analyzers to run"},
-	}
-	out, _ := json.Marshal(defs)
-	fmt.Println(string(out))
-}
-
-// selected resolves -analyzers into the suite subset: per-package
-// analyzers and module analyzers, each matched by name.
-func selected() ([]*lint.Analyzer, []*lint.ModuleAnalyzer, error) {
-	if *only == "" {
-		return lint.All(), lint.AllModule(), nil
-	}
-	var pkgAs []*lint.Analyzer
-	var modAs []*lint.ModuleAnalyzer
-	for _, name := range strings.Split(*only, ",") {
-		name = strings.TrimSpace(name)
-		if a := lint.ByName(name); a != nil {
-			pkgAs = append(pkgAs, a)
-			continue
-		}
-		if m := lint.ModuleByName(name); m != nil {
-			modAs = append(modAs, m)
-			continue
-		}
-		return nil, nil, fmt.Errorf("loopschedlint: unknown analyzer %q", name)
-	}
-	return pkgAs, modAs, nil
-}
-
-// baselineKey is the identity a finding keeps across unrelated edits:
-// the exact line may drift, so the key is package, analyzer, file base
-// name and message.
-func baselineKey(f lint.Finding) string {
-	return f.Package + "|" + f.Analyzer + "|" + filepath.Base(f.File) + "|" + f.Message
-}
-
-// applyBaseline drops findings recorded in the baseline file, so CI
-// fails only on findings introduced by the change under review.
-func applyBaseline(findings []lint.Finding) ([]lint.Finding, error) {
-	if *baseline == "" {
-		return findings, nil
-	}
-	data, err := os.ReadFile(*baseline)
-	if err != nil {
-		return nil, fmt.Errorf("loopschedlint: reading baseline: %v", err)
-	}
-	var base []lint.Finding
-	if err := json.Unmarshal(data, &base); err != nil {
-		return nil, fmt.Errorf("loopschedlint: parsing baseline %s: %v", *baseline, err)
-	}
-	known := make(map[string]int, len(base))
-	for _, f := range base {
-		known[baselineKey(f)]++
-	}
-	var fresh []lint.Finding
-	for _, f := range findings {
-		if known[baselineKey(f)] > 0 {
-			known[baselineKey(f)]--
-			continue
-		}
-		fresh = append(fresh, f)
-	}
-	return fresh, nil
-}
-
-// emit prints the findings in the selected formats and returns the
-// exit code (vet convention: 2 when findings exist).
-func emit(findings []lint.Finding) int {
-	if *sarifOut != "" {
-		doc, err := lint.SARIF(findings)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if err := os.WriteFile(*sarifOut, doc, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []lint.Finding{}
-		}
-		_ = enc.Encode(findings)
-	} else {
-		for _, f := range findings {
-			fmt.Fprintln(os.Stderr, f.String())
-		}
-	}
-	if len(findings) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// runStandalone loads the patterns through the go toolchain and runs
-// the suite — per-package analyzers over each package, module
-// analyzers over all of them at once.
-func runStandalone(patterns []string) int {
-	pkgAs, modAs, err := selected()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := lint.Load(".", patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var all []lint.Finding
-	for _, pkg := range pkgs {
-		diags, err := lint.RunAnalyzers(pkg, pkgAs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		for _, d := range diags {
-			all = append(all, lint.Finding{Package: pkg.Path, Diagnostic: d})
-		}
-	}
-	if len(modAs) > 0 {
-		diags, err := lint.RunModuleAnalyzers(pkgs, modAs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		for _, d := range diags {
-			all = append(all, lint.Finding{Package: moduleFindingPackage(pkgs, d), Diagnostic: d})
-		}
-	}
-	all, err = applyBaseline(all)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	return emit(all)
-}
-
-// moduleFindingPackage attributes a module-analyzer diagnostic to the
-// package owning its file (module diagnostics span packages).
-func moduleFindingPackage(pkgs []*lint.Package, d lint.Diagnostic) string {
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			if pkg.Fset.Position(f.Pos()).Filename == d.Pos.Filename {
-				return pkg.Path
-			}
-		}
-	}
-	return "module"
 }
 
 // vetConfig is the JSON payload cmd/go hands a vettool for each
@@ -253,10 +82,8 @@ type vetConfig struct {
 	SucceedOnTypecheckFailure bool
 }
 
-// runUnit analyses one package unit under `go vet -vettool`. Module
-// analyzers run over the unit's single package: intra-package findings
-// (a lock cycle within one package) still surface; the cross-package
-// graph needs the standalone runner.
+// runUnit analyses one package unit and returns the exit code (vet
+// convention: 2 when findings exist).
 func runUnit(cfgPath string) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
@@ -281,7 +108,7 @@ func runUnit(cfgPath string) int {
 	}
 
 	// The suite's invariants target production code; test files are
-	// excluded, mirroring the standalone loader.
+	// excluded.
 	var files []string
 	for _, f := range cfg.GoFiles {
 		if !strings.HasSuffix(f, "_test.go") {
@@ -317,14 +144,11 @@ func runUnit(cfgPath string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	modDiags, err := lint.RunModuleAnalyzers([]*lint.Package{pkg}, lint.AllModule())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d)
 	}
-	var all []lint.Finding
-	for _, d := range append(diags, modDiags...) {
-		all = append(all, lint.Finding{Package: cfg.ImportPath, Diagnostic: d})
+	if len(diags) > 0 {
+		return 2
 	}
-	return emit(all)
+	return 0
 }

@@ -39,9 +39,8 @@ func main() {
 		fail(err)
 	}
 	// Real multi-machine deployments are the one place the manual
-	// master wiring is still the right tool (the public NewMaster
-	// wrapper is deprecated in favour of Run/NewScheduler, which
-	// self-host their fleets in-process).
+	// master wiring is the right tool (Run and NewScheduler self-host
+	// their fleets in-process).
 	master, err := exec.NewMaster(scheme, *width, *workers)
 	if err != nil {
 		fail(err)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -110,7 +111,7 @@ func TestNoWorkerHoldsTheWholeLoop(t *testing.T) {
 		t.Run("local-steal-ledger-"+string(mode), func(t *testing.T) {
 			g := newStarveGate()
 			l := &Local{Scheme: sched.TFSSScheme{}, Workers: specs(1, 1), Engine: EngineSteal, Ledger: mode}
-			if rep, err := l.Run(workload.Uniform{N: n}, g.visit); err != nil || rep.Iterations != n {
+			if rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, g.visit); err != nil || rep.Iterations != n {
 				t.Fatalf("run: %d iterations, err %v", rep.Iterations, err)
 			}
 			g.check(t)

@@ -26,7 +26,7 @@ func TestStealExactlyOnce(t *testing.T) {
 		}
 		counts := make([]int32, n)
 		l := &Local{Scheme: s, Workers: specs(1, 1, 1, 1), Engine: EngineSteal}
-		rep, err := l.Run(workload.Uniform{N: n}, func(i int) {
+		rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
 		if err != nil {
@@ -54,7 +54,7 @@ func TestStealExactlyOnceWindows(t *testing.T) {
 			Scheme: sched.GSSScheme{}, Workers: specs(1, 1, 1),
 			Engine: EngineSteal, Window: window,
 		}
-		rep, err := l.Run(workload.Uniform{N: n}, func(i int) {
+		rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
 		if err != nil {
@@ -97,7 +97,7 @@ func TestEngineGrantEquivalence(t *testing.T) {
 				scales[i] = 1
 			}
 			l := &Local{Scheme: s, Workers: specs(scales...), Engine: engine, Telemetry: bus}
-			rep, err := l.Run(workload.Uniform{N: n}, func(int) {})
+			rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(int) {})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, engine, err)
 			}
@@ -133,7 +133,7 @@ func TestStealHeterogeneous(t *testing.T) {
 	const n = 500
 	perIter := make([]int32, n)
 	l := &Local{Scheme: sched.DTSSScheme{}, Workers: specs(1, 3), Engine: EngineSteal}
-	rep, err := l.Run(workload.Uniform{N: n}, func(i int) {
+	rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(i int) {
 		atomic.AddInt32(&perIter[i], 1)
 	})
 	if err != nil {
@@ -163,7 +163,7 @@ func TestStealCancellation(t *testing.T) {
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	rep, err := l.Run(workload.Uniform{N: 100}, func(int) {})
+	rep, err := l.RunContext(context.Background(), workload.Uniform{N: 100}, func(int) {})
 	if err != nil || rep.Iterations != 100 {
 		t.Fatalf("rerun: %v, %d iterations", err, rep.Iterations)
 	}
@@ -171,14 +171,14 @@ func TestStealCancellation(t *testing.T) {
 
 func TestUnknownEngine(t *testing.T) {
 	l := &Local{Scheme: sched.GSSScheme{}, Workers: specs(1), Engine: "fibers"}
-	if _, err := l.Run(workload.Uniform{N: 10}, func(int) {}); err == nil {
+	if _, err := l.RunContext(context.Background(), workload.Uniform{N: 10}, func(int) {}); err == nil {
 		t.Error("unknown engine accepted")
 	}
 }
 
 func TestStealEmptyLoop(t *testing.T) {
 	l := &Local{Scheme: sched.TSSScheme{}, Workers: specs(1, 1), Engine: EngineSteal}
-	rep, err := l.Run(workload.Uniform{N: 0}, func(int) {
+	rep, err := l.RunContext(context.Background(), workload.Uniform{N: 0}, func(int) {
 		t.Error("body ran on empty loop")
 	})
 	if err != nil {
@@ -200,7 +200,7 @@ func TestStealTelemetry(t *testing.T) {
 		Scheme: sched.CSSScheme{K: 8}, Workers: specs(1, 1, 1, 1),
 		Engine: EngineSteal, Telemetry: bus,
 	}
-	rep, err := l.Run(workload.Uniform{N: n}, func(int) {})
+	rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(int) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestFeedbackElapsedMatchesComp(t *testing.T) {
 			Scheme: recordingScheme{fed: &fed}, Workers: specs(1),
 			Engine: engine, Trace: tr,
 		}
-		rep, err := l.Run(workload.Uniform{N: 5000}, func(i int) {
+		rep, err := l.RunContext(context.Background(), workload.Uniform{N: 5000}, func(i int) {
 			sink += math.Sqrt(float64(i))
 		})
 		if err != nil {

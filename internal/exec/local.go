@@ -279,22 +279,11 @@ func (r *Slaves) Slave(ctx context.Context, id, slot, shard int, requests chan<-
 	}
 }
 
-// Run executes body(i) exactly once for every iteration i of the
-// workload, scheduling with the configured scheme, and reports
+// RunContext executes body(i) exactly once for every iteration i of
+// the workload, scheduling with the configured scheme, and reports
 // measured times. body must be safe for concurrent invocation on
-// distinct iterations.
-//
-// Deprecated: Run is the legacy context-free adapter; use the public
-// loopsched.Run(ctx, RunSpec{Backend: BackendLocal, …}), which
-// validates the spec, wires telemetry and honours cancellation (or
-// RunContext when driving a Local directly).
-func (l *Local) Run(w workload.Workload, body func(i int)) (metrics.Report, error) {
-	return l.RunContext(context.Background(), w, body)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled the
-// master stops handing out chunks, the workers drain, and the call
-// returns ctx's error. Iterations already started still complete
+// distinct iterations. When ctx is cancelled the master stops handing
+// out chunks, the workers drain, and the call returns ctx's error. Iterations already started still complete
 // (the body is never interrupted mid-iteration).
 func (l *Local) RunContext(ctx context.Context, w workload.Workload, body func(i int)) (metrics.Report, error) {
 	p := len(l.Workers)

@@ -30,7 +30,7 @@ func TestLocalExactlyOnce(t *testing.T) {
 		}
 		counts := make([]int32, n)
 		l := &Local{Scheme: s, Workers: specs(1, 1, 1, 1)}
-		rep, err := l.Run(workload.Uniform{N: n}, func(i int) {
+		rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
 		if err != nil {
@@ -55,7 +55,7 @@ func TestLocalHeterogeneous(t *testing.T) {
 	var total atomic.Int64
 	perIter := make([]int32, n)
 	l := &Local{Scheme: sched.DTSSScheme{}, Workers: specs(1, 3)}
-	rep, err := l.Run(workload.Uniform{N: n}, func(i int) {
+	rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(i int) {
 		total.Add(1)
 		atomic.AddInt32(&perIter[i], 1)
 	})
@@ -89,7 +89,7 @@ func TestLocalDistributedFavoursFast(t *testing.T) {
 	const n = 4000
 	tr := &trace.Trace{}
 	l := &Local{Scheme: sched.NewDFSS(), Workers: specs(1, 4), Trace: tr}
-	rep, err := l.Run(workload.Uniform{N: n}, func(int) {})
+	rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(int) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestLocalLoadAdjustment(t *testing.T) {
 	ws := specs(1, 1, 1, 1)
 	l := &Local{Scheme: sched.DTSSScheme{}, Workers: ws}
 	var fired atomic.Bool
-	_, err := l.Run(workload.Uniform{N: n}, func(i int) {
+	_, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(i int) {
 		if i > n/10 && !fired.Load() {
 			fired.Store(true)
 			ws[0].AddLoad(3)
@@ -182,7 +182,7 @@ func TestLocalCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The executor is reusable after cancellation.
-	rep, err := l.Run(workload.Uniform{N: 100}, func(int) {})
+	rep, err := l.RunContext(context.Background(), workload.Uniform{N: 100}, func(int) {})
 	if err != nil || rep.Iterations != 100 {
 		t.Fatalf("rerun: %v, %d iterations", err, rep.Iterations)
 	}
@@ -202,14 +202,14 @@ func TestLocalCancelBeforeGather(t *testing.T) {
 
 func TestLocalNoWorkers(t *testing.T) {
 	l := &Local{Scheme: sched.GSSScheme{}}
-	if _, err := l.Run(workload.Uniform{N: 10}, func(int) {}); err == nil {
+	if _, err := l.RunContext(context.Background(), workload.Uniform{N: 10}, func(int) {}); err == nil {
 		t.Error("no-worker run accepted")
 	}
 }
 
 func TestLocalEmptyLoop(t *testing.T) {
 	l := &Local{Scheme: sched.TSSScheme{}, Workers: specs(1, 1)}
-	rep, err := l.Run(workload.Uniform{N: 0}, func(int) {
+	rep, err := l.RunContext(context.Background(), workload.Uniform{N: 0}, func(int) {
 		t.Error("body ran on empty loop")
 	})
 	if err != nil {

@@ -674,19 +674,29 @@ func TestRPCPipelinedFailWorker(t *testing.T) {
 	}
 }
 
+// scriptedClock makes m read its time from the returned counter, in
+// nanoseconds, instead of the wall clock.
+func scriptedClock(m *Master) *atomic.Int64 {
+	var clock atomic.Int64
+	m.clock = func() time.Time { return time.Unix(0, clock.Load()) }
+	return &clock
+}
+
 // TestRPCCommGapZeroComp: the T_comm gap is charged even when the
 // previous chunk's measured computation time rounds to zero (the old
 // CompSeconds > 0 guard silently dropped it).
 func TestRPCCommGapZeroComp(t *testing.T) {
 	const n = 4
+	const gap = 20 * time.Millisecond
 	m, _, stop := startMaster(t, sched.CSSScheme{K: 2}, n, 1)
 	defer stop()
+	clock := scriptedClock(m)
 
 	var reply ChunkReply
 	if err := m.NextChunk(ChunkArgs{Worker: 0}, &reply); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
+	clock.Add(int64(gap))
 	deliver := func(a sched.Assignment) []ChunkResult {
 		res := make([]ChunkResult, 0, a.Size)
 		for i := a.Start; i < a.End(); i++ {
@@ -710,8 +720,8 @@ func TestRPCCommGapZeroComp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.PerWorker[0].Comm < 0.015 {
-		t.Errorf("Comm = %.4fs, want ≥ 0.015s (zero-comp gap dropped)", rep.PerWorker[0].Comm)
+	if got := rep.PerWorker[0].Comm; got != gap.Seconds() {
+		t.Errorf("Comm = %gs, want exactly the %gs gap (zero-comp gap dropped)", got, gap.Seconds())
 	}
 }
 
@@ -784,14 +794,16 @@ func TestRPCCommHonestUnderLateRequests(t *testing.T) {
 // clock.
 func TestRPCLastReplyNotStampedOnError(t *testing.T) {
 	const n = 2
+	const gap = 30 * time.Millisecond
 	m, _, stop := startMaster(t, sched.CSSScheme{K: 2}, n, 1)
 	defer stop()
+	clock := scriptedClock(m)
 
 	var reply ChunkReply
 	if err := m.NextChunk(ChunkArgs{Worker: 0}, &reply); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond)
+	clock.Add(int64(gap))
 	// A malformed call fails — and must not be counted as a reply.
 	var bad ChunkReply
 	if err := m.NextChunk(ChunkArgs{Worker: 0, Results: []ChunkResult{{Index: 99}}}, &bad); err == nil {
@@ -813,9 +825,9 @@ func TestRPCLastReplyNotStampedOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The gap spans from the first (successful) reply, not from the
-	// errored call: ≥ the 30ms sleep.
-	if rep.PerWorker[0].Comm < 0.02 {
-		t.Errorf("Comm = %.4fs, want ≥ 0.02s (gap clock reset by errored call)", rep.PerWorker[0].Comm)
+	// errored call, which came at the same instant as the final one.
+	if got := rep.PerWorker[0].Comm; got != gap.Seconds() {
+		t.Errorf("Comm = %gs, want exactly the %gs gap (gap clock reset by errored call)", got, gap.Seconds())
 	}
 }
 

@@ -183,13 +183,16 @@ func TestRPCHierarchyCancel(t *testing.T) {
 	const n = 1 << 20
 	scheme, _ := sched.Lookup("TSS")
 	members := [][]int{{1, 1}, {1, 1}}
-	root, _, subs, _ := startHierarchy(t, scheme, n, members, false, nil, squareKernel)
-
+	// The run is cancelled from inside the kernel, once its first
+	// iteration is done (cancel is idempotent, so every later iteration
+	// may call it again).
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
+	kernel := func(i int) []byte {
+		defer cancel()
+		return squareKernel(i)
+	}
+	root, _, subs, _ := startHierarchy(t, scheme, n, members, false, nil, kernel)
+
 	_, _, err := root.WaitContext(ctx)
 	if err != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", err)

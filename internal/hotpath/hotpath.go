@@ -1,16 +1,15 @@
 // Package hotpath locates the functions the repo has declared to be on
-// the chunk hot path via the //lint:loopsched-hotpath directive. Three
-// consumers share this one scanner so they can never drift apart:
+// the chunk hot path via the //lint:loopsched-hotpath directive. The
+// two zero-allocation guards share this one scanner so they can never
+// drift apart:
 //
-//   - the hotalloc analyzer (internal/lint) statically rejects
-//     heap-escaping constructs in annotated functions and everything
-//     they call within their package;
-//   - cmd/escapecheck cross-checks the analyzer's verdicts against the
-//     compiler's own escape analysis (go build -gcflags=-m);
+//   - cmd/escapecheck, the static guard, checks the compiler's own
+//     escape analysis (go build -gcflags=-m) over every annotated
+//     function;
 //   - the per-package alloc-guard test tables (internal/steal,
-//     internal/wire, …) are generated from the annotations, so
-//     annotating an exported function automatically demands an
-//     AllocsPerRun guard for it.
+//     internal/wire, …), the dynamic guard, are checked against the
+//     annotations (TableErrors), so annotating an exported function
+//     automatically demands an AllocsPerRun guard for it.
 //
 // The directive goes on its own line inside the function's doc
 // comment (or on the line immediately above an undocumented one):
@@ -46,8 +45,6 @@ type Func struct {
 	Name string
 	// Recv is the bare receiver type name ("" for plain functions).
 	Recv string
-	// Ident is the function identifier alone ("Push").
-	Ident string
 	// Exported reports whether the function identifier is exported.
 	Exported bool
 	// File is the path as given to the parser; Line and EndLine span
@@ -57,93 +54,60 @@ type Func struct {
 	EndLine int
 }
 
-// hasDirective reports whether any line of the comment group is the
-// hot-path directive.
-func hasDirective(cg *ast.CommentGroup) bool {
-	if cg == nil {
-		return false
-	}
-	for _, c := range cg.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if text == Directive || strings.HasPrefix(text, Directive+" ") {
-			return true
-		}
-	}
-	return false
+// isDirective reports whether a comment is the hot-path directive.
+func isDirective(c *ast.Comment) bool {
+	text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+	return text == Directive || strings.HasPrefix(text, Directive+" ")
 }
 
-// directiveLines collects the line numbers of every hot-path directive
-// comment in the file, for matching bare directives that sit directly
-// above an undocumented declaration.
-func directiveLines(fset *token.FileSet, f *ast.File) map[int]bool {
+// annotatedDecls returns the FuncDecls in the parsed file that carry
+// the hot-path directive (in their doc comment, or on the line
+// directly above). The file must have been parsed with
+// parser.ParseComments.
+func annotatedDecls(fset *token.FileSet, f *ast.File) []*ast.FuncDecl {
 	lines := map[int]bool{}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if text == Directive || strings.HasPrefix(text, Directive+" ") {
+			if isDirective(c) {
 				lines[fset.Position(c.Pos()).Line] = true
 			}
 		}
 	}
-	return lines
-}
-
-// AnnotatedDecls returns the FuncDecls in the parsed files that carry
-// the hot-path directive (in their doc comment, or on the line
-// directly above). The files must have been parsed with
-// parser.ParseComments.
-func AnnotatedDecls(fset *token.FileSet, files []*ast.File) []*ast.FuncDecl {
 	var out []*ast.FuncDecl
-	for _, f := range files {
-		lines := directiveLines(fset, f)
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok {
+			continue
+		}
+		doc := false
+		if fn.Doc != nil {
+			for _, c := range fn.Doc.List {
+				doc = doc || isDirective(c)
 			}
-			if hasDirective(fn.Doc) || lines[fset.Position(fn.Pos()).Line-1] {
-				out = append(out, fn)
-			}
+		}
+		if doc || lines[fset.Position(fn.Pos()).Line-1] {
+			out = append(out, fn)
 		}
 	}
 	return out
 }
 
-// DeclName renders a FuncDecl's display name: "Push", "(*Deque).Push"
-// or "(Kind).String".
-func DeclName(fn *ast.FuncDecl) string {
-	recv := recvTypeName(fn)
-	if recv == "" {
-		return fn.Name.Name
-	}
-	if recvIsPointer(fn) {
-		return fmt.Sprintf("(*%s).%s", recv, fn.Name.Name)
-	}
-	return fmt.Sprintf("(%s).%s", recv, fn.Name.Name)
-}
-
-// recvTypeName returns the bare receiver type name, "" for functions.
-func recvTypeName(fn *ast.FuncDecl) string {
+// recv returns the bare receiver type name ("" for functions) and
+// whether the receiver is a pointer.
+func recv(fn *ast.FuncDecl) (string, bool) {
 	if fn.Recv == nil || len(fn.Recv.List) != 1 {
-		return ""
+		return "", false
 	}
 	t := fn.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
+	star, ptr := t.(*ast.StarExpr)
+	if ptr {
 		t = star.X
 	}
 	// Generic receivers (IndexExpr) do not occur in this module.
 	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
+		return id.Name, ptr
 	}
-	return ""
-}
-
-func recvIsPointer(fn *ast.FuncDecl) bool {
-	if fn.Recv == nil || len(fn.Recv.List) != 1 {
-		return false
-	}
-	_, ok := fn.Recv.List[0].Type.(*ast.StarExpr)
-	return ok
+	return "", false
 }
 
 // Annotated parses every non-test .go file in dir (one package
@@ -166,11 +130,18 @@ func Annotated(dir string) ([]Func, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hotpath: %w", err)
 		}
-		for _, fn := range AnnotatedDecls(fset, []*ast.File{f}) {
+		for _, fn := range annotatedDecls(fset, f) {
+			display := fn.Name.Name
+			r, ptr := recv(fn)
+			switch {
+			case ptr:
+				display = fmt.Sprintf("(*%s).%s", r, display)
+			case r != "":
+				display = fmt.Sprintf("(%s).%s", r, display)
+			}
 			out = append(out, Func{
-				Name:     DeclName(fn),
-				Recv:     recvTypeName(fn),
-				Ident:    fn.Name.Name,
+				Name:     display,
+				Recv:     r,
 				Exported: ast.IsExported(fn.Name.Name),
 				File:     path,
 				Line:     fset.Position(fn.Pos()).Line,

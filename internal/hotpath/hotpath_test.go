@@ -79,7 +79,7 @@ func helperInTest() {}
 
 // TestRealPackagesHaveAnnotations pins the inventory sources: the
 // packages docs/LINTING.md lists as annotated must actually carry
-// directives, so the doc, the analyzer and the guard tables stay
+// directives, so the doc, escapecheck and the guard tables stay
 // grounded.
 func TestRealPackagesHaveAnnotations(t *testing.T) {
 	for _, dir := range []string{"../steal", "../wire", "../telemetry", "../exec"} {

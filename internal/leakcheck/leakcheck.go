@@ -1,9 +1,9 @@
 // Package leakcheck asserts at the end of a test binary that no
 // goroutines from the package under test survived its tests. It is a
 // hand-rolled, dependency-free analogue of go.uber.org/goleak: the
-// gojoin and ctxloop analyzers (internal/lint) prove statically that
-// every goroutine has a join point; this package checks dynamically
-// that the joins actually fire.
+// gojoin analyzer (internal/lint) proves statically that every
+// goroutine has a join point; this package checks dynamically that the
+// joins actually fire.
 //
 // Usage, from a package's TestMain:
 //

@@ -29,10 +29,7 @@ var (
 func stdExports(t *testing.T) map[string]string {
 	t.Helper()
 	exportsOnce.Do(func() {
-		exports, exportsErr = lint.ExportMap(".",
-			"context", "sync", "sync/atomic", "net", "net/rpc", "time", "fmt", "errors", "math",
-			"encoding/binary",
-			"loopsched/internal/wire", "loopsched/internal/steal", "loopsched/internal/telemetry")
+		exports, exportsErr = lint.ExportMap(".", "context", "sync", "sync/atomic", "net", "net/rpc")
 	})
 	if exportsErr != nil {
 		t.Fatalf("building std export data: %v", exportsErr)
@@ -105,42 +102,6 @@ func runFixture(t *testing.T, a *lint.Analyzer, fixture string) {
 		wants = append(wants, parseWants(t, f)...)
 	}
 
-	for _, d := range diags {
-		if exp := match(wants, d); exp != nil {
-			exp.used = true
-			continue
-		}
-		t.Errorf("unexpected diagnostic: %s", d)
-	}
-	for _, w := range wants {
-		if !w.used {
-			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
-		}
-	}
-}
-
-// runModuleFixture is runFixture for module-wide analyzers: the
-// fixture directory is treated as a one-package module view.
-func runModuleFixture(t *testing.T, a *lint.ModuleAnalyzer, fixture string) {
-	t.Helper()
-	dir := filepath.Join("testdata", fixture)
-	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no fixture files under %s: %v", dir, err)
-	}
-	pkg, err := lint.TypeCheckFiles("loopsched/fixture/"+fixture, files, stdExports(t))
-	if err != nil {
-		t.Fatalf("fixture %s does not type-check: %v", fixture, err)
-	}
-	diags, err := lint.RunModuleAnalyzers([]*lint.Package{pkg}, []*lint.ModuleAnalyzer{a})
-	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, fixture, err)
-	}
-
-	var wants []*expectation
-	for _, f := range files {
-		wants = append(wants, parseWants(t, f)...)
-	}
 	for _, d := range diags {
 		if exp := match(wants, d); exp != nil {
 			exp.used = true

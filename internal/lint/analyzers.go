@@ -1,37 +1,6 @@
 package lint
 
-// All returns the full per-package analyzer suite in a stable order.
+// All returns the analyzer suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{CtxLoop, ChunkMath, LockSafe, RegSync, GoJoin, TimeSample,
-		AtomicDiscipline, HotAlloc, WireBounds}
-}
-
-// AllModule returns the module-wide analyzers: passes that need every
-// package of the module in one view (cross-package lock ordering).
-// Under `go vet -vettool` each compilation unit arrives alone, so the
-// driver degrades these to a single-package view — intra-package
-// findings still surface there; the full graph needs the standalone
-// runner.
-func AllModule() []*ModuleAnalyzer {
-	return []*ModuleAnalyzer{LockOrder}
-}
-
-// ByName resolves a comma-separable analyzer name; nil when unknown.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
-// ModuleByName resolves a module analyzer name; nil when unknown.
-func ModuleByName(name string) *ModuleAnalyzer {
-	for _, a := range AllModule() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
+	return []*Analyzer{ChunkMath, GoJoin, AtomicDiscipline, WireBounds}
 }

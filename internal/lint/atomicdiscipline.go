@@ -245,7 +245,3 @@ func plainAccessAllowed(info *types.Info, parents parentMap, id *ast.Ident) bool
 	}
 	return spawns && !spawnsBefore
 }
-
-// walkOutsideFuncLits is shared with locksafe (defined there): the
-// allowance reasons about one function's own control flow, and nested
-// literals run on their own goroutines' schedules.

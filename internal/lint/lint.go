@@ -1,14 +1,11 @@
 // Package lint is loopsched's domain-aware static-analysis suite: a
 // small, dependency-free re-implementation of the golang.org/x/tools
-// go/analysis model (Analyzer, Pass, Diagnostic) plus the analyzers
-// that machine-check the invariants the runtime's correctness
-// arguments rest on — context observation in blocking loops, the
-// paper's ⌈⌉/⌊⌋ chunk arithmetic discipline, mutex re-entry, scheme
-// registry hygiene, goroutine joining, time-sample reuse, mixed
-// atomic/plain field access, zero-allocation hot paths, decoded-count
-// bounds in wire decoders, and the module-wide lock-acquisition order.
-// cmd/loopschedlint drives the suite both standalone and as a
-// `go vet -vettool`.
+// go/analysis model (Analyzer, Pass, Diagnostic) plus the four
+// analyzers that earned their place — the paper's ⌈⌉/⌊⌋ chunk
+// arithmetic discipline (chunkmath), goroutine joining (gojoin), mixed
+// atomic/plain field access (atomicdiscipline), and decoded-count
+// bounds in wire decoders (wirebounds). cmd/loopschedlint runs the
+// suite as a `go vet -vettool`.
 //
 // The framework deliberately mirrors x/tools/go/analysis so the
 // analyzers could be ported to the real thing verbatim if the module
@@ -59,13 +56,9 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 
 // Diagnostic is one finding, positioned and attributed.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	// File/Line/Col flatten Pos for the -json encoding.
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 func (d Diagnostic) String() string {
@@ -142,80 +135,6 @@ type Package struct {
 	TypesInfo *types.Info
 }
 
-// Finding is one diagnostic attributed to its package: the record both
-// the -json and -sarif encodings of cmd/loopschedlint serialise, and
-// the unit the findings-diff baseline is keyed on.
-type Finding struct {
-	Package string `json:"package"`
-	Diagnostic
-}
-
-// ModuleAnalyzer is a whole-module static check: unlike Analyzer it
-// sees every loaded package at once, so it can follow call chains
-// across package boundaries (the lockorder analyzer's
-// service → exec → telemetry lock-order graph needs exactly that).
-// Under `go vet -vettool` each package is a separate process, so
-// module analyzers degrade there to the packages of the current unit;
-// the standalone runner (make lint-json) gets the full graph.
-type ModuleAnalyzer struct {
-	Name string
-	Doc  string
-	Run  func(pass *ModulePass) error
-}
-
-// ModulePass carries every loaded package to a module analyzer.
-type ModulePass struct {
-	Analyzer *ModuleAnalyzer
-	Pkgs     []*Package
-	diags    []Diagnostic
-}
-
-// ReportAt records a finding at an already-resolved position (module
-// analyzers span file sets, so they resolve positions themselves).
-func (p *ModulePass) ReportAt(pos token.Position, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      pos,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// RunModuleAnalyzers applies the module analyzers across the loaded
-// packages and returns the unsuppressed diagnostics, ordered by
-// position. Suppression directives work exactly as for per-package
-// analyzers: a //lint:loopsched-ignore in any loaded file covers
-// diagnostics reported on its line (or the line below it).
-func RunModuleAnalyzers(pkgs []*Package, analyzers []*ModuleAnalyzer) ([]Diagnostic, error) {
-	var sups []suppression
-	for _, pkg := range pkgs {
-		sups = append(sups, collectSuppressions(pkg.Fset, pkg.Files)...)
-	}
-	var out []Diagnostic
-	for _, a := range analyzers {
-		pass := &ModulePass{Analyzer: a, Pkgs: pkgs}
-		if err := a.Run(pass); err != nil {
-			return out, fmt.Errorf("%s: %w", a.Name, err)
-		}
-		for _, d := range pass.diags {
-			if !suppressed(d, sups) {
-				d.File, d.Line, d.Col = d.Pos.Filename, d.Pos.Line, d.Pos.Column
-				out = append(out, d)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Pos, out[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return out[i].Analyzer < out[j].Analyzer
-	})
-	return out, nil
-}
-
 // RunAnalyzers applies the analyzers to the package and returns the
 // unsuppressed diagnostics, ordered by position.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
@@ -234,7 +153,6 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		for _, d := range pass.diags {
 			if !suppressed(d, sups) {
-				d.File, d.Line, d.Col = d.Pos.Filename, d.Pos.Line, d.Pos.Column
 				out = append(out, d)
 			}
 		}

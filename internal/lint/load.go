@@ -13,35 +13,40 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
 
 // The loader type-checks packages from source without any dependency
-// beyond the go toolchain itself: `go list -export` compiles each
-// dependency's export data into the build cache and reports the file
-// path, and importer.ForCompiler turns that map into a types.Importer.
-// This is the same shape x/tools/go/packages uses, reduced to what the
-// analyzers need.
+// beyond the go toolchain itself: export data for every import comes
+// either from the .cfg go vet hands cmd/loopschedlint or from
+// `go list -export` (ExportMap, for the fixture harness), and
+// importer.ForCompiler turns that map into a types.Importer.
 
-// listedPackage is the subset of `go list -json` the loader consumes.
-type listedPackage struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	GoFiles    []string
-	Standard   bool
-	DepOnly    bool
-	Error      *struct{ Err string }
-}
+// exportCache memoizes ExportMap per (dir, patterns): the `go list
+// -export` walk compiles every dependency and dominates a fixture
+// run's wall time. Sources are assumed not to change during one
+// process's lifetime.
+var exportCache = struct {
+	sync.Mutex
+	m map[string]map[string]string
+}{m: map[string]map[string]string{}}
 
-// goList runs `go list -e -export -deps -json` for the patterns.
-func goList(dir string, patterns []string) ([]listedPackage, error) {
-	args := append([]string{
-		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,Error",
-	}, patterns...)
+// ExportMap compiles the patterns (and their dependencies) and returns
+// importPath → export-data file. The fixture harness uses it to
+// type-check testdata packages against the standard library.
+func ExportMap(dir string, patterns ...string) (map[string]string, error) {
+	if abs, err := filepath.Abs(dir); err == nil {
+		dir = abs
+	}
+	key := dir + "\x00" + strings.Join(patterns, "\x00")
+	exportCache.Lock()
+	cached, ok := exportCache.m[key]
+	exportCache.Unlock()
+	if ok {
+		return cached, nil
+	}
+	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Export"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var out, errb bytes.Buffer
@@ -50,161 +55,38 @@ func goList(dir string, patterns []string) ([]listedPackage, error) {
 	if err := cmd.Run(); err != nil {
 		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, errb.String())
 	}
-	var pkgs []listedPackage
+	exports := map[string]string{}
 	dec := json.NewDecoder(&out)
 	for {
-		var p listedPackage
+		var p struct{ ImportPath, Export string }
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("go list %v: decoding: %v", patterns, err)
 		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
-}
-
-// The load cache. Every consumer of one lint invocation — the
-// per-package analyzers, the module analyzers, the SARIF/JSON/baseline
-// emitters and the fixture harness — wants the same `go list -export`
-// walk and type-check, which dominates lint wall time (seconds for the
-// full module). Memoizing by (dir, patterns) makes every call after
-// the first free. The cache assumes sources do not change during one
-// process's lifetime, which holds for every driver (a lint run is
-// read-only); callers that need a fresh view start a fresh process.
-var loadCache = struct {
-	sync.Mutex
-	exports map[string]map[string]string
-	pkgs    map[string][]*Package
-}{
-	exports: map[string]map[string]string{},
-	pkgs:    map[string][]*Package{},
-}
-
-// cacheKey canonicalises (dir, patterns) into one map key.
-func cacheKey(dir string, patterns []string) string {
-	if abs, err := filepath.Abs(dir); err == nil {
-		dir = abs
-	}
-	return dir + "\x00" + strings.Join(patterns, "\x00")
-}
-
-// ExportMap compiles the patterns (and their dependencies) and returns
-// importPath → export-data file. Used directly by the fixture harness,
-// which type-checks testdata packages against the standard library.
-// Results are memoized per (dir, patterns); see loadCache.
-func ExportMap(dir string, patterns ...string) (map[string]string, error) {
-	key := cacheKey(dir, patterns)
-	loadCache.Lock()
-	cached, ok := loadCache.exports[key]
-	loadCache.Unlock()
-	if ok {
-		return cached, nil
-	}
-	pkgs, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string, len(pkgs))
-	for _, p := range pkgs {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
 	}
-	loadCache.Lock()
-	loadCache.exports[key] = exports
-	loadCache.Unlock()
+	exportCache.Lock()
+	exportCache.m[key] = exports
+	exportCache.Unlock()
 	return exports, nil
 }
 
-// exportImporter builds a types.Importer that resolves imports through
-// the export map.
-func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+// TypeCheckFiles parses and type-checks one package from explicit file
+// paths against the export map. cmd/loopschedlint uses it with the .cfg's
+// file lists; the fixture harness uses it with a testdata directory
+// listing.
+func TypeCheckFiles(path string, filenames []string, exports map[string]string) (*Package, error) {
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("lint: no export data for %q", path)
 		}
 		return os.Open(f)
 	})
-}
-
-func newTypesInfo() *types.Info {
-	return &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-}
-
-// Load type-checks the packages matching the patterns, resolved
-// relative to dir (typically the module root). Only non-standard
-// packages named by the patterns are returned; their dependencies are
-// consumed as export data. Results are memoized per (dir, patterns),
-// so the per-package pass and the module-wide pass of one lint run
-// share a single `go list` walk and type-check (see loadCache).
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	key := cacheKey(dir, patterns)
-	loadCache.Lock()
-	cached, ok := loadCache.pkgs[key]
-	loadCache.Unlock()
-	if ok {
-		return cached, nil
-	}
-	pkgs, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string, len(pkgs))
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
-
-	var out []*Package
-	for _, p := range pkgs {
-		if p.DepOnly || p.Standard {
-			continue
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if len(p.GoFiles) == 0 {
-			continue
-		}
-		files := make([]string, len(p.GoFiles))
-		for i, g := range p.GoFiles {
-			files[i] = filepath.Join(p.Dir, g)
-		}
-		pkg, err := typeCheck(fset, imp, p.ImportPath, files)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkg)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	loadCache.Lock()
-	loadCache.pkgs[key] = out
-	loadCache.Unlock()
-	return out, nil
-}
-
-// TypeCheckFiles parses and type-checks one package from explicit file
-// paths against the export map. The unitchecker path (go vet -vettool)
-// uses it with the .cfg's file lists; the fixture harness uses it with
-// a testdata directory listing.
-func TypeCheckFiles(path string, filenames []string, exports map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
-	return typeCheck(fset, imp, path, filenames)
-}
-
-func typeCheck(fset *token.FileSet, imp types.Importer, path string, filenames []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range filenames {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
@@ -213,7 +95,13 @@ func typeCheck(fset *token.FileSet, imp types.Importer, path string, filenames [
 		}
 		files = append(files, f)
 	}
-	info := newTypesInfo()
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Scopes:     map[ast.Node]*types.Scope{},
+	}
 	conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", "amd64")}
 	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {

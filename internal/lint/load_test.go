@@ -2,45 +2,13 @@ package lint_test
 
 import (
 	"testing"
-	"time"
 
 	"loopsched/internal/lint"
 )
 
-// TestLoadMemoized pins the load cache: a second Load with the same
-// (dir, patterns) must return the identical package slice without
-// re-running `go list` or the type checker. The timings are logged so
-// the wall-time saving is visible in test output.
-func TestLoadMemoized(t *testing.T) {
-	t0 := time.Now()
-	first, err := lint.Load("../..", "./internal/lint")
-	if err != nil {
-		t.Fatalf("first Load: %v", err)
-	}
-	cold := time.Since(t0)
-
-	t1 := time.Now()
-	second, err := lint.Load("../..", "./internal/lint")
-	if err != nil {
-		t.Fatalf("second Load: %v", err)
-	}
-	warm := time.Since(t1)
-
-	if len(first) == 0 || len(first) != len(second) {
-		t.Fatalf("loads disagree: %d vs %d packages", len(first), len(second))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("package %d not memoized: distinct *Package values", i)
-		}
-	}
-	if warm > cold {
-		t.Errorf("memoized Load slower than cold: %v vs %v", warm, cold)
-	}
-	t.Logf("Load: cold %v, memoized %v", cold, warm)
-}
-
-// TestExportMapMemoized does the same for the fixture harness's path.
+// TestExportMapMemoized pins the fixture harness's export cache: a
+// second ExportMap with the same (dir, patterns) must not re-run
+// `go list`.
 func TestExportMapMemoized(t *testing.T) {
 	a, err := lint.ExportMap("../..", "context")
 	if err != nil {

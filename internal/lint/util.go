@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // Shared AST/type helpers for the analyzers.
@@ -25,15 +24,6 @@ func isNamedType(t types.Type, pkgPath, name string) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }
 
-// isContext reports whether the expression has type context.Context.
-func isContext(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	return isNamedType(tv.Type, "context", "Context")
-}
-
 // receiverOf returns the method call's receiver expression and method
 // name, or nil/"" when the call is not of the form expr.Method(...).
 func receiverOf(call *ast.CallExpr) (ast.Expr, string) {
@@ -42,35 +32,6 @@ func receiverOf(call *ast.CallExpr) (ast.Expr, string) {
 		return nil, ""
 	}
 	return sel.X, sel.Sel.Name
-}
-
-// terminationWords are name fragments that mark an expression as part
-// of a run-termination or cancellation signal. A blocking loop that
-// mentions one of these is considered to observe shutdown.
-var terminationWords = []string{"done", "stop", "quit", "closed", "cancel", "finish"}
-
-// mentionsTermination reports whether any identifier under n carries a
-// termination-signal name (case-insensitive substring match).
-func mentionsTermination(n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(c ast.Node) bool {
-		if found {
-			return false
-		}
-		id, ok := c.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		lower := strings.ToLower(id.Name)
-		for _, w := range terminationWords {
-			if strings.Contains(lower, w) {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
 }
 
 // parentMap records each node's syntactic parent within a file.
@@ -109,34 +70,16 @@ func enclosingFunc(parents parentMap, n ast.Node) (*ast.FuncDecl, *ast.FuncLit, 
 	return nil, nil, false
 }
 
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex.
-func isMutexType(t types.Type) bool {
-	return isNamedType(t, "sync", "Mutex") || isNamedType(t, "sync", "RWMutex")
-}
-
-// recvFieldMutexOp decodes calls of the form recv.field.Lock() (and
-// Unlock/RLock/RUnlock) where field is a mutex on the method's
-// receiver: it returns the field name and the operation. The receiver
-// identifier must match recvName.
-func recvFieldMutexOp(info *types.Info, call *ast.CallExpr, recvName string) (field, op string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	op = sel.Sel.Name
-	if op != "Lock" && op != "Unlock" && op != "RLock" && op != "RUnlock" {
-		return "", ""
-	}
-	inner, ok := sel.X.(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	base, ok := inner.X.(*ast.Ident)
-	if !ok || base.Name != recvName {
-		return "", ""
-	}
-	if tv, ok := info.Types[inner]; !ok || !isMutexType(tv.Type) {
-		return "", ""
-	}
-	return inner.Sel.Name, op
+// walkOutsideFuncLits visits every node under root except the bodies
+// of nested function literals, which run on their own schedule.
+func walkOutsideFuncLits(root ast.Node, visit func(ast.Node)) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		if n != nil {
+			visit(n)
+		}
+		return true
+	})
 }

@@ -82,7 +82,7 @@ func runLoop(t *testing.T, master loopsched.Comm, slave func(int) loopsched.Comm
 			}
 		}()
 	}
-	results, rep, err := loopsched.RunMPMaster(master, s, iterations, loopsched.MPMasterOptions{})
+	results, rep, err := loopsched.RunMPMasterContext(context.Background(), master, s, iterations, loopsched.MPMasterOptions{})
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestLoopOverTCP(t *testing.T) {
 func TestLoopValidation(t *testing.T) {
 	world, _ := loopsched.NewWorld(2)
 	tss := scheme(t, "TSS")
-	if _, _, err := loopsched.RunMPMaster(world[1], tss, 10, loopsched.MPMasterOptions{}); err == nil {
+	if _, _, err := loopsched.RunMPMasterContext(context.Background(), world[1], tss, 10, loopsched.MPMasterOptions{}); err == nil {
 		t.Error("non-zero-rank master accepted")
 	}
 	if err := loopsched.RunMPWorker(world[0], loopsched.MPWorkerOptions{Kernel: squareKernel}); err == nil {
@@ -137,7 +137,7 @@ func TestLoopValidation(t *testing.T) {
 		t.Error("kernel-less worker accepted")
 	}
 	solo, _ := loopsched.NewWorld(1)
-	if _, _, err := loopsched.RunMPMaster(solo[0], tss, 10, loopsched.MPMasterOptions{}); err == nil {
+	if _, _, err := loopsched.RunMPMasterContext(context.Background(), solo[0], tss, 10, loopsched.MPMasterOptions{}); err == nil {
 		t.Error("worker-less world accepted")
 	}
 }

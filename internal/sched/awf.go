@@ -43,6 +43,15 @@ type FeedbackPolicy interface {
 	Feedback(worker int, work, elapsed float64)
 }
 
+// Learns reports whether s builds policies that learn from completed
+// chunks. It probes a one-worker policy for FeedbackPolicy, so a new
+// learning scheme is recognised without a list to keep up to date.
+func Learns(s Scheme) bool {
+	pol, err := s.NewPolicy(Config{Iterations: 1, Workers: 1})
+	_, ok := pol.(FeedbackPolicy)
+	return err == nil && ok
+}
+
 func (s AWFScheme) NewPolicy(cfg Config) (Policy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -291,17 +291,6 @@ const (
 	Mbit100 = sim.Mbit100
 )
 
-// Simulate runs the workload on the cluster under the scheme in the
-// discrete-event simulator and returns the paper-style report.
-//
-// Deprecated: Simulate is a legacy adapter kept for compatibility; use
-// Run(ctx, RunSpec{Backend: BackendSim, …}), which adds cancellation
-// and the hierarchical runtime behind the same spec, or NewScheduler
-// for a stream of jobs. See the deprecation policy in README.md.
-func Simulate(c Cluster, s Scheme, w Workload, p SimParams) (Report, error) {
-	return sim.Run(c, s, w, p)
-}
-
 // SimulateTree runs Tree Scheduling on the simulated cluster.
 func SimulateTree(c Cluster, o TreeOptions, w Workload, p SimParams) (Report, error) {
 	return tree.Run(c, o, w, p)
@@ -384,8 +373,9 @@ func NewTelemetry(o TelemetryOptions) (*Telemetry, error) { return telemetry.New
 type (
 	// LocalExecutor runs a loop with goroutine workers and a channel
 	// master (or, with Engine: EngineSteal, per-worker work-stealing
-	// deques). Its Run method is a legacy adapter; prefer
-	// Run(ctx, RunSpec{Backend: BackendLocal, …}).
+	// deques). Prefer Run(ctx, RunSpec{Backend: BackendLocal, …}),
+	// which validates the spec and wires telemetry; RunContext drives
+	// a LocalExecutor directly.
 	LocalExecutor = exec.Local
 	// WorkerSpec emulates one heterogeneous worker in-process.
 	WorkerSpec = exec.WorkerSpec
@@ -416,15 +406,11 @@ const (
 )
 
 // NewMaster builds an RPC master scheduling `iterations` across
-// `workers` slaves under the scheme.
-//
-// Deprecated: NewMaster + Serve + Wait is the manual wiring for
-// multi-process deployments (cmd/master still uses it for real
-// clusters); when everything runs in one process, use
-// Run(ctx, RunSpec{Backend: BackendRPC, …}), which self-hosts the
-// master and workers on loopback and supports cancellation, or
-// NewScheduler for a stream of jobs. See the deprecation policy in
-// README.md.
+// `workers` slaves under the scheme. NewMaster + Serve + Wait is the
+// manual wiring for multi-process deployments, where master and
+// workers run on different hosts; when everything runs in one process,
+// Run(ctx, RunSpec{Backend: BackendRPC, …}) self-hosts both on
+// loopback.
 func NewMaster(scheme Scheme, iterations, workers int) (*Master, error) {
 	return exec.NewMaster(scheme, iterations, workers)
 }
@@ -442,7 +428,7 @@ type (
 	MPMessage = mp.Message
 )
 
-// MPMasterOptions tune RunMPMaster.
+// MPMasterOptions tune RunMPMasterContext.
 type MPMasterOptions struct {
 	// DisableReplan turns off the step-2(c) majority re-plan.
 	DisableReplan bool
@@ -482,16 +468,6 @@ func ListenTCP(ln net.Listener, size int) (Comm, error) { return mp.ListenTCP(ln
 
 // DialTCP joins a TCP world as a worker rank.
 func DialTCP(addr string, rank, size int) (Comm, error) { return mp.DialTCP(addr, rank, size) }
-
-// RunMPMaster runs the paper's master program (§3.1) on rank 0.
-//
-// Deprecated: RunMPMaster is a legacy adapter kept for custom Comm
-// wiring; use Run(ctx, RunSpec{Backend: BackendMP, …}) for in-process
-// worlds, or RunMPMasterContext when you need cancellation over your
-// own Comm. See the deprecation policy in README.md.
-func RunMPMaster(c Comm, scheme Scheme, iterations int, opts MPMasterOptions) ([][]byte, Report, error) {
-	return RunMPMasterContext(context.Background(), c, scheme, iterations, opts)
-}
 
 // RunMPMasterContext schedules `iterations` loop iterations over the
 // communicator's size−1 slaves and collects their results (indexed by

@@ -1,6 +1,7 @@
 package loopsched_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -16,12 +17,15 @@ func ExampleChunkSequence() {
 	// Output: [113 113 113 113 81 81 81 81]
 }
 
-// ExampleSimulate runs DTSS on the paper's 8-slave heterogeneous
-// cluster over a uniform loop and reports which scheme ran.
-func ExampleSimulate() {
-	cluster := loopsched.PaperCluster(8, false)
-	rep, err := loopsched.Simulate(cluster, loopsched.NewDTSS(),
-		loopsched.Uniform{N: 4000}, loopsched.SimParams{BaseRate: 1e5, BytesPerIter: 8})
+// ExampleRun runs DTSS on the paper's 8-slave heterogeneous cluster
+// in the simulator over a uniform loop and reports which scheme ran.
+func ExampleRun() {
+	rep, err := loopsched.Run(context.Background(), loopsched.RunSpec{
+		Scheme:   loopsched.NewDTSS(),
+		Workload: loopsched.Uniform{N: 4000},
+		Cluster:  loopsched.PaperCluster(8, false),
+		Sim:      loopsched.SimParams{BaseRate: 1e5, BytesPerIter: 8},
+	})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -196,7 +200,9 @@ func TestFacadeNewSurface(t *testing.T) {
 	w := loopsched.Uniform{N: 500}
 	tr := &loopsched.Trace{}
 	params := loopsched.SimParams{BaseRate: 1e5, BytesPerIter: 2, SharedBus: true, Trace: tr}
-	rep, err := loopsched.Simulate(c, loopsched.NewAWF(), w, params)
+	rep, err := loopsched.Run(context.Background(), loopsched.RunSpec{
+		Scheme: loopsched.NewAWF(), Workload: w, Cluster: c, Sim: params,
+	})
 	if err != nil || rep.Iterations != 500 {
 		t.Fatalf("bus+trace sim: %v %+v", err, rep)
 	}
@@ -223,7 +229,7 @@ func TestFacadeMPWorld(t *testing.T) {
 			done <- loopsched.RunMPWorker(world[r], loopsched.MPWorkerOptions{Kernel: kernel})
 		}(r)
 	}
-	results, rep, err := loopsched.RunMPMaster(world[0], loopsched.NewTSS(), 100, loopsched.MPMasterOptions{})
+	results, rep, err := loopsched.RunMPMasterContext(context.Background(), world[0], loopsched.NewTSS(), 100, loopsched.MPMasterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package loopsched_test
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -275,12 +276,13 @@ func TestRunSpecValidationPerBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	awf := loopsched.NewAWF()
 	w := loopsched.Uniform{N: 10, C: 1}
 	noop := func(i int) {}
 	cases := []struct {
 		name    string
 		spec    loopsched.RunSpec
-		wantErr string
+		wantErr string // "" means the spec is accepted and runs
 	}{
 		{
 			name:    "local without workers",
@@ -323,6 +325,29 @@ func TestRunSpecValidationPerBackend(t *testing.T) {
 			wantErr: "loopsched: the mp backend is flat-only; use sim, local or rpc for hierarchies",
 		},
 		{
+			name: "sim hierarchical AWF",
+			spec: loopsched.RunSpec{
+				Scheme: awf, Workload: w, Backend: loopsched.BackendSim,
+				Cluster: loopsched.PaperCluster(4, false), Hierarchy: &loopsched.Hierarchy{},
+			},
+			wantErr: "loopsched: the hierarchical sim and rpc runtimes feed no chunk timings to a learning scheme (AWF on sim)",
+		},
+		{
+			name: "rpc hierarchical AWF",
+			spec: loopsched.RunSpec{
+				Scheme: awf, Workload: w, Backend: loopsched.BackendRPC,
+				Workers: runWorkers(), Body: noop, Hierarchy: &loopsched.Hierarchy{},
+			},
+			wantErr: "loopsched: the hierarchical sim and rpc runtimes feed no chunk timings to a learning scheme (AWF on rpc)",
+		},
+		{
+			name: "local hierarchical AWF is accepted",
+			spec: loopsched.RunSpec{
+				Scheme: awf, Workload: w, Backend: loopsched.BackendLocal,
+				Workers: runWorkers(), Body: noop, Hierarchy: &loopsched.Hierarchy{},
+			},
+		},
+		{
 			name:    "unknown backend",
 			spec:    loopsched.RunSpec{Scheme: scheme, Workload: w, Backend: "quantum", Body: noop},
 			wantErr: `loopsched: unknown backend "quantum"`,
@@ -341,8 +366,17 @@ func TestRunSpecValidationPerBackend(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := loopsched.Run(context.Background(), tc.spec)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("Run error = %v, want the spec accepted", err)
+				}
+				return
+			}
 			if err == nil || err.Error() != tc.wantErr {
 				t.Fatalf("Run error = %v, want %q", err, tc.wantErr)
+			}
+			if tc.spec.Scheme == awf && !errors.Is(err, loopsched.ErrHierarchyFeedback) {
+				t.Fatalf("Run error = %v, want ErrHierarchyFeedback", err)
 			}
 			ex, exErr := loopsched.NewExecutor(tc.spec.Backend)
 			if exErr != nil {
