@@ -105,9 +105,11 @@ race:
 # flake is the determinism gate (ROADMAP item 5): the runtime suites,
 # twenty times over on two cores, the three packages sharing them —
 # internal/mp for its stream and TCP star and for the loop the root
-# package runs over them.
+# package runs over them — and internal/exec once more with the ledger
+# on, where the slave loop refills by one-sided claims.
 flake:
 	GOMAXPROCS=2 $(GO) test -count=20 ./internal/exec ./internal/hier ./internal/mp
+	LOOPSCHED_LEDGER=on GOMAXPROCS=2 $(GO) test -count=20 ./internal/exec
 
 # bench-smoke runs the repository benchmark under the driver's own
 # contract — one short traced workload — and fails unless the last

@@ -27,7 +27,7 @@ func main() {
 		probeOS    = flag.Bool("os-load", true, "report the host's real run queue (/proc/loadavg) as Q_i")
 		pipeline   = flag.Bool("pipeline", true, "request more work one master round trip before running out (pipelined protocol)")
 		transport  = flag.String("transport", "", "wire format: binary or netrpc (default: $LOOPSCHED_TRANSPORT, else binary)")
-		window     = flag.Int("window", 0, "credit window on the binary transport: chunks held at most beyond the one computing (0 = 8)")
+		window     = flag.Int("window", 0, "credit window on the binary transport: chunks held at most beyond the one computing (0 = each ask sized from the measured round trip)")
 	)
 	flag.Parse()
 

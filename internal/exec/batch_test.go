@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -303,6 +304,56 @@ func TestMasterRepliesAreShareBounded(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMasterDoesNotTrustCredits holds the master to a ceiling of its
+// own when no window is set: over a real wire connection a peer asking
+// for 2^30 chunks of a CSS(1) loop of 2^20 iterations gets one
+// share-bounded reply of at most grantCeiling chunks, and the prefetches
+// after it, which deliver nothing, get nothing — the worker's ledger
+// never holds more than the ceiling.
+func TestMasterDoesNotTrustCredits(t *testing.T) {
+	const n, p = 1 << 20, 2
+	m, err := NewMaster(sched.CSSScheme{K: 1}, n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		m.ServeConn(server)
+	}()
+	defer func() {
+		client.Close()
+		<-served
+	}()
+	c, err := wire.NewClient(client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep wire.Reply
+	granted := 0
+	for i := 0; i < 4; i++ {
+		req := wire.Request{Worker: 0, ACP: 1, Prefetch: i > 0, Credits: 1 << 30}
+		if err := c.Call(&req, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if limit := min(sched.BatchLimit(n-granted, n, p), grantCeiling); len(rep.Grants) > limit {
+			t.Fatalf("request %d: reply of %d one-iteration chunks, want at most %d", i, len(rep.Grants), limit)
+		}
+		granted += len(rep.Grants)
+		s := &m.slots[0]
+		s.mu.Lock()
+		held := len(s.outstanding)
+		s.mu.Unlock()
+		if held > grantCeiling {
+			t.Fatalf("request %d: the worker holds %d chunks, the ceiling is %d", i, held, grantCeiling)
+		}
+	}
+	if granted == 0 {
+		t.Fatal("nothing granted")
 	}
 }
 

@@ -1,11 +1,14 @@
 package exec
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"sort"
 	"testing"
 
 	"loopsched/internal/hotpath"
+	"loopsched/internal/ledger"
 	"loopsched/internal/sched"
 	"loopsched/internal/wire"
 	"loopsched/internal/workload"
@@ -23,6 +26,8 @@ var hotGuards = map[string]func(t *testing.T){
 	"(*JobState).Complete": jobStateCycleGuard,
 	"(*Master).book":       masterReplyGuard,
 	"(Worker).run":         workerRunGuard,
+	"(*claimer).send":      claimRefillGuard,
+	"(*claimer).recv":      claimRefillGuard,
 }
 
 // TestHotPathGuardTable pins hotGuards to the annotation set.
@@ -94,19 +99,19 @@ func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 func (discardConn) Close() error                { return nil }
 
 // masterReplyGuard pins the rpc master's steady-state request at zero
-// allocations with telemetry off, at the default window's full depth:
-// deposit the nine chunks of the last reply, retire them from the
-// worker's ledger, claim and book nine more in one share-bounded batch,
-// encode the reply. The benchmark's allocs_per_chunk.rpc_binary rests on
-// this staying flat however deep a reply runs.
+// allocations with telemetry off, at the depth a worker derives on a
+// fine loop (no window set): deposit the 64 chunks of the last reply,
+// retire them from the worker's ledger, claim and book 64 more in one
+// share-bounded batch, encode the reply. The benchmark's
+// allocs_per_chunk.rpc_binary rests on this staying flat however deep a
+// reply runs.
 func masterReplyGuard(t *testing.T) {
-	const k = 4
-	m, err := NewMaster(sched.CSSScheme{K: k}, 1<<16, 2)
+	const k, depth = 4, 64
+	m, err := NewMaster(sched.CSSScheme{K: k}, 1<<18, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	conn := wire.NewServer(discardConn{}, nil)
-	depth := m.ledgerCap()
 	var rep wire.Reply
 	results := make([]ChunkResult, 0, depth*k)
 	data := []byte{1}
@@ -129,6 +134,62 @@ func masterReplyGuard(t *testing.T) {
 	cycle() // sizes the slot's ledger and the reply's grant buffer
 	if avg := testing.AllocsPerRun(200, cycle); avg > 0 {
 		t.Errorf("a %d-grant request/reply cycle allocates %.1f objects, want 0", depth, avg)
+	}
+}
+
+// frameSink is a connection that only collects what is written to it.
+type frameSink struct{ *bytes.Buffer }
+
+func (frameSink) Close() error { return nil }
+
+// claimRefillGuard pins the slave loop's claim refill at zero
+// allocations with telemetry off, at a derived depth of 64 chunks on a
+// CSS(4) step table: send the claim, read the step that answers it as
+// the grants it covers, compute them and queue one no-reply deposit per
+// chunk — what runWindow does per claim while it claims.
+// The master's answers are step frames recorded up front.
+func claimRefillGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops encode buffers at random")
+	}
+	const k, depth, cycles = 4, 64, 202 // AllocsPerRun runs once more than asked
+	tab, err := ledger.Build(sched.CSSScheme{K: k}, sched.Config{Iterations: 1 << 20, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steps bytes.Buffer
+	master := wire.NewServer(frameSink{&steps}, nil)
+	for c := 0; c < cycles; c++ {
+		if err := master.WriteStep(uint64(c * depth)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := claimer{c: wire.NewServer(discardConn{&steps}, nil), tab: tab, share: 1, claimed: true}
+	w := Worker{Kernel: func(int) []byte { return nil }}
+	var (
+		req  wire.Request
+		rep  wire.Reply
+		recs []wire.Record
+	)
+	cycle := func() {
+		if err := cl.send(depth); err != nil {
+			panic(err)
+		}
+		if err := cl.recv(nil, &rep); err != nil || cl.done || len(rep.Grants) != depth {
+			panic(fmt.Sprint("claim refill guard: ", len(rep.Grants), " chunks, ", err))
+		}
+		for _, a := range rep.Grants {
+			recs = w.run(recs[:0], a.Start, a.End())
+			w.wireRequest(&req, true, 0, recs, nil, 1e-6, 0)
+			req.NoReply = true
+			if err := cl.c.QueueRequest(&req); err != nil {
+				panic(err)
+			}
+		}
+	}
+	cycle() // sizes the grant and record buffers
+	if avg := testing.AllocsPerRun(cycles-2, cycle); avg > 0 {
+		t.Errorf("a %d-chunk claim refill allocates %.1f objects, want 0", depth, avg)
 	}
 }
 

@@ -83,14 +83,39 @@ func (f *fakeLink) hold() int {
 
 // due is the time rule, evaluated before the next iteration: the work
 // still held lasts no longer than a round trip, the worker has timed at
-// least one iteration, its queue has room, and a full window of chunks
-// like the one in hand would outlast the round trip.
+// least one iteration and — under a window — its queue has room and a
+// full window of chunks like the one in hand would outlast the round
+// trip.
 func (f *fakeLink) due() bool {
 	chunk := min(f.size, f.n-f.entered/f.size*f.size)
 	queued := (f.arrived+f.size-1)/f.size - f.entered/f.size - 1 // chunks behind the one in hand
-	return f.prefetch && !f.stopped && f.entered > 0 && queued < f.window &&
-		time.Duration(f.hold()*chunk)*f.cost >= f.rtt &&
+	capped := f.window == 0 || queued < f.window && time.Duration(f.hold()*chunk)*f.cost >= f.rtt
+	return f.prefetch && !f.stopped && f.entered > 0 && capped &&
 		time.Duration(f.arrived-f.entered)*f.cost <= f.rtt
+}
+
+// checkDepth holds a request's credits to the depth rule that sizes them
+// when no window is set: the first asks for DefaultStealWindow, every
+// later one for the chunks that, when its reply lands, leave the worker
+// one more round trip of work — the round trip in iterations, less what
+// of the held iterations will be left then. That is at least one lead of
+// scripted work whenever the request leaves by the time rule or dry, and
+// no more than a chunk beyond the need (the last chunk is a short one).
+func (f *fakeLink) checkDepth(req *wire.Request) {
+	if f.requests == 1 || f.entered == 0 {
+		if req.Credits != DefaultStealWindow {
+			f.t.Errorf("request %d: %d credits before anything is measured, want %d", f.requests, req.Credits, DefaultStealWindow)
+		}
+		return
+	}
+	trip := float64(f.rtt) / float64(f.cost)
+	need := trip - max(0, float64(f.arrived-f.entered)-trip)
+	const eps = 1e-6
+	if covers := float64(req.Credits * f.size); req.Credits < 1 || covers < need-eps ||
+		float64((req.Credits-1)*(f.size-1)) > need+eps {
+		f.t.Errorf("request %d (prefetch %v, %d iterations held): %d credits, want %.1f iterations' worth of %d-iteration chunks",
+			f.requests, req.Prefetch, f.arrived-f.entered, req.Credits, need, f.size)
+	}
 }
 
 // kernel is the worker's kernel: it counts executions and, before every
@@ -151,7 +176,9 @@ func (f *fakeLink) Send(req *wire.Request) error {
 	} else if len(f.held) != 0 {
 		t.Errorf("request %d: synchronous with %d chunks unshipped", f.requests, len(f.held))
 	}
-	if req.Credits != wantCredits {
+	if f.window == 0 {
+		f.checkDepth(req)
+	} else if req.Credits != wantCredits {
 		t.Errorf("request %d (prefetch %v, %d held): %d credits, want %d",
 			f.requests, req.Prefetch, len(f.held), req.Credits, wantCredits)
 	}
@@ -179,7 +206,7 @@ func (f *fakeLink) Send(req *wire.Request) error {
 			rep.Grants = append(rep.Grants, a)
 		}
 	}
-	if len(f.held) > f.window+1 {
+	if f.window > 0 && len(f.held) > f.window+1 || len(f.held) > grantCeiling {
 		t.Errorf("request %d: worker holds %d chunks, window is %d", f.requests, len(f.held), f.window)
 	}
 	f.reply = rep
@@ -222,11 +249,13 @@ func (f *fakeLink) Close() error { return nil }
 // the link's own error). The grains put the round trip at two and a half
 // iterations (the refill leaves mid-chunk, near the end of what is
 // held), at ten and a half (it leaves with chunks still queued, or at
-// once) and beyond a full window (nothing to hide it behind: every
-// request is synchronous).
+// once) and beyond a full window (nothing to hide it behind: under a
+// window every request is synchronous). Window 0 is no window: each ask
+// is sized by the depth rule (checkDepth), so even the coarsest grain
+// prefetches.
 func TestWindowLoopAgainstScriptedLink(t *testing.T) {
 	const cost = time.Millisecond
-	for _, window := range []int{1, 2, 4, 8} {
+	for _, window := range []int{0, 1, 2, 4, 8} {
 		for _, prefetch := range []bool{false, true} {
 			for _, script := range linkScripts {
 				t.Run(fmt.Sprintf("w%d/prefetch=%v/%s", window, prefetch, script.name), func(t *testing.T) {
@@ -259,7 +288,7 @@ func checkWindowLoop(t *testing.T, script linkScript, window int, prefetch bool,
 	if err == nil && !f.finalStop {
 		t.Error("returned without a Stop to a synchronous request")
 	}
-	if fine := rtt > time.Duration((window+1)*size)*cost; fine && f.prefetchs > 0 {
+	if fine := window > 0 && rtt > time.Duration((window+1)*size)*cost; fine && f.prefetchs > 0 {
 		t.Errorf("%d prefetches on a loop too fine to hide a round trip behind", f.prefetchs)
 	} else if prefetch && !fine && f.prefetchs == 0 {
 		t.Error("no prefetch on a loop whose window outlasts the round trip")

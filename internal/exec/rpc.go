@@ -29,14 +29,12 @@ import (
 //
 // This file is the master and the Worker type. The slave side is one
 // loop (runWindow in wire.go) over one Link (link.go), whatever the
-// codec: with Worker.Pipeline it requests the next chunks one master
-// round trip before it runs out of work, so the round trip and the
-// result transfer overlap with the kernel, and the per-worker
-// assignment ledger holds up to window+1 chunks — the one being
-// computed plus the credit window (SetWindow). The window only caps a
-// reply: what it carries is one share-bounded batch (sched.BatchLimit),
-// so how far a worker runs ahead is a number of iterations, not of
-// chunks. DESIGN.md §9 states the loop's rules.
+// codec: with Worker.Pipeline it refills one measured master round trip
+// before its work runs out, asking — unless a credit window caps it —
+// for what that round trip needs. A reply is one share-bounded batch
+// (sched.BatchLimit) within the worker's ledger room: W+1 chunks under a
+// window W (SetWindow), the master's own grantCeiling otherwise.
+// DESIGN.md §9 states the loop's rules.
 //
 // Two codecs carry the dialogue (transport.go): net/rpc + gob, one
 // chunk per round trip, and the binary framing of internal/wire, which
@@ -209,7 +207,7 @@ func NewMaster(scheme sched.Scheme, iterations, workers int) (*Master, error) {
 		scheme:     scheme,
 		iterations: iterations,
 		workers:    workers,
-		window:     DefaultStealWindow,
+		window:     grantCeiling - 1,
 		dcfg:       dispense.Config{Scheme: scheme, Workers: workers, Table: true},
 		results:    make([][]byte, iterations),
 		got:        make([]atomic.Bool, iterations),
@@ -268,20 +266,22 @@ func (m *Master) SetTelemetry(bus *telemetry.Bus) {
 	m.mu.Unlock()
 }
 
-// SetWindow sets the credit window: how many chunks a worker may hold
-// beyond the one it is computing, i.e. the per-worker ledger caps at
-// window+1 assignments. It is a cap, not a quota: a reply carries one
-// share-bounded batch (dispense.Claim), so a deep window is filled on a
-// fine loop and stays at a chunk or two while chunks are large. The
-// default is DefaultStealWindow, w < 1 keeps it, and 1 is a double
-// buffer. Binary-transport workers ask for up to their own
-// window's worth of grants per frame; the master clamps to the ledger
-// room regardless of what a request asks. Call before Serve.
+// SetWindow sets the credit window w: a worker holds at most w chunks
+// beyond the one it is computing (the per-worker ledger caps at w+1; 1
+// is a double buffer). It is a cap, not a quota: a reply is one
+// share-bounded batch (dispense.Claim), filled on a fine loop, a chunk
+// or two while chunks are large. w < 1 leaves it unset and the ledger
+// caps at grantCeiling. Whatever a request's Credits ask, the master
+// clamps to the ledger room. Call before Serve.
 func (m *Master) SetWindow(w int) {
 	if w >= 1 {
 		m.window = w
 	}
 }
+
+// grantCeiling is the per-worker ledger cap while no window is set: the
+// master's own bound, never taken from a request's Credits.
+const grantCeiling = 256
 
 // ledgerCap is the per-worker in-flight chunk bound.
 func (m *Master) ledgerCap() int { return m.window + 1 }
@@ -379,15 +379,6 @@ func (m *Master) ledgerFetchAdd(worker, n int) uint64 {
 	return first
 }
 
-// fetchAddFunc returns the wire ledger hook, or nil when the master
-// hosts no ledger (FetchAdd frames then drop the connection).
-func (m *Master) fetchAddFunc() FetchAddFunc {
-	if !m.LedgerActive() {
-		return nil
-	}
-	return m.ledgerFetchAdd
-}
-
 // Serve accepts connections until the listener closes, sniffing each
 // connection's first byte to route it: the binary wire preamble to
 // the framed chunk service, anything else to a net/rpc server
@@ -407,7 +398,11 @@ func (m *Master) serveConn(srv *rpc.Server, rwc io.ReadWriteCloser) {
 	m.mu.Lock()
 	bus := m.bus
 	m.mu.Unlock()
-	ServeSniffed(srv, rwc, bus, 0, m.nextBatch, m.fetchAddFunc())
+	var fetch FetchAddFunc // nil without a ledger: FetchAdd frames then drop the connection
+	if m.LedgerActive() {
+		fetch = m.ledgerFetchAdd
+	}
+	ServeSniffed(srv, rwc, bus, 0, m.nextBatch, fetch)
 }
 
 // Shutdown closes the listener and every connection accepted by Serve,
@@ -979,7 +974,7 @@ func (m *Master) WatchTimeouts(interval, timeout time.Duration, stop <-chan stru
 
 // Outstanding returns the chunks currently in flight, keyed by worker.
 // A worker can hold up to window+1 entries: the chunk being computed
-// and its credit window.
+// and its credit window, or grantCeiling with no window set.
 func (m *Master) Outstanding() map[int][]sched.Assignment {
 	out := make(map[int][]sched.Assignment)
 	for w := range m.slots {
@@ -1125,13 +1120,13 @@ type Worker struct {
 	// codec).
 	Transport Transport
 	// Window is the credit window: how many granted chunks the worker
-	// queues at most (0 means DefaultStealWindow). It caps what a request
-	// asks for; the master's share-bounded reply decides how much of it
-	// is filled. Over the gob transport it has no effect — that server
-	// grants one chunk per call whatever is asked.
+	// queues at most. 0 sizes each ask by what outlasts the worker's
+	// measured round trip instead (DESIGN.md §9), except over gob, whose
+	// server grants one chunk per call whatever is asked: there 0 means
+	// DefaultStealWindow.
 	Window int
-	// LedgerTable, when non-nil, switches the binary transport to the
-	// one-sided ledger protocol: the worker claims scheduling steps — or
+	// LedgerTable, when non-nil, turns the binary transport's refills
+	// into one-sided claims: the worker claims scheduling steps — or
 	// units of computing power — with fetch-and-add frames and computes
 	// chunk boundaries from the replica of the master's table this handle
 	// returns, reporting completions in no-reply deposits. The handle is
@@ -1163,13 +1158,6 @@ func (w Worker) scale() int {
 		return 1
 	}
 	return w.WorkScale
-}
-
-func (w Worker) window() int {
-	if w.Window < 1 {
-		return DefaultStealWindow
-	}
-	return w.Window
 }
 
 // now reads the clock the slave loop times its kernel and its round
@@ -1251,15 +1239,13 @@ func (w Worker) RunLink(ctx context.Context, link Link) (err error) {
 	}
 	stop := context.AfterFunc(ctx, func() { link.Close() }) // unblocks an in-flight call
 	defer stop()
-	c, binary := link.(*wire.Conn)
-	if binary {
+	window := w.Window
+	if c, binary := link.(*wire.Conn); binary {
 		c.SetTelemetry(w.Telemetry, w.TelemetryID, w.TelemetryShard)
+	} else if window < 1 {
+		window = DefaultStealWindow // one chunk per call: no depth to size
 	}
-	if binary && w.LedgerTable != nil {
-		err = w.runWireLedger(c)
-	} else {
-		err = w.runWindow(link, w.window(), w.Pipeline, 0)
-	}
+	err = w.runWindow(link, window, w.Pipeline, 0)
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
 	}

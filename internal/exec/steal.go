@@ -15,9 +15,10 @@ import (
 // this many chunks (fewer while chunks are large against the worker's
 // share of what is left, see JobState.Refill), one executed immediately
 // and the rest parked in the worker's deque for later pops or steals.
-// It mirrors the wire path's credit window: larger windows amortise
-// the lock but delay feedback and re-planning, which only see ACP at
-// refill time.
+// Larger windows amortise the lock but delay feedback and re-planning,
+// which only see ACP at refill time. A wire worker with no window set
+// asks for this many chunks on its first request, before it has
+// measured a round trip to size its asks by (DESIGN.md §9).
 const DefaultStealWindow = 8
 
 // runSteal executes the loop with per-worker Chase–Lev deques instead

@@ -3,12 +3,14 @@ package exec
 import (
 	"bufio"
 	"io"
+	"math"
 	"net"
 	"net/rpc"
 	"slices"
 	"sync"
 	"time"
 
+	"loopsched/internal/ledger"
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
 	"loopsched/internal/wire"
@@ -17,8 +19,8 @@ import (
 // This file is the chunk protocol in wire.Request / wire.Reply terms:
 // the accept-and-route endpoint and sniffing connection router shared
 // by the flat master and the hierarchical submasters, the server-side
-// frame loop, the one slave loop every Link runs (runWindow), and the
-// binary-only ledger claim loop that drains into it.
+// frame loop, and the one slave loop every Link runs (runWindow) with
+// its binary-only refill by ledger claims (claimer).
 
 // BatchFunc answers one batched chunk request: deposit args.Results,
 // then append up to `credits` grants (or a stop/park verdict) into
@@ -47,16 +49,6 @@ func (batch BatchFunc) NextChunk(args ChunkArgs, reply *ChunkReply) error {
 // request, else -1. A nil FetchAddFunc means the ledger is not active
 // and fetchadd frames drop the connection.
 type FetchAddFunc func(worker, n int) uint64
-
-// ledgerClaimFactor is how many credit windows one ledger claim may
-// reserve at most. A master-path reply pays per grant (reply encoding,
-// result ingest, requeue bookkeeping) and is capped at the window; a
-// one-sided claim is a constant-size frame whose boundaries the table
-// fixes at any batch size, so it may amortise the counter round trip
-// over several windows. Both are caps on the same share-bounded batch
-// (docs/LEDGER.md "Share-bounded batches"): reached on fine loops, never
-// on a loop of a few large decreasing chunks.
-const ledgerClaimFactor = 4
 
 // Endpoint is the accept-and-route half of a chunk server, shared by
 // the flat master and the hierarchical submaster: it accepts worker
@@ -261,17 +253,16 @@ func (w Worker) wireRequest(req *wire.Request, prefetch bool, credits int, recor
 }
 
 // runWindow is the slave loop — the paper's §3.1 "request, compute,
-// piggy-back", generalised to a credit window; DESIGN.md §9 states its
-// rules. The worker queues up to `window` granted chunks. With prefetch
-// off it refills only when the queue is empty, in one synchronous round
-// trip that ships every pending result. With prefetch on it also sends a
-// refill ahead of need — when the work it still holds is estimated to
-// last no longer than one master round trip — and collects the reply
-// when the queue has run dry, so the upload and the grant latency hide
-// behind computation and a chunk is bound to this worker only when it is
-// about to need it. idle is stall time the caller has yet to report (the
-// ledger loop's drain enters here with its last claim wait); it rides
-// the first request.
+// piggy-back"; DESIGN.md §9 states its rules. A refill goes out
+// synchronously when the queue is empty and, with prefetch on, ahead of
+// need: when the work still held is estimated to last no longer than one
+// master round trip (the lead). Its answer is collected when the queue
+// has run dry, so the round trip hides behind computation and a chunk
+// is bound to this worker only when it is about to need it. A window ≥ 1
+// caps the chunks held and sizes every ask; below 1 each ask covers what
+// will outlast the next round trip (ask). Over a binary link to a master
+// hosting a ledger a refill is a one-sided claim instead (claimer). idle
+// is stall time the caller has yet to report; it rides the first request.
 func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error {
 	var (
 		req       wire.Request
@@ -284,32 +275,20 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		comp      float64       // kernel seconds not yet reported
 		busy      float64       // kernel seconds so far, over
 		ran       int           // this many iterations: the running cost estimate
-		lead      float64       // measured master round trip
+		size      int           // iterations in the chunk last started: what a grant is expected to hold
+		lead      float64       // the round trip the time rule reads: the first measured, raised by late replies
+		rtt       float64       // the latest round trip measured: what an ask covers
 		mark      time.Time     // kernel time is booked up to here
-		sentAt    time.Time     // when the unanswered prefetch left
-		inflight  bool          // a prefetch is unanswered
+		sentAt    time.Time     // when the unanswered refill left
+		inflight  bool          // a refill is unanswered
 		stopSeen  bool
 		echo      bool // the master span-tags its grants: echo the spans back
 		lastACP   int
+		cl        claimer
 	)
 	hold := window // chunks held at most: the queue, plus the one in hand a prefetch overlaps
 	if prefetch {
 		hold++
-	}
-	absorb := func() {
-		if rep.Stop {
-			stopSeen = true
-		}
-		echo = echo || len(rep.Spans) > 0
-		for i, g := range rep.Grants {
-			// Without a span from the master the deterministic local id
-			// still pairs grant and completion on an in-process bus.
-			span := telemetry.SpanID(0, g.Start)
-			if i < len(rep.Spans) {
-				span = rep.Spans[i]
-			}
-			queue, spanQueue, queued = append(queue, g), append(spanQueue, span), queued+g.Size
-		}
 	}
 	// fill loads req with everything pending and the worker's state.
 	// The codec wants one span per record or none at all.
@@ -327,74 +306,137 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		d := now.Sub(mark).Seconds()
 		comp, busy, mark = comp+d, busy+d, now
 	}
+	// ask sizes a refill sent while held iterations are still to run:
+	// under a window, room, what the cap leaves. Otherwise the answer,
+	// landing one round trip from now, must keep the worker busy for one
+	// more — the latest round trip in iterations at the running cost, less
+	// what of the held work will be left then, in chunks the size of the
+	// last one started; DefaultStealWindow while nothing is measured.
+	ask := func(held, room int) int {
+		if window >= 1 {
+			return room
+		}
+		if rtt == 0 || ran == 0 {
+			return DefaultStealWindow
+		}
+		trip := rtt * float64(ran) / busy
+		need := trip - max(0, float64(held)-trip)
+		return int(min(max(1, math.Ceil(need/float64(size))), grantCeiling))
+	}
+	// send sends a refill of ask(held, room) chunks: a claim while the
+	// worker claims, else a request shipping everything pending.
+	send := func(pre bool, held, room int) error {
+		n := ask(held, room)
+		if cl.claimed = cl.claiming(lastACP); cl.claimed {
+			return cl.send(n)
+		}
+		fill(pre, n)
+		return l.Send(&req)
+	}
+	// deposit queues everything pending as a no-reply report, unflushed:
+	// it ships with the next claim or request.
+	deposit := func() error {
+		fill(true, 0)
+		req.NoReply = true
+		return cl.c.QueueRequest(&req)
+	}
+	// Hello deposit: fetchadd frames carry no worker id, so an empty
+	// no-reply request labels the connection (and joins the fleet) before
+	// the first claim.
+	if cl.arm(l, w) {
+		if err := deposit(); err != nil {
+			return err
+		}
+	}
 	for {
-		if len(queue) == 0 && inflight {
-			// Out of work with a refill on its way: collect it. What is
-			// left of the round trip is a stall, and a reply really waited
-			// for (a quarter of the lead or more) left too late: its round
-			// trip, which no kernel time stretched, raises the lead.
+		if len(queue) == 0 {
+			// Out of work. With nothing in flight the refill is synchronous
+			// and may park at the master; its round trip is communication.
+			// Of a prefetch's round trip what is left is a stall, and an
+			// answer really waited for (a quarter of the lead or more) left
+			// too late: its round trip is measured, and raises the lead.
+			sync := !inflight
 			waitStart := w.now()
-			if err := l.Recv(&rep); err != nil {
+			if sync {
+				sentAt = waitStart
+				if err := send(false, 0, hold); err != nil {
+					return err
+				}
+			}
+			if err := cl.recv(l, &rep); err != nil {
 				return err
 			}
 			now := w.now()
-			wait := now.Sub(waitStart).Seconds()
-			if rtt := now.Sub(sentAt).Seconds(); wait > lead/4 && rtt > lead {
-				lead = rtt
+			switch r, wait := now.Sub(sentAt).Seconds(), now.Sub(waitStart).Seconds(); {
+			case sync:
+				rtt = r
+				if lead == 0 {
+					lead = r
+				}
+			case wait > lead/4:
+				rtt, lead = r, max(lead, r)
+				fallthrough
+			default:
+				idle += wait
 			}
-			idle, inflight = idle+wait, false
-			absorb()
-			continue
-		}
-		if len(queue) == 0 {
-			// Synchronous (re)fill: ships everything pending and may
-			// park at the master until work or the end of the run.
-			fill(false, hold)
-			sentAt = w.now()
-			if err := l.Call(&req, &rep); err != nil {
-				return err
+			inflight = false
+			if cl.claimed {
+				w.Telemetry.Publish(telemetry.Event{
+					Kind: telemetry.LedgerFetch, Worker: w.TelemetryID, Shard: w.TelemetryShard,
+					Start: cl.n / cl.share, At: w.Telemetry.Now(), Seconds: now.Sub(sentAt).Seconds(),
+				})
 			}
-			if lead == 0 {
-				lead = w.now().Sub(sentAt).Seconds()
+			stopSeen, echo = stopSeen || rep.Stop, echo || len(rep.Spans) > 0
+			for i, g := range rep.Grants {
+				// Without a span from the master the deterministic local id
+				// still pairs grant and completion on an in-process bus.
+				span := telemetry.SpanID(0, g.Start)
+				if i < len(rep.Spans) {
+					span = rep.Spans[i]
+				}
+				queue, spanQueue, queued = append(queue, g), append(spanQueue, span), queued+g.Size
 			}
-			absorb()
-			if rep.Stop {
+			if sync && rep.Stop {
 				return nil // the one way out: this request shipped everything
+			}
+			if sync && !cl.done && cl.tab == nil {
+				// A unit table is armed by the gather this request was part
+				// of: from here on the worker claims, or never will.
+				cl.done = !cl.arm(l, w)
 			}
 			continue
 		}
 		a, span := queue[0], spanQueue[0]
 		queue, spanQueue, queued = queue[1:], spanQueue[1:], queued-a.Size
 		start := w.now()
-		mark = start
+		mark, size = start, a.Size
 		for i := a.Start; i < a.End(); {
 			next := a.End()
-			if prefetch && !inflight && !stopSeen && len(queue) < window {
+			if prefetch && !inflight && !stopSeen && (window < 1 || len(queue) < window) {
 				// The refill leaves when what is still held — the rest of
-				// this chunk and the queue — costs no more than a round
-				// trip at this worker's measured rate; until then it looks
-				// again after one iteration (nothing measured yet) or half
-				// the slack. When even a full window of chunks like this one
-				// would not outlast the round trip there is nothing to hide
-				// it behind and an early request only comes back smaller:
-				// the loop asks when it is dry, for all it may hold.
+				// this chunk and the queue — costs no more than the lead at
+				// this worker's measured rate; until then it looks again
+				// after one iteration (nothing measured yet) or half the
+				// slack. Under a window that a full window of chunks like
+				// this one would not outlast, an early request would only
+				// come back smaller: the loop asks when dry, for all it may.
 				if i > a.Start { // mark is this very instant otherwise
 					lap()
 				}
 				next = i + 1
-				rtt := lead * float64(ran) / busy // in iterations of this worker's kernel
-				switch slack := float64(a.End()-i+queued) - rtt; {
+				trip := lead * float64(ran) / busy // in iterations of this worker's kernel
+				held := a.End() - i + queued
+				switch slack := float64(held) - trip; {
 				case ran == 0:
-				case float64(hold*a.Size) < rtt:
+				case window >= 1 && float64(hold*a.Size) < trip:
 					next = a.End()
 				case slack > 0:
 					next = min(i+max(1, int(slack/2)), a.End())
 				default:
-					// Ships what is computed, this chunk's part and its
-					// kernel seconds included; the rest rides the next request.
+					// A request ships what is computed, this chunk's part and
+					// its kernel seconds included; the rest rides the next one.
 					sentAt = mark
-					fill(true, window-len(queue))
-					if err := l.Send(&req); err != nil {
+					if err := send(true, held, window-len(queue)); err != nil {
 						return err
 					}
 					inflight, next, mark = true, a.End(), w.now()
@@ -411,206 +453,92 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		}
 		lap()
 		w.completed(a, span, lastACP, mark.Sub(start).Seconds())
+		if cl.tab != nil {
+			// In the ledger dialogue each chunk is reported on its own, so
+			// the master's per-chunk accounting stays exact however deep a
+			// claim runs, and a claimed chunk, which no master ledger
+			// holds, is counted once.
+			if err := deposit(); err != nil {
+				return err
+			}
+		}
 	}
 }
 
-// runWireLedger is the one-sided claim loop: instead of asking the
-// master which chunk to run, the worker fetch-adds a batch on the
-// master's ledger and computes the chunk boundaries itself from its
-// table replica — the master only ever sees an 11-byte claim and
-// answers with an 11-byte position, so the grant path carries no policy
-// lock, no result copying and no reply encoding. Completions ride
-// no-reply deposits written while the next claim is in flight.
+// claimer is the slave loop's one-sided refill: instead of asking the
+// master which chunks to run, the worker fetch-adds on the master's
+// ledger and cuts the chunks itself from its replica of the table — the
+// master only sees a few-byte claim and answers a position, so the grant
+// carries no policy lock, no result copying and no reply encoding.
 //
 // The counter moves in the table's units (ledger.Table.Share): one
 // scheduling step per chunk on a step table; on the unit table of a
 // distributed scheme a chunk is the worker's plan-time ACP A_j of them
-// and covers C_j = SC_k·A_j/A iterations. A unit table exists only once
-// every worker has reported, so there the first request is the ordinary
-// synchronous one — the gather — and its grants are computed like
-// claimed chunks.
+// and covers C_j = SC_k·A_j/A iterations. A claim is share-bounded
+// (Table.SpanBatch) from the end of the last answered claim: other
+// workers can only have moved the counter further, onto smaller chunks.
+type claimer struct {
+	c       *wire.Conn
+	tab     *ledger.Table // the master's table, nil until armed
+	share   int           // units one chunk of this worker's takes
+	known   uint64        // end of the last answered claim
+	n       int           // units the claim in flight takes
+	claimed bool          // the refill in flight is a claim
+	done    bool          // claims are over for this dialogue
+}
+
+// arm takes the master's table, once one is armed (a step table from
+// the first, a unit table by the gather), and the worker's share of it:
+// only a binary link to a master hosting a ledger claims.
+func (cl *claimer) arm(l Link, w Worker) bool {
+	if cl.c, _ = l.(*wire.Conn); cl.c == nil || w.LedgerTable == nil {
+		cl.done = true
+	} else if cl.tab = w.LedgerTable(); cl.tab != nil {
+		cl.share = cl.tab.Share(w.ID)
+	}
+	return cl.tab != nil
+}
+
+// claiming reports whether the next refill is a claim: while the table
+// lasts and the worker is on its plan — it has a share and, on a unit
+// table, the ACP the plan gave it that share for. Off it, it never is.
+func (cl *claimer) claiming(acp int) bool {
+	if cl.tab != nil && !cl.done {
+		cl.done = cl.share < 1 || cl.tab.Units() && cl.share != acp
+	}
+	return cl.tab != nil && !cl.done
+}
+
+// send writes a claim for up to chunks chunks, share-bounded. Its flush
+// carries every deposit queued since the last one.
 //
-// The loop ends when a claim comes back past the table's end — drained,
-// or closed by a re-plan — or when the worker's ACP no longer is the one
-// the plan gave it a share for. It then computes what its outstanding
-// claims still cover and falls to the dialogue Pipeline selects
-// (runWindow), which ships nothing new, absorbs whatever the master
-// still has to grant — a re-planned rest of the loop, chunks requeued
-// from failed workers — and ends on the master's stop verdict.
-func (w Worker) runWireLedger(c *wire.Conn) error {
-	var (
-		req     wire.Request
-		queue   []sched.Assignment
-		records []wire.Record
-		idle    float64
-		lastACP int
-	)
-	tab := w.LedgerTable()
-	if tab == nil {
-		var rep wire.Reply
-		lastACP = w.wireRequest(&req, false, w.window(), nil, nil, 0, 0)
-		if err := c.Call(&req, &rep); err != nil {
-			return err
-		}
-		if rep.Stop {
-			return nil
-		}
-		queue = append(queue, rep.Grants...)
-		tab = w.LedgerTable()
-	} else {
-		// Hello deposit: fetchadd frames carry no worker id, so an empty
-		// no-reply request labels the connection (and joins the fleet)
-		// before the first one-sided claim. Queued, not flushed: it rides
-		// the first claim's segment.
-		lastACP = w.wireRequest(&req, true, 0, nil, nil, 0, 0)
-		req.NoReply = true
-		if err := c.QueueRequest(&req); err != nil {
-			return err
-		}
+//lint:loopsched-hotpath
+func (cl *claimer) send(chunks int) error {
+	cl.n = cl.tab.SpanBatch(cl.known, cl.share, chunks) * cl.share
+	return cl.c.WriteFetchAdd(cl.n)
+}
+
+// recv reads the answer to the refill in flight into rep: l's reply to
+// a request, or the grants a claim covers. A claim that reached past the
+// table's end — the loop is fully claimed, or a re-plan closed the table
+// — keeps what lay inside and ends the claims.
+//
+//lint:loopsched-hotpath
+func (cl *claimer) recv(l Link, rep *wire.Reply) error {
+	if !cl.claimed {
+		return l.Recv(rep)
 	}
-	// share is the units one chunk of this worker's takes. It claims
-	// while it has one and, on a unit table, reports the ACP the plan
-	// gave it that share for.
-	share := 0
-	if tab != nil {
-		share = tab.Share(w.ID)
-	}
-	onPlan := func() bool { return share > 0 && (!tab.Units() || share == lastACP) }
-	// A one-sided claim costs the same few bytes whatever it claims, so
-	// wire cost alone would let the batch run as deep as it likes; what
-	// bounds it is assignment. Every chunk a claim takes is withheld
-	// from the other workers until this one gets to it, so each claim
-	// is sized by the table's share rule (Table.SpanBatch) up to
-	// maxClaim: four windows (32 chunks at the default) per fetch-add on
-	// a fine loop, one chunk at a time while the scheme's chunks are
-	// still a large part of what is left.
-	maxClaim := ledgerClaimFactor * w.window()
-	// run computes one chunk and queues its completion deposit —
-	// unflushed, so it rides the next claim's segment. One deposit per
-	// chunk (not per claim batch) keeps the master's per-chunk
-	// accounting exact: each deposit carries exactly that chunk's
-	// results and compute time, so the completion-latency histogram
-	// still counts one sample per chunk however deep the claim batch
-	// runs. The extra frames share one flush, so the round still costs
-	// one write and one read.
-	run := func(a sched.Assignment) error {
-		start := time.Now()
-		records = w.run(records[:0], a.Start, a.End())
-		chunkComp := time.Since(start).Seconds()
-		w.completed(a, telemetry.SpanID(0, a.Start), lastACP, chunkComp)
-		lastACP = w.wireRequest(&req, true, 0, records, nil, chunkComp, idle)
-		req.NoReply = true
-		idle = 0
-		return c.QueueRequest(&req)
-	}
-	runQueue := func() error {
-		for _, a := range queue {
-			if err := run(a); err != nil {
-				return err
-			}
-		}
-		queue = queue[:0]
-		return nil
-	}
-	// Two claims stay in flight (the ledger's double buffer): while
-	// this round computes the chunks of claim k-1 and waits for claim
-	// k's answer, claim k+1 is already travelling, so the wire never goes
-	// quiet between batches. Answers come back in claim order; starts and
-	// sizes are the matching FIFOs of send times (for the RTT metric) and
-	// claim sizes in units. A claim is sized where the counter is known to
-	// stand at least — the end of the last answered claim plus the claims
-	// still travelling; other workers can only have moved it further,
-	// onto smaller chunks. The one extra in-flight claim wastes at most
-	// maxClaim chunks past the table's end, which the claim-then-check
-	// protocol absorbs.
-	var (
-		starts      [2]time.Time
-		sizes       [2]int
-		sent, read  int
-		known       uint64 // end of the last answered claim
-		outstanding int    // units claimed but not yet answered
-	)
-	// A second claim goes out behind one still travelling only when it
-	// needs to. On a step table it always does: the chunks are anybody's.
-	// On a unit table the claimants are unequal by construction, and a
-	// claim the share rule cut below the cap says chunks are large — the
-	// round trip hides behind the chunk being computed without it, while
-	// a slow worker holding three of a DTSS loop's eight chunks (one
-	// computing, two claimed) is the static split the scheme exists to
-	// avoid.
-	sendClaim := func() error {
-		n := tab.SpanBatch(known+uint64(outstanding), share, maxClaim)
-		if sent > read && tab.Units() && n < maxClaim {
-			return nil
-		}
-		n *= share
-		starts[sent&1], sizes[sent&1] = time.Now(), n
-		outstanding += n
-		sent++
-		return c.WriteFetchAdd(n)
-	}
-	// readClaim queues the chunks of the oldest unanswered claim and
-	// reports whether all of it lay inside the table.
-	readClaim := func() (bool, error) {
-		waitStart := time.Now()
-		first, err := c.ReadStep()
-		if err != nil {
-			return false, err
-		}
-		idle += time.Since(waitStart).Seconds()
-		n := sizes[read&1]
-		known, outstanding = first+uint64(n), outstanding-n
-		if w.Telemetry != nil {
-			w.Telemetry.Publish(telemetry.Event{
-				Kind: telemetry.LedgerFetch, Worker: w.TelemetryID, Shard: w.TelemetryShard,
-				Start: n / share, At: w.Telemetry.Now(),
-				Seconds: time.Since(starts[read&1]).Seconds(),
-			})
-		}
-		read++
-		for off := 0; off < n; off += share {
-			a, ok := tab.Span(first+uint64(off), share)
-			if !ok {
-				return false, nil // past the end: fully claimed, or closed
-			}
-			if a.Size > 0 {
-				queue = append(queue, a)
-			}
-		}
-		return true, nil
-	}
-	claiming := onPlan()
-	if claiming {
-		if err := sendClaim(); err != nil {
-			return err
-		}
-	}
-	for claiming {
-		// The claim's flush ships the deposits run queued last round in
-		// the same segment: a steady-state round costs the worker one
-		// write and one read, exactly like the master path's piggybacked
-		// request.
-		if err := sendClaim(); err != nil {
-			return err
-		}
-		if err := runQueue(); err != nil {
-			return err
-		}
-		inside, err := readClaim()
-		if err != nil {
-			return err
-		}
-		claiming = inside && onPlan()
-	}
-	// What the outstanding claims still cover is this worker's to
-	// compute; after a drain that is nothing.
-	for read < sent {
-		if _, err := readClaim(); err != nil {
-			return err
-		}
-	}
-	if err := runQueue(); err != nil {
+	first, err := cl.c.ReadStep()
+	if err != nil {
 		return err
 	}
-	return w.runWindow(c, w.window(), w.Pipeline, idle)
+	rep.Reset()
+	cl.known = first + uint64(cl.n)
+	for off := 0; off < cl.n && !cl.done; off += cl.share {
+		a, ok := cl.tab.Span(first+uint64(off), cl.share)
+		if cl.done = !ok; ok && a.Size > 0 { // a share that rounds to nothing is nobody's chunk
+			rep.Grants = append(rep.Grants, a)
+		}
+	}
+	return nil
 }

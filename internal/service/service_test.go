@@ -511,9 +511,11 @@ func TestCloseCancelsOutstanding(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	// Close blocks until the fleet joins, which needs the blocked body
-	// to return; release it once Close is underway.
+	// to return; release it once Close has cancelled the job, which it
+	// does under the scheduler's lock before it joins — so the job cannot
+	// finish normally first.
 	go func() {
-		time.Sleep(10 * time.Millisecond)
+		<-running.Done()
 		release()
 	}()
 	if err := s.Close(); err != nil {

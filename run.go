@@ -107,13 +107,16 @@ type RunSpec struct {
 	Transport string
 	// CreditWindow caps the batched-grant depth on the binary
 	// transport: how many chunks a worker may hold beyond the one it
-	// is computing (0 means 8, the steal engine's default; 1 is a
-	// double buffer). It is a cap everywhere, never a quota:
-	// master replies, one-sided ledger claims (at most 4 windows each)
-	// and steal-engine refills are all share-bounded batches, which
-	// fill the window on a fine loop — amortising a round trip over
-	// several chunks — and shrink to a single chunk while chunks are
-	// large (docs/LEDGER.md "Share-bounded batches").
+	// is computing (1 is a double buffer), and the steal engine's refill
+	// batch. 0 leaves the wire depth to the workers: each asks for what
+	// outlasts its measured round trip to the master, up to the
+	// master's own ceiling (DESIGN.md §9); the steal engine then refills
+	// 8 at a time. It is a cap everywhere, never a quota: master
+	// replies, one-sided ledger claims and steal-engine refills are all
+	// share-bounded batches, which fill the depth on a fine loop —
+	// amortising a round trip over many chunks — and shrink to a single
+	// chunk while chunks are large (docs/LEDGER.md "Share-bounded
+	// batches").
 	CreditWindow int
 	// Ledger requests the decentralized scheduling ledger: "on" lets
 	// workers claim scheduling steps with a single fetch-and-add and

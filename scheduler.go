@@ -67,7 +67,9 @@ type SchedulerOptions struct {
 	Workers []*WorkerSpec
 	// CreditWindow is the refill batch size: how many chunks one
 	// arbitration grant pulls from a job's policy (0 means the steal
-	// engine's default). It is the same knob as RunSpec.CreditWindow.
+	// engine's default, 8; the fleet has no round trip to size a batch
+	// by). It is the same knob as RunSpec.CreditWindow on the local
+	// backend.
 	CreditWindow int
 	// ACP is the availability model distributed schemes report with.
 	ACP ACPModel

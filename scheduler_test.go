@@ -102,13 +102,15 @@ func TestSchedulerPublicSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer close(release)
 	if !blocked.Cancel() {
 		t.Error("Cancel returned false for a live job")
 	}
 	if _, err := blocked.Wait(ctx); !errors.Is(err, loopsched.ErrJobCancelled) {
 		t.Errorf("cancelled job error = %v, want ErrJobCancelled", err)
 	}
+	// A worker may have entered the body before the cancel: let it
+	// return, or Close below waits on it forever.
+	close(release)
 
 	// Drain ends admission permanently; Close ends everything.
 	if err := s.Drain(ctx); err != nil {
