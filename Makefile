@@ -61,8 +61,9 @@ escape-check:
 # dispenser and the ledger table only — a master reaches it through
 # Claim, never re-implements it (docs/LEDGER.md "Share-bounded batches").
 # And the transport rule: internal/mp carries bytes and knows neither a
-# scheme nor a dispenser, and a dispenser is built only by the four
-# sites that answer requests (exec, hier, sim, service).
+# scheme nor a dispenser, and a dispenser is built only by the sites
+# that answer requests: exec, whose Master is also every hier-rpc shard,
+# the hierarchical simulator, sim and service.
 dup-check:
 	@! grep -rn 'NewPolicy(\|MajorityChanged(\|sched\.Offset(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/' \
@@ -74,7 +75,7 @@ dup-check:
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/'
 	@! grep -rn '"loopsched/internal/dispense"\|"loopsched/internal/sched"' --include='*.go' internal/mp
 	@! grep -rn 'dispense\.New(' --include='*.go' . \
-		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/exec/\|^./internal/hier/\|^./internal/sim/\|^./internal/service/'
+		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/exec/\|^./internal/hier/sim.go\|^./internal/sim/\|^./internal/service/'
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -105,11 +106,12 @@ race:
 # flake is the determinism gate (ROADMAP item 5): the runtime suites,
 # twenty times over on two cores, the three packages sharing them —
 # internal/mp for its stream and TCP star and for the loop the root
-# package runs over them — and internal/exec once more with the ledger
-# on, where the slave loop refills by one-sided claims.
+# package runs over them — and internal/exec and internal/hier once more
+# with the ledger on, where the slave loop refills by one-sided claims
+# and every hier-rpc shard arms a step table per super-chunk.
 flake:
 	GOMAXPROCS=2 $(GO) test -count=20 ./internal/exec ./internal/hier ./internal/mp
-	LOOPSCHED_LEDGER=on GOMAXPROCS=2 $(GO) test -count=20 ./internal/exec
+	LOOPSCHED_LEDGER=on GOMAXPROCS=2 $(GO) test -count=20 ./internal/exec ./internal/hier
 
 # bench-smoke runs the repository benchmark under the driver's own
 # contract — one short traced workload — and fails unless the last

@@ -312,13 +312,28 @@ func TestMasterRepliesAreShareBounded(t *testing.T) {
 // for 2^30 chunks of a CSS(1) loop of 2^20 iterations gets one
 // share-bounded reply of at most grantCeiling chunks, and the prefetches
 // after it, which deliver nothing, get nothing — the worker's ledger
-// never holds more than the ceiling.
+// never holds more than the ceiling. The same holds for a shard master
+// whose source hands out the loop in super-chunks.
 func TestMasterDoesNotTrustCredits(t *testing.T) {
 	const n, p = 1 << 20, 2
-	m, err := NewMaster(sched.CSSScheme{K: 1}, n, p)
+	flat, err := NewMaster(sched.CSSScheme{K: 1}, n, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	src := &scriptSource{}
+	for start := 0; start < n; start += n / 4 {
+		src.held = append(src.held, sched.Assignment{Start: start, Size: n / 4})
+	}
+	staged, err := NewShardMaster(sched.CSSScheme{K: 1}, n, 0, []int{0, 1}, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*Master{flat, staged} {
+		checkCeiling(t, m, n, p)
+	}
+}
+
+func checkCeiling(t *testing.T, m *Master, n, p int) {
 	client, server := net.Pipe()
 	served := make(chan struct{})
 	go func() {

@@ -89,7 +89,9 @@ func TestEngineGrantEquivalence(t *testing.T) {
 			continue // learning policies depend on measured timings
 		}
 		grants := func(engine string) []sched.Assignment {
-			bus := telemetry.NewBus(0)
+			// Room for every event of an SS run (a few per chunk), so the
+			// ring never drops a grant the comparison needs.
+			bus := telemetry.NewBus(1 << 15)
 			col := &grantCollector{}
 			bus.Subscribe(col)
 			scales := make([]int, p)

@@ -347,14 +347,14 @@ func (r *argsRecorder) batch(args ChunkArgs, _ int, rep *wire.Reply) error {
 }
 
 func (r *argsRecorder) NextChunk(args ChunkArgs, reply *ChunkReply) error {
-	return BatchFunc(r.batch).NextChunk(args, reply)
+	return batchFunc(r.batch).NextChunk(args, reply)
 }
 
 // wireLink is the binary link over client, its dialogue served from
-// server by ServeSniffed as Endpoint.Serve and Master.ServeConn would.
+// server by serveSniffed as Master.Serve and Master.ServeConn would.
 func wireLink(t *testing.T, client, server io.ReadWriteCloser, srv *rpc.Server, rec *argsRecorder) Link {
 	t.Helper()
-	go ServeSniffed(srv, server, nil, 0, rec.batch, nil)
+	go serveSniffed(srv, server, nil, 0, rec.batch, nil)
 	t.Cleanup(func() { client.Close() })
 	c, err := wire.NewClient(client)
 	if err != nil {
@@ -376,7 +376,7 @@ var dialogueLinks = []struct {
 			t.Fatal(err)
 		}
 		client, server := net.Pipe()
-		go ServeSniffed(srv, server, nil, 0, rec.batch, nil)
+		go serveSniffed(srv, server, nil, 0, rec.batch, nil)
 		t.Cleanup(func() { client.Close() })
 		return newGobLink(client)
 	}},

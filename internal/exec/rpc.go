@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"net/rpc"
 	"slices"
@@ -135,25 +136,72 @@ type slot struct {
 	acp         int  // ACP on the worker's last request
 }
 
+// Source is where a Master's ranges come from, one staged whenever the
+// last is drained (DESIGN.md §9): a flat master's is the whole loop,
+// once; a shard master's is its root (hier.Submaster). Take is called
+// under the master's lock, Fetch without it, the rest from anywhere.
+type Source interface {
+	// Take hands over a range the source holds, without waiting; ok is
+	// false when it holds none right now.
+	Take() (start, size int, ok bool)
+	// Fetch waits until the source holds a range or is exhausted. Only a
+	// synchronous request of a quiescent master — gathered, every staged
+	// iteration delivered — calls it, one at a time; acp is the workers'
+	// summed ACP.
+	Fetch(acp int) error
+	// Exhausted reports that the source holds no range and never will.
+	Exhausted() bool
+	// Forward takes the results a request delivered, as they came.
+	Forward(results []ChunkResult)
+}
+
+// whole is a flat master's source: the loop, once.
+type whole struct {
+	n     int
+	taken bool
+}
+
+func (w *whole) Take() (int, int, bool) {
+	if w.taken { // written once, before any table the fast path reads
+		return 0, 0, false
+	}
+	w.taken = true
+	return 0, w.n, true
+}
+
+func (*whole) Fetch(int) error       { return nil }
+func (w *whole) Exhausted() bool     { return w.taken }
+func (*whole) Forward([]ChunkResult) {}
+
 // Master is the RPC scheduling service. Create with NewMaster, expose
 // with Serve, then Wait for completion.
 type Master struct {
 	scheme     sched.Scheme
 	iterations int
 	workers    int
-	window     int // credit window; per-worker ledger cap is window+1
-	ep         Endpoint
+	window     int            // credit window; per-worker ledger cap is window+1
 	bus        *telemetry.Bus // nil unless SetTelemetry was called
+	shard      int            // telemetry labels: the shard, and members[w],
+	members    []int          // worker w's run-global id (nil: w itself)
 
-	// Lock-free result ledger: got[i] flips exactly once (CAS); the
-	// winner stores results[i], and its request bumps received once its
-	// timing is booked too, so the goroutine that observes
-	// received == iterations also observes every stored result and every
-	// delivering request's accounting.
-	got      []atomic.Bool
+	// Lock-free result ledger: bit i of got flips exactly once (one CAS
+	// per word a record covers); the winner stores results[i] (a shard
+	// master forwards them instead), and its request bumps received once
+	// its timing is booked too, so whoever observes every staged iteration
+	// received observes every stored result and delivering request's
+	// accounting.
+	got      []atomic.Uint64
 	received atomic.Int64
 	results  [][]byte
 	chunks   atomic.Int64
+
+	// src hands out the ranges staged one after another on d; staged
+	// counts their iterations, stage is the latest. fetching marks the
+	// one request waiting on src.Fetch (under mu).
+	src      Source
+	stage    sched.Assignment
+	staged   atomic.Int64
+	fetching bool
 
 	// d is the single source of every fresh grant (internal/dispense);
 	// dcfg rebuilds it when a Set* call changes its configuration. While
@@ -192,25 +240,47 @@ type Master struct {
 	cancelErr  error
 
 	clock func() time.Time // times requests and replies; scripted in tests, nil means time.Now
+
+	connMu  sync.Mutex
+	conns   []net.Conn     // accepted by Serve, closed by Shutdown
+	serving sync.WaitGroup // Serve's accept loop and connection servers
 }
 
 // NewMaster builds a master scheduling `iterations` loop iterations
 // across `workers` slaves under the scheme.
 func NewMaster(scheme sched.Scheme, iterations, workers int) (*Master, error) {
+	return newMaster(scheme, iterations, workers, 0, nil, &whole{n: iterations})
+}
+
+// NewShardMaster builds the master of one shard of a hierarchy over a
+// loop of n iterations: members are its workers' run-global ids by
+// shard-local index, and it stages the ranges src hands it, each a fresh
+// plan with no mid-stage re-plan, forwarding results to src.
+func NewShardMaster(scheme sched.Scheme, n, shard int, members []int, src Source) (*Master, error) {
+	return newMaster(scheme, n, len(members), shard, members, src)
+}
+
+// newMaster builds a master over src and stages what src holds: a flat
+// master plans the loop here unless its scheme gathers first, so a bad
+// configuration fails the constructor and any table is armed before the
+// first request.
+func newMaster(scheme sched.Scheme, n, workers, shard int, members []int, src Source) (*Master, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("exec: master needs at least one worker")
 	}
-	if iterations < 0 {
+	if n < 0 {
 		return nil, fmt.Errorf("exec: negative iteration count")
 	}
 	m := &Master{
 		scheme:     scheme,
-		iterations: iterations,
+		iterations: n,
 		workers:    workers,
 		window:     grantCeiling - 1,
-		dcfg:       dispense.Config{Scheme: scheme, Workers: workers, Table: true},
-		results:    make([][]byte, iterations),
-		got:        make([]atomic.Bool, iterations),
+		shard:      shard,
+		members:    members,
+		dcfg:       dispense.Config{Scheme: scheme, Workers: workers, NoReplan: members != nil, Table: true},
+		got:        make([]atomic.Uint64, (n+63)/64),
+		src:        src,
 		slots:      make([]slot, workers),
 		waitHist:   hist.NewSharded(workers),
 		compHist:   hist.NewSharded(workers),
@@ -223,26 +293,71 @@ func NewMaster(scheme sched.Scheme, iterations, workers int) (*Master, error) {
 	for i := range m.slots {
 		m.slots[i].lastSeen = m.started
 	}
-	m.ready = sync.NewCond(&m.mu)
-	if err := m.rearm(); err != nil {
-		return nil, err
+	if members == nil {
+		m.results = make([][]byte, n)
 	}
-	if iterations == 0 {
+	m.ready = sync.NewCond(&m.mu)
+	m.d = dispense.New(m.dcfg)
+	if m.restage(-1); m.err != nil {
+		return nil, m.err
+	}
+	if n == 0 {
 		m.maybeFinish()
 	}
 	return m, nil
 }
 
-// rearm builds the dispenser from dcfg. A distributed scheme is staged
-// once every worker has reported (lockedGrants); everything else plans
-// here, so a bad configuration fails NewMaster and the table, if any,
-// is armed before the first request. Only valid before Serve.
+// rearm rebuilds the dispenser from dcfg and plans the staged range
+// again, if there is one. Only valid before Serve.
 func (m *Master) rearm() error {
+	planned := m.d.Planned()
 	m.d = dispense.New(m.dcfg)
-	if !sched.Distributed(m.scheme) {
-		return m.d.Stage(0, m.iterations)
+	if planned {
+		return m.d.Stage(m.stage.Start, m.stage.Size)
 	}
 	return nil
+}
+
+// restage stages the next range the source holds once the staged one is
+// drained — for a distributed scheme only after the step-1(a) gather,
+// whose first stage lines up the requests it releases (the parked ones
+// and `also`, which completed it) to draw in decreasing order of ACP,
+// ties by worker id, as the paper's master serves its initial queue
+// (§3.1). A plan that fails is the run's error. Callers hold mu.
+func (m *Master) restage(also int) bool {
+	dist := sched.Distributed(m.scheme)
+	if m.fetching || !m.d.Drained() || dist && !m.d.Gathered() {
+		return false
+	}
+	start, size, ok := m.src.Take()
+	if !ok {
+		return false
+	}
+	first := !m.d.Planned()
+	m.stage = sched.Assignment{Start: start, Size: size}
+	m.staged.Add(int64(size))
+	if err := m.d.Stage(start, size); err != nil {
+		m.err = err
+	}
+	if first && dist {
+		m.turn = m.turn[:0]
+		for w, parked := range m.parked {
+			if (parked || w == also) && !m.failed[w] {
+				m.turn = append(m.turn, w)
+			}
+		}
+		slices.SortStableFunc(m.turn, func(a, b int) int { return m.d.ACP(b) - m.d.ACP(a) })
+	}
+	m.ready.Broadcast()
+	return true
+}
+
+// id is worker w's id in telemetry events.
+func (m *Master) id(w int) int {
+	if m.members != nil {
+		return m.members[w]
+	}
+	return w
 }
 
 // SetPowers hands the master the workers' static virtual powers, which
@@ -295,27 +410,28 @@ func (m *Master) ledgerCap() int { return m.window + 1 }
 // unconditionally. Call before Serve. Ledger mode trades failure
 // recovery for speed: what a wire worker claimed for itself is not
 // tracked in any per-worker ledger, so FailWorker cannot requeue it
-// (see docs/LEDGER.md).
+// (see docs/LEDGER.md). On a shard master, whose workers never claim,
+// the mode only labels its step-table draws as ledger fetches.
 func (m *Master) SetLedger(mode LedgerMode) error {
 	mode, ok := mode.Normalize()
 	if !ok {
 		return fmt.Errorf("exec: unknown ledger mode %q", mode)
 	}
 	m.ledgerOn = mode == LedgerOn
-	m.dcfg.Units = m.ledgerOn
-	if sched.Distributed(m.scheme) {
-		// Nothing is staged before the gather; only what the stage will
-		// be asked for changes.
-		return m.rearm()
+	if m.members != nil || !sched.Distributed(m.scheme) {
+		return nil
 	}
-	return nil
+	// Nothing is staged before the gather; only what the stage will be
+	// asked for changes.
+	m.dcfg.Units = m.ledgerOn
+	return m.rearm()
 }
 
 // LedgerActive reports whether wire workers may claim one-sided
-// (SetLedger accepted the scheme): a table is armed, or the gather will
-// arm a unit table.
+// (SetLedger accepted the scheme on a flat master): a table is armed, or
+// the gather will arm a unit table.
 func (m *Master) LedgerActive() bool {
-	return m.ledgerOn && (m.d.Table() != nil || sched.ShareDeterministic(m.scheme))
+	return m.ledgerOn && m.members == nil && (m.d.Table() != nil || sched.ShareDeterministic(m.scheme))
 }
 
 // Ledger returns the table armed right now, or nil: none yet (a
@@ -385,7 +501,29 @@ func (m *Master) ledgerFetchAdd(worker, n int) uint64 {
 // speaking the gob protocol. It returns immediately; close the
 // listener after Wait to shut down.
 func (m *Master) Serve(l net.Listener) error {
-	return m.ep.Serve(l, m, func(srv *rpc.Server, conn net.Conn) { m.serveConn(srv, conn) })
+	srv := rpc.NewServer()
+	if err := srv.RegisterName("Master", m); err != nil { // the name gob slaves call
+		return err
+	}
+	m.serving.Add(1)
+	go func() {
+		defer m.serving.Done()
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			m.connMu.Lock()
+			m.conns = append(m.conns, conn)
+			m.connMu.Unlock()
+			m.serving.Add(1)
+			go func() {
+				defer m.serving.Done()
+				m.serveConn(srv, conn)
+			}()
+		}
+	}()
+	return nil
 }
 
 // ServeConn serves one slave's dialogue over a byte stream the caller
@@ -398,11 +536,11 @@ func (m *Master) serveConn(srv *rpc.Server, rwc io.ReadWriteCloser) {
 	m.mu.Lock()
 	bus := m.bus
 	m.mu.Unlock()
-	var fetch FetchAddFunc // nil without a ledger: FetchAdd frames then drop the connection
+	var fetch fetchAddFunc // nil without a ledger: FetchAdd frames then drop the connection
 	if m.LedgerActive() {
 		fetch = m.ledgerFetchAdd
 	}
-	ServeSniffed(srv, rwc, bus, 0, m.nextBatch, fetch)
+	serveSniffed(srv, rwc, bus, m.shard, m.nextBatch, fetch)
 }
 
 // Shutdown closes the listener and every connection accepted by Serve,
@@ -413,13 +551,20 @@ func (m *Master) Shutdown(l net.Listener) {
 	if l != nil {
 		l.Close()
 	}
-	m.ep.Close()
+	m.connMu.Lock()
+	conns := m.conns
+	m.conns = nil
+	m.connMu.Unlock()
+	for _, c := range conns {
+		c.Close()
+	}
+	m.serving.Wait()
 }
 
 // NextChunk is the net/rpc entry point the gob slaves call: the
 // one-grant case of nextBatch.
 func (m *Master) NextChunk(args ChunkArgs, reply *ChunkReply) error {
-	return BatchFunc(m.nextBatch).NextChunk(args, reply)
+	return batchFunc(m.nextBatch).NextChunk(args, reply)
 }
 
 // nextBatch is the transport-independent request handler: deposit the
@@ -482,39 +627,79 @@ func (m *Master) nextBatch(args ChunkArgs, credits int, rep *wire.Reply) (err er
 	return m.lockedGrants(&args, credits, rep, reqAt)
 }
 
-// deposit files piggy-backed results into the lock-free ledger and
-// returns how many iterations were new. A result's whole range is
-// checked before any of its flags flips.
+// deposit files piggy-backed results into the lock-free ledger, hands
+// the source what it filed and returns how many iterations were new. A
+// result's whole range is checked before any of its flags flips.
 func (m *Master) deposit(results []ChunkResult) (fresh int, err error) {
 	for j := range results {
 		r := &results[j]
 		n := r.Iterations()
 		switch {
 		case r.Index < 0 || r.Count < 0 || r.Index > m.iterations-n:
-			return fresh, fmt.Errorf("exec: result range [%d, +%d) out of range", r.Index, n)
+			err = fmt.Errorf("exec: result range [%d, +%d) out of range", r.Index, n)
 		case r.Count > 0 && len(r.Data) > 0:
-			return fresh, fmt.Errorf("exec: run [%d, +%d) carries data", r.Index, n)
+			err = fmt.Errorf("exec: run [%d, +%d) carries data", r.Index, n)
 		}
-		for i := r.Index; i < r.Index+n; i++ {
-			if m.got[i].CompareAndSwap(false, true) {
-				m.results[i] = r.Data
-				fresh++
-			}
+		if err != nil {
+			m.src.Forward(results[:j])
+			return fresh, err
 		}
+		k := m.flip(r.Index, r.Index+n)
+		if k > 0 && m.results != nil && len(r.Data) > 0 {
+			m.results[r.Index] = r.Data
+		}
+		fresh += k
 	}
+	m.src.Forward(results)
 	return fresh, nil
 }
 
-// credit counts a request's new results as received and finishes the
-// run when the last iteration lands. Every request credits only after
+// credit counts a request's new results as received and settles the
+// stage when its last iteration lands. Every request credits only after
 // account has booked its timing, so the report Wait builds once done
 // closes misses no delivered chunk's sample.
 func (m *Master) credit(fresh int) {
-	if fresh > 0 && int(m.received.Add(int64(fresh))) >= m.iterations {
+	if fresh > 0 && m.received.Add(int64(fresh)) >= m.staged.Load() {
 		m.mu.Lock()
-		m.maybeFinish()
+		m.settle()
 		m.mu.Unlock()
 	}
+}
+
+// settle finishes the run once the source is exhausted and every staged
+// iteration delivered, and wakes parked requests. Callers hold mu.
+func (m *Master) settle() {
+	if m.src.Exhausted() && m.received.Load() >= m.staged.Load() {
+		m.maybeFinish()
+	}
+	m.ready.Broadcast()
+}
+
+// Wake tells the master that its source changed outside a request, so
+// parked requests look again.
+func (m *Master) Wake() {
+	m.mu.Lock()
+	m.settle()
+	m.mu.Unlock()
+}
+
+// fetch has the source wait for its next range, without mu: upstream may
+// hold the call until the run ends (docs/HIERARCHY.md). Callers hold mu;
+// it is held again on return.
+func (m *Master) fetch() {
+	acp := 0
+	for w := range m.workers {
+		acp += max(m.d.ACP(w), 1)
+	}
+	m.fetching = true
+	m.mu.Unlock()
+	err := m.src.Fetch(acp)
+	m.mu.Lock()
+	m.fetching = false
+	if err != nil && m.err == nil {
+		m.err = err
+	}
+	m.settle()
 }
 
 // revise routes a changed ACP to the dispenser while a unit table is
@@ -577,7 +762,7 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 		if !s.joined {
 			s.joined = true
 			m.bus.Publish(telemetry.Event{
-				Kind: telemetry.WorkerJoined, Worker: args.Worker,
+				Kind: telemetry.WorkerJoined, Worker: m.id(args.Worker), Shard: m.shard,
 				ACP: args.ACP, At: reqAt,
 			})
 		}
@@ -585,7 +770,7 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 			// A deposit files results without asking for work; only
 			// grant-seeking calls count as protocol requests.
 			m.bus.Publish(telemetry.Event{
-				Kind: telemetry.ChunkRequested, Worker: args.Worker,
+				Kind: telemetry.ChunkRequested, Worker: m.id(args.Worker), Shard: m.shard,
 				ACP: args.ACP, At: reqAt,
 			})
 		}
@@ -633,7 +818,7 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 	}
 	if rejected {
 		m.bus.Publish(telemetry.Event{
-			Kind: telemetry.WorkerRejected, Worker: args.Worker, At: reqAt,
+			Kind: telemetry.WorkerRejected, Worker: m.id(args.Worker), Shard: m.shard, At: reqAt,
 		})
 	}
 	return rejected, acpChanged
@@ -659,25 +844,24 @@ func (m *Master) fastGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt
 	}
 	if room := min(credits, m.ledgerCap()-len(s.outstanding)); room > 0 {
 		rep.Grants = l.Claim(args.Worker, args.ACP, room, rep.Grants)
-		if len(rep.Grants) == 0 && !args.Prefetch {
-			return false // drained sync request: park on the locked path
+		if len(rep.Grants) == 0 && (!args.Prefetch || !m.src.Exhausted()) {
+			return false // drained: park, or stage what the source holds, on the locked path
 		}
 	}
 	m.book(s, args, rep, len(rep.Grants), reqAt)
 	return true
 }
 
-// lockedGrants is the fallback scheduler: the distributed gather
-// barrier and its release order, policy draws (and with them the mid-run
-// replans and AWF's timing feedback), requeued chunks, parking and stop
-// handling all live here, under Master.mu. A reply is one batch: requeued
-// chunks before fresh ones, the fresh ones a single share-bounded Claim, so
-// sched.BatchLimit bounds this path exactly as it bounds ledger claims
-// and steal refills. When nothing can be granted a prefetch gets an
-// immediate empty reply, while a plain request parks inside the call
-// until the gather completes, the run ends or a failure requeues work —
-// so a late FailWorker always finds a live worker to absorb the chunk
-// (the lost-iterations fix).
+// lockedGrants is the fallback scheduler: the gather barrier and its
+// release order, staging, policy draws (with the mid-run replans and
+// AWF's timing feedback), requeues, parking and stop handling, under
+// Master.mu. A reply is one batch: requeued chunks first, then a single
+// share-bounded Claim. A request that finds the stage drained is granted
+// from the next range the source holds; with nothing to grant a prefetch
+// gets an empty reply, and a plain request parks until the gather
+// completes, the run ends or a failure requeues work (so a late
+// FailWorker finds a live worker to absorb the chunk) — or, on a
+// quiescent master, has the source fetch.
 func (m *Master) lockedGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt float64) error {
 	w := args.Worker
 	s := &m.slots[w]
@@ -695,9 +879,6 @@ func (m *Master) lockedGrants(args *ChunkArgs, credits int, rep *wire.Reply, req
 		case m.failed[w]: // failed while parked
 			rep.Stop = true
 			return nil
-		case !m.d.Planned() && m.d.Gathered(): // distributed: every first report is in
-			m.stageGathered(w)
-			continue
 		}
 		s.mu.Lock()
 		room := min(credits, m.ledgerCap()-len(s.outstanding))
@@ -725,12 +906,16 @@ func (m *Master) lockedGrants(args *ChunkArgs, credits int, rep *wire.Reply, req
 			rep.Grants, replanned = m.d.Claim(w, args.ACP, room, rep.Grants)
 			if replanned {
 				m.bus.Publish(telemetry.Event{
-					Kind: telemetry.StageAdvanced, Worker: w, At: m.bus.Now(),
+					Kind: telemetry.StageAdvanced, Worker: m.id(w), Shard: m.shard, At: m.bus.Now(),
 				})
 			}
 			if m.d.Ledger() != nil {
 				fetched = len(rep.Grants) - requeued
 			}
+		}
+		if len(rep.Grants) == 0 && room > 0 && m.restage(w) {
+			s.mu.Unlock()
+			continue
 		}
 		if len(rep.Grants) > 0 || args.Prefetch || full {
 			m.book(s, args, rep, fetched, reqAt)
@@ -738,9 +923,13 @@ func (m *Master) lockedGrants(args *ChunkArgs, credits int, rep *wire.Reply, req
 			return nil
 		}
 		s.mu.Unlock()
+		if !m.fetching && m.d.Gathered() && m.received.Load() >= m.staged.Load() && !m.src.Exhausted() {
+			m.fetch() // quiescent: nothing staged is left undelivered
+			continue
+		}
 		// The worker is idle with nothing in flight. Hold the call:
-		// either the run completes (Stop) or a failed worker's chunk
-		// is requeued and lands here.
+		// either the run completes (Stop), a failed worker's chunk is
+		// requeued and lands here, or the source has more.
 		m.parked[w] = true
 		m.ready.Wait()
 		m.parked[w] = false
@@ -763,7 +952,7 @@ func (m *Master) lockedGrants(args *ChunkArgs, credits int, rep *wire.Reply, req
 //lint:loopsched-hotpath
 func (m *Master) book(s *slot, args *ChunkArgs, rep *wire.Reply, fetched int, reqAt float64) {
 	if len(rep.Grants) == 0 {
-		m.bus.Publish(telemetry.Event{Kind: telemetry.PrefetchMissed, Worker: args.Worker, At: reqAt})
+		m.bus.Publish(telemetry.Event{Kind: telemetry.PrefetchMissed, Worker: m.id(args.Worker), Shard: m.shard, At: reqAt})
 		return
 	}
 	s.outstanding = append(s.outstanding, rep.Grants...)
@@ -773,7 +962,7 @@ func (m *Master) book(s *slot, args *ChunkArgs, rep *wire.Reply, fetched int, re
 	}
 	if fetched > 0 && m.ledgerOn {
 		m.bus.Publish(telemetry.Event{
-			Kind: telemetry.LedgerFetch, Worker: args.Worker,
+			Kind: telemetry.LedgerFetch, Worker: m.id(args.Worker), Shard: m.shard,
 			Start: fetched, At: m.bus.Now(),
 		})
 	}
@@ -787,27 +976,10 @@ func (m *Master) book(s *slot, args *ChunkArgs, rep *wire.Reply, fetched int, re
 		now := m.bus.Now()
 		m.waitHist.Record(args.Worker, now-reqAt)
 		m.bus.Publish(telemetry.Event{
-			Kind: kind, Worker: args.Worker, Start: a.Start, Size: a.Size,
+			Kind: kind, Worker: m.id(args.Worker), Shard: m.shard, Start: a.Start, Size: a.Size,
 			ACP: args.ACP, Span: span, At: now, Seconds: now - reqAt,
 		})
 	}
-}
-
-// stageGathered plans the loop once the step-1(a) gather is in and lines
-// up the first requests it releases — the parked ones and `also`, the
-// one that completed it (-1: a failure did) — to draw in decreasing order
-// of reported ACP, ties by worker id, as the paper's master serves its
-// initial queue (§3.1) and the simulator does. Callers hold mu.
-func (m *Master) stageGathered(also int) {
-	m.err = m.d.Stage(0, m.iterations)
-	m.turn = m.turn[:0]
-	for w, parked := range m.parked {
-		if (parked || w == also) && !m.failed[w] {
-			m.turn = append(m.turn, w)
-		}
-	}
-	slices.SortStableFunc(m.turn, func(a, b int) int { return m.d.ACP(b) - m.d.ACP(a) })
-	m.ready.Broadcast()
 }
 
 // takeRequeued pops the next requeued chunk that still has undelivered
@@ -825,23 +997,37 @@ func (m *Master) takeRequeued() (sched.Assignment, bool) {
 }
 
 // delivered reports whether every iteration of the assignment has
-// been received. It reads only the atomic flags, so it is safe on
+// been received. It reads only the atomic ledger, so it is safe on
 // both the locked and the lock-free path.
 func (m *Master) delivered(a sched.Assignment) bool {
-	for i := a.Start; i < a.End(); i++ {
-		if !m.got[i].Load() {
+	for lo := a.Start; lo < a.End(); lo = (lo/64 + 1) * 64 {
+		if w, mask := m.word(lo, a.End()); w.Load()&mask != mask {
 			return false
 		}
 	}
 	return true
 }
 
-// checkDone finishes the run when every result is in, or when no
-// worker is left to produce the missing ones; callers hold mu.
-func (m *Master) checkDone() {
-	if int(m.received.Load()) >= m.iterations || len(m.failed) >= m.workers {
-		m.maybeFinish()
+// flip sets the ledger bits of [lo, hi) and returns how many were clear.
+func (m *Master) flip(lo, hi int) (fresh int) {
+	for ; lo < hi; lo = (lo/64 + 1) * 64 {
+		w, mask := m.word(lo, hi)
+		for {
+			old := w.Load()
+			if old&mask == mask || w.CompareAndSwap(old, old|mask) {
+				fresh += bits.OnesCount64(mask &^ old)
+				break
+			}
+		}
 	}
+	return fresh
+}
+
+// word returns the ledger word holding iteration lo and the mask of its
+// bits in [lo, hi).
+func (m *Master) word(lo, hi int) (*atomic.Uint64, uint64) {
+	n := min(hi-lo, 64-lo%64)
+	return &m.got[lo/64], ^uint64(0) >> (64 - n) << (lo % 64)
 }
 
 // now reads the clock the master times its workers by: the
@@ -898,7 +1084,7 @@ func (m *Master) FailWorker(worker int) error {
 	m.fastOff.Store(true)
 	m.failed[worker] = true
 	m.bus.Publish(telemetry.Event{
-		Kind: telemetry.WorkerTimedOut, Worker: worker, At: m.bus.Now(),
+		Kind: telemetry.WorkerTimedOut, Worker: m.id(worker), Shard: m.shard, At: m.bus.Now(),
 	})
 	s := &m.slots[worker]
 	s.mu.Lock()
@@ -911,12 +1097,14 @@ func (m *Master) FailWorker(worker int) error {
 	}
 	// A worker that dies during the distributed gather must not stall
 	// the barrier, nor one that dies in the release line hold it up.
-	if !m.d.Planned() && m.d.Report(worker, m.d.ACP(worker)) && m.d.Gathered() {
-		m.stageGathered(-1)
+	if !m.d.Planned() && m.d.Report(worker, m.d.ACP(worker)) {
+		m.restage(-1)
 	}
 	m.turn = slices.DeleteFunc(m.turn, func(w int) bool { return w == worker })
-	m.checkDone()
-	m.ready.Broadcast() // wake parked workers: requeued work or all-failed finish
+	if len(m.failed) >= m.workers { // nobody is left to produce the rest
+		m.maybeFinish()
+	}
+	m.settle() // wakes parked workers: requeued work, or the end
 	return nil
 }
 
@@ -1056,10 +1244,14 @@ func (m *Master) Wait() ([][]byte, metrics.Report, error) {
 	<-m.done
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	want := m.iterations // owed by a run cut short before its source ended
+	if m.src.Exhausted() {
+		want = int(m.staged.Load()) // the loop, or what a shard staged
+	}
 	rep := metrics.Report{
 		Scheme:     m.scheme.Name(),
 		Workers:    m.workers,
-		Iterations: m.iterations,
+		Iterations: want,
 		Chunks:     int(m.chunks.Load()),
 		Replans:    m.d.Replans(),
 		Tp:         m.finished.Sub(m.started).Seconds(),
@@ -1080,13 +1272,19 @@ func (m *Master) Wait() ([][]byte, metrics.Report, error) {
 		}
 	}
 	var err error
-	if got := int(m.received.Load()); got != m.iterations {
-		err = fmt.Errorf("exec: %d of %d results missing", m.iterations-got, m.iterations)
+	if got := int(m.received.Load()); got != want {
+		err = fmt.Errorf("exec: %d of %d results missing", want-got, want)
 	}
 	if m.cancelErr != nil {
 		err = m.cancelErr
 	}
 	return m.results, rep, err
+}
+
+// Latencies returns the master's grant-latency and compute-latency
+// histograms, for a caller that merges several masters' into one report.
+func (m *Master) Latencies() (grant, comp hist.Snapshot) {
+	return m.waitHist.Snapshot(), m.compHist.Snapshot()
 }
 
 // Kernel computes one iteration and returns its serialized result.

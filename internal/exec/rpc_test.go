@@ -873,13 +873,28 @@ func TestDepositRuns(t *testing.T) {
 			t.Fatalf("deposit %+v: fresh %d, err %v; want fresh %d, refused %v", c.results, fresh, err, c.fresh, c.bad)
 		}
 	}
-	for i := range m.got {
-		if !m.got[i].Load() {
-			t.Errorf("iteration %d never delivered", i)
-		}
+	if !m.delivered(sched.Assignment{Start: 0, Size: 10}) {
+		t.Errorf("ledger %v: an iteration was never delivered", m.got)
 	}
 	if m.results[7] == nil || m.results[2] != nil {
 		t.Errorf("results %v: the data record must win iteration 7, runs store nothing", m.results)
+	}
+}
+
+// TestDepositSpansLedgerWords: runs cross the 64-iteration words of the
+// result ledger, and every iteration still counts once.
+func TestDepositSpansLedgerWords(t *testing.T) {
+	m, err := NewMaster(sched.TSSScheme{}, 200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ index, count, fresh int }{{60, 70, 70}, {0, 200, 130}, {128, 1, 0}, {199, 1, 0}} {
+		if fresh, err := m.deposit([]ChunkResult{{Index: c.index, Count: c.count}}); err != nil || fresh != c.fresh {
+			t.Fatalf("run [%d, +%d): fresh %d, err %v; want fresh %d", c.index, c.count, fresh, err, c.fresh)
+		}
+	}
+	if !m.delivered(sched.Assignment{Start: 0, Size: 200}) || m.delivered(sched.Assignment{Start: 199, Size: 2}) {
+		t.Errorf("ledger %v: want [0, 200) delivered and nothing past it", m.got)
 	}
 }
 

@@ -146,7 +146,7 @@ func (r *spanRecorder) batch(args ChunkArgs, credits int, rep *wire.Reply) error
 // NextChunk mirrors Master.NextChunk: the one-grant gob adapter over
 // the recorded batch handler.
 func (r *spanRecorder) NextChunk(args ChunkArgs, reply *ChunkReply) error {
-	return BatchFunc(r.batch).NextChunk(args, reply)
+	return batchFunc(r.batch).NextChunk(args, reply)
 }
 
 // startRecordedMaster serves a master on a sniffed listener exactly as
@@ -177,7 +177,7 @@ func startRecordedMaster(t *testing.T, n int, withBus bool) (*spanRecorder, *Mas
 			if err != nil {
 				return
 			}
-			go ServeSniffed(srv, conn, m.bus, 0, rec.batch, nil)
+			go serveSniffed(srv, conn, m.bus, 0, rec.batch, nil)
 		}
 	}()
 	stop := func() {

@@ -4,10 +4,8 @@ import (
 	"bufio"
 	"io"
 	"math"
-	"net"
 	"net/rpc"
 	"slices"
-	"sync"
 	"time"
 
 	"loopsched/internal/ledger"
@@ -17,20 +15,17 @@ import (
 )
 
 // This file is the chunk protocol in wire.Request / wire.Reply terms:
-// the accept-and-route endpoint and sniffing connection router shared
-// by the flat master and the hierarchical submasters, the server-side
-// frame loop, and the one slave loop every Link runs (runWindow) with
-// its binary-only refill by ledger claims (claimer).
+// the master's sniffing connection router, the server-side frame loop, and the one slave loop every Link runs
+// (runWindow) with its binary-only refill by ledger claims (claimer).
 
-// BatchFunc answers one batched chunk request: deposit args.Results,
+// batchFunc answers one batched chunk request: deposit args.Results,
 // then append up to `credits` grants (or a stop/park verdict) into
-// rep. exec.Master.nextBatch and the hierarchical submaster both
-// implement it.
-type BatchFunc func(args ChunkArgs, credits int, rep *wire.Reply) error
+// rep. Master.nextBatch implements it.
+type batchFunc func(args ChunkArgs, credits int, rep *wire.Reply) error
 
 // NextChunk answers a net/rpc call — the gob protocol's one chunk per
 // round trip — as the one-grant case of the batch handler.
-func (batch BatchFunc) NextChunk(args ChunkArgs, reply *ChunkReply) error {
+func (batch batchFunc) NextChunk(args ChunkArgs, reply *ChunkReply) error {
 	var grants [1]sched.Assignment
 	rep := wire.Reply{Grants: grants[:0]}
 	if err := batch(args, 1, &rep); err != nil {
@@ -43,65 +38,12 @@ func (batch BatchFunc) NextChunk(args ChunkArgs, reply *ChunkReply) error {
 	return nil
 }
 
-// FetchAddFunc answers one ledger claim: atomically reserve n
+// fetchAddFunc answers one ledger claim: atomically reserve n
 // scheduling steps and return the first reserved step. worker is the
 // claimer's id when the connection has been labeled by a prior
-// request, else -1. A nil FetchAddFunc means the ledger is not active
+// request, else -1. A nil fetchAddFunc means the ledger is not active
 // and fetchadd frames drop the connection.
-type FetchAddFunc func(worker, n int) uint64
-
-// Endpoint is the accept-and-route half of a chunk server, shared by
-// the flat master and the hierarchical submaster: it accepts worker
-// connections, remembers them so Close can unblock their server
-// loops, and serves each on its own goroutine. The zero value is ready.
-type Endpoint struct {
-	mu    sync.Mutex
-	conns []net.Conn
-	wg    sync.WaitGroup // accept loop + per-connection servers
-}
-
-// Serve registers rcvr as the net/rpc "Master" service — the name gob
-// slaves call — and accepts connections until l closes, running serve
-// (a ServeSniffed call with the owner's handlers) on each. It returns
-// immediately.
-func (e *Endpoint) Serve(l net.Listener, rcvr any, serve func(*rpc.Server, net.Conn)) error {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Master", rcvr); err != nil {
-		return err
-	}
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			e.mu.Lock()
-			e.conns = append(e.conns, conn)
-			e.mu.Unlock()
-			e.wg.Add(1)
-			go func() {
-				defer e.wg.Done()
-				serve(srv, conn)
-			}()
-		}
-	}()
-	return nil
-}
-
-// Close closes every accepted connection and joins the serving
-// goroutines. Close the listener first so the accept loop can exit.
-func (e *Endpoint) Close() {
-	e.mu.Lock()
-	conns := e.conns
-	e.conns = nil
-	e.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	e.wg.Wait()
-}
+type fetchAddFunc func(worker, n int) uint64
 
 // sniffedConn replays the bytes a protocol sniffer buffered ahead of
 // the gob stream.
@@ -112,13 +54,13 @@ type sniffedConn struct {
 
 func (c sniffedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
 
-// ServeSniffed serves one worker's byte stream — an accepted connection,
+// serveSniffed serves one worker's byte stream — an accepted connection,
 // an mp.Stream — routing by its first byte: the binary wire preamble
 // (wire.Magic, which no gob stream can open with) goes to the framed
 // batch service, everything else to the net/rpc server, or is dropped
 // when srv is nil. It returns when the dialogue ends and closes the
 // stream. bus (nil allowed) receives wire frame counters; shard labels them.
-func ServeSniffed(srv *rpc.Server, conn io.ReadWriteCloser, bus *telemetry.Bus, shard int, batch BatchFunc, fetch FetchAddFunc) {
+func serveSniffed(srv *rpc.Server, conn io.ReadWriteCloser, bus *telemetry.Bus, shard int, batch batchFunc, fetch fetchAddFunc) {
 	defer conn.Close() // after net/rpc's own close on the gob route, harmlessly
 	br := bufio.NewReader(conn)
 	first, err := br.Peek(1)
@@ -142,7 +84,7 @@ func ServeSniffed(srv *rpc.Server, conn io.ReadWriteCloser, bus *telemetry.Bus, 
 // requests (answered with a reply), no-reply deposits (results filed,
 // nothing written back), and — when fetch is non-nil — ledger claims
 // (answered with a step frame).
-func serveWire(c *wire.Conn, bus *telemetry.Bus, shard int, batch BatchFunc, fetch FetchAddFunc) {
+func serveWire(c *wire.Conn, bus *telemetry.Bus, shard int, batch batchFunc, fetch fetchAddFunc) {
 	c.SetTelemetry(bus, -1, shard)
 	var (
 		req     wire.Request

@@ -18,12 +18,10 @@
 //
 //   - Simulate — a deterministic discrete-event model where the
 //     submaster hop costs an extra link latency (sim.go);
-//   - RunLocal — goroutine submasters over exec.WorkerSpec workers
+//   - LocalRun — goroutine submasters over exec.WorkerSpec workers
 //     (local.go);
-//   - Submaster — a net/rpc server for its workers that is at the same
-//     time a pipelined client of the root master, reusing the
-//     double-buffered prefetch ledger of the flat RPC runtime
-//     (rpc.go).
+//   - Submaster — an exec.Master for its workers whose stages are the
+//     super-chunks it fetches, pipelined, from the root (rpc.go).
 package hier
 
 import (

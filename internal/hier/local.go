@@ -160,7 +160,7 @@ func (l *LocalRun) Run(ctx context.Context, w workload.Workload, body func(i int
 			comp += times[wi].Comp
 		}
 		rep.Shards = append(rep.Shards,
-			shardStats(si, sh.members, sh.tally.Iterations, sh.tally.Chunks, comp, sh.finished, root))
+			root.Stats(si, len(sh.members), sh.tally.Iterations, sh.tally.Chunks, comp, sh.finished))
 	}
 	for _, e := range errs {
 		if e != nil {

@@ -185,15 +185,6 @@ func (r *Root) ShardCounts(shard int) (fetches, steals int) {
 	return r.fetches[shard], r.steals[shard]
 }
 
-// Region returns the shard's current partition bounds [lo, hi) and the
-// first unclaimed iteration. Steals shrink hi.
-func (r *Root) Region(shard int) (lo, next, hi int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	reg := r.regions[shard]
-	return reg.lo, reg.next, reg.hi
-}
-
 // RootScheme adapts the hierarchical root allocator to the sched
 // interfaces, so a stock master (e.g. the net/rpc Master) can serve as
 // the hierarchy's root: each "worker" of that master is a submaster,
@@ -254,8 +245,7 @@ func (p *rootPolicy) Next(req sched.Request) (sched.Assignment, bool) {
 func (p *rootPolicy) Remaining() int { return p.root.Remaining() }
 
 // Stats assembles a shard's report entry, folding in the root's fetch
-// and steal tallies for that shard. Drivers outside this package (the
-// public Run executor) use it to build Report.Shards.
+// and steal tallies for that shard: every hierarchy's Report.Shards.
 func (r *Root) Stats(shard, workers, iters, chunks int, comp, finished float64) metrics.ShardStats {
 	fetches, steals := r.ShardCounts(shard)
 	return metrics.ShardStats{
@@ -268,9 +258,4 @@ func (r *Root) Stats(shard, workers, iters, chunks int, comp, finished float64) 
 		Comp:       comp,
 		Finished:   finished,
 	}
-}
-
-// shardStats assembles the common per-shard report entry.
-func shardStats(shard int, members []int, iters, chunks int, comp, finished float64, root *Root) metrics.ShardStats {
-	return root.Stats(shard, len(members), iters, chunks, comp, finished)
 }

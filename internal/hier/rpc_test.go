@@ -59,12 +59,12 @@ func startHierarchy(t *testing.T, scheme sched.Scheme, n int, members [][]int, p
 
 	subs := make([]*Submaster, k)
 	for si := range members {
-		sub, err := NewSubmaster(si, scheme, len(members[si]), rootL.Addr().String())
+		sub, err := NewSubmaster(si, scheme, n, globalID[si], rootL.Addr().String(), "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if bus != nil {
-			sub.SetTelemetry(bus, globalID[si])
+			sub.SetTelemetry(bus)
 		}
 		t.Cleanup(func() { sub.Close() })
 		subL, err := net.Listen("tcp", "127.0.0.1:0")
@@ -157,14 +157,15 @@ func TestRPCHierarchyEndToEnd(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 			defer cancel()
 			var localIters int
-			for _, sub := range subs {
-				if err := sub.Wait(ctx); err != nil {
+			for si, sub := range subs {
+				_, srep, err := sub.WaitContext(ctx)
+				if err != nil {
 					t.Fatal(err)
 				}
-				it, chunks, fetches, _, fin := sub.Counts()
-				localIters += it
-				if chunks == 0 || fetches == 0 || fin.IsZero() {
-					t.Fatalf("submaster tallies incomplete: %d chunks, %d fetches", chunks, fetches)
+				fetches, _ := (*captured).ShardCounts(si)
+				localIters += srep.Iterations
+				if srep.Chunks == 0 || fetches == 0 || srep.Tp == 0 {
+					t.Fatalf("submaster tallies incomplete: %d chunks, %d fetches", srep.Chunks, fetches)
 				}
 			}
 			if localIters != n {
@@ -202,7 +203,7 @@ func TestRPCHierarchyCancel(t *testing.T) {
 	waitCtx, waitCancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer waitCancel()
 	for _, sub := range subs {
-		if err := sub.Wait(waitCtx); err != nil {
+		if _, _, err := sub.WaitContext(waitCtx); err != nil {
 			t.Fatalf("submaster did not drain after cancel: %v", err)
 		}
 	}
@@ -242,11 +243,11 @@ func TestRPCHierarchyTelemetry(t *testing.T) {
 	defer cancel()
 	var subChunks int
 	for _, sub := range subs {
-		if err := sub.Wait(ctx); err != nil {
+		_, srep, err := sub.WaitContext(ctx)
+		if err != nil {
 			t.Fatal(err)
 		}
-		_, chunks, _, _, _ := sub.Counts()
-		subChunks += chunks
+		subChunks += srep.Chunks
 	}
 	select {
 	case err := <-workerErrs:
@@ -271,9 +272,9 @@ func TestRPCHierarchyTelemetry(t *testing.T) {
 }
 
 // TestRPCHierarchyDrainsRuns: workers whose kernel returns no bytes
-// report each stretch of iterations as one run record. A submaster that
-// counted records instead of iterations would never see its shard
-// quiescent (outstanding > 0 forever) and would never fetch again; here
+// report each stretch of iterations as one run record. A shard that
+// counted records instead of iterations would never see itself
+// quiescent and would never fetch again; here
 // every shard must drain with nothing outstanding, having forwarded the
 // runs so the root holds every iteration exactly once.
 func TestRPCHierarchyDrainsRuns(t *testing.T) {
@@ -304,14 +305,15 @@ func TestRPCHierarchyDrainsRuns(t *testing.T) {
 			}
 		}
 		for si, sub := range subs {
-			if err := sub.Wait(ctx); err != nil {
+			if _, _, err := sub.WaitContext(ctx); err != nil {
 				t.Fatalf("pipeline=%v: shard %d did not drain: %v", pipeline, si, err)
 			}
+			outstanding := len(sub.Outstanding())
 			sub.mu.Lock()
-			outstanding, pending := sub.outstanding, len(sub.pending)
+			pending := len(sub.pending)
 			sub.mu.Unlock()
 			if outstanding != 0 || pending != 0 {
-				t.Errorf("pipeline=%v: shard %d drained with %d iterations outstanding, %d results unforwarded", pipeline, si, outstanding, pending)
+				t.Errorf("pipeline=%v: shard %d drained with chunks outstanding on %d workers, %d results unforwarded", pipeline, si, outstanding, pending)
 			}
 		}
 		cancel()

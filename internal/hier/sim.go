@@ -225,7 +225,7 @@ func Simulate(ctx context.Context, c sim.Cluster, scheme sched.Scheme, w workloa
 		sub := &s.subs[si]
 		report.Chunks += sub.chunks
 		report.Shards = append(report.Shards,
-			shardStats(si, sub.members, sub.iterations, sub.chunks, sub.comp, sub.finished, root))
+			root.Stats(si, len(sub.members), sub.iterations, sub.chunks, sub.comp, sub.finished))
 	}
 	for i := range s.workers {
 		report.PerWorker = append(report.PerWorker, s.workers[i].times)

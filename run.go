@@ -15,6 +15,7 @@ import (
 	"loopsched/internal/sched"
 	"loopsched/internal/sim"
 	"loopsched/internal/telemetry"
+	"loopsched/internal/telemetry/hist"
 )
 
 // ---- The unified entry point ----
@@ -68,7 +69,8 @@ func FormatShards(r Report) string { return metrics.FormatShards(r) }
 //
 // Setting Hierarchy selects the two-level runtime on the sim, local
 // and rpc backends (the mp backend is flat-only; a learning scheme
-// such as AWF is hierarchical on local only, see ErrHierarchyFeedback).
+// such as AWF is hierarchical on local and rpc only, see
+// ErrHierarchyFeedback).
 type RunSpec struct {
 	// Scheme is the self-scheduling scheme (see LookupScheme).
 	Scheme Scheme
@@ -121,10 +123,12 @@ type RunSpec struct {
 	// Ledger requests the decentralized scheduling ledger: "on" lets
 	// workers claim scheduling steps with a single fetch-and-add and
 	// compute chunk boundaries from a replicated table (rpc backend on
-	// the binary transport, mp backend), turns steal-engine refills into
-	// lock-free claims (local backend, steal engine), and gives each rpc
-	// submaster a stage-local ledger (hierarchies). Empty consults the
-	// LOOPSCHED_LEDGER environment variable and falls back to "off".
+	// the binary transport, mp backend) and turns steal-engine refills
+	// into lock-free claims (local backend, steal engine). A hier-rpc
+	// shard master arms a step table per super-chunk either way and its
+	// workers never claim; "on" publishes its draws as ledger fetches.
+	// Empty consults the LOOPSCHED_LEDGER environment variable and falls
+	// back to "off".
 	// On the flat rpc and mp backends the paper's distributed schemes
 	// (DTSS, DFSS, DFISS, DTFSS, DCSS, DGSS) claim one-sided too, in units
 	// of computing power from a table planned at the gather — a
@@ -252,11 +256,12 @@ func beginTelemetry(spec *RunSpec) func() {
 }
 
 // ErrHierarchyFeedback is returned by Run for a learning scheme (one
-// whose policy takes timing feedback, AWF) on a hierarchical sim or rpc
-// run: those submasters feed no chunk timings back, so the scheme would
-// run on its plan-time weights instead of learning. Run it flat, or
-// hierarchically on the local backend, which does feed them.
-var ErrHierarchyFeedback = errors.New("loopsched: the hierarchical sim and rpc runtimes feed no chunk timings to a learning scheme")
+// whose policy takes timing feedback, AWF) on a hierarchical sim run:
+// the simulated submasters feed no chunk timings back, so the scheme
+// would run on its plan-time weights instead of learning. Run it flat,
+// or hierarchically on the local or rpc backend, whose shard masters do
+// feed them.
+var ErrHierarchyFeedback = errors.New("loopsched: the hierarchical sim runtime feeds no chunk timings to a learning scheme")
 
 // validate checks the whole spec: the backend-independent requirements
 // plus every per-backend structural check (worker lists, transports,
@@ -300,9 +305,6 @@ func (s RunSpec) validate() error {
 		}
 		if _, ok := exec.Transport(s.Transport).Normalize(); !ok {
 			return fmt.Errorf("loopsched: unknown transport %q", s.Transport)
-		}
-		if learning {
-			return fmt.Errorf("%w (%s on rpc)", ErrHierarchyFeedback, s.Scheme.Name())
 		}
 	case BackendMP:
 		if s.Hierarchy != nil {
@@ -573,29 +575,32 @@ func runRPCHierarchy(ctx context.Context, spec RunSpec, kernel Kernel) (Report, 
 		return Report{}, err
 	}
 
-	start := time.Now()
 	subs := make([]*hier.Submaster, k)
 	var wg sync.WaitGroup
 	// Workers unwind through the Stop protocol: cancelling the run
-	// cancels the root, whose released fetches become submaster Stops.
-	// Killing the worker connections with the caller's ctx instead
-	// would strand the submasters mid-count, so workers get their own
-	// context, cancelled only if a submaster fails to drain.
+	// cancels the root, whose released fetches end the shard masters'
+	// sources. Killing the worker connections with the caller's ctx
+	// instead would strand the shards mid-count, so workers get their own
+	// context, cancelled only if a shard fails to drain.
 	workerCtx, workerCancel := context.WithCancel(context.Background())
 	defer workerCancel()
-	for si := range members {
-		sub, err := hier.NewSubmasterTransport(si, spec.Scheme, len(members[si]),
-			rootL.Addr().String(), exec.Transport(spec.Transport))
+	for si, ids := range members {
+		sub, err := hier.NewSubmaster(si, spec.Scheme, n, ids, rootL.Addr().String(), exec.Transport(spec.Transport))
 		if err != nil {
 			root.Cancel(err)
 			break
 		}
-		sub.SetTelemetry(spec.Telemetry.Bus(), members[si])
-		if err := sub.SetLedger(exec.LedgerMode(spec.Ledger)); err != nil {
+		defer sub.Close()
+		shardPowers := make([]float64, len(ids))
+		for li, wi := range ids {
+			shardPowers[li] = powers[wi]
+		}
+		sub.SetTelemetry(spec.Telemetry.Bus())
+		sub.SetWindow(spec.CreditWindow)
+		if err := errors.Join(sub.SetLedger(exec.LedgerMode(spec.Ledger)), sub.SetPowers(shardPowers)); err != nil {
 			root.Cancel(err)
 			break
 		}
-		defer sub.Close()
 		subL, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			root.Cancel(err)
@@ -607,7 +612,7 @@ func runRPCHierarchy(ctx context.Context, spec RunSpec, kernel Kernel) (Report, 
 			break
 		}
 		subs[si] = sub
-		for li, wi := range members[si] {
+		for li, wi := range ids {
 			w := rpcWorker(spec, kernel, powers, wi)
 			w.ID = li // worker ids are shard-local; telemetry keeps the global id
 			w.TelemetryShard = si
@@ -615,7 +620,9 @@ func runRPCHierarchy(ctx context.Context, spec RunSpec, kernel Kernel) (Report, 
 			go func(w exec.Worker, addr string) {
 				defer wg.Done()
 				if werr := w.RunContext(workerCtx, addr); werr != nil && workerCtx.Err() == nil {
-					root.Cancel(fmt.Errorf("loopsched: rpc worker %d: %w", w.ID, werr))
+					werr = fmt.Errorf("loopsched: rpc worker %d: %w", w.TelemetryID, werr)
+					root.Cancel(werr)
+					sub.Cancel(werr)
 				}
 			}(w, subL.Addr().String())
 		}
@@ -623,42 +630,54 @@ func runRPCHierarchy(ctx context.Context, spec RunSpec, kernel Kernel) (Report, 
 
 	_, rep, err := root.WaitContext(ctx)
 
-	// Even after cancellation the submasters drain (released parked
-	// fetches turn into Stops), but never wait on them unboundedly.
+	// Even after cancellation the shards drain (released parked fetches
+	// end their sources), but never wait on them unboundedly: a shard
+	// that has not drained by then is cancelled, which sends its workers
+	// home.
 	drainCtx, drainCancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer drainCancel()
-	for _, sub := range subs {
+	shards := make([]Report, k)
+	for si, sub := range subs {
 		if sub == nil {
 			continue
 		}
-		if werr := sub.Wait(drainCtx); werr != nil {
-			workerCancel() // kick any workers a wedged submaster stranded
-			if err == nil {
-				err = fmt.Errorf("loopsched: submaster did not drain: %w", werr)
-			}
+		var werr error
+		if _, shards[si], werr = sub.WaitContext(drainCtx); werr != nil && err == nil {
+			err = fmt.Errorf("loopsched: shard %d: %w", si, werr)
 		}
 	}
 	workerCancel()
 	wg.Wait()
 
+	// The report describes the p workers, from the shard masters' books;
+	// the root's own describes the k shards as if they were workers.
 	rep.Workload = spec.Workload.Name()
+	rep.Workers, rep.Chunks = p, 0
+	rep.PerWorker = make([]metrics.Times, p)
+	var grant, comp hist.Snapshot
 	if r := *captured; r != nil {
 		rep.Steals = r.Steals()
-		rep.Chunks = 0 // count submaster grants, not root super-chunks
 		rep.Shards = rep.Shards[:0]
 		for si, sub := range subs {
 			if sub == nil {
 				continue
 			}
-			iters, chunks, _, comp, finishedAt := sub.Counts()
-			finished := 0.0
-			if !finishedAt.IsZero() {
-				finished = finishedAt.Sub(start).Seconds()
+			sr := shards[si]
+			var shardComp float64
+			for li, wi := range members[si] {
+				t := sr.PerWorker[li]
+				t.Wait = max(0, rep.Tp-t.Comm-t.Comp-t.Idle)
+				rep.PerWorker[wi] = t
+				shardComp += t.Comp
 			}
-			rep.Chunks += chunks
+			g, c := sub.Latencies()
+			grant.Merge(g)
+			comp.Merge(c)
+			rep.Chunks += sr.Chunks
 			rep.Shards = append(rep.Shards,
-				r.Stats(si, len(members[si]), iters, chunks, comp, finished))
+				r.Stats(si, len(members[si]), sr.Iterations, sr.Chunks, shardComp, sr.Tp))
 		}
 	}
+	rep.GrantLatency, rep.CompLatency = grant.Summarize(), comp.Summarize()
 	return rep, err
 }

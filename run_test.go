@@ -94,13 +94,16 @@ func TestRunHierarchical(t *testing.T) {
 	w := loopsched.Uniform{N: n, C: 1}
 	h := &loopsched.Hierarchy{Shards: 2}
 
-	check := func(t *testing.T, rep loopsched.Report, err error) {
+	check := func(t *testing.T, rep loopsched.Report, err error, p int) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.Iterations != n {
 			t.Fatalf("report claims %d of %d iterations", rep.Iterations, n)
+		}
+		if rep.Workers != p || len(rep.PerWorker) != p {
+			t.Fatalf("report describes %d workers in %d entries, want %d", rep.Workers, len(rep.PerWorker), p)
 		}
 		if len(rep.Shards) != 2 {
 			t.Fatalf("want 2 shards in report, got %d", len(rep.Shards))
@@ -125,7 +128,7 @@ func TestRunHierarchical(t *testing.T) {
 			Cluster:   loopsched.PaperCluster(8, false),
 			Hierarchy: h,
 		})
-		check(t, rep, err)
+		check(t, rep, err, 8)
 	})
 	for _, backend := range []loopsched.Backend{loopsched.BackendLocal, loopsched.BackendRPC} {
 		backend := backend
@@ -138,7 +141,7 @@ func TestRunHierarchical(t *testing.T) {
 				Body:      func(i int) {},
 				Hierarchy: h,
 			})
-			check(t, rep, err)
+			check(t, rep, err, len(runWorkers()))
 		})
 	}
 	t.Run("mp-unsupported", func(t *testing.T) {
@@ -330,15 +333,14 @@ func TestRunSpecValidationPerBackend(t *testing.T) {
 				Scheme: awf, Workload: w, Backend: loopsched.BackendSim,
 				Cluster: loopsched.PaperCluster(4, false), Hierarchy: &loopsched.Hierarchy{},
 			},
-			wantErr: "loopsched: the hierarchical sim and rpc runtimes feed no chunk timings to a learning scheme (AWF on sim)",
+			wantErr: "loopsched: the hierarchical sim runtime feeds no chunk timings to a learning scheme (AWF on sim)",
 		},
 		{
-			name: "rpc hierarchical AWF",
+			name: "rpc hierarchical AWF is accepted",
 			spec: loopsched.RunSpec{
 				Scheme: awf, Workload: w, Backend: loopsched.BackendRPC,
 				Workers: runWorkers(), Body: noop, Hierarchy: &loopsched.Hierarchy{},
 			},
-			wantErr: "loopsched: the hierarchical sim and rpc runtimes feed no chunk timings to a learning scheme (AWF on rpc)",
 		},
 		{
 			name: "local hierarchical AWF is accepted",
