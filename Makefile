@@ -63,7 +63,10 @@ escape-check:
 # And the transport rule: internal/mp carries bytes and knows neither a
 # scheme nor a dispenser, and a dispenser is built only by the sites
 # that answer requests: exec, whose Master is also every hier-rpc shard,
-# the hierarchical simulator, sim and service.
+# the hierarchical simulator, sim and service. And the in-process rule:
+# inside internal/exec one request handler answers every slave — the
+# master's (rpc.go) — beside the service's deque core (jobstate.go); the
+# channel master, its slave loop and the steal engine's stay gone.
 dup-check:
 	@! grep -rn 'NewPolicy(\|MajorityChanged(\|sched\.Offset(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/' \
@@ -76,6 +79,8 @@ dup-check:
 	@! grep -rn '"loopsched/internal/dispense"\|"loopsched/internal/sched"' --include='*.go' internal/mp
 	@! grep -rn 'dispense\.New(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/exec/\|^./internal/hier/sim.go\|^./internal/sim/\|^./internal/service/'
+	@! grep -rn 'dispense\.New(' --include='*.go' internal/exec | grep -v '_test.go\|^internal/exec/rpc.go:\|^internal/exec/jobstate.go:'
+	@! grep -rnw 'ChannelRequest\|stealSlave\|Slaves' --include='*.go' . | grep -v '_test.go\|^./benchmark/\|^./.bench_build/'
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -106,11 +111,14 @@ race:
 # flake is the determinism gate (ROADMAP item 5): the runtime suites,
 # twenty times over on two cores, the three packages sharing them —
 # internal/mp for its stream and TCP star and for the loop the root
-# package runs over them — and internal/exec and internal/hier once more
+# package runs over them — the root package's local, cancellation and
+# hierarchy runs, which assemble the in-process runtime over memory
+# links, and internal/exec and internal/hier once more
 # with the ledger on, where the slave loop refills by one-sided claims
 # and every hier-rpc shard arms a step table per super-chunk.
 flake:
 	GOMAXPROCS=2 $(GO) test -count=20 ./internal/exec ./internal/hier ./internal/mp
+	GOMAXPROCS=2 $(GO) test -count=20 -run 'Local|Cancel|Hier' .
 	LOOPSCHED_LEDGER=on GOMAXPROCS=2 $(GO) test -count=20 ./internal/exec ./internal/hier
 
 # bench-smoke runs the repository benchmark under the driver's own

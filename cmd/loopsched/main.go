@@ -37,10 +37,9 @@ func main() {
 		maxIter      = flag.Int("maxiter", 160, "mandelbrot escape-time bound")
 		sf           = flag.Int("sf", 4, "sampling reorder frequency (1 = no reorder)")
 		real         = flag.Bool("real", false, "execute with real goroutine workers instead of the simulator")
-		localEngine  = flag.String("local-engine", "", "local runtime with -real: channel (default) or steal")
 		rpcReal      = flag.Bool("rpc", false, "execute with real RPC slaves self-hosted on loopback (overrides -real)")
 		transport    = flag.String("transport", "", "rpc wire format: binary or netrpc (default: $LOOPSCHED_TRANSPORT, else binary)")
-		window       = flag.Int("window", 0, "credit window: chunks a worker holds beyond the one computing (rpc), or the steal-engine refill batch (0 = default)")
+		window       = flag.Int("window", 0, "credit window: chunks a worker holds beyond the one computing (-real, -rpc; 0 = sized by the measured round trip)")
 		ledgerMode   = flag.String("ledger", "", "scheduling-step ledger: on or off; eligible schemes claim chunks with one fetch-and-add instead of master round trips (default: $LOOPSCHED_LEDGER, else off)")
 		tree         = flag.Bool("tree", false, "use Tree Scheduling (ignores -scheme)")
 		gantt        = flag.Bool("gantt", false, "print an ASCII Gantt chart of the simulated run")
@@ -159,7 +158,6 @@ func main() {
 				spec.Backend = loopsched.BackendLocal
 				spec.Workers = realWorkers(*p)
 				spec.Body = burnBody(w)
-				spec.LocalEngine = *localEngine
 				spec.CreditWindow = *window
 				spec.Ledger = *ledgerMode
 				spec.Trace = tr

@@ -140,19 +140,26 @@ type Dispenser struct {
 // Stage plans one.
 func New(cfg Config) *Dispenser {
 	d := &Dispenser{
-		cfg:     cfg,
-		dist:    sched.Distributed(cfg.Scheme),
-		liveACP: make([]int, cfg.Workers),
-		planACP: make([]int, cfg.Workers),
-		seen:    make([]bool, cfg.Workers),
-		unseen:  cfg.Workers,
-	}
-	switch cfg.Scheme.(type) {
-	case sched.WFScheme, sched.WeightedStaticScheme:
-		d.weighted = true
+		cfg:      cfg,
+		dist:     sched.Distributed(cfg.Scheme),
+		liveACP:  make([]int, cfg.Workers),
+		planACP:  make([]int, cfg.Workers),
+		seen:     make([]bool, cfg.Workers),
+		unseen:   cfg.Workers,
+		weighted: Weighted(cfg.Scheme),
 	}
 	d.drained.Store(true)
 	return d
+}
+
+// Weighted reports whether the scheme splits by static weights (WF, WS):
+// the only plans Config.Powers changes.
+func Weighted(s sched.Scheme) bool {
+	switch s.(type) {
+	case sched.WFScheme, sched.WeightedStaticScheme:
+		return true
+	}
+	return false
 }
 
 // Report records worker's current ACP and says whether this was its

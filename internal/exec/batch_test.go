@@ -21,7 +21,7 @@ import (
 // other iteration has started. The worker inside iteration 0's chunk is
 // stuck there, so any other iteration that starts is a different
 // worker's — which can only happen if the batcher left it chunks to
-// claim (or, on the steal engine, to steal). With need set the gate
+// claim (or, on the deque core, to steal). With need set the gate
 // opens only once every one of those iterations has started.
 type starveGate struct {
 	need    []int
@@ -61,9 +61,10 @@ func (g *starveGate) check(t *testing.T) {
 // TFSS N=2000 p=2 loop — 8 chunks — the first worker to arrive must not
 // take them all. The wire ledger did exactly that with two 4-step
 // claims in flight and no way for the second worker to get any back;
-// the steal engine's 8-chunk refill was rescued by stealing and must
-// keep passing; the rpc master's replies are share-bounded batches too,
-// at any window and with or without the pipeline.
+// the deque core's 8-chunk refill is rescued by stealing and must keep
+// passing; the master's replies are share-bounded batches too, over the
+// wire and over memory links, at any window and with or without the
+// pipeline.
 func TestNoWorkerHoldsTheWholeLoop(t *testing.T) {
 	const n, p = 2000, 2
 	for _, pipeline := range []bool{false, true} {
@@ -111,7 +112,17 @@ func TestNoWorkerHoldsTheWholeLoop(t *testing.T) {
 	for _, mode := range []LedgerMode{LedgerOn, LedgerOff} {
 		t.Run("local-steal-ledger-"+string(mode), func(t *testing.T) {
 			g := newStarveGate()
-			l := &Local{Scheme: sched.TFSSScheme{}, Workers: specs(1, 1), Engine: EngineSteal, Ledger: mode}
+			l := &stealRun{Scheme: sched.TFSSScheme{}, Workers: specs(1, 1), Ledger: mode}
+			if rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, g.visit); err != nil || rep.Iterations != n {
+				t.Fatalf("run: %d iterations, err %v", rep.Iterations, err)
+			}
+			g.check(t)
+		})
+	}
+	for _, pipeline := range []bool{false, true} {
+		t.Run(fmt.Sprintf("local-memory/pipeline=%v", pipeline), func(t *testing.T) {
+			g := newStarveGate()
+			l := &localRun{Scheme: sched.TFSSScheme{}, Workers: specs(1, 1), Pipeline: pipeline}
 			if rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, g.visit); err != nil || rep.Iterations != n {
 				t.Fatalf("run: %d iterations, err %v", rep.Iterations, err)
 			}

@@ -3,20 +3,96 @@ package exec
 import (
 	"context"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"loopsched/internal/acp"
 	"loopsched/internal/loadgen"
+	"loopsched/internal/metrics"
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
-	"loopsched/internal/trace"
 	"loopsched/internal/workload"
 )
 
-// TestStealExactlyOnce: the work-stealing engine runs every iteration
-// exactly once per WorkScale repetition, for every registered scheme.
+// stealRun drives one JobState — the deque core the scheduler service
+// runs its jobs on — the way a fleet worker does, a goroutine per
+// worker: pop its own deque, else steal, else refill from the
+// dispenser, and with nothing anywhere yield until the job is finished.
+// Cancelling ctx aborts the job; body runs WorkScale times per
+// iteration.
+type stealRun struct {
+	Scheme    sched.Scheme
+	Workers   []*WorkerSpec
+	Window    int
+	Ledger    LedgerMode
+	Telemetry *telemetry.Bus
+}
+
+func (r *stealRun) RunContext(ctx context.Context, w workload.Workload, body func(int)) (metrics.Report, error) {
+	p := len(r.Workers)
+	powers := VirtualPowers(r.Workers)
+	acpNow := func(id int) int { return acp.Model{}.ACP(powers[id], 1+r.Workers[id].Load()) }
+	var initACP []int
+	if sched.Distributed(r.Scheme) {
+		initACP = make([]int, p)
+		for id := range initACP {
+			initACP[id] = acpNow(id)
+		}
+	}
+	js, err := NewJobState(JobConfig{
+		Scheme: r.Scheme, Workload: w, Workers: p, Window: r.Window, InitACP: initACP,
+		Powers: powers, Telemetry: r.Telemetry, Ledger: r.Ledger,
+	})
+	if err != nil {
+		return metrics.Report{}, err
+	}
+	stop := context.AfterFunc(ctx, js.Abort)
+	defer stop()
+	iters := make([]int, p)
+	var wg sync.WaitGroup
+	for id, ws := range r.Workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				a, ok := js.Pop(id)
+				if !ok {
+					a, ok = js.Steal(id)
+				}
+				if !ok {
+					a, _, ok = js.Refill(id, acpNow(id), 0, 0)
+				}
+				if !ok {
+					if js.Finished() {
+						return
+					}
+					runtime.Gosched() // granted work is still in other deques
+					continue
+				}
+				for i := a.Start; i < a.End(); i++ {
+					for range ws.scale() {
+						body(i)
+					}
+				}
+				iters[id] += a.Size
+				js.Complete(id, a, acpNow(id), 0)
+			}
+		}()
+	}
+	wg.Wait()
+	c := js.Counts()
+	rep := metrics.Report{Workers: p, Chunks: c.Chunks, Replans: c.Replans, Steals: int(c.Steals)}
+	for _, n := range iters {
+		rep.Iterations += n
+	}
+	return rep, ctx.Err()
+}
+
+// TestStealExactlyOnce: the deque core runs every iteration exactly once
+// per WorkScale repetition, for every registered scheme.
 func TestStealExactlyOnce(t *testing.T) {
 	const n = 2000
 	for _, name := range sched.Names() {
@@ -25,7 +101,7 @@ func TestStealExactlyOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		counts := make([]int32, n)
-		l := &Local{Scheme: s, Workers: specs(1, 1, 1, 1), Engine: EngineSteal}
+		l := &stealRun{Scheme: s, Workers: specs(1, 1, 1, 1)}
 		rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
@@ -43,17 +119,14 @@ func TestStealExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestStealExactlyOnceNarrowWindow: window 1 degenerates to one chunk
-// per policy trip (no parked work to steal) and must still cover the
-// loop; an oversized window exercises the deque wrap-around.
+// TestStealExactlyOnceWindows: window 1 degenerates to one chunk per
+// policy trip (no parked work to steal) and must still cover the loop;
+// an oversized window exercises the deque wrap-around.
 func TestStealExactlyOnceWindows(t *testing.T) {
 	const n = 3000
 	for _, window := range []int{1, 2, 64} {
 		counts := make([]int32, n)
-		l := &Local{
-			Scheme: sched.GSSScheme{}, Workers: specs(1, 1, 1),
-			Engine: EngineSteal, Window: window,
-		}
+		l := &stealRun{Scheme: sched.GSSScheme{}, Workers: specs(1, 1, 1), Window: window}
 		rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
@@ -73,9 +146,10 @@ func TestStealExactlyOnceWindows(t *testing.T) {
 
 // TestEngineGrantEquivalence: for non-feedback schemes on homogeneous
 // workers, every policy's chunk sequence is a function of the call
-// index alone, so the channel master and the steal engine must grant
-// the same multiset of chunks even though request interleaving and
-// batching differ.
+// index alone, so the two grant books left — the master the local
+// backend's workers reach over memory links, and the service's deque
+// core — must grant the same multiset of chunks even though request
+// interleaving and batching differ.
 func TestEngineGrantEquivalence(t *testing.T) {
 	const n, p = 5000, 4
 	for _, name := range sched.Names() {
@@ -98,8 +172,13 @@ func TestEngineGrantEquivalence(t *testing.T) {
 			for i := range scales {
 				scales[i] = 1
 			}
-			l := &Local{Scheme: s, Workers: specs(scales...), Engine: engine, Telemetry: bus}
-			rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(int) {})
+			run := map[string]interface {
+				RunContext(context.Context, workload.Workload, func(int)) (metrics.Report, error)
+			}{
+				"master": &localRun{Scheme: s, Workers: specs(scales...), Telemetry: bus},
+				"deques": &stealRun{Scheme: s, Workers: specs(scales...), Telemetry: bus},
+			}[engine]
+			rep, err := run.RunContext(context.Background(), workload.Uniform{N: n}, func(int) {})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, engine, err)
 			}
@@ -114,27 +193,27 @@ func TestEngineGrantEquivalence(t *testing.T) {
 			})
 			return col.grants
 		}
-		channel := grants(EngineChannel)
-		stealG := grants(EngineSteal)
-		if len(channel) != len(stealG) {
-			t.Errorf("%s: channel granted %d chunks, steal %d", name, len(channel), len(stealG))
+		master := grants("master")
+		deques := grants("deques")
+		if len(master) != len(deques) {
+			t.Errorf("%s: master granted %d chunks, deques %d", name, len(master), len(deques))
 			continue
 		}
-		for i := range channel {
-			if channel[i] != stealG[i] {
-				t.Errorf("%s: grant %d differs: channel %+v, steal %+v", name, i, channel[i], stealG[i])
+		for i := range master {
+			if master[i] != deques[i] {
+				t.Errorf("%s: grant %d differs: master %+v, deques %+v", name, i, master[i], deques[i])
 				break
 			}
 		}
 	}
 }
 
-// TestStealHeterogeneous mirrors TestLocalHeterogeneous on the steal
-// engine: WorkScale-3 workers repeat the body three times.
+// TestStealHeterogeneous mirrors TestLocalHeterogeneous on the deque
+// core: WorkScale-3 workers repeat the body three times.
 func TestStealHeterogeneous(t *testing.T) {
 	const n = 500
 	perIter := make([]int32, n)
-	l := &Local{Scheme: sched.DTSSScheme{}, Workers: specs(1, 3), Engine: EngineSteal}
+	l := &stealRun{Scheme: sched.DTSSScheme{}, Workers: specs(1, 3)}
 	rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(i int) {
 		atomic.AddInt32(&perIter[i], 1)
 	})
@@ -151,11 +230,12 @@ func TestStealHeterogeneous(t *testing.T) {
 	}
 }
 
-// TestStealCancellation: cancelling mid-run returns ctx's error and
-// leaves the executor reusable.
+// TestStealCancellation: aborting a job mid-run stops its refills — the
+// workers drain what they hold and return — and a fresh job runs to
+// completion after it.
 func TestStealCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	l := &Local{Scheme: sched.SelfScheduling, Workers: specs(1, 1), Engine: EngineSteal}
+	l := &stealRun{Scheme: sched.SelfScheduling, Workers: specs(1, 1)}
 	var n atomic.Int64
 	_, err := l.RunContext(ctx, workload.Uniform{N: 1 << 30}, func(i int) {
 		if n.Add(1) == 100 {
@@ -171,15 +251,8 @@ func TestStealCancellation(t *testing.T) {
 	}
 }
 
-func TestUnknownEngine(t *testing.T) {
-	l := &Local{Scheme: sched.GSSScheme{}, Workers: specs(1), Engine: "fibers"}
-	if _, err := l.RunContext(context.Background(), workload.Uniform{N: 10}, func(int) {}); err == nil {
-		t.Error("unknown engine accepted")
-	}
-}
-
 func TestStealEmptyLoop(t *testing.T) {
-	l := &Local{Scheme: sched.TSSScheme{}, Workers: specs(1, 1), Engine: EngineSteal}
+	l := &stealRun{Scheme: sched.TSSScheme{}, Workers: specs(1, 1)}
 	rep, err := l.RunContext(context.Background(), workload.Uniform{N: 0}, func(int) {
 		t.Error("body ran on empty loop")
 	})
@@ -191,17 +264,14 @@ func TestStealEmptyLoop(t *testing.T) {
 	}
 }
 
-// TestStealTelemetry: the steal engine's refill/steal events reconcile
-// with the aggregator and the report.
+// TestStealTelemetry: the deque core's refill/steal events reconcile
+// with the aggregator and the job's counts.
 func TestStealTelemetry(t *testing.T) {
 	const n = 20000
 	bus := telemetry.NewBus(0)
 	agg := telemetry.NewAggregator(bus.Dropped)
 	bus.Subscribe(agg)
-	l := &Local{
-		Scheme: sched.CSSScheme{K: 8}, Workers: specs(1, 1, 1, 1),
-		Engine: EngineSteal, Telemetry: bus,
-	}
+	l := &stealRun{Scheme: sched.CSSScheme{K: 8}, Workers: specs(1, 1, 1, 1), Telemetry: bus}
 	rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(int) {})
 	if err != nil {
 		t.Fatal(err)
@@ -224,8 +294,8 @@ func TestStealTelemetry(t *testing.T) {
 	}
 }
 
-// recordingScheme wraps CSS so its policy records what Feedback is
-// told, for the timing-drift regression below.
+// recordingScheme wraps CSS — two chunks over the loop — so its policy
+// records what Feedback is told, for the timing-drift regression below.
 type recordingScheme struct {
 	fed *[]float64
 }
@@ -233,7 +303,7 @@ type recordingScheme struct {
 func (recordingScheme) Name() string { return "REC" }
 
 func (r recordingScheme) NewPolicy(cfg sched.Config) (sched.Policy, error) {
-	pol, err := sched.CSSScheme{K: cfg.Iterations}.NewPolicy(cfg)
+	pol, err := sched.CSSScheme{K: (cfg.Iterations + 1) / 2}.NewPolicy(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -250,39 +320,45 @@ func (p *recordingPolicy) Feedback(worker int, work, elapsed float64) {
 }
 
 // TestFeedbackElapsedMatchesComp is the regression for the
-// double-time.Since drift: with a single worker computing a single
-// chunk, the elapsed time delivered to Feedback, the ChunkCompleted
-// event, the Comp metric and the trace span must all be the one
-// reading.
+// double-time.Since drift: one worker computes two chunks, one per
+// request (window 1). The elapsed time the master feeds back for the
+// first — on the request that asks for the second — must be the very
+// reading its ChunkCompleted event (and so its trace span) carries, and
+// the Comp metric the sum of the two chunks' readings.
 func TestFeedbackElapsedMatchesComp(t *testing.T) {
-	for _, engine := range []string{EngineChannel, EngineSteal} {
-		var fed []float64
-		tr := &trace.Trace{}
-		sink := 0.0
-		l := &Local{
-			Scheme: recordingScheme{fed: &fed}, Workers: specs(1),
-			Engine: engine, Trace: tr,
+	var fed []float64
+	bus := telemetry.NewBus(0)
+	log := &eventLog{}
+	bus.Subscribe(log)
+	sink := 0.0
+	l := &localRun{Scheme: recordingScheme{fed: &fed}, Workers: specs(1), Window: 1, Telemetry: bus}
+	rep, err := l.RunContext(context.Background(), workload.Uniform{N: 5000}, func(i int) {
+		sink += math.Sqrt(float64(i))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = sink
+	if err := bus.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var secs []float64
+	for _, e := range log.drain() {
+		if e.Kind == telemetry.ChunkCompleted {
+			secs = append(secs, e.Seconds)
 		}
-		rep, err := l.RunContext(context.Background(), workload.Uniform{N: 5000}, func(i int) {
-			sink += math.Sqrt(float64(i))
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", engine, err)
-		}
-		_ = sink
-		if len(fed) != 1 {
-			t.Fatalf("%s: Feedback called %d times, want 1", engine, len(fed))
-		}
-		if comp := rep.PerWorker[0].Comp; fed[0] != comp {
-			t.Errorf("%s: Feedback elapsed %.12g != Comp %.12g (readings drifted)", engine, fed[0], comp)
-		}
-		evs := tr.Events()
-		if len(evs) != 1 {
-			t.Fatalf("%s: %d trace events, want 1", engine, len(evs))
-		}
-		if span := evs[0].End - evs[0].Begin; math.Abs(span-fed[0]) > 1e-9 {
-			t.Errorf("%s: trace span %.12g != fed elapsed %.12g", engine, span, fed[0])
-		}
+	}
+	if len(secs) != 2 {
+		t.Fatalf("%d chunks completed, want 2", len(secs))
+	}
+	if len(fed) != 1 {
+		t.Fatalf("Feedback called %d times, want 1 (for the first chunk)", len(fed))
+	}
+	if fed[0] != secs[0] {
+		t.Errorf("Feedback elapsed %.12g != the first chunk's reading %.12g (readings drifted)", fed[0], secs[0])
+	}
+	if comp := rep.PerWorker[0].Comp; comp != secs[0]+secs[1] {
+		t.Errorf("Comp %.12g != the two chunks' readings %.12g + %.12g", comp, secs[0], secs[1])
 	}
 }
 

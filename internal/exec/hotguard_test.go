@@ -28,6 +28,8 @@ var hotGuards = map[string]func(t *testing.T){
 	"(Worker).run":         workerRunGuard,
 	"(*claimer).send":      claimRefillGuard,
 	"(*claimer).recv":      claimRefillGuard,
+	"(*memLink).Send":      memLinkRefillGuard,
+	"(*memLink).Recv":      memLinkRefillGuard,
 }
 
 // TestHotPathGuardTable pins hotGuards to the annotation set.
@@ -134,6 +136,43 @@ func masterReplyGuard(t *testing.T) {
 	cycle() // sizes the slot's ledger and the reply's grant buffer
 	if avg := testing.AllocsPerRun(200, cycle); avg > 0 {
 		t.Errorf("a %d-grant request/reply cycle allocates %.1f objects, want 0", depth, avg)
+	}
+}
+
+// memLinkRefillGuard pins a steady-state refill over a memory link at
+// zero allocations with telemetry off, at the depth of masterReplyGuard:
+// ship the last reply's chunks as one run record each, have the master
+// deposit them, claim and book 64 more, and take the reply over by the
+// buffer swap — the whole round trip of a local worker's prefetch.
+func memLinkRefillGuard(t *testing.T) {
+	const k, depth = 4, 64
+	m, err := NewMaster(sched.CSSScheme{K: k}, 1<<18, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := m.Link()
+	var (
+		req  wire.Request
+		rep  wire.Reply
+		recs []wire.Record
+	)
+	cycle := func() {
+		req = wire.Request{Worker: 0, Prefetch: true, Credits: depth, CompSeconds: 1e-6, Results: recs}
+		if err := l.Send(&req); err != nil {
+			panic(err)
+		}
+		if err := l.Recv(&rep); err != nil || len(rep.Grants) != depth {
+			panic(fmt.Sprint("memory link guard: ", len(rep.Grants), " grants, ", err))
+		}
+		recs = recs[:0]
+		for _, g := range rep.Grants {
+			recs = append(recs, wire.Record{Index: g.Start, Count: g.Size})
+		}
+	}
+	cycle() // sizes the buffers on both sides of the swap
+	cycle()
+	if avg := testing.AllocsPerRun(200, cycle); avg > 0 {
+		t.Errorf("a %d-grant memory-link refill allocates %.1f objects, want 0", depth, avg)
 	}
 }
 

@@ -56,12 +56,23 @@ type JobCounts struct {
 	Steals    int64 // chunks moved between workers
 }
 
-// JobState is the fleet-shareable core of the work-stealing engine:
-// one job's per-worker deques plus what a master would keep private —
-// the dispenser (internal/dispense) and the grant accounting. A single
-// JobState backs a whole steal-engine run; a scheduler keeps many
-// JobStates alive at once on one worker fleet, each worker holding one
-// deque per job.
+// DefaultStealWindow is the refill batch cap when JobConfig.Window is
+// unset: one trip to the policy under the refill lock yields up to this
+// many chunks (fewer while chunks are large against the worker's share
+// of what is left, see JobState.Refill), one executed immediately and
+// the rest parked in the worker's deque for later pops or steals.
+// Larger windows amortise the lock but delay feedback and re-planning,
+// which only see ACP at refill time. A worker with no window set asks
+// its master for this many chunks on its first request, before it has
+// measured a round trip to size its asks by, and on every request over
+// the gob link, which grants one chunk per call (DESIGN.md §9).
+const DefaultStealWindow = 8
+
+// JobState is the fleet-shareable core of the work-stealing scheduler
+// service (internal/service): one job's per-worker deques plus what a
+// master would keep private — the dispenser (internal/dispense) and the
+// grant accounting. A scheduler keeps many JobStates alive at once on
+// one worker fleet, each worker holding one deque per job.
 //
 // Termination is masterless: the dispenser drains when its last chunk
 // is handed out (it can never un-drain), after which granted is
@@ -193,7 +204,7 @@ func (s *JobState) Steal(thief int) (sched.Assignment, bool) {
 	return sched.Assignment{}, false
 }
 
-// Refill is the steal engine's stand-in for one master round-trip: it
+// Refill is the deque worker's stand-in for one master round-trip: it
 // applies any pending feedback and claims a batch from the dispenser —
 // which records the worker's ACP, re-plans on a majority change and
 // share-bounds the batch (at most a window, dispense.Claim). The first

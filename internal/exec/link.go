@@ -2,11 +2,13 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/rpc"
 	"slices"
+	"sync/atomic"
 
 	"loopsched/internal/wire"
 )
@@ -17,7 +19,7 @@ import (
 // a Link; at most one request is unanswered at a time, and between its
 // Send and its Recv the caller may do anything but touch the link
 // (DESIGN.md §9). *wire.Conn is the binary link; gobLink adapts
-// net/rpc.
+// net/rpc; memLink reaches a master in the same process.
 type Link interface {
 	// Call is Send followed by Recv.
 	Call(req *wire.Request, rep *wire.Reply) error
@@ -113,3 +115,88 @@ func (g *gobLink) Call(req *wire.Request, rep *wire.Reply) error {
 }
 
 func (g *gobLink) Close() error { return g.c.Close() }
+
+// errLinkClosed is what a closed memory link answers.
+var errLinkClosed = errors.New("exec: link closed")
+
+// memLink is a client's link to a master in the same process: Send
+// answers the request by calling the master's handler in the caller's
+// goroutine — no codec, no goroutine hop — and Recv hands that answer
+// over. A prefetch is answered at once; a synchronous request may park
+// inside Send until the master has work or ends, and the master's Cancel
+// is what releases it. After Close, or once done is closed, every Send
+// and Recv fails: Worker.RunLink sets done to its context's, so a
+// cancelled worker stops at its next call even while nothing it does
+// blocks long enough for the goroutine that closes the link to run.
+type memLink struct {
+	batch   batchFunc
+	results []ChunkResult // the last request's results, buffer reused
+	rep     wire.Reply    // the answer to the last Send
+	err     error         // the handler's error for the last Send
+	closed  atomic.Bool
+	done    <-chan struct{} // nil: only Close ends the link
+}
+
+// Link returns a new link to m for a client in the same process: how the
+// local backend's workers and a hier-local shard's submaster reach their
+// master (memLink).
+func (m *Master) Link() Link { return &memLink{batch: m.nextBatch} }
+
+// Send converts req's records the way the wire server does — a run
+// stays one result, data is copied only when there is some — and runs
+// the handler on them.
+//
+//lint:loopsched-hotpath
+func (l *memLink) Send(req *wire.Request) error {
+	if l.ended() {
+		return errLinkClosed
+	}
+	l.results = chunkResults(l.results, req)
+	l.rep.Reset()
+	l.err = l.batch(ChunkArgs{
+		Worker:      req.Worker,
+		ACP:         req.ACP,
+		CompSeconds: req.CompSeconds,
+		IdleSeconds: req.IdleSeconds,
+		Results:     l.results,
+		Prefetch:    req.Prefetch,
+	}, req.Credits, &l.rep)
+	return nil
+}
+
+// Recv hands over the answer to the last Send by swapping buffers with
+// rep, so neither side copies or allocates.
+//
+//lint:loopsched-hotpath
+func (l *memLink) Recv(rep *wire.Reply) error {
+	if l.ended() {
+		return errLinkClosed
+	}
+	if l.err != nil {
+		return l.err
+	}
+	*rep, l.rep = l.rep, *rep
+	return nil
+}
+
+func (l *memLink) Call(req *wire.Request, rep *wire.Reply) error {
+	if err := l.Send(req); err != nil {
+		return err
+	}
+	return l.Recv(rep)
+}
+
+// ended reports whether the link is closed or its done channel is.
+func (l *memLink) ended() bool {
+	select {
+	case <-l.done:
+		return true
+	default:
+		return l.closed.Load()
+	}
+}
+
+func (l *memLink) Close() error {
+	l.closed.Store(true)
+	return nil
+}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -252,32 +253,49 @@ func (f *fakeLink) Close() error { return nil }
 // once) and beyond a full window (nothing to hide it behind: under a
 // window every request is synchronous). Window 0 is no window: each ask
 // is sized by the depth rule (checkDepth), so even the coarsest grain
-// prefetches.
+// prefetches. The memory-link cells enter through Worker.RunLink, which
+// picks the window by the link's nature: only the gob link, which grants
+// one chunk per call, trades the depth rule for DefaultStealWindow, so
+// an unset window over any other link — the memory link's case — stays
+// the depth rule checkDepth holds it to.
 func TestWindowLoopAgainstScriptedLink(t *testing.T) {
 	const cost = time.Millisecond
+	cell := func(name string, window int, prefetch, viaRunLink bool, script linkScript) {
+		t.Run(name, func(t *testing.T) {
+			for _, rtt := range []time.Duration{cost * 5 / 2, cost * 21 / 2, cost * 1000} {
+				t.Run(fmt.Sprintf("rtt=%v", rtt), func(t *testing.T) {
+					checkWindowLoop(t, script, window, prefetch, viaRunLink, cost, rtt)
+				})
+			}
+		})
+	}
 	for _, window := range []int{0, 1, 2, 4, 8} {
 		for _, prefetch := range []bool{false, true} {
 			for _, script := range linkScripts {
-				t.Run(fmt.Sprintf("w%d/prefetch=%v/%s", window, prefetch, script.name), func(t *testing.T) {
-					for _, rtt := range []time.Duration{cost * 5 / 2, cost * 21 / 2, cost * 1000} {
-						t.Run(fmt.Sprintf("rtt=%v", rtt), func(t *testing.T) {
-							checkWindowLoop(t, script, window, prefetch, cost, rtt)
-						})
-					}
-				})
+				cell(fmt.Sprintf("w%d/prefetch=%v/%s", window, prefetch, script.name), window, prefetch, false, script)
 			}
+		}
+	}
+	for _, prefetch := range []bool{false, true} {
+		for _, script := range linkScripts {
+			cell(fmt.Sprintf("memory-link/w0/prefetch=%v/%s", prefetch, script.name), 0, prefetch, true, script)
 		}
 	}
 }
 
-func checkWindowLoop(t *testing.T, script linkScript, window int, prefetch bool, cost, rtt time.Duration) {
+func checkWindowLoop(t *testing.T, script linkScript, window int, prefetch, viaRunLink bool, cost, rtt time.Duration) {
 	const n, size = 103, 4
 	f := &fakeLink{
 		t: t, script: script, window: window, prefetch: prefetch, cost: cost, rtt: rtt,
 		n: n, size: size, computed: make([]int, n), shipped: make([]int, n),
 	}
-	w := Worker{ID: 3, Kernel: f.kernel, clock: f.clock}
-	err := w.runWindow(f, window, prefetch, 0)
+	w := Worker{ID: 3, Kernel: f.kernel, clock: f.clock, Window: window, Pipeline: prefetch}
+	var err error
+	if viaRunLink {
+		err = w.RunLink(context.Background(), f)
+	} else {
+		err = w.runWindow(f, window, prefetch, 0)
+	}
 	wantErr := script.wantErr
 	if f.requests < max(script.errAt, script.dropAt) {
 		wantErr = nil // the run was over in fewer requests
@@ -392,6 +410,9 @@ var dialogueLinks = []struct {
 		t.Cleanup(func() { world[0].Close() })
 		return wireLink(t, mp.Stream(world[1], 0), mp.Stream(world[0], 1), nil, rec)
 	}},
+	{"memory", func(t *testing.T, rec *argsRecorder) Link {
+		return &memLink{batch: rec.batch}
+	}},
 	{"wire over a TCP star", func(t *testing.T, rec *argsRecorder) Link {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -411,9 +432,9 @@ var dialogueLinks = []struct {
 }
 
 // TestLinksCarryTheSameDialogue is the codec-equivalence property at
-// the link seam: the same loop over the gob link, the wire link and the
-// wire link over a message-passing rank pair must put the identical
-// ChunkArgs sequence in front of the server — same flags, same results
+// the link seam: the same loop over the gob link, the wire link, the
+// wire link over a message-passing rank pair and the memory link must put
+// the identical ChunkArgs sequence in front of the server — same flags, same results
 // in the same requests. When a refill leaves is a matter of time, so
 // every worker reads a clock that moves one tick per reading — four at
 // the second, which ends the round trip the lead is measured on: the same
@@ -505,4 +526,56 @@ func TestGobLinkCycleAllocations(t *testing.T) {
 		t.Fatalf("gob link Send/Recv allocates %.1f times per cycle, a bare rpc call %.1f", linked, raw)
 	}
 	t.Logf("allocations per round trip: gob link %.1f, bare rpc.Client.Call %.1f", linked, raw)
+}
+
+// TestMemLinkClose pins how a memory link ends. A synchronous request
+// parked in the master — a distributed scheme's gather, waiting for a
+// second worker that never comes — is released by the master's Cancel
+// and answered Stop; after Close every Send and Recv fails, and so they
+// do once the done channel Worker.RunLink hands it is closed.
+func TestMemLinkClose(t *testing.T) {
+	m, err := NewMaster(sched.DTSSScheme{}, 100, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := m.Link()
+	answered := make(chan error, 1)
+	var rep wire.Reply
+	go func() { answered <- l.Call(&wire.Request{Worker: 0, ACP: 10, Credits: 1}, &rep) }()
+	for m.Parked() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-answered:
+		t.Fatalf("a request parked in the gather returned (%v) before Cancel", err)
+	default:
+	}
+	m.Cancel(nil)
+	if err := <-answered; err != nil || !rep.Stop {
+		t.Fatalf("the parked request got %+v, %v; want Stop", rep, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Send(&wire.Request{Worker: 0, ACP: 10, Credits: 1}); err == nil {
+		t.Error("Send after Close succeeded")
+	}
+	if err := l.Recv(&rep); err == nil {
+		t.Error("Recv after Close succeeded")
+	}
+
+	done := make(chan struct{})
+	m2, err := NewMaster(sched.TSSScheme{}, 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2 := m2.Link().(*memLink)
+	l2.done = done
+	if err := l2.Call(&wire.Request{Worker: 0, ACP: 10, Credits: 1}, &rep); err != nil || len(rep.Grants) == 0 {
+		t.Fatalf("first call: %+v, %v", rep, err)
+	}
+	close(done)
+	if err := l2.Send(&wire.Request{Worker: 0, ACP: 10, Credits: 1}); err == nil {
+		t.Error("Send after done succeeded")
+	}
 }

@@ -3,10 +3,14 @@ package exec
 import (
 	"context"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"loopsched/internal/acp"
+	"loopsched/internal/metrics"
 	"loopsched/internal/sched"
+	"loopsched/internal/telemetry"
 	"loopsched/internal/trace"
 	"loopsched/internal/workload"
 )
@@ -19,6 +23,65 @@ func specs(scales ...int) []*WorkerSpec {
 	return out
 }
 
+// localRun is the local backend inside this package: one Master, and a
+// Worker per spec reaching it over a memory link (Master.Link), as the
+// root package's runFlat builds it.
+type localRun struct {
+	Scheme    sched.Scheme
+	Workers   []*WorkerSpec
+	ACP       acp.Model
+	Window    int
+	Pipeline  bool
+	Telemetry *telemetry.Bus
+	// Trace records every completed chunk, from Telemetry or a private
+	// bus.
+	Trace *trace.Trace
+}
+
+// RunContext runs body once per iteration of w and returns the master's
+// report, or ctx's error once ctx ends.
+func (l *localRun) RunContext(ctx context.Context, w workload.Workload, body func(int)) (metrics.Report, error) {
+	m, err := NewMaster(l.Scheme, w.Len(), len(l.Workers))
+	if err != nil {
+		return metrics.Report{}, err
+	}
+	bus := l.Telemetry
+	if l.Trace != nil {
+		if bus == nil {
+			bus = telemetry.NewBus(0)
+			defer bus.Close()
+		}
+		sub := telemetry.TraceSubscriber(l.Trace)
+		bus.Subscribe(sub)
+		defer func() { bus.Flush(); bus.Unsubscribe(sub) }()
+	}
+	m.SetTelemetry(bus)
+	m.SetWindow(l.Window)
+	powers := VirtualPowers(l.Workers)
+	if err := m.SetPowers(powers); err != nil {
+		return metrics.Report{}, err
+	}
+	var wg sync.WaitGroup
+	for i, ws := range l.Workers {
+		w := Worker{
+			ID: i, Kernel: func(i int) []byte { body(i); return nil },
+			VirtualPower: powers[i], LoadProbe: ws.Load, ACPModel: l.ACP, WorkScale: ws.WorkScale,
+			Window: l.Window, Pipeline: l.Pipeline, Telemetry: bus, TelemetryID: i,
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.RunLink(ctx, m.Link()); err != nil && ctx.Err() == nil {
+				m.Cancel(err)
+			}
+		}()
+	}
+	rep, err := m.WaitReport(ctx)
+	wg.Wait()
+	rep.Workload = w.Name()
+	return rep, err
+}
+
 // TestLocalExactlyOnce: every iteration runs exactly once per
 // WorkScale repetition, for every scheme, under real concurrency.
 func TestLocalExactlyOnce(t *testing.T) {
@@ -29,7 +92,7 @@ func TestLocalExactlyOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		counts := make([]int32, n)
-		l := &Local{Scheme: s, Workers: specs(1, 1, 1, 1)}
+		l := &localRun{Scheme: s, Workers: specs(1, 1, 1, 1)}
 		rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
@@ -54,7 +117,7 @@ func TestLocalHeterogeneous(t *testing.T) {
 	const n = 500
 	var total atomic.Int64
 	perIter := make([]int32, n)
-	l := &Local{Scheme: sched.DTSSScheme{}, Workers: specs(1, 3)}
+	l := &localRun{Scheme: sched.DTSSScheme{}, Workers: specs(1, 3)}
 	rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(i int) {
 		total.Add(1)
 		atomic.AddInt32(&perIter[i], 1)
@@ -88,7 +151,7 @@ func TestLocalHeterogeneous(t *testing.T) {
 func TestLocalDistributedFavoursFast(t *testing.T) {
 	const n = 4000
 	tr := &trace.Trace{}
-	l := &Local{Scheme: sched.NewDFSS(), Workers: specs(1, 4), Trace: tr}
+	l := &localRun{Scheme: sched.NewDFSS(), Workers: specs(1, 4), Trace: tr}
 	rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(int) {})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +202,7 @@ func TestLocalDistributedFavoursFast(t *testing.T) {
 func TestLocalLoadAdjustment(t *testing.T) {
 	const n = 50000
 	ws := specs(1, 1, 1, 1)
-	l := &Local{Scheme: sched.DTSSScheme{}, Workers: ws}
+	l := &localRun{Scheme: sched.DTSSScheme{}, Workers: ws}
 	var fired atomic.Bool
 	_, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(i int) {
 		if i > n/10 && !fired.Load() {
@@ -164,11 +227,12 @@ func TestLocalLoadAdjustment(t *testing.T) {
 }
 
 // TestLocalCancellation: cancelling the context stops the run early
-// with ctx's error; no goroutines are left behind (checked indirectly:
-// a second run on the same executor works).
+// with ctx's error — every worker's memory link fails its next call —
+// and no goroutines are left behind (checked indirectly: a second run on
+// the same executor works).
 func TestLocalCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	l := &Local{Scheme: sched.SelfScheduling, Workers: specs(1, 1)}
+	l := &localRun{Scheme: sched.SelfScheduling, Workers: specs(1, 1)}
 	var n atomic.Int64
 	_, err := l.RunContext(ctx, workload.Uniform{N: 1 << 30}, func(i int) {
 		if n.Add(1) == 100 {
@@ -189,11 +253,12 @@ func TestLocalCancellation(t *testing.T) {
 }
 
 // TestLocalCancelBeforeGather: cancelling during the distributed
-// master's initial gather also unblocks cleanly.
+// master's initial gather also unblocks cleanly: a request parked there
+// is released by the master's Cancel.
 func TestLocalCancelBeforeGather(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the run starts
-	l := &Local{Scheme: sched.DTSSScheme{}, Workers: specs(1, 1)}
+	l := &localRun{Scheme: sched.DTSSScheme{}, Workers: specs(1, 1)}
 	_, err := l.RunContext(ctx, workload.Uniform{N: 1000}, func(int) {})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -201,14 +266,14 @@ func TestLocalCancelBeforeGather(t *testing.T) {
 }
 
 func TestLocalNoWorkers(t *testing.T) {
-	l := &Local{Scheme: sched.GSSScheme{}}
+	l := &localRun{Scheme: sched.GSSScheme{}}
 	if _, err := l.RunContext(context.Background(), workload.Uniform{N: 10}, func(int) {}); err == nil {
 		t.Error("no-worker run accepted")
 	}
 }
 
 func TestLocalEmptyLoop(t *testing.T) {
-	l := &Local{Scheme: sched.TSSScheme{}, Workers: specs(1, 1)}
+	l := &localRun{Scheme: sched.TSSScheme{}, Workers: specs(1, 1)}
 	rep, err := l.RunContext(context.Background(), workload.Uniform{N: 0}, func(int) {
 		t.Error("body ran on empty loop")
 	})

@@ -37,12 +37,14 @@ import (
 // window W (SetWindow), the master's own grantCeiling otherwise.
 // DESIGN.md §9 states the loop's rules.
 //
-// Two codecs carry the dialogue (transport.go): net/rpc + gob, one
-// chunk per round trip, and the binary framing of internal/wire, which
-// batches N completion records and up to `credits` grants into single
-// frames. Serve sniffs the first byte of each connection, so one
-// listener carries both; ServeConn serves the binary codec over any byte
-// stream, which is how internal/mp's worlds reach the same master.
+// Two codecs carry the dialogue between processes (transport.go):
+// net/rpc + gob, one chunk per round trip, and the binary framing of
+// internal/wire, which batches N completion records and up to `credits`
+// grants into single frames. Serve sniffs the first byte of each
+// connection, so one listener carries both; ServeConn serves the binary
+// codec over any byte stream, which is how internal/mp's worlds reach the
+// same master. Within one process no codec is needed: Master.Link's
+// memory link calls the request handler in the worker's goroutine.
 //
 // The master's hot path is de-contended: results deposit into a
 // lock-free ledger (one atomic flip per iteration index; a run of empty
@@ -189,11 +191,14 @@ type Master struct {
 	// master forwards them instead), and its request bumps received once
 	// its timing is booked too, so whoever observes every staged iteration
 	// received observes every stored result and delivering request's
-	// accounting.
-	got      []atomic.Uint64
-	received atomic.Int64
-	results  [][]byte
-	chunks   atomic.Int64
+	// accounting. results is made by the first deposit that carries data
+	// (resultsOnce), or by Wait: a loop whose kernel returns no bytes never
+	// pays for a slot per iteration while it runs.
+	got         []atomic.Uint64
+	received    atomic.Int64
+	results     [][]byte
+	resultsOnce sync.Once
+	chunks      atomic.Int64
 
 	// src hands out the ranges staged one after another on d; staged
 	// counts their iterations, stage is the latest. fetching marks the
@@ -293,9 +298,6 @@ func newMaster(scheme sched.Scheme, n, workers, shard int, members []int, src So
 	for i := range m.slots {
 		m.slots[i].lastSeen = m.started
 	}
-	if members == nil {
-		m.results = make([][]byte, n)
-	}
 	m.ready = sync.NewCond(&m.mu)
 	m.d = dispense.New(m.dcfg)
 	if m.restage(-1); m.err != nil {
@@ -367,6 +369,9 @@ func (m *Master) id(w int) int {
 // Serve.
 func (m *Master) SetPowers(powers []float64) error {
 	m.dcfg.Powers = powers
+	if !dispense.Weighted(m.scheme) {
+		return nil // no plan reads them: keep the one NewMaster made
+	}
 	return m.rearm()
 }
 
@@ -645,7 +650,8 @@ func (m *Master) deposit(results []ChunkResult) (fresh int, err error) {
 			return fresh, err
 		}
 		k := m.flip(r.Index, r.Index+n)
-		if k > 0 && m.results != nil && len(r.Data) > 0 {
+		if k > 0 && m.members == nil && len(r.Data) > 0 {
+			m.resultsOnce.Do(m.makeResults)
 			m.results[r.Index] = r.Data
 		}
 		fresh += k
@@ -653,6 +659,10 @@ func (m *Master) deposit(results []ChunkResult) (fresh int, err error) {
 	m.src.Forward(results)
 	return fresh, nil
 }
+
+// makeResults gives a flat master its slot per iteration; resultsOnce
+// runs it once.
+func (m *Master) makeResults() { m.results = make([][]byte, m.iterations) }
 
 // credit counts a request's new results as received and settles the
 // stage when its last iteration lands. Every request credits only after
@@ -1228,19 +1238,32 @@ func (m *Master) Cancel(cause error) {
 // is cancelled (releasing any workers parked in NextChunk) and ctx's
 // error is returned.
 func (m *Master) WaitContext(ctx context.Context) ([][]byte, metrics.Report, error) {
+	rep, err := m.WaitReport(ctx)
+	if m.members != nil {
+		return nil, rep, err
+	}
+	m.resultsOnce.Do(m.makeResults)
+	return m.results, rep, err
+}
+
+// Wait blocks until the run completes — every iteration delivered, or
+// no live worker left to produce the missing ones — and returns the
+// collected per-iteration results (one slot per iteration on a flat
+// master, nil on a shard master, which forwards them) plus a report.
+// Missing results surface as a non-nil error.
+func (m *Master) Wait() ([][]byte, metrics.Report, error) {
+	return m.WaitContext(context.Background())
+}
+
+// WaitReport is WaitContext for a caller that reads no results: the
+// report and the error only, without the slot per iteration a loop
+// whose kernel returns no bytes never needed.
+func (m *Master) WaitReport(ctx context.Context) (metrics.Report, error) {
 	select {
 	case <-m.done:
 	case <-ctx.Done():
 		m.Cancel(ctx.Err())
 	}
-	return m.Wait()
-}
-
-// Wait blocks until the run completes — every iteration delivered, or
-// no live worker left to produce the missing ones — and returns the
-// collected per-iteration results plus a report. Missing results
-// surface as a non-nil error.
-func (m *Master) Wait() ([][]byte, metrics.Report, error) {
 	<-m.done
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -1278,7 +1301,7 @@ func (m *Master) Wait() ([][]byte, metrics.Report, error) {
 	if m.cancelErr != nil {
 		err = m.cancelErr
 	}
-	return m.results, rep, err
+	return rep, err
 }
 
 // Latencies returns the master's grant-latency and compute-latency
@@ -1319,9 +1342,9 @@ type Worker struct {
 	Transport Transport
 	// Window is the credit window: how many granted chunks the worker
 	// queues at most. 0 sizes each ask by what outlasts the worker's
-	// measured round trip instead (DESIGN.md §9), except over gob, whose
-	// server grants one chunk per call whatever is asked: there 0 means
-	// DefaultStealWindow.
+	// measured round trip instead (DESIGN.md §9) — over a memory link as
+	// over the wire — except over gob, whose server grants one chunk per
+	// call whatever is asked: there 0 means DefaultStealWindow.
 	Window int
 	// LedgerTable, when non-nil, turns the binary transport's refills
 	// into one-sided claims: the worker claims scheduling steps — or
@@ -1374,11 +1397,14 @@ func (w Worker) now() time.Time {
 //
 //lint:loopsched-hotpath
 func (w Worker) run(dst []wire.Record, lo, hi int) []wire.Record {
+	// Read once: an inlined value-receiver method called in the loop
+	// copies the whole Worker per iteration.
+	kernel, scale := w.Kernel, w.scale()
 	open := false // dst's last record is a run this call may extend
 	for i := lo; i < hi; i++ {
 		var data []byte
-		for rep := 0; rep < w.scale(); rep++ {
-			data = w.Kernel(i)
+		for rep := 0; rep < scale; rep++ {
+			data = kernel(i)
 		}
 		switch {
 		case len(data) > 0:
@@ -1427,9 +1453,10 @@ func (w Worker) RunContext(ctx context.Context, addr string) error {
 	return w.RunLink(ctx, link)
 }
 
-// RunLink is RunContext over a ready link — a dialled one, or
-// wire.NewClient over any byte stream (an mp.Stream to rank 0) — which
-// the worker closes when the dialogue ends or ctx does.
+// RunLink is RunContext over a ready link — a dialled one,
+// wire.NewClient over any byte stream (an mp.Stream to rank 0), or
+// Master.Link in the same process — which the worker closes when the
+// dialogue ends or ctx does.
 func (w Worker) RunLink(ctx context.Context, link Link) (err error) {
 	defer link.Close()
 	if w.Kernel == nil {
@@ -1438,10 +1465,15 @@ func (w Worker) RunLink(ctx context.Context, link Link) (err error) {
 	stop := context.AfterFunc(ctx, func() { link.Close() }) // unblocks an in-flight call
 	defer stop()
 	window := w.Window
-	if c, binary := link.(*wire.Conn); binary {
+	switch c := link.(type) {
+	case *wire.Conn:
 		c.SetTelemetry(w.Telemetry, w.TelemetryID, w.TelemetryShard)
-	} else if window < 1 {
-		window = DefaultStealWindow // one chunk per call: no depth to size
+	case *memLink:
+		c.done = ctx.Done() // nothing may block long enough for stop's goroutine to run
+	case *gobLink:
+		if window < 1 {
+			window = DefaultStealWindow // one chunk per call: no depth to size
+		}
 	}
 	err = w.runWindow(link, window, w.Pipeline, 0)
 	if cerr := ctx.Err(); cerr != nil {

@@ -14,14 +14,14 @@
 // from the end of the slowest shard's partition. Steal threshold and
 // re-split fractions are configurable via Config.
 //
-// Three backends share this logic:
+// Two runtimes share this logic:
 //
 //   - Simulate — a deterministic discrete-event model where the
 //     submaster hop costs an extra link latency (sim.go);
-//   - LocalRun — goroutine submasters over exec.WorkerSpec workers
-//     (local.go);
 //   - Submaster — an exec.Master for its workers whose stages are the
-//     super-chunks it fetches, pipelined, from the root (rpc.go).
+//     super-chunks it fetches, pipelined, from the root: an exec.Master
+//     over RootScheme, reached over TCP or, in one process, over memory
+//     links (rpc.go).
 package hier
 
 import (

@@ -1,4 +1,4 @@
-package hier
+package hier_test
 
 import (
 	"context"
@@ -6,13 +6,16 @@ import (
 	"testing"
 	"time"
 
-	"loopsched/internal/exec"
-	"loopsched/internal/sched"
-	"loopsched/internal/workload"
+	"loopsched"
 )
 
-func localSpecs() []*exec.WorkerSpec {
-	return []*exec.WorkerSpec{
+// The hier-local runtime — a root exec.Master over RootScheme and a
+// hier.Submaster per shard, every link a memory link — is assembled by
+// the root package's local backend, so these tests drive it through
+// loopsched.Run.
+
+func localSpecs() []*loopsched.WorkerSpec {
+	return []*loopsched.WorkerSpec{
 		{WorkScale: 1}, {WorkScale: 1}, {WorkScale: 2},
 		{WorkScale: 2}, {WorkScale: 4}, {WorkScale: 4},
 	}
@@ -21,21 +24,19 @@ func localSpecs() []*exec.WorkerSpec {
 func TestLocalRunCoverage(t *testing.T) {
 	const n = 3000
 	for _, name := range []string{"TSS", "DTSS", "FSS", "WF"} {
-		name := name
 		t.Run(name, func(t *testing.T) {
-			scheme, err := sched.Lookup(name)
+			scheme, err := loopsched.LookupScheme(name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var mu sync.Mutex
 			counts := make([]int, n)
-			l := &LocalRun{
-				Scheme:  scheme,
-				Workers: localSpecs(),
-				Config:  Config{Shards: 2},
-			}
-			rep, err := l.Run(context.Background(), workload.Uniform{N: n},
-				func(i int) { mu.Lock(); counts[i]++; mu.Unlock() })
+			rep, err := loopsched.Run(context.Background(), loopsched.RunSpec{
+				Scheme: scheme, Workload: loopsched.Uniform{N: n, C: 1},
+				Backend: loopsched.BackendLocal, Workers: localSpecs(),
+				Body:      func(i int) { mu.Lock(); counts[i]++; mu.Unlock() },
+				Hierarchy: &loopsched.Hierarchy{Shards: 2},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,17 +66,20 @@ func TestLocalRunCoverage(t *testing.T) {
 }
 
 func TestLocalRunCancel(t *testing.T) {
-	scheme, _ := sched.Lookup("TSS")
+	scheme, _ := loopsched.LookupScheme("TSS")
 	ctx, cancel := context.WithCancel(context.Background())
-	l := &LocalRun{Scheme: scheme, Workers: localSpecs()}
 	var once sync.Once
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := l.Run(ctx, workload.Uniform{N: 1 << 20},
-			func(i int) {
+		_, err := loopsched.Run(ctx, loopsched.RunSpec{
+			Scheme: scheme, Workload: loopsched.Uniform{N: 1 << 20, C: 1},
+			Backend: loopsched.BackendLocal, Workers: localSpecs(),
+			Body: func(i int) {
 				once.Do(cancel) // cancel as soon as work starts
-			})
+			},
+			Hierarchy: &loopsched.Hierarchy{},
+		})
 		if err != context.Canceled {
 			t.Errorf("got %v, want context.Canceled", err)
 		}

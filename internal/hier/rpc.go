@@ -1,7 +1,6 @@
 package hier
 
 import (
-	"context"
 	"errors"
 	"sync"
 
@@ -11,11 +10,11 @@ import (
 	"loopsched/internal/wire"
 )
 
-// Submaster is the middle tier of the RPC hierarchy: an exec.Master
-// whose stage source is the root. Its workers are stock exec.Worker
+// Submaster is the middle tier of the hierarchy: an exec.Master whose
+// stage source is the root. Its workers are stock exec.Worker
 // slaves; every request is answered by the master. The Submaster itself
-// is the source, a client of the root over the same exec.Link a worker
-// dials: one super-chunk per fetch, each fetch forwarding, record for
+// is the source, a client of the root over the same kind of exec.Link
+// its workers use: one super-chunk per fetch, each fetch forwarding, record for
 // record, what the workers delivered since the last. Once the last
 // super-chunk it holds is staged it prefetches the next, so the root
 // round trip hides behind local computation.
@@ -44,16 +43,14 @@ type Submaster struct {
 	err      error
 }
 
-// NewSubmaster dials the root master at rootAddr over transport (empty
-// means exec.DefaultTransport) and returns shard `shard`'s master over a
-// loop of n iterations. members are its workers' run-global ids, by the
-// shard-local index they connect with; either codec may connect.
-func NewSubmaster(shard int, scheme sched.Scheme, n int, members []int, rootAddr string, transport exec.Transport) (*Submaster, error) {
-	root, err := exec.Dial(context.Background(), rootAddr, transport)
-	if err != nil {
-		return nil, err
-	}
+// NewSubmaster returns shard `shard`'s master over a loop of n
+// iterations, fetching its super-chunks from the root over root — a link
+// exec.Dial opened, or the root master's own memory link (Master.Link) in
+// the same process — which it owns from here on. members are its
+// workers' run-global ids, by the shard-local index they reach it with.
+func NewSubmaster(shard int, scheme sched.Scheme, n int, members []int, root exec.Link) (*Submaster, error) {
 	s := &Submaster{shard: shard, root: root}
+	var err error
 	if s.Master, err = exec.NewShardMaster(scheme, n, shard, members, s); err != nil {
 		root.Close()
 		return nil, err
@@ -69,8 +66,9 @@ func (s *Submaster) SetTelemetry(bus *telemetry.Bus) {
 	s.Master.SetTelemetry(bus)
 }
 
-// Close joins the prefetch in flight, closes the root link — which errors
-// out a fetch parked there — ends the shard's run and tears down the
+// Close joins the prefetch in flight, closes the root link — a socket's
+// close errors out a fetch parked there; over a memory link the root
+// master's Cancel releases it — ends the shard's run and tears down the
 // worker connections accepted by Serve. Close the listener first.
 func (s *Submaster) Close() error {
 	s.bg.Wait()

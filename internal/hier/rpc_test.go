@@ -59,7 +59,11 @@ func startHierarchy(t *testing.T, scheme sched.Scheme, n int, members [][]int, p
 
 	subs := make([]*Submaster, k)
 	for si := range members {
-		sub, err := NewSubmaster(si, scheme, n, globalID[si], rootL.Addr().String(), "")
+		link, err := exec.Dial(context.Background(), rootL.Addr().String(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := NewSubmaster(si, scheme, n, globalID[si], link)
 		if err != nil {
 			t.Fatal(err)
 		}

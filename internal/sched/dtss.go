@@ -10,7 +10,7 @@ package sched
 //
 // where S_{i−1} is the cumulative ACP of all previously answered
 // requests: the slave receives the A_i consecutive unit-power chunks
-// it is entitled to, collapsed into one message. Slaves piggy-back a
+// it is entitled to, collapsed into one message. The slaves piggy-back a
 // fresh A_i on every request; the master (see the executors) re-plans
 // when more than half of them changed.
 type DTSSScheme struct {

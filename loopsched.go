@@ -340,7 +340,7 @@ func StaircaseLoad(interval float64, steps int) LoadScript {
 // ---- Execution traces ----
 
 // Trace records chunk-level execution events; attach one via
-// SimParams.Trace or LocalExecutor.Trace, then render with Gantt or
+// SimParams.Trace or RunSpec.Trace, then render with Gantt or
 // export with WriteCSV.
 type Trace = trace.Trace
 
@@ -371,12 +371,6 @@ func NewTelemetry(o TelemetryOptions) (*Telemetry, error) { return telemetry.New
 // ---- Real executors ----
 
 type (
-	// LocalExecutor runs a loop with goroutine workers and a channel
-	// master (or, with Engine: EngineSteal, per-worker work-stealing
-	// deques). Prefer Run(ctx, RunSpec{Backend: BackendLocal, …}),
-	// which validates the spec and wires telemetry; RunContext drives
-	// a LocalExecutor directly.
-	LocalExecutor = exec.Local
 	// WorkerSpec emulates one heterogeneous worker in-process.
 	WorkerSpec = exec.WorkerSpec
 	// Master is the net/rpc scheduling service.
@@ -395,14 +389,13 @@ type (
 	RPCTransport = exec.Transport
 )
 
-// Local engine names for RunSpec.LocalEngine / LocalExecutor.Engine.
+// Names RunSpec.LocalEngine accepts and ignores: BackendLocal has one
+// in-process runtime, and both pick it. They go with the field when the
+// benchmark retires its local_channel and local_steal cells (ROADMAP
+// item 4).
 const (
-	// EngineChannel drives one master goroutine over an unbuffered
-	// channel — the paper's request/grant protocol verbatim.
-	EngineChannel = exec.EngineChannel
-	// EngineSteal runs a bounded Chase–Lev deque per worker with
-	// batched policy refills; see docs/LOCAL.md.
-	EngineSteal = exec.EngineSteal
+	EngineChannel = "channel"
+	EngineSteal   = "steal"
 )
 
 // NewMaster builds an RPC master scheduling `iterations` across

@@ -16,6 +16,7 @@ import (
 	"loopsched/internal/sim"
 	"loopsched/internal/telemetry"
 	"loopsched/internal/telemetry/hist"
+	"loopsched/internal/wire"
 )
 
 // ---- The unified entry point ----
@@ -33,7 +34,8 @@ type Backend string
 const (
 	// BackendSim runs the deterministic discrete-event simulator.
 	BackendSim Backend = "sim"
-	// BackendLocal runs goroutine workers driven by a channel master.
+	// BackendLocal runs goroutine workers that call the same master as
+	// BackendRPC directly, over memory links: no codec, no socket.
 	BackendLocal Backend = "local"
 	// BackendRPC self-hosts the net/rpc master and workers on loopback
 	// TCP — the full wire protocol without external processes.
@@ -95,10 +97,10 @@ type RunSpec struct {
 	Kernel Kernel
 	// ACP is the availability model distributed schemes report with.
 	ACP ACPModel
-	// Pipeline lets rpc and mp workers request more work ahead of need: one
-	// measured master round trip before what they hold runs out, so the
-	// round trip hides behind the kernel and a chunk is bound to a worker
-	// only when it is about to need it (DESIGN.md §9).
+	// Pipeline lets local, rpc and mp workers request more work ahead of
+	// need: one measured master round trip before what they hold runs
+	// out, so the round trip hides behind the kernel and a chunk is bound
+	// to a worker only when it is about to need it (DESIGN.md §9).
 	Pipeline bool
 	// Transport selects the RPC wire format: "binary" (the framing
 	// codec of internal/wire, the default) or "netrpc" (net/rpc +
@@ -107,26 +109,23 @@ type RunSpec struct {
 	// configuration — it serves both on one listener. The mp backend
 	// always speaks binary.
 	Transport string
-	// CreditWindow caps the batched-grant depth on the binary
-	// transport: how many chunks a worker may hold beyond the one it
-	// is computing (1 is a double buffer), and the steal engine's refill
-	// batch. 0 leaves the wire depth to the workers: each asks for what
-	// outlasts its measured round trip to the master, up to the
-	// master's own ceiling (DESIGN.md §9); the steal engine then refills
-	// 8 at a time. It is a cap everywhere, never a quota: master
-	// replies, one-sided ledger claims and steal-engine refills are all
-	// share-bounded batches, which fill the depth on a fine loop —
-	// amortising a round trip over many chunks — and shrink to a single
-	// chunk while chunks are large (docs/LEDGER.md "Share-bounded
+	// CreditWindow caps the batched-grant depth on the local, binary
+	// and mp links: how many chunks a worker may hold beyond the one it
+	// is computing (1 is a double buffer). 0 leaves the depth to the
+	// workers: each asks for what outlasts its measured round trip to the
+	// master, up to the master's own ceiling (DESIGN.md §9). It is a cap
+	// everywhere, never a quota: master replies and one-sided ledger
+	// claims are share-bounded batches, which fill the depth on a fine
+	// loop — amortising a round trip over many chunks — and shrink to a
+	// single chunk while chunks are large (docs/LEDGER.md "Share-bounded
 	// batches").
 	CreditWindow int
 	// Ledger requests the decentralized scheduling ledger: "on" lets
 	// workers claim scheduling steps with a single fetch-and-add and
 	// compute chunk boundaries from a replicated table (rpc backend on
-	// the binary transport, mp backend) and turns steal-engine refills
-	// into lock-free claims (local backend, steal engine). A hier-rpc
-	// shard master arms a step table per super-chunk either way and its
-	// workers never claim; "on" publishes its draws as ledger fetches.
+	// the binary transport, mp backend). A local master, and a hier
+	// shard master, arms a step table either way and its workers never
+	// claim; "on" publishes its draws as ledger fetches.
 	// Empty consults the LOOPSCHED_LEDGER environment variable and falls
 	// back to "off".
 	// On the flat rpc and mp backends the paper's distributed schemes
@@ -138,22 +137,19 @@ type RunSpec struct {
 	// class (WF, AWF) keep the master path, so "on" is always safe. See
 	// docs/LEDGER.md.
 	Ledger string
-	// LocalEngine selects the in-process runtime on BackendLocal:
-	// "channel" (the default, also chosen by "") drives one master
-	// goroutine over an unbuffered channel exactly as the paper's
-	// protocol reads; "steal" runs per-worker work-stealing deques
-	// with batched policy refills (internal/steal, docs/LOCAL.md).
-	// CreditWindow caps the steal engine's refill batch. Flat
-	// runs only — the hierarchical local runtime has its own
-	// submaster structure.
+	// LocalEngine is accepted and ignored: BackendLocal has one
+	// in-process runtime, and EngineChannel, EngineSteal and "" all pick
+	// it (docs/LOCAL.md); any other name is an error. The field and the
+	// two names go when the benchmark retires its local_channel and
+	// local_steal cells (ROADMAP item 4).
 	LocalEngine string
 	// DisableReplan turns off the majority re-plan (ablation). The
 	// hierarchical rpc root always runs with re-planning disabled.
 	DisableReplan bool
-	// Trace, when non-nil, records chunk-level events (local backend;
-	// for the simulator set Sim.Trace instead). With Telemetry
-	// attached, the trace is rebuilt from the live event stream on
-	// every backend, including rpc.
+	// Trace, when non-nil, records chunk-level events (local, rpc and
+	// mp backends; for the simulator set Sim.Trace instead), rebuilt
+	// from the live event stream — the Telemetry session's, or a
+	// private one when none is attached.
 	Trace *Trace
 
 	// Hierarchy, when non-nil, runs the two-level sharded runtime.
@@ -179,7 +175,7 @@ func NewExecutor(b Backend) (Executor, error) {
 	case "", BackendSim:
 		return simExecutor{}, nil
 	case BackendLocal:
-		return localExecutor{}, nil
+		return masterExecutor{BackendLocal, memory}, nil
 	case BackendRPC:
 		return masterExecutor{BackendRPC, loopbackTCP}, nil
 	case BackendMP:
@@ -196,9 +192,7 @@ func NewExecutor(b Backend) (Executor, error) {
 //
 // Run is the single-job form of the scheduler service: it shares one
 // spec-validation path (RunSpec.validate) and one telemetry path
-// (beginTelemetry → the event bus) with Scheduler.Submit, and its
-// local steal engine runs over the same fleet-shareable per-job state
-// (internal/exec.JobState) the multi-tenant Scheduler multiplexes. Use
+// (beginTelemetry → the event bus) with Scheduler.Submit. Use
 // NewScheduler when a stream of jobs should share one worker fleet.
 func Run(ctx context.Context, spec RunSpec) (Report, error) {
 	ex, err := NewExecutor(spec.Backend)
@@ -296,8 +290,10 @@ func (s RunSpec) validate() error {
 		if len(s.Workers) == 0 {
 			return fmt.Errorf("loopsched: local backend needs Workers")
 		}
-		if s.Hierarchy != nil && s.LocalEngine != "" && s.LocalEngine != EngineChannel {
-			return fmt.Errorf("loopsched: LocalEngine %q is flat-only; hierarchical local runs use the submaster runtime", s.LocalEngine)
+		switch s.LocalEngine {
+		case "", EngineChannel, EngineSteal:
+		default:
+			return fmt.Errorf("loopsched: unknown local engine %q", s.LocalEngine)
 		}
 	case BackendRPC:
 		if len(s.Workers) == 0 {
@@ -361,45 +357,7 @@ func (simExecutor) Run(ctx context.Context, spec RunSpec) (Report, error) {
 	return sim.RunContext(ctx, spec.Cluster, spec.Scheme, spec.Workload, spec.Sim)
 }
 
-// ---- Local (goroutine) backend ----
-
-type localExecutor struct{}
-
-func (localExecutor) Run(ctx context.Context, spec RunSpec) (Report, error) {
-	spec.Backend = BackendLocal
-	if err := spec.validate(); err != nil {
-		return Report{}, err
-	}
-	body, err := spec.body()
-	if err != nil {
-		return Report{}, err
-	}
-	if spec.Hierarchy != nil {
-		run := &hier.LocalRun{
-			Scheme:    spec.Scheme,
-			Workers:   spec.Workers,
-			ACP:       spec.ACP,
-			Config:    *spec.Hierarchy,
-			Trace:     spec.Trace,
-			Telemetry: spec.Telemetry.Bus(),
-		}
-		return run.Run(ctx, spec.Workload, body)
-	}
-	l := &LocalExecutor{
-		Scheme:        spec.Scheme,
-		Workers:       spec.Workers,
-		ACP:           spec.ACP,
-		DisableReplan: spec.DisableReplan,
-		Trace:         spec.Trace,
-		Telemetry:     spec.Telemetry.Bus(),
-		Engine:        spec.LocalEngine,
-		Window:        spec.CreditWindow,
-		Ledger:        exec.LedgerMode(spec.Ledger),
-	}
-	return l.RunContext(ctx, spec.Workload, body)
-}
-
-// ---- rpc and mp backends: exec.Master and its slaves, self-hosted ----
+// ---- local, rpc and mp backends: exec.Master and its slaves ----
 
 // masterExecutor self-hosts exec.Master and its slaves; open is the
 // backend's way from one to the other.
@@ -414,17 +372,49 @@ func (e masterExecutor) Run(ctx context.Context, spec RunSpec) (Report, error) {
 		return Report{}, err
 	}
 	kernel, err := spec.kernel()
+	if e.backend == BackendLocal {
+		// Nothing reads a local run's results: a body's kernel returns no
+		// bytes, so every completion record is a run.
+		var body func(int)
+		if body, err = spec.body(); err == nil {
+			kernel = func(i int) []byte { body(i); return nil }
+		}
+	}
 	if err != nil {
 		return Report{}, err
 	}
-	if spec.Hierarchy != nil { // rpc only: validate refuses it on mp
-		return runRPCHierarchy(ctx, spec, kernel)
+	bus := spec.Telemetry.Bus()
+	if spec.Trace != nil {
+		var untrace func()
+		bus, untrace = traceBus(spec, bus)
+		defer untrace()
 	}
-	return runFlat(ctx, spec, kernel, e.open)
+	if spec.Hierarchy != nil { // local and rpc: validate refuses it on mp
+		return runHierarchy(ctx, spec, kernel, bus, e.open)
+	}
+	return runFlat(ctx, spec, kernel, bus, e.open)
+}
+
+// traceBus has spec.Trace record every chunk the run completes from bus
+// — a private one when bus is nil — and returns the bus to publish on
+// and the function that ends the recording.
+func traceBus(spec RunSpec, bus *telemetry.Bus) (*telemetry.Bus, func()) {
+	sub := telemetry.TraceSubscriber(spec.Trace)
+	if bus != nil {
+		bus.Subscribe(sub)
+		return bus, func() { bus.Flush(); bus.Unsubscribe(sub) }
+	}
+	bus = telemetry.NewBus(0)
+	bus.Subscribe(sub)
+	bus.BeginRun(telemetry.RunMeta{
+		Scheme: spec.Scheme.Name(), Workload: spec.Workload.Name(),
+		Backend: string(spec.Backend), Workers: len(spec.Workers), Iterations: spec.Workload.Len(),
+	})
+	return bus, func() { bus.Close() }
 }
 
 // rpcWorker builds the exec.Worker for spec.Workers[i].
-func rpcWorker(spec RunSpec, kernel Kernel, powers []float64, i int) exec.Worker {
+func rpcWorker(spec RunSpec, kernel Kernel, bus *telemetry.Bus, powers []float64, i int) exec.Worker {
 	ws := spec.Workers[i]
 	return exec.Worker{
 		ID:           i,
@@ -436,17 +426,24 @@ func rpcWorker(spec RunSpec, kernel Kernel, powers []float64, i int) exec.Worker
 		Pipeline:     spec.Pipeline,
 		Transport:    exec.Transport(spec.Transport),
 		Window:       spec.CreditWindow,
-		Telemetry:    spec.Telemetry.Bus(),
+		Telemetry:    bus,
 		TelemetryID:  i,
 	}
 }
 
-// reach is how a flat run's p workers get to its master: run is one
-// worker's whole dialogue, done tears the serving side down and joins it.
-type reach func(m *exec.Master, p int) (run func(context.Context, exec.Worker) error, done func(), err error)
+// reach is how the clients of one master get to it: dial opens client
+// id's link — a worker's, or a submaster's to the root — and done tears
+// the serving side down and joins it.
+type reach func(m *exec.Master, spec RunSpec, clients int) (dial func(ctx context.Context, id int) (exec.Link, error), done func(), err error)
 
-// loopbackTCP (rpc): the master serves a loopback listener, workers dial.
-func loopbackTCP(m *exec.Master, _ int) (func(context.Context, exec.Worker) error, func(), error) {
+// memory (local): a client's link calls the master in its own goroutine.
+func memory(m *exec.Master, _ RunSpec, _ int) (func(context.Context, int) (exec.Link, error), func(), error) {
+	return func(context.Context, int) (exec.Link, error) { return m.Link(), nil }, func() {}, nil
+}
+
+// loopbackTCP (rpc): the master serves a loopback listener, clients dial
+// it over spec's transport.
+func loopbackTCP(m *exec.Master, spec RunSpec, _ int) (func(context.Context, int) (exec.Link, error), func(), error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, nil, err
@@ -455,25 +452,29 @@ func loopbackTCP(m *exec.Master, _ int) (func(context.Context, exec.Worker) erro
 		ln.Close()
 		return nil, nil, err
 	}
-	addr := ln.Addr().String()
-	return func(ctx context.Context, w exec.Worker) error { return w.RunContext(ctx, addr) },
+	addr, t := ln.Addr().String(), exec.Transport(spec.Transport)
+	return func(ctx context.Context, _ int) (exec.Link, error) { return exec.Dial(ctx, addr, t) },
 		func() { m.Shutdown(ln) }, nil
 }
 
-// mpWorld (mp): the master is rank 0 of an in-process world, worker i is
+// mpWorld (mp): the master is rank 0 of an in-process world, client i is
 // rank i+1 and speaks the binary codec over its stream to rank 0. The
 // world is the run's own, so a cancelled worker unblocks itself by closing
 // its endpoint and closing them all ends any dialogue left open.
-func mpWorld(m *exec.Master, p int) (func(context.Context, exec.Worker) error, func(), error) {
+func mpWorld(m *exec.Master, _ RunSpec, p int) (func(context.Context, int) (exec.Link, error), func(), error) {
 	world, err := mp.NewWorld(p + 1)
 	if err != nil {
 		return nil, nil, err
 	}
 	join := serveRanks(m, world[0])
-	run := func(ctx context.Context, w exec.Worker) error {
-		return runOverStream(ctx, w, mp.Stream(world[w.ID+1], 0))
+	dial := func(_ context.Context, id int) (exec.Link, error) {
+		c, err := wire.NewClient(mp.Stream(world[id+1], 0))
+		if err != nil {
+			return nil, err
+		}
+		return c, nil
 	}
-	return run, func() {
+	return dial, func() {
 		for _, c := range world {
 			c.Close()
 		}
@@ -481,16 +482,26 @@ func mpWorld(m *exec.Master, p int) (func(context.Context, exec.Worker) error, f
 	}, nil
 }
 
-// runFlat is the flat run of the rpc and mp backends: one exec.Master,
-// one exec.Worker per spec.Workers entry, and open between them.
-func runFlat(ctx context.Context, spec RunSpec, kernel Kernel, open reach) (Report, error) {
+// runWorker runs w's whole dialogue over the link dial opens for it.
+func runWorker(ctx context.Context, w exec.Worker, dial func(context.Context, int) (exec.Link, error)) error {
+	link, err := dial(ctx, w.ID)
+	if err != nil {
+		return err
+	}
+	return w.RunLink(ctx, link)
+}
+
+// runFlat is the flat run of the local, rpc and mp backends: one
+// exec.Master, one exec.Worker per spec.Workers entry, and open between
+// them.
+func runFlat(ctx context.Context, spec RunSpec, kernel Kernel, bus *telemetry.Bus, open reach) (Report, error) {
 	n := spec.Workload.Len()
 	p := len(spec.Workers)
 	master, err := exec.NewMaster(spec.Scheme, n, p)
 	if err != nil {
 		return Report{}, err
 	}
-	master.SetTelemetry(spec.Telemetry.Bus())
+	master.SetTelemetry(bus)
 	master.SetWindow(spec.CreditWindow)
 	if err := master.SetLedger(exec.LedgerMode(spec.Ledger)); err != nil {
 		return Report{}, err
@@ -502,7 +513,7 @@ func runFlat(ctx context.Context, spec RunSpec, kernel Kernel, open reach) (Repo
 	if err := master.SetPowers(powers); err != nil {
 		return Report{}, err
 	}
-	run, done, err := open(master, p)
+	dial, done, err := open(master, spec, p)
 	if err != nil {
 		return Report{}, err
 	}
@@ -510,32 +521,36 @@ func runFlat(ctx context.Context, spec RunSpec, kernel Kernel, open reach) (Repo
 
 	var wg sync.WaitGroup
 	for i := range spec.Workers {
-		w := rpcWorker(spec, kernel, powers, i)
+		w := rpcWorker(spec, kernel, bus, powers, i)
 		// When the master hosts a ledger, hand every worker the handle to
 		// its table — armed already, or after the gather for a distributed
 		// scheme: binary-transport workers switch to one-sided claims, gob
-		// workers ignore it and keep the master path — which draws from
-		// the same counter, so a mixed fleet stays exact.
+		// and memory-link workers ignore it and keep the master path —
+		// which draws from the same counter, so a mixed fleet stays exact.
 		if master.LedgerActive() {
 			w.LedgerTable = master.Ledger
 		}
 		wg.Add(1)
 		go func(w exec.Worker) {
 			defer wg.Done()
-			if werr := run(ctx, w); werr != nil && ctx.Err() == nil {
+			if werr := runWorker(ctx, w, dial); werr != nil && ctx.Err() == nil {
 				// A broken worker must not hang the run: surface its
 				// error through the master.
 				master.Cancel(fmt.Errorf("loopsched: %s worker %d: %w", spec.Backend, w.ID, werr))
 			}
 		}(w)
 	}
-	_, rep, err := master.WaitContext(ctx)
+	rep, err := master.WaitReport(ctx)
 	wg.Wait()
 	rep.Workload = spec.Workload.Name()
 	return rep, err
 }
 
-func runRPCHierarchy(ctx context.Context, spec RunSpec, kernel Kernel) (Report, error) {
+// runHierarchy is the two-level run of the local and rpc backends: the
+// root is an exec.Master running the hierarchy's allocator as its scheme,
+// each of its clients a hier.Submaster — itself an exec.Master for its
+// shard's workers — and open is the way to both kinds of master.
+func runHierarchy(ctx context.Context, spec RunSpec, kernel Kernel, bus *telemetry.Bus, open reach) (Report, error) {
 	n := spec.Workload.Len()
 	p := len(spec.Workers)
 	powers := exec.VirtualPowers(spec.Workers)
@@ -548,44 +563,44 @@ func runRPCHierarchy(ctx context.Context, spec RunSpec, kernel Kernel) (Report, 
 	}
 	members := hier.AssignShards(powers, k)
 
-	// The root is a stock RPC master running the hierarchy's allocator
-	// as its scheme; each of its "workers" is a submaster. Steals make
-	// root grants non-monotone, so mid-run re-planning must stay off.
-	// The root master itself publishes no telemetry — its grants are
-	// super-chunks and would double-count against the submasters' — but
-	// the allocator reports steals on the bus.
+	// Steals make root grants non-monotone, so mid-run re-planning must
+	// stay off. The root master itself publishes no telemetry — its
+	// grants are super-chunks and would double-count against the
+	// submasters' — but the allocator reports steals on the bus.
 	captured := new(*hier.Root)
 	root, err := exec.NewMaster(hier.RootScheme{
 		Config: *spec.Hierarchy,
 		OnRoot: func(r *hier.Root) {
 			*captured = r
-			r.SetTelemetry(spec.Telemetry.Bus())
+			r.SetTelemetry(bus)
 		},
 	}, n, k)
 	if err != nil {
 		return Report{}, err
 	}
 	root.DisableReplan()
-	rootL, err := net.Listen("tcp", "127.0.0.1:0")
+	dialRoot, rootDone, err := open(root, spec, k)
 	if err != nil {
 		return Report{}, err
 	}
-	defer root.Shutdown(rootL)
-	if err := root.Serve(rootL); err != nil {
-		return Report{}, err
-	}
+	defer rootDone()
 
 	subs := make([]*hier.Submaster, k)
 	var wg sync.WaitGroup
 	// Workers unwind through the Stop protocol: cancelling the run
 	// cancels the root, whose released fetches end the shard masters'
-	// sources. Killing the worker connections with the caller's ctx
-	// instead would strand the shards mid-count, so workers get their own
+	// sources. Killing the worker links with the caller's ctx instead
+	// would strand the shards mid-count, so workers get their own
 	// context, cancelled only if a shard fails to drain.
 	workerCtx, workerCancel := context.WithCancel(context.Background())
 	defer workerCancel()
 	for si, ids := range members {
-		sub, err := hier.NewSubmaster(si, spec.Scheme, n, ids, rootL.Addr().String(), exec.Transport(spec.Transport))
+		link, err := dialRoot(context.Background(), si)
+		if err != nil {
+			root.Cancel(err)
+			break
+		}
+		sub, err := hier.NewSubmaster(si, spec.Scheme, n, ids, link)
 		if err != nil {
 			root.Cancel(err)
 			break
@@ -595,40 +610,36 @@ func runRPCHierarchy(ctx context.Context, spec RunSpec, kernel Kernel) (Report, 
 		for li, wi := range ids {
 			shardPowers[li] = powers[wi]
 		}
-		sub.SetTelemetry(spec.Telemetry.Bus())
+		sub.SetTelemetry(bus)
 		sub.SetWindow(spec.CreditWindow)
 		if err := errors.Join(sub.SetLedger(exec.LedgerMode(spec.Ledger)), sub.SetPowers(shardPowers)); err != nil {
 			root.Cancel(err)
 			break
 		}
-		subL, err := net.Listen("tcp", "127.0.0.1:0")
+		dial, done, err := open(sub.Master, spec, len(ids))
 		if err != nil {
 			root.Cancel(err)
 			break
 		}
-		defer subL.Close()
-		if err := sub.Serve(subL); err != nil {
-			root.Cancel(err)
-			break
-		}
+		defer done()
 		subs[si] = sub
 		for li, wi := range ids {
-			w := rpcWorker(spec, kernel, powers, wi)
+			w := rpcWorker(spec, kernel, bus, powers, wi)
 			w.ID = li // worker ids are shard-local; telemetry keeps the global id
 			w.TelemetryShard = si
 			wg.Add(1)
-			go func(w exec.Worker, addr string) {
+			go func(w exec.Worker) {
 				defer wg.Done()
-				if werr := w.RunContext(workerCtx, addr); werr != nil && workerCtx.Err() == nil {
-					werr = fmt.Errorf("loopsched: rpc worker %d: %w", w.TelemetryID, werr)
+				if werr := runWorker(workerCtx, w, dial); werr != nil && workerCtx.Err() == nil {
+					werr = fmt.Errorf("loopsched: %s worker %d: %w", spec.Backend, w.TelemetryID, werr)
 					root.Cancel(werr)
 					sub.Cancel(werr)
 				}
-			}(w, subL.Addr().String())
+			}(w)
 		}
 	}
 
-	_, rep, err := root.WaitContext(ctx)
+	rep, err := root.WaitReport(ctx)
 
 	// Even after cancellation the shards drain (released parked fetches
 	// end their sources), but never wait on them unboundedly: a shard
@@ -642,7 +653,7 @@ func runRPCHierarchy(ctx context.Context, spec RunSpec, kernel Kernel) (Report, 
 			continue
 		}
 		var werr error
-		if _, shards[si], werr = sub.WaitContext(drainCtx); werr != nil && err == nil {
+		if shards[si], werr = sub.WaitReport(drainCtx); werr != nil && err == nil {
 			err = fmt.Errorf("loopsched: shard %d: %w", si, werr)
 		}
 	}

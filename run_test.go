@@ -299,7 +299,16 @@ func TestRunSpecValidationPerBackend(t *testing.T) {
 				Workers: runWorkers(), Body: noop,
 				LocalEngine: loopsched.EngineSteal, Hierarchy: &loopsched.Hierarchy{},
 			},
-			wantErr: `loopsched: LocalEngine "steal" is flat-only; hierarchical local runs use the submaster runtime`,
+			// The engine names are accepted and ignored: one in-process
+			// runtime, flat or hierarchical.
+		},
+		{
+			name: "local unknown engine",
+			spec: loopsched.RunSpec{
+				Scheme: scheme, Workload: w, Backend: loopsched.BackendLocal,
+				Workers: runWorkers(), Body: noop, LocalEngine: "fibers",
+			},
+			wantErr: `loopsched: unknown local engine "fibers"`,
 		},
 		{
 			name:    "rpc without workers",
