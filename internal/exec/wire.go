@@ -210,7 +210,9 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		req       wire.Request
 		rep       wire.Reply
 		queue     []sched.Assignment
-		spanQueue []uint64      // parallel to queue: one span per grant
+		spanQueue []uint64 // parallel to queue: one span per grant
+		qbuf      []sched.Assignment
+		sbuf      []uint64      // the queues' arrays: a pop moves the queue's start, a refill starts over
 		queued    int           // iterations in queue
 		pending   []wire.Record // computed, not yet shipped (a run of empty results is one record)
 		spans     []uint64      // parallel to pending: one span per record
@@ -329,6 +331,7 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 				})
 			}
 			stopSeen, echo = stopSeen || rep.Stop, echo || len(rep.Spans) > 0
+			queue, spanQueue = qbuf[:0], sbuf[:0] // the queue is empty
 			for i, g := range rep.Grants {
 				// Without a span from the master the deterministic local id
 				// still pairs grant and completion on an in-process bus.
@@ -338,6 +341,7 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 				}
 				queue, spanQueue, queued = append(queue, g), append(spanQueue, span), queued+g.Size
 			}
+			qbuf, sbuf = queue, spanQueue
 			if sync && rep.Stop {
 				return nil // the one way out: this request shipped everything
 			}
@@ -388,7 +392,13 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			// it was built from.
 			from := len(pending)
 			pending = w.run(pending, i, next)
-			for range pending[from:] {
+			if k := from - 1; k >= 0 && from < len(pending) && spans[k] == span &&
+				pending[k].Count > 0 && pending[from].Count > 0 && pending[k].Index+pending[k].Count == i {
+				// This step's first run continues the chunk's last one.
+				pending[k].Count += pending[from].Count
+				pending = append(pending[:from], pending[from+1:]...)
+			}
+			for range pending[len(spans):] {
 				spans = append(spans, span)
 			}
 			ran, i = ran+next-i, next
