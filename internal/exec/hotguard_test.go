@@ -16,10 +16,11 @@ import (
 
 // hotGuards is this package's alloc-guard table: one entry per
 // //lint:loopsched-hotpath function, checked against the annotations
-// by TestHotPathGuardTable. The single guard drives the steal engine's
-// whole per-chunk cycle — pop, steal, refill, complete — because those
-// operations only occur interleaved; the rpc master's guard drives a
-// whole request, because a reply is booked only inside one.
+// by TestHotPathGuardTable. One guard drives the deque core's whole
+// per-chunk cycle — pop, steal, refill, complete — because those
+// operations only occur interleaved; the master's guard drives a whole
+// request, because a reply is booked only inside one, and the memory
+// link's a whole refill, Send and Recv.
 var hotGuards = map[string]func(t *testing.T){
 	"(*JobState).Pop":      jobStateCycleGuard,
 	"(*JobState).Steal":    jobStateCycleGuard,
@@ -65,8 +66,8 @@ func TestHotPathAllocGuards(t *testing.T) {
 // jobStateCycleGuard pins the per-chunk cycle with telemetry disabled
 // (a nil bus, the steady-state default for headless runs) at zero
 // allocations: pop from the own deque, steal from a sibling, refill
-// from the policy, complete — the same interleaving the engine's
-// worker loop performs per chunk.
+// from the policy, complete — the same interleaving a service fleet
+// worker performs per chunk.
 func jobStateCycleGuard(t *testing.T) {
 	js, err := NewJobState(JobConfig{
 		Scheme:   sched.CSSScheme{K: 4},

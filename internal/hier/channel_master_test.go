@@ -178,8 +178,8 @@ func byShard(transcript string) string {
 // the master that replaced the channel master — the local backend's, and
 // every shard's — and requires every grant, StageAdvanced and grant
 // event recorded at commit 42d7c97 from the masters the channel master
-// had replaced in turn (exec.Local.master for flat/, LocalRun.submaster
-// for shards/). Only the stop differs, and is not compared: this master
+// had replaced in turn (the old local executor's master for flat/, the
+// old local hierarchy's submaster for shards/). Only the stop differs, and is not compared: this master
 // stops a worker once the loop is done, not as soon as nothing is left
 // to grant; and the events are compared shard by shard (byShard). The distributed and learning cases of that recording are
 // gone: this master's gather releases its workers by decreasing ACP

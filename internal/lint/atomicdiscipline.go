@@ -22,9 +22,8 @@ import (
 // either every `go` statement of the function comes after the access
 // (initialisation before spawn), or join evidence (a sync.WaitGroup
 // Wait or a channel receive) appears earlier in the same function
-// (read after join). That is exactly the `iters` pattern in
-// exec.Local.RunContext: atomic adds inside the workers, one plain
-// read per worker after wg.Wait. Anything subtler — deliberate torn
+// (read after join): workers' atomic adds, one plain read per worker
+// after wg.Wait. Anything subtler — deliberate torn
 // reads validated by a CAS, cross-function publication — must carry a
 // //lint:loopsched-ignore atomicdiscipline directive with its
 // justification.

@@ -47,8 +47,8 @@ func (s *syncFeedbackPolicy) Feedback(worker int, work, elapsed float64) {
 // ForEach is the paper's self-scheduled DOALL as a library one-liner:
 // it runs body(i) for every i in [0, n) on `workers` goroutines,
 // claiming chunks from the scheme through a synchronized policy. It is
-// the minimal shared-memory counterpart of exec.Local (no ACP, no
-// per-worker metrics) for callers who just want the loop done.
+// the minimal shared-memory counterpart of the local backend (no ACP,
+// no per-worker metrics) for callers who just want the loop done.
 func ForEach(s Scheme, n, workers int, body func(i int)) error {
 	pol, err := s.NewPolicy(Config{Iterations: n, Workers: workers})
 	if err != nil {

@@ -52,7 +52,7 @@ const DefaultRetryBackoff = 2 * time.Millisecond
 // Options configures New.
 type Options struct {
 	// Workers is the shared fleet: one long-lived goroutine per entry,
-	// heterogeneity emulated by WorkScale exactly as in exec.Local.
+	// heterogeneity emulated by WorkScale exactly as by exec.Worker.
 	Workers []*exec.WorkerSpec
 	// Window caps the chunks one arbitration grant pulls from a job's
 	// policy; <= 0 means exec.DefaultStealWindow. Below the cap a refill

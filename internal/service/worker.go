@@ -124,7 +124,7 @@ func (s *Scheduler) acpNow(id int) int {
 }
 
 // execute runs one chunk of one job on this worker, emulating the
-// worker's WorkScale exactly as exec.Local does. A panicking body is
+// worker's WorkScale exactly as exec.Worker does. A panicking body is
 // the fleet's worker-death signal: the attempt is aborted and the job
 // heads to the fail-queue (or fails terminally once its retry budget
 // is spent). Chunks whose attempt was cancelled or requeued between
