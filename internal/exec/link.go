@@ -160,6 +160,7 @@ func (l *memLink) Send(req *wire.Request) error {
 		IdleSeconds: req.IdleSeconds,
 		Results:     l.results,
 		Prefetch:    req.Prefetch,
+		yield:       true,
 	}, req.Credits, &l.rep)
 	return nil
 }

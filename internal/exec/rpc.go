@@ -8,6 +8,7 @@ import (
 	"math/bits"
 	"net"
 	"net/rpc"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -109,6 +110,11 @@ type ChunkArgs struct {
 	// the request frame's no-reply flag here; the worker computes its
 	// own next chunk from the fetch-and-add ledger instead.
 	DepositOnly bool
+	// yield marks a request from a worker in the master's own process
+	// (a memory link): held, it yields its goroutine for a while before
+	// it sleeps — the worker has no other use for its CPU, and waking a
+	// sleeping thread costs more than the tail of a short loop.
+	yield bool
 }
 
 // ChunkReply is the master's answer on the net/rpc transport. An
@@ -878,6 +884,7 @@ func (m *Master) lockedGrants(args *ChunkArgs, credits int, rep *wire.Reply, req
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.d.Report(w, args.ACP)
+	yields := 0
 	for {
 		switch {
 		case m.doneClosed(): // finished, or cancelled (also mid-gather)
@@ -941,13 +948,24 @@ func (m *Master) lockedGrants(args *ChunkArgs, credits int, rep *wire.Reply, req
 		// either the run completes (Stop), a failed worker's chunk is
 		// requeued and lands here, or the source has more.
 		m.parked[w] = true
-		m.ready.Wait()
+		if args.yield && yields < parkYields {
+			yields++
+			m.mu.Unlock()
+			runtime.Gosched()
+			m.mu.Lock()
+		} else {
+			m.ready.Wait()
+		}
 		m.parked[w] = false
 		s.mu.Lock()
 		s.lastSeen = m.now() // parked, not silent
 		s.mu.Unlock()
 	}
 }
+
+// parkYields bounds how often a held in-process request yields before
+// it sleeps on the condition variable: some hundreds of microseconds.
+const parkYields = 1000
 
 // book enters a reply's grants into the worker's ledger and publishes
 // each, span-tagged and with its request-to-grant latency, to the
