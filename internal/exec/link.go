@@ -139,8 +139,13 @@ type memLink struct {
 
 // Link returns a new link to m for a client in the same process: how the
 // local backend's workers and a hier-local shard's submaster reach their
-// master (memLink).
-func (m *Master) Link() Link { return &memLink{batch: m.nextBatch} }
+// master (memLink). Its requests are marked in-process (ChunkArgs.yield).
+func (m *Master) Link() Link {
+	return &memLink{batch: func(args ChunkArgs, credits int, rep *wire.Reply) error {
+		args.yield = true
+		return m.nextBatch(args, credits, rep)
+	}}
+}
 
 // Send converts req's records the way the wire server does — a run
 // stays one result, data is copied only when there is some — and runs
@@ -160,7 +165,6 @@ func (l *memLink) Send(req *wire.Request) error {
 		IdleSeconds: req.IdleSeconds,
 		Results:     l.results,
 		Prefetch:    req.Prefetch,
-		yield:       true,
 	}, req.Credits, &l.rep)
 	return nil
 }
