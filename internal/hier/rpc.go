@@ -11,11 +11,11 @@ import (
 )
 
 // Submaster is the middle tier of the hierarchy: an exec.Master whose
-// stage source is the root. Its workers are stock exec.Worker
-// slaves; every request is answered by the master. The Submaster itself
-// is the source, a client of the root over the same kind of exec.Link
-// its workers use: one super-chunk per fetch, each fetch forwarding, record for
-// record, what the workers delivered since the last. Once the last
+// stage source is the root. Its workers are stock exec.Worker slaves;
+// every request is answered by the master. The Submaster itself is the
+// source, a client of the root over the same kind of exec.Link its
+// workers use: one super-chunk per fetch, each fetch forwarding, record
+// for record, what the workers delivered since the last. Once the last
 // super-chunk it holds is staged it prefetches the next, so the root
 // round trip hides behind local computation.
 //

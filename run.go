@@ -662,7 +662,7 @@ func runHierarchy(ctx context.Context, spec RunSpec, kernel Kernel, bus *telemet
 
 	// The report describes the p workers, from the shard masters' books;
 	// the root's own describes the k shards as if they were workers.
-	rep.Workload = spec.Workload.Name()
+	rep.Scheme, rep.Workload = spec.Scheme.Name(), spec.Workload.Name()
 	rep.Workers, rep.Chunks = p, 0
 	rep.PerWorker = make([]metrics.Times, p)
 	var grant, comp hist.Snapshot
