@@ -144,7 +144,7 @@ type RunSpec struct {
 	// local_steal cells (ROADMAP item 4).
 	LocalEngine string
 	// DisableReplan turns off the majority re-plan (ablation). The
-	// hierarchical rpc root always runs with re-planning disabled.
+	// hierarchical root always runs with re-planning disabled.
 	DisableReplan bool
 	// Trace, when non-nil, records chunk-level events (local, rpc and
 	// mp backends; for the simulator set Sim.Trace instead), rebuilt
