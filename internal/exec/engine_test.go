@@ -162,23 +162,12 @@ func TestEngineGrantEquivalence(t *testing.T) {
 		} else if _, fb := pol.(sched.FeedbackPolicy); fb {
 			continue // learning policies depend on measured timings
 		}
-		grants := func(engine string) []sched.Assignment {
-			// Room for every event of an SS run (a few per chunk), so the
-			// ring never drops a grant the comparison needs.
-			bus := telemetry.NewBus(1 << 15)
+		// Room for every event of an SS run (a few per chunk), so the ring
+		// never drops a grant the comparison needs.
+		grants := func(engine string, bus *telemetry.Bus, run func() (metrics.Report, error)) []sched.Assignment {
 			col := &grantCollector{}
 			bus.Subscribe(col)
-			scales := make([]int, p)
-			for i := range scales {
-				scales[i] = 1
-			}
-			run := map[string]interface {
-				RunContext(context.Context, workload.Workload, func(int)) (metrics.Report, error)
-			}{
-				"master": &localRun{Scheme: s, Workers: specs(scales...), Telemetry: bus},
-				"deques": &stealRun{Scheme: s, Workers: specs(scales...), Telemetry: bus},
-			}[engine]
-			rep, err := run.RunContext(context.Background(), workload.Uniform{N: n}, func(int) {})
+			rep, err := run()
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, engine, err)
 			}
@@ -193,8 +182,14 @@ func TestEngineGrantEquivalence(t *testing.T) {
 			})
 			return col.grants
 		}
-		master := grants("master")
-		deques := grants("deques")
+		w, body := workload.Uniform{N: n}, func(int) {}
+		mbus, dbus := telemetry.NewBus(1<<15), telemetry.NewBus(1<<15)
+		master := grants("master", mbus, func() (metrics.Report, error) {
+			return (&localRun{Scheme: s, Workers: specs(1, 1, 1, 1), Telemetry: mbus}).RunContext(context.Background(), w, body)
+		})
+		deques := grants("deques", dbus, func() (metrics.Report, error) {
+			return (&stealRun{Scheme: s, Workers: specs(1, 1, 1, 1), Telemetry: dbus}).RunContext(context.Background(), w, body)
+		})
 		if len(master) != len(deques) {
 			t.Errorf("%s: master granted %d chunks, deques %d", name, len(master), len(deques))
 			continue
