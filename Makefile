@@ -66,7 +66,7 @@ escape-check:
 # the hierarchical simulator, sim and service. And the in-process rule:
 # inside internal/exec one request handler answers every slave — the
 # master's (rpc.go) — beside the service's deque core (jobstate.go); the
-# channel master, its slave loop and the steal engine's stay gone.
+# names of the retired channel master and its slave loops stay gone.
 dup-check:
 	@! grep -rn 'NewPolicy(\|MajorityChanged(\|sched\.Offset(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/' \
@@ -97,29 +97,32 @@ govulncheck:
 test:
 	$(GO) test -shuffle=on ./...
 
-# race runs the concurrent packages under the race detector twice: in
-# the default ledger mode and with LOOPSCHED_LEDGER=on, which flips every
-# default-mode run onto the fetch-and-add paths (step tables, and the
-# unit table of the distributed schemes on the rpc master) — the mode
-# CI's `ledger` job covers.
+# race runs the concurrent packages under the race detector, then once
+# more with LOOPSCHED_LEDGER=on where that variable still does anything:
+# it flips a service job's default-mode refills (exec.JobState) onto the
+# fetch-and-add step table, so the second pass is internal/exec,
+# internal/service and the root package's service tests — the mode CI's
+# `ledger` job covers. A Run ignores the ledger mode.
 RACE_PKGS = ./internal/exec/ ./internal/steal/ ./internal/mp/ ./internal/hier/ ./internal/telemetry/ \
 	./internal/service/ ./internal/dispense/ ./internal/ledger/ ./internal/sched/ .
+LEDGER_PKGS = ./internal/exec/ ./internal/service/
+LEDGER_ROOT_TESTS = Scheduler|Tenant|StaticWeights|TestTelemetryHistogramsReconcile
 race:
 	$(GO) test -race $(RACE_PKGS)
-	LOOPSCHED_LEDGER=on $(GO) test -race $(RACE_PKGS)
+	LOOPSCHED_LEDGER=on $(GO) test -race $(LEDGER_PKGS)
+	LOOPSCHED_LEDGER=on $(GO) test -race -run '$(LEDGER_ROOT_TESTS)' .
 
 # flake is the determinism gate (ROADMAP item 5): the runtime suites,
 # twenty times over on two cores, the three packages sharing them —
 # internal/mp for its stream and TCP star and for the loop the root
 # package runs over them — the root package's local, cancellation and
 # hierarchy runs, which assemble the in-process runtime over memory
-# links, and internal/exec and internal/hier once more
-# with the ledger on, where the slave loop refills by one-sided claims
-# and every hier-rpc shard arms a step table per super-chunk.
+# links, and internal/exec once more with the ledger on, where
+# JobState's refills draw from the step table.
 flake:
 	GOMAXPROCS=2 $(GO) test -count=20 ./internal/exec ./internal/hier ./internal/mp
 	GOMAXPROCS=2 $(GO) test -count=20 -run 'Local|Cancel|Hier' .
-	LOOPSCHED_LEDGER=on GOMAXPROCS=2 $(GO) test -count=20 ./internal/exec ./internal/hier
+	LOOPSCHED_LEDGER=on GOMAXPROCS=2 $(GO) test -count=20 ./internal/exec
 
 # bench-smoke runs the repository benchmark under the driver's own
 # contract — one short traced workload — and fails unless the last

@@ -40,7 +40,6 @@ func main() {
 		rpcReal      = flag.Bool("rpc", false, "execute with real RPC slaves self-hosted on loopback (overrides -real)")
 		transport    = flag.String("transport", "", "rpc wire format: binary or netrpc (default: $LOOPSCHED_TRANSPORT, else binary)")
 		window       = flag.Int("window", 0, "credit window: chunks a worker holds beyond the one computing (-real, -rpc; 0 = sized by the measured round trip)")
-		ledgerMode   = flag.String("ledger", "", "scheduling-step ledger: on or off; eligible schemes claim chunks with one fetch-and-add instead of master round trips (default: $LOOPSCHED_LEDGER, else off)")
 		tree         = flag.Bool("tree", false, "use Tree Scheduling (ignores -scheme)")
 		gantt        = flag.Bool("gantt", false, "print an ASCII Gantt chart of the simulated run")
 		traceCSV     = flag.String("trace-csv", "", "write the chunk-level execution trace to this CSV file")
@@ -152,14 +151,12 @@ func main() {
 				spec.Pipeline = true
 				spec.Transport = *transport
 				spec.CreditWindow = *window
-				spec.Ledger = *ledgerMode
 				spec.Trace = tr
 			} else if *real {
 				spec.Backend = loopsched.BackendLocal
 				spec.Workers = realWorkers(*p)
 				spec.Body = burnBody(w)
 				spec.CreditWindow = *window
-				spec.Ledger = *ledgerMode
 				spec.Trace = tr
 			} else {
 				spec.Backend = loopsched.BackendSim

@@ -1,14 +1,12 @@
 package exec
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"testing"
 
 	"loopsched/internal/hotpath"
-	"loopsched/internal/ledger"
 	"loopsched/internal/sched"
 	"loopsched/internal/wire"
 	"loopsched/internal/workload"
@@ -27,8 +25,6 @@ var hotGuards = map[string]func(t *testing.T){
 	"(*JobState).Complete": jobStateCycleGuard,
 	"(*Master).book":       masterReplyGuard,
 	"(Worker).run":         workerRunGuard,
-	"(*claimer).send":      claimRefillGuard,
-	"(*claimer).recv":      claimRefillGuard,
 	"(*memLink).Send":      memLinkRefillGuard,
 	"(*memLink).Recv":      memLinkRefillGuard,
 }
@@ -174,62 +170,6 @@ func memLinkRefillGuard(t *testing.T) {
 	cycle()
 	if avg := testing.AllocsPerRun(200, cycle); avg > 0 {
 		t.Errorf("a %d-grant memory-link refill allocates %.1f objects, want 0", depth, avg)
-	}
-}
-
-// frameSink is a connection that only collects what is written to it.
-type frameSink struct{ *bytes.Buffer }
-
-func (frameSink) Close() error { return nil }
-
-// claimRefillGuard pins the slave loop's claim refill at zero
-// allocations with telemetry off, at a derived depth of 64 chunks on a
-// CSS(4) step table: send the claim, read the step that answers it as
-// the grants it covers, compute them and queue one no-reply deposit per
-// chunk — what runWindow does per claim while it claims.
-// The master's answers are step frames recorded up front.
-func claimRefillGuard(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under the race detector sync.Pool drops encode buffers at random")
-	}
-	const k, depth, cycles = 4, 64, 202 // AllocsPerRun runs once more than asked
-	tab, err := ledger.Build(sched.CSSScheme{K: k}, sched.Config{Iterations: 1 << 20, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var steps bytes.Buffer
-	master := wire.NewServer(frameSink{&steps}, nil)
-	for c := 0; c < cycles; c++ {
-		if err := master.WriteStep(uint64(c * depth)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl := claimer{c: wire.NewServer(discardConn{&steps}, nil), tab: tab, share: 1, claimed: true}
-	w := Worker{Kernel: func(int) []byte { return nil }}
-	var (
-		req  wire.Request
-		rep  wire.Reply
-		recs []wire.Record
-	)
-	cycle := func() {
-		if err := cl.send(depth); err != nil {
-			panic(err)
-		}
-		if err := cl.recv(nil, &rep); err != nil || cl.done || len(rep.Grants) != depth {
-			panic(fmt.Sprint("claim refill guard: ", len(rep.Grants), " chunks, ", err))
-		}
-		for _, a := range rep.Grants {
-			recs = w.run(recs[:0], a.Start, a.End())
-			w.wireRequest(&req, true, 0, recs, nil, 1e-6, 0)
-			req.NoReply = true
-			if err := cl.c.QueueRequest(&req); err != nil {
-				panic(err)
-			}
-		}
-	}
-	cycle() // sizes the grant and record buffers
-	if avg := testing.AllocsPerRun(cycles-2, cycle); avg > 0 {
-		t.Errorf("a %d-chunk claim refill allocates %.1f objects, want 0", depth, avg)
 	}
 }
 

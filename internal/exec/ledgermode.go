@@ -2,20 +2,20 @@ package exec
 
 import "os"
 
-// LedgerMode selects whether eligible runs use the decentralized
-// scheduling ledger (internal/ledger): workers claim scheduling steps
-// with a fetch-and-add and compute their own chunk boundaries from a
-// replicated table, instead of round-tripping every chunk through the
-// master's grant path. The mode is a request, not a guarantee — a
-// scheme that is neither step-deterministic nor, on the rpc master,
-// share-deterministic (docs/LEDGER.md "Eligibility") silently stays on
-// the master path, so "on" is always safe.
+// LedgerMode selects whether a service job's refills draw from the
+// scheduling-step ledger (internal/ledger, JobConfig.Ledger): one
+// fetch-and-add on a step counter plus table lookups, instead of the
+// job's policy under its mutex. The mode is a request, not a guarantee
+// — a scheme that is not step-deterministic (docs/LEDGER.md
+// "Eligibility") silently keeps the policy, so "on" is always safe.
+// exec.Master takes no mode: it arms a step table for every eligible
+// scheme, and every grant is a reply to a request.
 type LedgerMode string
 
 const (
-	// LedgerOff keeps every grant on the request/reply master path.
+	// LedgerOff keeps every refill on the job's policy.
 	LedgerOff LedgerMode = "off"
-	// LedgerOn claims chunks from the fetch-and-add ledger whenever the
+	// LedgerOn claims refills from the fetch-and-add ledger whenever the
 	// scheme is eligible.
 	LedgerOn LedgerMode = "on"
 )

@@ -59,9 +59,8 @@ func Dial(ctx context.Context, addr string, t Transport) (Link, error) {
 // gobLink speaks the original net/rpc + gob protocol. Its server
 // grants one chunk per call and carries neither credits nor span
 // blocks, so Request.Credits is dropped and a reply holds at most one
-// grant; deposit-only requests belong to the ledger dialogue, which is
-// binary-only. args, reply and done are reused call over call: Go
-// encodes args before it returns, and one call is in flight at a time.
+// grant. args, reply and done are reused call over call: Go encodes args
+// before it returns, and one call is in flight at a time.
 type gobLink struct {
 	c     *rpc.Client
 	args  ChunkArgs

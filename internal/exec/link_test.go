@@ -372,7 +372,7 @@ func (r *argsRecorder) NextChunk(args ChunkArgs, reply *ChunkReply) error {
 // server by serveSniffed as Master.Serve and Master.ServeConn would.
 func wireLink(t *testing.T, client, server io.ReadWriteCloser, srv *rpc.Server, rec *argsRecorder) Link {
 	t.Helper()
-	go serveSniffed(srv, server, nil, 0, rec.batch, nil)
+	go serveSniffed(srv, server, nil, 0, rec.batch)
 	t.Cleanup(func() { client.Close() })
 	c, err := wire.NewClient(client)
 	if err != nil {
@@ -394,7 +394,7 @@ var dialogueLinks = []struct {
 			t.Fatal(err)
 		}
 		client, server := net.Pipe()
-		go serveSniffed(srv, server, nil, 0, rec.batch, nil)
+		go serveSniffed(srv, server, nil, 0, rec.batch)
 		t.Cleanup(func() { client.Close() })
 		return newGobLink(client)
 	}},

@@ -106,12 +106,16 @@ func TestMasterStagesFromItsSource(t *testing.T) {
 	parked := make(chan wire.Reply)
 	go func() { parked <- ask(ChunkArgs{Worker: 1}) }()
 	waitUntil(t, func() bool { return m.Parked() == 1 })
-	ask(ChunkArgs{Worker: 0, Prefetch: true, DepositOnly: true}, first)
+	if rep := ask(ChunkArgs{Worker: 0, Prefetch: true}, first); len(rep.Grants) != 0 || rep.Stop {
+		t.Fatalf("prefetch delivering [0, 100): reply %+v, want empty", rep)
+	}
 	if m.Parked() != 1 || m.doneClosed() {
 		t.Fatalf("%d parked, done %v, with [100, 150) undelivered", m.Parked(), m.doneClosed())
 	}
 	// The last staged iteration lands: the parked request fetches.
-	ask(ChunkArgs{Worker: 0, Prefetch: true, DepositOnly: true}, second)
+	if rep := ask(ChunkArgs{Worker: 0, Prefetch: true}, second); len(rep.Grants) != 0 || rep.Stop {
+		t.Fatalf("prefetch delivering [100, 150): reply %+v, want empty", rep)
+	}
 	third := sched.Assignment{Start: 150, Size: 100}
 	one("the parked request on a quiescent shard", <-parked, third)
 	if src.fetches != 1 || src.acp != 2 {

@@ -8,15 +8,14 @@ import (
 	"slices"
 	"time"
 
-	"loopsched/internal/ledger"
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
 	"loopsched/internal/wire"
 )
 
 // This file is the chunk protocol in wire.Request / wire.Reply terms:
-// the master's sniffing connection router, the server-side frame loop, and the one slave loop every Link runs
-// (runWindow) with its binary-only refill by ledger claims (claimer).
+// the master's sniffing connection router, the server-side frame loop,
+// and the one slave loop every Link runs (runWindow).
 
 // batchFunc answers one batched chunk request: deposit args.Results,
 // then append up to `credits` grants (or a stop/park verdict) into
@@ -38,13 +37,6 @@ func (batch batchFunc) NextChunk(args ChunkArgs, reply *ChunkReply) error {
 	return nil
 }
 
-// fetchAddFunc answers one ledger claim: atomically reserve n
-// scheduling steps and return the first reserved step. worker is the
-// claimer's id when the connection has been labeled by a prior
-// request, else -1. A nil fetchAddFunc means the ledger is not active
-// and fetchadd frames drop the connection.
-type fetchAddFunc func(worker, n int) uint64
-
 // sniffedConn replays the bytes a protocol sniffer buffered ahead of
 // the gob stream.
 type sniffedConn struct {
@@ -60,7 +52,7 @@ func (c sniffedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
 // batch service, everything else to the net/rpc server, or is dropped
 // when srv is nil. It returns when the dialogue ends and closes the
 // stream. bus (nil allowed) receives wire frame counters; shard labels them.
-func serveSniffed(srv *rpc.Server, conn io.ReadWriteCloser, bus *telemetry.Bus, shard int, batch batchFunc, fetch fetchAddFunc) {
+func serveSniffed(srv *rpc.Server, conn io.ReadWriteCloser, bus *telemetry.Bus, shard int, batch batchFunc) {
 	defer conn.Close() // after net/rpc's own close on the gob route, harmlessly
 	br := bufio.NewReader(conn)
 	first, err := br.Peek(1)
@@ -74,45 +66,32 @@ func serveSniffed(srv *rpc.Server, conn io.ReadWriteCloser, bus *telemetry.Bus, 
 	if err := wire.ConsumePreamble(br); err != nil {
 		return
 	}
-	serveWire(wire.NewServer(conn, br), bus, shard, batch, fetch)
+	serveWire(wire.NewServer(conn, br), bus, shard, batch)
 }
 
 // serveWire runs the framed loop for one worker connection until the
 // stream closes, a frame fails to parse, or a stop reply to a
-// synchronous request completes the dialogue. Three client frame
-// shapes interleave on one connection: synchronous and prefetch
-// requests (answered with a reply), no-reply deposits (results filed,
-// nothing written back), and — when fetch is non-nil — ledger claims
-// (answered with a step frame).
-func serveWire(c *wire.Conn, bus *telemetry.Bus, shard int, batch batchFunc, fetch fetchAddFunc) {
+// synchronous request completes the dialogue. Every frame the master
+// serves is a request it answers with a reply: the codec's FetchAdd and
+// no-reply frames ask for an answer no master gives, so either drops
+// the dialogue — left unanswered, a claim would deadlock its worker,
+// and results filed without a reply would leave it none to read.
+func serveWire(c *wire.Conn, bus *telemetry.Bus, shard int, batch batchFunc) {
 	c.SetTelemetry(bus, -1, shard)
 	var (
 		req     wire.Request
 		rep     wire.Reply
 		results []ChunkResult
 		labeled bool
-		worker  = -1
 	)
 	for {
-		kind, n, err := c.ReadClientFrame(&req)
-		if err != nil {
-			return // closed, cancelled or corrupt: drop the dialogue
-		}
-		if kind == wire.KindFetchAdd {
-			if fetch == nil {
-				// No ledger on this master: a claim is unanswerable, and
-				// leaving it unanswered would deadlock the worker.
-				return
-			}
-			if err := c.WriteStep(fetch(worker, n)); err != nil {
-				return
-			}
-			continue
+		kind, _, err := c.ReadClientFrame(&req)
+		if err != nil || kind != wire.KindRequest || req.NoReply {
+			return // closed, cancelled, corrupt or unanswerable: drop the dialogue
 		}
 		if !labeled {
 			c.SetTelemetry(bus, req.Worker, shard)
 			labeled = true
-			worker = req.Worker
 		}
 		results = chunkResults(results, &req)
 		args := ChunkArgs{
@@ -122,17 +101,8 @@ func serveWire(c *wire.Conn, bus *telemetry.Bus, shard int, batch batchFunc, fet
 			IdleSeconds: req.IdleSeconds,
 			Results:     results,
 			Prefetch:    req.Prefetch,
-			DepositOnly: req.NoReply,
 		}
 		rep.Reset()
-		if req.NoReply {
-			// Deposit-only: the client will not read a reply, so an
-			// error has nowhere to ride — treat it as terminal.
-			if err := batch(args, 0, &rep); err != nil {
-				return
-			}
-			continue
-		}
 		stop := false
 		if err := batch(args, req.Credits, &rep); err != nil {
 			// Mirror net/rpc: the error rides back to the caller, the
@@ -202,9 +172,8 @@ func (w Worker) wireRequest(req *wire.Request, prefetch bool, credits int, recor
 // has run dry, so the round trip hides behind computation and a chunk
 // is bound to this worker only when it is about to need it. A window ≥ 1
 // caps the chunks held and sizes every ask; below 1 each ask covers what
-// will outlast the next round trip (ask). Over a binary link to a master
-// hosting a ledger a refill is a one-sided claim instead (claimer). idle
-// is stall time the caller has yet to report; it rides the first request.
+// will outlast the next round trip (ask). idle is stall time the caller
+// has yet to report; it rides the first request.
 func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error {
 	var (
 		req       wire.Request
@@ -228,7 +197,6 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		stopSeen  bool
 		echo      bool // the master span-tags its grants: echo the spans back
 		lastACP   int
-		cl        claimer
 	)
 	hold := window // chunks held at most: the queue, plus the one in hand a prefetch overlaps
 	if prefetch {
@@ -267,30 +235,11 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		need := trip - max(0, float64(held)-trip)
 		return int(min(max(1, math.Ceil(need/float64(size))), grantCeiling))
 	}
-	// send sends a refill of ask(held, room) chunks: a claim while the
-	// worker claims, else a request shipping everything pending.
+	// send sends a refill of ask(held, room) chunks, shipping everything
+	// pending.
 	send := func(pre bool, held, room int) error {
-		n := ask(held, room)
-		if cl.claimed = cl.claiming(lastACP); cl.claimed {
-			return cl.send(n)
-		}
-		fill(pre, n)
+		fill(pre, ask(held, room))
 		return l.Send(&req)
-	}
-	// deposit queues everything pending as a no-reply report, unflushed:
-	// it ships with the next claim or request.
-	deposit := func() error {
-		fill(true, 0)
-		req.NoReply = true
-		return cl.c.QueueRequest(&req)
-	}
-	// Hello deposit: fetchadd frames carry no worker id, so an empty
-	// no-reply request labels the connection (and joins the fleet) before
-	// the first claim.
-	if cl.arm(l, w) {
-		if err := deposit(); err != nil {
-			return err
-		}
 	}
 	for {
 		if len(queue) == 0 {
@@ -307,7 +256,7 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 					return err
 				}
 			}
-			if err := cl.recv(l, &rep); err != nil {
+			if err := l.Recv(&rep); err != nil {
 				return err
 			}
 			now := w.now()
@@ -324,12 +273,6 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 				idle += wait
 			}
 			inflight = false
-			if cl.claimed {
-				w.Telemetry.Publish(telemetry.Event{
-					Kind: telemetry.LedgerFetch, Worker: w.TelemetryID, Shard: w.TelemetryShard,
-					Start: cl.n / cl.share, At: w.Telemetry.Now(), Seconds: now.Sub(sentAt).Seconds(),
-				})
-			}
 			stopSeen, echo = stopSeen || rep.Stop, echo || len(rep.Spans) > 0
 			queue, spanQueue = qbuf[:0], sbuf[:0] // the queue is empty
 			for i, g := range rep.Grants {
@@ -344,11 +287,6 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			qbuf, sbuf = queue, spanQueue
 			if sync && rep.Stop {
 				return nil // the one way out: this request shipped everything
-			}
-			if sync && !cl.done && cl.tab == nil {
-				// A unit table is armed by the gather this request was part
-				// of: from here on the worker claims, or never will.
-				cl.done = !cl.arm(l, w)
 			}
 			continue
 		}
@@ -405,92 +343,5 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		}
 		lap()
 		w.completed(a, span, lastACP, mark.Sub(start).Seconds())
-		if cl.tab != nil {
-			// In the ledger dialogue each chunk is reported on its own, so
-			// the master's per-chunk accounting stays exact however deep a
-			// claim runs, and a claimed chunk, which no master ledger
-			// holds, is counted once.
-			if err := deposit(); err != nil {
-				return err
-			}
-		}
 	}
-}
-
-// claimer is the slave loop's one-sided refill: instead of asking the
-// master which chunks to run, the worker fetch-adds on the master's
-// ledger and cuts the chunks itself from its replica of the table — the
-// master only sees a few-byte claim and answers a position, so the grant
-// carries no policy lock, no result copying and no reply encoding.
-//
-// The counter moves in the table's units (ledger.Table.Share): one
-// scheduling step per chunk on a step table; on the unit table of a
-// distributed scheme a chunk is the worker's plan-time ACP A_j of them
-// and covers C_j = SC_k·A_j/A iterations. A claim is share-bounded
-// (Table.SpanBatch) from the end of the last answered claim: other
-// workers can only have moved the counter further, onto smaller chunks.
-type claimer struct {
-	c       *wire.Conn
-	tab     *ledger.Table // the master's table, nil until armed
-	share   int           // units one chunk of this worker's takes
-	known   uint64        // end of the last answered claim
-	n       int           // units the claim in flight takes
-	claimed bool          // the refill in flight is a claim
-	done    bool          // claims are over for this dialogue
-}
-
-// arm takes the master's table, once one is armed (a step table from
-// the first, a unit table by the gather), and the worker's share of it:
-// only a binary link to a master hosting a ledger claims.
-func (cl *claimer) arm(l Link, w Worker) bool {
-	if cl.c, _ = l.(*wire.Conn); cl.c == nil || w.LedgerTable == nil {
-		cl.done = true
-	} else if cl.tab = w.LedgerTable(); cl.tab != nil {
-		cl.share = cl.tab.Share(w.ID)
-	}
-	return cl.tab != nil
-}
-
-// claiming reports whether the next refill is a claim: while the table
-// lasts and the worker is on its plan — it has a share and, on a unit
-// table, the ACP the plan gave it that share for. Off it, it never is.
-func (cl *claimer) claiming(acp int) bool {
-	if cl.tab != nil && !cl.done {
-		cl.done = cl.share < 1 || cl.tab.Units() && cl.share != acp
-	}
-	return cl.tab != nil && !cl.done
-}
-
-// send writes a claim for up to chunks chunks, share-bounded. Its flush
-// carries every deposit queued since the last one.
-//
-//lint:loopsched-hotpath
-func (cl *claimer) send(chunks int) error {
-	cl.n = cl.tab.SpanBatch(cl.known, cl.share, chunks) * cl.share
-	return cl.c.WriteFetchAdd(cl.n)
-}
-
-// recv reads the answer to the refill in flight into rep: l's reply to
-// a request, or the grants a claim covers. A claim that reached past the
-// table's end — the loop is fully claimed, or a re-plan closed the table
-// — keeps what lay inside and ends the claims.
-//
-//lint:loopsched-hotpath
-func (cl *claimer) recv(l Link, rep *wire.Reply) error {
-	if !cl.claimed {
-		return l.Recv(rep)
-	}
-	first, err := cl.c.ReadStep()
-	if err != nil {
-		return err
-	}
-	rep.Reset()
-	cl.known = first + uint64(cl.n)
-	for off := 0; off < cl.n && !cl.done; off += cl.share {
-		a, ok := cl.tab.Span(first+uint64(off), cl.share)
-		if cl.done = !ok; ok && a.Size > 0 { // a share that rounds to nothing is nobody's chunk
-			rep.Grants = append(rep.Grants, a)
-		}
-	}
-	return nil
 }

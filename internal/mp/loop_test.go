@@ -244,7 +244,14 @@ func runCancelled(t *testing.T, master loopsched.Comm, slave func(int) loopsched
 			defer wg.Done()
 			workerErrs[r-1] = loopsched.RunMPWorker(slave(r), loopsched.MPWorkerOptions{
 				Kernel: func(int) []byte {
-					once.Do(cancel)
+					once.Do(func() {
+						// The whole loop takes less than a scheduler time
+						// slice: give up this CPU so the master's goroutine,
+						// which cancel readied on it, cancels the run before
+						// the workers can finish the loop.
+						cancel()
+						time.Sleep(10 * time.Millisecond)
+					})
 					return nil
 				},
 			})

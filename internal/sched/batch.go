@@ -1,9 +1,9 @@
 package sched
 
-// BatchLimit is the assignment rule every chunk batcher obeys (the rpc
-// masters' replies, the wire ledger's claims, the steal engine's refills
-// and through them the service fleet; stated once in docs/LEDGER.md
-// "Share-bounded batches"): one trip may hand a PE consecutive chunks
+// BatchLimit is the assignment rule every chunk batcher obeys
+// (exec.Master's replies on every backend, and the service fleet's
+// JobState refills; stated once in docs/LEDGER.md "Share-bounded
+// batches"): one trip may hand a PE consecutive chunks
 // only while their iteration total stays within
 //
 //	max(⌈R/(2p)⌉, ⌈N/(32p)⌉)

@@ -1,7 +1,7 @@
 // Package service is the long-lived multi-tenant scheduler: one shared
 // worker fleet serving a stream of loop jobs. Where Run executes a
 // single loop and tears its workers down, a Scheduler keeps the fleet
-// (work-stealing deque workers, as in internal/exec's steal engine)
+// (work-stealing deque workers, each job an internal/exec JobState)
 // alive and admits JobSpecs continuously: an admission queue enforces
 // per-tenant quotas, an arbiter hands refill credit to ready jobs by
 // strict priority and weighted deficit-round-robin, and a fail-queue

@@ -150,12 +150,11 @@ const (
 	// drainer goroutine), never by a backend.
 	StragglerDetected
 
-	// LedgerFetch marks one fetch-and-add claim on the scheduling
-	// ledger: Worker is the claimer, Start the number of steps claimed,
-	// Seconds the claim's round-trip time (zero for the in-process
-	// backend, where the claim is a single atomic add). Published by
-	// the claiming side, so the aggregator can count claims and track
-	// claim latency per backend.
+	// LedgerFetch marks one fetch-and-add refill of a service job on
+	// the scheduling ledger (exec.JobState): Worker is the claimer,
+	// Start the number of steps claimed, Seconds the claim's latency.
+	// Published by the claiming side, so the aggregator can count
+	// claims and track claim latency per backend.
 	LedgerFetch
 
 	kindCount // number of kinds; keep last

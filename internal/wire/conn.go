@@ -99,8 +99,7 @@ func (c *Conn) writeFrame(body []byte, items int, encodeSec float64) error {
 
 // queueFrame is writeFrame without the flush: the frame sits in the
 // send buffer until the next flushed write, so a caller can coalesce
-// several frames into one segment (the ledger worker rides its
-// completion deposit on the same flush as the next claim).
+// several frames into one segment.
 //
 //lint:loopsched-hotpath
 func (c *Conn) queueFrame(body []byte, items int, encodeSec float64) error {
@@ -148,8 +147,7 @@ func (c *Conn) WriteRequest(r *Request) error {
 
 // QueueRequest encodes a request frame into the send buffer without
 // flushing it; the frame ships with the connection's next flushed
-// write. The ledger worker queues its no-reply completion deposit this
-// way so deposit and claim leave in one segment.
+// write, so several frames can leave in one segment.
 //
 //lint:loopsched-hotpath
 func (c *Conn) QueueRequest(r *Request) error {
@@ -390,9 +388,7 @@ func (c *Conn) FetchAdd(n int) (uint64, error) {
 
 // ReadClientFrame blocks for the next client-originated frame and
 // dispatches on its type: a request frame decodes into r (exactly as
-// ReadRequest), a fetchadd frame returns its claimed step count. This
-// is how one server loop interleaves the two-sided grant dialogue and
-// the one-sided ledger dialogue on a single connection.
+// ReadRequest), a fetchadd frame returns its claimed step count.
 //
 //lint:loopsched-hotpath
 func (c *Conn) ReadClientFrame(r *Request) (Kind, int, error) {

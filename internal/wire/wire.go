@@ -43,13 +43,13 @@
 //	fetchadd body: 0x03 | uvarint n                  (claim n steps)
 //	step body:     0x04 | uvarint step               (first claimed step)
 //
-// FetchAdd/Step are the one-sided ledger dialogue (docs/LEDGER.md): a
-// worker claims n scheduling steps with a fetch-and-add on the
-// server's step counter and computes its own chunk boundaries from a
-// replicated table, so the frames carry a single uvarint each instead
-// of a grant batch. The no-reply request flag (bit2) marks a
-// deposit-only request — piggy-backed completion records for which the
-// client will not read a reply; servers must not write one.
+// FetchAdd/Step are a one-sided claim dialogue — claim n scheduling
+// steps, get the first back — carrying a single uvarint each instead of
+// a grant batch. The no-reply request flag (bit2) marks a deposit-only
+// request — piggy-backed completion records for which the client will
+// not read a reply; servers must not write one. Both are codec-only:
+// exec.Master answers neither and drops a connection that sends one
+// (docs/PROTOCOL.md "Codec-only frames").
 //
 // A completion record is a range, not an iteration: a run of count
 // consecutive iterations whose kernel returned no bytes travels as one
@@ -119,8 +119,8 @@ const (
 	replyFlags = flagStop | flagError | flagSpans
 )
 
-// Kind discriminates the client-originated frame types a ledger-aware
-// server can receive interleaved on one connection.
+// Kind discriminates the client-originated frame types a server can
+// receive on one connection.
 type Kind byte
 
 // Client frame kinds, as returned by Conn.ReadClientFrame.
@@ -174,8 +174,7 @@ type Request struct {
 	Prefetch    bool
 	// NoReply marks a deposit-only request: the client ships completion
 	// records but will not read a reply, and the server must not write
-	// one. The ledger worker loop uses it so steady-state completion
-	// reports never block on a round trip.
+	// one. Codec-only: exec.Master drops a connection that sets it.
 	NoReply bool
 	Credits int
 	Results []Record

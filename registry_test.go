@@ -72,19 +72,19 @@ func TestDescribeSchemesCoversCatalogue(t *testing.T) {
 	}
 }
 
-// TestSchemeLedgerClasses pins the three-way classification of
+// TestSchemeLedgerClasses pins the two-way classification of
 // docs/LEDGER.md "Eligibility" for every registered scheme: a step
-// table (step-deterministic), a unit table (share-deterministic — the
-// paper's distributed family), or the master path. A scheme cannot
-// register, or change class, without this table saying where it goes;
-// the two builders must agree with the declaration.
+// table (step-deterministic) or the policy — the paper's distributed
+// family among the latter, since their chunks read the request's ACP. A
+// scheme cannot register, or change class, without this table saying
+// where it goes; ledger.Build must agree with the declaration.
 func TestSchemeLedgerClasses(t *testing.T) {
-	const step, share, neither = "step", "share", "neither"
+	const step, policy = "step", "policy"
 	want := map[string]string{
 		"S": step, "SS": step, "CSS(16)": step, "CSS(125)": step, "GSS": step, "GSS(8)": step,
 		"TSS": step, "FSS": step, "FISS": step, "TFSS": step,
-		"DTSS": share, "DFSS": share, "DFISS": share, "DTFSS": share, "DCSS(16)": share, "DGSS": share,
-		"WS": neither, "WF": neither, "AWF": neither,
+		"DTSS": policy, "DFSS": policy, "DFISS": policy, "DTFSS": policy, "DCSS(16)": policy, "DGSS": policy,
+		"WS": policy, "WF": policy, "AWF": policy,
 	}
 	cfg := sched.Config{Iterations: 1000, Workers: 2}
 	for _, name := range loopsched.SchemeNames() {
@@ -92,30 +92,20 @@ func TestSchemeLedgerClasses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		class := neither
-		switch {
-		case sched.StepDeterministic(s) && sched.ShareDeterministic(s):
-			t.Errorf("%s declares both classes", name)
-		case sched.StepDeterministic(s):
+		class := policy
+		if sched.StepDeterministic(s) {
 			class = step
-		case sched.ShareDeterministic(s):
-			class = share
 		}
 		if w, ok := want[name]; !ok {
 			t.Errorf("%s is registered but not classified here (it declares %q)", name, class)
 		} else if class != w {
 			t.Errorf("%s declares %q, want %q", name, class, w)
 		}
-		if class == share && !sched.Distributed(s) {
-			t.Errorf("%s is share-deterministic but not distributed: it would be staged before the gather", name)
+		if class == step && sched.Distributed(s) {
+			t.Errorf("%s is step-deterministic but distributed: it would be staged before the gather", name)
 		}
-		_, stepErr := ledger.Build(s, cfg)
-		_, unitErr := ledger.BuildUnits(s, cfg, []int{30, 10})
-		if got := stepErr == nil; got != (class == step) {
-			t.Errorf("%s (%s): ledger.Build error = %v", name, class, stepErr)
-		}
-		if got := unitErr == nil; got != (class == share) {
-			t.Errorf("%s (%s): ledger.BuildUnits error = %v", name, class, unitErr)
+		if _, err := ledger.Build(s, cfg); (err == nil) != (class == step) {
+			t.Errorf("%s (%s): ledger.Build error = %v", name, class, err)
 		}
 		delete(want, name)
 	}

@@ -114,28 +114,16 @@ type RunSpec struct {
 	// is computing (1 is a double buffer). 0 leaves the depth to the
 	// workers: each asks for what outlasts its measured round trip to the
 	// master, up to the master's own ceiling (DESIGN.md §9). It is a cap
-	// everywhere, never a quota: master replies and one-sided ledger
-	// claims are share-bounded batches, which fill the depth on a fine
-	// loop — amortising a round trip over many chunks — and shrink to a
-	// single chunk while chunks are large (docs/LEDGER.md "Share-bounded
-	// batches").
+	// everywhere, never a quota: master replies are share-bounded
+	// batches, which fill the depth on a fine loop — amortising a round
+	// trip over many chunks — and shrink to a single chunk while chunks
+	// are large (docs/LEDGER.md "Share-bounded batches").
 	CreditWindow int
-	// Ledger requests the decentralized scheduling ledger: "on" lets
-	// workers claim scheduling steps with a single fetch-and-add and
-	// compute chunk boundaries from a replicated table (rpc backend on
-	// the binary transport, mp backend). A local master, and a hier
-	// shard master, arms a step table either way and its workers never
-	// claim; "on" publishes its draws as ledger fetches.
-	// Empty consults the LOOPSCHED_LEDGER environment variable and falls
-	// back to "off".
-	// On the flat rpc and mp backends the paper's distributed schemes
-	// (DTSS, DFSS, DFISS, DTFSS, DCSS, DGSS) claim one-sided too, in units
-	// of computing power from a table planned at the gather — a
-	// power-invariant reading of C_j = SC_k·A_j/A whose chunk sequence
-	// differs from the recursive policy's on unequal workers; elsewhere
-	// they keep the policy. The mode is advisory: schemes in neither
-	// class (WF, AWF) keep the master path, so "on" is always safe. See
-	// docs/LEDGER.md.
+	// Ledger is accepted and ignored: every backend grants only through
+	// the master's request/reply dialogue, whose step-table fast path
+	// needs no switch (docs/LEDGER.md). "on", "off" and "" are valid; any
+	// other value is an error. The field goes when the benchmark retires
+	// its rpc_ledger cell (ROADMAP item 4).
 	Ledger string
 	// LocalEngine is accepted and ignored: BackendLocal has one
 	// in-process runtime, and EngineChannel, EngineSteal and "" all pick
@@ -503,9 +491,6 @@ func runFlat(ctx context.Context, spec RunSpec, kernel Kernel, bus *telemetry.Bu
 	}
 	master.SetTelemetry(bus)
 	master.SetWindow(spec.CreditWindow)
-	if err := master.SetLedger(exec.LedgerMode(spec.Ledger)); err != nil {
-		return Report{}, err
-	}
 	if spec.DisableReplan {
 		master.DisableReplan()
 	}
@@ -522,14 +507,6 @@ func runFlat(ctx context.Context, spec RunSpec, kernel Kernel, bus *telemetry.Bu
 	var wg sync.WaitGroup
 	for i := range spec.Workers {
 		w := rpcWorker(spec, kernel, bus, powers, i)
-		// When the master hosts a ledger, hand every worker the handle to
-		// its table — armed already, or after the gather for a distributed
-		// scheme: binary-transport workers switch to one-sided claims, gob
-		// and memory-link workers ignore it and keep the master path —
-		// which draws from the same counter, so a mixed fleet stays exact.
-		if master.LedgerActive() {
-			w.LedgerTable = master.Ledger
-		}
 		wg.Add(1)
 		go func(w exec.Worker) {
 			defer wg.Done()
@@ -612,7 +589,7 @@ func runHierarchy(ctx context.Context, spec RunSpec, kernel Kernel, bus *telemet
 		}
 		sub.SetTelemetry(bus)
 		sub.SetWindow(spec.CreditWindow)
-		if err := errors.Join(sub.SetLedger(exec.LedgerMode(spec.Ledger)), sub.SetPowers(shardPowers)); err != nil {
+		if err := sub.SetPowers(shardPowers); err != nil {
 			root.Cancel(err)
 			break
 		}

@@ -324,6 +324,22 @@ func TestRunSpecValidationPerBackend(t *testing.T) {
 			wantErr: `loopsched: unknown transport "carrier-pigeon"`,
 		},
 		{
+			name: "rpc ledger on",
+			spec: loopsched.RunSpec{
+				Scheme: scheme, Workload: w, Backend: loopsched.BackendRPC,
+				Workers: runWorkers(), Body: noop, Ledger: "on",
+			},
+			// Accepted and ignored: every grant is a master reply.
+		},
+		{
+			name: "rpc unknown ledger mode",
+			spec: loopsched.RunSpec{
+				Scheme: scheme, Workload: w, Backend: loopsched.BackendRPC,
+				Workers: runWorkers(), Body: noop, Ledger: "sideways",
+			},
+			wantErr: `loopsched: unknown ledger mode "sideways"`,
+		},
+		{
 			name:    "mp without workers",
 			spec:    loopsched.RunSpec{Scheme: scheme, Workload: w, Backend: loopsched.BackendMP, Body: noop},
 			wantErr: "loopsched: mp backend needs Workers",
