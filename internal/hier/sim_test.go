@@ -2,7 +2,11 @@ package hier
 
 import (
 	"context"
+	"flag"
 	"fmt"
+	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"loopsched/internal/sched"
@@ -141,5 +145,78 @@ func TestSimulateStealsUnderLoad(t *testing.T) {
 	}
 	if rep.Steals == 0 {
 		t.Fatal("expected root-level steals with half the cluster loaded")
+	}
+}
+
+var updatePins = flag.Bool("update-pins", false, "rewrite testdata/simulate_pinned.golden from the current simulator")
+
+// TestSimulatePinned pins the hierarchical simulator's figures bit for
+// bit: T_p, chunk and steal totals, every shard's tallies and every
+// worker's Comp/Comm/Wait, for each non-learning scheme on a 9-machine
+// cluster at one and three shards, and on the loaded 8-machine cluster
+// of TestSimulateStealsUnderLoad. A refactor of the event model must
+// leave the golden file as it is; `go test -run TestSimulatePinned
+// ./internal/hier -update-pins` rewrites it when a change is meant to
+// move the numbers.
+func TestSimulatePinned(t *testing.T) {
+	loaded := testCluster(8)
+	for _, w := range AssignShards(loaded.Powers(), 2)[0] {
+		loaded.Machines[w].Load = sim.LoadScript{{Start: 0, End: 1e9, Extra: 8}}
+	}
+	type setup struct {
+		name    string
+		cluster sim.Cluster
+		w       workload.Workload
+		p       sim.Params
+		cfg     Config
+	}
+	setups := []setup{
+		{"p9/shards1", testCluster(9), workload.LinearDecreasing{N: 4000}, sim.Params{}, Config{Shards: 1}},
+		{"p9/shards3", testCluster(9), workload.LinearDecreasing{N: 4000}, sim.Params{}, Config{Shards: 3}},
+		{"loaded/shards2", loaded, workload.Uniform{N: 20000, C: 100}, sim.Params{BytesPerIter: 1}, Config{Shards: 2}},
+	}
+	bits := func(v float64) string { return fmt.Sprintf("%016x(%.9g)", math.Float64bits(v), v) }
+	var got strings.Builder
+	for _, name := range sched.Names() {
+		scheme, err := sched.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sched.Learns(scheme) {
+			continue
+		}
+		for _, s := range setups {
+			rep, err := Simulate(context.Background(), s.cluster, scheme, s.w, s.p, s.cfg)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, s.name, err)
+			}
+			fmt.Fprintf(&got, "== %s %s\ntp %s chunks %d steals %d\n", name, s.name, bits(rep.Tp), rep.Chunks, rep.Steals)
+			for _, sh := range rep.Shards {
+				fmt.Fprintf(&got, "shard %d iterations %d chunks %d fetches %d steals %d\n",
+					sh.Shard, sh.Iterations, sh.Chunks, sh.Fetches, sh.Steals)
+			}
+			for i, pw := range rep.PerWorker {
+				fmt.Fprintf(&got, "worker %d comp %s comm %s wait %s\n", i, bits(pw.Comp), bits(pw.Comm), bits(pw.Wait))
+			}
+		}
+	}
+	const golden = "testdata/simulate_pinned.golden"
+	if *updatePins {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotCases, wantCases := strings.Split(got.String(), "== "), strings.Split(string(want), "== ")
+	if len(gotCases) != len(wantCases) {
+		t.Fatalf("%d pinned cases, want %d", len(gotCases), len(wantCases))
+	}
+	for i := range gotCases {
+		if gotCases[i] != wantCases[i] {
+			t.Errorf("figures moved\n--- got\n%s--- want\n%s", gotCases[i], wantCases[i])
+		}
 	}
 }
