@@ -63,10 +63,13 @@ escape-check:
 # And the transport rule: internal/mp carries bytes and knows neither a
 # scheme nor a dispenser, and a dispenser is built only by the sites
 # that answer requests: exec, whose Master is also every hier-rpc shard,
-# the hierarchical simulator, sim and service. And the in-process rule:
-# inside internal/exec one request handler answers every slave — the
-# master's (rpc.go) — beside the service's deque core (jobstate.go); the
-# names of the retired channel master and its slave loops stay gone.
+# sim, whose simulated master is also every hier-sim shard, and service.
+# And the in-process rule: inside internal/exec one request handler
+# answers every slave — the master's (rpc.go) — beside the service's
+# deque core (jobstate.go); the names of the retired channel master and
+# its slave loops stay gone. So do those of hier's own simulated
+# protocol (hsim, hevent, serviceShard, launchFetch): hier.Simulate is
+# topology over sim.RunShards.
 dup-check:
 	@! grep -rn 'NewPolicy(\|MajorityChanged(\|sched\.Offset(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/' \
@@ -78,9 +81,10 @@ dup-check:
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/'
 	@! grep -rn '"loopsched/internal/dispense"\|"loopsched/internal/sched"' --include='*.go' internal/mp
 	@! grep -rn 'dispense\.New(' --include='*.go' . \
-		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/exec/\|^./internal/hier/sim.go\|^./internal/sim/\|^./internal/service/'
+		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/exec/\|^./internal/sim/\|^./internal/service/'
 	@! grep -rn 'dispense\.New(' --include='*.go' internal/exec | grep -v '_test.go\|^internal/exec/rpc.go:\|^internal/exec/jobstate.go:'
 	@! grep -rnw 'ChannelRequest\|stealSlave\|Slaves' --include='*.go' . | grep -v '_test.go\|^./benchmark/\|^./.bench_build/'
+	@! grep -rn '\bhsim\b\|\bhevent\|serviceShard\|launchFetch' --include='*.go' . | grep -v '^./benchmark/\|^./.bench_build/'
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

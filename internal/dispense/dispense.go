@@ -5,7 +5,8 @@
 //
 // Every runtime in this repository — exec.Master behind every Run
 // backend (local, rpc, mp and the hierarchical submasters), the
-// service's JobState and both simulators — owns one Dispenser and
+// service's JobState and the simulator's master (flat, and every shard
+// of a simulated hierarchy) — owns one Dispenser and
 // differs only in how a claim travels to it: the waiting (link, condition
 // variable, event heap), the clock, the telemetry and the
 // completion accounting stay at the site. This is the split of chunk calculation from chunk

@@ -162,8 +162,6 @@ func TestEngineGrantEquivalence(t *testing.T) {
 		} else if _, fb := pol.(sched.FeedbackPolicy); fb {
 			continue // learning policies depend on measured timings
 		}
-		// Room for every event of an SS run (a few per chunk), so the ring
-		// never drops a grant the comparison needs.
 		grants := func(engine string, bus *telemetry.Bus, run func() (metrics.Report, error)) []sched.Assignment {
 			col := &grantCollector{}
 			bus.Subscribe(col)
@@ -177,13 +175,18 @@ func TestEngineGrantEquivalence(t *testing.T) {
 			if err := bus.Close(); err != nil {
 				t.Fatalf("%s/%s: bus close: %v", name, engine, err)
 			}
+			if d := bus.Dropped(); d > 0 {
+				t.Fatalf("%s/%s: the bus dropped %d events; the grants cannot be compared", name, engine, d)
+			}
 			sort.Slice(col.grants, func(i, j int) bool {
 				return col.grants[i].Start < col.grants[j].Start
 			})
 			return col.grants
 		}
 		w, body := workload.Uniform{N: n}, func(int) {}
-		mbus, dbus := telemetry.NewBus(1<<15), telemetry.NewBus(1<<15)
+		// Room for every event of an SS run (about 12 000 at n = 5000)
+		// with the drainer starved, so the ring never drops a grant.
+		mbus, dbus := telemetry.NewBus(1<<16), telemetry.NewBus(1<<16)
 		master := grants("master", mbus, func() (metrics.Report, error) {
 			return (&localRun{Scheme: s, Workers: specs(1, 1, 1, 1), Telemetry: mbus}).RunContext(context.Background(), w, body)
 		})

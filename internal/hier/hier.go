@@ -16,8 +16,9 @@
 //
 // Two runtimes share this logic:
 //
-//   - Simulate — a deterministic discrete-event model where the
-//     submaster hop costs an extra link latency (sim.go);
+//   - Simulate — the topology handed to the discrete-event simulator,
+//     whose master serves at the root and at every shard and whose
+//     root fetches cross the RootLink hop (sim.go);
 //   - Submaster — an exec.Master for its workers whose stages are the
 //     super-chunks it fetches, pipelined, from the root: an exec.Master
 //     over RootScheme, reached over TCP or, in one process, over memory

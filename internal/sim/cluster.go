@@ -10,6 +10,9 @@
 // one request at a time. The simulator reproduces the paper's
 // measurement vocabulary exactly — per-PE communication, waiting and
 // computation times, and the master-measured parallel time T_p.
+//
+// RunShards runs the same master at two levels — a root and one master
+// per shard — for the hierarchical runtime (hier.Simulate).
 package sim
 
 import (

@@ -69,11 +69,6 @@ type Params struct {
 	Telemetry *telemetry.Bus
 }
 
-// WithDefaults resolves the documented zero-value defaults; other
-// packages that reuse Params (e.g. the hierarchical simulator) call it
-// so the knobs mean the same thing everywhere.
-func (p Params) WithDefaults() Params { return p.withDefaults() }
-
 func (p Params) withDefaults() Params {
 	if p.BaseRate <= 0 {
 		p.BaseRate = 3e6
@@ -95,9 +90,9 @@ func (p Params) withDefaults() Params {
 
 // event kinds.
 const (
-	evRequestArrive = iota // a slave request reached the master
-	evServiceDone          // master finished servicing one request
-	evReplyArrive          // the master's reply reached the slave
+	evRequestArrive = iota // a request reached its master
+	evServiceDone          // a master finished servicing one request
+	evReplyArrive          // the master's reply reached the requester
 	evComputeDone          // slave finished computing its chunk
 	evDumpArrive           // collect-at-end result dump reached master
 	evBusDone              // a shared-bus transfer finished
@@ -108,9 +103,11 @@ type event struct {
 	t      float64
 	seq    int64
 	kind   int
-	worker int
+	worker int  // the slave; the shard on the root hop
+	root   bool // a shard master's fetch, or the root's answer to it
 	assign sched.Assignment
 	stop   bool
+	bytes  float64 // result payload a request carries
 	// payload is the event a bus transfer delivers on completion.
 	payload *event
 }
@@ -137,15 +134,37 @@ func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
 func (q *eventQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
 
 type pendingReq struct {
-	worker  int
+	worker  int // the slave; the shard at the root
 	arrival float64
 	acp     int
 	bytes   float64 // inbound payload the master must receive
 	dump    bool    // final result dump (collect-at-end mode)
 }
 
+// master is a single server: it answers its queue in FIFO order, one
+// request at a time, each service costing MasterOverhead plus the
+// request's inbound bytes over the master's bandwidth. A slave-facing
+// master answers from its Dispenser, staging one stage at a time from
+// stages: the whole loop once on a flat run; on a hierarchical run the
+// super-chunks it fetches from the root, one fetch in flight, sent as
+// the last buffered one is staged and carrying the results its slaves
+// delivered since the previous fetch. The root is a master without a
+// Dispenser whose grant rule is simulator.grant.
+type master struct {
+	queue    []pendingReq
+	busy     bool
+	d        *dispense.Dispenser
+	stages   []sched.Assignment // received, not yet staged
+	fetching bool
+	rootDone bool               // the root has nothing more for this master
+	results  float64            // result bytes for the next fetch
+	stats    metrics.ShardStats // a hierarchical report's entry for it
+}
+
 type workerState struct {
 	times      metrics.Times
+	shard      int     // index of the worker's master
+	local      int     // the worker's index at its master
 	lastChunk  int     // iterations of the chunk just computed
 	heldBytes  float64 // results held locally (collect-at-end)
 	reqSent    float64 // when the in-flight request left the slave
@@ -154,7 +173,6 @@ type workerState struct {
 	done       bool
 	finishedAt float64
 	iterations int
-	requests   int
 	// Pipelined-mode state (Params.Prefetch).
 	computing      bool             // a chunk is executing right now
 	queued         sched.Assignment // reply that arrived mid-compute
@@ -174,11 +192,14 @@ type simulator struct {
 	now      float64
 	seq      int64
 	events   eventQueue
-	queue    []pendingReq
-	busy     bool
+	mbw      float64  // every master's bandwidth, bytes/s
+	masters  []master // one per shard; one on a flat run
+	root     master
+	rootLink Link
+	// grant is the root's rule for a shard's fetch served at virtual
+	// time at; nil on a flat run.
+	grant    func(shard int, at float64) (sched.Assignment, bool)
 	workers  []workerState
-	d        *dispense.Dispenser // the master's gather / plan / draw state
-	chunks   int
 	lastTime float64
 	busBusy  bool
 	busQueue []busJob
@@ -232,6 +253,26 @@ func Run(c Cluster, s sched.Scheme, w workload.Workload, p Params) (metrics.Repo
 // aborts with its error. The simulation stays deterministic — ctx only
 // decides whether it runs to completion.
 func RunContext(ctx context.Context, c Cluster, s sched.Scheme, w workload.Workload, p Params) (metrics.Report, error) {
+	all := make([]int, len(c.Machines))
+	for i := range all {
+		all[i] = i
+	}
+	return run(ctx, c, s, w, p, [][]int{all}, Link{}, nil)
+}
+
+// RunShards is RunContext for a two-level run: shard master k drives
+// the machines shards[k] and stages the super-chunks it fetches from a
+// root over rootLink, where grant answers shard k's fetch served at
+// virtual time at. The report's Shards carry each shard's workers,
+// iterations, chunks, Comp and finish time; fetch and steal tallies are
+// the root's to add.
+func RunShards(ctx context.Context, c Cluster, s sched.Scheme, w workload.Workload, p Params,
+	shards [][]int, rootLink Link, grant func(shard int, at float64) (sched.Assignment, bool)) (metrics.Report, error) {
+	return run(ctx, c, s, w, p, shards, rootLink, grant)
+}
+
+func run(ctx context.Context, c Cluster, s sched.Scheme, w workload.Workload, p Params,
+	shards [][]int, rootLink Link, grant func(int, float64) (sched.Assignment, bool)) (metrics.Report, error) {
 	if err := c.Validate(); err != nil {
 		return metrics.Report{}, err
 	}
@@ -245,19 +286,36 @@ func RunContext(ctx context.Context, c Cluster, s sched.Scheme, w workload.Workl
 		p.Trace.Workers = len(c.Machines)
 	}
 	sim := &simulator{
-		cluster: c,
-		params:  p,
-		work:    w,
-		ctx:     ctx,
-		dist:    sched.Distributed(s),
-		workers: make([]workerState, len(c.Machines)),
+		cluster:  c,
+		params:   p,
+		work:     w,
+		ctx:      ctx,
+		dist:     sched.Distributed(s),
+		mbw:      c.masterBandwidth(),
+		masters:  make([]master, len(shards)),
+		rootLink: rootLink,
+		grant:    grant,
+		workers:  make([]workerState, len(c.Machines)),
+	}
+	for k, members := range shards {
 		// Static-weight schemes (WF, WS) see the plan-time virtual
 		// powers but never the run-time load (the paper's section 6
 		// distinction).
-		d: dispense.New(dispense.Config{
-			Scheme: s, Workers: len(c.Machines), Powers: c.Powers(),
-			NoReplan: p.DisableReplan,
-		}),
+		powers := make([]float64, len(members))
+		for i, wi := range members {
+			powers[i] = c.Machines[wi].Power
+			sim.workers[wi].shard, sim.workers[wi].local = k, i
+		}
+		m := &sim.masters[k]
+		m.stats = metrics.ShardStats{Shard: k, Workers: len(members)}
+		// A super-chunk is re-planned at its boundary, never mid-stage.
+		m.d = dispense.New(dispense.Config{
+			Scheme: s, Workers: len(members), Powers: powers,
+			NoReplan: p.DisableReplan || grant != nil,
+		})
+		if grant == nil {
+			m.stages, m.rootDone = []sched.Assignment{{Size: w.Len()}}, true
+		}
 	}
 	if err := sim.run(); err != nil {
 		return metrics.Report{}, err
@@ -276,8 +334,14 @@ func RunContext(ctx context.Context, c Cluster, s sched.Scheme, w workload.Workl
 		Workload: w.Name(),
 		Workers:  len(c.Machines),
 		Tp:       sim.lastTime,
-		Chunks:   sim.chunks,
-		Replans:  sim.d.Replans(),
+	}
+	for k := range sim.masters {
+		m := &sim.masters[k]
+		report.Chunks += m.stats.Chunks
+		report.Replans += m.d.Replans()
+		if grant != nil {
+			report.Shards = append(report.Shards, m.stats)
+		}
 	}
 	for i := range sim.workers {
 		report.PerWorker = append(report.PerWorker, sim.workers[i].times)
@@ -301,6 +365,18 @@ func (s *simulator) acpAt(w int, t float64) int {
 	return s.params.ACP.ACP(m.Power, m.RunQueue(t))
 }
 
+// masterOf returns worker w's master.
+func (s *simulator) masterOf(w int) *master { return &s.masters[s.workers[w].shard] }
+
+// finish stops worker w at time t.
+func (s *simulator) finish(w int, t float64) {
+	st := &s.workers[w]
+	st.done, st.finishedAt = true, t
+	if m := s.masterOf(w); t > m.stats.Finished {
+		m.stats.Finished = t
+	}
+}
+
 // sendRequest models the slave transmitting a request (plus any
 // piggy-backed results) to the master.
 func (s *simulator) sendRequest(w int, t float64) {
@@ -309,25 +385,33 @@ func (s *simulator) sendRequest(w int, t float64) {
 	bytes := s.params.RequestBytes
 	var inbound float64
 	if !s.params.CollectAtEnd && st.lastChunk > 0 {
-		payload := float64(st.lastChunk) * s.params.BytesPerIter
-		bytes += payload
-		inbound = payload
+		inbound = float64(st.lastChunk) * s.params.BytesPerIter
+		bytes += inbound
 	}
 	d := m.Link.Transfer(bytes)
 	st.reqSent = t
 	st.lastChunk = 0
-	st.requests++
-	s.transfer(w, t, d, event{kind: evRequestArrive, worker: w, assign: sched.Assignment{Size: int(inbound)}})
+	s.transfer(w, t, d, event{kind: evRequestArrive, worker: w, bytes: inbound})
+}
+
+// fetch sends shard master k's next super-chunk request to the root,
+// unless one is in flight or the root is done with it.
+func (s *simulator) fetch(k int) {
+	m := &s.masters[k]
+	if m.fetching || m.rootDone {
+		return
+	}
+	m.fetching = true
+	bytes := m.results
+	m.results = 0
+	d := s.rootLink.Transfer(s.params.RequestBytes + bytes)
+	s.push(event{t: s.now + d, kind: evRequestArrive, worker: k, root: true, bytes: bytes})
 }
 
 func (s *simulator) run() error {
 	heap.Init(&s.events)
-	// Simple schemes plan immediately; distributed masters first wait
-	// for every slave to report its A_i (master step 1(a)).
-	if !s.dist {
-		if err := s.d.Stage(0, s.work.Len()); err != nil {
-			return err
-		}
+	for k := range s.masters {
+		s.fetch(k)
 	}
 	// All slaves fire their first (empty) request at t = 0.
 	for w := range s.cluster.Machines {
@@ -349,64 +433,76 @@ func (s *simulator) run() error {
 		if e.t > s.lastTime {
 			s.lastTime = e.t
 		}
+		var err error
 		switch e.kind {
 		case evRequestArrive:
+			if e.root {
+				s.root.queue = append(s.root.queue, pendingReq{worker: e.worker, arrival: e.t, bytes: e.bytes})
+				err = s.serve(&s.root)
+				break
+			}
 			w := e.worker
-			a := s.acpAt(w, s.workers[w].reqSent)
-			if s.d.Report(w, a) {
+			st := &s.workers[w]
+			m := s.masterOf(w)
+			a := s.acpAt(w, st.reqSent)
+			first := m.d.Report(st.local, a)
+			if first {
 				s.params.Telemetry.Publish(telemetry.Event{
-					Kind: telemetry.WorkerJoined, Worker: w,
+					Kind: telemetry.WorkerJoined, Worker: w, Shard: st.shard,
 					ACP: a, At: e.t,
 				})
 			}
 			s.params.Telemetry.Publish(telemetry.Event{
-				Kind: telemetry.ChunkRequested, Worker: w,
+				Kind: telemetry.ChunkRequested, Worker: w, Shard: st.shard,
 				ACP: a, At: e.t,
 			})
-			s.queue = append(s.queue, pendingReq{
-				worker:  w,
-				arrival: e.t,
-				acp:     a,
-				bytes:   float64(e.assign.Size),
-			})
-			if !s.d.Planned() {
-				if !s.d.Gathered() {
-					continue // master still gathering initial reports
-				}
-				// Sort the initial queue by ACP decreasing (step 1a).
-				sort.SliceStable(s.queue, func(i, j int) bool {
-					return s.queue[i].acp > s.queue[j].acp
+			m.results += e.bytes
+			m.queue = append(m.queue, pendingReq{worker: w, arrival: e.t, acp: a, bytes: e.bytes})
+			if s.dist && first && m.d.Gathered() {
+				// The gather is complete: release the queue by
+				// decreasing ACP (step 1(a)).
+				sort.SliceStable(m.queue, func(i, j int) bool {
+					return m.queue[i].acp > m.queue[j].acp
 				})
-				if err := s.d.Stage(0, s.work.Len()); err != nil {
-					return err
-				}
 			}
-			s.serviceNext()
+			err = s.serve(m)
 
 		case evDumpArrive:
-			s.queue = append(s.queue, pendingReq{
-				worker:  e.worker,
-				arrival: e.t,
-				bytes:   float64(e.assign.Size),
-				dump:    true,
-			})
-			s.serviceNext()
+			m := s.masterOf(e.worker)
+			m.queue = append(m.queue, pendingReq{worker: e.worker, arrival: e.t, bytes: e.bytes, dump: true})
+			err = s.serve(m)
 
 		case evServiceDone:
-			s.busy = false
 			w := e.worker
-			st := &s.workers[w]
+			if e.root {
+				s.root.busy = false
+				d := s.rootLink.Transfer(s.params.ReplyBytes)
+				s.push(event{t: e.t + d, kind: evReplyArrive, worker: w, root: true, assign: e.assign, stop: e.stop})
+				err = s.serve(&s.root)
+				break
+			}
+			m := s.masterOf(w)
+			m.busy = false
 			if e.assign.Size < 0 { // final dump acknowledged
-				st.done = true
-				st.finishedAt = e.t
+				s.finish(w, e.t)
 			} else {
-				m := s.cluster.Machines[w]
-				d := m.Link.Transfer(s.params.ReplyBytes)
+				d := s.cluster.Machines[w].Link.Transfer(s.params.ReplyBytes)
 				s.transfer(w, e.t, d, event{kind: evReplyArrive, worker: w, assign: e.assign, stop: e.stop})
 			}
-			s.serviceNext()
+			err = s.serve(m)
 
 		case evReplyArrive:
+			if e.root {
+				m := &s.masters[e.worker]
+				m.fetching = false
+				if e.stop {
+					m.rootDone = true
+				} else {
+					m.stages = append(m.stages, e.assign)
+				}
+				err = s.serve(m)
+				break
+			}
 			if s.params.Prefetch {
 				s.prefetchReply(e)
 				continue
@@ -415,17 +511,14 @@ func (s *simulator) run() error {
 			st := &s.workers[w]
 			if e.stop {
 				if s.params.CollectAtEnd && st.heldBytes > 0 {
-					m := s.cluster.Machines[w]
-					d := m.Link.Transfer(s.params.RequestBytes + st.heldBytes)
+					d := s.cluster.Machines[w].Link.Transfer(s.params.RequestBytes + st.heldBytes)
 					st.reqSent = e.t
-					s.transfer(w, e.t, d, event{kind: evDumpArrive, worker: w,
-						assign: sched.Assignment{Size: int(st.heldBytes)}})
+					s.transfer(w, e.t, d, event{kind: evDumpArrive, worker: w, bytes: st.heldBytes})
 					st.heldBytes = 0
 				} else {
-					st.done = true
-					st.finishedAt = e.t
+					s.finish(w, e.t)
 				}
-				continue
+				break
 			}
 			d := s.compute(w, e.assign, e.t)
 			st.lastChunk = e.assign.Size
@@ -451,6 +544,9 @@ func (s *simulator) run() error {
 			}
 			s.serviceBus(e.t)
 		}
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -460,9 +556,11 @@ func (s *simulator) run() error {
 // and the completion event — and returns the duration.
 func (s *simulator) compute(w int, a sched.Assignment, t float64) float64 {
 	st := &s.workers[w]
+	m := s.masterOf(w)
 	work := workload.RangeCost(s.work, a.Start, a.End())
 	d := s.cluster.Machines[w].ComputeTime(s.params.BaseRate, t, work)
 	st.times.Comp += d
+	m.stats.Comp += d
 	st.fbWork, st.fbElapsed = work, d
 	if s.params.Trace != nil {
 		s.params.Trace.Add(trace.Event{
@@ -471,15 +569,16 @@ func (s *simulator) compute(w int, a sched.Assignment, t float64) float64 {
 			Size:   a.Size,
 			Begin:  t,
 			End:    t + d,
-			ACP:    s.d.ACP(w),
+			ACP:    m.d.ACP(st.local),
 		})
 	}
 	s.params.Telemetry.Publish(telemetry.Event{
-		Kind: telemetry.ChunkCompleted, Worker: w,
+		Kind: telemetry.ChunkCompleted, Worker: w, Shard: st.shard,
 		Start: a.Start, Size: a.Size,
-		ACP: s.d.ACP(w), At: t + d, Seconds: d,
+		ACP: m.d.ACP(st.local), At: t + d, Seconds: d,
 	})
 	st.iterations += a.Size
+	m.stats.Iterations += a.Size
 	return d
 }
 
@@ -505,7 +604,7 @@ func (s *simulator) startCompute(w int, a sched.Assignment, t float64) {
 	m := s.cluster.Machines[w]
 	payload := float64(st.lastChunk) * s.params.BytesPerIter
 	lead := m.Link.Transfer(s.params.RequestBytes+payload) + s.params.MasterOverhead +
-		payload/s.cluster.masterBandwidth() + m.Link.Transfer(s.params.ReplyBytes)
+		payload/s.mbw + m.Link.Transfer(s.params.ReplyBytes)
 	s.push(event{t: max(t, t+d-lead), kind: evRefillDue, worker: w})
 }
 
@@ -528,8 +627,7 @@ func (s *simulator) prefetchReply(e event) {
 			s.sendRequest(w, e.t)
 			return
 		}
-		st.done = true
-		st.finishedAt = e.t
+		s.finish(w, e.t)
 		return
 	}
 	if st.computing {
@@ -560,52 +658,90 @@ func (s *simulator) prefetchComputeDone(e event) {
 	}
 }
 
-// serviceNext pops the head request if the master is idle, decides the
-// reply, and schedules evServiceDone after the receive + scheduling
-// overhead. The waiting time (queueing + service) is charged to the
-// slave, matching the paper's T_wait.
-func (s *simulator) serviceNext() {
-	if s.busy || len(s.queue) == 0 || !s.d.Planned() {
-		return
+// serve starts master m's next service if it is idle and can answer the
+// head of its queue — a slave-facing master of a distributed scheme only
+// once every slave has reported (step 1(a)) — and schedules its end
+// after the receive plus scheduling overhead. A slave is charged the
+// waiting time, queueing plus service: the paper's T_wait.
+func (s *simulator) serve(m *master) error {
+	if m.busy || len(m.queue) == 0 || (m.d != nil && s.dist && !m.d.Gathered()) {
+		return nil
 	}
-	req := s.queue[0]
-	s.queue = s.queue[1:]
-	s.busy = true
-	recv := s.params.MasterOverhead + req.bytes/s.cluster.masterBandwidth()
-	done := s.now + recv
+	req := m.queue[0]
+	ev := event{kind: evServiceDone, worker: req.worker}
+	if m.d == nil {
+		// now + (overhead + transfer) here, (now + overhead) + transfer
+		// at a slave-facing master: TestSimulatePinned holds both
+		// roundings.
+		ev.t = s.now + (s.params.MasterOverhead + req.bytes/s.mbw)
+		a, ok := s.grant(req.worker, s.now)
+		ev.root, ev.assign, ev.stop = true, a, !ok
+	} else {
+		ev.t = s.now + s.params.MasterOverhead + req.bytes/s.mbw
+		if req.dump {
+			ev.assign.Size = -1
+		} else {
+			a, ok, err := s.claim(m, req, ev.t)
+			if err != nil || (!ok && !m.rootDone) {
+				return err // or wait for the fetch in flight
+			}
+			ev.assign, ev.stop = a, !ok
+		}
+		if !s.params.Prefetch {
+			s.workers[req.worker].times.Wait += ev.t - req.arrival
+		}
+	}
+	m.queue = m.queue[1:]
+	m.busy = true
+	s.push(ev)
+	return nil
+}
+
+// claim draws req's next chunk from m's dispenser, staging m's next
+// buffered stage whenever the current one is handed out, and keeps one
+// fetch in flight. It reports false when nothing is left to stage: a
+// stop once the root is done with m, else a wait for the fetch.
+func (s *simulator) claim(m *master, req pendingReq, done float64) (sched.Assignment, bool, error) {
 	st := &s.workers[req.worker]
-	if !s.params.Prefetch {
-		st.times.Wait += done - req.arrival
-	}
-
-	if req.dump {
-		s.push(event{t: done, kind: evServiceDone, worker: req.worker,
-			assign: sched.Assignment{Size: -1}})
-		return
-	}
-
 	// Timing feedback for learning policies (AWF): the master measures
 	// each chunk's turnaround when the next request arrives.
 	if st.fbElapsed > 0 {
-		s.d.Feedback(req.worker, st.fbWork, st.fbElapsed)
+		m.d.Feedback(st.local, st.fbWork, st.fbElapsed)
 		st.fbElapsed = 0
 	}
-
-	a, ok, replanned := s.d.Next(req.worker, req.acp)
-	if replanned { // DTSS step 2(c): a majority of ACPs changed
-		s.params.Telemetry.Publish(telemetry.Event{
-			Kind: telemetry.StageAdvanced, Worker: req.worker, At: done,
-		})
+	for {
+		a, ok, replanned := m.d.Next(st.local, req.acp)
+		if replanned { // DTSS step 2(c): a majority of ACPs changed
+			s.params.Telemetry.Publish(telemetry.Event{
+				Kind: telemetry.StageAdvanced, Worker: req.worker, Shard: st.shard, At: done,
+			})
+		}
+		if ok {
+			m.stats.Chunks++
+			s.params.Telemetry.Publish(telemetry.Event{
+				Kind: telemetry.ChunkGranted, Worker: req.worker, Shard: st.shard,
+				Start: a.Start, Size: a.Size, ACP: req.acp,
+				At: done, Seconds: done - req.arrival,
+			})
+			return a, true, nil
+		}
+		if len(m.stages) == 0 {
+			s.fetch(st.shard)
+			return a, false, nil
+		}
+		g := m.stages[0]
+		m.stages = m.stages[1:]
+		if err := m.d.Stage(g.Start, g.Size); err != nil {
+			return a, false, err
+		}
+		if s.grant != nil { // each super-chunk is a fresh stage for the shard
+			s.params.Telemetry.Publish(telemetry.Event{
+				Kind: telemetry.StageAdvanced, Shard: st.shard,
+				Start: g.Start, Size: g.Size, At: s.now,
+			})
+		}
+		if len(m.stages) == 0 {
+			s.fetch(st.shard)
+		}
 	}
-	if !ok {
-		s.push(event{t: done, kind: evServiceDone, worker: req.worker, stop: true})
-		return
-	}
-	s.chunks++
-	s.params.Telemetry.Publish(telemetry.Event{
-		Kind: telemetry.ChunkGranted, Worker: req.worker,
-		Start: a.Start, Size: a.Size, ACP: req.acp,
-		At: done, Seconds: done - req.arrival,
-	})
-	s.push(event{t: done, kind: evServiceDone, worker: req.worker, assign: a})
 }

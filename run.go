@@ -2,7 +2,6 @@ package loopsched
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -12,7 +11,6 @@ import (
 	"loopsched/internal/hier"
 	"loopsched/internal/metrics"
 	"loopsched/internal/mp"
-	"loopsched/internal/sched"
 	"loopsched/internal/sim"
 	"loopsched/internal/telemetry"
 	"loopsched/internal/telemetry/hist"
@@ -70,9 +68,7 @@ func FormatShards(r Report) string { return metrics.FormatShards(r) }
 //   - BackendRPC and BackendMP use Workers and Kernel (or Body).
 //
 // Setting Hierarchy selects the two-level runtime on the sim, local
-// and rpc backends (the mp backend is flat-only; a learning scheme
-// such as AWF is hierarchical on local and rpc only, see
-// ErrHierarchyFeedback).
+// and rpc backends (the mp backend is flat-only).
 type RunSpec struct {
 	// Scheme is the self-scheduling scheme (see LookupScheme).
 	Scheme Scheme
@@ -237,14 +233,6 @@ func beginTelemetry(spec *RunSpec) func() {
 	}
 }
 
-// ErrHierarchyFeedback is returned by Run for a learning scheme (one
-// whose policy takes timing feedback, AWF) on a hierarchical sim run:
-// the simulated submasters feed no chunk timings back, so the scheme
-// would run on its plan-time weights instead of learning. Run it flat,
-// or hierarchically on the local or rpc backend, whose shard masters do
-// feed them.
-var ErrHierarchyFeedback = errors.New("loopsched: the hierarchical sim runtime feeds no chunk timings to a learning scheme")
-
 // validate checks the whole spec: the backend-independent requirements
 // plus every per-backend structural check (worker lists, transports,
 // hierarchy support). It is the single validation path — Run, the
@@ -266,14 +254,10 @@ func (s RunSpec) validate() error {
 	if _, ok := exec.LedgerMode(s.Ledger).Normalize(); !ok {
 		return fmt.Errorf("loopsched: unknown ledger mode %q", s.Ledger)
 	}
-	learning := s.Hierarchy != nil && sched.Learns(s.Scheme)
 	switch s.Backend {
 	case "", BackendSim:
 		// The simulator takes its machines from Cluster; an empty
 		// cluster is a valid (trivial) simulation.
-		if learning {
-			return fmt.Errorf("%w (%s on sim)", ErrHierarchyFeedback, s.Scheme.Name())
-		}
 	case BackendLocal:
 		if len(s.Workers) == 0 {
 			return fmt.Errorf("loopsched: local backend needs Workers")
