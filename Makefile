@@ -69,7 +69,10 @@ escape-check:
 # deque core (jobstate.go); the names of the retired channel master and
 # its slave loops stay gone. So do those of hier's own simulated
 # protocol (hsim, hevent, serviceShard, launchFetch): hier.Simulate is
-# topology over sim.RunShards.
+# topology over sim.RunShards. And the one grant path: no runtime arms a
+# step table (`Table: true` only in internal/dispense and the frozen
+# benchmark), and the master's lock-free grant path (fastGrants, fastOff)
+# stays gone — every grant is the dispenser's locked Claim.
 dup-check:
 	@! grep -rn 'NewPolicy(\|MajorityChanged(\|sched\.Offset(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/' \
@@ -85,6 +88,8 @@ dup-check:
 	@! grep -rn 'dispense\.New(' --include='*.go' internal/exec | grep -v '_test.go\|^internal/exec/rpc.go:\|^internal/exec/jobstate.go:'
 	@! grep -rnw 'ChannelRequest\|stealSlave\|Slaves' --include='*.go' . | grep -v '_test.go\|^./benchmark/\|^./.bench_build/'
 	@! grep -rn '\bhsim\b\|\bhevent\|serviceShard\|launchFetch' --include='*.go' . | grep -v '^./benchmark/\|^./.bench_build/'
+	@! grep -rn 'Table: *true' --include='*.go' . | grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/dispense/'
+	@! grep -rnw 'fastGrants\|fastOff' --include='*.go' . | grep -v '^./benchmark/\|^./.bench_build/'
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -101,32 +106,23 @@ govulncheck:
 test:
 	$(GO) test -shuffle=on ./...
 
-# race runs the concurrent packages under the race detector, then once
-# more with LOOPSCHED_LEDGER=on where that variable still does anything:
-# it flips a service job's default-mode refills (exec.JobState) onto the
-# fetch-and-add step table, so the second pass is internal/exec,
-# internal/service and the root package's service tests — the mode CI's
-# `ledger` job covers. A Run ignores the ledger mode.
+# race runs the concurrent packages under the race detector. Every
+# runtime grants through the dispenser's locked Claim, so there is no
+# second grant mode to run them in.
 RACE_PKGS = ./internal/exec/ ./internal/steal/ ./internal/mp/ ./internal/hier/ ./internal/telemetry/ \
 	./internal/service/ ./internal/dispense/ ./internal/ledger/ ./internal/sched/ .
-LEDGER_PKGS = ./internal/exec/ ./internal/service/
-LEDGER_ROOT_TESTS = Scheduler|Tenant|StaticWeights|TestTelemetryHistogramsReconcile
 race:
 	$(GO) test -race $(RACE_PKGS)
-	LOOPSCHED_LEDGER=on $(GO) test -race $(LEDGER_PKGS)
-	LOOPSCHED_LEDGER=on $(GO) test -race -run '$(LEDGER_ROOT_TESTS)' .
 
 # flake is the determinism gate (ROADMAP item 5): the runtime suites,
 # twenty times over on two cores, the three packages sharing them —
 # internal/mp for its stream and TCP star and for the loop the root
-# package runs over them — the root package's local, cancellation and
-# hierarchy runs, which assemble the in-process runtime over memory
-# links, and internal/exec once more with the ledger on, where
-# JobState's refills draw from the step table.
+# package runs over them — and the root package's local, cancellation
+# and hierarchy runs, which assemble the in-process runtime over memory
+# links.
 flake:
 	GOMAXPROCS=2 $(GO) test -count=20 ./internal/exec ./internal/hier ./internal/mp
 	GOMAXPROCS=2 $(GO) test -count=20 -run 'Local|Cancel|Hier' .
-	LOOPSCHED_LEDGER=on GOMAXPROCS=2 $(GO) test -count=20 ./internal/exec
 
 # bench-smoke runs the repository benchmark under the driver's own
 # contract — one short traced workload — and fails unless the last

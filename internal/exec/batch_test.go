@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"loopsched/internal/ledger"
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
 	"loopsched/internal/wire"
@@ -62,8 +63,10 @@ func (g *starveGate) check(t *testing.T) {
 // take them all. The deque core's 8-chunk refill is rescued by stealing
 // and must keep passing; the master's replies are share-bounded batches,
 // over the wire and over memory links, at any window and with or without
-// the pipeline, and so are its claims on the step table it arms for TFSS
-// (rpc-binary-ledger: two workers at their default depth).
+// the pipeline, and with two workers at their default depth
+// (rpc-binary-ledger) the run is TFSS's nominal steps, each granted once.
+// The deque core's ledger-on leg runs the policy path: it grants what
+// the ledger-off leg grants, and no ledger fetch.
 func TestNoWorkerHoldsTheWholeLoop(t *testing.T) {
 	const n, p = 2000, 2
 	for _, pipeline := range []bool{false, true} {
@@ -91,9 +94,6 @@ func TestNoWorkerHoldsTheWholeLoop(t *testing.T) {
 	t.Run("rpc-binary-ledger", func(t *testing.T) {
 		m, addr, stop := startMaster(t, sched.TFSSScheme{}, n, p)
 		defer stop()
-		if m.d.Table() == nil {
-			t.Fatal("no step table armed for TFSS")
-		}
 		g := newStarveGate()
 		kernel := func(i int) []byte {
 			g.visit(i)
@@ -103,19 +103,23 @@ func TestNoWorkerHoldsTheWholeLoop(t *testing.T) {
 			{ID: 0, Kernel: kernel, Transport: TransportBinary},
 			{ID: 1, Kernel: kernel, Transport: TransportBinary},
 		})
-		if _, rep, err := m.Wait(); err != nil || rep.Iterations != n {
+		_, rep, err := m.Wait()
+		if err != nil || rep.Iterations != n {
 			t.Fatalf("run: %d iterations, err %v", rep.Iterations, err)
+		}
+		if want := nominalSteps(t, sched.TFSSScheme{}, n, p); rep.Chunks != want {
+			t.Fatalf("chunks = %d, want TFSS's %d steps granted exactly once", rep.Chunks, want)
 		}
 		g.check(t)
 	})
 	for _, mode := range []LedgerMode{LedgerOn, LedgerOff} {
 		t.Run("local-steal-ledger-"+string(mode), func(t *testing.T) {
-			g := newStarveGate()
-			l := &stealRun{Scheme: sched.TFSSScheme{}, Workers: specs(1, 1), Ledger: mode}
-			if rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, g.visit); err != nil || rep.Iterations != n {
-				t.Fatalf("run: %d iterations, err %v", rep.Iterations, err)
+			grants := stealGrants(t, mode, n)
+			if mode == LedgerOn {
+				if want := stealGrants(t, LedgerOff, n); !slices.Equal(grants, want) {
+					t.Fatalf("ledger-on grants %v, ledger-off %v", grants, want)
+				}
 			}
-			g.check(t)
 		})
 	}
 	for _, pipeline := range []bool{false, true} {
@@ -157,6 +161,50 @@ func TestPrefetchBindsLate(t *testing.T) {
 	g.check(t)
 }
 
+// stealGrants runs the deque core on the starvation loop under the
+// ledger mode and returns its grants in loop order, after checking the
+// gate and that no ledger fetch was published.
+func stealGrants(t *testing.T, mode LedgerMode, n int) []sched.Assignment {
+	t.Helper()
+	g := newStarveGate()
+	bus := telemetry.NewBus(1 << 16) // a worker waiting on the last chunk requests again and again
+	log := &eventLog{}
+	bus.Subscribe(log)
+	l := &stealRun{Scheme: sched.TFSSScheme{}, Workers: specs(1, 1), Ledger: mode, Telemetry: bus}
+	rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, g.visit)
+	bus.Close()
+	if err != nil || rep.Iterations != n {
+		t.Fatalf("ledger-%s run: %d iterations, err %v", mode, rep.Iterations, err)
+	}
+	g.check(t)
+	if d := bus.Dropped(); d > 0 {
+		t.Fatalf("ledger-%s run: the bus dropped %d events", mode, d)
+	}
+	var grants []sched.Assignment
+	for _, e := range log.drain() {
+		switch e.Kind {
+		case telemetry.LedgerFetch:
+			t.Fatalf("ledger-%s run published a ledger fetch", mode)
+		case telemetry.ChunkGranted:
+			grants = append(grants, sched.Assignment{Start: e.Start, Size: e.Size})
+		}
+	}
+	slices.SortFunc(grants, func(a, b sched.Assignment) int { return a.Start - b.Start })
+	return grants
+}
+
+// nominalSteps is the oracle a run granted from the scheme's policy
+// meets when no request changes a chunk: the length of its chunk
+// sequence over n iterations on p workers (ledger.Build's step count).
+func nominalSteps(t *testing.T, s sched.Scheme, n, p int) int {
+	t.Helper()
+	tab, err := ledger.Build(s, sched.Config{Iterations: n, Workers: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab.Steps()
+}
+
 // eventLog collects bus events for a test driving a JobState from one
 // goroutine: after Bus.Flush the log holds everything published so far,
 // in publish order.
@@ -183,16 +231,16 @@ func (l *eventLog) drain() []telemetry.Event {
 }
 
 // TestRefillBatchesAreShareBounded is the JobState property behind the
-// rule, on both refill paths, for every registered scheme: a refill's
+// rule, for every registered scheme and both ledger modes: a refill's
 // DequeRefilled event carries the number of chunks it really took, at
 // most the window, and the iterations in it stay within
 // sched.BatchLimit of what was left when it started unless it is a
-// single chunk. The ledger path knows every chunk's size and meets the
-// bound exactly; the policy path predicts the next chunk by the last
-// one, so there the bound holds for the batch with its last chunk
-// replaced by its predecessor — the same thing for the non-increasing
-// sequences of the paper's schemes. A LedgerFetch carries the claim
-// that was made, never less than the chunks it yielded.
+// single chunk. The policy predicts the next chunk by the last one, so
+// the bound holds for the batch with its last chunk replaced by its
+// predecessor — the same thing for the non-increasing sequences of the
+// paper's schemes. Every refill draws from the policy: a ledger-on job
+// grants exactly what a ledger-off one does, and publishes no
+// LedgerFetch.
 func TestRefillBatchesAreShareBounded(t *testing.T) {
 	for _, name := range sched.Names() {
 		s, err := sched.Lookup(name)
@@ -204,7 +252,12 @@ func TestRefillBatchesAreShareBounded(t *testing.T) {
 				for _, n := range []int{p - 1, 2000, 20000} {
 					for _, window := range []int{0, 3} {
 						t.Run(fmt.Sprintf("%s/ledger-%s/p%d/n%d/w%d", name, mode, p, n, window), func(t *testing.T) {
-							checkRefillBatches(t, s, mode, p, n, window)
+							grants := checkRefillBatches(t, s, mode, p, n, window)
+							if mode == LedgerOn {
+								if want := checkRefillBatches(t, s, LedgerOff, p, n, window); !slices.Equal(grants, want) {
+									t.Fatalf("ledger-on grants %v, ledger-off %v", grants, want)
+								}
+							}
 						})
 					}
 				}
@@ -213,7 +266,9 @@ func TestRefillBatchesAreShareBounded(t *testing.T) {
 	}
 }
 
-func checkRefillBatches(t *testing.T, s sched.Scheme, mode LedgerMode, p, n, window int) {
+// checkRefillBatches drives one job to its end, checking every refill,
+// and returns its grants in grant order.
+func checkRefillBatches(t *testing.T, s sched.Scheme, mode LedgerMode, p, n, window int) []sched.Assignment {
 	bus := telemetry.NewBus(256) // flushed after every refill: a batch of events at most
 	defer bus.Close()
 	log := &eventLog{}
@@ -229,6 +284,7 @@ func checkRefillBatches(t *testing.T, s sched.Scheme, mode LedgerMode, p, n, win
 		window = DefaultStealWindow
 	}
 	multi := 0
+	var grants []sched.Assignment
 	for w := 0; !js.Finished(); w = (w + 1) % p {
 		a, ok := js.Pop(w)
 		for ok {
@@ -238,13 +294,13 @@ func checkRefillBatches(t *testing.T, s sched.Scheme, mode LedgerMode, p, n, win
 		a, _, ok = js.Refill(w, 1+w, 0, 0)
 		bus.Flush()
 		var sizes []int
-		claimed := -1
 		for _, e := range log.drain() {
 			switch e.Kind {
 			case telemetry.LedgerFetch:
-				claimed = e.Start
+				t.Fatalf("ledger-%s job published a ledger fetch", mode)
 			case telemetry.ChunkGranted:
 				sizes = append(sizes, e.Size)
+				grants = append(grants, sched.Assignment{Start: e.Start, Size: e.Size})
 			case telemetry.DequeRefilled:
 				if e.Size != len(sizes) || e.Start != a.Start {
 					t.Fatalf("DequeRefilled says %d chunks from %d, the refill granted %d from %d", e.Size, e.Start, len(sizes), a.Start)
@@ -260,9 +316,6 @@ func checkRefillBatches(t *testing.T, s sched.Scheme, mode LedgerMode, p, n, win
 		if len(sizes) < 1 || len(sizes) > window {
 			t.Fatalf("refill took %d chunks, window %d", len(sizes), window)
 		}
-		if js.LedgerActive() && (claimed < len(sizes) || claimed > window) {
-			t.Fatalf("LedgerFetch claimed %d steps, the refill got %d chunks (window %d)", claimed, len(sizes), window)
-		}
 		iters := 0
 		for _, sz := range sizes {
 			iters += sz
@@ -270,11 +323,7 @@ func checkRefillBatches(t *testing.T, s sched.Scheme, mode LedgerMode, p, n, win
 		if k := len(sizes); k > 1 {
 			multi++
 			limit := sched.BatchLimit(n-a.Start, n, p)
-			bounded := iters
-			if !js.LedgerActive() {
-				bounded += sizes[k-2] - sizes[k-1]
-			}
-			if bounded > limit {
+			if bounded := iters + sizes[k-2] - sizes[k-1]; bounded > limit {
 				t.Fatalf("refill at %d of %d took chunks %v = %d iterations, limit %d", a.Start, n, sizes, iters, limit)
 			}
 		}
@@ -288,13 +337,14 @@ func checkRefillBatches(t *testing.T, s sched.Scheme, mode LedgerMode, p, n, win
 	if k, ok := sched.FixedChunk(s, sched.Config{Iterations: n, Workers: p}); ok && k*window <= n/(32*p) && multi == 0 {
 		t.Errorf("no refill of this fine loop (chunk %d, N %d) took more than one chunk", k, n)
 	}
+	return grants
 }
 
 // TestMasterRepliesAreShareBounded is the same property on the rpc
 // master path, for every registered scheme: whatever the window, the
 // chunks of one reply stay within sched.BatchLimit of what was left
-// when it was cut, unless it is a single chunk — exactly on a table,
-// with the last chunk replaced by its predecessor on the policy path.
+// when it was cut, unless it is a single chunk — with the last chunk
+// replaced by its predecessor, as on the deque core.
 // One goroutine plays every worker: each request delivers what the
 // worker holds and asks, as a prefetch so that nothing parks, for all
 // the window allows; the gather of a distributed scheme is the same
@@ -393,7 +443,6 @@ func checkMasterReplies(t *testing.T, s sched.Scheme, p, n, window int) {
 	granted, multi := 0, 0
 	for w := 0; granted < n; w = (w + 1) % p {
 		rep.Reset()
-		onTable := m.d.Table() != nil
 		args := ChunkArgs{Worker: w, ACP: 1 + w, Prefetch: true, Results: held[w]}
 		if err := m.nextBatch(args, m.ledgerCap(), &rep); err != nil {
 			t.Fatal(err)
@@ -417,10 +466,7 @@ func checkMasterReplies(t *testing.T, s sched.Scheme, p, n, window int) {
 		}
 		if k := len(rep.Grants); k > 1 {
 			multi++
-			bounded := iters
-			if !onTable {
-				bounded += rep.Grants[k-2].Size - rep.Grants[k-1].Size
-			}
+			bounded := iters + rep.Grants[k-2].Size - rep.Grants[k-1].Size
 			if limit := sched.BatchLimit(n-granted, n, p); bounded > limit {
 				t.Fatalf("reply at %d of %d carries %v = %d iterations, limit %d", granted, n, rep.Grants, iters, limit)
 			}

@@ -39,11 +39,8 @@ type JobConfig struct {
 	// bus can attribute chunks per job and per tenant. Zero means
 	// untagged (single-run execution).
 	Job, Tenant int
-	// Ledger requests the scheduling-step ledger for refills: when the
-	// scheme is step-deterministic, a refill becomes one fetch-and-add
-	// on an atomic step counter plus table lookups — no refill mutex at
-	// all. Empty uses DefaultLedger (the LOOPSCHED_LEDGER environment
-	// variable); ineligible schemes silently keep the policy path.
+	// Ledger is accepted and ignored: every refill draws from the job's
+	// policy under its mutex. An unknown mode is still an error.
 	Ledger LedgerMode
 }
 
@@ -79,9 +76,8 @@ const DefaultStealWindow = 8
 // frozen; the job is finished once drained && completed == granted,
 // i.e. every granted iteration has been executed by somebody. The
 // dispenser reads drained as soon as the last chunk is drawn, which is
-// before the refill that drew it has booked it — and on the ledger a
-// later claimant can find the table dry before an earlier one has booked
-// its chunks at all — so granted is frozen only once no refill is
+// before the refill that drew it has booked it, and Complete reads it
+// without the refill mutex — so granted is frozen only once no refill is
 // between its draw and its booking (granting).
 type JobState struct {
 	w           workload.Workload
@@ -96,12 +92,8 @@ type JobState struct {
 
 	waitHist *hist.Sharded // request-to-grant latency (shard = worker)
 
-	// d hands out the job's chunks. With JobConfig.Ledger on and a
-	// step-deterministic scheme it arms a step table and Refill is
-	// lock-free (ledger is true); otherwise every Refill draws from the
-	// policy under mu.
-	d      *dispense.Dispenser
-	ledger bool
+	// d hands out the job's chunks; every Refill draws from it under mu.
+	d *dispense.Dispenser
 
 	chunks    atomic.Int64
 	granted   atomic.Int64
@@ -109,7 +101,7 @@ type JobState struct {
 	completed atomic.Int64
 	aborted   atomic.Bool
 
-	mu sync.Mutex // serialises policy-backed use of d
+	mu sync.Mutex // serialises every use of d
 }
 
 // NewJobState plans the job's first policy and allocates its deques.
@@ -119,8 +111,7 @@ func NewJobState(cfg JobConfig) (*JobState, error) {
 	if window <= 0 {
 		window = DefaultStealWindow
 	}
-	mode, ok := cfg.Ledger.Normalize()
-	if !ok {
+	if _, ok := cfg.Ledger.Normalize(); !ok {
 		return nil, fmt.Errorf("exec: unknown ledger mode %q", cfg.Ledger)
 	}
 	s := &JobState{
@@ -139,7 +130,6 @@ func NewJobState(cfg JobConfig) (*JobState, error) {
 			Workers:  p,
 			Powers:   cfg.Powers,
 			NoReplan: cfg.DisableReplan,
-			Table:    mode == LedgerOn,
 		}),
 	}
 	for i := 0; i < p; i++ {
@@ -154,7 +144,6 @@ func NewJobState(cfg JobConfig) (*JobState, error) {
 	if err := s.d.Stage(0, cfg.Workload.Len()); err != nil {
 		return nil, err
 	}
-	s.ledger = s.d.Table() != nil
 	return s, nil
 }
 
@@ -213,13 +202,6 @@ func (s *JobState) Steal(thief int) (sched.Assignment, bool) {
 // thieves never add) deque for this job.
 // The int result is the number of iterations granted by this refill,
 // which a fair-share arbiter charges against the job's credit budget.
-//
-// On the ledger the claim is one fetch-and-add and nothing touches
-// s.mu, so p workers refilling concurrently contend on a single atomic
-// instead of serialising through the policy lock. Cancellation there is
-// best-effort where the mutex path is exact: a refill racing Abort may
-// grant one final window. Those grants still publish their events, so
-// telemetry reconciliation holds either way.
 func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.Assignment, int, bool) {
 	if s.aborted.Load() {
 		return sched.Assignment{}, 0, false
@@ -231,36 +213,22 @@ func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.
 	req.At = reqAt
 	s.bus.Publish(req)
 
-	if !s.ledger {
-		s.mu.Lock()
-		if s.aborted.Load() {
-			// Re-checked under the refill mutex: Abort followed by a
-			// mutex-acquiring Counts snapshot therefore observes every
-			// grant that will ever happen, so a cancelled job's report
-			// reconciles exactly with its telemetry.
-			s.mu.Unlock()
-			return sched.Assignment{}, 0, false
-		}
-		s.d.Feedback(worker, fbWork, fbElapsed)
+	s.mu.Lock()
+	if s.aborted.Load() {
+		// Re-checked under the refill mutex: Abort followed by a
+		// mutex-acquiring Counts snapshot therefore observes every
+		// grant that will ever happen, so a cancelled job's report
+		// reconciles exactly with its telemetry.
+		s.mu.Unlock()
+		return sched.Assignment{}, 0, false
 	}
+	s.d.Feedback(worker, fbWork, fbElapsed)
 	s.granting.Add(1)
 	batch, replanned := s.d.Claim(worker, acpNow, cap(s.scratch[worker]), s.scratch[worker][:0])
 	if replanned {
 		e := s.event(telemetry.StageAdvanced, worker)
 		e.At = s.bus.Now()
 		s.bus.Publish(e)
-	}
-	if s.ledger {
-		// Start is what the claim yielded; a claim past the table's end
-		// still spent one fetch-and-add.
-		now := s.bus.Now()
-		fetch := s.event(telemetry.LedgerFetch, worker)
-		fetch.Start = len(batch)
-		if fetch.Start == 0 {
-			fetch.Start = 1
-		}
-		fetch.At, fetch.Seconds = now, now-reqAt
-		s.bus.Publish(fetch)
 	}
 	iters := 0
 	for _, a := range batch {
@@ -276,9 +244,7 @@ func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.
 	}
 	s.chunks.Add(int64(len(batch)))
 	s.granting.Add(-1)
-	if !s.ledger {
-		s.mu.Unlock()
-	}
+	s.mu.Unlock()
 
 	if len(batch) == 0 {
 		return sched.Assignment{}, 0, false
@@ -294,10 +260,6 @@ func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.
 	s.bus.Publish(e)
 	return batch[0], iters, true
 }
-
-// LedgerActive reports whether refills draw from the scheduling-step
-// ledger instead of the mutex-guarded policy.
-func (s *JobState) LedgerActive() bool { return s.ledger }
 
 // Feedback applies one completed chunk's measured cost to the policy,
 // for schedulers whose workers interleave many jobs and cannot carry

@@ -11,13 +11,11 @@ import (
 
 // TestLedgerMixedTransportsOneListener runs a mixed fleet on one sniffed
 // listener — a gob worker, a binary worker with a window and a binary
-// worker with the pipeline, at three different powers — against the
-// master's scheduling-step ledger. For a step-deterministic scheme the
-// master arms a step table and every grant, whichever transport asked,
-// is a claim on its counter: the chunk tally must equal the table's
-// step count. A distributed scheme (DTSS, DCSS) arms no table, not even
-// a unit table, and is granted from its policy. Every iteration must
-// arrive exactly once either way.
+// worker with the pipeline, at three different powers. The master arms
+// no table for any scheme: every grant, whichever transport asked, is a
+// draw on the policy. For a step-deterministic scheme the chunk tally
+// must still equal the scheme's nominal step count (ledger.Build's), and
+// every iteration must arrive exactly once.
 func TestLedgerMixedTransportsOneListener(t *testing.T) {
 	const n = 900
 	for _, scheme := range []sched.Scheme{
@@ -40,15 +38,13 @@ func TestLedgerMixedTransportsOneListener(t *testing.T) {
 			if rep.Iterations != n {
 				t.Fatalf("iterations = %d, want %d", rep.Iterations, n)
 			}
-			tab := m.d.Table()
-			if sched.Distributed(scheme) {
-				if tab != nil {
-					t.Fatalf("a table (units = %v) is armed for %s", tab.Units(), scheme.Name())
+			if tab := m.d.Table(); tab != nil {
+				t.Fatalf("a table (units = %v) is armed for %s", tab.Units(), scheme.Name())
+			}
+			if !sched.Distributed(scheme) {
+				if want := nominalSteps(t, scheme, n, 3); rep.Chunks != want {
+					t.Fatalf("chunks = %d, want the scheme's %d steps granted exactly once", rep.Chunks, want)
 				}
-			} else if tab == nil || tab.Units() {
-				t.Fatalf("no step table armed for %s: %v", scheme.Name(), tab)
-			} else if want := tab.Steps(); rep.Chunks != want {
-				t.Fatalf("chunks = %d, want the table's %d steps granted exactly once", rep.Chunks, want)
 			}
 			for i, r := range results {
 				if !bytes.Equal(r, intKernel(i)) {
@@ -120,17 +116,13 @@ func TestLedgerReplanClosesTheUnitTable(t *testing.T) {
 }
 
 // TestLedgerAllWireWorkers puts every worker on the binary wire, at
-// three windows and one of them at half speed, against the master's
-// step table: every grant is a reply to a request, drawn from the
-// table's counter, so the run is the table's steps, each granted once.
+// three windows and one of them at half speed: every grant is a reply to
+// a request, drawn from FSS's policy, so the run is the scheme's nominal
+// steps, each granted once.
 func TestLedgerAllWireWorkers(t *testing.T) {
 	const n = 1200
 	m, addr, stop := startMaster(t, sched.FSSScheme{}, n, 3)
 	defer stop()
-	tab := m.d.Table()
-	if tab == nil {
-		t.Fatal("no step table armed for FSS")
-	}
 
 	runWorkers(t, addr, []Worker{
 		{ID: 0, Kernel: intKernel, Transport: TransportBinary, Window: 2},
@@ -144,8 +136,8 @@ func TestLedgerAllWireWorkers(t *testing.T) {
 	if rep.Iterations != n {
 		t.Fatalf("iterations = %d, want %d", rep.Iterations, n)
 	}
-	if rep.Chunks != tab.Steps() {
-		t.Fatalf("chunks = %d, want %d", rep.Chunks, tab.Steps())
+	if want := nominalSteps(t, sched.FSSScheme{}, n, 3); rep.Chunks != want {
+		t.Fatalf("chunks = %d, want %d", rep.Chunks, want)
 	}
 	for i, r := range results {
 		if !bytes.Equal(r, intKernel(i)) {
@@ -154,20 +146,22 @@ func TestLedgerAllWireWorkers(t *testing.T) {
 	}
 }
 
-// TestLedgerIneligibleAdvisory pins LedgerMode's advisory contract on
-// JobState: "on" for a feedback scheme is not an error, the job simply
-// stays on its policy; an unknown mode is.
+// TestLedgerIneligibleAdvisory pins LedgerMode's contract on JobState:
+// "on" is accepted and ignored — no table is armed, for a feedback
+// scheme or a step-deterministic one — and an unknown mode is an error.
 func TestLedgerIneligibleAdvisory(t *testing.T) {
-	cfg := JobConfig{Scheme: sched.AWFScheme{}, Workload: workload.Uniform{N: 100}, Workers: 2, Ledger: LedgerOn}
-	js, err := NewJobState(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if js.LedgerActive() {
-		t.Fatal("ledger armed for a feedback scheme")
-	}
-	cfg.Ledger = "sideways"
-	if _, err := NewJobState(cfg); err == nil {
-		t.Fatal("unknown ledger mode accepted")
+	for _, scheme := range []sched.Scheme{sched.AWFScheme{}, sched.TSSScheme{}} {
+		cfg := JobConfig{Scheme: scheme, Workload: workload.Uniform{N: 100}, Workers: 2, Ledger: LedgerOn}
+		js, err := NewJobState(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if js.d.Table() != nil {
+			t.Fatalf("ledger armed for %s", scheme.Name())
+		}
+		cfg.Ledger = "sideways"
+		if _, err := NewJobState(cfg); err == nil {
+			t.Fatal("unknown ledger mode accepted")
+		}
 	}
 }

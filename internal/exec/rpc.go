@@ -46,18 +46,14 @@ import (
 // same master. Within one process no codec is needed: Master.Link's
 // memory link calls the request handler in the worker's goroutine.
 //
-// The master's hot path is de-contended: results deposit into a
-// lock-free ledger (one atomic flip per iteration index; a run of empty
-// results is one range, flipped index by index), per-worker
-// protocol state lives in per-worker slots with their own locks, and
-// whenever the dispenser armed a step table — for every
-// step-deterministic scheme (DESIGN.md "The dispenser") — grants are
-// one fetch-and-add, so steady-state requests from different workers
-// never share a lock. Every grant is a reply to a request: what a worker
-// holds is in its slot, so FailWorker can requeue all of it. Schemes
-// that read the request (WF, AWF, the paper's distributed family) and
-// every recovery path (failures, requeues, parking, cancellation) go
-// through the locked scheduler under Master.mu. See docs/PROTOCOL.md for
+// Results deposit into a lock-free ledger (one atomic flip per iteration
+// index; a run of empty results is one range, flipped index by index),
+// and per-worker protocol state lives in per-worker slots with their own
+// locks. Every grant is one share-bounded dispense.Claim under Master.mu
+// (grants), whatever the scheme — a reply batches up to grantCeiling
+// chunks, so the lock is taken once per batch, not once per chunk — and
+// every grant is a reply to a request: what a worker holds is in its
+// slot, so FailWorker can requeue all of it. See docs/PROTOCOL.md for
 // the dialogue.
 
 // ChunkResult carries the output of one computed iteration back to
@@ -130,11 +126,11 @@ type slot struct {
 	times       metrics.Times
 	comp        float64 // reported compute seconds of chunks not yet retired
 	fbIters     int     // retired iterations and their compute seconds not yet
-	fbSecs      float64 // fed back to a learning policy (lockedGrants)
+	fbSecs      float64 // fed back to a learning policy (grants)
 	lastSeen    time.Time
 	lastReply   time.Time
 	joined      bool
-	failed      bool // mirror of Master.failed, for the lock-free path
+	failed      bool // mirror of Master.failed, which account reads without Master.mu
 }
 
 // Source is where a Master's ranges come from, one staged whenever the
@@ -163,7 +159,7 @@ type whole struct {
 }
 
 func (w *whole) Take() (int, int, bool) {
-	if w.taken { // written once, before any table the fast path reads
+	if w.taken { // every caller holds Master.mu
 		return 0, 0, false
 	}
 	w.taken = true
@@ -207,14 +203,11 @@ type Master struct {
 	staged   atomic.Int64
 	fetching bool
 
-	// d is the single source of every fresh grant (internal/dispense);
-	// dcfg rebuilds it when a Set* call changes its configuration. While
-	// the current stage has a table armed (d.Ledger() != nil) grants need
-	// no Master.mu — until fastOff forces every request through the
-	// locked scheduler once failures or requeues exist.
-	d       *dispense.Dispenser
-	dcfg    dispense.Config
-	fastOff atomic.Bool
+	// d is the single source of every fresh grant (internal/dispense),
+	// drawn under mu; dcfg rebuilds it when a Set* call changes its
+	// configuration.
+	d    *dispense.Dispenser
+	dcfg dispense.Config
 
 	// Latency histograms for the report: request-to-grant on the
 	// master's clock (recorded only when a bus supplies that clock)
@@ -260,8 +253,7 @@ func NewShardMaster(scheme sched.Scheme, n, shard int, members []int, src Source
 
 // newMaster builds a master over src and stages what src holds: a flat
 // master plans the loop here unless its scheme gathers first, so a bad
-// configuration fails the constructor and any table is armed before the
-// first request.
+// configuration fails the constructor.
 func newMaster(scheme sched.Scheme, n, workers, shard int, members []int, src Source) (*Master, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("exec: master needs at least one worker")
@@ -276,7 +268,7 @@ func newMaster(scheme sched.Scheme, n, workers, shard int, members []int, src So
 		window:     grantCeiling - 1,
 		shard:      shard,
 		members:    members,
-		dcfg:       dispense.Config{Scheme: scheme, Workers: workers, NoReplan: members != nil, Table: true},
+		dcfg:       dispense.Config{Scheme: scheme, Workers: workers, NoReplan: members != nil},
 		got:        make([]atomic.Uint64, (n+63)/64),
 		src:        src,
 		slots:      make([]slot, workers),
@@ -513,10 +505,7 @@ func (m *Master) nextBatch(args ChunkArgs, credits int, rep *wire.Reply) (err er
 		rep.Stop = true
 		return nil
 	}
-	if m.fastGrants(&args, credits, rep, reqAt) {
-		return nil
-	}
-	return m.lockedGrants(&args, credits, rep, reqAt)
+	return m.grants(&args, credits, rep, reqAt)
 }
 
 // deposit files piggy-backed results into the lock-free ledger, hands
@@ -676,8 +665,7 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 	if len(requeue) > 0 {
 		m.mu.Lock()
 		m.requeued = append(m.requeued, requeue...)
-		m.fastOff.Store(true) // requeued work must not be stranded
-		m.ready.Broadcast()   // a parked worker can pick these up
+		m.ready.Broadcast() // a parked worker can pick these up
 		m.mu.Unlock()
 	}
 	if rejected {
@@ -688,35 +676,7 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 	return rejected
 }
 
-// fastGrants serves a request entirely without Master.mu: one claim on
-// the table the dispenser armed, the ledger update under the worker's
-// own slot lock. It reports false when the request needs the locked
-// scheduler (no table armed, failures pending, table drained on a
-// parkable request, run finished). The fast path claims on the ledger it
-// loaded: a later stage may replace that ledger under it, never swap a
-// policy in.
-func (m *Master) fastGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt float64) bool {
-	l := m.d.Ledger()
-	if l == nil || m.fastOff.Load() || m.doneClosed() {
-		return false
-	}
-	s := &m.slots[args.Worker]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed {
-		return false // FailWorker won the race; locked path replies Stop
-	}
-	if room := min(credits, m.ledgerCap()-len(s.outstanding)); room > 0 {
-		rep.Grants = l.Claim(args.Worker, args.ACP, room, rep.Grants)
-		if len(rep.Grants) == 0 && (!args.Prefetch || !m.src.Exhausted()) {
-			return false // drained: park, or stage what the source holds, on the locked path
-		}
-	}
-	m.book(s, args, rep, reqAt)
-	return true
-}
-
-// lockedGrants is the fallback scheduler: the gather barrier and its
+// grants is the master's one grant path: the gather barrier and its
 // release order, staging, policy draws (with the mid-run replans and
 // AWF's timing feedback), requeues, parking and stop handling, under
 // Master.mu. A reply is one batch: requeued chunks first, then a single
@@ -726,7 +686,7 @@ func (m *Master) fastGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt
 // completes, the run ends or a failure requeues work (so a late
 // FailWorker finds a live worker to absorb the chunk) — or, on a
 // quiescent master, has the source fetch.
-func (m *Master) lockedGrants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt float64) error {
+func (m *Master) grants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt float64) error {
 	w := args.Worker
 	s := &m.slots[w]
 	m.mu.Lock()
@@ -860,8 +820,7 @@ func (m *Master) takeRequeued() (sched.Assignment, bool) {
 }
 
 // delivered reports whether every iteration of the assignment has
-// been received. It reads only the atomic ledger, so it is safe on
-// both the locked and the lock-free path.
+// been received. It reads only the atomic ledger, so it needs no lock.
 func (m *Master) delivered(a sched.Assignment) bool {
 	for lo := a.Start; lo < a.End(); lo = (lo/64 + 1) * 64 {
 		if w, mask := m.word(lo, a.End()); w.Load()&mask != mask {
@@ -942,9 +901,6 @@ func (m *Master) FailWorker(worker int) error {
 	if m.failed[worker] || m.stoppedSet[worker] {
 		return nil // already accounted for
 	}
-	// From here on every grant must see the failure and the requeued
-	// work; the fast path cannot, so retire it for the rest of the run.
-	m.fastOff.Store(true)
 	m.failed[worker] = true
 	m.bus.Publish(telemetry.Event{
 		Kind: telemetry.WorkerTimedOut, Worker: m.id(worker), Shard: m.shard, At: m.bus.Now(),
@@ -1074,7 +1030,6 @@ func (m *Master) Cancel(cause error) {
 	if cause == nil {
 		cause = context.Canceled
 	}
-	m.fastOff.Store(true) // route every new request past the done check
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	select {

@@ -242,8 +242,8 @@ func TestSpanTaggingPreservesGrantSequence(t *testing.T) {
 
 // TestRPCWireCreditWindow runs the batched-grant protocol in anger: the
 // default credit window and explicit ones, narrow and wide, pipelined
-// heterogeneous workers, and a fixed-chunk scheme that exercises the
-// master's lock-free fast path. Every result must arrive exactly once,
+// heterogeneous workers, and a fixed-chunk scheme whose fine chunks fill
+// deep replies. Every result must arrive exactly once,
 // and every chunk's compute time be sampled exactly once however many
 // chunks one request reports on.
 func TestRPCWireCreditWindow(t *testing.T) {
@@ -281,9 +281,9 @@ func TestRPCWireCreditWindow(t *testing.T) {
 // Two more binary connections send the codec frames no master answers —
 // a FetchAdd claim, and a no-reply request that carries a forged result
 // for worker 1 — and each must be dropped on its own: the claim gets no
-// step, the forged result is not filed, and the fleet still finishes
-// with every iteration delivered exactly once, the step table's chunks
-// each granted once. TestLedgerMixedTransportsOneListener runs the same
+// chunk, the forged result is not filed, and the fleet still finishes
+// with every iteration delivered exactly once, FSS's nominal steps each
+// granted once. TestLedgerMixedTransportsOneListener runs the same
 // fleet over more schemes.
 func TestMixedTransportsOneListener(t *testing.T) {
 	const n = 900
@@ -329,8 +329,8 @@ func TestMixedTransportsOneListener(t *testing.T) {
 	if rep.Iterations != n {
 		t.Fatalf("iterations = %d", rep.Iterations)
 	}
-	if tab := m.d.Table(); tab == nil || rep.Chunks != tab.Steps() {
-		t.Fatalf("chunks = %d, want the step table's steps granted exactly once (table %v)", rep.Chunks, tab)
+	if want := nominalSteps(t, sched.FSSScheme{}, n, 3); rep.Chunks != want {
+		t.Fatalf("chunks = %d, want FSS's %d steps granted exactly once", rep.Chunks, want)
 	}
 	for i, r := range results {
 		if !bytes.Equal(r, intKernel(i)) {

@@ -78,9 +78,9 @@ type LatencyHists struct {
 	Comp            hist.Snapshot
 	Comm            hist.Snapshot
 	GrantToComplete hist.Snapshot
-	// LedgerFetch is the scheduling-ledger claim round trip (one
-	// fetch-and-add): near zero on the in-process backends, one wire
-	// round trip on rpc. Its Count is the backend's fetchadd total.
+	// LedgerFetch is the scheduling-ledger claim latency (one
+	// fetch-and-add); its Count is the backend's fetchadd total, 0 while
+	// no runtime arms a table.
 	LedgerFetch hist.Snapshot
 }
 

@@ -150,11 +150,11 @@ const (
 	// drainer goroutine), never by a backend.
 	StragglerDetected
 
-	// LedgerFetch marks one fetch-and-add refill of a service job on
-	// the scheduling ledger (exec.JobState): Worker is the claimer,
-	// Start the number of steps claimed, Seconds the claim's latency.
-	// Published by the claiming side, so the aggregator can count
-	// claims and track claim latency per backend.
+	// LedgerFetch marks one fetch-and-add claim on a scheduling-step
+	// table: Worker is the claimer, Start the number of steps claimed,
+	// Seconds the claim's latency. No runtime arms a table — every grant
+	// is the dispenser's locked Claim — so none publishes it; the kind
+	// stays because the benchmark counts it.
 	LedgerFetch
 
 	kindCount // number of kinds; keep last

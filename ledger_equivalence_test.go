@@ -92,9 +92,8 @@ func stepDeterministicSchemes(t *testing.T) []loopsched.Scheme {
 // and ignored: every Run grants only through the master's dialogue, so
 // for every step-deterministic scheme, on every backend, a run with
 // Ledger "on" produces chunk boundaries identical to the same run with
-// "off", and neither publishes a ledger fetch. (The master's own
-// step-table draws are lock-free either way; they are not one-sided
-// claims and are not counted as such.)
+// "off", and neither publishes a ledger fetch: the master arms no step
+// table either way.
 func TestLedgerTransportEquivalence(t *testing.T) {
 	const n = 3000
 	w := loopsched.Uniform{N: n, C: 1}

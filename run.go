@@ -116,8 +116,8 @@ type RunSpec struct {
 	// are large (docs/LEDGER.md "Share-bounded batches").
 	CreditWindow int
 	// Ledger is accepted and ignored: every backend grants only through
-	// the master's request/reply dialogue, whose step-table fast path
-	// needs no switch (docs/LEDGER.md). "on", "off" and "" are valid; any
+	// the master's request/reply dialogue, one locked dispense.Claim per
+	// reply (docs/LEDGER.md). "on", "off" and "" are valid; any
 	// other value is an error. The field goes when the benchmark retires
 	// its rpc_ledger cell (ROADMAP item 4).
 	Ledger string
@@ -172,7 +172,13 @@ func NewExecutor(b Backend) (Executor, error) {
 // Run executes the spec on its backend and returns the paper-style
 // report. Cancelling ctx stops the run promptly on every backend:
 // masters stop handing out chunks, workers drain, and Run returns
-// ctx's error (iterations already started still complete).
+// ctx's error (iterations already started still complete). A cancel
+// loses only to completion: once the master — a hierarchy's root — has
+// every result, cancelling is a no-op and Run returns the report with a
+// nil error. A flat local run's workers check ctx before every request
+// over their memory links, and a hierarchy's shards before every fetch
+// from the root, so there a run cancelled before its last result was
+// sent always returns ctx's error.
 //
 // Run is the single-job form of the scheduler service: it shares one
 // spec-validation path (RunSpec.validate) and one telemetry path
@@ -507,6 +513,25 @@ func runFlat(ctx context.Context, spec RunSpec, kernel Kernel, bus *telemetry.Bu
 	return rep, err
 }
 
+// rootLink is a shard's link to the root that hands the root the run's
+// cancellation before every fetch (a Submaster fetches with Call). The
+// shards' workers run on their own context, so otherwise a cancel
+// reaches the root only once the goroutine waiting on it is scheduled —
+// on a short loop, after the shards have delivered everything — and a
+// run cancelled before its last result was sent would complete.
+type rootLink struct {
+	exec.Link
+	ctx  context.Context
+	root *exec.Master
+}
+
+func (l rootLink) Call(req *wire.Request, rep *wire.Reply) error {
+	if err := l.ctx.Err(); err != nil {
+		l.root.Cancel(err)
+	}
+	return l.Link.Call(req, rep)
+}
+
 // runHierarchy is the two-level run of the local and rpc backends: the
 // root is an exec.Master running the hierarchy's allocator as its scheme,
 // each of its clients a hier.Submaster — itself an exec.Master for its
@@ -561,7 +586,7 @@ func runHierarchy(ctx context.Context, spec RunSpec, kernel Kernel, bus *telemet
 			root.Cancel(err)
 			break
 		}
-		sub, err := hier.NewSubmaster(si, spec.Scheme, n, ids, link)
+		sub, err := hier.NewSubmaster(si, spec.Scheme, n, ids, rootLink{link, ctx, root})
 		if err != nil {
 			root.Cancel(err)
 			break
