@@ -58,8 +58,8 @@ escape-check:
 # method or builds an rpc client (DESIGN.md "The link and the slave
 # loop"); every other client, hier's root fetch included, goes through
 # exec.Dial. And the batch rule: sched.BatchLimit is applied by the
-# dispenser and the ledger table only — a master reaches it through
-# Claim, never re-implements it (docs/LEDGER.md "Share-bounded batches").
+# dispenser only — a master reaches it through Claim, never
+# re-implements it (docs/LEDGER.md "Share-bounded batches").
 # And the transport rule: internal/mp carries bytes and knows neither a
 # scheme nor a dispenser, and a dispenser is built only by the sites
 # that answer requests: exec, whose Master is also every hier-rpc shard,
@@ -69,10 +69,13 @@ escape-check:
 # deque core (jobstate.go); the names of the retired channel master and
 # its slave loops stay gone. So do those of hier's own simulated
 # protocol (hsim, hevent, serviceShard, launchFetch): hier.Simulate is
-# topology over sim.RunShards. And the one grant path: no runtime arms a
-# step table (`Table: true` only in internal/dispense and the frozen
-# benchmark), and the master's lock-free grant path (fastGrants, fastOff)
-# stays gone — every grant is the dispenser's locked Claim.
+# topology over sim.RunShards. And the one grant path: every grant is
+# the dispenser's locked Claim on a policy, so internal/ledger's step
+# table and counter are read by tests and the frozen benchmark only, the
+# master's lock-free grant path (fastGrants, fastOff) stays gone, and so
+# do the unit tables, the re-plan that closed them, the share class that
+# armed them and the wire's no-reply flag (BuildUnits, Revise,
+# ShareDeterministic, NoReply).
 dup-check:
 	@! grep -rn 'NewPolicy(\|MajorityChanged(\|sched\.Offset(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/' \
@@ -81,14 +84,15 @@ dup-check:
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/lint/testdata/')"; \
 	test "$$files" = ./internal/exec/link.go || { echo "net/rpc client code outside the gob link:"; echo "$$files"; exit 1; }
 	@! grep -rn 'BatchLimit(' --include='*.go' . \
-		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/'
+		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/dispense/'
 	@! grep -rn '"loopsched/internal/dispense"\|"loopsched/internal/sched"' --include='*.go' internal/mp
 	@! grep -rn 'dispense\.New(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/exec/\|^./internal/sim/\|^./internal/service/'
 	@! grep -rn 'dispense\.New(' --include='*.go' internal/exec | grep -v '_test.go\|^internal/exec/rpc.go:\|^internal/exec/jobstate.go:'
 	@! grep -rnw 'ChannelRequest\|stealSlave\|Slaves' --include='*.go' . | grep -v '_test.go\|^./benchmark/\|^./.bench_build/'
 	@! grep -rn '\bhsim\b\|\bhevent\|serviceShard\|launchFetch' --include='*.go' . | grep -v '^./benchmark/\|^./.bench_build/'
-	@! grep -rn 'Table: *true' --include='*.go' . | grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/dispense/'
+	@! grep -rn '"loopsched/internal/ledger"' --include='*.go' . | grep -v '_test.go\|^./benchmark/\|^./.bench_build/'
+	@! grep -rn 'BuildUnits\|Revise(\|ShareDeterministic\|NoReply' --include='*.go' . | grep -v '^./benchmark/\|^./.bench_build/'
 	@! grep -rnw 'fastGrants\|fastOff' --include='*.go' . | grep -v '^./benchmark/\|^./.bench_build/'
 
 fmt-check:

@@ -13,22 +13,16 @@
 // assignment of Eleliemy & Ciorba (arXiv:2101.07050); DESIGN.md "The
 // dispenser" states the rules.
 //
-// Concurrency: a Dispenser has no lock of its own. Report, Revise,
-// Feedback, Stage and a policy-backed Claim must be serialised by the
-// caller — the mutex or single master goroutine it already has. A stage
-// that armed a table publishes it and its counter as one object behind
-// one atomic pointer (Ledger): Claim and Ledger.FetchAdd are then one
-// atomic fetch-and-add plus immutable lookups, safe from any number of
-// goroutines, also while a later Stage or a Revise swaps the object — a
-// claimant still holding the old one gets what is left of it, or
-// nothing.
+// Concurrency: a Dispenser has no lock of its own. Report, Feedback,
+// Stage and Claim must be serialised by the caller — the mutex or
+// single master goroutine it already has. Drained alone may be read
+// from any goroutine.
 package dispense
 
 import (
 	"sync/atomic"
 
 	"loopsched/internal/acp"
-	"loopsched/internal/ledger"
 	"loopsched/internal/sched"
 )
 
@@ -45,74 +39,6 @@ type Config struct {
 	// NoReplan turns the majority re-plan off (ablation runs, and every
 	// hierarchical site: a super-chunk is re-planned at its boundary).
 	NoReplan bool
-	// Table asks each stage to arm a step table when ledger.Build
-	// accepts the scheme; draws are then lock-free. Ineligible schemes
-	// silently keep the policy, so asking is always safe.
-	Table bool
-	// Units also asks for a unit table (ledger.BuildUnits) where no step
-	// table can be had: a share-deterministic distributed scheme is then
-	// handed out in units of computing power from the ACPs the stage was
-	// planned with, and Revise — not Claim — takes the majority re-plan.
-	// Only a site that can route a changed ACP to Revise asks.
-	Units bool
-}
-
-// Ledger is what a stage that armed a table publishes: the table and
-// the counter that hands it out, as one object.
-type Ledger struct {
-	tab     *ledger.Table
-	base    int // chunk starts in tab are relative to the stage
-	ctr     ledger.Local
-	drained atomic.Bool
-}
-
-// Table returns the armed table; its chunk starts are relative to the
-// stage.
-func (l *Ledger) Table() *ledger.Table { return l.tab }
-
-// FetchAdd is the raw claim under Claim: reserve n steps — or units,
-// on a unit table — and return the first. A result at or past
-// Table().End() claimed nothing: the table is drained, or a re-plan
-// closed it.
-func (l *Ledger) FetchAdd(n int) uint64 {
-	first, _ := l.ctr.FetchAdd(n)
-	return first
-}
-
-// Claim is Dispenser.Claim on this ledger, whatever the dispenser has
-// staged since: the lock-free draw of a site that loaded the ledger and
-// must not fall onto a policy another goroutine re-planned in meanwhile.
-// On a unit table a chunk is the span of acpNow units — the paper's
-// C_j = SC_k·A_j/A with the A_j of this request, the plan's A_j when the
-// request carries none; on a step table it is one step.
-func (l *Ledger) Claim(worker, acpNow, max int, dst []sched.Assignment) []sched.Assignment {
-	a := acpNow
-	if a < 1 || !l.tab.Units() {
-		a = l.tab.Share(worker)
-	}
-	if a < 1 {
-		a = 1
-	}
-	for got := len(dst); len(dst) == got; {
-		n := l.tab.SpanBatch(l.ctr.Next(), a, max)
-		u := l.FetchAdd(n * a)
-		for i := 0; i < n; i++ {
-			s, ok := l.tab.Span(u+uint64(i*a), a)
-			if !ok {
-				// Past the table's end the claim is wasted: the counter
-				// only moves forward, so nothing is handed out twice and
-				// nothing needs retracting.
-				l.drained.Store(true)
-				return dst
-			}
-			if s.Size == 0 {
-				continue // a share that rounds to nothing; draw again
-			}
-			s.Start += l.base
-			dst = append(dst, s)
-		}
-	}
-	return dst
 }
 
 // Dispenser hands out one loop, or one super-chunk of it at a time.
@@ -127,13 +53,12 @@ type Dispenser struct {
 	unseen  int
 
 	base, size int // the stage: iterations [base, base+size)
-	next       int // policy path: first iteration not yet handed out
+	next       int // first iteration not yet handed out
 	policy     sched.Policy
 	fb         sched.FeedbackPolicy // policy, when it learns from completions
 	replans    int
 
-	led     atomic.Pointer[Ledger] // armed table of the stage, or nil
-	drained atomic.Bool            // policy path; a Ledger carries its own
+	drained atomic.Bool // read without the caller's lock (Drained)
 }
 
 // New returns a Dispenser with no stage: nothing can be claimed until
@@ -189,25 +114,8 @@ func (d *Dispenser) ACP(worker int) int { return d.liveACP[worker] }
 func (d *Dispenser) Stage(start, size int) error {
 	d.base, d.size, d.next = start, size, start
 	d.policy, d.fb = nil, nil
-	// Any build failure (ineligible scheme, over-long sequence) keeps
-	// the policy; a bad configuration fails NewPolicy below.
-	var tab *ledger.Table
-	cfg := sched.Config{Iterations: size, Workers: d.cfg.Workers}
-	if d.cfg.Table {
-		tab, _ = ledger.Build(d.cfg.Scheme, cfg)
-	}
-	if tab == nil && d.cfg.Units {
-		if tab, _ = ledger.BuildUnits(d.cfg.Scheme, cfg, d.liveACP); tab != nil {
-			copy(d.planACP, d.liveACP)
-		}
-	}
-	if tab == nil {
-		d.led.Store(nil)
-		if err := d.plan(); err != nil {
-			return err
-		}
-	} else {
-		d.led.Store(&Ledger{tab: tab, base: start})
+	if err := d.plan(); err != nil {
+		return err
 	}
 	d.drained.Store(false)
 	return nil
@@ -245,7 +153,7 @@ func (d *Dispenser) plan() error {
 }
 
 // Planned reports whether a stage has been planned.
-func (d *Dispenser) Planned() bool { return d.policy != nil || d.led.Load() != nil }
+func (d *Dispenser) Planned() bool { return d.policy != nil }
 
 // Feedback applies one completed chunk's measured cost to a learning
 // policy (AWF); other policies ignore it. Call it before the Claim it
@@ -256,52 +164,19 @@ func (d *Dispenser) Feedback(worker int, work, elapsed float64) {
 	}
 }
 
-// Revise is Report for a site that asked for unit tables: a unit-table
-// stage is drawn lock-free and its Claim records nothing, so the site
-// sends every ACP that differs from the worker's last one here. When a
-// majority of ACPs now differ from the plan's, the stage re-plans: the
-// ledger is closed — one fetch-add past its end, which returns the
-// first unit u* no claim had taken — and a policy over [P(u*), end of
-// the stage) is planned from the live ACPs. A claim racing the close
-// landed either wholly before it, and is valid under the old plan, or
-// past the end, and is void, exactly like a drain. On any other stage
-// Revise only records. An error means the policy could not be built;
-// nothing can be claimed any more.
-func (d *Dispenser) Revise(worker, acpNow int) (replanned bool, err error) {
-	d.liveACP[worker] = acpNow
-	l := d.led.Load()
-	if l == nil || !l.tab.Units() || d.cfg.NoReplan || !acp.MajorityChanged(d.planACP, d.liveACP) {
-		return false, nil
-	}
-	d.next = l.base + l.tab.Pos(l.ctr.Close())
-	d.led.Store(nil)
-	if err := d.plan(); err != nil {
-		return false, err
-	}
-	d.replans++
-	return true, nil
-}
-
 // Claim appends to dst the next chunks for worker, at most max and at
 // least one unless the stage is drained, and returns dst. The batch is
 // share-bounded (sched.BatchLimit over what the stage has left): a
-// table knows every chunk's size and meets the bound exactly; a policy
-// cannot be asked a chunk's size without granting it, so there the
+// policy cannot be asked a chunk's size without granting it, so the
 // batch ends as soon as one more chunk the size of the last would pass
 // the bound — exact for the paper's non-increasing sequences.
 //
-// On a table the draw is Ledger.Claim and records nothing — see Revise.
-//
-// Off the table Claim first records acpNow — also when no stage is
-// planned or the stage is drained, so the next Stage sees it — and, for
-// a distributed scheme, re-plans over the remaining iterations when a
-// majority of ACPs differ from the ones the current plan was built
-// from; replanned reports that it did. A re-plan that fails keeps the
-// plan.
+// Claim first records acpNow — also when no stage is planned or the
+// stage is drained, so the next Stage sees it — and, for a distributed
+// scheme, re-plans over the remaining iterations when a majority of
+// ACPs differ from the ones the current plan was built from; replanned
+// reports that it did. A re-plan that fails keeps the plan.
 func (d *Dispenser) Claim(worker, acpNow, max int, dst []sched.Assignment) (_ []sched.Assignment, replanned bool) {
-	if l := d.led.Load(); l != nil {
-		return l.Claim(worker, acpNow, max, dst), false
-	}
 	d.liveACP[worker] = acpNow
 	if d.policy == nil {
 		return dst, false
@@ -345,25 +220,7 @@ func (d *Dispenser) Next(worker, acpNow int) (a sched.Assignment, ok, replanned 
 // Drained reports whether the stage has been handed out in full (true
 // before the first Stage). A flat run never un-drains: a re-plan covers
 // only what is left, which is nothing by then.
-func (d *Dispenser) Drained() bool {
-	if l := d.led.Load(); l != nil {
-		return l.drained.Load()
-	}
-	return d.drained.Load()
-}
+func (d *Dispenser) Drained() bool { return d.drained.Load() }
 
-// Replans returns how many majority re-plans Claim and Revise have
-// taken.
+// Replans returns how many majority re-plans Claim has taken.
 func (d *Dispenser) Replans() int { return d.replans }
-
-// Ledger returns what the stage armed — its table and counter — or nil
-// on the policy path.
-func (d *Dispenser) Ledger() *Ledger { return d.led.Load() }
-
-// Table returns the stage's armed table, or nil on the policy path.
-func (d *Dispenser) Table() *ledger.Table {
-	if l := d.led.Load(); l != nil {
-		return l.tab
-	}
-	return nil
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"loopsched/internal/acp"
+	"loopsched/internal/ledger"
 	"loopsched/internal/sched"
 )
 
@@ -219,13 +220,13 @@ func TestNextReproducesThePolicy(t *testing.T) {
 }
 
 // TestBatchesAreShareBoundedAndSourceBlind is properties (b) and (c):
-// whatever max a claimant passes, a table-backed and a policy-backed
-// Dispenser hand out the same chunk sequence for every
-// step-deterministic scheme, and on both sources every batch is at
-// most max chunks whose iterations stay within sched.BatchLimit of
-// what was left when it started unless it is a single chunk — exactly
-// on the table, and for the policy with the batch's last chunk
-// predicted by its predecessor.
+// whatever max a claimant passes, every batch is at most max chunks
+// whose iterations stay within sched.BatchLimit of what was left when
+// it started unless it is a single chunk — with the batch's last chunk
+// predicted by its predecessor, since a policy cannot be asked a
+// chunk's size without granting it — and for every step-deterministic
+// scheme the chunks are the scheme's step table (ledger.Build), in
+// order, whatever max was.
 func TestBatchesAreShareBoundedAndSourceBlind(t *testing.T) {
 	for _, name := range sched.Names() {
 		s, err := sched.Lookup(name)
@@ -236,26 +237,24 @@ func TestBatchesAreShareBoundedAndSourceBlind(t *testing.T) {
 			for _, n := range []int{0, 1, p - 1, 2000, 65536} {
 				for _, max := range []int{1, 2, 8, 32} {
 					t.Run(fmt.Sprintf("%s/p%d/n%d/max%d", name, p, n, max), func(t *testing.T) {
-						var seqs [2][]sched.Assignment
-						for i, table := range []bool{false, true} {
-							d := New(Config{Scheme: s, Workers: p, Table: table})
-							if err := d.Stage(0, n); err != nil {
-								t.Fatal(err)
-							}
-							if got, want := d.Table() != nil, table && sched.StepDeterministic(s); got != want {
-								t.Fatalf("Table armed = %v, want %v", got, want)
-							}
-							seqs[i] = drainInBatches(t, d, p, n, max)
+						d := New(Config{Scheme: s, Workers: p})
+						if err := d.Stage(0, n); err != nil {
+							t.Fatal(err)
 						}
+						seq := drainInBatches(t, d, p, n, max)
 						if !sched.StepDeterministic(s) {
 							return
 						}
-						if len(seqs[0]) != len(seqs[1]) {
-							t.Fatalf("policy handed out %d chunks, table %d", len(seqs[0]), len(seqs[1]))
+						tab, err := ledger.Build(s, sched.Config{Iterations: n, Workers: p})
+						if err != nil {
+							t.Fatal(err)
 						}
-						for k := range seqs[0] {
-							if seqs[0][k] != seqs[1][k] {
-								t.Fatalf("chunk %d: policy %+v, table %+v", k, seqs[0][k], seqs[1][k])
+						if len(seq) != tab.Steps() {
+							t.Fatalf("policy handed out %d chunks, the step table has %d", len(seq), tab.Steps())
+						}
+						for k, a := range seq {
+							if want, _ := tab.Chunk(uint64(k)); a != want {
+								t.Fatalf("chunk %d: policy %+v, step table %+v", k, a, want)
 							}
 						}
 					})
@@ -288,9 +287,7 @@ func drainInBatches(t *testing.T, d *Dispenser, p, n, max int) []sched.Assignmen
 			iters += a.Size
 		}
 		if k := len(batch); k > 1 {
-			if d.Table() == nil {
-				iters += batch[k-2].Size - batch[k-1].Size
-			}
+			iters += batch[k-2].Size - batch[k-1].Size
 			if limit := sched.BatchLimit(n-batch[0].Start, n, p); iters > limit {
 				t.Fatalf("batch %v: %d iterations, limit %d", batch, iters, limit)
 			}
@@ -306,8 +303,11 @@ func drainInBatches(t *testing.T, d *Dispenser, p, n, max int) []sched.Assignmen
 // TestStageIsAnOffsetFreshPolicy is property (d), what the hierarchy
 // leans on: staging super-chunk [start, start+size) hands out exactly
 // sched.Offset of a fresh policy over size iterations planned from the
-// latest reports — on the policy and on the table — and a Dispenser
-// can be re-staged any number of times, drained or not.
+// latest reports, and a Dispenser can be re-staged any number of times,
+// drained or not. The table-true leg holds a step-deterministic scheme
+// to its step table (ledger.Build over size iterations, shifted by
+// start) instead; every other scheme has none and is held to the
+// offset policy on both legs.
 func TestStageIsAnOffsetFreshPolicy(t *testing.T) {
 	stages := []struct{ start, size int }{{0, 1}, {137, 963}, {4096, 555}, {25, 10000}, {999983, 77}, {7, 0}}
 	for _, name := range sched.Names() {
@@ -318,7 +318,7 @@ func TestStageIsAnOffsetFreshPolicy(t *testing.T) {
 		for _, table := range []bool{false, true} {
 			for _, p := range []int{1, 3, 8} {
 				t.Run(fmt.Sprintf("%s/table-%v/p%d", name, table, p), func(t *testing.T) {
-					d := New(Config{Scheme: s, Workers: p, NoReplan: true, Table: table})
+					d := New(Config{Scheme: s, Workers: p, NoReplan: true})
 					ref := &reference{scheme: s, p: p, noReplan: true,
 						liveACP: make([]int, p), planACP: make([]int, p)}
 					for si, st := range stages {
@@ -334,6 +334,12 @@ func TestStageIsAnOffsetFreshPolicy(t *testing.T) {
 						}
 						ref.base, ref.end = st.start, st.start+st.size
 						ref.plan(t)
+						var tab *ledger.Table
+						if table && sched.StepDeterministic(s) {
+							if tab, err = ledger.Build(s, sched.Config{Iterations: st.size, Workers: p}); err != nil {
+								t.Fatal(err)
+							}
+						}
 						take := -1 // drain odd stages, abandon even ones half-way
 						if si%2 == 0 {
 							take = 3
@@ -341,9 +347,14 @@ func TestStageIsAnOffsetFreshPolicy(t *testing.T) {
 						for i := 0; i != take; i++ {
 							q := request{i % p, ref.liveACP[i%p]}
 							want, wantOK, _ := ref.next(t, q)
+							if tab != nil {
+								if want, wantOK = tab.Chunk(uint64(i)); wantOK {
+									want.Start += st.start
+								}
+							}
 							got, ok, _ := d.Next(q.worker, q.acp)
 							if ok != wantOK || got != want {
-								t.Fatalf("stage %+v draw %d: got %+v ok=%v, offset policy %+v ok=%v", st, i, got, ok, want, wantOK)
+								t.Fatalf("stage %+v draw %d: got %+v ok=%v, want %+v ok=%v", st, i, got, ok, want, wantOK)
 							}
 							if !ok {
 								break

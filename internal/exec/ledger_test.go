@@ -11,9 +11,9 @@ import (
 
 // TestLedgerMixedTransportsOneListener runs a mixed fleet on one sniffed
 // listener — a gob worker, a binary worker with a window and a binary
-// worker with the pipeline, at three different powers. The master arms
-// no table for any scheme: every grant, whichever transport asked, is a
-// draw on the policy. For a step-deterministic scheme the chunk tally
+// worker with the pipeline, at three different powers. Every grant,
+// whichever transport asked, is a draw on the policy. For a
+// step-deterministic scheme the chunk tally
 // must still equal the scheme's nominal step count (ledger.Build's), and
 // every iteration must arrive exactly once.
 func TestLedgerMixedTransportsOneListener(t *testing.T) {
@@ -38,9 +38,6 @@ func TestLedgerMixedTransportsOneListener(t *testing.T) {
 			if rep.Iterations != n {
 				t.Fatalf("iterations = %d, want %d", rep.Iterations, n)
 			}
-			if tab := m.d.Table(); tab != nil {
-				t.Fatalf("a table (units = %v) is armed for %s", tab.Units(), scheme.Name())
-			}
 			if !sched.Distributed(scheme) {
 				if want := nominalSteps(t, scheme, n, 3); rep.Chunks != want {
 					t.Fatalf("chunks = %d, want the scheme's %d steps granted exactly once", rep.Chunks, want)
@@ -56,17 +53,14 @@ func TestLedgerMixedTransportsOneListener(t *testing.T) {
 }
 
 // TestLedgerReplanClosesTheUnitTable flips a majority of ACPs mid-run
-// on a share-deterministic distributed scheme — the case whose unit
-// table a re-plan would have to close. The master arms no unit table
-// (no Run backend asks the dispenser for Units), so the re-plan is its
-// policy's: one extra process lands on two of the three machines from
-// each one's second request on. With the pipeline on, that request is a
-// prefetch sent while the worker still computes its first chunk, so the
-// run cannot have ended and the master sees both new ACPs before it
-// grants again: it re-plans what is left from them. Every iteration
-// still runs exactly once, the re-plan is counted, no table is armed
-// after it, and nothing hangs (the package's leak check joins every
-// goroutine).
+// on a distributed scheme: one extra process lands on two of the three
+// machines from each one's second request on. With the pipeline on,
+// that request is a prefetch sent while the worker still computes its
+// first chunk, so the run cannot have ended and the master sees both
+// new ACPs before it grants again: it re-plans what is left from them
+// (dispense.Claim's majority rule). Every iteration
+// still runs exactly once, the re-plan is counted, and nothing hangs
+// (the package's leak check joins every goroutine).
 func TestLedgerReplanClosesTheUnitTable(t *testing.T) {
 	const n = 20000
 	for _, scheme := range []sched.Scheme{sched.NewDCSS(4), sched.DTSSScheme{}, sched.NewDFSS()} {
@@ -99,9 +93,6 @@ func TestLedgerReplanClosesTheUnitTable(t *testing.T) {
 			}
 			if rep.Iterations != n || rep.Replans < 1 {
 				t.Fatalf("iterations = %d, replans = %d; want %d and at least one re-plan", rep.Iterations, rep.Replans, n)
-			}
-			if m.d.Table() != nil {
-				t.Fatal("a table is armed after the re-plan")
 			}
 			for i := range runs {
 				if c := runs[i].Load(); c != 1 {
@@ -147,8 +138,9 @@ func TestLedgerAllWireWorkers(t *testing.T) {
 }
 
 // TestLedgerIneligibleAdvisory pins LedgerMode's contract on JobState:
-// "on" is accepted and ignored — no table is armed, for a feedback
-// scheme or a step-deterministic one — and an unknown mode is an error.
+// "on" is accepted and ignored — for a feedback scheme and a
+// step-deterministic one alike, the job plans its policy — and an
+// unknown mode is an error.
 func TestLedgerIneligibleAdvisory(t *testing.T) {
 	for _, scheme := range []sched.Scheme{sched.AWFScheme{}, sched.TSSScheme{}} {
 		cfg := JobConfig{Scheme: scheme, Workload: workload.Uniform{N: 100}, Workers: 2, Ledger: LedgerOn}
@@ -156,8 +148,8 @@ func TestLedgerIneligibleAdvisory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if js.d.Table() != nil {
-			t.Fatalf("ledger armed for %s", scheme.Name())
+		if !js.d.Planned() {
+			t.Fatalf("%s: ledger mode on left the job unplanned", scheme.Name())
 		}
 		cfg.Ledger = "sideways"
 		if _, err := NewJobState(cfg); err == nil {

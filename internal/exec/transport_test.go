@@ -278,9 +278,10 @@ func TestRPCWireCreditWindow(t *testing.T) {
 
 // TestMixedTransportsOneListener: the master's sniffer serves a gob
 // worker and two binary workers over the same listener in the same run.
-// Two more binary connections send the codec frames no master answers —
-// a FetchAdd claim, and a no-reply request that carries a forged result
-// for worker 1 — and each must be dropped on its own: the claim gets no
+// Two more binary connections send frames no master answers — the
+// codec's FetchAdd claim, and a raw request frame that sets the
+// reserved flag bit 2 and carries a forged result for worker 1 — and
+// each must be dropped on its own: the claim gets no
 // chunk, the forged result is not filed, and the fleet still finishes
 // with every iteration delivered exactly once, FSS's nominal steps each
 // granted once. TestLedgerMixedTransportsOneListener runs the same
@@ -290,7 +291,7 @@ func TestMixedTransportsOneListener(t *testing.T) {
 	m, addr, stop := startMaster(t, sched.FSSScheme{}, n, 3)
 	defer stop()
 
-	unanswerable := func(what string, send func(c *wire.Conn) error) {
+	unanswerable := func(what string, send func(conn net.Conn) error) {
 		t.Helper()
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -298,23 +299,30 @@ func TestMixedTransportsOneListener(t *testing.T) {
 		}
 		defer conn.Close()
 		conn.SetReadDeadline(time.Now().Add(10 * time.Second)) // fail, not hang, if it is answered or kept open
-		c, err := wire.NewClient(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := send(c); err != nil {
+		if err := send(conn); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
 			t.Fatalf("%s: read %v, want the master to close the connection (EOF)", what, err)
 		}
 	}
-	unanswerable("FetchAdd frame", func(c *wire.Conn) error { return c.WriteFetchAdd(1) })
-	unanswerable("no-reply frame", func(c *wire.Conn) error {
-		return c.WriteRequest(&wire.Request{
-			Worker: 1, NoReply: true,
-			Results: []wire.Record{{Index: 0, Data: []byte("forged")}},
-		})
+	unanswerable("FetchAdd frame", func(conn net.Conn) error {
+		c, err := wire.NewClient(conn)
+		if err != nil {
+			return err
+		}
+		return c.WriteFetchAdd(1)
+	})
+	unanswerable("no-reply frame", func(conn net.Conn) error {
+		// A request for worker 1 with flag bit 2 set and one forged
+		// 6-byte result at index 0: type, worker, ACP, two zero
+		// float64s, flags, credits, one record.
+		body := append([]byte{0x01, 1, 0}, make([]byte, 16)...)
+		body = append(body, 0x04, 0, 1, 0, 6)
+		body = append(body, "forged"...)
+		frame := append([]byte{wire.Magic, 'L', 'S', wire.Version, byte(len(body))}, body...)
+		_, err := conn.Write(frame)
+		return err
 	})
 
 	runWorkers(t, addr, []Worker{

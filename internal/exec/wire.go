@@ -72,10 +72,9 @@ func serveSniffed(srv *rpc.Server, conn io.ReadWriteCloser, bus *telemetry.Bus, 
 // serveWire runs the framed loop for one worker connection until the
 // stream closes, a frame fails to parse, or a stop reply to a
 // synchronous request completes the dialogue. Every frame the master
-// serves is a request it answers with a reply: the codec's FetchAdd and
-// no-reply frames ask for an answer no master gives, so either drops
-// the dialogue — left unanswered, a claim would deadlock its worker,
-// and results filed without a reply would leave it none to read.
+// serves is a request it answers with a reply: the codec's FetchAdd
+// frame asks for an answer no master gives, so it drops the dialogue —
+// left unanswered, the claim would deadlock its worker.
 func serveWire(c *wire.Conn, bus *telemetry.Bus, shard int, batch batchFunc) {
 	c.SetTelemetry(bus, -1, shard)
 	var (
@@ -86,7 +85,7 @@ func serveWire(c *wire.Conn, bus *telemetry.Bus, shard int, batch batchFunc) {
 	)
 	for {
 		kind, _, err := c.ReadClientFrame(&req)
-		if err != nil || kind != wire.KindRequest || req.NoReply {
+		if err != nil || kind != wire.KindRequest {
 			return // closed, cancelled, corrupt or unanswerable: drop the dialogue
 		}
 		if !labeled {

@@ -136,9 +136,6 @@ func TestBuildIneligible(t *testing.T) {
 		if _, err := Build(s, cfg); !errors.Is(err, ErrIneligible) {
 			t.Errorf("%s: Build err = %v, want ErrIneligible", s.Name(), err)
 		}
-		if Eligible(s, cfg) {
-			t.Errorf("%s reported eligible", s.Name())
-		}
 	}
 	if _, err := Build(sched.TSSScheme{}, sched.Config{Iterations: 100, Workers: 4, NoClip: true}); !errors.Is(err, ErrIneligible) {
 		t.Errorf("NoClip: err = %v, want ErrIneligible", err)
@@ -218,108 +215,12 @@ func TestLocalFetchAddClaimsDisjointSteps(t *testing.T) {
 	}
 	wg.Wait()
 	want := uint64(workers * claims * batch)
-	if l.Next() != want {
-		t.Fatalf("counter = %d, want %d", l.Next(), want)
+	if next, _ := l.FetchAdd(0); next != want {
+		t.Fatalf("counter = %d, want %d", next, want)
 	}
 	for s := uint64(0); s < want; s++ {
 		if !seen[s] {
 			t.Fatalf("step %d never claimed", s)
-		}
-	}
-}
-
-// TestLocalStoreSeedsCounter covers the hier rebuild path.
-func TestLocalStoreSeedsCounter(t *testing.T) {
-	var l Local
-	if _, err := l.FetchAdd(5); err != nil {
-		t.Fatal(err)
-	}
-	l.Store(0)
-	first, _ := l.FetchAdd(2)
-	if first != 0 {
-		t.Fatalf("after Store(0), FetchAdd = %d, want 0", first)
-	}
-}
-
-// TestBatchShareBound is the table-driven contract of Table.Batch, the
-// share rule every batcher sizes its claims with: for every
-// step-deterministic scheme in the registry (plus explicit fixed-chunk
-// tables, which take the analytic branch), from every step, the batch
-// is within [1, max], its chunks' iteration total stays within
-// sched.BatchLimit of what is left at that step unless it is a single
-// chunk, and a step at or past Steps() claims exactly one (wasted) step.
-func TestBatchShareBound(t *testing.T) {
-	schemes := []sched.Scheme{sched.CSSScheme{K: 4}, sched.CSSScheme{K: 1000}}
-	for _, name := range sched.Names() {
-		s, err := sched.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sched.StepDeterministic(s) {
-			schemes = append(schemes, s)
-		}
-	}
-	const max = 8
-	for _, s := range schemes {
-		for _, p := range []int{1, 2, 3, 8} {
-			for _, n := range []int{1, p - 1, 2000, 65536} {
-				tab, err := Build(s, sched.Config{Iterations: n, Workers: p})
-				if err != nil {
-					t.Fatalf("%s p=%d N=%d: %v", s.Name(), p, n, err)
-				}
-				for step := 0; step < tab.Steps(); step++ {
-					first, _ := tab.Chunk(uint64(step))
-					got := tab.Batch(uint64(step), max)
-					if got < 1 || got > max {
-						t.Fatalf("%s p=%d N=%d step %d: batch %d outside [1,%d]", s.Name(), p, n, step, got, max)
-					}
-					iters := 0
-					for i := 0; i < got; i++ {
-						a, _ := tab.Chunk(uint64(step + i)) // past the end: zero size
-						iters += a.Size
-					}
-					limit := sched.BatchLimit(n-first.Start, n, p)
-					if got > 1 && iters > limit {
-						t.Fatalf("%s p=%d N=%d step %d: %d chunks carry %d iterations, limit %d",
-							s.Name(), p, n, step, got, iters, limit)
-					}
-					if one := tab.Batch(uint64(step), 1); one != 1 {
-						t.Fatalf("%s p=%d N=%d step %d: max 1 gave %d", s.Name(), p, n, step, one)
-					}
-				}
-				for _, past := range []int{tab.Steps(), tab.Steps() + 1, tab.Steps() + 1<<20} {
-					if got := tab.Batch(uint64(past), max); got != 1 {
-						t.Fatalf("%s p=%d N=%d: step %d past the %d-step table claims %d, want 1",
-							s.Name(), p, n, past, tab.Steps(), got)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBatchKeepsDecreasingChunksApart pins the two cases the rule was
-// written for (docs/LEDGER.md "Share-bounded batches"): a loop of a few
-// large decreasing chunks is claimed one chunk at a time, so no worker
-// can hold the whole loop, while a fine fixed-chunk loop still fills
-// the cap, so the round trips per chunk do not grow.
-func TestBatchKeepsDecreasingChunksApart(t *testing.T) {
-	tfss, err := Build(sched.TFSSScheme{}, sched.Config{Iterations: 2000, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < tfss.Steps(); step++ {
-		if got := tfss.Batch(uint64(step), 8); got != 1 {
-			t.Errorf("TFSS N=2000 p=2: a claim at step %d takes %d of %d chunks, want 1", step, got, tfss.Steps())
-		}
-	}
-	css, err := Build(sched.CSSScheme{K: 4}, sched.Config{Iterations: 1 << 16, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, step := range []int{0, css.Steps() / 2, css.Steps() - 9} {
-		if got := css.Batch(uint64(step), 8); got != 8 {
-			t.Errorf("CSS(4) N=65536 p=2 step %d: claim takes %d chunks, want the cap 8", step, got)
 		}
 	}
 }

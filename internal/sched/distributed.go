@@ -33,10 +33,6 @@ func (d DistributedScheme) Name() string { return d.name }
 // Distributed marks the scheme as load-adaptive for sched.Distributed.
 func (DistributedScheme) Distributed() bool { return true }
 
-// ShareDeterministic: the stage totals come from the plan and a request
-// enters only as A_j/A.
-func (DistributedScheme) ShareDeterministic() bool { return true }
-
 func (d DistributedScheme) NewPolicy(cfg Config) (Policy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -23,10 +23,6 @@ func (DTSSScheme) Name() string { return "DTSS" }
 // Distributed marks the scheme as load-adaptive for sched.Distributed.
 func (DTSSScheme) Distributed() bool { return true }
 
-// ShareDeterministic: a request takes the A_i unit-power chunks that
-// follow S_{i−1}, whoever makes it.
-func (DTSSScheme) ShareDeterministic() bool { return true }
-
 func (s DTSSScheme) NewPolicy(cfg Config) (Policy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -139,7 +139,7 @@ func ledgerCodecGuard(t *testing.T) {
 }
 
 // ledgerConnGuard runs the framed ledger dialogue exactly as the
-// worker does — a no-reply deposit queued unflushed, a FetchAdd claim
+// codec defines it — a request queued unflushed, a FetchAdd claim
 // whose flush ships both frames in one segment, the step reply — and
 // demands the steady state stays allocation-free.
 func ledgerConnGuard(t *testing.T) {
@@ -147,20 +147,20 @@ func ledgerConnGuard(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates on the framing path")
 	}
 	client, server := connPair(t)
-	deposit := Request{Worker: 1, Prefetch: true, NoReply: true,
+	queued := Request{Worker: 1, Prefetch: true,
 		Results: []Record{{Index: 7, Data: []byte{1, 2, 3, 4}}}}
 	decReq := Request{Results: make([]Record, 0, 4)}
 
 	cycle := func() {
-		if err := client.QueueRequest(&deposit); err != nil {
+		if err := client.QueueRequest(&queued); err != nil {
 			panic(err)
 		}
 		if err := client.WriteFetchAdd(4); err != nil {
 			panic(err)
 		}
 		kind, _, err := server.ReadClientFrame(&decReq)
-		if err != nil || kind != KindRequest || !decReq.NoReply {
-			panic("deposit dispatch failed")
+		if err != nil || kind != KindRequest || len(decReq.Results) != 1 {
+			panic("request dispatch failed")
 		}
 		kind, n, err := server.ReadClientFrame(&decReq)
 		if err != nil || kind != KindFetchAdd || n != 4 {

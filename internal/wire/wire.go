@@ -26,8 +26,8 @@
 //
 //	request body: 0x01 | uvarint worker | uvarint acp |
 //	              fixed64 compSeconds | fixed64 idleSeconds |
-//	              flags (bit0 prefetch, bit1 record spans, bit2 no-reply,
-//	                     bit3 runs) |
+//	              flags (bit0 prefetch, bit1 record spans, bit3 runs;
+//	                     bit2 reserved, rejected) |
 //	              uvarint credits |
 //	              uvarint nResults | nResults × record |
 //	              [nResults × uvarint span]          (iff bit1 set)
@@ -45,11 +45,10 @@
 //
 // FetchAdd/Step are a one-sided claim dialogue — claim n scheduling
 // steps, get the first back — carrying a single uvarint each instead of
-// a grant batch. The no-reply request flag (bit2) marks a deposit-only
-// request — piggy-backed completion records for which the client will
-// not read a reply; servers must not write one. Both are codec-only:
-// exec.Master answers neither and drops a connection that sends one
-// (docs/PROTOCOL.md "Codec-only frames").
+// a grant batch. It is codec-only: exec.Master does not answer it and
+// drops a connection that sends it (docs/PROTOCOL.md "Codec-only
+// frames"). Request flag bit2 is reserved: like every flag bit the
+// decoder does not know, it fails decoding with ErrCorrupt.
 //
 // A completion record is a range, not an iteration: a run of count
 // consecutive iterations whose kernel returned no bytes travels as one
@@ -109,9 +108,8 @@ const (
 
 	flagPrefetch    = 1 << 0
 	flagRecordSpans = 1 << 1 // request carries one span id per record
-	flagNoReply     = 1 << 2 // deposit-only request: server must not reply
 	flagRuns        = 1 << 3 // request carries run records: record lengths are tagged
-	requestFlags    = flagPrefetch | flagRecordSpans | flagNoReply | flagRuns
+	requestFlags    = flagPrefetch | flagRecordSpans | flagRuns
 
 	flagStop   = 1 << 0
 	flagError  = 1 << 1
@@ -172,13 +170,9 @@ type Request struct {
 	CompSeconds float64
 	IdleSeconds float64
 	Prefetch    bool
-	// NoReply marks a deposit-only request: the client ships completion
-	// records but will not read a reply, and the server must not write
-	// one. Codec-only: exec.Master drops a connection that sets it.
-	NoReply bool
-	Credits int
-	Results []Record
-	Spans   []uint64
+	Credits     int
+	Results     []Record
+	Spans       []uint64
 }
 
 // iterations is how many iterations the request's records complete —
@@ -248,9 +242,6 @@ func appendRequest(b []byte, r *Request) ([]byte, error) {
 	}
 	if len(r.Spans) > 0 {
 		flags |= flagRecordSpans
-	}
-	if r.NoReply {
-		flags |= flagNoReply
 	}
 	for i := range r.Results {
 		if r.Results[i].Count != 0 {
@@ -418,7 +409,6 @@ func decodeRequest(body []byte, r *Request) error {
 		return fmt.Errorf("%w: unknown request flags 0x%02x", ErrCorrupt, flags&^requestFlags)
 	}
 	r.Prefetch = flags&flagPrefetch != 0
-	r.NoReply = flags&flagNoReply != 0
 	if r.Credits, err = d.smallInt("credits"); err != nil {
 		return err
 	}

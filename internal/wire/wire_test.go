@@ -70,13 +70,13 @@ func sampleRequests() []Request {
 			Spans: []uint64{1<<40 | 101, 0},
 		},
 		{
-			Worker: 5, Prefetch: true, NoReply: true,
+			Worker: 5, Prefetch: true,
 			Results: []Record{{Index: 12, Data: []byte{6, 6, 6}}},
 		},
-		// Run records: alone, as a no-reply deposit, mixed with data
-		// records (an empty one among them), and mixed with a span block.
+		// Run records: alone, with no credits, mixed with data records
+		// (an empty one among them), and mixed with a span block.
 		{Worker: 1, Credits: 8, Results: []Record{{Index: 0, Count: 256}}},
-		{Worker: 4, NoReply: true, Results: []Record{{Index: 1 << 20, Count: 1}}},
+		{Worker: 4, Results: []Record{{Index: 1 << 20, Count: 1}}},
 		{
 			Worker: 6, Prefetch: true, Credits: 3,
 			Results: []Record{
@@ -139,7 +139,7 @@ func reqEqual(a, b *Request) bool {
 	if a.Worker != b.Worker || a.ACP != b.ACP ||
 		math.Float64bits(a.CompSeconds) != math.Float64bits(b.CompSeconds) ||
 		math.Float64bits(a.IdleSeconds) != math.Float64bits(b.IdleSeconds) ||
-		a.Prefetch != b.Prefetch || a.NoReply != b.NoReply || a.Credits != b.Credits ||
+		a.Prefetch != b.Prefetch || a.Credits != b.Credits ||
 		len(a.Results) != len(b.Results) {
 		return false
 	}
@@ -267,8 +267,10 @@ func TestDecodeErrors(t *testing.T) {
 			append(binary.AppendUvarint(nil, MaxFrame-1), 2<<1|1)...)},
 		{"run tag without the runs flag", append(reqHeader(0), 0x01, 0x00, 0x81, 0x04)},
 		{"runs flag with no run", append(reqHeader(flagRuns), 0x01, 0x00, 0x00)},
-		// Flag bits the decoders do not know would be dropped on re-encode.
+		// Flag bits the decoders do not know would be dropped on re-encode;
+		// bit 2 is reserved.
 		{"request stray flag bit", append(reqHeader(1<<5), 0x00)},
+		{"request reserved flag bit 2", append(reqHeader(1<<2|flagPrefetch), 0x00)},
 		{"reply stray flag bit", []byte{frameReply, 1 << 5, 0x00}},
 	}
 	for _, c := range cases {
