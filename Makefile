@@ -20,7 +20,7 @@ LINT_PKGS = $(shell $(GO) list ./... | grep -v '^loopsched/benchmark')
 
 .PHONY: all build vet test race fuzz bench bench-compare experiments baseline check-baseline clean \
 	lint lint-tool escape-check dup-check fmt-check staticcheck govulncheck \
-	flake bench-smoke
+	flake bench-smoke profile-fine
 
 all: build vet lint test
 
@@ -134,6 +134,18 @@ flake:
 bench-smoke:
 	$(GO) run ./benchmark --workload small_loops --seed 2 --seconds 5 --trace 1 | tail -n 1 \
 		| jq -e '.correct == true and .failed == 0'
+
+# profile-fine profiles the worker's hot path on the finest loop the
+# benchmark runs (BenchmarkRunLocalFine: local backend, CSS(4), 65 536
+# empty iterations, p = 2, 1 500 runs), writes the CPU profile to
+# bin/fine.cpu.pprof and prints time.Now's share of it — the cost of the
+# slave loop's clock reads (DESIGN.md §9, "the worker's clock").
+profile-fine:
+	@mkdir -p bin
+	$(GO) test -run '^$$' -bench '^BenchmarkRunLocalFine$$' -benchtime 1500x \
+		-cpuprofile bin/fine.cpu.pprof -o bin/loopsched.test .
+	@$(GO) tool pprof -top bin/loopsched.test bin/fine.cpu.pprof 2>/dev/null \
+		| awk '/flat%/ { print } / time\.Now$$/ { print; found = 1 } END { if (!found) print "time.Now: below the profile cut-off" }'
 
 fuzz:
 	$(GO) test -fuzz FuzzSchemeCoverage -fuzztime 30s ./internal/sched/

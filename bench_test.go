@@ -13,11 +13,13 @@
 package loopsched_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
 	"testing"
 
+	"loopsched"
 	"loopsched/internal/acp"
 	"loopsched/internal/experiments"
 	"loopsched/internal/mandelbrot"
@@ -449,6 +451,34 @@ func BenchmarkTreeSimulator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := tree.Run(c, tree.Options{Weighted: true}, w, p); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// ---- Runtime overhead ----
+
+// BenchmarkRunLocalFine is the loop make profile-fine profiles: one Run
+// on the local backend per op, CSS(4) over 65 536 empty iterations on
+// two equal workers, pipelined with no credit window — the benchmark's
+// fine_css cell, where scheduling and timing overhead is nearly all of
+// the run.
+func BenchmarkRunLocalFine(b *testing.B) {
+	spec := loopsched.RunSpec{
+		Scheme:   loopsched.NewCSS(4),
+		Workload: loopsched.Uniform{N: 1 << 16},
+		Backend:  loopsched.BackendLocal,
+		Workers:  []*loopsched.WorkerSpec{{}, {}},
+		Kernel:   func(int) []byte { return nil },
+		Pipeline: true,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := loopsched.Run(context.Background(), spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Iterations != 1<<16 {
+			b.Fatalf("%d of %d iterations", rep.Iterations, 1<<16)
 		}
 	}
 }

@@ -58,7 +58,7 @@ func TestGatherReleasesByDecreasingACP(t *testing.T) {
 		// request that completes the gather is the one due first.
 		for i := 2; i > 0; i-- {
 			ask(tc.order[i])
-			waitUntil(t, func() bool { return m.Parked() == 3-i })
+			waitParked(t, m, 3-i)
 		}
 		ask(tc.order[0])
 		wg.Wait()

@@ -24,7 +24,7 @@ var hotGuards = map[string]func(t *testing.T){
 	"(*JobState).Steal":    jobStateCycleGuard,
 	"(*JobState).Complete": jobStateCycleGuard,
 	"(*Master).book":       masterReplyGuard,
-	"(Worker).run":         workerRunGuard,
+	"runKernel":            workerRunGuard,
 	"(*memLink).Send":      memLinkRefillGuard,
 	"(*memLink).Recv":      memLinkRefillGuard,
 }
@@ -178,12 +178,12 @@ func memLinkRefillGuard(t *testing.T) {
 // covering all of them, and in steady state — the record buffer reused
 // call over call, as runWindow reuses pending — it allocates nothing.
 func workerRunGuard(t *testing.T) {
-	w := Worker{Kernel: func(int) []byte { return nil }}
-	recs := w.run(nil, 0, 256)
+	kernel := func(int) []byte { return nil }
+	recs := runKernel(kernel, 1, nil, 0, 256)
 	if len(recs) != 1 || recs[0].Index != 0 || recs[0].Count != 256 || recs[0].Data != nil {
 		t.Fatalf("256 empty results coded as %+v, want one run {0, 256}", recs)
 	}
-	if avg := testing.AllocsPerRun(1000, func() { recs = w.run(recs[:0], 256, 512) }); avg > 0 {
+	if avg := testing.AllocsPerRun(1000, func() { recs = runKernel(kernel, 1, recs[:0], 256, 512) }); avg > 0 {
 		t.Errorf("a 256-iteration run call allocates %.1f objects, want 0", avg)
 	}
 }

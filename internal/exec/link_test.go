@@ -542,9 +542,7 @@ func TestMemLinkClose(t *testing.T) {
 	answered := make(chan error, 1)
 	var rep wire.Reply
 	go func() { answered <- l.Call(&wire.Request{Worker: 0, ACP: 10, Credits: 1}, &rep) }()
-	for m.Parked() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, m, 1)
 	select {
 	case err := <-answered:
 		t.Fatalf("a request parked in the gather returned (%v) before Cancel", err)

@@ -222,8 +222,9 @@ type Master struct {
 	stoppedSet []bool
 	requeued   []sched.Assignment // failed workers' chunks to re-issue
 	failed     map[int]bool
-	parked     []bool // workers idling inside a held NextChunk call
-	turn       []int  // first requests the gather released, in the order they draw
+	parked     []bool        // workers idling inside a held NextChunk call
+	parkNote   chan struct{} // one token buffered whenever a worker parks: what a test waits on
+	turn       []int         // first requests the gather released, in the order they draw
 	started    time.Time
 	finished   time.Time
 	done       chan struct{}
@@ -276,6 +277,7 @@ func newMaster(scheme sched.Scheme, n, workers, shard int, members []int, src So
 		compHist:   hist.NewSharded(workers),
 		failed:     make(map[int]bool),
 		parked:     make([]bool, workers),
+		parkNote:   make(chan struct{}, 1),
 		stoppedSet: make([]bool, workers),
 		done:       make(chan struct{}),
 		started:    time.Now(),
@@ -752,6 +754,10 @@ func (m *Master) grants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt flo
 		// either the run completes (Stop), a failed worker's chunk is
 		// requeued and lands here, or the source has more.
 		m.parked[w] = true
+		select {
+		case m.parkNote <- struct{}{}:
+		default: // a token is already waiting
+		}
 		if args.yield && yields < parkYields {
 			yields++
 			m.mu.Unlock()
@@ -1179,25 +1185,15 @@ func (w Worker) scale() int {
 	return w.WorkScale
 }
 
-// now reads the clock the slave loop times its kernel and its round
-// trips by.
-func (w Worker) now() time.Time {
-	if w.clock != nil {
-		return w.clock()
-	}
-	return time.Now()
-}
-
-// run computes iterations [lo, hi) and appends their completion records
-// to dst: one per result that carries bytes, and one run per stretch of
-// consecutive iterations whose kernel returned none. A run never reaches
-// across calls, so what one call appends is what its caller ships.
+// runKernel computes iterations [lo, hi), each scale times over, and
+// appends their completion records to dst: one per result that carries
+// bytes, and one run per stretch of consecutive iterations whose kernel
+// returned none. A run never reaches across calls, so what one call
+// appends is what its caller ships. It takes the two Worker fields it
+// reads, not the Worker, which a call per chunk would copy.
 //
 //lint:loopsched-hotpath
-func (w Worker) run(dst []wire.Record, lo, hi int) []wire.Record {
-	// Read once: an inlined value-receiver method called in the loop
-	// copies the whole Worker per iteration.
-	kernel, scale := w.Kernel, w.scale()
+func runKernel(kernel Kernel, scale int, dst []wire.Record, lo, hi int) []wire.Record {
 	open := false // dst's last record is a run this call may extend
 	for i := lo; i < hi; i++ {
 		var data []byte
@@ -1220,19 +1216,6 @@ func (w Worker) run(dst []wire.Record, lo, hi int) []wire.Record {
 		}
 	}
 	return dst
-}
-
-// completed reports one computed chunk to the telemetry bus, if any.
-// span is the chunk's trace id — the one the master put on the grant, or
-// the deterministic local one when it sent none; reportedACP is the ACP
-// on the worker's latest request.
-func (w Worker) completed(a sched.Assignment, span uint64, reportedACP int, comp float64) {
-	w.Telemetry.Publish(telemetry.Event{
-		Kind:   telemetry.ChunkCompleted,
-		Worker: w.TelemetryID, Shard: w.TelemetryShard,
-		Start: a.Start, Size: a.Size, ACP: reportedACP, Span: span,
-		At: w.Telemetry.Now(), Seconds: comp,
-	})
 }
 
 // Run connects to the master at addr and participates until stopped.

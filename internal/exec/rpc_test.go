@@ -431,17 +431,18 @@ func TestRPCStoppedWorkerNotFailed(t *testing.T) {
 	}
 }
 
-// waitUntil polls cond until it holds or the deadline passes.
-func waitUntil(t *testing.T, cond func() bool) {
+// waitParked blocks until n workers are parked in m, woken by the
+// master's park note rather than by polling.
+func waitParked(t *testing.T, m *Master, n int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
+	timeout := time.After(5 * time.Second)
+	for m.Parked() != n {
+		select {
+		case <-m.parkNote:
+		case <-timeout:
+			t.Fatalf("%d workers parked after 5s, want %d", m.Parked(), n)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	t.Fatal("condition not reached within 5s")
 }
 
 // countingKernel returns a kernel that counts invocations per index.
@@ -474,7 +475,7 @@ func TestRPCLateFailureRequeued(t *testing.T) {
 	// Worker 0 computes everything else, then must wait — not exit.
 	errc := make(chan error, 1)
 	go func() { errc <- (Worker{ID: 0, Kernel: intKernel}).Run(addr) }()
-	waitUntil(t, func() bool { return m.Parked() == 1 })
+	waitParked(t, m, 1)
 
 	// Only now does worker 1 die; its chunk must reach worker 0.
 	if err := m.FailWorker(1); err != nil {

@@ -105,7 +105,7 @@ func TestMasterStagesFromItsSource(t *testing.T) {
 	}
 	parked := make(chan wire.Reply)
 	go func() { parked <- ask(ChunkArgs{Worker: 1}) }()
-	waitUntil(t, func() bool { return m.Parked() == 1 })
+	waitParked(t, m, 1)
 	if rep := ask(ChunkArgs{Worker: 0, Prefetch: true}, first); len(rep.Grants) != 0 || rep.Stop {
 		t.Fatalf("prefetch delivering [0, 100): reply %+v, want empty", rep)
 	}

@@ -163,6 +163,12 @@ func (w Worker) wireRequest(req *wire.Request, prefetch bool, credits int, recor
 	return acpv
 }
 
+// sampleSeconds is the least kernel time between two clock reads that
+// only refresh the worker's rate: fifty times a read's cost — time.Now
+// takes about 90 ns on the reference box — so such a read costs at most
+// 2 % of the work it times.
+const sampleSeconds = 50 * 100e-9
+
 // runWindow is the slave loop — the paper's §3.1 "request, compute,
 // piggy-back"; DESIGN.md §9 states its rules. A refill goes out
 // synchronously when the queue is empty and, with prefetch on, ahead of
@@ -173,6 +179,12 @@ func (w Worker) wireRequest(req *wire.Request, prefetch bool, credits int, recor
 // caps the chunks held and sizes every ask; below 1 each ask covers what
 // will outlast the next round trip (ask). idle is stall time the caller
 // has yet to report; it rides the first request.
+//
+// The clock is read where a request needs it — as it is sent, and
+// around the wait for its answer — and those reads book the kernel
+// time. Between requests it is read only where the prefetch test wants a
+// fresh rate (stale), and, with a telemetry bus, once as each chunk
+// closes, so that ChunkCompleted carries the chunk's own seconds.
 func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error {
 	var (
 		req       wire.Request
@@ -185,8 +197,10 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		pending   []wire.Record // computed, not yet shipped (a run of empty results is one record)
 		spans     []uint64      // parallel to pending: one span per record
 		comp      float64       // kernel seconds not yet reported
-		busy      float64       // kernel seconds so far, over
+		busy      float64       // kernel seconds booked so far, over
 		ran       int           // this many iterations: the running cost estimate
+		since     int           // iterations run since mark, not yet booked
+		secs      float64       // kernel seconds booked to the chunk in hand: its ChunkCompleted reading
 		size      int           // iterations in the chunk last started: what a grant is expected to hold
 		lead      float64       // the round trip the time rule reads: the first measured, raised by late replies
 		rtt       float64       // the latest round trip measured: what an ask covers
@@ -197,6 +211,12 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		echo      bool // the master span-tags its grants: echo the spans back
 		lastACP   int
 	)
+	// What the loop reads per chunk, read once: a value-receiver call per
+	// chunk would copy the whole Worker.
+	clock, kernel, scale, bus := w.clock, w.Kernel, w.scale(), w.Telemetry
+	if clock == nil {
+		clock = time.Now
+	}
 	hold := window // chunks held at most: the queue, plus the one in hand a prefetch overlaps
 	if prefetch {
 		hold++
@@ -211,11 +231,18 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		lastACP = w.wireRequest(&req, pre, credits, pending, echoed, comp, idle)
 		pending, spans, comp, idle = pending[:0], spans[:0], 0, 0
 	}
-	// lap books the kernel time since mark.
-	lap := func() {
-		now := w.now()
+	// book books the time from mark to now as the kernel time of the
+	// iterations run since, and moves mark there.
+	book := func(now time.Time) {
 		d := now.Sub(mark).Seconds()
-		comp, busy, mark = comp+d, busy+d, now
+		comp, busy, secs, mark = comp+d, busy+d, secs+d, now
+		ran, since = ran+since, 0
+	}
+	// stale reports whether the rate wants a fresh reading: nothing is
+	// measured yet, or the iterations run since the last reading are worth
+	// sampleSeconds at that rate.
+	stale := func() bool {
+		return since > 0 && (busy == 0 || float64(since)*busy >= sampleSeconds*float64(ran))
 	}
 	// ask sizes a refill sent while held iterations are still to run:
 	// under a window, room, what the cap leaves. Otherwise the answer,
@@ -247,8 +274,12 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			// Of a prefetch's round trip what is left is a stall, and an
 			// answer really waited for (a quarter of the lead or more) left
 			// too late: its round trip is measured, and raises the lead.
+			// Kernel time not booked yet ends here.
 			sync := !inflight
-			waitStart := w.now()
+			waitStart := clock()
+			if since > 0 {
+				book(waitStart)
+			}
 			if sync {
 				sentAt = waitStart
 				if err := send(false, 0, hold); err != nil {
@@ -258,7 +289,7 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			if err := l.Recv(&rep); err != nil {
 				return err
 			}
-			now := w.now()
+			now := clock()
 			switch r, wait := now.Sub(sentAt).Seconds(), now.Sub(waitStart).Seconds(); {
 			case sync:
 				rtt = r
@@ -271,6 +302,7 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			default:
 				idle += wait
 			}
+			mark = now // the batch's first chunk opens as it arrives
 			inflight = false
 			stopSeen, echo = stopSeen || rep.Stop, echo || len(rep.Spans) > 0
 			queue, spanQueue = qbuf[:0], sbuf[:0] // the queue is empty
@@ -289,10 +321,11 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			}
 			continue
 		}
+		// A chunk opens where the one before it closed, or where its batch
+		// arrived.
 		a, span := queue[0], spanQueue[0]
 		queue, spanQueue, queued = queue[1:], spanQueue[1:], queued-a.Size
-		start := w.now()
-		mark, size = start, a.Size
+		size, secs = a.Size, 0
 		for i := a.Start; i < a.End(); {
 			next := a.End()
 			if prefetch && !inflight && !stopSeen && (window < 1 || len(queue) < window) {
@@ -303,8 +336,8 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 				// slack. Under a window that a full window of chunks like
 				// this one would not outlast, an early request would only
 				// come back smaller: the loop asks when dry, for all it may.
-				if i > a.Start { // mark is this very instant otherwise
-					lap()
+				if stale() {
+					book(clock())
 				}
 				next = i + 1
 				trip := lead * float64(ran) / busy // in iterations of this worker's kernel
@@ -318,17 +351,19 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 				default:
 					// A request ships what is computed, this chunk's part and
 					// its kernel seconds included; the rest rides the next one.
+					// The send itself is nobody's kernel time.
+					book(clock())
 					sentAt = mark
 					if err := send(true, held, window-len(queue)); err != nil {
 						return err
 					}
-					inflight, next, mark = true, a.End(), w.now()
+					inflight, next, mark = true, a.End(), clock()
 				}
 			}
 			// Send has consumed req, so the records may reuse the buffers
 			// it was built from.
 			from := len(pending)
-			pending = w.run(pending, i, next)
+			pending = runKernel(kernel, scale, pending, i, next)
 			if k := from - 1; k >= 0 && from < len(pending) && spans[k] == span &&
 				pending[k].Count > 0 && pending[from].Count > 0 && pending[k].Index+pending[k].Count == i {
 				// This step's first run continues the chunk's last one.
@@ -338,9 +373,16 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			for range pending[len(spans):] {
 				spans = append(spans, span)
 			}
-			ran, i = ran+next-i, next
+			since, i = since+next-i, next
 		}
-		lap()
-		w.completed(a, span, lastACP, mark.Sub(start).Seconds())
+		if bus != nil {
+			book(clock())
+			bus.Publish(telemetry.Event{
+				Kind:   telemetry.ChunkCompleted,
+				Worker: w.TelemetryID, Shard: w.TelemetryShard,
+				Start: a.Start, Size: a.Size, ACP: lastACP, Span: span,
+				At: bus.Now(), Seconds: secs,
+			})
+		}
 	}
 }
