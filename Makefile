@@ -62,12 +62,18 @@ escape-check:
 # re-implements it (docs/LEDGER.md "Share-bounded batches").
 # And the transport rule: internal/mp carries bytes and knows neither a
 # scheme nor a dispenser, and a dispenser is built only by the sites
-# that answer requests: exec, whose Master is also every hier-rpc shard,
-# sim, whose simulated master is also every hier-sim shard, and service.
+# that answer requests: exec, whose Master is also every hier-rpc shard
+# and every scheduler job, and sim, whose simulated master is also every
+# hier-sim shard.
 # And the in-process rule: inside internal/exec one request handler
-# answers every slave — the master's (rpc.go) — beside the service's
-# deque core (jobstate.go); the names of the retired channel master and
-# its slave loops stay gone. So do those of hier's own simulated
+# answers every slave — the master's (rpc.go) — beside the deque core
+# only the frozen benchmark still drives (jobstate.go); the names of the
+# retired channel master and its slave loops stay gone. And the one-book
+# rule: nothing outside the benchmark builds that deque core or uses
+# internal/steal, the service keeps no granted, completed or drained
+# counter of its own — a job's book is its master's — and a fleet worker
+# sends prefetches only, so it never parks in one job's master while
+# others want it. So do those of hier's own simulated
 # protocol (hsim, hevent, serviceShard, launchFetch): hier.Simulate is
 # topology over sim.RunShards. And the one grant path: every grant is
 # the dispenser's locked Claim on a policy, so internal/ledger's step
@@ -87,13 +93,18 @@ dup-check:
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/dispense/'
 	@! grep -rn '"loopsched/internal/dispense"\|"loopsched/internal/sched"' --include='*.go' internal/mp
 	@! grep -rn 'dispense\.New(' --include='*.go' . \
-		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/exec/\|^./internal/sim/\|^./internal/service/'
+		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/exec/\|^./internal/sim/'
 	@! grep -rn 'dispense\.New(' --include='*.go' internal/exec | grep -v '_test.go\|^internal/exec/rpc.go:\|^internal/exec/jobstate.go:'
 	@! grep -rnw 'ChannelRequest\|stealSlave\|Slaves' --include='*.go' . | grep -v '_test.go\|^./benchmark/\|^./.bench_build/'
 	@! grep -rn '\bhsim\b\|\bhevent\|serviceShard\|launchFetch' --include='*.go' . | grep -v '^./benchmark/\|^./.bench_build/'
 	@! grep -rn '"loopsched/internal/ledger"' --include='*.go' . | grep -v '_test.go\|^./benchmark/\|^./.bench_build/'
 	@! grep -rn 'BuildUnits\|Revise(\|ShareDeterministic\|NoReply' --include='*.go' . | grep -v '^./benchmark/\|^./.bench_build/'
 	@! grep -rnw 'fastGrants\|fastOff' --include='*.go' . | grep -v '^./benchmark/\|^./.bench_build/'
+	@! grep -rn 'exec\.NewJobState(\|"loopsched/internal/steal"' --include='*.go' . \
+		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/exec/jobstate.go:'
+	@! grep -rniE '(granted|completed|drained)[a-z0-9_]*[[:space:]]*(:=|[[:space:]](atomic\.|u?int|float|bool))' \
+		--include='*.go' internal/service | grep -v '_test.go'
+	@! grep -rn 'wire\.Request{\|\.Prefetch *=' --include='*.go' internal/service | grep -v '_test.go' | grep -v 'Prefetch: true'
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -121,12 +132,14 @@ race:
 # flake is the determinism gate (ROADMAP item 5): the runtime suites,
 # twenty times over on two cores, the three packages sharing them —
 # internal/mp for its stream and TCP star and for the loop the root
-# package runs over them — and the root package's local, cancellation
+# package runs over them — the root package's local, cancellation
 # and hierarchy runs, which assemble the in-process runtime over memory
-# links.
+# links, and the service's cancellation, retry, deadline and job-switch
+# tests, where a fleet worker leaves one job's master for another's.
 flake:
 	GOMAXPROCS=2 $(GO) test -count=20 ./internal/exec ./internal/hier ./internal/mp
 	GOMAXPROCS=2 $(GO) test -count=20 -run 'Local|Cancel|Hier' .
+	GOMAXPROCS=2 $(GO) test -count=20 -run 'Cancel|Retry|Deadline|NeverHeld|Switch' ./internal/service
 
 # bench-smoke runs the repository benchmark under the driver's own
 # contract — one short traced workload — and fails unless the last
@@ -136,16 +149,21 @@ bench-smoke:
 		| jq -e '.correct == true and .failed == 0'
 
 # profile-fine profiles the worker's hot path on the finest loop the
-# benchmark runs (BenchmarkRunLocalFine: local backend, CSS(4), 65 536
-# empty iterations, p = 2, 1 500 runs), writes the CPU profile to
-# bin/fine.cpu.pprof and prints time.Now's share of it — the cost of the
-# slave loop's clock reads (DESIGN.md §9, "the worker's clock").
+# benchmark runs, 1 500 times each: CSS(4) over 65 536 empty iterations
+# at p = 2 on the local backend (BenchmarkRunLocalFine) and as a job of a
+# warm scheduler fleet (BenchmarkServiceFine). It writes the CPU profiles
+# to bin/fine.cpu.pprof and bin/service-fine.cpu.pprof and prints
+# time.Now's share of each — the cost of the clock reads (DESIGN.md §9,
+# "the worker's clock").
 profile-fine:
 	@mkdir -p bin
-	$(GO) test -run '^$$' -bench '^BenchmarkRunLocalFine$$' -benchtime 1500x \
-		-cpuprofile bin/fine.cpu.pprof -o bin/loopsched.test .
-	@$(GO) tool pprof -top bin/loopsched.test bin/fine.cpu.pprof 2>/dev/null \
-		| awk '/flat%/ { print } / time\.Now$$/ { print; found = 1 } END { if (!found) print "time.Now: below the profile cut-off" }'
+	@for run in RunLocalFine:fine ServiceFine:service-fine; do \
+		bench=$${run%%:*}; prof=bin/$${run#*:}.cpu.pprof; \
+		$(GO) test -run '^$$' -bench "^Benchmark$$bench\$$" -benchtime 1500x \
+			-cpuprofile $$prof -o bin/loopsched.test . || exit 1; \
+		$(GO) tool pprof -top bin/loopsched.test $$prof 2>/dev/null \
+			| awk '/flat%/ { print } / time\.Now$$/ { print; found = 1 } END { if (!found) print "time.Now: below the profile cut-off" }'; \
+	done
 
 fuzz:
 	$(GO) test -fuzz FuzzSchemeCoverage -fuzztime 30s ./internal/sched/

@@ -482,3 +482,36 @@ func BenchmarkRunLocalFine(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServiceFine is BenchmarkRunLocalFine on the scheduler service:
+// one CSS(4) job of 65 536 empty iterations per op, submitted to a warm
+// fleet of two equal workers and waited for — the benchmark's fine_css
+// service cell, whose per-batch request path make profile-fine profiles
+// beside the local backend's.
+func BenchmarkServiceFine(b *testing.B) {
+	s, err := loopsched.NewScheduler(loopsched.SchedulerOptions{Workers: []*loopsched.WorkerSpec{{}, {}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	spec := loopsched.JobSpec{
+		Scheme:   loopsched.NewCSS(4),
+		Workload: loopsched.Uniform{N: 1 << 16},
+		Body:     func(int) {},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		j, err := s.Submit(ctx, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := j.Wait(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Iterations != 1<<16 {
+			b.Fatalf("%d of %d iterations", rep.Iterations, 1<<16)
+		}
+	}
+}

@@ -4,8 +4,8 @@
 // A_i changed (step 2(c)), and hand out the next [start, end).
 //
 // Every runtime in this repository — exec.Master behind every Run
-// backend (local, rpc, mp and the hierarchical submasters), the
-// service's JobState and the simulator's master (flat, and every shard
+// backend (local, rpc, mp and the hierarchical submasters) and every
+// scheduler job, and the simulator's master (flat, and every shard
 // of a simulated hierarchy) — owns one Dispenser and
 // differs only in how a claim travels to it: the waiting (link, condition
 // variable, event heap), the clock, the telemetry and the

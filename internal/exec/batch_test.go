@@ -22,7 +22,7 @@ import (
 // other iteration has started. The worker inside iteration 0's chunk is
 // stuck there, so any other iteration that starts is a different
 // worker's — which can only happen if the batcher left it chunks to
-// claim (or, on the deque core, to steal). With need set the gate
+// claim. With need set the gate
 // opens only once every one of those iterations has started.
 type starveGate struct {
 	need    []int
@@ -60,13 +60,13 @@ func (g *starveGate) check(t *testing.T) {
 // TestNoWorkerHoldsTheWholeLoop is the starvation regression test for
 // the share-bounded batch rule (docs/LEDGER.md): on the benchmark's
 // TFSS N=2000 p=2 loop — 8 chunks — the first worker to arrive must not
-// take them all. The deque core's 8-chunk refill is rescued by stealing
-// and must keep passing; the master's replies are share-bounded batches,
-// over the wire and over memory links, at any window and with or without
+// take them all. The master's replies are share-bounded batches, over
+// the wire and over memory links, to a scheduler fleet's prefetches
+// (local-steal) as to a slave loop, at any window and with or without
 // the pipeline, and with two workers at their default depth
 // (rpc-binary-ledger) the run is TFSS's nominal steps, each granted once.
-// The deque core's ledger-on leg runs the policy path: it grants what
-// the ledger-off leg grants, and no ledger fetch.
+// The fleet's ledger-on leg grants what its ledger-off leg grants, and
+// no ledger fetch.
 func TestNoWorkerHoldsTheWholeLoop(t *testing.T) {
 	const n, p = 2000, 2
 	for _, pipeline := range []bool{false, true} {
@@ -161,9 +161,9 @@ func TestPrefetchBindsLate(t *testing.T) {
 	g.check(t)
 }
 
-// stealGrants runs the deque core on the starvation loop under the
-// ledger mode and returns its grants in loop order, after checking the
-// gate and that no ledger fetch was published.
+// stealGrants runs a fleet's dialogue with a job master (stealRun) on the
+// starvation loop under the ledger mode and returns its grants in loop
+// order, after checking the gate and that no ledger fetch was published.
 func stealGrants(t *testing.T, mode LedgerMode, n int) []sched.Assignment {
 	t.Helper()
 	g := newStarveGate()
@@ -185,7 +185,7 @@ func stealGrants(t *testing.T, mode LedgerMode, n int) []sched.Assignment {
 		switch e.Kind {
 		case telemetry.LedgerFetch:
 			t.Fatalf("ledger-%s run published a ledger fetch", mode)
-		case telemetry.ChunkGranted:
+		case telemetry.ChunkGranted, telemetry.ChunkPrefetched:
 			grants = append(grants, sched.Assignment{Start: e.Start, Size: e.Size})
 		}
 	}
@@ -283,12 +283,15 @@ func checkRefillBatches(t *testing.T, s sched.Scheme, mode LedgerMode, p, n, win
 	if window <= 0 {
 		window = DefaultStealWindow
 	}
-	multi := 0
+	multi, completed := 0, 0
 	var grants []sched.Assignment
-	for w := 0; !js.Finished(); w = (w + 1) % p {
+	// A worker refills once its own deque is empty; p refills in a row
+	// that find the policy dry leave every deque empty.
+	for w, dry := 0, 0; dry < p; w = (w + 1) % p {
 		a, ok := js.Pop(w)
 		for ok {
 			js.Complete(w, a, 1, 0)
+			completed += a.Size
 			a, ok = js.Pop(w)
 		}
 		a, _, ok = js.Refill(w, 1+w, 0, 0)
@@ -311,8 +314,10 @@ func checkRefillBatches(t *testing.T, s sched.Scheme, mode LedgerMode, p, n, win
 			if len(sizes) != 0 {
 				t.Fatalf("empty refill granted %d chunks", len(sizes))
 			}
+			dry++
 			continue
 		}
+		dry = 0
 		if len(sizes) < 1 || len(sizes) > window {
 			t.Fatalf("refill took %d chunks, window %d", len(sizes), window)
 		}
@@ -328,9 +333,14 @@ func checkRefillBatches(t *testing.T, s sched.Scheme, mode LedgerMode, p, n, win
 			}
 		}
 		js.Complete(w, a, 1, 0)
+		completed += a.Size
 	}
-	if c := js.Counts(); c.Granted != int64(n) || c.Completed != int64(n) {
-		t.Fatalf("granted %d, completed %d of %d", c.Granted, c.Completed, n)
+	granted := 0
+	for _, g := range grants {
+		granted += g.Size
+	}
+	if granted != n || completed != n {
+		t.Fatalf("granted %d, completed %d of %d", granted, completed, n)
 	}
 	// The floor keeps fine loops batching: a fixed-chunk scheme over a
 	// long loop must still fill its window.
@@ -344,7 +354,7 @@ func checkRefillBatches(t *testing.T, s sched.Scheme, mode LedgerMode, p, n, win
 // master path, for every registered scheme: whatever the window, the
 // chunks of one reply stay within sched.BatchLimit of what was left
 // when it was cut, unless it is a single chunk — with the last chunk
-// replaced by its predecessor, as on the deque core.
+// replaced by its predecessor, as on JobState's refills.
 // One goroutine plays every worker: each request delivers what the
 // worker holds and asks, as a prefetch so that nothing parks, for all
 // the window allows; the gather of a distributed scheme is the same

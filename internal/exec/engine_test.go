@@ -14,15 +14,16 @@ import (
 	"loopsched/internal/metrics"
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
+	"loopsched/internal/wire"
 	"loopsched/internal/workload"
 )
 
-// stealRun drives one JobState — the deque core the scheduler service
-// runs its jobs on — the way a fleet worker does, a goroutine per
-// worker: pop its own deque, else steal, else refill from the
-// dispenser, and with nothing anywhere yield until the job is finished.
-// Cancelling ctx aborts the job; body runs WorkScale times per
-// iteration.
+// stealRun drives one job master (NewJobMaster) the way a scheduler
+// fleet worker does, a goroutine per worker over its memory link: a
+// non-parking prefetch per batch, carrying the results of the last one,
+// until a reply says Stop — and when nothing is granted, a yield before
+// the next. Cancelling ctx cancels the master; body runs WorkScale times
+// per iteration.
 type stealRun struct {
 	Scheme    sched.Scheme
 	Workers   []*WorkerSpec
@@ -42,57 +43,60 @@ func (r *stealRun) RunContext(ctx context.Context, w workload.Workload, body fun
 			initACP[id] = acpNow(id)
 		}
 	}
-	js, err := NewJobState(JobConfig{
+	m, err := NewJobMaster(JobConfig{
 		Scheme: r.Scheme, Workload: w, Workers: p, Window: r.Window, InitACP: initACP,
 		Powers: powers, Telemetry: r.Telemetry, Ledger: r.Ledger,
 	})
 	if err != nil {
 		return metrics.Report{}, err
 	}
-	stop := context.AfterFunc(ctx, js.Abort)
+	stop := context.AfterFunc(ctx, func() { m.Cancel(ctx.Err()) })
 	defer stop()
-	iters := make([]int, p)
+	credits := r.Window
+	if credits <= 0 {
+		credits = DefaultStealWindow
+	}
 	var wg sync.WaitGroup
 	for id, ws := range r.Workers {
+		l := m.Link()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ctx.Err() == nil {
-				a, ok := js.Pop(id)
-				if !ok {
-					a, ok = js.Steal(id)
+			var (
+				req  wire.Request
+				rep  wire.Reply
+				recs []wire.Record
+			)
+			for {
+				req = wire.Request{Worker: id, ACP: acpNow(id), Prefetch: true, Credits: credits, Results: recs}
+				if err := l.Call(&req, &rep); err != nil {
+					m.Cancel(err)
+					return
 				}
-				if !ok {
-					a, _, ok = js.Refill(id, acpNow(id), 0, 0)
+				if rep.Stop {
+					return
 				}
-				if !ok {
-					if js.Finished() {
-						return
+				if len(rep.Grants) == 0 {
+					runtime.Gosched() // granted work is still with other workers
+				}
+				recs = recs[:0]
+				for _, a := range rep.Grants {
+					for i := a.Start; i < a.End(); i++ {
+						for range ws.scale() {
+							body(i)
+						}
 					}
-					runtime.Gosched() // granted work is still in other deques
-					continue
+					recs = append(recs, wire.Record{Index: a.Start, Count: a.Size})
 				}
-				for i := a.Start; i < a.End(); i++ {
-					for range ws.scale() {
-						body(i)
-					}
-				}
-				iters[id] += a.Size
-				js.Complete(id, a, acpNow(id), 0)
 			}
 		}()
 	}
 	wg.Wait()
-	c := js.Counts()
-	rep := metrics.Report{Workers: p, Chunks: c.Chunks, Replans: c.Replans, Steals: int(c.Steals)}
-	for _, n := range iters {
-		rep.Iterations += n
-	}
-	return rep, ctx.Err()
+	return m.Report(), ctx.Err()
 }
 
-// TestStealExactlyOnce: the deque core runs every iteration exactly once
-// per WorkScale repetition, for every registered scheme.
+// TestStealExactlyOnce: the fleet dialogue runs every iteration exactly
+// once per WorkScale repetition, for every registered scheme.
 func TestStealExactlyOnce(t *testing.T) {
 	const n = 2000
 	for _, name := range sched.Names() {
@@ -120,8 +124,8 @@ func TestStealExactlyOnce(t *testing.T) {
 }
 
 // TestStealExactlyOnceWindows: window 1 degenerates to one chunk per
-// policy trip (no parked work to steal) and must still cover the loop;
-// an oversized window exercises the deque wrap-around.
+// request and must still cover the loop; an oversized window makes deep
+// replies.
 func TestStealExactlyOnceWindows(t *testing.T) {
 	const n = 3000
 	for _, window := range []int{1, 2, 64} {
@@ -146,10 +150,9 @@ func TestStealExactlyOnceWindows(t *testing.T) {
 
 // TestEngineGrantEquivalence: for non-feedback schemes on homogeneous
 // workers, every policy's chunk sequence is a function of the call
-// index alone, so the two grant books left — the master the local
-// backend's workers reach over memory links, and the service's deque
-// core — must grant the same multiset of chunks even though request
-// interleaving and batching differ.
+// index alone, so the master must grant the same multiset of chunks to
+// the local backend's workers and to a fleet's prefetch-only dialogue
+// even though request interleaving and batching differ.
 func TestEngineGrantEquivalence(t *testing.T) {
 	const n, p = 5000, 4
 	for _, name := range sched.Names() {
@@ -190,24 +193,24 @@ func TestEngineGrantEquivalence(t *testing.T) {
 		master := grants("master", mbus, func() (metrics.Report, error) {
 			return (&localRun{Scheme: s, Workers: specs(1, 1, 1, 1), Telemetry: mbus}).RunContext(context.Background(), w, body)
 		})
-		deques := grants("deques", dbus, func() (metrics.Report, error) {
+		fleet := grants("fleet", dbus, func() (metrics.Report, error) {
 			return (&stealRun{Scheme: s, Workers: specs(1, 1, 1, 1), Telemetry: dbus}).RunContext(context.Background(), w, body)
 		})
-		if len(master) != len(deques) {
-			t.Errorf("%s: master granted %d chunks, deques %d", name, len(master), len(deques))
+		if len(master) != len(fleet) {
+			t.Errorf("%s: master granted %d chunks, fleet %d", name, len(master), len(fleet))
 			continue
 		}
 		for i := range master {
-			if master[i] != deques[i] {
-				t.Errorf("%s: grant %d differs: master %+v, deques %+v", name, i, master[i], deques[i])
+			if master[i] != fleet[i] {
+				t.Errorf("%s: grant %d differs: master %+v, fleet %+v", name, i, master[i], fleet[i])
 				break
 			}
 		}
 	}
 }
 
-// TestStealHeterogeneous mirrors TestLocalHeterogeneous on the deque
-// core: WorkScale-3 workers repeat the body three times.
+// TestStealHeterogeneous mirrors TestLocalHeterogeneous on the fleet
+// dialogue: WorkScale-3 workers repeat the body three times.
 func TestStealHeterogeneous(t *testing.T) {
 	const n = 500
 	perIter := make([]int32, n)
@@ -228,9 +231,9 @@ func TestStealHeterogeneous(t *testing.T) {
 	}
 }
 
-// TestStealCancellation: aborting a job mid-run stops its refills — the
-// workers drain what they hold and return — and a fresh job runs to
-// completion after it.
+// TestStealCancellation: cancelling a job's master mid-run stops its
+// grants — the workers finish what they hold and return — and a fresh
+// job runs to completion after it.
 func TestStealCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	l := &stealRun{Scheme: sched.SelfScheduling, Workers: specs(1, 1)}
@@ -262,8 +265,9 @@ func TestStealEmptyLoop(t *testing.T) {
 	}
 }
 
-// TestStealTelemetry: the deque core's refill/steal events reconcile
-// with the aggregator and the job's counts.
+// TestStealTelemetry: a job master's grant events reconcile with the
+// aggregator and its report, and nothing is stolen or refilled: no
+// runtime publishes chunk_stolen or deque_refilled any more.
 func TestStealTelemetry(t *testing.T) {
 	const n = 20000
 	bus := telemetry.NewBus(0)
@@ -278,8 +282,8 @@ func TestStealTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := agg.Snapshot()
-	if snap.LocalRefills == 0 {
-		t.Error("no deque refills recorded")
+	if snap.LocalRefills != 0 {
+		t.Errorf("%d deque refills recorded, want none", snap.LocalRefills)
 	}
 	if got := int(snap.Iterations); got != n {
 		t.Errorf("aggregator saw %d granted iterations, want %d", got, n)

@@ -14,14 +14,13 @@ import (
 
 // hotGuards is this package's alloc-guard table: one entry per
 // //lint:loopsched-hotpath function, checked against the annotations
-// by TestHotPathGuardTable. One guard drives the deque core's whole
-// per-chunk cycle — pop, steal, refill, complete — because those
-// operations only occur interleaved; the master's guard drives a whole
-// request, because a reply is booked only inside one, and the memory
-// link's a whole refill, Send and Recv.
+// by TestHotPathGuardTable. One guard drives JobState's whole
+// per-chunk cycle — pop, refill, complete — because those operations
+// only occur interleaved; the master's guard drives a whole request,
+// because a reply is booked only inside one, and the memory link's a
+// whole refill, Send and Recv.
 var hotGuards = map[string]func(t *testing.T){
 	"(*JobState).Pop":      jobStateCycleGuard,
-	"(*JobState).Steal":    jobStateCycleGuard,
 	"(*JobState).Complete": jobStateCycleGuard,
 	"(*Master).book":       masterReplyGuard,
 	"runKernel":            workerRunGuard,
@@ -61,9 +60,9 @@ func TestHotPathAllocGuards(t *testing.T) {
 
 // jobStateCycleGuard pins the per-chunk cycle with telemetry disabled
 // (a nil bus, the steady-state default for headless runs) at zero
-// allocations: pop from the own deque, steal from a sibling, refill
-// from the policy, complete — the same interleaving a service fleet
-// worker performs per chunk.
+// allocations: pop from the own deque, refill from the policy when it
+// is empty, complete — the cycle the benchmark's exec.refill_ns probe
+// times.
 func jobStateCycleGuard(t *testing.T) {
 	js, err := NewJobState(JobConfig{
 		Scheme:   sched.CSSScheme{K: 4},
@@ -76,18 +75,13 @@ func jobStateCycleGuard(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, func() {
 		a, ok := js.Pop(0)
 		if !ok {
-			a, ok = js.Steal(0)
-		}
-		if !ok {
-			// Refill the sibling, so the next rounds exercise Steal too.
-			if _, _, ok = js.Refill(1, 1, 0, 0); !ok {
+			if a, _, ok = js.Refill(0, 1, 0, 0); !ok {
 				panic("policy drained mid-guard")
 			}
-			a, _, _ = js.Refill(0, 1, 0, 0)
 		}
 		js.Complete(0, a, 1, 0)
 	}); avg > 0 {
-		t.Errorf("pop/steal/refill/complete cycle allocates %.1f objects per op, want 0", avg)
+		t.Errorf("pop/refill/complete cycle allocates %.1f objects per op, want 0", avg)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"loopsched/internal/mp"
 	"loopsched/internal/sched"
+	"loopsched/internal/telemetry"
 	"loopsched/internal/wire"
 )
 
@@ -575,5 +576,77 @@ func TestMemLinkClose(t *testing.T) {
 	close(done)
 	if err := l2.Send(&wire.Request{Worker: 0, ACP: 10, Credits: 1}); err == nil {
 		t.Error("Send after done succeeded")
+	}
+}
+
+// TestZeroCreditPrefetchIsADelivery pins the one request that asks for
+// nothing, over the memory link and the binary codec over TCP: a
+// prefetch with no credits delivers its results — the master retires
+// the chunks they complete — and is granted nothing, without a prefetch
+// miss, and the delivery that completes the loop is answered Stop. A
+// plain request asking for no credits still gets a chunk.
+func TestZeroCreditPrefetchIsADelivery(t *testing.T) {
+	for _, reach := range []string{"memory", "tcp"} {
+		t.Run(reach, func(t *testing.T) {
+			m, err := NewMaster(sched.CSSScheme{K: 4}, 8, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bus := telemetry.NewBus(256)
+			defer bus.Close()
+			log := &eventLog{}
+			bus.Subscribe(log)
+			m.SetTelemetry(bus)
+			l := m.Link()
+			if reach == "tcp" {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.Shutdown(ln)
+				if err := m.Serve(ln); err != nil {
+					t.Fatal(err)
+				}
+				if l, err = Dial(context.Background(), ln.Addr().String(), TransportBinary); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer l.Close()
+			var rep wire.Reply
+			for i, c := range []struct {
+				prefetch bool
+				done     int // iterations the request delivers, from 4*(i/2)
+				grant    bool
+				stop     bool
+			}{
+				{grant: true},
+				{prefetch: true, done: 4},
+				{grant: true},
+				{prefetch: true, done: 4, stop: true},
+			} {
+				req := wire.Request{Worker: 0, ACP: 1, Prefetch: c.prefetch}
+				if c.done > 0 {
+					req.Results = []wire.Record{{Index: 4 * (i / 2), Count: c.done}}
+				}
+				if err := l.Call(&req, &rep); err != nil {
+					t.Fatalf("request %d: %v", i, err)
+				}
+				if got := len(rep.Grants) == 1; got != c.grant || rep.Stop != c.stop || len(rep.Grants) > 1 {
+					t.Fatalf("request %d (prefetch %v, 0 credits): reply %+v", i, c.prefetch, rep)
+				}
+				if c.prefetch && len(m.Outstanding()) != 0 {
+					t.Fatalf("request %d: the delivered chunk is still outstanding: %v", i, m.Outstanding())
+				}
+			}
+			if _, rep, err := m.Wait(); err != nil || rep.Iterations != 8 || rep.Chunks != 2 {
+				t.Fatalf("run: %+v, %v", rep, err)
+			}
+			bus.Flush()
+			for _, e := range log.drain() {
+				if e.Kind == telemetry.PrefetchMissed {
+					t.Fatal("a delivery was published as a prefetch miss")
+				}
+			}
+		})
 	}
 }

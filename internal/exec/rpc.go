@@ -180,6 +180,8 @@ type Master struct {
 	bus        *telemetry.Bus // nil unless SetTelemetry was called
 	shard      int            // telemetry labels: the shard, and members[w],
 	members    []int          // worker w's run-global id (nil: w itself)
+	job        int            // and the scheduler job and tenant (NewJobMaster;
+	tenant     int            // zero for a single run)
 
 	// Lock-free result ledger: bit i of got flips exactly once (one CAS
 	// per word a record covers); the winner stores results[i] (a shard
@@ -194,6 +196,7 @@ type Master struct {
 	results     [][]byte
 	resultsOnce sync.Once
 	chunks      atomic.Int64
+	granted     atomic.Int64 // iterations in the chunks booked
 
 	// src hands out the ranges staged one after another on d; staged
 	// counts their iterations, stage is the latest. fetching marks the
@@ -349,6 +352,14 @@ func (m *Master) id(w int) int {
 	return w
 }
 
+// event returns an event about worker w at instant at, labelled with the
+// master's shard, job and tenant.
+//
+//lint:loopsched-hotpath
+func (m *Master) event(kind telemetry.Kind, w int, at float64) telemetry.Event {
+	return telemetry.Event{Kind: kind, Worker: m.id(w), Shard: m.shard, Job: m.job, Tenant: m.tenant, At: at}
+}
+
 // SetPowers hands the master the workers' static virtual powers, which
 // the static-weight schemes (WF, WS) split by. Without them — a
 // stand-alone master knows nothing of its slaves' hardware before they
@@ -465,12 +476,15 @@ func (m *Master) NextChunk(args ChunkArgs, reply *ChunkReply) error {
 // piggy-backed results, account the worker's timing, then grant one
 // share-bounded batch of up to `credits` chunks into rep (clamped to the
 // ledger room) — or park a drained worker, Stop on completion, or
-// answer an unlucky prefetch empty.
+// answer an unlucky prefetch empty. A prefetch that asks for no chunks
+// is a delivery: its results are booked and it is granted nothing — a
+// Stop says the run has ended — while a plain request asks for one at
+// least.
 func (m *Master) nextBatch(args ChunkArgs, credits int, rep *wire.Reply) (err error) {
 	if args.Worker < 0 || args.Worker >= m.workers {
 		return fmt.Errorf("exec: unknown worker %d", args.Worker)
 	}
-	if credits < 1 {
+	if credits < 1 && !args.Prefetch {
 		credits = 1
 	}
 	now := m.now()
@@ -505,6 +519,10 @@ func (m *Master) nextBatch(args ChunkArgs, credits int, rep *wire.Reply) (err er
 		// and keep it out of both the stopped and failed completion
 		// counters (it is already in failed).
 		rep.Stop = true
+		return nil
+	}
+	if credits < 1 { // a delivery
+		rep.Stop = m.doneClosed()
 		return nil
 	}
 	return m.grants(&args, credits, rep, reqAt)
@@ -620,15 +638,13 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 	if !rejected {
 		if !s.joined {
 			s.joined = true
-			m.bus.Publish(telemetry.Event{
-				Kind: telemetry.WorkerJoined, Worker: m.id(args.Worker), Shard: m.shard,
-				ACP: args.ACP, At: reqAt,
-			})
+			e := m.event(telemetry.WorkerJoined, args.Worker, reqAt)
+			e.ACP = args.ACP
+			m.bus.Publish(e)
 		}
-		m.bus.Publish(telemetry.Event{
-			Kind: telemetry.ChunkRequested, Worker: m.id(args.Worker), Shard: m.shard,
-			ACP: args.ACP, At: reqAt,
-		})
+		e := m.event(telemetry.ChunkRequested, args.Worker, reqAt)
+		e.ACP = args.ACP
+		m.bus.Publish(e)
 		s.lastSeen = now
 		// Per-PE breakdown: the worker reports computation and stall
 		// time; the rest of the reply-to-request turnaround is
@@ -671,9 +687,7 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 		m.mu.Unlock()
 	}
 	if rejected {
-		m.bus.Publish(telemetry.Event{
-			Kind: telemetry.WorkerRejected, Worker: m.id(args.Worker), Shard: m.shard, At: reqAt,
-		})
+		m.bus.Publish(m.event(telemetry.WorkerRejected, args.Worker, reqAt))
 	}
 	return rejected
 }
@@ -731,9 +745,7 @@ func (m *Master) grants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt flo
 			var replanned bool
 			rep.Grants, replanned = m.d.Claim(w, args.ACP, room, rep.Grants)
 			if replanned {
-				m.bus.Publish(telemetry.Event{
-					Kind: telemetry.StageAdvanced, Worker: m.id(w), Shard: m.shard, At: m.bus.Now(),
-				})
+				m.bus.Publish(m.event(telemetry.StageAdvanced, w, m.bus.Now()))
 			}
 		}
 		if len(rep.Grants) == 0 && room > 0 && m.restage(w) {
@@ -787,11 +799,16 @@ const parkYields = 1000
 //lint:loopsched-hotpath
 func (m *Master) book(s *slot, args *ChunkArgs, rep *wire.Reply, reqAt float64) {
 	if len(rep.Grants) == 0 {
-		m.bus.Publish(telemetry.Event{Kind: telemetry.PrefetchMissed, Worker: m.id(args.Worker), Shard: m.shard, At: reqAt})
+		m.bus.Publish(m.event(telemetry.PrefetchMissed, args.Worker, reqAt))
 		return
 	}
 	s.outstanding = append(s.outstanding, rep.Grants...)
 	m.chunks.Add(int64(len(rep.Grants)))
+	iters := 0
+	for _, a := range rep.Grants {
+		iters += a.Size
+	}
+	m.granted.Add(int64(iters))
 	if m.bus == nil {
 		return
 	}
@@ -800,14 +817,13 @@ func (m *Master) book(s *slot, args *ChunkArgs, rep *wire.Reply, reqAt float64) 
 		kind = telemetry.ChunkPrefetched
 	}
 	for _, a := range rep.Grants {
-		span := telemetry.SpanID(0, a.Start)
+		span := telemetry.SpanID(m.job, a.Start)
 		rep.Spans = append(rep.Spans, span)
 		now := m.bus.Now()
 		m.waitHist.Record(args.Worker, now-reqAt)
-		m.bus.Publish(telemetry.Event{
-			Kind: kind, Worker: m.id(args.Worker), Shard: m.shard, Start: a.Start, Size: a.Size,
-			ACP: args.ACP, Span: span, At: now, Seconds: now - reqAt,
-		})
+		e := m.event(kind, args.Worker, now)
+		e.Start, e.Size, e.ACP, e.Span, e.Seconds = a.Start, a.Size, args.ACP, span, now-reqAt
+		m.bus.Publish(e)
 	}
 }
 
@@ -908,9 +924,7 @@ func (m *Master) FailWorker(worker int) error {
 		return nil // already accounted for
 	}
 	m.failed[worker] = true
-	m.bus.Publish(telemetry.Event{
-		Kind: telemetry.WorkerTimedOut, Worker: m.id(worker), Shard: m.shard, At: m.bus.Now(),
-	})
+	m.bus.Publish(m.event(telemetry.WorkerTimedOut, worker, m.bus.Now()))
 	s := &m.slots[worker]
 	s.mu.Lock()
 	s.failed = true
@@ -1085,13 +1099,41 @@ func (m *Master) WaitReport(ctx context.Context) (metrics.Report, error) {
 	if m.src.Exhausted() {
 		want = int(m.staged.Load()) // the loop, or what a shard staged
 	}
+	rep := m.report()
+	var err error
+	if got := rep.Iterations; got != want {
+		err = fmt.Errorf("exec: %d of %d results missing", want-got, want)
+	}
+	rep.Iterations = want
+	if m.cancelErr != nil {
+		err = m.cancelErr
+	}
+	return rep, err
+}
+
+// Report returns the run's report so far without waiting for its end:
+// Iterations counts the iterations delivered, and Tp runs to now while
+// the run lasts.
+func (m *Master) Report() metrics.Report {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.report()
+}
+
+// report builds the report from what the master has booked; callers hold
+// mu.
+func (m *Master) report() metrics.Report {
+	end := m.finished
+	if !m.doneClosed() {
+		end = time.Now()
+	}
 	rep := metrics.Report{
 		Scheme:     m.scheme.Name(),
 		Workers:    m.workers,
-		Iterations: want,
+		Iterations: int(m.received.Load()),
 		Chunks:     int(m.chunks.Load()),
 		Replans:    m.d.Replans(),
-		Tp:         m.finished.Sub(m.started).Seconds(),
+		Tp:         end.Sub(m.started).Seconds(),
 		PerWorker:  make([]metrics.Times, m.workers),
 	}
 	rep.GrantLatency = m.waitHist.Snapshot().Summarize()
@@ -1108,14 +1150,20 @@ func (m *Master) WaitReport(ctx context.Context) (metrics.Report, error) {
 			rep.PerWorker[i].Wait = wait
 		}
 	}
-	var err error
-	if got := int(m.received.Load()); got != want {
-		err = fmt.Errorf("exec: %d of %d results missing", want-got, want)
-	}
-	if m.cancelErr != nil {
-		err = m.cancelErr
-	}
-	return rep, err
+	return rep
+}
+
+// Granted returns the chunks booked to workers so far and the iterations
+// in them, requeued chunks counted again. Once the run has ended both are
+// final.
+func (m *Master) Granted() (chunks int, iterations int64) {
+	return int(m.chunks.Load()), m.granted.Load()
+}
+
+// Drained reports whether a flat master has handed out its whole loop,
+// so a request gets nothing more — unless FailWorker requeues a chunk.
+func (m *Master) Drained() bool {
+	return m.staged.Load() == int64(m.iterations) && m.d.Drained()
 }
 
 // Latencies returns the master's grant-latency and compute-latency

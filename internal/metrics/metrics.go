@@ -66,8 +66,7 @@ type Report struct {
 	Shards []ShardStats
 	// Steals counts work moved between peers: root-level rebalances in
 	// a hierarchical run (tail ranges moved from one shard's partition
-	// to another), or chunks stolen between workers under the local
-	// work-stealing engine.
+	// to another).
 	Steals int
 	// GrantLatency summarizes the per-chunk request-to-grant wait at
 	// the scheduler (p50/p95/p99); CompLatency summarizes each chunk's

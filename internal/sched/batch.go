@@ -1,8 +1,8 @@
 package sched
 
 // BatchLimit is the assignment rule every chunk batcher obeys
-// (exec.Master's replies on every backend, and the service fleet's
-// JobState refills; stated once in docs/LEDGER.md "Share-bounded
+// (exec.Master's replies on every backend and to every scheduler job's
+// fleet; stated once in docs/LEDGER.md "Share-bounded
 // batches"): one trip may hand a PE consecutive chunks
 // only while their iteration total stays within
 //

@@ -110,19 +110,19 @@ func (st State) String() string {
 	return "invalid"
 }
 
-// attempt is one admission's execution state: the fleet-shared
-// JobState plus per-worker accounting for the report. comp and iters
-// are atomics so a cancelled job's report can be snapshotted while a
-// worker is still finishing its in-flight chunk.
+// attempt is one admission's execution state: the job's master for
+// this attempt and every fleet worker's memory link to it.
 type attempt struct {
-	js    *exec.JobState
-	comp  []atomic.Int64 // per-worker computation nanoseconds
-	iters []atomic.Int64 // per-worker executed iterations
+	job   *Job
+	m     *exec.Master
+	links []exec.Link // by fleet worker
 }
 
-// workerTimes renders one worker's slice of the attempt for the report.
-func workerTimes(att *attempt, i int) metrics.Times {
-	return metrics.Times{Comp: time.Duration(att.comp[i].Load()).Seconds()}
+// wantsCredit reports whether the job's current attempt has chunks left
+// to hand out.
+func (j *Job) wantsCredit() bool {
+	att := j.att.Load()
+	return att != nil && !att.m.Drained()
 }
 
 // Job is a handle on one submitted job. All methods are safe for
@@ -145,12 +145,10 @@ type Job struct {
 	started  time.Time
 	err      error
 	report   Report
-	// Cumulative grant accounting across finished attempts (the live
-	// attempt's share is added on read). These reconcile exactly with
-	// the job's ChunkGranted telemetry: attempts are aborted under the
-	// refill mutex before being counted, so no grant is ever missed.
-	chunksTotal  int
-	grantedTotal int64
+	// The masters of the attempts that failed, in order: with the
+	// current one's, they are the job's whole grant book, which
+	// reconciles exactly with its grant telemetry.
+	past []*exec.Master
 }
 
 // ID returns the scheduler-assigned job id (1-based; matches the Job
@@ -175,28 +173,32 @@ func (j *Job) Attempts() int {
 
 // Granted returns the iterations granted to the job so far, summed
 // across every attempt (frozen once the job is terminal). It matches
-// the iterations the job's ChunkGranted telemetry reports exactly.
+// the iterations the job's grant telemetry reports exactly.
 func (j *Job) Granted() int64 {
-	j.s.mu.Lock()
-	defer j.s.mu.Unlock()
-	g := j.grantedTotal
-	if att := j.att.Load(); att != nil && !j.State().Terminal() {
-		g += att.js.Granted()
-	}
-	return g
+	_, iters := j.granted()
+	return iters
 }
 
 // ChunksGranted returns the chunks granted to the job so far, summed
-// across every attempt. It matches the job's ChunkGranted telemetry
-// event count exactly, even for cancelled and retried jobs.
+// across every attempt. It matches the job's grant telemetry event count
+// exactly, even for cancelled and retried jobs.
 func (j *Job) ChunksGranted() int {
+	chunks, _ := j.granted()
+	return chunks
+}
+
+// granted sums the grant books of the job's masters.
+func (j *Job) granted() (chunks int, iters int64) {
 	j.s.mu.Lock()
 	defer j.s.mu.Unlock()
-	c := j.chunksTotal
-	if att := j.att.Load(); att != nil && !j.State().Terminal() {
-		c += att.js.Counts().Chunks
+	if att := j.att.Load(); att != nil {
+		chunks, iters = att.m.Granted()
 	}
-	return c
+	for _, m := range j.past {
+		c, n := m.Granted()
+		chunks, iters = chunks+c, iters+n
+	}
+	return chunks, iters
 }
 
 // Wait blocks until the job is terminal (returning its report and

@@ -1,15 +1,15 @@
 // Package service is the long-lived multi-tenant scheduler: one shared
 // worker fleet serving a stream of loop jobs. Where Run executes a
 // single loop and tears its workers down, a Scheduler keeps the fleet
-// (work-stealing deque workers, each job an internal/exec JobState)
-// alive and admits JobSpecs continuously: an admission queue enforces
-// per-tenant quotas, an arbiter hands refill credit to ready jobs by
-// strict priority and weighted deficit-round-robin, and a fail-queue
-// re-admits jobs whose attempt died (a panicking body, the stand-in
-// for a dying worker). Preemption only ever withholds not-yet-granted
-// chunks — a chunk a worker has started always runs to completion — so
-// every job that succeeds executed each of its iterations exactly
-// once.
+// alive — each job attempt an internal/exec Master, which every fleet
+// worker reaches over a memory link — and admits JobSpecs continuously:
+// an admission queue enforces per-tenant quotas, an arbiter picks the
+// job each worker's next request goes to by strict priority and
+// weighted deficit-round-robin, and a fail-queue re-admits jobs whose
+// attempt died (a panicking body, the stand-in for a dying worker).
+// Preemption only ever withholds not-yet-granted chunks — a chunk a
+// worker has started always runs to completion — so every job that
+// succeeds executed each of its iterations exactly once.
 package service
 
 import (
@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"loopsched/internal/acp"
@@ -54,9 +53,9 @@ type Options struct {
 	// Workers is the shared fleet: one long-lived goroutine per entry,
 	// heterogeneity emulated by WorkScale exactly as by exec.Worker.
 	Workers []*exec.WorkerSpec
-	// Window caps the chunks one arbitration grant pulls from a job's
-	// policy; <= 0 means exec.DefaultStealWindow. Below the cap a refill
-	// is share-bounded (docs/LEDGER.md "Share-bounded batches").
+	// Window caps the chunks one arbitrated request is granted;
+	// <= 0 means exec.DefaultStealWindow. Below the cap a reply is
+	// share-bounded (docs/LEDGER.md "Share-bounded batches").
 	Window int
 	// ACP is the availability model distributed schemes report with.
 	ACP acp.Model
@@ -465,18 +464,18 @@ func (s *Scheduler) admissibleLocked(j *Job) bool {
 	return true
 }
 
-// startLocked begins one attempt: it plans the job's policy, allocates
-// its per-worker deques and moves it into the active set. Callers hold
-// s.mu.
+// startLocked begins one attempt: it builds the job's master, planned
+// from the fleet's current ACPs, links every fleet worker to it and
+// moves the job into the active set. Callers hold s.mu.
 func (s *Scheduler) startLocked(j *Job, now time.Time) error {
 	var initACP []int
 	if sched.Distributed(j.spec.Scheme) {
 		initACP = make([]int, s.p)
-		for i, ws := range s.opts.Workers {
-			initACP[i] = s.opts.ACP.ACP(s.virtual[i], 1+ws.Load())
+		for i := range initACP {
+			initACP[i] = s.acpNow(i)
 		}
 	}
-	js, err := exec.NewJobState(exec.JobConfig{
+	m, err := exec.NewJobMaster(exec.JobConfig{
 		Scheme:        j.spec.Scheme,
 		Workload:      j.spec.Workload,
 		Workers:       s.p,
@@ -491,10 +490,9 @@ func (s *Scheduler) startLocked(j *Job, now time.Time) error {
 	if err != nil {
 		return err
 	}
-	att := &attempt{
-		js:    js,
-		comp:  make([]atomic.Int64, s.p),
-		iters: make([]atomic.Int64, s.p),
+	att := &attempt{job: j, m: m, links: make([]exec.Link, s.p)}
+	for i := range att.links {
+		att.links[i] = m.Link()
 	}
 	j.att.Store(att)
 	j.attempts++
@@ -548,13 +546,11 @@ func (s *Scheduler) finishLocked(j *Job, final State, jerr error) {
 		j.tenant.active--
 		s.removeActiveLocked(j)
 		if att := j.att.Load(); att != nil {
-			// Abort first, then snapshot: Refill re-checks the abort
-			// flag under the job mutex Counts acquires, so the report
-			// sees every grant that will ever happen.
-			att.js.Abort()
-			counts := att.js.Counts()
-			j.chunksTotal += counts.Chunks
-			j.grantedTotal += counts.Granted
+			// Cancel first, then snapshot: the master grants nothing
+			// after Cancel returns, so the report and the grant book
+			// see every grant that will ever happen. A master that
+			// finished keeps that outcome.
+			att.m.Cancel(jerr)
 		}
 	}
 	j.report = s.reportLocked(j)
@@ -586,26 +582,12 @@ func (s *Scheduler) finishLocked(j *Job, final State, jerr error) {
 }
 
 // reportLocked builds the job's paper-style report from the current
-// attempt. Callers hold s.mu.
+// attempt's master. Callers hold s.mu.
 func (s *Scheduler) reportLocked(j *Job) Report {
-	rep := Report{}
-	rep.Scheme = j.spec.Scheme.Name()
+	rep := Report{Scheme: j.spec.Scheme.Name(), Workers: s.p}
+	if att := j.att.Load(); att != nil {
+		rep = att.m.Report()
+	}
 	rep.Workload = j.spec.Workload.Name()
-	rep.Workers = s.p
-	att := j.att.Load()
-	if att == nil {
-		return rep
-	}
-	counts := att.js.Counts()
-	rep.Chunks = counts.Chunks
-	rep.Replans = counts.Replans
-	rep.Steals = int(counts.Steals)
-	for i := 0; i < s.p; i++ {
-		rep.PerWorker = append(rep.PerWorker, workerTimes(att, i))
-		rep.Iterations += int(att.iters[i].Load())
-	}
-	if !j.started.IsZero() {
-		rep.Tp = time.Since(j.started).Seconds()
-	}
 	return rep
 }

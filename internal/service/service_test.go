@@ -603,3 +603,53 @@ func TestJobNeverHeldByOneWorker(t *testing.T) {
 		t.Error("iteration 0 waited 5s and no other worker started a chunk of the job")
 	}
 }
+
+// TestSwitchDeliversBeforeLeaving is the regression test for a worker
+// that turns to another job while it holds the results of its last one:
+// on a one-worker fleet, job A is one small batch whose first iteration
+// waits until job B — submitted once A runs, and of a higher priority, so
+// the worker's next request goes to it — is admitted, and B's body waits
+// for A to finish, which only A's results reaching A's master can do. A
+// worker that took B's batch while still holding them would make B wait
+// on itself; its body gives up after 5s so that the test still ends.
+func TestSwitchDeliversBeforeLeaving(t *testing.T) {
+	s := newTestScheduler(t, Options{Workers: fleet(1)})
+	ctx := testCtx(t)
+	running, gate := make(chan struct{}), make(chan struct{})
+	a, err := s.Submit(ctx, uniformSpec(4, func(i int) {
+		if i == 0 {
+			close(running)
+			<-gate
+		}
+	}))
+	if err != nil {
+		t.Fatalf("Submit A: %v", err)
+	}
+	<-running
+	var held atomic.Bool
+	spec := uniformSpec(4, func(i int) {
+		if i != 0 {
+			return
+		}
+		select {
+		case <-a.Done():
+		case <-time.After(5 * time.Second):
+			held.Store(true) // give up so the job still ends
+		}
+	})
+	spec.Priority = 1
+	b, err := s.Submit(ctx, spec)
+	if err != nil {
+		t.Fatalf("Submit B: %v", err)
+	}
+	waitState(t, b, StateRunning)
+	close(gate)
+	for _, j := range []*Job{a, b} {
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatalf("job %d: %v", j.ID(), err)
+		}
+	}
+	if held.Load() {
+		t.Error("the worker took B's batch while it held A's results: B waited 5s for A")
+	}
+}

@@ -4,22 +4,35 @@ import (
 	"fmt"
 	"time"
 
-	"loopsched/internal/exec"
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
-	"loopsched/internal/workload"
+	"loopsched/internal/wire"
 )
 
-// jobRef pairs a job with the attempt observed when the active set was
-// snapshotted, so a worker never pops from a newer attempt's deques
-// under an older attempt's identity.
-type jobRef struct {
-	job *Job
-	att *attempt
+// fleetWorker is one fleet goroutine's side of the paper's slave loop —
+// request, compute, piggy-back (§3.1) — run against whichever job's
+// master the arbiter picks: the request it reuses, and the results of
+// its last batch until they are delivered.
+type fleetWorker struct {
+	s     *Scheduler
+	id    int
+	scale int // WorkScale: each iteration's body runs this many times
+	req   wire.Request
+	rep   wire.Reply
+
+	held *attempt      // whose results recs holds (nil: none)
+	recs []wire.Record // one run per stretch of consecutive iterations
+	comp float64       // kernel seconds those results took
+	now  time.Time     // the latest clock reading, which the arbiter's deadlines are checked at
+
+	owed  *Job // the job of the last grant, not charged yet (nil: none)
+	iters int  // the iterations in that grant
 }
 
-// runWorker is one fleet goroutine's lifetime: acquire a chunk, run
-// it, repeat until the scheduler closes. Join evidence is the
+// runWorker is one fleet goroutine's lifetime: have the arbiter pick a
+// job, run a batch of it, repeat until the scheduler closes. A worker
+// delivers what it holds before it turns to another job or sleeps, so
+// no job waits on results a worker keeps. Join evidence is the
 // scheduler WaitGroup.
 func (s *Scheduler) runWorker(id int) {
 	defer s.wg.Done()
@@ -27,131 +40,113 @@ func (s *Scheduler) runWorker(id int) {
 		Kind: telemetry.WorkerJoined, Worker: id,
 		At: s.bus.Now(),
 	})
-	var cur *Job
+	w := &fleetWorker{s: s, id: id, scale: max(1, s.opts.Workers[id].WorkScale), now: time.Now()}
 	for {
-		j, js, a, ok := s.next(id, cur)
+		att, gen, ok := s.pick(w.now, w.owed, w.iters)
+		w.owed = nil
 		if !ok {
 			return
 		}
-		cur = j
-		s.execute(id, j, js, a)
+		if w.held != nil && w.held != att {
+			w.request(w.held, 0) // a delivery: results booked, nothing asked
+		}
+		if att == nil {
+			if !s.idle(gen) {
+				return
+			}
+			w.now = time.Now()
+			continue
+		}
+		if w.request(att, s.window) {
+			w.run(att)
+		}
 	}
 }
 
-// next acquires the worker's next chunk: the last job's own deque
-// first (locality), then every active job's own deque in priority
-// order, then an arbitrated refill, then stealing from other workers.
-// When the whole fleet looks empty it sleeps on the scheduler
-// condition until the generation counter moves or the scheduler is
-// closed (the false return).
-func (s *Scheduler) next(id int, cur *Job) (*Job, *exec.JobState, sched.Assignment, bool) {
-	for {
-		if cur != nil && cur.State() == StateRunning {
-			if att := cur.att.Load(); att != nil {
-				if a, ok := att.js.Pop(id); ok {
-					return cur, att.js, a, true
-				}
-			}
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil, nil, sched.Assignment{}, false
-		}
-		gen := s.gen
-		refs := make([]jobRef, 0, len(s.active))
-		for _, j := range s.active {
-			if att := j.att.Load(); att != nil {
-				refs = append(refs, jobRef{j, att})
-			}
-		}
-		s.mu.Unlock()
+// request sends one prefetch to att's master — never a plain request,
+// which could park the worker there while other jobs want it — carrying
+// the results the worker holds for att, and asks for up to credits
+// chunks; 0 makes it a delivery. It reports whether a batch came back,
+// which the next pick charges to the job. A Stop completes the job, if
+// nothing ended it first; a master error fails the attempt.
+//
+//lint:loopsched-hotpath
+func (w *fleetWorker) request(att *attempt, credits int) bool {
+	s, j := w.s, att.job
+	w.req = wire.Request{Worker: w.id, ACP: s.acpNow(w.id), Prefetch: true, Credits: credits}
+	if w.held == att {
+		w.req.Results, w.req.CompSeconds = w.recs, w.comp
+	}
+	w.held, w.recs, w.comp = nil, w.recs[:0], 0
+	if j.att.Load() != att || j.State() != StateRunning {
+		return false // what the attempt's master is owed is moot now
+	}
+	if err := att.links[w.id].Call(&w.req, &w.rep); err != nil {
+		s.failAttempt(att, fmt.Errorf("service: job %d: %w", j.id, err))
+		return false
+	}
+	if w.rep.Stop {
+		s.completeJob(att)
+		return false
+	}
+	iters := 0
+	for _, g := range w.rep.Grants {
+		iters += g.Size
+	}
+	if iters == 0 {
+		return false // drained since the pick
+	}
+	w.owed, w.iters = j, iters
+	return true
+}
 
-		// Pass 1: pop our own deques, highest priority first.
-		for _, r := range refs {
-			if r.job == cur || r.job.State() != StateRunning {
-				continue
-			}
-			if a, ok := r.att.js.Pop(id); ok {
-				return r.job, r.att.js, a, true
-			}
+// run executes the batch the last request was granted, emulating the
+// worker's WorkScale exactly as exec.Worker does, and holds its results
+// for the next request. The clock is read as the batch starts and as it
+// ends — with a telemetry bus also as each chunk closes, for its
+// ChunkCompleted. A chunk of an attempt that was cancelled, failed or
+// requeued meanwhile is not started, and the batch's results are
+// dropped. A panicking body is the fleet's worker-death signal: the
+// attempt is aborted and the job heads to the fail-queue (or fails
+// terminally once its retry budget is spent).
+//
+//lint:loopsched-hotpath
+func (w *fleetWorker) run(att *attempt) {
+	j, bus := att.job, w.s.bus
+	start := time.Now()
+	at := bus.Now()
+	for _, g := range w.rep.Grants {
+		if j.att.Load() != att || j.State() != StateRunning {
+			w.recs = w.recs[:0]
+			return
 		}
-		// Pass 2: spend one arbitrated refill credit.
-		if j, js := s.pickRefill(); j != nil {
-			a, granted, ok := js.Refill(id, s.acpNow(id), 0, 0)
-			if granted > 0 {
-				s.charge(j, granted)
-			}
-			if ok {
-				// New chunks landed in our deque: wake sleepers to steal.
-				s.mu.Lock()
-				s.bumpLocked()
-				s.mu.Unlock()
-				return j, js, a, true
-			}
-			// The refill came back empty: the job just drained. If its
-			// outstanding chunks are already executed this worker is
-			// the one that observes completion.
-			s.completeJob(j, js)
-			continue
+		if err := runChunk(j.spec.Body, g, w.scale); err != nil {
+			w.recs = w.recs[:0]
+			w.s.failAttempt(att, fmt.Errorf("service: job %d: %w", j.id, err))
+			return
 		}
-		// Pass 3: steal queued chunks from other workers.
-		for _, r := range refs {
-			if r.job.State() != StateRunning {
-				continue
-			}
-			if a, ok := r.att.js.Steal(id); ok {
-				return r.job, r.att.js, a, true
-			}
+		if k := len(w.recs) - 1; k >= 0 && w.recs[k].Index+w.recs[k].Count == g.Start {
+			w.recs[k].Count += g.Size
+		} else {
+			w.recs = append(w.recs, wire.Record{Index: g.Start, Count: g.Size})
 		}
-		// Idle: sleep until the generation moves (new admission, a
-		// refill, a finish) or the scheduler closes.
-		s.mu.Lock()
-		for s.gen == gen && !s.closed {
-			s.cond.Wait()
-		}
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return nil, nil, sched.Assignment{}, false
+		if bus != nil {
+			now := bus.Now()
+			bus.Publish(telemetry.Event{
+				Kind: telemetry.ChunkCompleted, Worker: w.id, Job: j.id, Tenant: j.tenant.id,
+				Start: g.Start, Size: g.Size, ACP: w.req.ACP, Span: telemetry.SpanID(j.id, g.Start),
+				At: now, Seconds: now - at,
+			})
+			at = now
 		}
 	}
+	w.now = time.Now()
+	w.held, w.comp = att, w.now.Sub(start).Seconds()
 }
 
 // acpNow probes worker id's current ACP.
 func (s *Scheduler) acpNow(id int) int {
 	return s.opts.ACP.ACP(s.virtual[id], 1+s.opts.Workers[id].Load())
-}
-
-// execute runs one chunk of one job on this worker, emulating the
-// worker's WorkScale exactly as exec.Worker does. A panicking body is
-// the fleet's worker-death signal: the attempt is aborted and the job
-// heads to the fail-queue (or fails terminally once its retry budget
-// is spent). Chunks whose attempt was cancelled or requeued between
-// acquisition and execution are discarded unrun.
-func (s *Scheduler) execute(id int, j *Job, js *exec.JobState, a sched.Assignment) {
-	att := j.att.Load()
-	if att == nil || att.js != js || j.State() != StateRunning {
-		return // stale chunk of a finished, cancelled or requeued attempt
-	}
-	scale := s.opts.Workers[id].WorkScale
-	if scale < 1 {
-		scale = 1
-	}
-	start := time.Now()
-	err := runChunk(j.spec.Body, a, scale)
-	elapsed := time.Since(start) // single reading: feedback == report accounting
-	if err != nil {
-		s.failAttempt(j, js, fmt.Errorf("service: job %d: %w", j.id, err))
-		return
-	}
-	sec := elapsed.Seconds()
-	att.comp[id].Add(int64(elapsed))
-	att.iters[id].Add(int64(a.Size))
-	js.Feedback(id, workload.RangeCost(js.Workload(), a.Start, a.End()), sec)
-	if js.Complete(id, a, s.acpNow(id), sec) {
-		s.completeJob(j, js)
-	}
 }
 
 // runChunk executes one assignment, converting a body panic into an
@@ -170,43 +165,49 @@ func runChunk(body func(i int), a sched.Assignment, scale int) (err error) {
 	return nil
 }
 
-// completeJob finishes the job if its attempt has executed every
-// granted iteration. Safe to call speculatively; only the current
-// attempt of a still-running job can transition.
-func (s *Scheduler) completeJob(j *Job, js *exec.JobState) {
-	if !js.Finished() {
-		return
-	}
+// idle sleeps until the generation moves past gen (an admission, a
+// finish) and reports false once the scheduler is closed.
+func (s *Scheduler) idle(gen uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	att := j.att.Load()
-	if att == nil || att.js != js || j.State() != StateRunning {
+	for s.gen == gen && !s.closed {
+		s.cond.Wait()
+	}
+	return !s.closed
+}
+
+// completeJob finishes the job: a Stop answered a request to its
+// current attempt's master, and only the master's own end can have sent
+// it while the attempt is still current and the job running.
+func (s *Scheduler) completeJob(att *attempt) {
+	j := att.job
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j.att.Load() != att || j.State() != StateRunning {
 		return
 	}
 	s.finishLocked(j, StateSucceeded, nil)
 }
 
-// failAttempt aborts the current attempt after a body panic and either
-// parks the job on the fail-queue for a retry or fails it terminally.
-func (s *Scheduler) failAttempt(j *Job, js *exec.JobState, ferr error) {
+// failAttempt aborts the attempt after a body panic and either parks
+// the job on the fail-queue for a retry or fails it terminally.
+func (s *Scheduler) failAttempt(att *attempt, ferr error) {
+	j := att.job
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	att := j.att.Load()
-	if att == nil || att.js != js || j.State() != StateRunning {
+	if j.att.Load() != att || j.State() != StateRunning {
 		return // another worker already failed or finished this attempt
 	}
-	att.js.Abort()
 	budget := j.spec.retryBudget(s.opts.Retries)
 	if j.attempts > budget {
 		s.finishLocked(j, StateFailed, ferr)
 		return
 	}
-	// Requeue: the job goes back to Queued with exponential backoff.
-	// The aborted attempt's grants fold into the cumulative totals
-	// before the attempt pointer is dropped.
-	counts := att.js.Counts()
-	j.chunksTotal += counts.Chunks
-	j.grantedTotal += counts.Granted
+	// Requeue: the job goes back to Queued with exponential backoff. The
+	// cancelled master grants nothing more, and it stays in the job's
+	// book for Granted and ChunksGranted.
+	att.m.Cancel(ferr)
+	j.past = append(j.past, att.m)
 	j.att.Store(nil)
 	j.tenant.active--
 	s.removeActiveLocked(j)

@@ -1,17 +1,16 @@
-// Package steal is the lock-free substrate of the work-stealing local
-// runtime: a bounded Chase–Lev deque of pre-sliced chunk assignments
-// per worker, plus cache-line-padded per-worker counters. The owner
-// pushes and pops at the bottom (LIFO, so the hottest chunk stays
+// Package steal is a bounded Chase–Lev deque of pre-sliced chunk
+// assignments, one per worker: the substrate of exec.JobState's deque
+// core. No runtime uses it; the benchmark's steal.* probes time it. The
+// owner pushes and pops at the bottom (LIFO, so the hottest chunk stays
 // cache-warm and the fast path is two atomic loads and a store);
 // thieves steal from the top (FIFO, so they take the oldest — and for
 // decreasing-chunk schemes the largest — work, amortising the steal).
 //
 // The algorithm is the classic Chase & Le (SPAA 2005) dynamic circular
-// deque, restricted to a fixed-capacity ring: the local executor
-// refills a worker's deque with at most a credit-window of chunks at a
-// time, so the ring never needs to grow and push can simply report
-// "full". Two deviations keep the Go race detector honest without
-// giving up the lock-freedom:
+// deque, restricted to a fixed-capacity ring: a refill puts at most a
+// credit-window of chunks on a worker's deque at a time, so the ring
+// never needs to grow and push can simply report "full". Two deviations
+// keep the Go race detector honest without giving up the lock-freedom:
 //
 //   - Every slot field is accessed atomically. A thief may read a slot
 //     that the owner is concurrently overwriting after a wrap-around,
@@ -20,9 +19,8 @@
 //     and the torn value is discarded. Atomic field access makes that
 //     benign race invisible to -race and well-defined under the Go
 //     memory model.
-//   - top and bottom sit on separate cache lines, as do the per-worker
-//     counters, so a thief hammering one worker's top does not false-
-//     share with the owner's bottom or with neighbouring workers.
+//   - top and bottom sit on separate cache lines, so a thief hammering
+//     one worker's top does not false-share with the owner's bottom.
 package steal
 
 import (
@@ -154,52 +152,5 @@ func (d *Deque) Steal() (sched.Assignment, bool) {
 		}
 		// Lost to another thief or the owner's last-element pop; the
 		// value may be torn — discard and retry from fresh indices.
-	}
-}
-
-// Counters is one worker's event tally as a plain value snapshot.
-// The live tally is an AtomicCounters; this type is what Snapshot
-// materialises for reporting once no concurrent writer matters.
-type Counters struct {
-	// Pops counts chunks the owner took from its own deque.
-	Pops int64
-	// Steals counts chunks this worker stole from victims.
-	Steals int64
-	// FailedSteals counts full victim scans that found nothing.
-	FailedSteals int64
-	// Refills counts trips to the scheme policy under the refill lock.
-	Refills int64
-	// RefillChunks counts chunks those refills returned.
-	RefillChunks int64
-}
-
-// AtomicCounters is the live form of Counters: each field is written
-// by its owning worker and may be read at any moment by an observer
-// (a scheduler snapshotting a running job's accounting), so every
-// access is atomic — the atomic.Int64 method types make a plain mixed
-// access unrepresentable, which is the discipline the
-// atomicdiscipline analyzer enforces for function-style sites. The
-// struct is padded so adjacent workers' counters never share a cache
-// line.
-type AtomicCounters struct {
-	Pops         atomic.Int64
-	Steals       atomic.Int64
-	FailedSteals atomic.Int64
-	Refills      atomic.Int64
-	RefillChunks atomic.Int64
-	_            [cacheLine - 5*8]byte
-}
-
-// Snapshot reads the tally atomically field by field. The result is
-// not a consistent cross-field cut — fields advance independently —
-// but each field is a valid count at some moment during the call,
-// which is what live reporting needs.
-func (c *AtomicCounters) Snapshot() Counters {
-	return Counters{
-		Pops:         c.Pops.Load(),
-		Steals:       c.Steals.Load(),
-		FailedSteals: c.FailedSteals.Load(),
-		Refills:      c.Refills.Load(),
-		RefillChunks: c.RefillChunks.Load(),
 	}
 }

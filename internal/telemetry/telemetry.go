@@ -100,15 +100,16 @@ const (
 	// (Seconds is the decode time).
 	WireFrameReceived
 
-	// ChunkStolen marks a chunk moved between workers inside the
-	// work-stealing local engine: Worker is the thief, Shard (reused;
+	// ChunkStolen marks a chunk moved between workers inside a
+	// work-stealing deque core: Worker is the thief, Shard (reused;
 	// these runs are flat) the victim worker's id, Start/Size the
-	// chunk.
+	// chunk. No runtime publishes it any more.
 	ChunkStolen
 
-	// DequeRefilled marks one trip to the scheme policy by the
-	// work-stealing local engine: Worker refilled its deque with Size
-	// chunks starting at iteration Start.
+	// DequeRefilled marks one trip to the scheme policy by a
+	// work-stealing deque core (exec.JobState): Worker refilled its
+	// deque with Size chunks starting at iteration Start. No runtime
+	// publishes it any more.
 	DequeRefilled
 
 	// JobSubmitted marks a job entering a scheduler's admission queue.

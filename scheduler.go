@@ -65,11 +65,10 @@ type SchedulerOptions struct {
 	// Workers is the shared fleet: one long-lived goroutine per entry,
 	// heterogeneity emulated by WorkScale exactly as on BackendLocal.
 	Workers []*WorkerSpec
-	// CreditWindow is the refill batch size: how many chunks one
-	// arbitration grant pulls from a job's policy (0 means the steal
-	// engine's default, 8; the fleet has no round trip to size a batch
-	// by). It is the same knob as RunSpec.CreditWindow on the local
-	// backend.
+	// CreditWindow is the batch size: how many chunks one arbitrated
+	// request is granted at most (0 means 8; the fleet has no round
+	// trip to size a batch by). It is the same knob as
+	// RunSpec.CreditWindow on the local backend.
 	CreditWindow int
 	// ACP is the availability model distributed schemes report with.
 	ACP ACPModel
@@ -104,9 +103,9 @@ type SchedulerOptions struct {
 // NewScheduler starts the shared fleet and returns the ready
 // scheduler. It is the streaming, multi-tenant counterpart of Run:
 // specs are validated on the same path, telemetry flows through the
-// same event bus, and the fleet's workers run the same work-stealing
-// engine as Run's local steal backend. Close the scheduler to release
-// the fleet.
+// same event bus, and every job is the same master Run's local backend
+// runs, reached over memory links. Close the scheduler to release the
+// fleet.
 func NewScheduler(o SchedulerOptions) (*Scheduler, error) {
 	so := service.Options{
 		Workers:            o.Workers,

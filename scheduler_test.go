@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -150,23 +151,26 @@ func TestSchedulerQuota(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	release := make(chan struct{})
+	release, started := make(chan struct{}), make(chan struct{})
+	var once sync.Once
 	hog, err := s.Submit(ctx, loopsched.JobSpec{
 		Scheme:   loopsched.NewCSS(1),
 		Workload: loopsched.Uniform{N: 1 << 20},
-		Body:     func(int) { <-release },
-		Tenant:   "greedy",
+		Body: func(int) {
+			once.Do(func() { close(started) })
+			<-release
+		},
+		Tenant: "greedy",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Only once the hog is admitted does the queue quota have room for
-	// exactly one waiting job.
-	for hog.State() != loopsched.JobRunning {
-		if ctx.Err() != nil {
-			t.Fatal("hog never admitted")
-		}
-		time.Sleep(time.Millisecond)
+	// exactly one waiting job; its first iteration says it was.
+	select {
+	case <-started:
+	case <-ctx.Done():
+		t.Fatal("hog never admitted")
 	}
 	if _, err := s.Submit(ctx, withTenantSpec("greedy")); err != nil {
 		t.Fatalf("first queued job: %v", err)
