@@ -81,7 +81,9 @@ escape-check:
 # master's lock-free grant path (fastGrants, fastOff) stays gone, and so
 # do the unit tables, the re-plan that closed them, the share class that
 # armed them and the wire's no-reply flag (BuildUnits, Revise,
-# ShareDeterministic, NoReply).
+# ShareDeterministic, NoReply). And the one constructor: a master is
+# configured once, as data (exec.Config through exec.New), so no setter,
+# dispenser rebuild or second constructor comes back to re-plan it.
 dup-check:
 	@! grep -rn 'NewPolicy(\|MajorityChanged(\|sched\.Offset(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/' \
@@ -105,6 +107,7 @@ dup-check:
 	@! grep -rniE '(granted|completed|drained)[a-z0-9_]*[[:space:]]*(:=|[[:space:]](atomic\.|u?int|float|bool))' \
 		--include='*.go' internal/service | grep -v '_test.go'
 	@! grep -rn 'wire\.Request{\|\.Prefetch *=' --include='*.go' internal/service | grep -v '_test.go' | grep -v 'Prefetch: true'
+	@! grep -rnE 'func \(m \*Master\) (Set[A-Za-z]*|DisableReplan|rearm)\(|func New(Shard|Job)Master\(' --include='*.go' internal/exec
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

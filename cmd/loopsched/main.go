@@ -140,7 +140,7 @@ func main() {
 		var s loopsched.Scheme
 		s, err = loopsched.LookupScheme(*schemeName)
 		if err == nil {
-			spec := loopsched.RunSpec{Scheme: s, Workload: w, Telemetry: tele}
+			spec := loopsched.RunSpec{Scheme: s, Workload: w, Telemetry: tele, Trace: tr}
 			if *shards > 0 {
 				spec.Hierarchy = &loopsched.Hierarchy{Shards: *shards}
 			}
@@ -151,25 +151,15 @@ func main() {
 				spec.Pipeline = true
 				spec.Transport = *transport
 				spec.CreditWindow = *window
-				spec.Trace = tr
 			} else if *real {
 				spec.Backend = loopsched.BackendLocal
 				spec.Workers = realWorkers(*p)
 				spec.Body = burnBody(w)
 				spec.CreditWindow = *window
-				spec.Trace = tr
 			} else {
 				spec.Backend = loopsched.BackendSim
 				spec.Cluster = cluster
 				spec.Sim = params
-				// With telemetry on, the trace is rebuilt from the event
-				// stream; otherwise the simulator fills it natively (the
-				// hierarchical simulator merges its per-shard traces).
-				if tele != nil {
-					spec.Trace = tr
-				} else {
-					spec.Sim.Trace = tr
-				}
 			}
 			rep, err = loopsched.Run(context.Background(), spec)
 		}

@@ -72,9 +72,8 @@ func TestNoWorkerHoldsTheWholeLoop(t *testing.T) {
 	for _, pipeline := range []bool{false, true} {
 		for _, window := range []int{0, 8} {
 			t.Run(fmt.Sprintf("rpc-binary/pipeline=%v/w%d", pipeline, window), func(t *testing.T) {
-				m, addr, stop := startMaster(t, sched.TFSSScheme{}, n, p)
+				m, addr, stop := serveMaster(t, Config{Scheme: sched.TFSSScheme{}, Iterations: n, Workers: p, Window: window})
 				defer stop()
-				m.SetWindow(window)
 				g := newStarveGate()
 				kernel := func(i int) []byte {
 					g.visit(i)
@@ -394,7 +393,7 @@ func TestMasterDoesNotTrustCredits(t *testing.T) {
 	for start := 0; start < n; start += n / 4 {
 		src.held = append(src.held, sched.Assignment{Start: start, Size: n / 4})
 	}
-	staged, err := NewShardMaster(sched.CSSScheme{K: 1}, n, 0, []int{0, 1}, src)
+	staged, err := New(Config{Scheme: sched.CSSScheme{K: 1}, Iterations: n, Workers: p, Source: src, Members: []int{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,11 +442,10 @@ func checkCeiling(t *testing.T, m *Master, n, p int) {
 }
 
 func checkMasterReplies(t *testing.T, s sched.Scheme, p, n, window int) {
-	m, err := NewMaster(s, n, p)
+	m, err := New(Config{Scheme: s, Iterations: n, Workers: p, Window: window})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetWindow(window)
 	held := make([][]ChunkResult, p)
 	var rep wire.Reply
 	granted, multi := 0, 0

@@ -18,7 +18,7 @@ import (
 	"loopsched/internal/workload"
 )
 
-// stealRun drives one job master (NewJobMaster) the way a scheduler
+// stealRun drives one job master (New with InitACP) the way a scheduler
 // fleet worker does, a goroutine per worker over its memory link: a
 // non-parking prefetch per batch, carrying the results of the last one,
 // until a reply says Stop — and when nothing is granted, a yield before
@@ -28,7 +28,7 @@ type stealRun struct {
 	Scheme    sched.Scheme
 	Workers   []*WorkerSpec
 	Window    int
-	Ledger    LedgerMode
+	Ledger    LedgerMode // accepted and ignored, as the service does
 	Telemetry *telemetry.Bus
 }
 
@@ -36,26 +36,26 @@ func (r *stealRun) RunContext(ctx context.Context, w workload.Workload, body fun
 	p := len(r.Workers)
 	powers := VirtualPowers(r.Workers)
 	acpNow := func(id int) int { return acp.Model{}.ACP(powers[id], 1+r.Workers[id].Load()) }
-	var initACP []int
-	if sched.Distributed(r.Scheme) {
-		initACP = make([]int, p)
-		for id := range initACP {
+	initACP := make([]int, p)
+	for id := range initACP {
+		initACP[id] = 1
+		if sched.Distributed(r.Scheme) {
 			initACP[id] = acpNow(id)
 		}
 	}
-	m, err := NewJobMaster(JobConfig{
-		Scheme: r.Scheme, Workload: w, Workers: p, Window: r.Window, InitACP: initACP,
-		Powers: powers, Telemetry: r.Telemetry, Ledger: r.Ledger,
+	credits := r.Window
+	if credits <= 0 {
+		credits = DefaultStealWindow
+	}
+	m, err := New(Config{
+		Scheme: r.Scheme, Iterations: w.Len(), Workers: p, Powers: powers, Window: credits,
+		Telemetry: r.Telemetry, InitACP: initACP,
 	})
 	if err != nil {
 		return metrics.Report{}, err
 	}
 	stop := context.AfterFunc(ctx, func() { m.Cancel(ctx.Err()) })
 	defer stop()
-	credits := r.Window
-	if credits <= 0 {
-		credits = DefaultStealWindow
-	}
 	var wg sync.WaitGroup
 	for id, ws := range r.Workers {
 		l := m.Link()

@@ -91,15 +91,14 @@ func TestAWFLearnsFromReportedTimings(t *testing.T) {
 	const n = 40000
 	for _, reach := range []string{"tcp", "mp"} {
 		t.Run(reach, func(t *testing.T) {
-			m, err := NewMaster(sched.AWFScheme{}, n, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
 			bus := telemetry.NewBus(1 << 12)
 			defer bus.Close()
 			log := &eventLog{}
 			bus.Subscribe(log)
-			m.SetTelemetry(bus)
+			m, err := New(Config{Scheme: sched.AWFScheme{}, Iterations: n, Workers: 2, Telemetry: bus})
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			var run func(w Worker) error
 			if reach == "tcp" {

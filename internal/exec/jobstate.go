@@ -11,8 +11,8 @@ import (
 	"loopsched/internal/workload"
 )
 
-// JobConfig configures one job of a shared worker fleet: the master of a
-// scheduler job's attempt (NewJobMaster), or a JobState.
+// JobConfig configures a JobState, the deque core the benchmark's
+// exec.refill_* probes drive.
 type JobConfig struct {
 	// Scheme is the self-scheduling scheme the job's chunks come from.
 	Scheme sched.Scheme
@@ -24,10 +24,6 @@ type JobConfig struct {
 	// reply holds at most this many chunks, fewer while chunks are large
 	// against the worker's share of what is left (dispense.Claim).
 	Window int
-	// InitACP seeds the per-worker ACP figures distributed schemes
-	// plan with (the paper's step 1(a) gather). nil means every
-	// worker reports ACP 1 until its first request.
-	InitACP []int
 	// Powers are the workers' static virtual powers, which the
 	// static-weight schemes (WF, WS) split by; nil weighs them equally.
 	Powers []float64
@@ -35,62 +31,19 @@ type JobConfig struct {
 	DisableReplan bool
 	// Telemetry receives the job's events; nil is inert.
 	Telemetry *telemetry.Bus
-	// Job and Tenant tag every event the job publishes, so a shared
-	// bus can attribute chunks per job and per tenant. Zero means
-	// untagged (single-run execution).
-	Job, Tenant int
 	// Ledger is accepted and ignored: every grant draws from the job's
 	// policy under the master's lock. An unknown mode is still an error.
 	Ledger LedgerMode
 }
 
-// DefaultStealWindow is the credit window of a fleet job when
-// JobConfig.Window is unset: a reply carries at most this many chunks
-// (fewer while chunks are large against the worker's share of what is
-// left). A worker with no window set asks its master for this many
+// DefaultStealWindow is the credit window of a scheduler fleet's jobs,
+// and of a JobState, when none is set: a reply carries at most this many
+// chunks (fewer while chunks are large against the worker's share of what
+// is left). A worker with no window set asks its master for this many
 // chunks on its first request, before it has measured a round trip to
 // size its asks by, and on every request over the gob link, which
 // grants one chunk per call (DESIGN.md §9).
 const DefaultStealWindow = 8
-
-// NewJobMaster builds the master of one attempt of a scheduler job
-// (internal/service): a flat master over cfg's loop and cfg.Workers
-// fleet workers. Its plan is made here, from InitACP — the fleet's ACPs,
-// so that the step-1(a) gather waits on no worker busy with another job
-// — and it takes cfg's powers, window, re-plan switch and bus, tagging
-// every event it publishes with cfg's job and tenant. The workers joined
-// the fleet, not the job, so it publishes no WorkerJoined.
-func NewJobMaster(cfg JobConfig) (*Master, error) {
-	if _, ok := cfg.Ledger.Normalize(); !ok {
-		return nil, fmt.Errorf("exec: unknown ledger mode %q", cfg.Ledger)
-	}
-	n := cfg.Workload.Len()
-	m, err := newMaster(cfg.Scheme, n, cfg.Workers, 0, nil, &whole{n: n})
-	if err != nil {
-		return nil, err
-	}
-	m.bus, m.job, m.tenant = cfg.Telemetry, cfg.Job, cfg.Tenant
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultStealWindow
-	}
-	m.SetWindow(cfg.Window)
-	m.dcfg.Powers, m.dcfg.NoReplan = cfg.Powers, cfg.DisableReplan
-	if err := m.rearm(); err != nil {
-		return nil, err
-	}
-	for w := range m.slots {
-		m.slots[w].joined = true
-		a := 1
-		if w < len(cfg.InitACP) {
-			a = cfg.InitACP[w]
-		}
-		m.d.Report(w, a)
-	}
-	if m.restage(-1); m.err != nil {
-		return nil, m.err
-	}
-	return m, nil
-}
 
 // JobState is a work-stealing deque core: one job's per-worker deques
 // over a dispenser. No runtime uses it; the benchmark's exec.refill_ns
@@ -129,11 +82,7 @@ func NewJobState(cfg JobConfig) (*JobState, error) {
 	for i := 0; i < p; i++ {
 		s.deques[i] = steal.NewDeque(window)
 		s.scratch[i] = make([]sched.Assignment, 0, window)
-		a := 1
-		if i < len(cfg.InitACP) {
-			a = cfg.InitACP[i]
-		}
-		s.d.Report(i, a)
+		s.d.Report(i, 1) // every worker reports ACP 1 until its first request
 	}
 	if err := s.d.Stage(0, cfg.Workload.Len()); err != nil {
 		return nil, err

@@ -588,15 +588,14 @@ func TestMemLinkClose(t *testing.T) {
 func TestZeroCreditPrefetchIsADelivery(t *testing.T) {
 	for _, reach := range []string{"memory", "tcp"} {
 		t.Run(reach, func(t *testing.T) {
-			m, err := NewMaster(sched.CSSScheme{K: 4}, 8, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
 			bus := telemetry.NewBus(256)
 			defer bus.Close()
 			log := &eventLog{}
 			bus.Subscribe(log)
-			m.SetTelemetry(bus)
+			m, err := New(Config{Scheme: sched.CSSScheme{K: 4}, Iterations: 8, Workers: 1, Telemetry: bus})
+			if err != nil {
+				t.Fatal(err)
+			}
 			l := m.Link()
 			if reach == "tcp" {
 				ln, err := net.Listen("tcp", "127.0.0.1:0")

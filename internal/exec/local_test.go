@@ -41,10 +41,6 @@ type localRun struct {
 // RunContext runs body once per iteration of w and returns the master's
 // report, or ctx's error once ctx ends.
 func (l *localRun) RunContext(ctx context.Context, w workload.Workload, body func(int)) (metrics.Report, error) {
-	m, err := NewMaster(l.Scheme, w.Len(), len(l.Workers))
-	if err != nil {
-		return metrics.Report{}, err
-	}
 	bus := l.Telemetry
 	if l.Trace != nil {
 		if bus == nil {
@@ -55,10 +51,12 @@ func (l *localRun) RunContext(ctx context.Context, w workload.Workload, body fun
 		bus.Subscribe(sub)
 		defer func() { bus.Flush(); bus.Unsubscribe(sub) }()
 	}
-	m.SetTelemetry(bus)
-	m.SetWindow(l.Window)
 	powers := VirtualPowers(l.Workers)
-	if err := m.SetPowers(powers); err != nil {
+	m, err := New(Config{
+		Scheme: l.Scheme, Iterations: w.Len(), Workers: len(l.Workers), Powers: powers,
+		Window: l.Window, Telemetry: bus,
+	})
+	if err != nil {
 		return metrics.Report{}, err
 	}
 	var wg sync.WaitGroup

@@ -34,7 +34,7 @@ import (
 // before its work runs out, asking — unless a credit window caps it —
 // for what that round trip needs. A reply is one share-bounded batch
 // (sched.BatchLimit) within the worker's ledger room: W+1 chunks under a
-// window W (SetWindow), the master's own grantCeiling otherwise.
+// window W (Config.Window), the master's own grantCeiling otherwise.
 // DESIGN.md §9 states the loop's rules.
 //
 // Two codecs carry the dialogue between processes (transport.go):
@@ -170,18 +170,18 @@ func (*whole) Fetch(int) error       { return nil }
 func (w *whole) Exhausted() bool     { return w.taken }
 func (*whole) Forward([]ChunkResult) {}
 
-// Master is the RPC scheduling service. Create with NewMaster, expose
+// Master is the RPC scheduling service. Create with New, expose
 // with Serve, then Wait for completion.
 type Master struct {
 	scheme     sched.Scheme
 	iterations int
 	workers    int
 	window     int            // credit window; per-worker ledger cap is window+1
-	bus        *telemetry.Bus // nil unless SetTelemetry was called
+	bus        *telemetry.Bus // nil: publish nothing
 	shard      int            // telemetry labels: the shard, and members[w],
 	members    []int          // worker w's run-global id (nil: w itself)
-	job        int            // and the scheduler job and tenant (NewJobMaster;
-	tenant     int            // zero for a single run)
+	job        int            // and the scheduler job and tenant (zero for
+	tenant     int            // a single run)
 
 	// Lock-free result ledger: bit i of got flips exactly once (one CAS
 	// per word a record covers); the winner stores results[i] (a shard
@@ -199,18 +199,15 @@ type Master struct {
 	granted     atomic.Int64 // iterations in the chunks booked
 
 	// src hands out the ranges staged one after another on d; staged
-	// counts their iterations, stage is the latest. fetching marks the
-	// one request waiting on src.Fetch (under mu).
+	// counts their iterations. fetching marks the one request waiting on
+	// src.Fetch (under mu).
 	src      Source
-	stage    sched.Assignment
 	staged   atomic.Int64
 	fetching bool
 
 	// d is the single source of every fresh grant (internal/dispense),
-	// drawn under mu; dcfg rebuilds it when a Set* call changes its
-	// configuration.
-	d    *dispense.Dispenser
-	dcfg dispense.Config
+	// drawn under mu.
+	d *dispense.Dispenser
 
 	// Latency histograms for the report: request-to-grant on the
 	// master's clock (recorded only when a bus supplies that clock)
@@ -241,40 +238,99 @@ type Master struct {
 	serving sync.WaitGroup // Serve's accept loop and connection servers
 }
 
+// Config configures a Master, once: New builds its dispenser from it and
+// plans each stage once. Nothing about a master is set after New.
+//
+//   - Window is the credit window w: a worker holds at most w chunks
+//     beyond the one it is computing (the per-worker ledger caps at w+1;
+//     1 is a double buffer). It is a cap, not a quota: a reply is one
+//     share-bounded batch (dispense.Claim), filled on a fine loop, a
+//     chunk or two while chunks are large. Window < 1 means the master's
+//     own ceiling, grantCeiling. Whatever a request's Credits ask, the
+//     master clamps to the ledger room.
+//   - Shards. A shard master (Members != nil) stages the ranges Source
+//     hands it, each a fresh plan, and never re-plans mid-stage.
+//   - Gather. A non-nil InitACP is the step-1(a) gather done by the
+//     caller (a scheduler job plans from the fleet's ACPs, so that the
+//     gather waits on no worker busy with another job): the master plans
+//     at once and publishes no WorkerJoined, since its workers joined the
+//     fleet, not the job. Otherwise a distributed scheme plans once every
+//     worker has made its first request.
+type Config struct {
+	Scheme     sched.Scheme
+	Iterations int
+	Workers    int
+	// Powers are the workers' static virtual powers, which the
+	// static-weight schemes (WF, WS) split by. nil — a stand-alone master
+	// knows nothing of its slaves' hardware before they connect — weighs
+	// every worker equally.
+	Powers   []float64
+	Window   int
+	NoReplan bool // turns off the step-2(c) majority re-plan
+	// Telemetry receives the master's protocol events (requests, grants,
+	// prefetch hits/misses, worker joins, timeouts, rejected
+	// resurrections, replans) and wire-level frame counters; nil is inert.
+	Telemetry *telemetry.Bus
+
+	// A hierarchy shard's master: Source hands it its ranges (nil means
+	// the whole loop, once), Shard labels its events and Members are its
+	// workers' run-global ids by shard-local index (Workers of them).
+	Source  Source
+	Shard   int
+	Members []int
+
+	// A scheduler job's master: Job and Tenant tag every event it
+	// publishes (zero for a single run); InitACP is the gather, above.
+	Job, Tenant int
+	InitACP     []int
+}
+
 // NewMaster builds a master scheduling `iterations` loop iterations
-// across `workers` slaves under the scheme.
+// across `workers` slaves under the scheme, with every other setting at
+// its default.
 func NewMaster(scheme sched.Scheme, iterations, workers int) (*Master, error) {
-	return newMaster(scheme, iterations, workers, 0, nil, &whole{n: iterations})
+	return New(Config{Scheme: scheme, Iterations: iterations, Workers: workers})
 }
 
-// NewShardMaster builds the master of one shard of a hierarchy over a
-// loop of n iterations: members are its workers' run-global ids by
-// shard-local index, and it stages the ranges src hands it, each a fresh
-// plan with no mid-stage re-plan, forwarding results to src.
-func NewShardMaster(scheme sched.Scheme, n, shard int, members []int, src Source) (*Master, error) {
-	return newMaster(scheme, n, len(members), shard, members, src)
-}
-
-// newMaster builds a master over src and stages what src holds: a flat
-// master plans the loop here unless its scheme gathers first, so a bad
-// configuration fails the constructor.
-func newMaster(scheme sched.Scheme, n, workers, shard int, members []int, src Source) (*Master, error) {
-	if workers <= 0 {
+// New builds the master cfg describes and stages what its source holds:
+// it plans the loop here unless its scheme still gathers, so a bad
+// configuration fails New.
+func New(cfg Config) (*Master, error) {
+	n, workers := cfg.Iterations, cfg.Workers
+	switch {
+	case workers <= 0:
 		return nil, fmt.Errorf("exec: master needs at least one worker")
-	}
-	if n < 0 {
+	case n < 0:
 		return nil, fmt.Errorf("exec: negative iteration count")
+	case cfg.Members != nil && len(cfg.Members) != workers:
+		return nil, fmt.Errorf("exec: %d members for %d workers", len(cfg.Members), workers)
+	case cfg.InitACP != nil && len(cfg.InitACP) != workers:
+		return nil, fmt.Errorf("exec: %d initial ACPs for %d workers", len(cfg.InitACP), workers)
+	}
+	window := cfg.Window
+	if window < 1 {
+		window = grantCeiling - 1
+	}
+	src := cfg.Source
+	if src == nil {
+		src = &whole{n: n}
 	}
 	m := &Master{
-		scheme:     scheme,
+		scheme:     cfg.Scheme,
 		iterations: n,
 		workers:    workers,
-		window:     grantCeiling - 1,
-		shard:      shard,
-		members:    members,
-		dcfg:       dispense.Config{Scheme: scheme, Workers: workers, NoReplan: members != nil},
+		window:     window,
+		bus:        cfg.Telemetry,
+		shard:      cfg.Shard,
+		members:    cfg.Members,
+		job:        cfg.Job,
+		tenant:     cfg.Tenant,
 		got:        make([]atomic.Uint64, (n+63)/64),
 		src:        src,
+		d: dispense.New(dispense.Config{
+			Scheme: cfg.Scheme, Workers: workers, Powers: cfg.Powers,
+			NoReplan: cfg.NoReplan || cfg.Members != nil,
+		}),
 		slots:      make([]slot, workers),
 		waitHist:   hist.NewSharded(workers),
 		compHist:   hist.NewSharded(workers),
@@ -285,11 +341,14 @@ func newMaster(scheme sched.Scheme, n, workers, shard int, members []int, src So
 		done:       make(chan struct{}),
 		started:    time.Now(),
 	}
-	for i := range m.slots {
-		m.slots[i].lastSeen = m.started
+	for w := range m.slots {
+		m.slots[w].lastSeen = m.started
+		if cfg.InitACP != nil {
+			m.slots[w].joined = true
+			m.d.Report(w, cfg.InitACP[w])
+		}
 	}
 	m.ready = sync.NewCond(&m.mu)
-	m.d = dispense.New(m.dcfg)
 	if m.restage(-1); m.err != nil {
 		return nil, m.err
 	}
@@ -297,17 +356,6 @@ func newMaster(scheme sched.Scheme, n, workers, shard int, members []int, src So
 		m.maybeFinish()
 	}
 	return m, nil
-}
-
-// rearm rebuilds the dispenser from dcfg and plans the staged range
-// again, if there is one. Only valid before Serve.
-func (m *Master) rearm() error {
-	planned := m.d.Planned()
-	m.d = dispense.New(m.dcfg)
-	if planned {
-		return m.d.Stage(m.stage.Start, m.stage.Size)
-	}
-	return nil
 }
 
 // restage stages the next range the source holds once the staged one is
@@ -326,7 +374,6 @@ func (m *Master) restage(also int) bool {
 		return false
 	}
 	first := !m.d.Planned()
-	m.stage = sched.Assignment{Start: start, Size: size}
 	m.staged.Add(int64(size))
 	if err := m.d.Stage(start, size); err != nil {
 		m.err = err
@@ -358,43 +405,6 @@ func (m *Master) id(w int) int {
 //lint:loopsched-hotpath
 func (m *Master) event(kind telemetry.Kind, w int, at float64) telemetry.Event {
 	return telemetry.Event{Kind: kind, Worker: m.id(w), Shard: m.shard, Job: m.job, Tenant: m.tenant, At: at}
-}
-
-// SetPowers hands the master the workers' static virtual powers, which
-// the static-weight schemes (WF, WS) split by. Without them — a
-// stand-alone master knows nothing of its slaves' hardware before they
-// connect — those schemes weigh every worker equally. Call before
-// Serve.
-func (m *Master) SetPowers(powers []float64) error {
-	m.dcfg.Powers = powers
-	if !dispense.Weighted(m.scheme) {
-		return nil // no plan reads them: keep the one NewMaster made
-	}
-	return m.rearm()
-}
-
-// SetTelemetry attaches an event bus: the master publishes protocol
-// events (requests, grants, prefetch hits/misses, worker joins,
-// timeouts, rejected resurrections, replans) and wire-level frame
-// counters to it. Call before Serve. A nil bus is valid and disables
-// publishing.
-func (m *Master) SetTelemetry(bus *telemetry.Bus) {
-	m.mu.Lock()
-	m.bus = bus
-	m.mu.Unlock()
-}
-
-// SetWindow sets the credit window w: a worker holds at most w chunks
-// beyond the one it is computing (the per-worker ledger caps at w+1; 1
-// is a double buffer). It is a cap, not a quota: a reply is one
-// share-bounded batch (dispense.Claim), filled on a fine loop, a chunk
-// or two while chunks are large. w < 1 leaves it unset and the ledger
-// caps at grantCeiling. Whatever a request's Credits ask, the master
-// clamps to the ledger room. Call before Serve.
-func (m *Master) SetWindow(w int) {
-	if w >= 1 {
-		m.window = w
-	}
 }
 
 // grantCeiling is the per-worker ledger cap while no window is set: the
@@ -442,10 +452,7 @@ func (m *Master) Serve(l net.Listener) error {
 func (m *Master) ServeConn(rwc io.ReadWriteCloser) { m.serveConn(nil, rwc) }
 
 func (m *Master) serveConn(srv *rpc.Server, rwc io.ReadWriteCloser) {
-	m.mu.Lock()
-	bus := m.bus
-	m.mu.Unlock()
-	serveSniffed(srv, rwc, bus, m.shard, m.nextBatch)
+	serveSniffed(srv, rwc, m.bus, m.shard, m.nextBatch)
 }
 
 // Shutdown closes the listener and every connection accepted by Serve,
@@ -1027,19 +1034,6 @@ func (m *Master) Parked() int {
 		}
 	}
 	return n
-}
-
-// DisableReplan turns off the mid-run majority re-plan for distributed
-// schemes. The hierarchical root scheme requires it: steals grant
-// ranges out of monotone order, which the re-plan's base-offset
-// bookkeeping would corrupt. Call before serving.
-func (m *Master) DisableReplan() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.dcfg.NoReplan = true
-	if err := m.rearm(); err != nil {
-		m.err = err // cannot newly fail: NewMaster armed the same scheme
-	}
 }
 
 // Cancel aborts the run: parked workers are released with Stop

@@ -16,7 +16,13 @@ import (
 // startMaster spins up a master on an ephemeral localhost TCP port.
 func startMaster(t *testing.T, s sched.Scheme, iterations, workers int) (*Master, string, func()) {
 	t.Helper()
-	m, err := NewMaster(s, iterations, workers)
+	return serveMaster(t, Config{Scheme: s, Iterations: iterations, Workers: workers})
+}
+
+// serveMaster is startMaster for the master cfg describes.
+func serveMaster(t *testing.T, cfg Config) (*Master, string, func()) {
+	t.Helper()
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +168,9 @@ func TestRPCPerWorkerTimes(t *testing.T) {
 func TestReportMissesNoDeliveredChunk(t *testing.T) {
 	const n, p, runs = 8, 2, 300
 	for run := 0; run < runs; run++ {
-		m, addr, stop := startMaster(t, sched.SelfScheduling, n, p)
 		bus := telemetry.NewBus(0)
 		bus.Subscribe(&eventLog{})
-		m.SetTelemetry(bus)
+		m, addr, stop := serveMaster(t, Config{Scheme: sched.SelfScheduling, Iterations: n, Workers: p, Telemetry: bus})
 		var delivered [p]atomic.Bool
 		workers := make([]Worker, p)
 		for w := range workers {
@@ -617,9 +622,9 @@ func TestRPCPipelinedDistributed(t *testing.T) {
 // once.
 func TestRPCPipelinedFailWorker(t *testing.T) {
 	const n = 400
-	m, addr, stop := startMaster(t, sched.FSSScheme{}, n, 3)
+	// Window 1 is the classic double buffer: a ledger of two slots.
+	m, addr, stop := serveMaster(t, Config{Scheme: sched.FSSScheme{}, Iterations: n, Workers: 3, Window: 1})
 	defer stop()
-	m.SetWindow(1) // the classic double buffer: a ledger of two slots
 
 	// Worker 2 double-buffers two chunks into flight…
 	var r1, r2 ChunkReply
@@ -744,15 +749,14 @@ func TestRPCCommHonestUnderLateRequests(t *testing.T) {
 	const n, k = 512, 256
 	const cost, tick = 20 * time.Microsecond, 20 * time.Microsecond
 	var clock atomic.Int64 // scripted nanoseconds
-	m, err := NewMaster(sched.CSSScheme{K: k}, n, 1)
+	bus := telemetry.NewBus(0)
+	log := &eventLog{}
+	bus.Subscribe(log)
+	m, err := New(Config{Scheme: sched.CSSScheme{K: k}, Iterations: n, Workers: 1, Telemetry: bus})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.clock = func() time.Time { return time.Unix(0, clock.Add(int64(tick))) }
-	bus := telemetry.NewBus(0)
-	log := &eventLog{}
-	bus.Subscribe(log)
-	m.SetTelemetry(bus)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

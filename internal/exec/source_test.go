@@ -67,7 +67,7 @@ func TestMasterStagesFromItsSource(t *testing.T) {
 		held:  []sched.Assignment{{Start: 0, Size: 100}, {Start: 100, Size: 50}},
 		later: []sched.Assignment{{Start: 150, Size: 100}},
 	}
-	m, err := NewShardMaster(sched.CSSScheme{K: 100}, 250, 0, []int{0, 1}, src)
+	m, err := New(Config{Scheme: sched.CSSScheme{K: 100}, Iterations: 250, Workers: 2, Source: src, Members: []int{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

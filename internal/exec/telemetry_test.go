@@ -24,9 +24,8 @@ func TestRPCTelemetrySession(t *testing.T) {
 	defer tele.Close()
 
 	const n = 600
-	m, addr, stop := startMaster(t, sched.GSSScheme{}, n, 2)
+	m, addr, stop := serveMaster(t, Config{Scheme: sched.GSSScheme{}, Iterations: n, Workers: 2, Telemetry: tele.Bus()})
 	defer stop()
-	m.SetTelemetry(tele.Bus())
 
 	runWorkers(t, addr, []Worker{
 		{ID: 0, Kernel: intKernel, Telemetry: tele.Bus(), TelemetryID: 0},

@@ -59,9 +59,8 @@ func grantSequence(t *testing.T, transport Transport, pipeline bool, s sched.Sch
 	col := &grantCollector{}
 	bus.Subscribe(col)
 
-	m, addr, stop := startMaster(t, s, n, 1)
+	m, addr, stop := serveMaster(t, Config{Scheme: s, Iterations: n, Workers: 1, Telemetry: bus})
 	defer stop()
-	m.SetTelemetry(bus)
 
 	runWorkers(t, addr, []Worker{{ID: 0, Kernel: intKernel, Transport: transport, Pipeline: pipeline}})
 	results, rep, err := m.Wait()
@@ -155,14 +154,13 @@ func (r *spanRecorder) NextChunk(args ChunkArgs, reply *ChunkReply) error {
 // Master.Serve does, but routes both transports through a spanRecorder.
 func startRecordedMaster(t *testing.T, n int, withBus bool) (*spanRecorder, *Master, string, func()) {
 	t.Helper()
-	m, err := NewMaster(sched.TSSScheme{}, n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var bus *telemetry.Bus
 	if withBus {
 		bus = telemetry.NewBus(0)
-		m.SetTelemetry(bus)
+	}
+	m, err := New(Config{Scheme: sched.TSSScheme{}, Iterations: n, Workers: 1, Telemetry: bus})
+	if err != nil {
+		t.Fatal(err)
 	}
 	rec := &spanRecorder{m: m}
 	srv := rpc.NewServer()
@@ -249,8 +247,7 @@ func TestSpanTaggingPreservesGrantSequence(t *testing.T) {
 func TestRPCWireCreditWindow(t *testing.T) {
 	const n = 900
 	for _, window := range []int{0, 2, 8} {
-		m, addr, stop := startMaster(t, sched.CSSScheme{K: 5}, n, 3)
-		m.SetWindow(window)
+		m, addr, stop := serveMaster(t, Config{Scheme: sched.CSSScheme{K: 5}, Iterations: n, Workers: 3, Window: window})
 
 		runWorkers(t, addr, []Worker{
 			{ID: 0, Kernel: intKernel, Transport: TransportBinary, Window: window, Pipeline: true},

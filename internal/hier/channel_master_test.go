@@ -99,23 +99,20 @@ func playMasters(t *testing.T, c masterCase) string {
 	p := len(c.powers)
 	links, slot := make([]exec.Link, p), make([]int, p)
 	for si, members := range c.shards {
-		var m *exec.Master
-		if flat {
-			m, err = exec.NewMaster(scheme, c.n, p)
-		} else {
-			m, err = exec.NewShardMaster(scheme, c.n, si, members, &rootSource{root: root, si: si, bus: bus})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.SetTelemetry(bus)
 		powers := make([]float64, len(members))
 		for li, id := range members {
 			powers[li] = c.powers[id]
-			links[id], slot[id] = m.Link(), li
 		}
-		if err := m.SetPowers(powers); err != nil {
+		cfg := exec.Config{Scheme: scheme, Iterations: c.n, Workers: len(members), Powers: powers, Telemetry: bus}
+		if !flat {
+			cfg.Source, cfg.Shard, cfg.Members = &rootSource{root: root, si: si, bus: bus}, si, members
+		}
+		m, err := exec.New(cfg)
+		if err != nil {
 			t.Fatal(err)
+		}
+		for li, id := range members {
+			links[id], slot[id] = m.Link(), li
 		}
 	}
 	var out []string

@@ -43,27 +43,21 @@ type Submaster struct {
 	err      error
 }
 
-// NewSubmaster returns shard `shard`'s master over a loop of n
-// iterations, fetching its super-chunks from the root over root — a link
-// exec.Dial opened, or the root master's own memory link (Master.Link) in
-// the same process — which it owns from here on. members are its
-// workers' run-global ids, by the shard-local index they reach it with.
-func NewSubmaster(shard int, scheme sched.Scheme, n int, members []int, root exec.Link) (*Submaster, error) {
-	s := &Submaster{shard: shard, root: root}
+// NewSubmaster returns the shard master cfg describes (cfg.Shard,
+// cfg.Members and the rest; its Source is the Submaster), fetching its
+// super-chunks from the root over root — a link exec.Dial opened, or the
+// root master's own memory link (Master.Link) in the same process — which
+// it owns from here on. cfg.Telemetry also receives the stage advance
+// published for every super-chunk staged.
+func NewSubmaster(cfg exec.Config, root exec.Link) (*Submaster, error) {
+	s := &Submaster{shard: cfg.Shard, bus: cfg.Telemetry, root: root}
+	cfg.Source = s
 	var err error
-	if s.Master, err = exec.NewShardMaster(scheme, n, shard, members, s); err != nil {
+	if s.Master, err = exec.New(cfg); err != nil {
 		root.Close()
 		return nil, err
 	}
 	return s, nil
-}
-
-// SetTelemetry attaches an event bus to the shard master and to the
-// stage advance published for every super-chunk staged. Call before
-// Serve.
-func (s *Submaster) SetTelemetry(bus *telemetry.Bus) {
-	s.bus = bus
-	s.Master.SetTelemetry(bus)
 }
 
 // Close joins the prefetch in flight, closes the root link — a socket's

@@ -43,11 +43,10 @@ func startHierarchy(t *testing.T, scheme sched.Scheme, n int, members [][]int, p
 		*captured = r
 		r.SetTelemetry(bus)
 	}}
-	root, err := exec.NewMaster(rootScheme, n, k)
+	root, err := exec.New(exec.Config{Scheme: rootScheme, Iterations: n, Workers: k, NoReplan: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	root.DisableReplan()
 	rootL, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -63,12 +62,12 @@ func startHierarchy(t *testing.T, scheme sched.Scheme, n int, members [][]int, p
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, err := NewSubmaster(si, scheme, n, globalID[si], link)
+		sub, err := NewSubmaster(exec.Config{
+			Scheme: scheme, Iterations: n, Workers: len(globalID[si]), Telemetry: bus,
+			Shard: si, Members: globalID[si],
+		}, link)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if bus != nil {
-			sub.SetTelemetry(bus)
 		}
 		t.Cleanup(func() { sub.Close() })
 		subL, err := net.Listen("tcp", "127.0.0.1:0")

@@ -60,7 +60,7 @@ func fleetStepGuard(t *testing.T) {
 	j := &Job{s: s, id: 1, tenant: &tenant{id: 1}, spec: JobSpec{
 		Scheme: sched.CSSScheme{K: 4}, Workload: workload.Uniform{N: 1 << 24}, Body: func(int) {},
 	}}
-	m, err := exec.NewJobMaster(exec.JobConfig{Scheme: j.spec.Scheme, Workload: j.spec.Workload, Workers: 1, Window: s.window})
+	m, err := exec.New(exec.Config{Scheme: j.spec.Scheme, Iterations: j.spec.Workload.Len(), Workers: 1, Window: s.window, InitACP: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,8 @@ type JobSpec struct {
 	Retries int
 }
 
-// validate applies the same structural checks Run's RunSpec validation
-// applies, so Submit and Run reject bad specs identically.
+// validate is Submit's check of a spec: the scheme, workload and body a
+// job cannot run without. Run checks a RunSpec on its own path.
 func (spec JobSpec) validate() error {
 	if spec.Scheme == nil {
 		return fmt.Errorf("service: JobSpec.Scheme is required")

@@ -468,24 +468,25 @@ func (s *Scheduler) admissibleLocked(j *Job) bool {
 // from the fleet's current ACPs, links every fleet worker to it and
 // moves the job into the active set. Callers hold s.mu.
 func (s *Scheduler) startLocked(j *Job, now time.Time) error {
-	var initACP []int
-	if sched.Distributed(j.spec.Scheme) {
-		initACP = make([]int, s.p)
-		for i := range initACP {
+	dist := sched.Distributed(j.spec.Scheme)
+	initACP := make([]int, s.p)
+	for i := range initACP {
+		initACP[i] = 1
+		if dist {
 			initACP[i] = s.acpNow(i)
 		}
 	}
-	m, err := exec.NewJobMaster(exec.JobConfig{
-		Scheme:        j.spec.Scheme,
-		Workload:      j.spec.Workload,
-		Workers:       s.p,
-		Window:        s.window,
-		InitACP:       initACP,
-		Powers:        s.virtual,
-		DisableReplan: s.opts.DisableReplan,
-		Telemetry:     s.bus,
-		Job:           j.id,
-		Tenant:        j.tenant.id,
+	m, err := exec.New(exec.Config{
+		Scheme:     j.spec.Scheme,
+		Iterations: j.spec.Workload.Len(),
+		Workers:    s.p,
+		Powers:     s.virtual,
+		Window:     s.window,
+		NoReplan:   s.opts.DisableReplan,
+		Telemetry:  s.bus,
+		Job:        j.id,
+		Tenant:     j.tenant.id,
+		InitACP:    initACP,
 	})
 	if err != nil {
 		return err

@@ -84,15 +84,27 @@ func blockingJob(t *testing.T, s *Scheduler, tenant string, n int) (*Job, func()
 	return j, release
 }
 
-// waitState polls until the job reaches want or the deadline passes.
+// waitState waits until the job reaches want, on the scheduler's own
+// condition variable: an admission (startLocked) and a finish store the
+// state and broadcast under s.mu. A timer broadcasts at the 10 s give-up.
 func waitState(t *testing.T, j *Job, want State) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for j.State() != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("job %d stuck in %v, want %v", j.ID(), j.State(), want)
-		}
-		time.Sleep(time.Millisecond)
+	s := j.s
+	expired := false
+	give := time.AfterFunc(10*time.Second, func() {
+		s.mu.Lock()
+		expired = true
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	})
+	defer give.Stop()
+	s.mu.Lock()
+	for j.State() != want && !expired {
+		s.cond.Wait()
+	}
+	s.mu.Unlock()
+	if got := j.State(); got != want {
+		t.Fatalf("job %d stuck in %v, want %v", j.ID(), got, want)
 	}
 }
 

@@ -392,7 +392,7 @@ type (
 // Names RunSpec.LocalEngine accepts and ignores: BackendLocal has one
 // in-process runtime, and both pick it. They go with the field when the
 // benchmark retires its local_channel and local_steal cells (ROADMAP
-// item 4).
+// item 2).
 const (
 	EngineChannel = "channel"
 	EngineSteal   = "steal"
@@ -476,15 +476,11 @@ func RunMPMasterContext(ctx context.Context, c Comm, scheme Scheme, iterations i
 	if c.Rank() != 0 {
 		return nil, Report{}, fmt.Errorf("loopsched: the mp master must be rank 0, not %d", c.Rank())
 	}
-	master, err := exec.NewMaster(scheme, iterations, c.Size()-1)
+	master, err := exec.New(exec.Config{
+		Scheme: scheme, Iterations: iterations, Workers: c.Size() - 1, Powers: opts.Powers,
+		NoReplan: opts.DisableReplan, Telemetry: opts.Telemetry,
+	})
 	if err != nil {
-		return nil, Report{}, err
-	}
-	master.SetTelemetry(opts.Telemetry)
-	if opts.DisableReplan {
-		master.DisableReplan()
-	}
-	if err := master.SetPowers(opts.Powers); err != nil {
 		return nil, Report{}, err
 	}
 	defer serveRanks(master, c)() // joined on the way out: every rank has its Stop

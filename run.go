@@ -119,21 +119,22 @@ type RunSpec struct {
 	// the master's request/reply dialogue, one locked dispense.Claim per
 	// reply (docs/LEDGER.md). "on", "off" and "" are valid; any
 	// other value is an error. The field goes when the benchmark retires
-	// its rpc_ledger cell (ROADMAP item 4).
+	// its rpc_ledger cell (ROADMAP item 2).
 	Ledger string
 	// LocalEngine is accepted and ignored: BackendLocal has one
 	// in-process runtime, and EngineChannel, EngineSteal and "" all pick
 	// it (docs/LOCAL.md); any other name is an error. The field and the
 	// two names go when the benchmark retires its local_channel and
-	// local_steal cells (ROADMAP item 4).
+	// local_steal cells (ROADMAP item 2).
 	LocalEngine string
 	// DisableReplan turns off the majority re-plan (ablation). The
 	// hierarchical root always runs with re-planning disabled.
 	DisableReplan bool
-	// Trace, when non-nil, records chunk-level events (local, rpc and
-	// mp backends; for the simulator set Sim.Trace instead), rebuilt
-	// from the live event stream — the Telemetry session's, or a
-	// private one when none is attached.
+	// Trace, when non-nil, records chunk-level events on every backend:
+	// rebuilt from the Telemetry session's event stream when one is
+	// attached; otherwise recorded by the simulator itself (as Sim.Trace,
+	// unless that is set already) or, on the local, rpc and mp backends,
+	// from a private event stream.
 	Trace *Trace
 
 	// Hierarchy, when non-nil, runs the two-level sharded runtime.
@@ -180,10 +181,12 @@ func NewExecutor(b Backend) (Executor, error) {
 // from the root, so there a run cancelled before its last result was
 // sent always returns ctx's error.
 //
-// Run is the single-job form of the scheduler service: it shares one
-// spec-validation path (RunSpec.validate) and one telemetry path
-// (beginTelemetry → the event bus) with Scheduler.Submit. Use
-// NewScheduler when a stream of jobs should share one worker fleet.
+// Run is the single-job form of the scheduler service: a scheduler job
+// is the same master over the same memory links as a local run, and
+// publishes to the same event bus. Run validates its spec through
+// RunSpec.validate; Scheduler.Submit has its own, smaller check of a
+// JobSpec (scheme, workload and body required). Use NewScheduler when a
+// stream of jobs should share one worker fleet.
 func Run(ctx context.Context, spec RunSpec) (Report, error) {
 	ex, err := NewExecutor(spec.Backend)
 	if err != nil {
@@ -241,10 +244,10 @@ func beginTelemetry(spec *RunSpec) func() {
 
 // validate checks the whole spec: the backend-independent requirements
 // plus every per-backend structural check (worker lists, transports,
-// hierarchy support). It is the single validation path — Run, the
-// individual executors, and Scheduler.Submit all reject bad specs
-// through this function, so an error message never depends on which
-// entry point saw the spec first.
+// hierarchy support). Run and every executor reject bad specs through
+// this function, so an error message never depends on which of them saw
+// the spec first. Scheduler.Submit does not use it: a JobSpec is checked
+// by the service (JobSpec.validate in internal/service).
 func (s RunSpec) validate() error {
 	if s.Scheme == nil {
 		return fmt.Errorf("loopsched: RunSpec.Scheme is required")
@@ -328,6 +331,9 @@ func (simExecutor) Run(ctx context.Context, spec RunSpec) (Report, error) {
 	}
 	if spec.Telemetry != nil {
 		spec.Sim.Telemetry = spec.Telemetry.Bus()
+	}
+	if spec.Trace != nil && spec.Sim.Trace == nil { // no session took it
+		spec.Sim.Trace = spec.Trace
 	}
 	if spec.Hierarchy != nil {
 		return hier.Simulate(ctx, spec.Cluster, spec.Scheme, spec.Workload, spec.Sim, *spec.Hierarchy)
@@ -475,17 +481,12 @@ func runWorker(ctx context.Context, w exec.Worker, dial func(context.Context, in
 func runFlat(ctx context.Context, spec RunSpec, kernel Kernel, bus *telemetry.Bus, open reach) (Report, error) {
 	n := spec.Workload.Len()
 	p := len(spec.Workers)
-	master, err := exec.NewMaster(spec.Scheme, n, p)
-	if err != nil {
-		return Report{}, err
-	}
-	master.SetTelemetry(bus)
-	master.SetWindow(spec.CreditWindow)
-	if spec.DisableReplan {
-		master.DisableReplan()
-	}
 	powers := exec.VirtualPowers(spec.Workers)
-	if err := master.SetPowers(powers); err != nil {
+	master, err := exec.New(exec.Config{
+		Scheme: spec.Scheme, Iterations: n, Workers: p, Powers: powers,
+		Window: spec.CreditWindow, NoReplan: spec.DisableReplan, Telemetry: bus,
+	})
+	if err != nil {
 		return Report{}, err
 	}
 	dial, done, err := open(master, spec, p)
@@ -554,17 +555,19 @@ func runHierarchy(ctx context.Context, spec RunSpec, kernel Kernel, bus *telemet
 	// grants are super-chunks and would double-count against the
 	// submasters' — but the allocator reports steals on the bus.
 	captured := new(*hier.Root)
-	root, err := exec.NewMaster(hier.RootScheme{
-		Config: *spec.Hierarchy,
-		OnRoot: func(r *hier.Root) {
-			*captured = r
-			r.SetTelemetry(bus)
+	root, err := exec.New(exec.Config{
+		Scheme: hier.RootScheme{
+			Config: *spec.Hierarchy,
+			OnRoot: func(r *hier.Root) {
+				*captured = r
+				r.SetTelemetry(bus)
+			},
 		},
-	}, n, k)
+		Iterations: n, Workers: k, NoReplan: true,
+	})
 	if err != nil {
 		return Report{}, err
 	}
-	root.DisableReplan()
 	dialRoot, rootDone, err := open(root, spec, k)
 	if err != nil {
 		return Report{}, err
@@ -586,22 +589,19 @@ func runHierarchy(ctx context.Context, spec RunSpec, kernel Kernel, bus *telemet
 			root.Cancel(err)
 			break
 		}
-		sub, err := hier.NewSubmaster(si, spec.Scheme, n, ids, rootLink{link, ctx, root})
+		shardPowers := make([]float64, len(ids))
+		for li, wi := range ids {
+			shardPowers[li] = powers[wi]
+		}
+		sub, err := hier.NewSubmaster(exec.Config{
+			Scheme: spec.Scheme, Iterations: n, Workers: len(ids), Powers: shardPowers,
+			Window: spec.CreditWindow, Telemetry: bus, Shard: si, Members: ids,
+		}, rootLink{link, ctx, root})
 		if err != nil {
 			root.Cancel(err)
 			break
 		}
 		defer sub.Close()
-		shardPowers := make([]float64, len(ids))
-		for li, wi := range ids {
-			shardPowers[li] = powers[wi]
-		}
-		sub.SetTelemetry(bus)
-		sub.SetWindow(spec.CreditWindow)
-		if err := sub.SetPowers(shardPowers); err != nil {
-			root.Cancel(err)
-			break
-		}
 		dial, done, err := open(sub.Master, spec, len(ids))
 		if err != nil {
 			root.Cancel(err)

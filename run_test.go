@@ -81,6 +81,37 @@ func TestRunSameSpecEveryBackend(t *testing.T) {
 	}
 }
 
+// TestRunSpecTraceEveryBackend: RunSpec.Trace alone — no telemetry
+// session, no SimParams.Trace — records every iteration exactly once on
+// every backend, the simulator's flat and hierarchical runs included.
+func TestRunSpecTraceEveryBackend(t *testing.T) {
+	const n = 600
+	scheme, err := loopsched.LookupScheme("TSS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := loopsched.Uniform{N: n, C: 1}
+	specs := map[string]loopsched.RunSpec{
+		"sim":      {Backend: loopsched.BackendSim, Cluster: loopsched.PaperCluster(4, false)},
+		"sim-hier": {Backend: loopsched.BackendSim, Cluster: loopsched.PaperCluster(4, false), Hierarchy: &loopsched.Hierarchy{Shards: 2}},
+	}
+	for _, backend := range executingBackends {
+		specs[string(backend)] = loopsched.RunSpec{Backend: backend, Workers: runWorkers(), Body: func(int) {}}
+	}
+	for name, spec := range specs {
+		t.Run(name, func(t *testing.T) {
+			tr := &loopsched.Trace{}
+			spec.Scheme, spec.Workload, spec.Trace = scheme, w, tr
+			if _, err := loopsched.Run(context.Background(), spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.CoverageError(n); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestRunHierarchical drives the two-level runtime through the same
 // entry point on every backend that supports it and checks the
 // per-shard breakdown is coherent.

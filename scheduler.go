@@ -102,10 +102,10 @@ type SchedulerOptions struct {
 
 // NewScheduler starts the shared fleet and returns the ready
 // scheduler. It is the streaming, multi-tenant counterpart of Run:
-// specs are validated on the same path, telemetry flows through the
-// same event bus, and every job is the same master Run's local backend
-// runs, reached over memory links. Close the scheduler to release the
-// fleet.
+// telemetry flows through the same event bus, and every job is the same
+// master Run's local backend runs, reached over memory links. Submit
+// checks a JobSpec on the service's own path (scheme, workload and body
+// required), not RunSpec's. Close the scheduler to release the fleet.
 func NewScheduler(o SchedulerOptions) (*Scheduler, error) {
 	so := service.Options{
 		Workers:            o.Workers,
