@@ -155,9 +155,11 @@ bench-smoke:
 # benchmark runs, 1 500 times each: CSS(4) over 65 536 empty iterations
 # at p = 2 on the local backend (BenchmarkRunLocalFine) and as a job of a
 # warm scheduler fleet (BenchmarkServiceFine). It writes the CPU profiles
-# to bin/fine.cpu.pprof and bin/service-fine.cpu.pprof and prints
-# time.Now's share of each — the cost of the clock reads (DESIGN.md §9,
-# "the worker's clock").
+# to bin/fine.cpu.pprof and bin/service-fine.cpu.pprof and prints, for
+# each, time.Now's share — the cost of the clock reads (DESIGN.md §9,
+# "the worker's clock") — and the cumulative share of the master's
+# request handler, exec.(*Master).nextBatch: what booking the chunks
+# costs (DESIGN.md §9, "the master's book").
 profile-fine:
 	@mkdir -p bin
 	@for run in RunLocalFine:fine ServiceFine:service-fine; do \
@@ -166,6 +168,8 @@ profile-fine:
 			-cpuprofile $$prof -o bin/loopsched.test . || exit 1; \
 		$(GO) tool pprof -top bin/loopsched.test $$prof 2>/dev/null \
 			| awk '/flat%/ { print } / time\.Now$$/ { print; found = 1 } END { if (!found) print "time.Now: below the profile cut-off" }'; \
+		$(GO) tool pprof -top -cum bin/loopsched.test $$prof 2>/dev/null \
+			| awk '/\.\(\*Master\)\.nextBatch$$/ { print; found = 1 } END { if (!found) print "exec.(*Master).nextBatch: below the profile cut-off" }'; \
 	done
 
 fuzz:

@@ -23,6 +23,7 @@ var hotGuards = map[string]func(t *testing.T){
 	"(*JobState).Pop":      jobStateCycleGuard,
 	"(*JobState).Complete": jobStateCycleGuard,
 	"(*Master).book":       masterReplyGuard,
+	"(*Master).retire":     masterReplyGuard,
 	"runKernel":            workerRunGuard,
 	"(*memLink).Send":      memLinkRefillGuard,
 	"(*memLink).Recv":      memLinkRefillGuard,
@@ -132,10 +133,19 @@ func masterReplyGuard(t *testing.T) {
 
 // memLinkRefillGuard pins a steady-state refill over a memory link at
 // zero allocations with telemetry off, at the depth of masterReplyGuard:
-// ship the last reply's chunks as one run record each, have the master
-// deposit them, claim and book 64 more, and take the reply over by the
-// buffer swap — the whole round trip of a local worker's prefetch.
+// ship the last reply's chunks — as one run record each, as a worker
+// echoing spans does, or the whole batch as one run, as a worker echoing
+// none does — have the master deposit and retire them, claim and book
+// 64 more, and take the reply over by the buffer swap: the whole round
+// trip of a local worker's prefetch.
 func memLinkRefillGuard(t *testing.T) {
+	memLinkRefill(t, true)
+	memLinkRefill(t, false)
+}
+
+// memLinkRefill runs memLinkRefillGuard's cycle, shipping a run per
+// chunk or per contiguous stretch.
+func memLinkRefill(t *testing.T, perChunk bool) {
 	const k, depth = 4, 64
 	m, err := NewMaster(sched.CSSScheme{K: k}, 1<<18, 2)
 	if err != nil {
@@ -157,13 +167,20 @@ func memLinkRefillGuard(t *testing.T) {
 		}
 		recs = recs[:0]
 		for _, g := range rep.Grants {
+			if n := len(recs) - 1; !perChunk && n >= 0 && recs[n].Index+recs[n].Count == g.Start {
+				recs[n].Count += g.Size
+				continue
+			}
 			recs = append(recs, wire.Record{Index: g.Start, Count: g.Size})
 		}
 	}
 	cycle() // sizes the buffers on both sides of the swap
 	cycle()
+	if !perChunk && len(recs) != 1 {
+		t.Fatalf("a %d-grant batch shipped as %d runs, want 1", depth, len(recs))
+	}
 	if avg := testing.AllocsPerRun(200, cycle); avg > 0 {
-		t.Errorf("a %d-grant memory-link refill allocates %.1f objects, want 0", depth, avg)
+		t.Errorf("a %d-grant memory-link refill (a run per chunk: %v) allocates %.1f objects, want 0", depth, perChunk, avg)
 	}
 }
 

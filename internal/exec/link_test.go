@@ -649,3 +649,41 @@ func TestZeroCreditPrefetchIsADelivery(t *testing.T) {
 		})
 	}
 }
+
+// TestWorkerShipsARunPerStretch pins the shape of what the worker ships
+// for a batch of chunks whose kernel returns no bytes: one run record
+// per contiguous stretch of the batch when it echoes no spans, and one
+// per chunk, each with that chunk's span, when it does — the span block
+// holds one span per record.
+func TestWorkerShipsARunPerStretch(t *testing.T) {
+	grants := chunks(0, 4, 4, 4, 8, 4, 20, 4, 24, 4) // two stretches: [0, 12) and [20, 28)
+	for _, c := range []struct {
+		name  string
+		spans []uint64
+		want  []ChunkResult
+	}{
+		{"no span echo", nil, []ChunkResult{{Index: 0, Count: 12}, {Index: 20, Count: 8}}},
+		{"spans echoed", []uint64{11, 12, 13, 14, 15}, []ChunkResult{
+			{Index: 0, Count: 4, Span: 11}, {Index: 4, Count: 4, Span: 12}, {Index: 8, Count: 4, Span: 13},
+			{Index: 20, Count: 4, Span: 14}, {Index: 24, Count: 4, Span: 15},
+		}},
+	} {
+		var shipped [][]ChunkResult
+		l := &memLink{batch: func(args ChunkArgs, _ int, rep *wire.Reply) error {
+			shipped = append(shipped, slices.Clone(args.Results))
+			if len(shipped) == 1 {
+				rep.Grants, rep.Spans = append(rep.Grants, grants...), append(rep.Spans, c.spans...)
+			} else {
+				rep.Stop = true
+			}
+			return nil
+		}}
+		w := Worker{Kernel: func(int) []byte { return nil }}
+		if err := w.runWindow(l, 8, false, 0); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(shipped) != 2 || !reflect.DeepEqual(shipped[1], c.want) {
+			t.Errorf("%s: the requests shipped %+v, want the batch as %+v", c.name, shipped, c.want)
+		}
+	}
+}

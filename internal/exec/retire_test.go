@@ -1,0 +1,142 @@
+package exec
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"loopsched/internal/sched"
+)
+
+// ledgerMaster is a master reduced to its result ledger over n
+// iterations, with the given iterations received.
+func ledgerMaster(n int, received ...[2]int) *Master {
+	m := &Master{iterations: n, got: make([]atomic.Uint64, (n+63)/64)}
+	for _, r := range received {
+		m.flip(r[0], r[1])
+	}
+	return m
+}
+
+// retireOracle is retire by definition, chunk by chunk and bit by bit:
+// a chunk retires when every one of its iterations reads received.
+func retireOracle(m *Master, out []sched.Assignment) (kept []sched.Assignment, iters int) {
+	for _, a := range out {
+		done := true
+		for i := a.Start; i < a.End(); i++ {
+			done = done && m.got[i/64].Load()>>(i%64)&1 == 1
+		}
+		if done {
+			iters += a.Size
+		} else {
+			kept = append(kept, a)
+		}
+	}
+	return kept, iters
+}
+
+// checkRetire holds retire, and delivered chunk by chunk, to the
+// oracle on one ledger.
+func checkRetire(t *testing.T, name string, m *Master, out []sched.Assignment) {
+	t.Helper()
+	wantKept, wantIters := retireOracle(m, out)
+	for _, a := range out {
+		if got, want := m.delivered(a), !slices.Contains(wantKept, a); got != want {
+			t.Errorf("%s: delivered(%v) = %v, want %v", name, a, got, want)
+		}
+	}
+	kept, iters := m.retire(slices.Clone(out))
+	if !slices.Equal(kept, wantKept) || iters != wantIters {
+		t.Errorf("%s: retire(%v) kept %v and retired %d iterations, want %v and %d",
+			name, out, kept, iters, wantKept, wantIters)
+	}
+}
+
+// chunks builds a ledger from (start, size) pairs.
+func chunks(pairs ...int) []sched.Assignment {
+	var out []sched.Assignment
+	for i := 0; i+1 < len(pairs); i += 2 {
+		out = append(out, sched.Assignment{Start: pairs[i], Size: pairs[i+1]})
+	}
+	return out
+}
+
+// TestRetireMatchesDelivered pins the per-stretch retire to the
+// per-chunk delivered test it replaced, on ledgers a request can find:
+// contiguous batches, gaps between them, requeued chunks out of order,
+// and partial and out-of-order deliveries, across word boundaries.
+func TestRetireMatchesDelivered(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		out      []sched.Assignment
+		received [][2]int
+	}{
+		{"empty ledger", nil, [][2]int{{0, 64}}},
+		{"batch delivered", chunks(0, 4, 4, 4, 8, 4, 12, 4), [][2]int{{0, 16}}},
+		{"batch undelivered", chunks(0, 4, 4, 4, 8, 4), nil},
+		{"delivered prefix, chunk in hand cut", chunks(0, 4, 4, 4, 8, 4, 12, 4), [][2]int{{0, 10}}},
+		{"hole mid-chunk", chunks(0, 4, 4, 4, 8, 4, 12, 4), [][2]int{{0, 5}, {6, 16}}},
+		{"delivered tail", chunks(0, 4, 4, 4, 8, 4, 12, 4), [][2]int{{8, 16}}},
+		{"out-of-order deliveries", chunks(0, 4, 4, 4, 8, 4, 12, 4, 16, 4), [][2]int{{12, 16}, {0, 4}, {17, 20}}},
+		{"gaps between stretches", chunks(0, 8, 8, 8, 40, 8, 48, 8, 100, 3), [][2]int{{0, 16}, {44, 52}, {100, 103}}},
+		{"requeued out of order", chunks(96, 4, 0, 4, 4, 4, 100, 4, 64, 8), [][2]int{{0, 8}, {64, 72}, {98, 104}}},
+		{"chunk across a word edge", chunks(56, 16, 72, 8), [][2]int{{56, 80}}},
+		{"last bit of a word missing", chunks(56, 16, 72, 8), [][2]int{{56, 63}, {64, 80}}},
+		{"first bit of a word missing", chunks(56, 16, 72, 8), [][2]int{{56, 64}, {65, 80}}},
+		{"stretch over three words", chunks(10, 60, 70, 60, 130, 60), [][2]int{{10, 127}, {128, 190}}},
+		{"word-long chunks", chunks(0, 64, 64, 64, 128, 64), [][2]int{{0, 64}, {128, 192}}},
+		{"single iterations", chunks(62, 1, 63, 1, 64, 1, 65, 1), [][2]int{{63, 64}, {65, 66}}},
+	} {
+		checkRetire(t, c.name, ledgerMaster(256, c.received...), c.out)
+	}
+}
+
+// TestRetireMatchesDeliveredRandom draws ledgers at random — contiguous
+// batches with gaps, a few chunks swapped out of grant order, sizes that
+// cross word edges — over ledgers received in random patches, whole and
+// partial.
+func TestRetireMatchesDeliveredRandom(t *testing.T) {
+	const n = 1024
+	rng := rand.New(rand.NewPCG(40, 1))
+	for trial := range 2000 {
+		var out []sched.Assignment
+		for at := rng.IntN(8); at < n; {
+			size := 1 + rng.IntN(min(n-at, 1+rng.IntN(100)))
+			out = append(out, sched.Assignment{Start: at, Size: size})
+			at += size
+			if rng.IntN(4) == 0 { // a gap: another worker's chunks
+				at += 1 + rng.IntN(70)
+			}
+			if len(out) > 40 {
+				break
+			}
+		}
+		for range rng.IntN(4) { // requeued chunks, granted out of order
+			i, j := rng.IntN(len(out)), rng.IntN(len(out))
+			out[i], out[j] = out[j], out[i]
+		}
+		m := ledgerMaster(n)
+		for _, a := range out {
+			switch rng.IntN(4) {
+			case 0: // delivered
+				m.flip(a.Start, a.End())
+			case 1: // partly: a patch anywhere in it
+				lo := a.Start + rng.IntN(a.Size)
+				m.flip(lo, lo+1+rng.IntN(a.End()-lo))
+			case 2: // all but one iteration
+				miss := a.Start + rng.IntN(a.Size)
+				m.flip(a.Start, miss)
+				m.flip(miss+1, a.End())
+			}
+		}
+		for range rng.IntN(6) { // other workers' deliveries, gaps included
+			lo := rng.IntN(n)
+			m.flip(lo, lo+1+rng.IntN(min(n-lo, 130)))
+		}
+		if checkRetire(t, fmt.Sprint("trial ", trial), m, out); t.Failed() {
+			return
+		}
+	}
+}

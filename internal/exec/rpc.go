@@ -623,14 +623,7 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 	s := &m.slots[args.Worker]
 	var requeue []sched.Assignment
 	s.mu.Lock()
-	kept, iters := s.outstanding[:0], 0
-	for _, a := range s.outstanding {
-		if m.delivered(a) {
-			iters += a.Size
-		} else {
-			kept = append(kept, a)
-		}
-	}
+	kept, iters := m.retire(s.outstanding)
 	retired := len(s.outstanding) - len(kept)
 	if !args.Prefetch && len(kept) > 0 {
 		// A non-prefetch request declares the worker has nothing left
@@ -670,10 +663,8 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 			s.times.Comp += args.CompSeconds
 			s.comp += args.CompSeconds
 		}
-		for i := 0; i < retired; i++ {
-			m.compHist.Record(args.Worker, s.comp/float64(retired))
-		}
 		if retired > 0 {
+			m.compHist.RecordN(args.Worker, s.comp/float64(retired), retired)
 			s.fbIters, s.fbSecs = s.fbIters+iters, s.fbSecs+s.comp
 			s.comp = 0
 		}
@@ -851,13 +842,60 @@ func (m *Master) takeRequeued() (sched.Assignment, bool) {
 // delivered reports whether every iteration of the assignment has
 // been received. It reads only the atomic ledger, so it needs no lock.
 func (m *Master) delivered(a sched.Assignment) bool {
-	for lo := a.Start; lo < a.End(); lo = (lo/64 + 1) * 64 {
-		if w, mask := m.word(lo, a.End()); w.Load()&mask != mask {
-			return false
+	return m.missing(a.Start, a.End()) == a.End()
+}
+
+// retire drops from out, in place, every chunk whose iterations have
+// all been received — the chunks delivered reports — and returns the
+// chunks kept, in order, and the iterations retired. It works per
+// contiguous stretch of out, not per chunk: it seeks, a ledger word at a
+// time, the stretch's first iteration not received. Every chunk ending
+// by it retires; the chunk holding it stays, and so does each chunk after
+// it whose first iteration is missing too — one bit read per chunk, not
+// a word walk over chunks known to stay — and the seek resumes at the
+// next one. Like delivered it reads only the atomic ledger.
+//
+//lint:loopsched-hotpath
+func (m *Master) retire(out []sched.Assignment) (kept []sched.Assignment, iters int) {
+	kept = out[:0] // kept never outruns the walk, so it may share out's array
+	for i := 0; i < len(out); {
+		k, hi := i+1, out[i].End() // out[i:k] is one stretch, ending at hi
+		for k < len(out) && out[k].Start == hi {
+			hi = out[k].End()
+			k++
+		}
+		for i < k {
+			miss := m.missing(out[i].Start, hi)
+			for ; i < k && out[i].End() <= miss; i++ {
+				iters += out[i].Size
+			}
+			if i == k {
+				break
+			}
+			kept = append(kept, out[i])
+			for i++; i < k && !m.flipped(out[i].Start); i++ {
+				kept = append(kept, out[i])
+			}
 		}
 	}
-	return true
+	return kept, iters
 }
+
+// missing returns the first iteration in [lo, hi) not yet received, or
+// hi if every one has been.
+func (m *Master) missing(lo, hi int) int {
+	for ; lo < hi; lo = (lo/64 + 1) * 64 {
+		w, mask := m.word(lo, hi)
+		if v := mask &^ w.Load(); v != 0 {
+			return lo&^63 + bits.TrailingZeros64(v)
+		}
+	}
+	return hi
+}
+
+// flipped reports whether iteration i's ledger bit has flipped: it has
+// been received.
+func (m *Master) flipped(i int) bool { return m.got[i/64].Load()>>(i%64)&1 == 1 }
 
 // flip sets the ledger bits of [lo, hi) and returns how many were clear.
 func (m *Master) flip(lo, hi int) (fresh int) {
@@ -1230,9 +1268,10 @@ func (w Worker) scale() int {
 // runKernel computes iterations [lo, hi), each scale times over, and
 // appends their completion records to dst: one per result that carries
 // bytes, and one run per stretch of consecutive iterations whose kernel
-// returned none. A run never reaches across calls, so what one call
-// appends is what its caller ships. It takes the two Worker fields it
-// reads, not the Worker, which a call per chunk would copy.
+// returned none. A run never reaches across calls: whether the next
+// call's first run continues it is runWindow's to decide. It takes the
+// two Worker fields it reads, not the Worker, which a call per chunk
+// would copy.
 //
 //lint:loopsched-hotpath
 func runKernel(kernel Kernel, scale int, dst []wire.Record, lo, hi int) []wire.Record {

@@ -364,9 +364,11 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			// it was built from.
 			from := len(pending)
 			pending = runKernel(kernel, scale, pending, i, next)
-			if k := from - 1; k >= 0 && from < len(pending) && spans[k] == span &&
+			if k := from - 1; k >= 0 && from < len(pending) && (!echo || spans[k] == span) &&
 				pending[k].Count > 0 && pending[from].Count > 0 && pending[k].Index+pending[k].Count == i {
-				// This step's first run continues the chunk's last one.
+				// This step's first run continues the last one shipped
+				// with it: the chunk's own, or — in a request that echoes
+				// no spans — the run of the chunk before it.
 				pending[k].Count += pending[from].Count
 				pending = append(pending[:from], pending[from+1:]...)
 			}

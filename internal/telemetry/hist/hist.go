@@ -51,17 +51,25 @@ func bucketOf(seconds float64) int {
 // allocates.
 //
 //lint:loopsched-hotpath
-func (h *Hist) Record(seconds float64) {
-	if h == nil {
+func (h *Hist) Record(seconds float64) { h.RecordN(seconds, 1) }
+
+// RecordN adds n samples of the same duration at the cost of one:
+// the sum is kept in integer nanoseconds, so the histogram ends exactly
+// as after n Record calls. n ≤ 0 records nothing. Nil-safe; never
+// allocates.
+//
+//lint:loopsched-hotpath
+func (h *Hist) RecordN(seconds float64, n int) {
+	if h == nil || n <= 0 {
 		return
 	}
 	if !(seconds > 0) { // NaN or <= 0
-		h.buckets[0].Add(1)
+		h.buckets[0].Add(uint64(n))
 		return
 	}
 	ns := int64(seconds * 1e9)
-	h.buckets[bucketOf(seconds)].Add(1)
-	h.sumNanos.Add(ns)
+	h.buckets[bucketOf(seconds)].Add(uint64(n))
+	h.sumNanos.Add(ns * int64(n))
 }
 
 // Snapshot copies the histogram's current state. Buckets are read one
@@ -112,14 +120,20 @@ func NewSharded(n int) *Sharded {
 // still reconcile. Nil-safe; never allocates.
 //
 //lint:loopsched-hotpath
-func (s *Sharded) Record(worker int, seconds float64) {
+func (s *Sharded) Record(worker int, seconds float64) { s.RecordN(worker, seconds, 1) }
+
+// RecordN adds n samples of the same duration to the worker's shard,
+// as Record adds one. Nil-safe; never allocates.
+//
+//lint:loopsched-hotpath
+func (s *Sharded) RecordN(worker int, seconds float64, n int) {
 	if s == nil || len(s.shards) == 0 {
 		return
 	}
 	if worker < 0 || worker >= len(s.shards) {
 		worker = ((worker % len(s.shards)) + len(s.shards)) % len(s.shards)
 	}
-	s.shards[worker].Record(seconds)
+	s.shards[worker].RecordN(seconds, n)
 }
 
 // Snapshot merges every shard into one Snapshot.

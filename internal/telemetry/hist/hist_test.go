@@ -169,3 +169,30 @@ func TestMergeAccumulates(t *testing.T) {
 		t.Errorf("merged SumSeconds = %g", sa.SumSeconds)
 	}
 }
+
+// TestRecordNMatchesRecord pins RecordN to n Record calls of the same
+// duration, bucket for bucket and in the integer-nanosecond sum, for
+// real latencies and the clock artefacts that count into the zero
+// bucket; n ≤ 0 records nothing.
+func TestRecordNMatchesRecord(t *testing.T) {
+	for _, v := range []float64{1.25e-4, 3.7e-7, 2.5, 0, -1e-3, math.NaN()} {
+		for _, n := range []int{-3, 0, 1, 2, 7, 1000} {
+			var one, batch Hist
+			for range n {
+				one.Record(v)
+			}
+			batch.RecordN(v, n)
+			if got, want := batch.Snapshot(), one.Snapshot(); got != want {
+				t.Errorf("RecordN(%g, %d) = %+v, want %+v", v, n, got, want)
+			}
+			ones, batches := NewSharded(3), NewSharded(3)
+			for range n {
+				ones.Record(5, v)
+			}
+			batches.RecordN(5, v, n)
+			if got, want := batches.Snapshot(), ones.Snapshot(); got != want {
+				t.Errorf("Sharded.RecordN(5, %g, %d) = %+v, want %+v", v, n, got, want)
+			}
+		}
+	}
+}

@@ -11,8 +11,10 @@ import (
 // //lint:loopsched-hotpath function, checked against the annotations
 // by TestHotPathGuardTable.
 var hotGuards = map[string]func(t *testing.T){
-	"(*Hist).Record":    histRecordGuard,
-	"(*Sharded).Record": shardedRecordGuard,
+	"(*Hist).Record":     histRecordGuard,
+	"(*Hist).RecordN":    histRecordGuard,
+	"(*Sharded).Record":  shardedRecordGuard,
+	"(*Sharded).RecordN": shardedRecordGuard,
 }
 
 // TestHotPathGuardTable pins hotGuards to the annotation set.
@@ -45,16 +47,20 @@ func TestHotPathAllocGuards(t *testing.T) {
 	}
 }
 
-// histRecordGuard: every grant and completion records a latency, so
-// the record path must never touch the heap — live or nil histogram.
+// histRecordGuard: every grant and completion records a latency — a
+// request retiring a batch records its chunks' in one RecordN — so the
+// record path must never touch the heap, live or nil histogram.
 func histRecordGuard(t *testing.T) {
 	var h Hist
 	if avg := testing.AllocsPerRun(1000, func() { h.Record(1.25e-4) }); avg > 0 {
 		t.Errorf("Record allocates %.1f objects per call, want 0", avg)
 	}
+	if avg := testing.AllocsPerRun(1000, func() { h.RecordN(1.25e-4, 64) }); avg > 0 {
+		t.Errorf("RecordN allocates %.1f objects per call, want 0", avg)
+	}
 	var nilHist *Hist
-	if avg := testing.AllocsPerRun(1000, func() { nilHist.Record(1.25e-4) }); avg > 0 {
-		t.Errorf("nil-Hist Record allocates %.1f objects per call, want 0", avg)
+	if avg := testing.AllocsPerRun(1000, func() { nilHist.Record(1.25e-4); nilHist.RecordN(1.25e-4, 64) }); avg > 0 {
+		t.Errorf("nil-Hist Record/RecordN allocates %.1f objects per call, want 0", avg)
 	}
 }
 
@@ -65,8 +71,11 @@ func shardedRecordGuard(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, func() { s.Record(3, 1.25e-4) }); avg > 0 {
 		t.Errorf("Record allocates %.1f objects per call, want 0", avg)
 	}
+	if avg := testing.AllocsPerRun(1000, func() { s.RecordN(3, 1.25e-4, 64) }); avg > 0 {
+		t.Errorf("RecordN allocates %.1f objects per call, want 0", avg)
+	}
 	var nilSharded *Sharded
-	if avg := testing.AllocsPerRun(1000, func() { nilSharded.Record(3, 1.25e-4) }); avg > 0 {
-		t.Errorf("nil-Sharded Record allocates %.1f objects per call, want 0", avg)
+	if avg := testing.AllocsPerRun(1000, func() { nilSharded.Record(3, 1.25e-4); nilSharded.RecordN(3, 1.25e-4, 64) }); avg > 0 {
+		t.Errorf("nil-Sharded Record/RecordN allocates %.1f objects per call, want 0", avg)
 	}
 }

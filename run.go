@@ -296,14 +296,15 @@ func (s RunSpec) validate() error {
 	return nil
 }
 
-// body returns the per-iteration side-effect function, wrapping Kernel
-// when only a kernel was given.
-func (s RunSpec) body() (func(i int), error) {
-	if s.Body != nil {
-		return s.Body, nil
+// body returns the kernel of a run whose results nobody reads: Body,
+// or else Kernel with its bytes dropped — one closure per iteration
+// either way — so every completion record is a run.
+func (s RunSpec) body() (Kernel, error) {
+	if body := s.Body; body != nil {
+		return func(i int) []byte { body(i); return nil }, nil
 	}
-	if s.Kernel != nil {
-		return func(i int) { s.Kernel(i) }, nil
+	if kernel := s.Kernel; kernel != nil {
+		return func(i int) []byte { kernel(i); return nil }, nil
 	}
 	return nil, fmt.Errorf("loopsched: RunSpec needs Body or Kernel on backend %q", s.Backend)
 }
@@ -314,10 +315,7 @@ func (s RunSpec) kernel() (Kernel, error) {
 	if s.Kernel != nil {
 		return s.Kernel, nil
 	}
-	if s.Body != nil {
-		return func(i int) []byte { s.Body(i); return nil }, nil
-	}
-	return nil, fmt.Errorf("loopsched: RunSpec needs Kernel or Body on backend %q", s.Backend)
+	return s.body()
 }
 
 // ---- Simulator backend ----
@@ -357,12 +355,7 @@ func (e masterExecutor) Run(ctx context.Context, spec RunSpec) (Report, error) {
 	}
 	kernel, err := spec.kernel()
 	if e.backend == BackendLocal {
-		// Nothing reads a local run's results: a body's kernel returns no
-		// bytes, so every completion record is a run.
-		var body func(int)
-		if body, err = spec.body(); err == nil {
-			kernel = func(i int) []byte { body(i); return nil }
-		}
+		kernel, err = spec.body() // nothing reads a local run's results
 	}
 	if err != nil {
 		return Report{}, err
