@@ -84,6 +84,9 @@ escape-check:
 # ShareDeterministic, NoReply). And the one constructor: a master is
 # configured once, as data (exec.Config through exec.New), so no setter,
 # dispenser rebuild or second constructor comes back to re-plan it.
+# And the one ask rule: a fleet worker sizes its asks through exec.Ask,
+# the depth rule every worker uses, so the service names no fixed
+# DefaultStealWindow ask of its own.
 dup-check:
 	@! grep -rn 'NewPolicy(\|MajorityChanged(\|sched\.Offset(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/' \
@@ -108,6 +111,7 @@ dup-check:
 		--include='*.go' internal/service | grep -v '_test.go'
 	@! grep -rn 'wire\.Request{\|\.Prefetch *=' --include='*.go' internal/service | grep -v '_test.go' | grep -v 'Prefetch: true'
 	@! grep -rnE 'func \(m \*Master\) (Set[A-Za-z]*|DisableReplan|rearm)\(|func New(Shard|Job)Master\(' --include='*.go' internal/exec
+	@! grep -rn 'DefaultStealWindow' --include='*.go' internal/service | grep -v '_test.go'
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

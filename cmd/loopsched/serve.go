@@ -28,7 +28,8 @@ type jobScript struct {
 	// Workers is the fleet size; the paper's fast/slow mix, like -real
 	// (default 8).
 	Workers int `json:"workers"`
-	// Window is the refill credit window (0 = engine default).
+	// Window is the refill credit window (0 = each ask sized by the
+	// measured cost, as SchedulerOptions.CreditWindow).
 	Window int `json:"window"`
 	// Retries is the default re-admission budget for dying jobs.
 	Retries int `json:"retries"`

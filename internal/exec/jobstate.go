@@ -36,15 +36,6 @@ type JobConfig struct {
 	Ledger LedgerMode
 }
 
-// DefaultStealWindow is the credit window of a scheduler fleet's jobs,
-// and of a JobState, when none is set: a reply carries at most this many
-// chunks (fewer while chunks are large against the worker's share of what
-// is left). A worker with no window set asks its master for this many
-// chunks on its first request, before it has measured a round trip to
-// size its asks by, and on every request over the gob link, which
-// grants one chunk per call (DESIGN.md §9).
-const DefaultStealWindow = 8
-
 // JobState is a work-stealing deque core: one job's per-worker deques
 // over a dispenser. No runtime uses it; the benchmark's exec.refill_ns
 // probes drive its Pop → Refill → Complete cycle.

@@ -163,6 +163,31 @@ func (w Worker) wireRequest(req *wire.Request, prefetch bool, credits int, recor
 	return acpv
 }
 
+// DefaultStealWindow is what Ask answers while nothing is measured: a
+// worker with no window set asks for this many chunks before it has
+// timed a round trip to size its asks by, and on every request over the
+// gob link, which grants one chunk per call (DESIGN.md §9). It is also a
+// JobState's credit window when none is set.
+const DefaultStealWindow = 8
+
+// Ask is the depth rule (DESIGN.md §9, "how deep a worker asks"): the
+// chunks a refill asks for when no window caps it. trip is what one
+// round trip is worth in iterations at the worker's measured rate, held
+// the iterations it still holds as the refill leaves, and size the
+// iterations in the chunk it last started (at least 1). The answer lands
+// one round trip from now and must keep the worker busy for one more:
+// trip, less what of held will be left by then, in chunks of size — at
+// least 1, at most the master's grantCeiling. A trip that is not
+// positive means nothing is measured yet: the answer is
+// DefaultStealWindow.
+func Ask(trip, held float64, size int) int {
+	if !(trip > 0) {
+		return DefaultStealWindow
+	}
+	need := trip - max(0, held-trip)
+	return int(min(max(1, math.Ceil(need/float64(size))), grantCeiling))
+}
+
 // sampleSeconds is the least kernel time between two clock reads that
 // only refresh the worker's rate: fifty times a read's cost — time.Now
 // takes about 90 ns on the reference box — so such a read costs at most
@@ -245,21 +270,17 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		return since > 0 && (busy == 0 || float64(since)*busy >= sampleSeconds*float64(ran))
 	}
 	// ask sizes a refill sent while held iterations are still to run:
-	// under a window, room, what the cap leaves. Otherwise the answer,
-	// landing one round trip from now, must keep the worker busy for one
-	// more — the latest round trip in iterations at the running cost, less
-	// what of the held work will be left then, in chunks the size of the
-	// last one started; DefaultStealWindow while nothing is measured.
+	// under a window, room, what the cap leaves; otherwise the depth rule
+	// over the latest round trip in iterations at the running cost.
 	ask := func(held, room int) int {
 		if window >= 1 {
 			return room
 		}
-		if rtt == 0 || ran == 0 {
-			return DefaultStealWindow
+		trip := 0.0 // nothing measured yet
+		if rtt > 0 && ran > 0 {
+			trip = rtt * float64(ran) / busy
 		}
-		trip := rtt * float64(ran) / busy
-		need := trip - max(0, float64(held)-trip)
-		return int(min(max(1, math.Ceil(need/float64(size))), grantCeiling))
+		return Ask(trip, float64(held), size)
 	}
 	// send sends a refill of ask(held, room) chunks, shipping everything
 	// pending.

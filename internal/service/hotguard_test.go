@@ -3,6 +3,7 @@ package service
 import (
 	"sort"
 	"testing"
+	"time"
 
 	"loopsched/internal/exec"
 	"loopsched/internal/hotpath"
@@ -16,6 +17,7 @@ import (
 // a request that delivers the last batch and is granted the next, then
 // that batch — because the two only occur in turn.
 var hotGuards = map[string]func(t *testing.T){
+	"(*fleetWorker).ask":     fleetStepGuard,
 	"(*fleetWorker).request": fleetStepGuard,
 	"(*fleetWorker).run":     fleetStepGuard,
 }
@@ -51,31 +53,38 @@ func TestHotPathAllocGuards(t *testing.T) {
 }
 
 // fleetStepGuard pins a fleet worker's steady-state step at zero
-// allocations with telemetry off: a request over its memory link to one
-// job's master that delivers the last batch's results and is granted a
-// full window of CSS(4) chunks, then the run of that batch. The worker
-// is driven by hand, outside any fleet, on a job that outlasts the guard.
+// allocations with telemetry off: the ask, sized by the worker's own
+// rule with no window set; a request over its memory link to one job's
+// master that delivers the last batch's results and is granted the next
+// batch of CSS(4) chunks; then the run of that batch, which measures the
+// worker's trip and pace. The attempt is built as startLocked builds it,
+// and the worker is driven by hand, outside any fleet, on a job that
+// outlasts the guard.
 func fleetStepGuard(t *testing.T) {
-	s := &Scheduler{opts: Options{Workers: fleet(1)}, p: 1, window: exec.DefaultStealWindow, virtual: []float64{1}}
+	s := &Scheduler{opts: Options{Workers: fleet(1)}, p: 1, virtual: []float64{1}}
 	j := &Job{s: s, id: 1, tenant: &tenant{id: 1}, spec: JobSpec{
 		Scheme: sched.CSSScheme{K: 4}, Workload: workload.Uniform{N: 1 << 24}, Body: func(int) {},
 	}}
-	m, err := exec.New(exec.Config{Scheme: j.spec.Scheme, Iterations: j.spec.Workload.Len(), Workers: 1, Window: s.window, InitACP: []int{1}})
+	m, err := exec.New(exec.Config{Scheme: j.spec.Scheme, Iterations: j.spec.Workload.Len(), Workers: 1, Window: s.opts.Window, InitACP: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	att := &attempt{job: j, m: m, links: []exec.Link{m.Link()}}
+	att := &attempt{job: j, m: m, links: []exec.Link{m.Link()}, paces: make([]pace, 1)}
 	j.att.Store(att)
 	j.state.Store(int32(StateRunning))
-	w := &fleetWorker{s: s, scale: 1}
+	w := &fleetWorker{s: s, scale: 1, now: time.Now()}
 	step := func() {
-		if !w.request(att, s.window) || len(w.rep.Grants) != s.window {
+		credits := w.ask(att)
+		if !w.request(att, credits) || len(w.rep.Grants) != credits {
 			panic("fleet step guard: short grant")
 		}
 		w.run(att)
 	}
 	step() // sizes the buffers on both sides of the link
 	step()
+	if att.paces[0].size != 4 {
+		t.Fatalf("after two steps the worker's pace is %+v, want a measured CSS(4) chunk", att.paces[0])
+	}
 	if avg := testing.AllocsPerRun(200, step); avg > 0 {
 		t.Errorf("a fleet worker's step allocates %.1f objects, want 0", avg)
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -111,11 +112,13 @@ func (st State) String() string {
 }
 
 // attempt is one admission's execution state: the job's master for
-// this attempt and every fleet worker's memory link to it.
+// this attempt, every fleet worker's memory link to it, and what each
+// worker measured of its body, which only that worker writes and reads.
 type attempt struct {
 	job   *Job
 	m     *exec.Master
 	links []exec.Link // by fleet worker
+	paces []pace      // by fleet worker
 }
 
 // wantsCredit reports whether the job's current attempt has chunks left
@@ -145,9 +148,13 @@ type Job struct {
 	started  time.Time
 	err      error
 	report   Report
+
 	// The masters of the attempts that failed, in order: with the
 	// current one's, they are the job's whole grant book, which
-	// reconciles exactly with its grant telemetry.
+	// reconciles exactly with its grant telemetry. book guards past and
+	// moving an attempt there, not s.mu, so that reading the book never
+	// waits behind the fleet's picks.
+	book sync.Mutex
 	past []*exec.Master
 }
 
@@ -189,8 +196,8 @@ func (j *Job) ChunksGranted() int {
 
 // granted sums the grant books of the job's masters.
 func (j *Job) granted() (chunks int, iters int64) {
-	j.s.mu.Lock()
-	defer j.s.mu.Unlock()
+	j.book.Lock()
+	defer j.book.Unlock()
 	if att := j.att.Load(); att != nil {
 		chunks, iters = att.m.Granted()
 	}

@@ -53,8 +53,11 @@ type Options struct {
 	// Workers is the shared fleet: one long-lived goroutine per entry,
 	// heterogeneity emulated by WorkScale exactly as by exec.Worker.
 	Workers []*exec.WorkerSpec
-	// Window caps the chunks one arbitrated request is granted;
-	// <= 0 means exec.DefaultStealWindow. Below the cap a reply is
+	// Window caps the chunks one arbitrated request is granted, and
+	// every request asks for that many. <= 0 leaves it unset: a worker
+	// asks for a few round trips' worth of work at its measured rate on
+	// the job (exec.Ask; 8 chunks before anything is measured), and the
+	// job's master caps it at its own ceiling. Either way a reply is
 	// share-bounded (docs/LEDGER.md "Share-bounded batches").
 	Window int
 	// ACP is the availability model distributed schemes report with.
@@ -96,7 +99,6 @@ type tenant struct {
 type Scheduler struct {
 	opts    Options
 	p       int
-	window  int
 	quantum int
 	virtual []float64 // paper-style virtual powers, slowest = 1
 	bus     *telemetry.Bus
@@ -136,10 +138,6 @@ func New(o Options) (*Scheduler, error) {
 		return nil, fmt.Errorf("service: Options.Workers is required")
 	}
 	p := len(o.Workers)
-	window := o.Window
-	if window <= 0 {
-		window = exec.DefaultStealWindow
-	}
 	quantum := o.Quantum
 	if quantum <= 0 {
 		quantum = DefaultQuantum
@@ -150,7 +148,6 @@ func New(o Options) (*Scheduler, error) {
 	s := &Scheduler{
 		opts:    o,
 		p:       p,
-		window:  window,
 		quantum: quantum,
 		virtual: exec.VirtualPowers(o.Workers),
 		bus:     o.Telemetry,
@@ -481,7 +478,7 @@ func (s *Scheduler) startLocked(j *Job, now time.Time) error {
 		Iterations: j.spec.Workload.Len(),
 		Workers:    s.p,
 		Powers:     s.virtual,
-		Window:     s.window,
+		Window:     s.opts.Window,
 		NoReplan:   s.opts.DisableReplan,
 		Telemetry:  s.bus,
 		Job:        j.id,
@@ -491,7 +488,7 @@ func (s *Scheduler) startLocked(j *Job, now time.Time) error {
 	if err != nil {
 		return err
 	}
-	att := &attempt{job: j, m: m, links: make([]exec.Link, s.p)}
+	att := &attempt{job: j, m: m, links: make([]exec.Link, s.p), paces: make([]pace, s.p)}
 	for i := range att.links {
 		att.links[i] = m.Link()
 	}

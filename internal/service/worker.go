@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"loopsched/internal/exec"
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
 	"loopsched/internal/wire"
@@ -24,6 +25,7 @@ type fleetWorker struct {
 	recs []wire.Record // one run per stretch of consecutive iterations
 	comp float64       // kernel seconds those results took
 	now  time.Time     // the latest clock reading, which the arbiter's deadlines are checked at
+	trip float64       // seconds the latest request took: from the end of one batch to the start of the next
 
 	owed  *Job // the job of the last grant, not charged yet (nil: none)
 	iters int  // the iterations in that grant
@@ -57,10 +59,47 @@ func (s *Scheduler) runWorker(id int) {
 			w.now = time.Now()
 			continue
 		}
-		if w.request(att, s.window) {
+		if w.request(att, w.ask(att)) {
 			w.run(att)
 		}
 	}
+}
+
+// fleetTrips is how many round trips of work a fleet worker asks for
+// when no window is set. The worker does not prefetch, so every request
+// idles it for a round trip; a batch worth fleetTrips of them bounds
+// that idle time to about 1/(fleetTrips+1) of the worker's time, and a
+// batch's predicted time to fleetTrips round trips plus one chunk, which
+// is how long a higher-priority admission can wait on the worker
+// (docs/SERVICE.md "Fairness and preemption").
+const fleetTrips = 4
+
+// pace is what one fleet worker measured of one attempt's body in its
+// last batch there: the seconds an iteration took, and the size of the
+// chunk it ran last. A zero size means nothing is measured yet.
+type pace struct {
+	perIter float64
+	size    int
+}
+
+// ask sizes the worker's next request to att's master: a set window
+// caps every reply and is asked for whole. Otherwise it is the depth
+// rule, exec.Ask, with nothing held: fleetTrips times the latest request
+// time, in iterations at this worker's rate on this attempt. A rate
+// measured on one attempt never sizes another's ask, so a new attempt
+// starts unmeasured.
+//
+//lint:loopsched-hotpath
+func (w *fleetWorker) ask(att *attempt) int {
+	if window := w.s.opts.Window; window > 0 {
+		return window
+	}
+	p := att.paces[w.id]
+	trip := 0.0 // nothing measured on this attempt yet
+	if p.size > 0 {
+		trip = fleetTrips * w.trip / p.perIter
+	}
+	return exec.Ask(trip, 0, p.size)
 }
 
 // request sends one prefetch to att's master — never a plain request,
@@ -104,16 +143,20 @@ func (w *fleetWorker) request(att *attempt, credits int) bool {
 // worker's WorkScale exactly as exec.Worker does, and holds its results
 // for the next request. The clock is read as the batch starts and as it
 // ends — with a telemetry bus also as each chunk closes, for its
-// ChunkCompleted. A chunk of an attempt that was cancelled, failed or
-// requeued meanwhile is not started, and the batch's results are
-// dropped. A panicking body is the fleet's worker-death signal: the
-// attempt is aborted and the job heads to the fail-queue (or fails
-// terminally once its retry budget is spent).
+// ChunkCompleted. The first reading closes the request, whose time
+// (since the last batch ended) is the worker's trip; the last one closes
+// the batch, whose seconds per iteration are the worker's pace on the
+// attempt. Both size its next ask there. A chunk of an attempt that
+// was cancelled, failed or requeued meanwhile is not started, and the
+// batch's results are dropped. A panicking body is the fleet's
+// worker-death signal: the attempt is aborted and the job heads to the
+// fail-queue (or fails terminally once its retry budget is spent).
 //
 //lint:loopsched-hotpath
 func (w *fleetWorker) run(att *attempt) {
 	j, bus := att.job, w.s.bus
 	start := time.Now()
+	w.trip = start.Sub(w.now).Seconds()
 	at := bus.Now()
 	for _, g := range w.rep.Grants {
 		if j.att.Load() != att || j.State() != StateRunning {
@@ -142,6 +185,7 @@ func (w *fleetWorker) run(att *attempt) {
 	}
 	w.now = time.Now()
 	w.held, w.comp = att, w.now.Sub(start).Seconds()
+	att.paces[w.id] = pace{perIter: w.comp / float64(w.iters), size: w.rep.Grants[len(w.rep.Grants)-1].Size}
 }
 
 // acpNow probes worker id's current ACP.
@@ -207,8 +251,10 @@ func (s *Scheduler) failAttempt(att *attempt, ferr error) {
 	// cancelled master grants nothing more, and it stays in the job's
 	// book for Granted and ChunksGranted.
 	att.m.Cancel(ferr)
+	j.book.Lock()
 	j.past = append(j.past, att.m)
 	j.att.Store(nil)
+	j.book.Unlock()
 	j.tenant.active--
 	s.removeActiveLocked(j)
 	j.state.Store(int32(StateQueued))

@@ -65,10 +65,12 @@ type SchedulerOptions struct {
 	// Workers is the shared fleet: one long-lived goroutine per entry,
 	// heterogeneity emulated by WorkScale exactly as on BackendLocal.
 	Workers []*WorkerSpec
-	// CreditWindow is the batch size: how many chunks one arbitrated
-	// request is granted at most (0 means 8; the fleet has no round
-	// trip to size a batch by). It is the same knob as
-	// RunSpec.CreditWindow on the local backend.
+	// CreditWindow caps the batch: how many chunks one arbitrated
+	// request asks for and is granted at most. 0 leaves it unset: a
+	// fleet worker asks for a few of its measured round trips' worth of
+	// work at its measured rate on the job (8 chunks before anything is
+	// measured), up to the job's master's own ceiling — the depth rule
+	// of RunSpec.CreditWindow, the same knob on the local backend.
 	CreditWindow int
 	// ACP is the availability model distributed schemes report with.
 	ACP ACPModel
