@@ -86,7 +86,10 @@ escape-check:
 # dispenser rebuild or second constructor comes back to re-plan it.
 # And the one ask rule: a fleet worker sizes its asks through exec.Ask,
 # the depth rule every worker uses, so the service names no fixed
-# DefaultStealWindow ask of its own.
+# DefaultStealWindow ask of its own. And the one compute step: every
+# worker runs loop iterations through exec.Compute (compute.go), the one
+# place in exec and the service that recovers a body's panic, so no
+# per-chunk runChunk loop comes back.
 dup-check:
 	@! grep -rn 'NewPolicy(\|MajorityChanged(\|sched\.Offset(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/' \
@@ -112,6 +115,8 @@ dup-check:
 	@! grep -rn 'wire\.Request{\|\.Prefetch *=' --include='*.go' internal/service | grep -v '_test.go' | grep -v 'Prefetch: true'
 	@! grep -rnE 'func \(m \*Master\) (Set[A-Za-z]*|DisableReplan|rearm)\(|func New(Shard|Job)Master\(' --include='*.go' internal/exec
 	@! grep -rn 'DefaultStealWindow' --include='*.go' internal/service | grep -v '_test.go'
+	@! grep -rn 'recover()' --include='*.go' internal/exec internal/service | grep -v '_test.go\|^internal/exec/compute.go:'
+	@! grep -rnE 'func (\([^)]*\) )?runChunk\(' --include='*.go' . | grep -v '^./benchmark/\|^./.bench_build/'
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

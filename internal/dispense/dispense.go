@@ -20,6 +20,7 @@
 package dispense
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"loopsched/internal/acp"
@@ -187,9 +188,12 @@ func (d *Dispenser) Claim(worker, acpNow, max int, dst []sched.Assignment) (_ []
 			replanned = true
 		}
 	}
-	limit := 0
+	left, limit := d.base+d.size-d.next, 0
 	if max > 1 {
-		limit = sched.BatchLimit(d.base+d.size-d.next, d.size, d.cfg.Workers)
+		limit = sched.BatchLimit(left, d.size, d.cfg.Workers)
+	}
+	if n := min(max, left); n > 0 {
+		dst = slices.Grow(dst, n) // once, to the most the batch can hold
 	}
 	req := sched.Request{Worker: worker, ACP: float64(acpNow)}
 	for iters, n := 0, 0; n < max; n++ {

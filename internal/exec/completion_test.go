@@ -23,7 +23,7 @@ func (e bufferEnd) Close() error                { return nil }
 // and frame the request, read and decode it, convert its records into
 // results (serveWire's chunkResults) and deposit them. One op is one
 // 256-iteration chunk, so ns/op and allocs/op are per chunk. "run" ships
-// a chunk of empty results as the one record runKernel makes of it,
+// a chunk of empty results as the one record Compute makes of it,
 // "empty" as 256 single records (the coding before runs), and "data64" as
 // 256 records of 64 bytes — the control, whose path run coding leaves
 // alone. After each deposit the chunk's 256 ledger flags are cleared for

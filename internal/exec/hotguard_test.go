@@ -24,7 +24,7 @@ var hotGuards = map[string]func(t *testing.T){
 	"(*JobState).Complete": jobStateCycleGuard,
 	"(*Master).book":       masterReplyGuard,
 	"(*Master).retire":     masterReplyGuard,
-	"runKernel":            workerRunGuard,
+	"Compute":              workerRunGuard,
 	"(*memLink).Send":      memLinkRefillGuard,
 	"(*memLink).Recv":      memLinkRefillGuard,
 }
@@ -185,16 +185,19 @@ func memLinkRefill(t *testing.T, perChunk bool) {
 }
 
 // workerRunGuard pins the worker's half of run coding: over a kernel
-// that returns no bytes, a 256-iteration run call appends one record
-// covering all of them, and in steady state — the record buffer reused
-// call over call, as runWindow reuses pending — it allocates nothing.
+// that returns no bytes, and bare over a body, a 256-iteration compute
+// step appends one record covering all of them, and in steady state —
+// the record buffer reused call over call, as runWindow reuses pending —
+// it allocates nothing.
 func workerRunGuard(t *testing.T) {
 	kernel := func(int) []byte { return nil }
-	recs := runKernel(kernel, 1, nil, 0, 256)
-	if len(recs) != 1 || recs[0].Index != 0 || recs[0].Count != 256 || recs[0].Data != nil {
-		t.Fatalf("256 empty results coded as %+v, want one run {0, 256}", recs)
-	}
-	if avg := testing.AllocsPerRun(1000, func() { recs = runKernel(kernel, 1, recs[:0], 256, 512) }); avg > 0 {
-		t.Errorf("a 256-iteration run call allocates %.1f objects, want 0", avg)
+	for _, body := range []func(int){nil, func(int) {}} {
+		recs, err := Compute(body, kernel, 1, nil, 0, 256, true)
+		if err != nil || len(recs) != 1 || recs[0].Index != 0 || recs[0].Count != 256 || recs[0].Data != nil {
+			t.Fatalf("256 empty results (bare: %v) coded as %+v, %v; want one run {0, 256}", body != nil, recs, err)
+		}
+		if avg := testing.AllocsPerRun(1000, func() { recs, _ = Compute(body, kernel, 1, recs[:0], 256, 512, true) }); avg > 0 {
+			t.Errorf("a 256-iteration compute step (bare: %v) allocates %.1f objects, want 0", body != nil, avg)
+		}
 	}
 }

@@ -27,7 +27,8 @@ type Link interface {
 	// as soon as it returns.
 	Send(req *wire.Request) error
 	// Recv blocks for the reply to the last Send. An error the server
-	// reported for that request is returned as the call's error.
+	// reported for that request is returned as the call's error. Only
+	// Recv writes rep, so its grants hold until the next Recv.
 	Recv(rep *wire.Reply) error
 	// Close tears the connection down, failing a blocked Recv.
 	Close() error
@@ -115,25 +116,45 @@ func (g *gobLink) Call(req *wire.Request, rep *wire.Reply) error {
 
 func (g *gobLink) Close() error { return g.c.Close() }
 
-// errLinkClosed is what a closed memory link answers.
+// errLinkClosed is what a closed memory link or a cancelled ctxLink answers.
 var errLinkClosed = errors.New("exec: link closed")
+
+// ctxLink is the link Worker.RunLink runs the slave loop over: once its
+// context's done closes every Send fails, so a cancelled worker stops at
+// its next request even before the goroutine that closes the link runs.
+type ctxLink struct {
+	Link
+	done <-chan struct{}
+}
+
+func (l ctxLink) Send(req *wire.Request) error {
+	select {
+	case <-l.done:
+		return errLinkClosed
+	default:
+		return l.Link.Send(req)
+	}
+}
+
+func (l ctxLink) Call(req *wire.Request, rep *wire.Reply) error {
+	if err := l.Send(req); err != nil {
+		return err
+	}
+	return l.Recv(rep)
+}
 
 // memLink is a client's link to a master in the same process: Send
 // answers the request by calling the master's handler in the caller's
 // goroutine — no codec, no goroutine hop — and Recv hands that answer
 // over. A prefetch is answered at once; a synchronous request may park
 // inside Send until the master has work or ends, and the master's Cancel
-// is what releases it. After Close, or once done is closed, every Send
-// and Recv fails: Worker.RunLink sets done to its context's, so a
-// cancelled worker stops at its next call even while nothing it does
-// blocks long enough for the goroutine that closes the link to run.
+// is what releases it. After Close every Send and Recv fails.
 type memLink struct {
 	batch   batchFunc
 	results []ChunkResult // the last request's results, buffer reused
 	rep     wire.Reply    // the answer to the last Send
 	err     error         // the handler's error for the last Send
 	closed  atomic.Bool
-	done    <-chan struct{} // nil: only Close ends the link
 }
 
 // Link returns a new link to m for a client in the same process: how the
@@ -152,7 +173,7 @@ func (m *Master) Link() Link {
 //
 //lint:loopsched-hotpath
 func (l *memLink) Send(req *wire.Request) error {
-	if l.ended() {
+	if l.closed.Load() {
 		return errLinkClosed
 	}
 	l.results = chunkResults(l.results, req)
@@ -173,7 +194,7 @@ func (l *memLink) Send(req *wire.Request) error {
 //
 //lint:loopsched-hotpath
 func (l *memLink) Recv(rep *wire.Reply) error {
-	if l.ended() {
+	if l.closed.Load() {
 		return errLinkClosed
 	}
 	if l.err != nil {
@@ -188,16 +209,6 @@ func (l *memLink) Call(req *wire.Request, rep *wire.Reply) error {
 		return err
 	}
 	return l.Recv(rep)
-}
-
-// ended reports whether the link is closed or its done channel is.
-func (l *memLink) ended() bool {
-	select {
-	case <-l.done:
-		return true
-	default:
-		return l.closed.Load()
-	}
 }
 
 func (l *memLink) Close() error {

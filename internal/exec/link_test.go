@@ -532,8 +532,8 @@ func TestGobLinkCycleAllocations(t *testing.T) {
 // TestMemLinkClose pins how a memory link ends. A synchronous request
 // parked in the master — a distributed scheme's gather, waiting for a
 // second worker that never comes — is released by the master's Cancel
-// and answered Stop; after Close every Send and Recv fails, and so they
-// do once the done channel Worker.RunLink hands it is closed.
+// and answered Stop; after Close every Send and Recv fails, and every
+// Send fails once the done channel Worker.RunLink wraps it with is closed.
 func TestMemLinkClose(t *testing.T) {
 	m, err := NewMaster(sched.DTSSScheme{}, 100, 2)
 	if err != nil {
@@ -568,8 +568,7 @@ func TestMemLinkClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2 := m2.Link().(*memLink)
-	l2.done = done
+	l2 := ctxLink{m2.Link(), done}
 	if err := l2.Call(&wire.Request{Worker: 0, ACP: 10, Credits: 1}, &rep); err != nil || len(rep.Grants) == 0 {
 		t.Fatalf("first call: %+v, %v", rep, err)
 	}

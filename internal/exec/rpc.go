@@ -341,7 +341,11 @@ func New(cfg Config) (*Master, error) {
 		done:       make(chan struct{}),
 		started:    time.Now(),
 	}
+	// The slots' ledgers share one array, sized so that booking never grows one.
+	c := min(m.ledgerCap(), grantCeiling)
+	ledgers := make([]sched.Assignment, workers*c)
 	for w := range m.slots {
+		m.slots[w].outstanding = ledgers[w*c : w*c : (w+1)*c]
 		m.slots[w].lastSeen = m.started
 		if cfg.InitACP != nil {
 			m.slots[w].joined = true
@@ -859,11 +863,8 @@ func (m *Master) delivered(a sched.Assignment) bool {
 func (m *Master) retire(out []sched.Assignment) (kept []sched.Assignment, iters int) {
 	kept = out[:0] // kept never outruns the walk, so it may share out's array
 	for i := 0; i < len(out); {
-		k, hi := i+1, out[i].End() // out[i:k] is one stretch, ending at hi
-		for k < len(out) && out[k].Start == hi {
-			hi = out[k].End()
-			k++
-		}
+		k := i + Stretch(out[i:])
+		hi := out[k-1].End() // out[i:k] is one stretch, ending at hi
 		for i < k {
 			miss := m.missing(out[i].Start, hi)
 			for ; i < k && out[i].End() <= miss; i++ {
@@ -1214,6 +1215,9 @@ type Worker struct {
 	ID int
 	// Kernel computes one iteration.
 	Kernel Kernel
+	// Body, when set, runs in place of Kernel where nothing reads the
+	// results: bare (Compute), shipping runs only.
+	Body func(i int)
 	// VirtualPower is the slave's V_i (≥ 1; 0 means 1).
 	VirtualPower float64
 	// LoadProbe returns the current external load (Q_i − 1); nil
@@ -1258,47 +1262,6 @@ func (w Worker) power() float64 {
 	return w.VirtualPower
 }
 
-func (w Worker) scale() int {
-	if w.WorkScale < 1 {
-		return 1
-	}
-	return w.WorkScale
-}
-
-// runKernel computes iterations [lo, hi), each scale times over, and
-// appends their completion records to dst: one per result that carries
-// bytes, and one run per stretch of consecutive iterations whose kernel
-// returned none. A run never reaches across calls: whether the next
-// call's first run continues it is runWindow's to decide. It takes the
-// two Worker fields it reads, not the Worker, which a call per chunk
-// would copy.
-//
-//lint:loopsched-hotpath
-func runKernel(kernel Kernel, scale int, dst []wire.Record, lo, hi int) []wire.Record {
-	open := false // dst's last record is a run this call may extend
-	for i := lo; i < hi; i++ {
-		var data []byte
-		for rep := 0; rep < scale; rep++ {
-			data = kernel(i)
-		}
-		switch {
-		case len(data) > 0:
-			if len(dst) == cap(dst) {
-				// Room for the rest of the range at once: a loop whose
-				// results carry bytes takes one record per iteration.
-				//lint:loopsched-ignore hotalloc one growth step per outgrown buffer; runWindow reuses it after
-				dst = slices.Grow(dst, hi-i)
-			}
-			dst, open = append(dst, wire.Record{Index: i, Data: data}), false
-		case open:
-			dst[len(dst)-1].Count++
-		default:
-			dst, open = append(dst, wire.Record{Index: i, Count: 1}), true
-		}
-	}
-	return dst
-}
-
 // Run connects to the master at addr and participates until stopped.
 func (w Worker) Run(addr string) error {
 	return w.RunContext(context.Background(), addr)
@@ -1321,8 +1284,8 @@ func (w Worker) RunContext(ctx context.Context, addr string) error {
 // dialogue ends or ctx does.
 func (w Worker) RunLink(ctx context.Context, link Link) (err error) {
 	defer link.Close()
-	if w.Kernel == nil {
-		return errors.New("exec: worker needs a kernel")
+	if w.Kernel == nil && w.Body == nil {
+		return errors.New("exec: worker needs a kernel or a body")
 	}
 	stop := context.AfterFunc(ctx, func() { link.Close() }) // unblocks an in-flight call
 	defer stop()
@@ -1330,14 +1293,12 @@ func (w Worker) RunLink(ctx context.Context, link Link) (err error) {
 	switch c := link.(type) {
 	case *wire.Conn:
 		c.SetTelemetry(w.Telemetry, w.TelemetryID, w.TelemetryShard)
-	case *memLink:
-		c.done = ctx.Done() // nothing may block long enough for stop's goroutine to run
 	case *gobLink:
 		if window < 1 {
 			window = DefaultStealWindow // one chunk per call: no depth to size
 		}
 	}
-	err = w.runWindow(link, window, w.Pipeline, 0)
+	err = w.runWindow(ctxLink{link, ctx.Done()}, window, w.Pipeline, 0)
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
 	}

@@ -141,28 +141,6 @@ func chunkResults(dst []ChunkResult, req *wire.Request) []ChunkResult {
 	return dst
 }
 
-// wireRequest fills req from the worker's current state and returns
-// the ACP it reported. spans, when non-nil, is the per-record span
-// echo.
-func (w Worker) wireRequest(req *wire.Request, prefetch bool, credits int, records []wire.Record, spans []uint64, comp, idle float64) int {
-	load := 0
-	if w.LoadProbe != nil {
-		load = w.LoadProbe()
-	}
-	acpv := w.ACPModel.ACP(w.power(), 1+load)
-	*req = wire.Request{
-		Worker:      w.ID,
-		ACP:         acpv,
-		CompSeconds: comp,
-		IdleSeconds: idle,
-		Prefetch:    prefetch,
-		Credits:     credits,
-		Results:     records,
-		Spans:       spans,
-	}
-	return acpv
-}
-
 // DefaultStealWindow is what Ask answers while nothing is measured: a
 // worker with no window set asks for this many chunks before it has
 // timed a round trip to size its asks by, and on every request over the
@@ -212,49 +190,36 @@ const sampleSeconds = 50 * 100e-9
 // closes, so that ChunkCompleted carries the chunk's own seconds.
 func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error {
 	var (
-		req       wire.Request
-		rep       wire.Reply
-		queue     []sched.Assignment
-		spanQueue []uint64 // parallel to queue: one span per grant
-		qbuf      []sched.Assignment
-		sbuf      []uint64      // the queues' arrays: a pop moves the queue's start, a refill starts over
-		queued    int           // iterations in queue
-		pending   []wire.Record // computed, not yet shipped (a run of empty results is one record)
-		spans     []uint64      // parallel to pending: one span per record
-		comp      float64       // kernel seconds not yet reported
-		busy      float64       // kernel seconds booked so far, over
-		ran       int           // this many iterations: the running cost estimate
-		since     int           // iterations run since mark, not yet booked
-		secs      float64       // kernel seconds booked to the chunk in hand: its ChunkCompleted reading
-		size      int           // iterations in the chunk last started: what a grant is expected to hold
-		lead      float64       // the round trip the time rule reads: the first measured, raised by late replies
-		rtt       float64       // the latest round trip measured: what an ask covers
-		mark      time.Time     // kernel time is booked up to here
-		sentAt    time.Time     // when the unanswered refill left
-		inflight  bool          // a refill is unanswered
-		stopSeen  bool
-		echo      bool // the master span-tags its grants: echo the spans back
-		lastACP   int
+		req      wire.Request
+		rep      wire.Reply    // the batch: only the next Recv, once its grants have run, writes it
+		head     int           // rep.Grants[head:] is the queue
+		queued   int           // iterations in the queue, past the stretch in hand
+		pending  []wire.Record // computed, not yet shipped (a run of empty results is one record)
+		spans    []uint64      // parallel to pending: one span per record
+		comp     float64       // kernel seconds not yet reported
+		busy     float64       // kernel seconds booked so far, over
+		ran      int           // this many iterations: the running cost estimate
+		since    int           // iterations run since mark, not yet booked
+		secs     float64       // kernel seconds booked to the chunk in hand: its ChunkCompleted reading
+		size     int           // iterations in the chunk last started: what a grant is expected to hold
+		lead     float64       // the round trip the time rule reads: the first measured, raised by late replies
+		rtt      float64       // the latest round trip measured: what an ask covers
+		mark     time.Time     // kernel time is booked up to here
+		sentAt   time.Time     // when the unanswered refill left
+		inflight bool          // a refill is unanswered
+		stopSeen bool
+		echo     bool // the master span-tags its grants: echo the spans back
+		lastACP  int
 	)
 	// What the loop reads per chunk, read once: a value-receiver call per
 	// chunk would copy the whole Worker.
-	clock, kernel, scale, bus := w.clock, w.Kernel, w.scale(), w.Telemetry
+	clock, body, kernel, scale, bus := w.clock, w.Body, w.Kernel, w.WorkScale, w.Telemetry
 	if clock == nil {
 		clock = time.Now
 	}
 	hold := window // chunks held at most: the queue, plus the one in hand a prefetch overlaps
 	if prefetch {
 		hold++
-	}
-	// fill loads req with everything pending and the worker's state.
-	// The codec wants one span per record or none at all.
-	fill := func(pre bool, credits int) {
-		var echoed []uint64
-		if echo {
-			echoed = spans
-		}
-		lastACP = w.wireRequest(&req, pre, credits, pending, echoed, comp, idle)
-		pending, spans, comp, idle = pending[:0], spans[:0], 0, 0
 	}
 	// book books the time from mark to now as the kernel time of the
 	// iterations run since, and moves mark there.
@@ -283,13 +248,23 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		return Ask(trip, float64(held), size)
 	}
 	// send sends a refill of ask(held, room) chunks, shipping everything
-	// pending.
+	// pending; the codec wants one span per record or none at all.
 	send := func(pre bool, held, room int) error {
-		fill(pre, ask(held, room))
+		load := 0
+		if w.LoadProbe != nil {
+			load = w.LoadProbe()
+		}
+		lastACP = w.ACPModel.ACP(w.power(), 1+load)
+		req = wire.Request{Worker: w.ID, ACP: lastACP, CompSeconds: comp, IdleSeconds: idle,
+			Prefetch: pre, Credits: ask(held, room), Results: pending}
+		if echo {
+			req.Spans = spans
+		}
+		pending, spans, comp, idle = pending[:0], spans[:0], 0, 0
 		return l.Send(&req)
 	}
 	for {
-		if len(queue) == 0 {
+		if head == len(rep.Grants) {
 			// Out of work. With nothing in flight the refill is synchronous
 			// and may park at the master; its round trip is communication.
 			// Of a prefetch's round trip what is left is a stall, and an
@@ -326,32 +301,43 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			mark = now // the batch's first chunk opens as it arrives
 			inflight = false
 			stopSeen, echo = stopSeen || rep.Stop, echo || len(rep.Spans) > 0
-			queue, spanQueue = qbuf[:0], sbuf[:0] // the queue is empty
-			for i, g := range rep.Grants {
-				// Without a span from the master the deterministic local id
-				// still pairs grant and completion on an in-process bus.
-				span := telemetry.SpanID(0, g.Start)
-				if i < len(rep.Spans) {
-					span = rep.Spans[i]
-				}
-				queue, spanQueue, queued = append(queue, g), append(spanQueue, span), queued+g.Size
+			for _, g := range rep.Grants {
+				queued += g.Size
 			}
-			qbuf, sbuf = queue, spanQueue
+			head = 0
 			if sync && rep.Stop {
 				return nil // the one way out: this request shipped everything
 			}
 			continue
 		}
-		// A chunk opens where the one before it closed, or where its batch
-		// arrived.
-		a, span := queue[0], spanQueue[0]
-		queue, spanQueue, queued = queue[1:], spanQueue[1:], queued-a.Size
-		size, secs = a.Size, 0
-		for i := a.Start; i < a.End(); {
-			next := a.End()
-			if prefetch && !inflight && !stopSeen && (window < 1 || len(queue) < window) {
+		// A stretch (the grants that continue one another; one chunk on a
+		// bus or a span echo) runs as one range save where the prefetch
+		// test, which reads the chunk in hand (a), cuts it.
+		queue, n := rep.Grants[head:], 1
+		if bus == nil && !echo {
+			n = Stretch(queue)
+		}
+		lo, end, c := queue[0].Start, queue[n-1].End(), 0
+		queued, secs = queued-(end-lo), 0
+		// Without a span from the master the deterministic local id still
+		// pairs grant and completion on an in-process bus.
+		span := telemetry.SpanID(0, lo)
+		if head < len(rep.Spans) {
+			span = rep.Spans[head]
+		}
+		for i := lo; i < end; {
+			for queue[c].End() <= i {
+				c++
+			}
+			a, behind, next := queue[c], len(queue)-c-1, end
+			size = a.Size
+			switch {
+			case !prefetch || inflight || stopSeen:
+			case window >= 1 && behind >= window:
+				next = a.End() // the queue has room once this chunk closes
+			default:
 				// The refill leaves when what is still held — the rest of
-				// this chunk and the queue — costs no more than the lead at
+				// the stretch and the queue — costs no more than the lead at
 				// this worker's measured rate; until then it looks again
 				// after one iteration (nothing measured yet) or half the
 				// slack. Under a window that a full window of chunks like
@@ -362,42 +348,39 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 				}
 				next = i + 1
 				trip := lead * float64(ran) / busy // in iterations of this worker's kernel
-				held := a.End() - i + queued
+				held := end - i + queued
 				switch slack := float64(held) - trip; {
 				case ran == 0:
 				case window >= 1 && float64(hold*a.Size) < trip:
 					next = a.End()
 				case slack > 0:
-					next = min(i+max(1, int(slack/2)), a.End())
+					next = min(i+max(1, int(slack/2)), end)
 				default:
-					// A request ships what is computed, this chunk's part and
-					// its kernel seconds included; the rest rides the next one.
-					// The send itself is nobody's kernel time.
+					// A request ships what is computed, this stretch's part
+					// and its kernel seconds included; the rest rides the
+					// next one. The send itself is nobody's kernel time.
 					book(clock())
 					sentAt = mark
-					if err := send(true, held, window-len(queue)); err != nil {
+					if err := send(true, held, window-behind); err != nil {
 						return err
 					}
-					inflight, next, mark = true, a.End(), clock()
+					inflight, next, mark = true, end, clock()
 				}
 			}
 			// Send has consumed req, so the records may reuse the buffers
-			// it was built from.
-			from := len(pending)
-			pending = runKernel(kernel, scale, pending, i, next)
-			if k := from - 1; k >= 0 && from < len(pending) && (!echo || spans[k] == span) &&
-				pending[k].Count > 0 && pending[from].Count > 0 && pending[k].Index+pending[k].Count == i {
-				// This step's first run continues the last one shipped
-				// with it: the chunk's own, or — in a request that echoes
-				// no spans — the run of the chunk before it.
-				pending[k].Count += pending[from].Count
-				pending = append(pending[:from], pending[from+1:]...)
+			// it was built from. Under an echo a run continues only its
+			// own chunk's record.
+			var err error
+			if pending, err = Compute(body, kernel, scale, pending, i, next, !echo || i > lo); err != nil {
+				return err
 			}
 			for range pending[len(spans):] {
 				spans = append(spans, span)
 			}
 			since, i = since+next-i, next
 		}
+		a := queue[n-1]
+		head, size = head+n, a.Size
 		if bus != nil {
 			book(clock())
 			bus.Publish(telemetry.Event{

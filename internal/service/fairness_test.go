@@ -1,6 +1,9 @@
 package service
 
 import (
+	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,11 +23,27 @@ func TestWeightedFairShare(t *testing.T) {
 		Quantum: 32,
 	})
 	ctx := testCtx(t)
+	// The bodies count what both jobs run and close reached once, from
+	// the moment both compete, target iterations have run: the window
+	// ends on that signal, not on a poll.
+	const target = 120_000
+	var (
+		ran     atomic.Int64
+		goal    atomic.Int64
+		once    sync.Once
+		reached = make(chan struct{})
+	)
+	goal.Store(math.MaxInt64)
+	body := func(int) {
+		if ran.Add(1) >= goal.Load() {
+			once.Do(func() { close(reached) })
+		}
+	}
 	submit := func(tenant string, weight float64) *Job {
 		j, err := s.Submit(ctx, JobSpec{
 			Scheme:   sched.CSSScheme{K: 4},
 			Workload: workload.Uniform{N: 1 << 21},
-			Body:     func(int) {},
+			Body:     body,
 			Tenant:   tenant,
 			Weight:   weight,
 		})
@@ -43,22 +62,15 @@ func TestWeightedFairShare(t *testing.T) {
 	waitState(t, light, StateRunning)
 	gh0, gl0 := heavy.Granted(), light.Granted()
 
-	// Let the fleet grant a meaningful share of both loops, then
-	// snapshot. 120k iterations is ~2000 arbitrated refills, far past
-	// DRR's warm-up.
-	const target = 120_000
-	deadline := time.Now().Add(20 * time.Second)
-	var gh, gl int64
-	for {
-		gh, gl = heavy.Granted()-gh0, light.Granted()-gl0
-		if gh+gl >= target {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fleet too slow: granted %d+%d of %d", gh, gl, target)
-		}
-		time.Sleep(time.Millisecond)
+	// Let the fleet run a meaningful share of both loops, then snapshot
+	// what it granted. 120k iterations is far past DRR's warm-up.
+	goal.Store(ran.Load() + target)
+	select {
+	case <-reached:
+	case <-time.After(20 * time.Second):
+		t.Fatalf("fleet too slow: ran %d of %d iterations", ran.Load()-(goal.Load()-target), target)
 	}
+	gh, gl := heavy.Granted()-gh0, light.Granted()-gl0
 	heavy.Cancel()
 	light.Cancel()
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"loopsched/internal/exec"
-	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
 	"loopsched/internal/wire"
 )
@@ -17,7 +16,7 @@ import (
 type fleetWorker struct {
 	s     *Scheduler
 	id    int
-	scale int // WorkScale: each iteration's body runs this many times
+	scale int // WorkScale: each iteration's body runs this many times (at least once)
 	req   wire.Request
 	rep   wire.Reply
 
@@ -42,7 +41,7 @@ func (s *Scheduler) runWorker(id int) {
 		Kind: telemetry.WorkerJoined, Worker: id,
 		At: s.bus.Now(),
 	})
-	w := &fleetWorker{s: s, id: id, scale: max(1, s.opts.Workers[id].WorkScale), now: time.Now()}
+	w := &fleetWorker{s: s, id: id, scale: s.opts.Workers[id].WorkScale, now: time.Now()}
 	for {
 		att, gen, ok := s.pick(w.now, w.owed, w.iters)
 		w.owed = nil
@@ -139,40 +138,40 @@ func (w *fleetWorker) request(att *attempt, credits int) bool {
 	return true
 }
 
-// run executes the batch the last request was granted, emulating the
-// worker's WorkScale exactly as exec.Worker does, and holds its results
-// for the next request. The clock is read as the batch starts and as it
-// ends — with a telemetry bus also as each chunk closes, for its
-// ChunkCompleted. The first reading closes the request, whose time
-// (since the last batch ended) is the worker's trip; the last one closes
-// the batch, whose seconds per iteration are the worker's pace on the
-// attempt. Both size its next ask there. A chunk of an attempt that
-// was cancelled, failed or requeued meanwhile is not started, and the
-// batch's results are dropped. A panicking body is the fleet's
+// run executes the batch the last request was granted through exec's
+// compute step, a contiguous stretch per call (a chunk, with a telemetry
+// bus, whose close the clock reads for its ChunkCompleted), and holds its
+// results for the next request. The clock is read as the batch starts
+// and as it ends: the first reading closes the request, whose time (since
+// the last batch ended) is the worker's trip; the last closes the batch,
+// whose seconds per iteration are the worker's pace on the attempt. Both
+// size its next ask there. A stretch of an attempt cancelled, failed or
+// requeued meanwhile is not started, and the batch's results are dropped.
+// A body's panic, an error from the compute step, is the fleet's
 // worker-death signal: the attempt is aborted and the job heads to the
 // fail-queue (or fails terminally once its retry budget is spent).
 //
 //lint:loopsched-hotpath
 func (w *fleetWorker) run(att *attempt) {
-	j, bus := att.job, w.s.bus
+	j, bus, grants := att.job, w.s.bus, w.rep.Grants
 	start := time.Now()
 	w.trip = start.Sub(w.now).Seconds()
 	at := bus.Now()
-	for _, g := range w.rep.Grants {
+	for k := 0; k < len(grants); {
 		if j.att.Load() != att || j.State() != StateRunning {
 			w.recs = w.recs[:0]
 			return
 		}
-		if err := runChunk(j.spec.Body, g, w.scale); err != nil {
-			w.recs = w.recs[:0]
+		g, n := grants[k], 1
+		if bus == nil {
+			n = exec.Stretch(grants[k:])
+		}
+		var err error
+		if w.recs, err = exec.Compute(j.spec.Body, nil, w.scale, w.recs, g.Start, grants[k+n-1].End(), true); err != nil {
 			w.s.failAttempt(att, fmt.Errorf("service: job %d: %w", j.id, err))
 			return
 		}
-		if k := len(w.recs) - 1; k >= 0 && w.recs[k].Index+w.recs[k].Count == g.Start {
-			w.recs[k].Count += g.Size
-		} else {
-			w.recs = append(w.recs, wire.Record{Index: g.Start, Count: g.Size})
-		}
+		k += n
 		if bus != nil {
 			now := bus.Now()
 			bus.Publish(telemetry.Event{
@@ -185,28 +184,12 @@ func (w *fleetWorker) run(att *attempt) {
 	}
 	w.now = time.Now()
 	w.held, w.comp = att, w.now.Sub(start).Seconds()
-	att.paces[w.id] = pace{perIter: w.comp / float64(w.iters), size: w.rep.Grants[len(w.rep.Grants)-1].Size}
+	att.paces[w.id] = pace{perIter: w.comp / float64(w.iters), size: grants[len(grants)-1].Size}
 }
 
 // acpNow probes worker id's current ACP.
 func (s *Scheduler) acpNow(id int) int {
 	return s.opts.ACP.ACP(s.virtual[id], 1+s.opts.Workers[id].Load())
-}
-
-// runChunk executes one assignment, converting a body panic into an
-// error so one job's crash never takes a fleet worker down.
-func runChunk(body func(i int), a sched.Assignment, scale int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("body panicked on iteration range [%d,%d): %v", a.Start, a.End(), r)
-		}
-	}()
-	for it := a.Start; it < a.End(); it++ {
-		for rep := 0; rep < scale; rep++ {
-			body(it)
-		}
-	}
-	return nil
 }
 
 // idle sleeps until the generation moves past gen (an admission, a

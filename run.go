@@ -86,10 +86,12 @@ type RunSpec struct {
 	// one goroutine / RPC slave / rank per entry, slowed by WorkScale.
 	Workers []*WorkerSpec
 	// Body executes one iteration for its side effects. Required on
-	// BackendLocal unless Kernel is set.
+	// BackendLocal unless Kernel is set. It runs bare wherever nothing
+	// reads results; a panic in it, or in Kernel, is Run's error.
 	Body func(i int)
-	// Kernel computes one iteration and serialises its result
-	// (rpc and mp backends). When nil, Body is wrapped.
+	// Kernel computes one iteration and serialises its result (rpc and
+	// mp backends). On BackendLocal it runs, bytes dropped, only without
+	// a Body.
 	Kernel Kernel
 	// ACP is the availability model distributed schemes report with.
 	ACP ACPModel
@@ -296,28 +298,6 @@ func (s RunSpec) validate() error {
 	return nil
 }
 
-// body returns the kernel of a run whose results nobody reads: Body,
-// or else Kernel with its bytes dropped — one closure per iteration
-// either way — so every completion record is a run.
-func (s RunSpec) body() (Kernel, error) {
-	if body := s.Body; body != nil {
-		return func(i int) []byte { body(i); return nil }, nil
-	}
-	if kernel := s.Kernel; kernel != nil {
-		return func(i int) []byte { kernel(i); return nil }, nil
-	}
-	return nil, fmt.Errorf("loopsched: RunSpec needs Body or Kernel on backend %q", s.Backend)
-}
-
-// kernel returns the result-producing kernel, wrapping Body when only
-// a body was given.
-func (s RunSpec) kernel() (Kernel, error) {
-	if s.Kernel != nil {
-		return s.Kernel, nil
-	}
-	return s.body()
-}
-
 // ---- Simulator backend ----
 
 type simExecutor struct{}
@@ -353,12 +333,8 @@ func (e masterExecutor) Run(ctx context.Context, spec RunSpec) (Report, error) {
 	if err := spec.validate(); err != nil {
 		return Report{}, err
 	}
-	kernel, err := spec.kernel()
-	if e.backend == BackendLocal {
-		kernel, err = spec.body() // nothing reads a local run's results
-	}
-	if err != nil {
-		return Report{}, err
+	if spec.Body == nil && spec.Kernel == nil {
+		return Report{}, fmt.Errorf("loopsched: RunSpec needs Body or Kernel on backend %q", spec.Backend)
 	}
 	bus := spec.Telemetry.Bus()
 	if spec.Trace != nil {
@@ -367,9 +343,9 @@ func (e masterExecutor) Run(ctx context.Context, spec RunSpec) (Report, error) {
 		defer untrace()
 	}
 	if spec.Hierarchy != nil { // local and rpc: validate refuses it on mp
-		return runHierarchy(ctx, spec, kernel, bus, e.open)
+		return runHierarchy(ctx, spec, bus, e.open)
 	}
-	return runFlat(ctx, spec, kernel, bus, e.open)
+	return runFlat(ctx, spec, bus, e.open)
 }
 
 // traceBus has spec.Trace record every chunk the run completes from bus
@@ -391,11 +367,12 @@ func traceBus(spec RunSpec, bus *telemetry.Bus) (*telemetry.Bus, func()) {
 }
 
 // rpcWorker builds the exec.Worker for spec.Workers[i].
-func rpcWorker(spec RunSpec, kernel Kernel, bus *telemetry.Bus, powers []float64, i int) exec.Worker {
+func rpcWorker(spec RunSpec, bus *telemetry.Bus, powers []float64, i int) exec.Worker {
 	ws := spec.Workers[i]
-	return exec.Worker{
+	w := exec.Worker{
 		ID:           i,
-		Kernel:       kernel,
+		Kernel:       spec.Kernel,
+		Body:         spec.Body,
 		VirtualPower: powers[i],
 		LoadProbe:    ws.Load,
 		ACPModel:     spec.ACP,
@@ -406,6 +383,13 @@ func rpcWorker(spec RunSpec, kernel Kernel, bus *telemetry.Bus, powers []float64
 		Telemetry:    bus,
 		TelemetryID:  i,
 	}
+	switch kernel := spec.Kernel; {
+	case kernel != nil && spec.Backend != BackendLocal:
+		w.Body = nil // the results are shipped: the kernel arm
+	case w.Body == nil:
+		w.Body = func(i int) { kernel(i) } // nothing reads a local run's results: bare
+	}
+	return w
 }
 
 // reach is how the clients of one master get to it: dial opens client
@@ -471,7 +455,7 @@ func runWorker(ctx context.Context, w exec.Worker, dial func(context.Context, in
 // runFlat is the flat run of the local, rpc and mp backends: one
 // exec.Master, one exec.Worker per spec.Workers entry, and open between
 // them.
-func runFlat(ctx context.Context, spec RunSpec, kernel Kernel, bus *telemetry.Bus, open reach) (Report, error) {
+func runFlat(ctx context.Context, spec RunSpec, bus *telemetry.Bus, open reach) (Report, error) {
 	n := spec.Workload.Len()
 	p := len(spec.Workers)
 	powers := exec.VirtualPowers(spec.Workers)
@@ -490,7 +474,7 @@ func runFlat(ctx context.Context, spec RunSpec, kernel Kernel, bus *telemetry.Bu
 
 	var wg sync.WaitGroup
 	for i := range spec.Workers {
-		w := rpcWorker(spec, kernel, bus, powers, i)
+		w := rpcWorker(spec, bus, powers, i)
 		wg.Add(1)
 		go func(w exec.Worker) {
 			defer wg.Done()
@@ -530,7 +514,7 @@ func (l rootLink) Call(req *wire.Request, rep *wire.Reply) error {
 // root is an exec.Master running the hierarchy's allocator as its scheme,
 // each of its clients a hier.Submaster — itself an exec.Master for its
 // shard's workers — and open is the way to both kinds of master.
-func runHierarchy(ctx context.Context, spec RunSpec, kernel Kernel, bus *telemetry.Bus, open reach) (Report, error) {
+func runHierarchy(ctx context.Context, spec RunSpec, bus *telemetry.Bus, open reach) (Report, error) {
 	n := spec.Workload.Len()
 	p := len(spec.Workers)
 	powers := exec.VirtualPowers(spec.Workers)
@@ -603,7 +587,7 @@ func runHierarchy(ctx context.Context, spec RunSpec, kernel Kernel, bus *telemet
 		defer done()
 		subs[si] = sub
 		for li, wi := range ids {
-			w := rpcWorker(spec, kernel, bus, powers, wi)
+			w := rpcWorker(spec, bus, powers, wi)
 			w.ID = li // worker ids are shard-local; telemetry keeps the global id
 			w.TelemetryShard = si
 			wg.Add(1)

@@ -2,6 +2,8 @@ package loopsched_test
 
 import (
 	"context"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -267,6 +269,48 @@ func TestRunCancellation(t *testing.T) {
 			t.Fatal("cancelled hierarchical run did not return")
 		}
 	})
+}
+
+// TestRunBodyPanicIsAnError: a panicking Body on the local backend and a
+// panicking Kernel on the rpc backend each end Run with an error that
+// says so — not a crashed process, a hang or a goroutine left behind.
+func TestRunBodyPanicIsAnError(t *testing.T) {
+	boom := func(i int) {
+		if i == 300 {
+			panic("boom")
+		}
+	}
+	for _, c := range []struct {
+		name string
+		spec loopsched.RunSpec
+	}{
+		{"local body", loopsched.RunSpec{Backend: loopsched.BackendLocal, Body: boom}},
+		{"rpc kernel", loopsched.RunSpec{Backend: loopsched.BackendRPC, Kernel: func(i int) []byte { boom(i); return nil }}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			spec := c.spec
+			spec.Scheme, spec.Workload, spec.Workers, spec.Pipeline = loopsched.NewCSS(4), loopsched.Uniform{N: 1000}, runWorkers(), true
+			done := make(chan error, 1)
+			go func() {
+				_, err := loopsched.Run(context.Background(), spec)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "panicked") {
+					t.Fatalf("Run returned %v, want an error saying the body panicked", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("a run whose body panicked did not return")
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the run, %d before it", runtime.NumGoroutine(), before)
+				}
+			}
+		})
+	}
 }
 
 func TestRunSpecValidation(t *testing.T) {
