@@ -61,10 +61,13 @@ escape-check:
 # dispenser only — a master reaches it through Claim, never
 # re-implements it (docs/LEDGER.md "Share-bounded batches").
 # And the transport rule: internal/mp carries bytes and knows neither a
-# scheme nor a dispenser, and a dispenser is built only by the sites
-# that answer requests: exec, whose Master is also every hier-rpc shard
-# and every scheduler job, and sim, whose simulated master is also every
-# hier-sim shard.
+# scheme nor a dispenser. And the one book: a bare dispenser is built
+# only inside internal/dispense, and by the deque core the frozen
+# benchmark drives (jobstate.go); every master — exec's, which is also
+# every hier-rpc shard and every scheduler job, and the simulator's,
+# which is also every hier-sim shard — holds a dispense.Book, so the
+# simulator neither claims, stages nor re-stages on its own, and neither
+# it nor exec's master sorts a gather's release line: the book does.
 # And the in-process rule: inside internal/exec one request handler
 # answers every slave — the master's (rpc.go) — beside the deque core
 # only the frozen benchmark still drives (jobstate.go); the names of the
@@ -101,8 +104,9 @@ dup-check:
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/dispense/'
 	@! grep -rn '"loopsched/internal/dispense"\|"loopsched/internal/sched"' --include='*.go' internal/mp
 	@! grep -rn 'dispense\.New(' --include='*.go' . \
-		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/exec/\|^./internal/sim/'
-	@! grep -rn 'dispense\.New(' --include='*.go' internal/exec | grep -v '_test.go\|^internal/exec/rpc.go:\|^internal/exec/jobstate.go:'
+		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/dispense/\|^./internal/exec/jobstate.go:'
+	@! grep -rnE '\.(Claim|Next|Stage|Restage)\(' --include='*.go' internal/sim | grep -v '_test.go'
+	@! grep -rnE 'SliceStable|SortStableFunc' --include='*.go' internal/sim internal/exec/rpc.go | grep -v '_test.go'
 	@! grep -rnw 'ChannelRequest\|stealSlave\|Slaves' --include='*.go' . | grep -v '_test.go\|^./benchmark/\|^./.bench_build/'
 	@! grep -rn '\bhsim\b\|\bhevent\|serviceShard\|launchFetch' --include='*.go' . | grep -v '^./benchmark/\|^./.bench_build/'
 	@! grep -rn '"loopsched/internal/ledger"' --include='*.go' . | grep -v '_test.go\|^./benchmark/\|^./.bench_build/'

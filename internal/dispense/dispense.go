@@ -5,12 +5,13 @@
 //
 // Every runtime in this repository — exec.Master behind every Run
 // backend (local, rpc, mp and the hierarchical submasters) and every
-// scheduler job, and the simulator's master (flat, and every shard
-// of a simulated hierarchy) — owns one Dispenser and
-// differs only in how a claim travels to it: the waiting (link, condition
-// variable, event heap), the clock, the telemetry and the
-// completion accounting stay at the site. This is the split of chunk calculation from chunk
-// assignment of Eleliemy & Ciorba (arXiv:2101.07050); DESIGN.md "The
+// scheduler job, and the simulator's master (flat, and every shard of a
+// simulated hierarchy) — holds one Book around one Dispenser and differs
+// only in how a claim travels to it: the waiting (link, condition
+// variable, event heap), the clock, the telemetry and the result bytes
+// stay at the site. This is the split of chunk calculation from chunk
+// assignment of Eleliemy & Ciorba (arXiv:2101.07050), with the
+// assignment side's account (Book) in one place too; DESIGN.md "The
 // dispenser" states the rules.
 //
 // Concurrency: a Dispenser has no lock of its own. Report, Feedback,
@@ -209,16 +210,6 @@ func (d *Dispenser) Claim(worker, acpNow, max int, dst []sched.Assignment) (_ []
 		}
 	}
 	return dst, replanned
-}
-
-// Next is Claim for the masters that grant one chunk per request.
-func (d *Dispenser) Next(worker, acpNow int) (a sched.Assignment, ok, replanned bool) {
-	var one [1]sched.Assignment
-	got, replanned := d.Claim(worker, acpNow, 1, one[:0])
-	if len(got) == 0 {
-		return sched.Assignment{}, false, replanned
-	}
-	return got[0], true, replanned
 }
 
 // Drained reports whether the stage has been handed out in full (true

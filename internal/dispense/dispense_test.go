@@ -190,7 +190,7 @@ func TestNextReproducesThePolicy(t *testing.T) {
 		for i, stopped := 0, 0; stopped < 2*p; i++ {
 			q := sc.at(i, p)
 			want, wantOK, wantRe := ref.next(t, q)
-			got, ok, re := d.Next(q.worker, q.acp)
+			got, ok, re := claimOne(d, q.worker, q.acp)
 			if ok != wantOK || got != want || re != wantRe {
 				t.Fatalf("request %d %+v: got %+v ok=%v replanned=%v, reference %+v ok=%v replanned=%v",
 					i, q, got, ok, re, want, wantOK, wantRe)
@@ -352,7 +352,7 @@ func TestStageIsAnOffsetFreshPolicy(t *testing.T) {
 									want.Start += st.start
 								}
 							}
-							got, ok, _ := d.Next(q.worker, q.acp)
+							got, ok, _ := claimOne(d, q.worker, q.acp)
 							if ok != wantOK || got != want {
 								t.Fatalf("stage %+v draw %d: got %+v ok=%v, want %+v ok=%v", st, i, got, ok, want, wantOK)
 							}
@@ -382,7 +382,7 @@ func TestFeedbackReachesLearningPolicies(t *testing.T) {
 				if feed && i >= 2 {
 					d.Feedback(w, 100, float64(1+9*w)) // worker 1 is 10x slower
 				}
-				a, _, _ := d.Next(w, 1)
+				a, _, _ := claimOne(d, w, 1)
 				out = append(out, a.Size)
 			}
 			return out
@@ -392,4 +392,13 @@ func TestFeedbackReachesLearningPolicies(t *testing.T) {
 			t.Errorf("stage at %d: feedback left AWF's chunks unchanged: %v", start, fed)
 		}
 	}
+}
+
+// claimOne is Claim for a master that grants one chunk per request.
+func claimOne(d *Dispenser, worker, acpNow int) (a sched.Assignment, ok, replanned bool) {
+	got, replanned := d.Claim(worker, acpNow, 1, nil)
+	if len(got) == 0 {
+		return sched.Assignment{}, false, replanned
+	}
+	return got[0], true, replanned
 }

@@ -430,7 +430,7 @@ func checkCeiling(t *testing.T, m *Master, n, p int) {
 		granted += len(rep.Grants)
 		s := &m.slots[0]
 		s.mu.Lock()
-		held := len(s.outstanding)
+		held := len(m.b.Held(0))
 		s.mu.Unlock()
 		if held > grantCeiling {
 			t.Fatalf("request %d: the worker holds %d chunks, the ceiling is %d", i, held, grantCeiling)
@@ -452,15 +452,15 @@ func checkMasterReplies(t *testing.T, s sched.Scheme, p, n, window int) {
 	for w := 0; granted < n; w = (w + 1) % p {
 		rep.Reset()
 		args := ChunkArgs{Worker: w, ACP: 1 + w, Prefetch: true, Results: held[w]}
-		if err := m.nextBatch(args, m.ledgerCap(), &rep); err != nil {
+		if err := m.nextBatch(args, m.window+1, &rep); err != nil {
 			t.Fatal(err)
 		}
 		held[w] = held[w][:0]
 		if rep.Stop {
 			t.Fatalf("stopped with %d of %d iterations granted", granted, n)
 		}
-		if len(rep.Grants) > m.ledgerCap() {
-			t.Fatalf("reply of %d chunks, ledger cap %d", len(rep.Grants), m.ledgerCap())
+		if len(rep.Grants) > m.window+1 {
+			t.Fatalf("reply of %d chunks, ledger cap %d", len(rep.Grants), m.window+1)
 		}
 		iters := 0
 		for _, g := range rep.Grants {
@@ -483,7 +483,7 @@ func checkMasterReplies(t *testing.T, s sched.Scheme, p, n, window int) {
 	}
 	// The floor keeps fine loops batching: a fixed-chunk scheme over a
 	// long loop must still fill its window.
-	if k, ok := sched.FixedChunk(s, sched.Config{Iterations: n, Workers: p}); ok && k*m.ledgerCap() <= n/(32*p) && m.window > 1 && multi == 0 {
+	if k, ok := sched.FixedChunk(s, sched.Config{Iterations: n, Workers: p}); ok && k*m.window+1 <= n/(32*p) && m.window > 1 && multi == 0 {
 		t.Errorf("no reply on this fine loop (chunk %d, N %d) carried more than one chunk", k, n)
 	}
 }

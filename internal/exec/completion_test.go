@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"testing"
 
+	"loopsched/internal/dispense"
 	"loopsched/internal/sched"
 	"loopsched/internal/wire"
 )
@@ -26,8 +27,9 @@ func (e bufferEnd) Close() error                { return nil }
 // a chunk of empty results as the one record Compute makes of it,
 // "empty" as 256 single records (the coding before runs), and "data64" as
 // 256 records of 64 bytes — the control, whose path run coding leaves
-// alone. After each deposit the chunk's 256 ledger flags are cleared for
-// the next op, a fixed cost common to all three.
+// alone. After each deposit the master takes a fresh result ledger for
+// the next op, a fixed cost common to all three; the ledgers are made a
+// batch at a time with the timer stopped.
 func BenchmarkCompletionPath(b *testing.B) {
 	const size = 256
 	payload := make([]byte, 64)
@@ -59,6 +61,7 @@ func BenchmarkCompletionPath(b *testing.B) {
 				server  *wire.Conn
 				got     wire.Request
 				results []ChunkResult
+				spare   []*dispense.Book
 			)
 			cycle := func() {
 				if err := client.WriteRequest(&req); err != nil {
@@ -78,7 +81,14 @@ func BenchmarkCompletionPath(b *testing.B) {
 				if fresh, err := m.deposit(results); err != nil || fresh != size {
 					b.Fatalf("deposit: %d fresh, %v", fresh, err)
 				}
-				clear(m.got)
+				if len(spare) == 0 {
+					b.StopTimer()
+					for range 1024 {
+						spare = append(spare, dispense.NewBook(dispense.Config{Scheme: sched.CSSScheme{K: size}, Workers: 1}, size, 1, nil))
+					}
+					b.StartTimer()
+				}
+				m.b, spare = spare[0], spare[1:]
 			}
 			cycle() // sizes the buffers
 			b.ReportAllocs()

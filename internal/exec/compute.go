@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"loopsched/internal/sched"
 	"loopsched/internal/wire"
 )
 
@@ -62,13 +61,4 @@ func Compute(body func(i int), kernel Kernel, scale int, dst []wire.Record, lo, 
 		}
 	}
 	return dst, nil
-}
-
-// Stretch returns how many of grants, from the first, continue one another.
-func Stretch(grants []sched.Assignment) int {
-	n := 1
-	for n < len(grants) && grants[n].Start == grants[n-1].End() {
-		n++
-	}
-	return n
 }

@@ -23,7 +23,6 @@ var hotGuards = map[string]func(t *testing.T){
 	"(*JobState).Pop":      jobStateCycleGuard,
 	"(*JobState).Complete": jobStateCycleGuard,
 	"(*Master).book":       masterReplyGuard,
-	"(*Master).retire":     masterReplyGuard,
 	"Compute":              workerRunGuard,
 	"(*memLink).Send":      memLinkRefillGuard,
 	"(*memLink).Recv":      memLinkRefillGuard,

@@ -655,7 +655,8 @@ func TestZeroCreditPrefetchIsADelivery(t *testing.T) {
 // per chunk, each with that chunk's span, when it does — the span block
 // holds one span per record.
 func TestWorkerShipsARunPerStretch(t *testing.T) {
-	grants := chunks(0, 4, 4, 4, 8, 4, 20, 4, 24, 4) // two stretches: [0, 12) and [20, 28)
+	// two stretches: [0, 12) and [20, 28)
+	grants := []sched.Assignment{{Start: 0, Size: 4}, {Start: 4, Size: 4}, {Start: 8, Size: 4}, {Start: 20, Size: 4}, {Start: 24, Size: 4}}
 	for _, c := range []struct {
 		name  string
 		spans []uint64

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"net"
 	"net/rpc"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,15 +44,15 @@ import (
 // same master. Within one process no codec is needed: Master.Link's
 // memory link calls the request handler in the worker's goroutine.
 //
-// Results deposit into a lock-free ledger (one atomic flip per iteration
-// index; a run of empty results is one range, flipped index by index),
-// and per-worker protocol state lives in per-worker slots with their own
-// locks. Every grant is one share-bounded dispense.Claim under Master.mu
-// (grants), whatever the scheme — a reply batches up to grantCeiling
-// chunks, so the lock is taken once per batch, not once per chunk — and
-// every grant is a reply to a request: what a worker holds is in its
-// slot, so FailWorker can requeue all of it. See docs/PROTOCOL.md for
-// the dialogue.
+// The master's account — the lock-free result ledger, what each worker
+// holds, the requeue and the gather's release line — is its
+// dispense.Book; the timing and the rest of per-worker protocol state
+// live in per-worker slots with their own locks. Every grant is the
+// book's Grant under Master.mu (grants), whatever the scheme — a reply
+// batches up to grantCeiling chunks, so the lock is taken once per
+// batch, not once per chunk — and every grant is a reply to a request:
+// what a worker holds is in the book, so FailWorker can requeue all of
+// it. See docs/PROTOCOL.md for the dialogue.
 
 // ChunkResult carries the output of one computed iteration back to
 // the master — or, with Count > 0, the completion of Count consecutive
@@ -121,16 +119,13 @@ type ChunkReply struct {
 // mutex; Master.mu is only ever acquired before a slot lock, never
 // after releasing one inside the same critical section.
 type slot struct {
-	mu          sync.Mutex
-	outstanding []sched.Assignment // chunks in flight (≤ ledger cap)
-	times       metrics.Times
-	comp        float64 // reported compute seconds of chunks not yet retired
-	fbIters     int     // retired iterations and their compute seconds not yet
-	fbSecs      float64 // fed back to a learning policy (grants)
-	lastSeen    time.Time
-	lastReply   time.Time
-	joined      bool
-	failed      bool // mirror of Master.failed, which account reads without Master.mu
+	mu        sync.Mutex // also serialises the worker's holding and learning in the book
+	times     metrics.Times
+	comp      float64 // reported compute seconds of chunks not yet retired
+	lastSeen  time.Time
+	lastReply time.Time
+	joined    bool
+	failed    bool // mirror of Master.failed, which account reads without Master.mu
 }
 
 // Source is where a Master's ranges come from, one staged whenever the
@@ -183,31 +178,26 @@ type Master struct {
 	job        int            // and the scheduler job and tenant (zero for
 	tenant     int            // a single run)
 
-	// Lock-free result ledger: bit i of got flips exactly once (one CAS
-	// per word a record covers); the winner stores results[i] (a shard
-	// master forwards them instead), and its request bumps received once
-	// its timing is booked too, so whoever observes every staged iteration
-	// received observes every stored result and delivering request's
-	// accounting. results is made by the first deposit that carries data
-	// (resultsOnce), or by Wait: a loop whose kernel returns no bytes never
-	// pays for a slot per iteration while it runs.
-	got         []atomic.Uint64
+	// b is the master's book, under mu and the slot locks but for its
+	// lock-free result ledger: iteration i's bit flips exactly once. The
+	// winner stores results[i] (a shard master forwards them instead), and
+	// its request bumps received once its timing is booked too, so whoever
+	// observes every staged iteration received observes every stored
+	// result and delivering request's accounting. results is made by the
+	// first deposit that carries data (resultsOnce), or by Wait: a loop
+	// whose kernel returns no bytes never pays for a slot per iteration
+	// while it runs.
+	b           *dispense.Book
 	received    atomic.Int64
 	results     [][]byte
 	resultsOnce sync.Once
-	chunks      atomic.Int64
-	granted     atomic.Int64 // iterations in the chunks booked
 
-	// src hands out the ranges staged one after another on d; staged
-	// counts their iterations. fetching marks the one request waiting on
-	// src.Fetch (under mu).
+	// src hands out the ranges staged one after another in the book;
+	// staged counts their iterations. fetching marks the one request
+	// waiting on src.Fetch (under mu).
 	src      Source
 	staged   atomic.Int64
 	fetching bool
-
-	// d is the single source of every fresh grant (internal/dispense),
-	// drawn under mu.
-	d *dispense.Dispenser
 
 	// Latency histograms for the report: request-to-grant on the
 	// master's clock (recorded only when a bus supplies that clock)
@@ -220,11 +210,9 @@ type Master struct {
 	mu         sync.Mutex
 	ready      *sync.Cond
 	stoppedSet []bool
-	requeued   []sched.Assignment // failed workers' chunks to re-issue
 	failed     map[int]bool
 	parked     []bool        // workers idling inside a held NextChunk call
 	parkNote   chan struct{} // one token buffered whenever a worker parks: what a test waits on
-	turn       []int         // first requests the gather released, in the order they draw
 	started    time.Time
 	finished   time.Time
 	done       chan struct{}
@@ -325,12 +313,7 @@ func New(cfg Config) (*Master, error) {
 		members:    cfg.Members,
 		job:        cfg.Job,
 		tenant:     cfg.Tenant,
-		got:        make([]atomic.Uint64, (n+63)/64),
 		src:        src,
-		d: dispense.New(dispense.Config{
-			Scheme: cfg.Scheme, Workers: workers, Powers: cfg.Powers,
-			NoReplan: cfg.NoReplan || cfg.Members != nil,
-		}),
 		slots:      make([]slot, workers),
 		waitHist:   hist.NewSharded(workers),
 		compHist:   hist.NewSharded(workers),
@@ -341,20 +324,20 @@ func New(cfg Config) (*Master, error) {
 		done:       make(chan struct{}),
 		started:    time.Now(),
 	}
-	// The slots' ledgers share one array, sized so that booking never grows one.
-	c := min(m.ledgerCap(), grantCeiling)
-	ledgers := make([]sched.Assignment, workers*c)
+	m.b = dispense.NewBook(dispense.Config{
+		Scheme: cfg.Scheme, Workers: workers, Powers: cfg.Powers,
+		NoReplan: cfg.NoReplan || cfg.Members != nil,
+	}, n, window+1, (*staging)(m))
 	for w := range m.slots {
-		m.slots[w].outstanding = ledgers[w*c : w*c : (w+1)*c]
 		m.slots[w].lastSeen = m.started
 		if cfg.InitACP != nil {
 			m.slots[w].joined = true
-			m.d.Report(w, cfg.InitACP[w])
+			m.b.Report(w, cfg.InitACP[w])
 		}
 	}
 	m.ready = sync.NewCond(&m.mu)
-	if m.restage(-1); m.err != nil {
-		return nil, m.err
+	if _, err := m.b.Restage(-1); err != nil {
+		return nil, err
 	}
 	if n == 0 {
 		m.maybeFinish()
@@ -362,38 +345,23 @@ func New(cfg Config) (*Master, error) {
 	return m, nil
 }
 
-// restage stages the next range the source holds once the staged one is
-// drained — for a distributed scheme only after the step-1(a) gather,
-// whose first stage lines up the requests it releases (the parked ones
-// and `also`, which completed it) to draw in decreasing order of ACP,
-// ties by worker id, as the paper's master serves its initial queue
-// (§3.1). A plan that fails is the run's error. Callers hold mu.
-func (m *Master) restage(also int) bool {
-	dist := sched.Distributed(m.scheme)
-	if m.fetching || !m.d.Drained() || dist && !m.d.Gathered() {
-		return false
+// staging is a Master as its book's dispense.Stager; callers hold mu.
+type staging Master
+
+// Take hands the book the source's next range, unless a request waits
+// on src.Fetch.
+func (s *staging) Take() (start, size int, ok bool) {
+	if s.fetching {
+		return 0, 0, false
 	}
-	start, size, ok := m.src.Take()
-	if !ok {
-		return false
+	if start, size, ok = s.src.Take(); ok {
+		s.staged.Add(int64(size))
 	}
-	first := !m.d.Planned()
-	m.staged.Add(int64(size))
-	if err := m.d.Stage(start, size); err != nil {
-		m.err = err
-	}
-	if first && dist {
-		m.turn = m.turn[:0]
-		for w, parked := range m.parked {
-			if (parked || w == also) && !m.failed[w] {
-				m.turn = append(m.turn, w)
-			}
-		}
-		slices.SortStableFunc(m.turn, func(a, b int) int { return m.d.ACP(b) - m.d.ACP(a) })
-	}
-	m.ready.Broadcast()
-	return true
+	return start, size, ok
 }
+
+// Waiting reports whether worker w is parked and alive.
+func (s *staging) Waiting(w int) bool { return s.parked[w] && !s.failed[w] }
 
 // id is worker w's id in telemetry events.
 func (m *Master) id(w int) int {
@@ -411,12 +379,19 @@ func (m *Master) event(kind telemetry.Kind, w int, at float64) telemetry.Event {
 	return telemetry.Event{Kind: kind, Worker: m.id(w), Shard: m.shard, Job: m.job, Tenant: m.tenant, At: at}
 }
 
+// publish publishes an event about worker w at instant at, carrying the
+// ACP its request reported (0 for none). It keeps the event out of the
+// request path's frames, which sit on the fresh goroutine net/rpc runs
+// each gob call on: a deeper frame there costs a stack copy per chunk.
+func (m *Master) publish(kind telemetry.Kind, w, acp int, at float64) {
+	e := m.event(kind, w, at)
+	e.ACP = acp
+	m.bus.Publish(e)
+}
+
 // grantCeiling is the per-worker ledger cap while no window is set: the
 // master's own bound, never taken from a request's Credits.
 const grantCeiling = 256
-
-// ledgerCap is the per-worker in-flight chunk bound.
-func (m *Master) ledgerCap() int { return m.window + 1 }
 
 // Serve accepts connections until the listener closes, sniffing each
 // connection's first byte to route it: the binary wire preamble to
@@ -556,7 +531,7 @@ func (m *Master) deposit(results []ChunkResult) (fresh int, err error) {
 			m.src.Forward(results[:j])
 			return fresh, err
 		}
-		k := m.flip(r.Index, r.Index+n)
+		k := m.b.Deposit(r.Index, r.Index+n)
 		if k > 0 && m.members == nil && len(r.Data) > 0 {
 			m.resultsOnce.Do(m.makeResults)
 			m.results[r.Index] = r.Data
@@ -606,7 +581,7 @@ func (m *Master) Wake() {
 func (m *Master) fetch() {
 	acp := 0
 	for w := range m.workers {
-		acp += max(m.d.ACP(w), 1)
+		acp += max(m.b.ACP(w), 1)
 	}
 	m.fetching = true
 	m.mu.Unlock()
@@ -625,30 +600,18 @@ func (m *Master) fetch() {
 // declared dead and must be sent home.
 func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejected bool) {
 	s := &m.slots[args.Worker]
-	var requeue []sched.Assignment
 	s.mu.Lock()
-	kept, iters := m.retire(s.outstanding)
-	retired := len(s.outstanding) - len(kept)
-	if !args.Prefetch && len(kept) > 0 {
-		// A non-prefetch request declares the worker has nothing left
-		// in flight: any still-undelivered chunk was abandoned (e.g.
-		// the worker process restarted) and is requeued rather than
-		// lost.
-		requeue = append(requeue, kept...)
-		kept = kept[:0]
-	}
-	s.outstanding = kept
+	// A non-prefetch request declares the worker has nothing left in
+	// flight: any still-undelivered chunk was abandoned (e.g. the worker
+	// process restarted) and is requeued rather than lost.
+	retired, iters, requeue := m.b.Retire(args.Worker, !args.Prefetch)
 	rejected = s.failed
 	if !rejected {
 		if !s.joined {
 			s.joined = true
-			e := m.event(telemetry.WorkerJoined, args.Worker, reqAt)
-			e.ACP = args.ACP
-			m.bus.Publish(e)
+			m.publish(telemetry.WorkerJoined, args.Worker, args.ACP, reqAt)
 		}
-		e := m.event(telemetry.ChunkRequested, args.Worker, reqAt)
-		e.ACP = args.ACP
-		m.bus.Publish(e)
+		m.publish(telemetry.ChunkRequested, args.Worker, args.ACP, reqAt)
 		s.lastSeen = now
 		// Per-PE breakdown: the worker reports computation and stall
 		// time; the rest of the reply-to-request turnaround is
@@ -669,7 +632,7 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 		}
 		if retired > 0 {
 			m.compHist.RecordN(args.Worker, s.comp/float64(retired), retired)
-			s.fbIters, s.fbSecs = s.fbIters+iters, s.fbSecs+s.comp
+			m.b.Learn(args.Worker, float64(iters), s.comp)
 			s.comp = 0
 		}
 		if args.IdleSeconds > 0 {
@@ -684,32 +647,30 @@ func (m *Master) account(args *ChunkArgs, now time.Time, reqAt float64) (rejecte
 	s.mu.Unlock()
 	if len(requeue) > 0 {
 		m.mu.Lock()
-		m.requeued = append(m.requeued, requeue...)
+		m.b.Requeue(requeue...)
 		m.ready.Broadcast() // a parked worker can pick these up
 		m.mu.Unlock()
 	}
 	if rejected {
-		m.bus.Publish(m.event(telemetry.WorkerRejected, args.Worker, reqAt))
+		m.publish(telemetry.WorkerRejected, args.Worker, 0, reqAt)
 	}
 	return rejected
 }
 
-// grants is the master's one grant path: the gather barrier and its
-// release order, staging, policy draws (with the mid-run replans and
-// AWF's timing feedback), requeues, parking and stop handling, under
-// Master.mu. A reply is one batch: requeued chunks first, then a single
-// share-bounded Claim. A request that finds the stage drained is granted
-// from the next range the source holds; with nothing to grant a prefetch
-// gets an empty reply, and a plain request parks until the gather
-// completes, the run ends or a failure requeues work (so a late
-// FailWorker finds a live worker to absorb the chunk) — or, on a
-// quiescent master, has the source fetch.
+// grants is the master's one grant path: the gather barrier, the book's
+// grant (its release order, AWF's timing feedback, requeues, staging and
+// policy draws with the mid-run replans), parking and stop handling,
+// under Master.mu. A reply is one batch (dispense.Book.Grant).
+// With nothing to grant a prefetch gets an empty reply, and a plain
+// request parks until the gather completes, the run ends or a failure
+// requeues work (so a late FailWorker finds a live worker to absorb the
+// chunk) — or, on a quiescent master, has the source fetch.
 func (m *Master) grants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt float64) error {
 	w := args.Worker
 	s := &m.slots[w]
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.d.Report(w, args.ACP)
+	m.b.Report(w, args.ACP)
 	yields := 0
 	for {
 		switch {
@@ -724,93 +685,81 @@ func (m *Master) grants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt flo
 			return nil
 		}
 		s.mu.Lock()
-		room := min(credits, m.ledgerCap()-len(s.outstanding))
+		room := m.b.Room(w, credits)
 		full := room <= 0 // a prefetch from a worker that has not delivered yet
-		if len(m.turn) > 0 {
-			if m.turn[0] == w {
-				m.turn = m.turn[1:]
-				m.ready.Broadcast() // the next in line draws after this one
-			} else {
-				room = 0 // the gather released others first: nothing right now
-			}
+		var replanned, moved bool
+		var err error
+		rep.Grants, replanned, moved, err = m.b.Grant(w, args.ACP, room, rep.Grants)
+		if replanned {
+			m.publish(telemetry.StageAdvanced, w, 0, m.bus.Now())
 		}
-		m.d.Feedback(w, float64(s.fbIters), s.fbSecs)
-		s.fbIters, s.fbSecs = 0, 0
-		for ; room > 0; room-- {
-			a, ok := m.takeRequeued()
-			if !ok {
-				break
-			}
-			rep.Grants = append(rep.Grants, a)
+		if moved { // the next in line, or a fresh stage: the parked draw again
+			m.ready.Broadcast()
 		}
-		if room > 0 {
-			var replanned bool
-			rep.Grants, replanned = m.d.Claim(w, args.ACP, room, rep.Grants)
-			if replanned {
-				m.bus.Publish(m.event(telemetry.StageAdvanced, w, m.bus.Now()))
-			}
-		}
-		if len(rep.Grants) == 0 && room > 0 && m.restage(w) {
+		if err != nil {
+			m.err = err
 			s.mu.Unlock()
-			continue
+			return err
 		}
 		if len(rep.Grants) > 0 || args.Prefetch || full {
-			m.book(s, args, rep, reqAt)
+			m.book(args, rep, reqAt)
 			s.mu.Unlock()
 			return nil
 		}
 		s.mu.Unlock()
-		if !m.fetching && m.d.Gathered() && m.received.Load() >= m.staged.Load() && !m.src.Exhausted() {
+		if !m.fetching && m.b.Gathered() && m.received.Load() >= m.staged.Load() && !m.src.Exhausted() {
 			m.fetch() // quiescent: nothing staged is left undelivered
 			continue
 		}
 		// The worker is idle with nothing in flight. Hold the call:
 		// either the run completes (Stop), a failed worker's chunk is
 		// requeued and lands here, or the source has more.
-		m.parked[w] = true
-		select {
-		case m.parkNote <- struct{}{}:
-		default: // a token is already waiting
-		}
-		if args.yield && yields < parkYields {
-			yields++
-			m.mu.Unlock()
-			runtime.Gosched()
-			m.mu.Lock()
-		} else {
-			m.ready.Wait()
-		}
-		m.parked[w] = false
-		s.mu.Lock()
-		s.lastSeen = m.now() // parked, not silent
-		s.mu.Unlock()
+		yields = m.park(w, args.yield, yields)
 	}
+}
+
+// park holds worker w's request, under mu, until the master wakes it —
+// yielding the first times when the worker shares the master's process
+// (yield) — and returns how often it has yielded. Callers hold mu.
+func (m *Master) park(w int, yield bool, yields int) int {
+	m.parked[w] = true
+	select {
+	case m.parkNote <- struct{}{}:
+	default: // a token is already waiting
+	}
+	if yield && yields < parkYields {
+		yields++
+		m.mu.Unlock()
+		runtime.Gosched()
+		m.mu.Lock()
+	} else {
+		m.ready.Wait()
+	}
+	m.parked[w] = false
+	s := &m.slots[w]
+	s.mu.Lock()
+	s.lastSeen = m.now() // parked, not silent
+	s.mu.Unlock()
+	return yields
 }
 
 // parkYields bounds how often a held in-process request yields before
 // it sleeps on the condition variable: some hundreds of microseconds.
 const parkYields = 1000
 
-// book enters a reply's grants into the worker's ledger and publishes
-// each, span-tagged and with its request-to-grant latency, to the
-// telemetry bus; an empty reply is published as the prefetch miss it
-// is. The spans ride back in the reply's span block only when telemetry
-// is attached, so a bus-less master's frames stay byte-identical to
-// protocol v1. Callers hold s.mu.
+// book publishes each of a reply's grants, which the book has entered
+// into the worker's holding, span-tagged and with its request-to-grant
+// latency, to the telemetry bus; an empty reply is published as the
+// prefetch miss it is. The spans ride back in the reply's span block
+// only when telemetry is attached, so a bus-less master's frames stay
+// byte-identical to protocol v1.
 //
 //lint:loopsched-hotpath
-func (m *Master) book(s *slot, args *ChunkArgs, rep *wire.Reply, reqAt float64) {
+func (m *Master) book(args *ChunkArgs, rep *wire.Reply, reqAt float64) {
 	if len(rep.Grants) == 0 {
-		m.bus.Publish(m.event(telemetry.PrefetchMissed, args.Worker, reqAt))
+		m.publish(telemetry.PrefetchMissed, args.Worker, 0, reqAt)
 		return
 	}
-	s.outstanding = append(s.outstanding, rep.Grants...)
-	m.chunks.Add(int64(len(rep.Grants)))
-	iters := 0
-	for _, a := range rep.Grants {
-		iters += a.Size
-	}
-	m.granted.Add(int64(iters))
 	if m.bus == nil {
 		return
 	}
@@ -827,97 +776,6 @@ func (m *Master) book(s *slot, args *ChunkArgs, rep *wire.Reply, reqAt float64) 
 		e.Start, e.Size, e.ACP, e.Span, e.Seconds = a.Start, a.Size, args.ACP, span, now-reqAt
 		m.bus.Publish(e)
 	}
-}
-
-// takeRequeued pops the next requeued chunk that still has undelivered
-// iterations (a failed worker may have delivered its chunk after the
-// requeue); callers hold mu.
-func (m *Master) takeRequeued() (sched.Assignment, bool) {
-	for len(m.requeued) > 0 {
-		a := m.requeued[0]
-		m.requeued = m.requeued[1:]
-		if !m.delivered(a) {
-			return a, true
-		}
-	}
-	return sched.Assignment{}, false
-}
-
-// delivered reports whether every iteration of the assignment has
-// been received. It reads only the atomic ledger, so it needs no lock.
-func (m *Master) delivered(a sched.Assignment) bool {
-	return m.missing(a.Start, a.End()) == a.End()
-}
-
-// retire drops from out, in place, every chunk whose iterations have
-// all been received — the chunks delivered reports — and returns the
-// chunks kept, in order, and the iterations retired. It works per
-// contiguous stretch of out, not per chunk: it seeks, a ledger word at a
-// time, the stretch's first iteration not received. Every chunk ending
-// by it retires; the chunk holding it stays, and so does each chunk after
-// it whose first iteration is missing too — one bit read per chunk, not
-// a word walk over chunks known to stay — and the seek resumes at the
-// next one. Like delivered it reads only the atomic ledger.
-//
-//lint:loopsched-hotpath
-func (m *Master) retire(out []sched.Assignment) (kept []sched.Assignment, iters int) {
-	kept = out[:0] // kept never outruns the walk, so it may share out's array
-	for i := 0; i < len(out); {
-		k := i + Stretch(out[i:])
-		hi := out[k-1].End() // out[i:k] is one stretch, ending at hi
-		for i < k {
-			miss := m.missing(out[i].Start, hi)
-			for ; i < k && out[i].End() <= miss; i++ {
-				iters += out[i].Size
-			}
-			if i == k {
-				break
-			}
-			kept = append(kept, out[i])
-			for i++; i < k && !m.flipped(out[i].Start); i++ {
-				kept = append(kept, out[i])
-			}
-		}
-	}
-	return kept, iters
-}
-
-// missing returns the first iteration in [lo, hi) not yet received, or
-// hi if every one has been.
-func (m *Master) missing(lo, hi int) int {
-	for ; lo < hi; lo = (lo/64 + 1) * 64 {
-		w, mask := m.word(lo, hi)
-		if v := mask &^ w.Load(); v != 0 {
-			return lo&^63 + bits.TrailingZeros64(v)
-		}
-	}
-	return hi
-}
-
-// flipped reports whether iteration i's ledger bit has flipped: it has
-// been received.
-func (m *Master) flipped(i int) bool { return m.got[i/64].Load()>>(i%64)&1 == 1 }
-
-// flip sets the ledger bits of [lo, hi) and returns how many were clear.
-func (m *Master) flip(lo, hi int) (fresh int) {
-	for ; lo < hi; lo = (lo/64 + 1) * 64 {
-		w, mask := m.word(lo, hi)
-		for {
-			old := w.Load()
-			if old&mask == mask || w.CompareAndSwap(old, old|mask) {
-				fresh += bits.OnesCount64(mask &^ old)
-				break
-			}
-		}
-	}
-	return fresh
-}
-
-// word returns the ledger word holding iteration lo and the mask of its
-// bits in [lo, hi).
-func (m *Master) word(lo, hi int) (*atomic.Uint64, uint64) {
-	n := min(hi-lo, 64-lo%64)
-	return &m.got[lo/64], ^uint64(0) >> (64 - n) << (lo % 64)
 }
 
 // now reads the clock the master times its workers by: the
@@ -970,22 +828,19 @@ func (m *Master) FailWorker(worker int) error {
 		return nil // already accounted for
 	}
 	m.failed[worker] = true
-	m.bus.Publish(m.event(telemetry.WorkerTimedOut, worker, m.bus.Now()))
+	m.publish(telemetry.WorkerTimedOut, worker, 0, m.bus.Now())
 	s := &m.slots[worker]
 	s.mu.Lock()
 	s.failed = true
-	out := s.outstanding
-	s.outstanding = nil
+	m.b.Fail(worker) // requeues what it holds, and leaves the release line
 	s.mu.Unlock()
-	if len(out) > 0 {
-		m.requeued = append(m.requeued, out...)
-	}
 	// A worker that dies during the distributed gather must not stall
 	// the barrier, nor one that dies in the release line hold it up.
-	if !m.d.Planned() && m.d.Report(worker, m.d.ACP(worker)) {
-		m.restage(-1)
+	if !m.b.Planned() && m.b.Report(worker, m.b.ACP(worker)) {
+		if _, err := m.b.Restage(-1); err != nil {
+			m.err = err
+		}
 	}
-	m.turn = slices.DeleteFunc(m.turn, func(w int) bool { return w == worker })
 	if len(m.failed) >= m.workers { // nobody is left to produce the rest
 		m.maybeFinish()
 	}
@@ -1053,8 +908,8 @@ func (m *Master) Outstanding() map[int][]sched.Assignment {
 	for w := range m.slots {
 		s := &m.slots[w]
 		s.mu.Lock()
-		if len(s.outstanding) > 0 {
-			out[w] = append([]sched.Assignment(nil), s.outstanding...)
+		if held := m.b.Held(w); len(held) > 0 {
+			out[w] = append([]sched.Assignment(nil), held...)
 		}
 		s.mu.Unlock()
 	}
@@ -1160,12 +1015,13 @@ func (m *Master) report() metrics.Report {
 	if !m.doneClosed() {
 		end = time.Now()
 	}
+	chunks, _ := m.b.Granted()
 	rep := metrics.Report{
 		Scheme:     m.scheme.Name(),
 		Workers:    m.workers,
 		Iterations: int(m.received.Load()),
-		Chunks:     int(m.chunks.Load()),
-		Replans:    m.d.Replans(),
+		Chunks:     chunks,
+		Replans:    m.b.Replans(),
 		Tp:         end.Sub(m.started).Seconds(),
 		PerWorker:  make([]metrics.Times, m.workers),
 	}
@@ -1189,14 +1045,12 @@ func (m *Master) report() metrics.Report {
 // Granted returns the chunks booked to workers so far and the iterations
 // in them, requeued chunks counted again. Once the run has ended both are
 // final.
-func (m *Master) Granted() (chunks int, iterations int64) {
-	return int(m.chunks.Load()), m.granted.Load()
-}
+func (m *Master) Granted() (chunks int, iterations int64) { return m.b.Granted() }
 
 // Drained reports whether a flat master has handed out its whole loop,
 // so a request gets nothing more — unless FailWorker requeues a chunk.
 func (m *Master) Drained() bool {
-	return m.staged.Load() == int64(m.iterations) && m.d.Drained()
+	return m.staged.Load() == int64(m.iterations) && m.b.Drained()
 }
 
 // Latencies returns the master's grant-latency and compute-latency

@@ -878,8 +878,8 @@ func TestDepositRuns(t *testing.T) {
 			t.Fatalf("deposit %+v: fresh %d, err %v; want fresh %d, refused %v", c.results, fresh, err, c.fresh, c.bad)
 		}
 	}
-	if !m.delivered(sched.Assignment{Start: 0, Size: 10}) {
-		t.Errorf("ledger %v: an iteration was never delivered", m.got)
+	if !m.b.Delivered(sched.Assignment{Start: 0, Size: 10}) {
+		t.Error("an iteration was never delivered")
 	}
 	if m.results[7] == nil || m.results[2] != nil {
 		t.Errorf("results %v: the data record must win iteration 7, runs store nothing", m.results)
@@ -898,8 +898,8 @@ func TestDepositSpansLedgerWords(t *testing.T) {
 			t.Fatalf("run [%d, +%d): fresh %d, err %v; want fresh %d", c.index, c.count, fresh, err, c.fresh)
 		}
 	}
-	if !m.delivered(sched.Assignment{Start: 0, Size: 200}) || m.delivered(sched.Assignment{Start: 199, Size: 2}) {
-		t.Errorf("ledger %v: want [0, 200) delivered and nothing past it", m.got)
+	if !m.b.Delivered(sched.Assignment{Start: 0, Size: 200}) || m.b.Delivered(sched.Assignment{Start: 199, Size: 2}) {
+		t.Error("want [0, 200) delivered and nothing past it")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"time"
 
+	"loopsched/internal/dispense"
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
 	"loopsched/internal/wire"
@@ -315,7 +316,7 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		// test, which reads the chunk in hand (a), cuts it.
 		queue, n := rep.Grants[head:], 1
 		if bus == nil && !echo {
-			n = Stretch(queue)
+			n = dispense.Stretch(queue)
 		}
 		lo, end, c := queue[0].Start, queue[n-1].End(), 0
 		queued, secs = queued-(end-lo), 0

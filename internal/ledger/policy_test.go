@@ -242,7 +242,7 @@ func TestUnitClaimIsTheACPShareOfItsStage(t *testing.T) {
 			for k, stageStart := 0, 0; ; k++ {
 				stage := make([]sched.Assignment, 0, p)
 				for w := range acps {
-					if a, ok, _ := d.Next(w, acps[w]); ok {
+					if a, ok, _ := claimOne(d, w, acps[w]); ok {
 						stage = append(stage, a)
 					}
 				}
@@ -281,7 +281,7 @@ func TestUnitClaimIsTheACPShareOfItsStage(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for claimed := 0; claimed+6 < n; {
 		w := rng.Intn(2)
-		a, _, _ := d.Next(w, []int{30, 10}[w])
+		a, _, _ := claimOne(d, w, []int{30, 10}[w])
 		if a.Size != want[w] {
 			t.Fatalf("DCSS(4) 30:10: worker %d at %d claims %+v, want %d iterations", w, claimed, a, want[w])
 		}
@@ -344,7 +344,7 @@ func TestEqualACPsReproduceTheSimpleTable(t *testing.T) {
 						t.Fatal(err)
 					}
 					for k := 0; ; k++ {
-						got, ok, _ := d.Next(k%p, acp)
+						got, ok, _ := claimOne(d, k%p, acp)
 						if k == len(want) {
 							if ok {
 								t.Fatalf("%s: chunk %d = %+v past the %d the homogeneous system grants", name, k, got, len(want))
@@ -443,4 +443,13 @@ func TestBatchKeepsDecreasingChunksApart(t *testing.T) {
 			t.Fatalf("CSS(4) N=65536 p=2: claim %d takes %d chunks, want the cap 8", claim, len(got))
 		}
 	}
+}
+
+// claimOne is Claim for a master that grants one chunk per request.
+func claimOne(d *dispense.Dispenser, worker, acpNow int) (a sched.Assignment, ok, replanned bool) {
+	got, replanned := d.Claim(worker, acpNow, 1, nil)
+	if len(got) == 0 {
+		return sched.Assignment{}, false, replanned
+	}
+	return got[0], true, replanned
 }

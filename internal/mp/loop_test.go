@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -230,12 +231,17 @@ func (c completionCounter) OnEvent(e telemetry.Event) {
 // runCancelled drives a world where the context is cancelled once the
 // first kernel call lands, and asserts the master returns with
 // ctx.Err() while every worker unwinds cleanly (no goroutine left
-// blocked on a reply that will never come).
+// blocked on a reply that will never come). The first kernel call holds
+// its iteration until another worker has returned: the loop cannot
+// complete while that iteration is held, so the other worker can only
+// have been stopped by the cancel — a cancel loses only to completion.
 func runCancelled(t *testing.T, master loopsched.Comm, slave func(int) loopsched.Comm, workers int) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var once sync.Once
+	var first atomic.Bool
+	var returned sync.Once
+	oneReturned := make(chan struct{})
 	var wg sync.WaitGroup
 	workerErrs := make([]error, workers)
 	for r := 1; r <= workers; r++ {
@@ -244,17 +250,14 @@ func runCancelled(t *testing.T, master loopsched.Comm, slave func(int) loopsched
 			defer wg.Done()
 			workerErrs[r-1] = loopsched.RunMPWorker(slave(r), loopsched.MPWorkerOptions{
 				Kernel: func(int) []byte {
-					once.Do(func() {
-						// The whole loop takes less than a scheduler time
-						// slice: give up this CPU so the master's goroutine,
-						// which cancel readied on it, cancels the run before
-						// the workers can finish the loop.
+					if first.CompareAndSwap(false, true) {
 						cancel()
-						time.Sleep(10 * time.Millisecond)
-					})
+						<-oneReturned
+					}
 					return nil
 				},
 			})
+			returned.Do(func() { close(oneReturned) })
 		}()
 	}
 	_, _, err := loopsched.RunMPMasterContext(ctx, master, scheme(t, "TSS"), 1<<20, loopsched.MPMasterOptions{})

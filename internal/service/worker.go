@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"loopsched/internal/dispense"
 	"loopsched/internal/exec"
 	"loopsched/internal/telemetry"
 	"loopsched/internal/wire"
@@ -164,7 +165,7 @@ func (w *fleetWorker) run(att *attempt) {
 		}
 		g, n := grants[k], 1
 		if bus == nil {
-			n = exec.Stretch(grants[k:])
+			n = dispense.Stretch(grants[k:])
 		}
 		var err error
 		if w.recs, err = exec.Compute(j.spec.Body, nil, w.scale, w.recs, g.Start, grants[k+n-1].End(), true); err != nil {

@@ -4,7 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"loopsched/internal/acp"
 	"loopsched/internal/dispense"
@@ -100,14 +100,16 @@ const (
 )
 
 type event struct {
-	t      float64
-	seq    int64
-	kind   int
-	worker int  // the slave; the shard on the root hop
-	root   bool // a shard master's fetch, or the root's answer to it
-	assign sched.Assignment
-	stop   bool
-	bytes  float64 // result payload a request carries
+	t        float64
+	seq      int64
+	kind     int
+	worker   int  // the slave; the shard on the root hop
+	root     bool // a shard master's fetch, or the root's answer to it
+	assign   sched.Assignment
+	stop     bool
+	bytes    float64            // result payload a request carries
+	chunks   []sched.Assignment // the chunks a request delivers
+	prefetch bool               // a request sent ahead of need (evRefillDue)
 	// payload is the event a bus transfer delivers on completion.
 	payload *event
 }
@@ -141,19 +143,22 @@ type pendingReq struct {
 	dump    bool    // final result dump (collect-at-end mode)
 }
 
-// master is a single server: it answers its queue in FIFO order, one
-// request at a time, each service costing MasterOverhead plus the
-// request's inbound bytes over the master's bandwidth. A slave-facing
-// master answers from its Dispenser, staging one stage at a time from
+// master is a single server: it answers its queue one request at a
+// time, each service costing MasterOverhead plus the request's inbound
+// bytes over the master's bandwidth. A slave-facing master answers in
+// FIFO order from its book (dispense.Book) — the order the gather's
+// release line sets first — which stages one stage at a time from
 // stages: the whole loop once on a flat run; on a hierarchical run the
 // super-chunks it fetches from the root, one fetch in flight, sent as
 // the last buffered one is staged and carrying the results its slaves
 // delivered since the previous fetch. The root is a master without a
-// Dispenser whose grant rule is simulator.grant.
+// book whose grant rule is simulator.grant.
 type master struct {
+	s        *simulator
+	k        int // the shard it masters
 	queue    []pendingReq
 	busy     bool
-	d        *dispense.Dispenser
+	b        *dispense.Book
 	stages   []sched.Assignment // received, not yet staged
 	fetching bool
 	rootDone bool               // the root has nothing more for this master
@@ -163,23 +168,19 @@ type master struct {
 
 type workerState struct {
 	times      metrics.Times
-	shard      int     // index of the worker's master
-	local      int     // the worker's index at its master
-	lastChunk  int     // iterations of the chunk just computed
-	heldBytes  float64 // results held locally (collect-at-end)
-	reqSent    float64 // when the in-flight request left the slave
-	fbWork     float64 // cost of the chunk just computed (feedback)
-	fbElapsed  float64 // its execution time (feedback)
-	done       bool
+	shard      int                // index of the worker's master
+	local      int                // the worker's index at its master
+	done       []sched.Assignment // chunks computed, not yet shipped
+	heldBytes  float64            // results held locally (collect-at-end)
+	reqSent    float64            // when the in-flight request left the slave
+	stopped    bool
 	finishedAt float64
-	iterations int
 	// Pipelined-mode state (Params.Prefetch).
 	computing      bool             // a chunk is executing right now
 	queued         sched.Assignment // reply that arrived mid-compute
 	hasQueued      bool
 	stopPending    bool    // Stop arrived mid-compute; drain after
-	lastComputeEnd float64 // when the previous chunk finished
-	computedOnce   bool
+	lastComputeEnd float64 // when the previous chunk finished (> 0)
 }
 
 type simulator struct {
@@ -198,11 +199,13 @@ type simulator struct {
 	rootLink Link
 	// grant is the root's rule for a shard's fetch served at virtual
 	// time at; nil on a flat run.
-	grant    func(shard int, at float64) (sched.Assignment, bool)
-	workers  []workerState
-	lastTime float64
-	busBusy  bool
-	busQueue []busJob
+	grant     func(shard int, at float64) (sched.Assignment, bool)
+	workers   []workerState
+	one       [1]sched.Assignment // a grant's buffer
+	delivered int                 // iterations deposited at the masters, each once
+	lastTime  float64
+	busBusy   bool
+	busQueue  []busJob
 }
 
 // transfer moves a message for worker w, delivering ev when it
@@ -257,7 +260,7 @@ func RunContext(ctx context.Context, c Cluster, s sched.Scheme, w workload.Workl
 	for i := range all {
 		all[i] = i
 	}
-	return run(ctx, c, s, w, p, [][]int{all}, Link{}, nil)
+	return RunShards(ctx, c, s, w, p, [][]int{all}, Link{}, nil)
 }
 
 // RunShards is RunContext for a two-level run: shard master k drives
@@ -268,11 +271,6 @@ func RunContext(ctx context.Context, c Cluster, s sched.Scheme, w workload.Workl
 // the root's to add.
 func RunShards(ctx context.Context, c Cluster, s sched.Scheme, w workload.Workload, p Params,
 	shards [][]int, rootLink Link, grant func(shard int, at float64) (sched.Assignment, bool)) (metrics.Report, error) {
-	return run(ctx, c, s, w, p, shards, rootLink, grant)
-}
-
-func run(ctx context.Context, c Cluster, s sched.Scheme, w workload.Workload, p Params,
-	shards [][]int, rootLink Link, grant func(int, float64) (sched.Assignment, bool)) (metrics.Report, error) {
 	if err := c.Validate(); err != nil {
 		return metrics.Report{}, err
 	}
@@ -307,12 +305,14 @@ func run(ctx context.Context, c Cluster, s sched.Scheme, w workload.Workload, p 
 			sim.workers[wi].shard, sim.workers[wi].local = k, i
 		}
 		m := &sim.masters[k]
+		m.s, m.k = sim, k
 		m.stats = metrics.ShardStats{Shard: k, Workers: len(members)}
-		// A super-chunk is re-planned at its boundary, never mid-stage.
-		m.d = dispense.New(dispense.Config{
+		// A super-chunk is re-planned at its boundary, never mid-stage. A
+		// worker holds a chunk in hand and one prefetched.
+		m.b = dispense.NewBook(dispense.Config{
 			Scheme: s, Workers: len(members), Powers: powers,
 			NoReplan: p.DisableReplan || grant != nil,
-		})
+		}, w.Len(), 2, m)
 		if grant == nil {
 			m.stages, m.rootDone = []sched.Assignment{{Size: w.Len()}}, true
 		}
@@ -325,7 +325,7 @@ func run(ctx context.Context, c Cluster, s sched.Scheme, w workload.Workload, p 
 	// T_wait is exactly this "fast PEs wait for the critical chunk"
 	// signal (Table 2's 17–19 s waits on the fast PEs).
 	for i := range sim.workers {
-		if idle := sim.lastTime - sim.workers[i].finishedAt; idle > 0 && sim.workers[i].done {
+		if idle := sim.lastTime - sim.workers[i].finishedAt; idle > 0 && sim.workers[i].stopped {
 			sim.workers[i].times.Wait += idle
 		}
 	}
@@ -337,18 +337,19 @@ func run(ctx context.Context, c Cluster, s sched.Scheme, w workload.Workload, p 
 	}
 	for k := range sim.masters {
 		m := &sim.masters[k]
+		chunks, iters := m.b.Granted()
+		m.stats.Chunks, m.stats.Iterations = chunks, int(iters)
 		report.Chunks += m.stats.Chunks
-		report.Replans += m.d.Replans()
+		report.Replans += m.b.Replans()
 		if grant != nil {
 			report.Shards = append(report.Shards, m.stats)
 		}
 	}
 	for i := range sim.workers {
 		report.PerWorker = append(report.PerWorker, sim.workers[i].times)
-		report.Iterations += sim.workers[i].iterations
 	}
-	if report.Iterations != w.Len() {
-		return report, fmt.Errorf("sim: executed %d of %d iterations", report.Iterations, w.Len())
+	if report.Iterations = sim.delivered; sim.delivered != w.Len() {
+		return report, fmt.Errorf("sim: delivered %d of %d iterations", sim.delivered, w.Len())
 	}
 	return report, nil
 }
@@ -371,27 +372,39 @@ func (s *simulator) masterOf(w int) *master { return &s.masters[s.workers[w].sha
 // finish stops worker w at time t.
 func (s *simulator) finish(w int, t float64) {
 	st := &s.workers[w]
-	st.done, st.finishedAt = true, t
+	st.stopped, st.finishedAt = true, t
 	if m := s.masterOf(w); t > m.stats.Finished {
 		m.stats.Finished = t
 	}
 }
 
-// sendRequest models the slave transmitting a request (plus any
-// piggy-backed results) to the master.
-func (s *simulator) sendRequest(w int, t float64) {
+// sendRequest models the slave transmitting a request to the master,
+// delivering the chunks it computed since the last one and, unless it
+// collects them at the end, piggy-backing their results. A prefetch is a
+// refill's request (evRefillDue); every other request is synchronous.
+func (s *simulator) sendRequest(w int, t float64, prefetch bool) {
 	m := s.cluster.Machines[w]
 	st := &s.workers[w]
 	bytes := s.params.RequestBytes
 	var inbound float64
-	if !s.params.CollectAtEnd && st.lastChunk > 0 {
-		inbound = float64(st.lastChunk) * s.params.BytesPerIter
+	if !s.params.CollectAtEnd {
+		inbound = s.payload(st)
 		bytes += inbound
 	}
 	d := m.Link.Transfer(bytes)
 	st.reqSent = t
-	st.lastChunk = 0
-	s.transfer(w, t, d, event{kind: evRequestArrive, worker: w, bytes: inbound})
+	s.transfer(w, t, d, event{kind: evRequestArrive, worker: w, bytes: inbound, chunks: st.done, prefetch: prefetch})
+	st.done = nil
+}
+
+// payload is the result bytes of the chunks worker st computed since its
+// last request.
+func (s *simulator) payload(st *workerState) float64 {
+	iters := 0
+	for _, a := range st.done {
+		iters += a.Size
+	}
+	return float64(iters) * s.params.BytesPerIter
 }
 
 // fetch sends shard master k's next super-chunk request to the root,
@@ -415,7 +428,7 @@ func (s *simulator) run() error {
 	}
 	// All slaves fire their first (empty) request at t = 0.
 	for w := range s.cluster.Machines {
-		s.sendRequest(w, 0)
+		s.sendRequest(w, 0, false)
 	}
 	if s.ctx != nil { // a pre-cancelled run must not simulate at all
 		if err := s.ctx.Err(); err != nil {
@@ -444,9 +457,19 @@ func (s *simulator) run() error {
 			w := e.worker
 			st := &s.workers[w]
 			m := s.masterOf(w)
+			for _, c := range e.chunks {
+				if m.b.Deposit(c.Start, c.End()) != c.Size {
+					return fmt.Errorf("sim: worker %d delivered %+v twice", w, c)
+				}
+				s.delivered += c.Size
+			}
+			// A synchronous request declares that the worker holds
+			// nothing else: on a correct simulator it abandons nothing.
+			if _, _, lost := m.b.Retire(st.local, !e.prefetch); len(lost) > 0 {
+				return fmt.Errorf("sim: worker %d abandoned %v", w, lost)
+			}
 			a := s.acpAt(w, st.reqSent)
-			first := m.d.Report(st.local, a)
-			if first {
+			if m.b.Report(st.local, a) {
 				s.params.Telemetry.Publish(telemetry.Event{
 					Kind: telemetry.WorkerJoined, Worker: w, Shard: st.shard,
 					ACP: a, At: e.t,
@@ -458,13 +481,6 @@ func (s *simulator) run() error {
 			})
 			m.results += e.bytes
 			m.queue = append(m.queue, pendingReq{worker: w, arrival: e.t, acp: a, bytes: e.bytes})
-			if s.dist && first && m.d.Gathered() {
-				// The gather is complete: release the queue by
-				// decreasing ACP (step 1(a)).
-				sort.SliceStable(m.queue, func(i, j int) bool {
-					return m.queue[i].acp > m.queue[j].acp
-				})
-			}
 			err = s.serve(m)
 
 		case evDumpArrive:
@@ -521,21 +537,22 @@ func (s *simulator) run() error {
 				break
 			}
 			d := s.compute(w, e.assign, e.t)
-			st.lastChunk = e.assign.Size
 			if s.params.CollectAtEnd {
 				st.heldBytes += float64(e.assign.Size) * s.params.BytesPerIter
 			}
-			s.push(event{t: e.t + d, kind: evComputeDone, worker: w})
+			s.push(event{t: e.t + d, kind: evComputeDone, worker: w, assign: e.assign})
 
 		case evComputeDone:
 			if s.params.Prefetch {
 				s.prefetchComputeDone(e)
 				continue
 			}
-			s.sendRequest(e.worker, e.t)
+			st := &s.workers[e.worker]
+			st.done = append(st.done, e.assign)
+			s.sendRequest(e.worker, e.t, false)
 
 		case evRefillDue:
-			s.sendRequest(e.worker, e.t)
+			s.sendRequest(e.worker, e.t, true)
 
 		case evBusDone:
 			s.busBusy = false
@@ -561,7 +578,7 @@ func (s *simulator) compute(w int, a sched.Assignment, t float64) float64 {
 	d := s.cluster.Machines[w].ComputeTime(s.params.BaseRate, t, work)
 	st.times.Comp += d
 	m.stats.Comp += d
-	st.fbWork, st.fbElapsed = work, d
+	m.b.Learn(st.local, work, d) // the master measures it on the next request
 	if s.params.Trace != nil {
 		s.params.Trace.Add(trace.Event{
 			Worker: w,
@@ -569,16 +586,14 @@ func (s *simulator) compute(w int, a sched.Assignment, t float64) float64 {
 			Size:   a.Size,
 			Begin:  t,
 			End:    t + d,
-			ACP:    m.d.ACP(st.local),
+			ACP:    m.b.ACP(st.local),
 		})
 	}
 	s.params.Telemetry.Publish(telemetry.Event{
 		Kind: telemetry.ChunkCompleted, Worker: w, Shard: st.shard,
 		Start: a.Start, Size: a.Size,
-		ACP: m.d.ACP(st.local), At: t + d, Seconds: d,
+		ACP: m.b.ACP(st.local), At: t + d, Seconds: d,
 	})
-	st.iterations += a.Size
-	m.stats.Iterations += a.Size
 	return d
 }
 
@@ -591,10 +606,8 @@ func (s *simulator) compute(w int, a sched.Assignment, t float64) float64 {
 // chunk ended is the stall the pipeline failed to hide, charged as Idle.
 func (s *simulator) startCompute(w int, a sched.Assignment, t float64) {
 	st := &s.workers[w]
-	if st.computedOnce {
-		if stall := t - st.lastComputeEnd; stall > 0 {
-			st.times.Idle += stall
-		}
+	if stall := t - st.lastComputeEnd; st.lastComputeEnd > 0 && stall > 0 {
+		st.times.Idle += stall
 	}
 	d := s.compute(w, a, t)
 	st.computing = true
@@ -602,7 +615,7 @@ func (s *simulator) startCompute(w int, a sched.Assignment, t float64) {
 	// The lead: request out with the held results, master receive and
 	// scheduling, reply back — 2·latency + transfers + service.
 	m := s.cluster.Machines[w]
-	payload := float64(st.lastChunk) * s.params.BytesPerIter
+	payload := s.payload(st)
 	lead := m.Link.Transfer(s.params.RequestBytes+payload) + s.params.MasterOverhead +
 		payload/s.mbw + m.Link.Transfer(s.params.ReplyBytes)
 	s.push(event{t: max(t, t+d-lead), kind: evRefillDue, worker: w})
@@ -621,10 +634,10 @@ func (s *simulator) prefetchReply(e event) {
 			st.stopPending = true
 			return
 		}
-		if st.lastChunk > 0 {
+		if len(st.done) > 0 {
 			// Ship the held results; the master's next (Stop) reply
 			// then terminates the slave.
-			s.sendRequest(w, e.t)
+			s.sendRequest(w, e.t, false)
 			return
 		}
 		s.finish(w, e.t)
@@ -644,9 +657,8 @@ func (s *simulator) prefetchReply(e event) {
 func (s *simulator) prefetchComputeDone(e event) {
 	st := &s.workers[e.worker]
 	st.computing = false
-	st.lastChunk = e.assign.Size
+	st.done = append(st.done, e.assign)
 	st.lastComputeEnd = e.t
-	st.computedOnce = true
 	switch {
 	case st.hasQueued:
 		a := st.queued
@@ -654,22 +666,23 @@ func (s *simulator) prefetchComputeDone(e event) {
 		s.startCompute(e.worker, a, e.t)
 	case st.stopPending:
 		st.stopPending = false
-		s.sendRequest(e.worker, e.t)
+		s.sendRequest(e.worker, e.t, false)
 	}
 }
 
-// serve starts master m's next service if it is idle and can answer the
-// head of its queue — a slave-facing master of a distributed scheme only
+// serve starts master m's next service if it is idle and can answer a
+// queued request — a slave-facing master of a distributed scheme only
 // once every slave has reported (step 1(a)) — and schedules its end
 // after the receive plus scheduling overhead. A slave is charged the
 // waiting time, queueing plus service: the paper's T_wait.
 func (s *simulator) serve(m *master) error {
-	if m.busy || len(m.queue) == 0 || (m.d != nil && s.dist && !m.d.Gathered()) {
+	if m.busy || len(m.queue) == 0 || (m.b != nil && s.dist && !m.b.Gathered()) {
 		return nil
 	}
-	req := m.queue[0]
+	i := m.next()
+	req := m.queue[i]
 	ev := event{kind: evServiceDone, worker: req.worker}
-	if m.d == nil {
+	if m.b == nil {
 		// now + (overhead + transfer) here, (now + overhead) + transfer
 		// at a slave-facing master: TestSimulatePinned holds both
 		// roundings.
@@ -678,70 +691,76 @@ func (s *simulator) serve(m *master) error {
 		ev.root, ev.assign, ev.stop = true, a, !ok
 	} else {
 		ev.t = s.now + s.params.MasterOverhead + req.bytes/s.mbw
+		st := &s.workers[req.worker]
 		if req.dump {
 			ev.assign.Size = -1
-		} else {
-			a, ok, err := s.claim(m, req, ev.t)
-			if err != nil || (!ok && !m.rootDone) {
-				return err // or wait for the fetch in flight
+		} else { // one chunk, as the runtime's master answers one credit
+			got, replanned, _, err := m.b.Grant(st.local, req.acp, 1, s.one[:0])
+			if replanned { // DTSS step 2(c): a majority of ACPs changed
+				s.params.Telemetry.Publish(telemetry.Event{
+					Kind: telemetry.StageAdvanced, Worker: req.worker, Shard: st.shard, At: ev.t,
+				})
 			}
-			ev.assign, ev.stop = a, !ok
+			switch {
+			case err != nil:
+				return err
+			case len(got) == 0 && m.next() != i: // the stage lined the gather up
+				return s.serve(m)
+			case len(got) == 0 && !m.rootDone:
+				return nil // wait for the fetch in flight
+			case len(got) == 0:
+				ev.stop = true
+			default:
+				ev.assign = got[0]
+				s.params.Telemetry.Publish(telemetry.Event{
+					Kind: telemetry.ChunkGranted, Worker: req.worker, Shard: st.shard,
+					Start: ev.assign.Start, Size: ev.assign.Size, ACP: req.acp,
+					At: ev.t, Seconds: ev.t - req.arrival,
+				})
+			}
 		}
 		if !s.params.Prefetch {
-			s.workers[req.worker].times.Wait += ev.t - req.arrival
+			st.times.Wait += ev.t - req.arrival
 		}
 	}
-	m.queue = m.queue[1:]
+	m.queue = slices.Delete(m.queue, i, i+1)
 	m.busy = true
 	s.push(ev)
 	return nil
 }
 
-// claim draws req's next chunk from m's dispenser, staging m's next
-// buffered stage whenever the current one is handed out, and keeps one
-// fetch in flight. It reports false when nothing is left to stage: a
-// stop once the root is done with m, else a wait for the fetch.
-func (s *simulator) claim(m *master, req pendingReq, done float64) (sched.Assignment, bool, error) {
-	st := &s.workers[req.worker]
-	// Timing feedback for learning policies (AWF): the master measures
-	// each chunk's turnaround when the next request arrives.
-	if st.fbElapsed > 0 {
-		m.d.Feedback(st.local, st.fbWork, st.fbElapsed)
-		st.fbElapsed = 0
+// next returns the index in m's queue of the request it answers next:
+// that of the worker the gather's release line lets draw, else the
+// oldest.
+func (m *master) next() int {
+	if m.b == nil {
+		return 0
 	}
-	for {
-		a, ok, replanned := m.d.Next(st.local, req.acp)
-		if replanned { // DTSS step 2(c): a majority of ACPs changed
-			s.params.Telemetry.Publish(telemetry.Event{
-				Kind: telemetry.StageAdvanced, Worker: req.worker, Shard: st.shard, At: done,
-			})
-		}
-		if ok {
-			m.stats.Chunks++
-			s.params.Telemetry.Publish(telemetry.Event{
-				Kind: telemetry.ChunkGranted, Worker: req.worker, Shard: st.shard,
-				Start: a.Start, Size: a.Size, ACP: req.acp,
-				At: done, Seconds: done - req.arrival,
-			})
-			return a, true, nil
-		}
-		if len(m.stages) == 0 {
-			s.fetch(st.shard)
-			return a, false, nil
-		}
-		g := m.stages[0]
-		m.stages = m.stages[1:]
-		if err := m.d.Stage(g.Start, g.Size); err != nil {
-			return a, false, err
-		}
-		if s.grant != nil { // each super-chunk is a fresh stage for the shard
-			s.params.Telemetry.Publish(telemetry.Event{
-				Kind: telemetry.StageAdvanced, Shard: st.shard,
-				Start: g.Start, Size: g.Size, At: s.now,
-			})
-		}
-		if len(m.stages) == 0 {
-			s.fetch(st.shard)
-		}
-	}
+	w, lined := m.b.Turn()
+	return max(0, slices.IndexFunc(m.queue, func(r pendingReq) bool {
+		return lined && !r.dump && m.s.workers[r.worker].local == w
+	}))
 }
+
+// Take hands m's book its next buffered stage, keeping one fetch in
+// flight: the last one buffered sends the next fetch.
+func (m *master) Take() (start, size int, ok bool) {
+	if len(m.stages) == 0 {
+		return 0, 0, false
+	}
+	g := m.stages[0]
+	m.stages = m.stages[1:]
+	if m.s.grant != nil { // each super-chunk is a fresh stage for the shard
+		m.s.params.Telemetry.Publish(telemetry.Event{
+			Kind: telemetry.StageAdvanced, Shard: m.k,
+			Start: g.Start, Size: g.Size, At: m.s.now,
+		})
+	}
+	m.s.fetch(m.k) // it buffers one stage at most
+	return g.Start, g.Size, true
+}
+
+// Waiting reports that worker w's request waits: the gather serves none
+// before the first stage, so each worker has one queued when it is lined
+// up.
+func (*master) Waiting(int) bool { return true }

@@ -624,3 +624,56 @@ func TestTraceCrossChecks(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherReleasesTiesByWorkerID pins the simulated master's step
+// 1(a) to exec.TestGatherReleasesByDecreasingACP: once every slave has
+// reported, the queued first requests draw in decreasing order of ACP,
+// ties by worker id — not by arrival. Worker 1's link is the faster, so
+// its request arrives first; the two report the same ACP, so worker 0
+// draws the first chunk.
+func TestGatherReleasesTiesByWorkerID(t *testing.T) {
+	c := Cluster{Machines: []Machine{
+		{Name: "far", Power: 1, Link: Link{Latency: 0.01, Bandwidth: Mbit10}},
+		{Name: "near", Power: 1, Link: Link{Latency: 0.0001, Bandwidth: Mbit100}},
+	}}
+	for _, name := range []string{"DTSS", "DGSS"} {
+		s, err := sched.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &trace.Trace{}
+		p := testParams()
+		p.Trace = tr
+		mustRun(t, c, s, workload.Uniform{N: 1000}, p)
+		for _, e := range tr.Events() {
+			if e.Start == 0 && e.Worker != 0 {
+				t.Errorf("%s: worker %d drew the first chunk, want worker 0", name, e.Worker)
+			}
+		}
+	}
+}
+
+// TestPrefetchShipsZeroCostChunks: a chunk of zero-cost iterations
+// finishes the instant it starts, at the instant its refill leaves, and
+// the refill must still deliver it together with the chunk before it —
+// the run's exactly-once check fails on a chunk that is never shipped.
+func TestPrefetchShipsZeroCostChunks(t *testing.T) {
+	costs := make([]float64, 3000)
+	for i := range costs {
+		if i%7 == 0 {
+			costs[i] = 50
+		}
+	}
+	w := workload.FromCosts{Label: "sparse", Costs: costs}
+	p := testParams()
+	p.Prefetch = true
+	for _, name := range sched.Names() {
+		s, err := sched.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := mustRun(t, testCluster(2, 3), s, w, p); rep.Iterations != len(costs) {
+			t.Errorf("%s: %d of %d iterations", name, rep.Iterations, len(costs))
+		}
+	}
+}
