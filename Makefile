@@ -172,7 +172,9 @@ bench-smoke:
 # each, time.Now's share — the cost of the clock reads (DESIGN.md §9,
 # "the worker's clock") — and the cumulative share of the master's
 # request handler, exec.(*Master).nextBatch: what booking the chunks
-# costs (DESIGN.md §9, "the master's book").
+# costs (DESIGN.md §9, "the master's book"), and of the two parts of it
+# that walk the chunks granted: the grant, exec.(*Master).grants, and
+# the retire, dispense.(*Book).Retire.
 profile-fine:
 	@mkdir -p bin
 	@for run in RunLocalFine:fine ServiceFine:service-fine; do \
@@ -182,7 +184,9 @@ profile-fine:
 		$(GO) tool pprof -top bin/loopsched.test $$prof 2>/dev/null \
 			| awk '/flat%/ { print } / time\.Now$$/ { print; found = 1 } END { if (!found) print "time.Now: below the profile cut-off" }'; \
 		$(GO) tool pprof -top -cum bin/loopsched.test $$prof 2>/dev/null \
-			| awk '/\.\(\*Master\)\.nextBatch$$/ { print; found = 1 } END { if (!found) print "exec.(*Master).nextBatch: below the profile cut-off" }'; \
+			| awk 'BEGIN { n = split("exec.(*Master).nextBatch exec.(*Master).grants dispense.(*Book).Retire", want, " ") } \
+				{ for (i = 1; i <= n; i++) if (index($$0, want[i]) && substr($$0, length($$0) - length(want[i]) + 1) == want[i]) { line[i] = $$0 } } \
+				END { for (i = 1; i <= n; i++) print (i in line) ? line[i] : want[i] ": below the profile cut-off" }'; \
 	done
 
 fuzz:

@@ -24,14 +24,20 @@ import (
 type Book struct {
 	*Dispenser
 	got      []atomic.Uint64
-	held     [][]sched.Assignment // per worker: granted, not yet retired
-	learnt   [][2]float64         // per worker: work and seconds not yet fed back
-	ledger   int                  // how many chunks a worker may hold
-	requeued []sched.Assignment   // abandoned chunks to re-issue
-	turn     []int                // the gather's release line, first to draw first
-	chunks   atomic.Int64         // chunks granted, re-issues counted again,
-	granted  atomic.Int64         // and the iterations in them
+	hold     []holding    // per worker
+	ledger   int          // how many chunks a worker may hold
+	requeued []sched.Run  // abandoned chunks to re-issue
+	turn     []int        // the gather's release line, first to draw first
+	chunks   atomic.Int64 // chunks granted, re-issues counted again,
+	granted  atomic.Int64 // and the iterations in them
 	src      Stager
+}
+
+// holding is what a Book keeps per worker.
+type holding struct {
+	runs   []sched.Run // granted, not yet retired, in grant order
+	chunks int         // the chunks in runs
+	learnt [2]float64  // work and seconds not yet fed back
 }
 
 // Stager is where a Book's stages come from, and who waits on one: the
@@ -52,27 +58,27 @@ func NewBook(cfg Config, n, ledger int, src Stager) *Book {
 		Dispenser: New(cfg),
 		src:       src,
 		got:       make([]atomic.Uint64, (n+63)/64),
-		held:      make([][]sched.Assignment, cfg.Workers),
-		learnt:    make([][2]float64, cfg.Workers),
+		hold:      make([]holding, cfg.Workers),
 		ledger:    ledger,
 	}
 	// The holdings share one array, sized so that booking never grows
-	// one; a ledger past 256 chunks grows on demand.
+	// one: a holding has a run per chunk at most. A ledger past 256
+	// chunks grows on demand.
 	c := min(ledger, 256)
-	arr := make([]sched.Assignment, cfg.Workers*c)
-	for w := range b.held {
-		b.held[w] = arr[w*c : w*c : (w+1)*c]
+	arr := make([]sched.Run, cfg.Workers*c)
+	for w := range b.hold {
+		b.hold[w].runs = arr[w*c : w*c : (w+1)*c]
 	}
 	return b
 }
 
 // Room is how many of credits chunks worker w may be granted: what its
 // ledger has room for.
-func (b *Book) Room(w, credits int) int { return min(credits, b.ledger-len(b.held[w])) }
+func (b *Book) Room(w, credits int) int { return min(credits, b.ledger-b.hold[w].chunks) }
 
-// Held returns the chunks worker w holds, in grant order; the slice is
-// the book's until the worker's next Grant or Retire.
-func (b *Book) Held(w int) []sched.Assignment { return b.held[w] }
+// Held returns the runs worker w holds, in grant order; the slice is the
+// book's until the worker's next Grant or Retire.
+func (b *Book) Held(w int) []sched.Run { return b.hold[w].runs }
 
 // Granted returns the chunks granted so far and the iterations in them,
 // re-issued chunks counted again. It may be read from any goroutine.
@@ -92,24 +98,28 @@ func (b *Book) Turn() (w int, ok bool) {
 // Learn files the work a worker completed and the seconds it took, for a
 // learning policy (AWF) on the worker's next Grant.
 func (b *Book) Learn(w int, work, secs float64) {
-	b.learnt[w][0] += work
-	b.learnt[w][1] += secs
+	h := &b.hold[w]
+	h.learnt[0] += work
+	h.learnt[1] += secs
 }
 
-// Grant appends to dst worker w's next chunks, at most room, and books
-// them to the worker: requeued chunks first, then one share-bounded
-// Claim at acpNow, which what w learnt since its last Grant informs
-// first. While the gather's release line holds w back it grants nothing;
-// when the stage is drained it stages the next range (Restage) and
-// claims again. replanned reports a majority re-plan, as Claim does;
-// moved that the line or the stage moved, so other requests waiting on
-// the book may now draw. A stage that fails to plan is err.
+// Grant books to worker w its next chunks, at most room, as runs of
+// equal, contiguous chunks, and returns them — the tail of the worker's
+// holding, so the slice is the book's until the worker's next Grant or
+// Retire: requeued chunks first, then one share-bounded Claim at acpNow,
+// which what w learnt since its last Grant informs first. While the
+// gather's release line holds w back it grants nothing; when the stage
+// is drained it stages the next range (Restage) and claims again.
+// replanned reports a majority re-plan, as Claim does; moved that the
+// line or the stage moved, so other requests waiting on the book may
+// now draw. A stage that fails to plan is err.
 //
 //lint:loopsched-hotpath
-func (b *Book) Grant(w, acpNow, room int, dst []sched.Assignment) (_ []sched.Assignment, replanned, moved bool, err error) {
-	n := len(dst)
-	b.Feedback(w, b.learnt[w][0], b.learnt[w][1])
-	b.learnt[w] = [2]float64{}
+func (b *Book) Grant(w, acpNow, room int) (granted []sched.Run, replanned, moved bool, err error) {
+	h := &b.hold[w]
+	held, n := h.runs, len(h.runs)
+	b.Feedback(w, h.learnt[0], h.learnt[1])
+	h.learnt = [2]float64{}
 	for {
 		if len(b.turn) > 0 {
 			if b.turn[0] != w {
@@ -118,14 +128,14 @@ func (b *Book) Grant(w, acpNow, room int, dst []sched.Assignment) (_ []sched.Ass
 			b.turn, moved = b.turn[1:], true
 		}
 		if len(b.requeued) > 0 {
-			dst, room = b.takeRequeued(dst, room)
+			held, room = b.takeRequeued(held, room)
 		}
 		if room > 0 {
 			var re bool
-			dst, re = b.Claim(w, acpNow, room, dst)
+			held, re = b.Claim(w, acpNow, room, held)
 			replanned = replanned || re
 		}
-		if len(dst) > n || room <= 0 {
+		if len(held) > n || room <= 0 {
 			break
 		}
 		staged, serr := b.Restage(w)
@@ -135,16 +145,17 @@ func (b *Book) Grant(w, acpNow, room int, dst []sched.Assignment) (_ []sched.Ass
 		}
 		moved = true
 	}
-	if len(dst) > n {
-		b.held[w] = append(b.held[w], dst[n:]...)
-		iters := 0
-		for _, a := range dst[n:] {
-			iters += a.Size
-		}
-		b.chunks.Add(int64(len(dst) - n))
+	h.runs, granted = held, held[n:]
+	chunks, iters := 0, 0
+	for _, r := range granted {
+		chunks, iters = chunks+r.Count, iters+r.Size*r.Count
+	}
+	if chunks > 0 {
+		h.chunks += chunks
+		b.chunks.Add(int64(chunks))
 		b.granted.Add(int64(iters))
 	}
-	return dst, replanned, moved, err
+	return granted, replanned, moved, err
 }
 
 // Restage stages the next range the Stager hands over once the staged
@@ -165,7 +176,7 @@ func (b *Book) Restage(also int) (bool, error) {
 	err := b.Stage(start, size)
 	if first && b.dist {
 		b.turn = b.turn[:0]
-		for w := range b.held {
+		for w := range b.hold {
 			if w == also || b.src.Waiting(w) {
 				b.turn = append(b.turn, w)
 			}
@@ -175,24 +186,39 @@ func (b *Book) Restage(also int) (bool, error) {
 	return true, err
 }
 
-// Requeue files abandoned chunks for re-issue ahead of fresh ones.
-func (b *Book) Requeue(chunks ...sched.Assignment) { b.requeued = append(b.requeued, chunks...) }
+// Requeue files abandoned runs for re-issue ahead of fresh chunks.
+func (b *Book) Requeue(runs ...sched.Run) { b.requeued = append(b.requeued, runs...) }
 
 // Fail requeues everything worker w holds and takes it out of the
 // gather's release line: it will draw no more.
 func (b *Book) Fail(w int) {
-	b.Requeue(b.held[w]...)
-	b.held[w] = b.held[w][:0]
+	h := &b.hold[w]
+	b.Requeue(h.runs...)
+	h.runs, h.chunks = h.runs[:0], 0
 	b.turn = slices.DeleteFunc(b.turn, func(v int) bool { return v == w })
 }
 
 // takeRequeued appends to dst the next requeued chunks that still have
-// undelivered iterations (a failed worker may have delivered its chunk
-// after the requeue), at most room, and returns the room left.
-func (b *Book) takeRequeued(dst []sched.Assignment, room int) ([]sched.Assignment, int) {
-	for ; room > 0 && len(b.requeued) > 0; b.requeued = b.requeued[1:] {
-		if a := b.requeued[0]; !b.Delivered(a) {
-			dst, room = append(dst, a), room-1
+// undelivered iterations (a failed worker may have delivered some after
+// the requeue), at most room, at their original boundaries, and returns
+// the room left. A run's delivered leading chunks drop at once; the
+// chunks after its first undelivered one are tested one by one, and the
+// run is split where one was delivered or the room ends.
+func (b *Book) takeRequeued(dst []sched.Run, room int) ([]sched.Run, int) {
+	for room > 0 && len(b.requeued) > 0 {
+		r := &b.requeued[0]
+		d := (b.missing(r.Start, r.End()) - r.Start) / r.Size
+		r.Start, r.Count = r.Start+d*r.Size, r.Count-d
+		if r.Count > 0 {
+			k := 1
+			for k < min(room, r.Count) && !b.Delivered(r.Chunk(k)) {
+				k++
+			}
+			dst = append(dst, sched.Run{Start: r.Start, Size: r.Size, Count: k})
+			r.Start, r.Count, room = r.Start+k*r.Size, r.Count-k, room-k
+		}
+		if r.Count == 0 {
+			b.requeued = b.requeued[1:]
 		}
 	}
 	return dst, room
@@ -203,13 +229,14 @@ func (b *Book) takeRequeued(dst []sched.Assignment, room int) ([]sched.Assignmen
 // dropped. A synchronous request (sync) declares that the worker holds
 // nothing else: whatever it still held was abandoned — the worker
 // restarted — and is returned, for Requeue under the master's lock.
-func (b *Book) Retire(w int, sync bool) (chunks, iters int, abandoned []sched.Assignment) {
-	kept, iters := b.retire(b.held[w])
-	chunks = len(b.held[w]) - len(kept)
+func (b *Book) Retire(w int, sync bool) (chunks, iters int, abandoned []sched.Run) {
+	h := &b.hold[w]
+	kept, chunks, iters := b.retire(h.runs)
+	h.chunks -= chunks
 	if sync && len(kept) > 0 {
-		abandoned, kept = slices.Clone(kept), kept[:0]
+		abandoned, kept, h.chunks = slices.Clone(kept), kept[:0], 0
 	}
-	b.held[w] = kept
+	h.runs = kept
 	return chunks, iters, abandoned
 }
 
@@ -218,37 +245,46 @@ func (b *Book) Delivered(a sched.Assignment) bool {
 	return b.missing(a.Start, a.End()) == a.End()
 }
 
-// retire drops from out, in place, every chunk whose iterations have
+// retire drops from held, in place, every chunk whose iterations have
 // all been received — the chunks Delivered reports — and returns the
-// chunks kept, in order, and the iterations retired. It works per
-// contiguous stretch of out, not per chunk: it seeks, a ledger word at a
-// time, the stretch's first iteration not received. Every chunk ending
-// by it retires; the chunk holding it stays, and so does each chunk after
-// it whose first iteration is missing too — one bit read per chunk, not
-// a word walk over chunks known to stay — and the seek resumes at the
-// next one.
+// runs of the chunks kept, in order, and how many chunks and iterations
+// it dropped. It works by arithmetic on each run, not chunk by chunk: it
+// seeks, a ledger word at a time, the first iteration not received, and
+// every chunk ending by it retires; then the first received one after
+// it, and every chunk before that one's stays. The seek resumes at the
+// chunk it landed in, so a run costs a seek per stretch of chunks that
+// retire or stay together. Kept chunks that continue one another at one
+// size join one run. A run split by a delivered chunk inside it — a late
+// delivery of a requeued chunk — takes one more entry than it had, and
+// shifts the runs not yet read up to make room.
 //
 //lint:loopsched-hotpath
-func (b *Book) retire(out []sched.Assignment) (kept []sched.Assignment, iters int) {
-	kept = out[:0] // kept never outruns the walk, so it may share out's array
-	for i := 0; i < len(out); {
-		k := i + Stretch(out[i:])
-		hi := out[k-1].End() // out[i:k] is one stretch, ending at hi
-		for i < k {
-			miss := b.missing(out[i].Start, hi)
-			for ; i < k && out[i].End() <= miss; i++ {
-				iters += out[i].Size
-			}
-			if i == k {
+func (b *Book) retire(held []sched.Run) (kept []sched.Run, chunks, iters int) {
+	kept = held[:0] // kept never outruns the run being read, but by a split
+	for i := 0; i < len(held); i++ {
+		r := held[i]
+		for at, end := r.Start, r.End(); at < end; {
+			miss := b.missing(at, end)
+			d := (miss - at) / r.Size
+			chunks, iters, at = chunks+d, iters+d*r.Size, at+d*r.Size
+			if at == end {
 				break
 			}
-			kept = append(kept, out[i])
-			for i++; i < k && !b.flipped(out[i].Start); i++ {
-				kept = append(kept, out[i])
+			stay := max(1, (b.received(miss, end)-at)/r.Size)
+			switch k := len(kept) - 1; {
+			case k >= 0 && kept[k].Size == r.Size && kept[k].End() == at:
+				kept[k].Count += stay
+			case k == i: // the entry after kept's is still to be read
+				held = slices.Insert(held, i+1, sched.Run{})
+				kept, i = held[:k+1], i+1
+				fallthrough
+			default:
+				kept = append(kept, sched.Run{Start: at, Size: r.Size, Count: stay})
 			}
+			at += stay * r.Size
 		}
 	}
-	return kept, iters
+	return kept, chunks, iters
 }
 
 // Stretch returns how many of grants, from the first, continue one another.
@@ -272,9 +308,17 @@ func (b *Book) missing(lo, hi int) int {
 	return hi
 }
 
-// flipped reports whether iteration i's ledger bit has flipped: it has
-// been received.
-func (b *Book) flipped(i int) bool { return b.got[i/64].Load()>>(i%64)&1 == 1 }
+// received returns the first iteration in [lo, hi) received, or hi if
+// none has been.
+func (b *Book) received(lo, hi int) int {
+	for ; lo < hi; lo = (lo/64 + 1) * 64 {
+		w, mask := b.word(lo, hi)
+		if v := mask & w.Load(); v != 0 {
+			return lo&^63 + bits.TrailingZeros64(v)
+		}
+	}
+	return hi
+}
 
 // Deposit records iterations [lo, hi) as delivered — it sets their
 // ledger bits — and returns how many of them were not yet.

@@ -67,6 +67,15 @@ func (o *bookOracle) own(a sched.Assignment, from, to int) error {
 	return nil
 }
 
+// chunksOf expands runs into their chunks, in order.
+func chunksOf(runs []sched.Run) []sched.Assignment {
+	var out []sched.Assignment
+	for _, r := range runs {
+		out = r.AppendChunks(out)
+	}
+	return out
+}
+
 // TestBookRandomAgainstOracle drives a Book through seeded random
 // requests — deliveries of whole chunks and random patches of them,
 // prefetch and synchronous retires, FailWorker-style abandons, late
@@ -108,7 +117,10 @@ func runBook(t *testing.T, rng *rand.Rand, s sched.Scheme, p, n, ledger int) err
 	}
 	failed, gone := make([]bool, p), []sched.Assignment{}
 	acps := make([]int, p)
-	var buf []sched.Assignment
+	var (
+		buf  []sched.Assignment
+		runs []sched.Run
+	)
 	deposit := func(lo, hi int) error {
 		want := 0
 		for i := lo; i < hi; i++ {
@@ -188,12 +200,12 @@ func runBook(t *testing.T, rng *rand.Rand, s sched.Scheme, p, n, ledger int) err
 			}
 		}
 		gotRetired, gotIters, gotAbandoned := b.Retire(w, sync)
-		if gotRetired != retired || gotIters != iters || !slices.Equal(gotAbandoned, abandoned) {
+		if gotRetired != retired || gotIters != iters || !slices.Equal(chunksOf(gotAbandoned), abandoned) {
 			return fmt.Errorf("retire %v (sync %v): %d chunks, %d iterations, abandoned %v; want %d, %d, %v",
 				o.held[w], sync, gotRetired, gotIters, gotAbandoned, retired, iters, abandoned)
 		}
 		o.held[w], o.requeued = kept, append(o.requeued, abandoned...)
-		if !slices.Equal(b.Held(w), kept) {
+		if !slices.Equal(chunksOf(b.Held(w)), kept) {
 			return fmt.Errorf("worker %d holds %v, want %v", w, b.Held(w), kept)
 		}
 		b.Requeue(gotAbandoned...)
@@ -211,10 +223,11 @@ func runBook(t *testing.T, rng *rand.Rand, s sched.Scheme, p, n, ledger int) err
 		head, lined := b.Turn()
 		stage := len(src.taken)
 		var err error
-		buf, _, _, err = b.Grant(w, acps[w], room, buf[:0])
+		runs, _, _, err = b.Grant(w, acps[w], room)
 		if err != nil {
 			return err
 		}
+		buf = chunksOf(runs)
 		if lined && head != w && len(buf) > 0 {
 			return fmt.Errorf("worker %d granted %v while worker %d heads the line", w, buf, head)
 		}
@@ -278,7 +291,8 @@ func runBook(t *testing.T, rng *rand.Rand, s sched.Scheme, p, n, ledger int) err
 			continue
 		}
 		b.Retire(w, false)
-		if buf, _, _, _ = b.Grant(w, acps[w], b.Room(w, 8), buf[:0]); len(buf) > 0 {
+		if runs, _, _, _ = b.Grant(w, acps[w], b.Room(w, 8)); len(runs) > 0 {
+			buf = chunksOf(runs)
 			return fmt.Errorf("worker %d granted %v after the loop was delivered", w, buf)
 		}
 	}

@@ -21,7 +21,6 @@
 package dispense
 
 import (
-	"slices"
 	"sync/atomic"
 
 	"loopsched/internal/acp"
@@ -58,6 +57,7 @@ type Dispenser struct {
 	next       int // first iteration not yet handed out
 	policy     sched.Policy
 	fb         sched.FeedbackPolicy // policy, when it learns from completions
+	fixed      int                  // the policy's fixed chunk size (SS, CSS), or 0
 	replans    int
 
 	drained atomic.Bool // read without the caller's lock (Drained)
@@ -150,6 +150,7 @@ func (d *Dispenser) plan() error {
 	}
 	d.policy = pol
 	d.fb, _ = pol.(sched.FeedbackPolicy)
+	d.fixed, _ = sched.FixedChunk(d.cfg.Scheme, cfg)
 	copy(d.planACP, d.liveACP)
 	return nil
 }
@@ -167,18 +168,21 @@ func (d *Dispenser) Feedback(worker int, work, elapsed float64) {
 }
 
 // Claim appends to dst the next chunks for worker, at most max and at
-// least one unless the stage is drained, and returns dst. The batch is
-// share-bounded (sched.BatchLimit over what the stage has left): a
-// policy cannot be asked a chunk's size without granting it, so the
-// batch ends as soon as one more chunk the size of the last would pass
-// the bound — exact for the paper's non-increasing sequences.
+// least one unless the stage is drained, as runs of equal, contiguous
+// chunks, and returns dst. The batch is share-bounded (sched.BatchLimit
+// over what the stage has left): a policy cannot be asked a chunk's size
+// without granting it, so the batch ends as soon as one more chunk the
+// size of the last would pass the bound — exact for the paper's
+// non-increasing sequences. A fixed-chunk policy (SS, CSS) hands out its
+// batch in one step (claimFixed); any other is asked chunk by chunk, and
+// each chunk that continues the last one at its size joins its run.
 //
 // Claim first records acpNow — also when no stage is planned or the
 // stage is drained, so the next Stage sees it — and, for a distributed
 // scheme, re-plans over the remaining iterations when a majority of
 // ACPs differ from the ones the current plan was built from; replanned
 // reports that it did. A re-plan that fails keeps the plan.
-func (d *Dispenser) Claim(worker, acpNow, max int, dst []sched.Assignment) (_ []sched.Assignment, replanned bool) {
+func (d *Dispenser) Claim(worker, acpNow, max int, dst []sched.Run) (_ []sched.Run, replanned bool) {
 	d.liveACP[worker] = acpNow
 	if d.policy == nil {
 		return dst, false
@@ -193,10 +197,10 @@ func (d *Dispenser) Claim(worker, acpNow, max int, dst []sched.Assignment) (_ []
 	if max > 1 {
 		limit = sched.BatchLimit(left, d.size, d.cfg.Workers)
 	}
-	if n := min(max, left); n > 0 {
-		dst = slices.Grow(dst, n) // once, to the most the batch can hold
+	if d.fixed > 0 {
+		return d.claimFixed(dst, max, left, limit), replanned
 	}
-	req := sched.Request{Worker: worker, ACP: float64(acpNow)}
+	req, from := sched.Request{Worker: worker, ACP: float64(acpNow)}, len(dst)
 	for iters, n := 0, 0; n < max; n++ {
 		a, ok := d.policy.Next(req)
 		if !ok {
@@ -204,12 +208,45 @@ func (d *Dispenser) Claim(worker, acpNow, max int, dst []sched.Assignment) (_ []
 			break
 		}
 		d.next = a.End()
-		dst = append(dst, a)
+		if k := len(dst) - 1; k >= from && dst[k].Size == a.Size && dst[k].End() == a.Start {
+			dst[k].Count++
+		} else {
+			dst = append(dst, sched.Run{Start: a.Start, Size: a.Size, Count: 1})
+		}
 		if iters += a.Size; iters+a.Size > limit {
 			break
 		}
 	}
 	return dst, replanned
+}
+
+// claimFixed is Claim's batch from a policy whose every chunk is d.fixed
+// iterations, the stage's last clipped to what is left: the chunks the
+// policy would hand out one by one up to the same cut, taken as at most
+// two runs, with the stage drained exactly when that walk would have
+// found it empty. left and limit are Claim's.
+func (d *Dispenser) claimFixed(dst []sched.Run, most, left, limit int) []sched.Run {
+	k, n, iters := d.fixed, 0, 0 // the chunk size; chunks taken, and their iterations
+	if most < 1 {
+		return dst
+	}
+	if t := min(most, left/k, max(1, limit/k)); t > 0 {
+		dst = append(dst, sched.Run{Start: d.next, Size: k, Count: t})
+		d.next, n, iters = d.next+t*k, t, t*k
+		if n == most || iters+k > limit {
+			return dst
+		}
+	}
+	// Every full chunk is out: what is left is one clipped chunk, or none.
+	if r := left - iters; r > 0 {
+		dst = append(dst, sched.Run{Start: d.next, Size: r, Count: 1})
+		d.next, n, iters = d.next+r, n+1, iters+r
+		if n == most || iters+r > limit {
+			return dst
+		}
+	}
+	d.drained.Store(true)
+	return dst
 }
 
 // Drained reports whether the stage has been handed out in full (true

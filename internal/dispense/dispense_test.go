@@ -2,6 +2,8 @@ package dispense
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"loopsched/internal/acp"
@@ -268,10 +270,11 @@ func TestBatchesAreShareBoundedAndSourceBlind(t *testing.T) {
 // against the share bound, and returns the flattened chunk sequence.
 func drainInBatches(t *testing.T, d *Dispenser, p, n, max int) []sched.Assignment {
 	var seq []sched.Assignment
-	buf := make([]sched.Assignment, 0, max)
+	buf := make([]sched.Run, 0, max)
 	covered := 0
 	for w := 0; ; w = (w + 1) % p {
-		batch, _ := d.Claim(w, 1+w, max, buf[:0])
+		runs, _ := d.Claim(w, 1+w, max, buf[:0])
+		batch := chunksOf(runs)
 		if len(batch) == 0 {
 			break
 		}
@@ -400,5 +403,47 @@ func claimOne(d *Dispenser, worker, acpNow int) (a sched.Assignment, ok, replann
 	if len(got) == 0 {
 		return sched.Assignment{}, false, replanned
 	}
-	return got[0], true, replanned
+	return got[0].Range(), true, replanned
+}
+
+// opaque hides a scheme's FixedChunker, so that Claim asks its policy
+// chunk by chunk.
+type opaque struct{ sched.Scheme }
+
+// TestClaimFixedMatchesTheWalk holds the one-step claim of a fixed-chunk
+// scheme to the chunk-by-chunk walk it replaces, on random batches over
+// stages staged one after another: the same runs, the same cut by max
+// and by sched.BatchLimit, the same clipped last chunk, and the stage
+// drained after the same claim.
+func TestClaimFixedMatchesTheWalk(t *testing.T) {
+	rng := rand.New(rand.NewPCG(45, 1))
+	for trial := range 400 {
+		k, p, n := []int{1, 2, 4, 16, 125}[trial%5], 1+rng.IntN(8), rng.IntN(5000)
+		s := sched.CSSScheme{K: k}
+		fixed, walked := New(Config{Scheme: s, Workers: p}), New(Config{Scheme: opaque{s}, Workers: p})
+		var a, b []sched.Run
+		for start := 0; start < n || start == 0; {
+			size := min(n-start, 1+rng.IntN(n/2+1))
+			for _, d := range []*Dispenser{fixed, walked} {
+				if err := d.Stage(start, size); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for claims := 0; !walked.Drained(); claims++ {
+				w, most := rng.IntN(p), 1+rng.IntN(300)
+				if rng.IntN(4) == 0 {
+					most = 1 + rng.IntN(3)
+				}
+				a, _ = fixed.Claim(w, 1, most, a[:0])
+				b, _ = walked.Claim(w, 1, most, b[:0])
+				if !slices.Equal(a, b) || fixed.Drained() != walked.Drained() {
+					t.Fatalf("trial %d (CSS(%d), p %d, stage [%d, +%d)), claim %d of %d: %v drained %v, the walk %v drained %v",
+						trial, k, p, start, size, claims, most, a, fixed.Drained(), b, walked.Drained())
+				}
+			}
+			if start += size; size == 0 {
+				break
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package dispense
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -54,15 +55,15 @@ func TestHotPathAllocGuards(t *testing.T) {
 func bookRequestGuard(t *testing.T) {
 	const depth = 64
 	b := NewBook(Config{Scheme: sched.CSSScheme{K: 4}, Workers: 2}, 1<<18, 256, &stages{sizes: []int{1 << 18}})
-	var dst []sched.Assignment
+	var dst []sched.Run
 	cycle := func() {
-		for _, a := range dst {
-			b.Deposit(a.Start, a.End())
+		for _, r := range dst {
+			b.Deposit(r.Start, r.End())
 		}
 		b.Retire(0, false)
 		var err error
-		if dst, _, _, err = b.Grant(0, 1, depth, dst[:0]); err != nil || len(dst) != depth {
-			panic("book guard: short grant")
+		if dst, _, _, err = b.Grant(0, 1, depth); err != nil || len(dst) != 1 || dst[0].Count != depth {
+			panic(fmt.Sprint("book guard: grant of ", dst, ", want one run of ", depth))
 		}
 	}
 	cycle() // stages the loop and sizes the reply buffer

@@ -50,11 +50,42 @@ func checkRetire(t *testing.T, name string, m *Book, out []sched.Assignment) {
 			t.Errorf("%s: delivered(%v) = %v, want %v", name, a, got, want)
 		}
 	}
-	kept, iters := m.retire(slices.Clone(out))
-	if !slices.Equal(kept, wantKept) || iters != wantIters {
-		t.Errorf("%s: retire(%v) kept %v and retired %d iterations, want %v and %d",
-			name, out, kept, iters, wantKept, wantIters)
+	// The holding as the master books it — equal, contiguous chunks in
+	// one run — and chunk by chunk.
+	single := make([]sched.Run, len(out))
+	for i, a := range out {
+		single[i] = sched.Run{Start: a.Start, Size: a.Size, Count: 1}
 	}
+	// A split shifts the runs not yet read up within the array, or grows
+	// it when it is full.
+	roomy := func(runs []sched.Run) []sched.Run { return append(make([]sched.Run, 0, len(out)), runs...) }
+	for _, held := range [][]sched.Run{slices.Clip(runsOf(out)), single, roomy(runsOf(out)), roomy(single)} {
+		in := slices.Clone(held)
+		kept, chunks, iters := m.retire(held)
+		if !slices.Equal(chunksOf(kept), wantKept) || chunks != len(out)-len(wantKept) || iters != wantIters {
+			t.Errorf("%s: retire(%v) kept %v and retired %d chunks of %d iterations, want %v and %d of %d",
+				name, in, kept, chunks, iters, wantKept, len(out)-len(wantKept), wantIters)
+		}
+		for k := 1; k < len(kept); k++ {
+			if prev := kept[k-1]; prev.Size == kept[k].Size && prev.End() == kept[k].Start {
+				t.Errorf("%s: retire(%v) kept %v: runs %d and %d continue one another", name, in, kept, k-1, k)
+			}
+		}
+	}
+}
+
+// runsOf merges chunks into runs, each chunk that continues the last at
+// its size joining its run, as a master's Claim does.
+func runsOf(out []sched.Assignment) []sched.Run {
+	var runs []sched.Run
+	for _, a := range out {
+		if k := len(runs) - 1; k >= 0 && runs[k].Size == a.Size && runs[k].End() == a.Start {
+			runs[k].Count++
+			continue
+		}
+		runs = append(runs, sched.Run{Start: a.Start, Size: a.Size, Count: 1})
+	}
+	return runs
 }
 
 // chunks builds a ledger from (start, size) pairs.
@@ -98,15 +129,20 @@ func TestRetireMatchesDelivered(t *testing.T) {
 
 // TestRetireMatchesDeliveredRandom draws ledgers at random — contiguous
 // batches with gaps, a few chunks swapped out of grant order, sizes that
-// cross word edges — over ledgers received in random patches, whole and
+// cross word edges, and half of them of one chunk size, so that they
+// book as runs — over ledgers received in random patches, whole and
 // partial.
 func TestRetireMatchesDeliveredRandom(t *testing.T) {
 	const n = 1024
 	rng := rand.New(rand.NewPCG(40, 1))
 	for trial := range 2000 {
 		var out []sched.Assignment
+		fixed := rng.IntN(2) * (1 + rng.IntN(40)) // half the ledgers are runs of one chunk size
 		for at := rng.IntN(8); at < n; {
 			size := 1 + rng.IntN(min(n-at, 1+rng.IntN(100)))
+			if fixed > 0 {
+				size = min(fixed, n-at)
+			}
 			out = append(out, sched.Assignment{Start: at, Size: size})
 			at += size
 			if rng.IntN(4) == 0 { // a gap: another worker's chunks

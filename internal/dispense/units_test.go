@@ -88,7 +88,10 @@ func TestUnitStageTilesUnderAnyInterleaving(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					rng := rand.New(rand.NewSource(int64(pi + 1)))
-					var all, batch []sched.Assignment
+					var (
+						all, batch []sched.Assignment
+						runs       []sched.Run
+					)
 					for steps := 0; !d.Drained(); steps++ {
 						if steps > 1<<20 {
 							t.Fatalf("%s: stage does not drain", name)
@@ -100,7 +103,8 @@ func TestUnitStageTilesUnderAnyInterleaving(t *testing.T) {
 						} else {
 							left -= base
 						}
-						batch, _ = d.Claim(w, acps[w], max, batch[:0])
+						runs, _ = d.Claim(w, acps[w], max, runs[:0])
+						batch = chunksOf(runs)
 						if len(batch) > max {
 							t.Fatalf("%s: %d chunks for max %d", name, len(batch), max)
 						}

@@ -424,13 +424,16 @@ func checkCeiling(t *testing.T, m *Master, n, p int) {
 		if err := c.Call(&req, &rep); err != nil {
 			t.Fatal(err)
 		}
-		if limit := min(sched.BatchLimit(n-granted, n, p), grantCeiling); len(rep.Grants) > limit {
-			t.Fatalf("request %d: reply of %d one-iteration chunks, want at most %d", i, len(rep.Grants), limit)
+		if limit := min(sched.BatchLimit(n-granted, n, p), grantCeiling); rep.Chunks() > limit {
+			t.Fatalf("request %d: reply of %d one-iteration chunks, want at most %d", i, rep.Chunks(), limit)
 		}
-		granted += len(rep.Grants)
+		granted += rep.Chunks()
 		s := &m.slots[0]
 		s.mu.Lock()
-		held := len(m.b.Held(0))
+		held := 0
+		for _, r := range m.b.Held(0) {
+			held += r.Count
+		}
 		s.mu.Unlock()
 		if held > grantCeiling {
 			t.Fatalf("request %d: the worker holds %d chunks, the ceiling is %d", i, held, grantCeiling)
@@ -459,11 +462,12 @@ func checkMasterReplies(t *testing.T, s sched.Scheme, p, n, window int) {
 		if rep.Stop {
 			t.Fatalf("stopped with %d of %d iterations granted", granted, n)
 		}
-		if len(rep.Grants) > m.window+1 {
-			t.Fatalf("reply of %d chunks, ledger cap %d", len(rep.Grants), m.window+1)
+		grants := replyChunks(&rep)
+		if len(grants) > m.window+1 {
+			t.Fatalf("reply of %d chunks, ledger cap %d", len(grants), m.window+1)
 		}
 		iters := 0
-		for _, g := range rep.Grants {
+		for _, g := range grants {
 			if g.Start != granted+iters {
 				t.Fatalf("grant starts at %d, %d iterations are out", g.Start, granted+iters)
 			}
@@ -472,11 +476,11 @@ func checkMasterReplies(t *testing.T, s sched.Scheme, p, n, window int) {
 				held[w] = append(held[w], ChunkResult{Index: i})
 			}
 		}
-		if k := len(rep.Grants); k > 1 {
+		if k := len(grants); k > 1 {
 			multi++
-			bounded := iters + rep.Grants[k-2].Size - rep.Grants[k-1].Size
+			bounded := iters + grants[k-2].Size - grants[k-1].Size
 			if limit := sched.BatchLimit(n-granted, n, p); bounded > limit {
-				t.Fatalf("reply at %d of %d carries %v = %d iterations, limit %d", granted, n, rep.Grants, iters, limit)
+				t.Fatalf("reply at %d of %d carries %v = %d iterations, limit %d", granted, n, grants, iters, limit)
 			}
 		}
 		granted += iters
@@ -486,4 +490,13 @@ func checkMasterReplies(t *testing.T, s sched.Scheme, p, n, window int) {
 	if k, ok := sched.FixedChunk(s, sched.Config{Iterations: n, Workers: p}); ok && k*m.window+1 <= n/(32*p) && m.window > 1 && multi == 0 {
 		t.Errorf("no reply on this fine loop (chunk %d, N %d) carried more than one chunk", k, n)
 	}
+}
+
+// replyChunks expands a reply's grants into their chunks, in order.
+func replyChunks(rep *wire.Reply) []sched.Assignment {
+	var out []sched.Assignment
+	for i := range rep.Grants {
+		out = rep.Run(i).AppendChunks(out)
+	}
+	return out
 }

@@ -95,7 +95,7 @@ func (discardConn) Close() error                { return nil }
 // allocations with telemetry off, at the depth a worker derives on a
 // fine loop (no window set): deposit the 64 chunks of the last reply,
 // retire them from the worker's ledger, claim and book 64 more in one
-// share-bounded batch, encode the reply. The benchmark's
+// share-bounded batch — one run — and encode the reply. The benchmark's
 // allocs_per_chunk.rpc_binary rests on this staying flat however deep a
 // reply runs.
 func masterReplyGuard(t *testing.T) {
@@ -111,8 +111,8 @@ func masterReplyGuard(t *testing.T) {
 	cycle := func() {
 		args := ChunkArgs{Worker: 0, Prefetch: true, CompSeconds: 1e-6, Results: results}
 		rep.Reset()
-		if err := m.nextBatch(args, depth, &rep); err != nil || len(rep.Grants) != depth {
-			panic("master reply guard: short reply")
+		if err := m.nextBatch(args, depth, &rep); err != nil || len(rep.Grants) != 1 || rep.Chunks() != depth {
+			panic(fmt.Sprint("master reply guard: reply of ", rep.Grants, rep.Counts, ", want one run of ", depth))
 		}
 		if err := conn.WriteReply(&rep); err != nil {
 			panic(err)
@@ -161,16 +161,19 @@ func memLinkRefill(t *testing.T, perChunk bool) {
 		if err := l.Send(&req); err != nil {
 			panic(err)
 		}
-		if err := l.Recv(&rep); err != nil || len(rep.Grants) != depth {
-			panic(fmt.Sprint("memory link guard: ", len(rep.Grants), " grants, ", err))
+		if err := l.Recv(&rep); err != nil || rep.Chunks() != depth {
+			panic(fmt.Sprint("memory link guard: ", rep.Chunks(), " chunks, ", err))
 		}
 		recs = recs[:0]
-		for _, g := range rep.Grants {
-			if n := len(recs) - 1; !perChunk && n >= 0 && recs[n].Index+recs[n].Count == g.Start {
-				recs[n].Count += g.Size
-				continue
+		for i := range rep.Grants {
+			for r, j := rep.Run(i), 0; j < r.Count; j++ {
+				g := r.Chunk(j)
+				if n := len(recs) - 1; !perChunk && n >= 0 && recs[n].Index+recs[n].Count == g.Start {
+					recs[n].Count += g.Size
+					continue
+				}
+				recs = append(recs, wire.Record{Index: g.Start, Count: g.Size})
 			}
-			recs = append(recs, wire.Record{Index: g.Start, Count: g.Size})
 		}
 	}
 	cycle() // sizes the buffers on both sides of the swap

@@ -43,7 +43,7 @@ type JobState struct {
 	bus *telemetry.Bus
 
 	deques  []*steal.Deque
-	scratch [][]sched.Assignment // per-worker refill buffers
+	scratch [][]sched.Run // per-worker refill buffers
 
 	mu sync.Mutex          // serialises every use of d
 	d  *dispense.Dispenser // hands out the job's chunks
@@ -62,7 +62,7 @@ func NewJobState(cfg JobConfig) (*JobState, error) {
 	s := &JobState{
 		bus:     cfg.Telemetry,
 		deques:  make([]*steal.Deque, p),
-		scratch: make([][]sched.Assignment, p),
+		scratch: make([][]sched.Run, p),
 		d: dispense.New(dispense.Config{
 			Scheme:   cfg.Scheme,
 			Workers:  p,
@@ -72,7 +72,7 @@ func NewJobState(cfg JobConfig) (*JobState, error) {
 	}
 	for i := 0; i < p; i++ {
 		s.deques[i] = steal.NewDeque(window)
-		s.scratch[i] = make([]sched.Assignment, 0, window)
+		s.scratch[i] = make([]sched.Run, 0, window)
 		s.d.Report(i, 1) // every worker reports ACP 1 until its first request
 	}
 	if err := s.d.Stage(0, cfg.Workload.Len()); err != nil {
@@ -103,27 +103,33 @@ func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.
 	if replanned {
 		s.bus.Publish(telemetry.Event{Kind: telemetry.StageAdvanced, Worker: worker, At: s.bus.Now()})
 	}
-	iters := 0
-	for _, a := range batch {
-		iters += a.Size
-		now := s.bus.Now()
-		s.bus.Publish(telemetry.Event{
-			Kind: telemetry.ChunkGranted, Worker: worker, Start: a.Start, Size: a.Size, ACP: acpNow,
-			Span: telemetry.SpanID(0, a.Start), At: now, Seconds: now - reqAt,
-		})
+	chunks, iters := 0, 0
+	var first sched.Assignment
+	for _, r := range batch {
+		for i := range r.Count {
+			a := r.Chunk(i)
+			if chunks == 0 {
+				first = a
+			} else {
+				s.deques[worker].Push(a) // cannot fail: deque empty, cap >= window
+			}
+			chunks, iters = chunks+1, iters+a.Size
+			now := s.bus.Now()
+			s.bus.Publish(telemetry.Event{
+				Kind: telemetry.ChunkGranted, Worker: worker, Start: a.Start, Size: a.Size, ACP: acpNow,
+				Span: telemetry.SpanID(0, a.Start), At: now, Seconds: now - reqAt,
+			})
+		}
 	}
 	s.mu.Unlock()
 
-	if len(batch) == 0 {
+	if chunks == 0 {
 		return sched.Assignment{}, 0, false
 	}
-	for _, a := range batch[1:] {
-		s.deques[worker].Push(a) // cannot fail: deque empty, cap >= window
-	}
 	s.bus.Publish(telemetry.Event{
-		Kind: telemetry.DequeRefilled, Worker: worker, Start: batch[0].Start, Size: len(batch), ACP: acpNow, At: s.bus.Now(),
+		Kind: telemetry.DequeRefilled, Worker: worker, Start: first.Start, Size: chunks, ACP: acpNow, At: s.bus.Now(),
 	})
-	return batch[0], iters, true
+	return first, iters, true
 }
 
 // Complete publishes one executed chunk's completion event.

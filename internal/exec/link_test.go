@@ -29,6 +29,7 @@ type linkScript struct {
 	errAt      int   // this request is answered with Reply.Err
 	dropAt     int   // the link fails while this request's reply is awaited
 	wantErr    error // what runWindow must return; nil means a clean Stop
+	runs       bool  // a reply grants its equal, contiguous chunks as one run
 }
 
 var errLinkDown = errors.New("fake link: connection lost")
@@ -39,14 +40,16 @@ var linkScripts = []linkScript{
 	{name: "stop while results pending", stopAt: 4},
 	{name: "reply error", errAt: 5, wantErr: wire.ServerError("scripted failure")},
 	{name: "link error in flight", dropAt: 4, wantErr: errLinkDown},
+	{name: "run grants", runs: true},
 }
 
 // fakeLink is a scripted in-memory master behind the Link interface: no
 // sockets, no goroutines, and a clock of its own — the kernel takes cost
 // per iteration, a reply lands rtt after its request, nothing else takes
-// time. It grants fixed-size chunks of [0, n) one credit each, keeps the
-// master's ledger of what the worker holds, and checks every request
-// against the rules of DESIGN.md §9.
+// time. It grants fixed-size chunks of [0, n) one credit each — as runs,
+// under a script that says so — keeps the master's ledger of what the
+// worker holds, and checks every request against the rules of DESIGN.md
+// §9.
 type fakeLink struct {
 	t         *testing.T
 	script    linkScript
@@ -201,11 +204,25 @@ func (f *fakeLink) Send(req *wire.Request) error {
 	case req.Prefetch && s.emptyEvery > 0 && f.prefetchs%s.emptyEvery == 0:
 		// nothing to grant right now
 	default:
+		var run sched.Run
 		for c := 0; c < req.Credits && f.next < f.n; c++ {
 			a := sched.Assignment{Start: f.next, Size: min(f.size, f.n-f.next)}
 			f.next = a.End()
 			f.held = append(f.held, a)
-			rep.Grants = append(rep.Grants, a)
+			switch {
+			case !s.runs:
+				rep.Grants = append(rep.Grants, a)
+			case run.Count > 0 && a.Size == run.Size:
+				run.Count++
+			default:
+				if run.Count > 0 {
+					rep.AddRun(run)
+				}
+				run = sched.Run{Start: a.Start, Size: a.Size, Count: 1}
+			}
+		}
+		if run.Count > 0 {
+			rep.AddRun(run)
 		}
 	}
 	if f.window > 0 && len(f.held) > f.window+1 || len(f.held) > grantCeiling {
@@ -660,10 +677,12 @@ func TestWorkerShipsARunPerStretch(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		spans []uint64
+		runs  bool // the same chunks granted as two runs
 		want  []ChunkResult
 	}{
-		{"no span echo", nil, []ChunkResult{{Index: 0, Count: 12}, {Index: 20, Count: 8}}},
-		{"spans echoed", []uint64{11, 12, 13, 14, 15}, []ChunkResult{
+		{"no span echo", nil, false, []ChunkResult{{Index: 0, Count: 12}, {Index: 20, Count: 8}}},
+		{"run grants", nil, true, []ChunkResult{{Index: 0, Count: 12}, {Index: 20, Count: 8}}},
+		{"spans echoed", []uint64{11, 12, 13, 14, 15}, false, []ChunkResult{
 			{Index: 0, Count: 4, Span: 11}, {Index: 4, Count: 4, Span: 12}, {Index: 8, Count: 4, Span: 13},
 			{Index: 20, Count: 4, Span: 14}, {Index: 24, Count: 4, Span: 15},
 		}},
@@ -671,10 +690,14 @@ func TestWorkerShipsARunPerStretch(t *testing.T) {
 		var shipped [][]ChunkResult
 		l := &memLink{batch: func(args ChunkArgs, _ int, rep *wire.Reply) error {
 			shipped = append(shipped, slices.Clone(args.Results))
-			if len(shipped) == 1 {
-				rep.Grants, rep.Spans = append(rep.Grants, grants...), append(rep.Spans, c.spans...)
-			} else {
+			switch {
+			case len(shipped) > 1:
 				rep.Stop = true
+			case c.runs:
+				rep.AddRun(sched.Run{Start: 0, Size: 4, Count: 3})
+				rep.AddRun(sched.Run{Start: 20, Size: 4, Count: 2})
+			default:
+				rep.Grants, rep.Spans = append(rep.Grants, grants...), append(rep.Spans, c.spans...)
 			}
 			return nil
 		}}
@@ -685,5 +708,81 @@ func TestWorkerShipsARunPerStretch(t *testing.T) {
 		if len(shipped) != 2 || !reflect.DeepEqual(shipped[1], c.want) {
 			t.Errorf("%s: the requests shipped %+v, want the batch as %+v", c.name, shipped, c.want)
 		}
+	}
+}
+
+// TestWorkerRunsARunChunkByChunkOnABus: a worker with a telemetry bus
+// whose master grants runs (the master has no bus) still closes every
+// chunk on its own — one ChunkCompleted with the chunk's range — while
+// what it ships is one run record per contiguous stretch.
+func TestWorkerRunsARunChunkByChunkOnABus(t *testing.T) {
+	var shipped [][]ChunkResult
+	l := &memLink{batch: func(args ChunkArgs, _ int, rep *wire.Reply) error {
+		shipped = append(shipped, slices.Clone(args.Results))
+		if len(shipped) > 1 {
+			rep.Stop = true
+			return nil
+		}
+		rep.AddRun(sched.Run{Start: 0, Size: 4, Count: 3})
+		rep.AddRun(sched.Run{Start: 12, Size: 2, Count: 1})
+		rep.AddRun(sched.Run{Start: 20, Size: 4, Count: 2})
+		return nil
+	}}
+	bus := telemetry.NewBus(0)
+	col := &completionCollector{}
+	bus.Subscribe(col)
+	w := Worker{Kernel: func(int) []byte { return nil }, Telemetry: bus}
+	if err := w.runWindow(l, 8, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := bus.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := []sched.Assignment{{Start: 0, Size: 4}, {Start: 4, Size: 4}, {Start: 8, Size: 4}, {Start: 12, Size: 2}, {Start: 20, Size: 4}, {Start: 24, Size: 4}}
+	if !slices.Equal(col.chunks, want) {
+		t.Errorf("the worker closed chunks %v, want %v", col.chunks, want)
+	}
+	if records := []ChunkResult{{Index: 0, Count: 14}, {Index: 20, Count: 8}}; len(shipped) != 2 || !reflect.DeepEqual(shipped[1], records) {
+		t.Errorf("the requests shipped %+v, want the batch as %+v", shipped, records)
+	}
+}
+
+// completionCollector records every ChunkCompleted event's range.
+type completionCollector struct{ chunks []sched.Assignment }
+
+func (c *completionCollector) BeginRun(telemetry.RunMeta) {}
+func (c *completionCollector) Close() error               { return nil }
+func (c *completionCollector) OnEvent(e telemetry.Event) {
+	if e.Kind == telemetry.ChunkCompleted {
+		c.chunks = append(c.chunks, sched.Assignment{Start: e.Start, Size: e.Size})
+	}
+}
+
+// TestAskReadsTheChunkThatClosedTheStretch: a stretch of runs of two
+// sizes — two chunks of 4, then one of 2 — runs in one step without
+// prefetch, and the worker's next ask is sized by the chunk that closed
+// it, the 2-iteration one: with a round trip worth 8 iterations of its
+// kernel (scripted clock), 4 credits, not the 2 that chunks of 4 would
+// ask.
+func TestAskReadsTheChunkThatClosedTheStretch(t *testing.T) {
+	const cost, trip = time.Millisecond, 8 * time.Millisecond
+	now := time.Unix(0, 0)
+	var credits []int
+	l := &memLink{batch: func(args ChunkArgs, n int, rep *wire.Reply) error {
+		now = now.Add(trip)
+		if credits = append(credits, n); len(credits) > 1 {
+			rep.Stop = true
+			return nil
+		}
+		rep.AddRun(sched.Run{Start: 0, Size: 4, Count: 2})
+		rep.AddRun(sched.Run{Start: 8, Size: 2, Count: 1})
+		return nil
+	}}
+	w := Worker{Kernel: func(int) []byte { now = now.Add(cost); return nil }, clock: func() time.Time { return now }}
+	if err := w.runWindow(l, 0, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{DefaultStealWindow, int(trip / cost / 2)}; !slices.Equal(credits, want) {
+		t.Errorf("the worker asked for %v credits, want %v", credits, want)
 	}
 }

@@ -687,9 +687,7 @@ func (m *Master) grants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt flo
 		s.mu.Lock()
 		room := m.b.Room(w, credits)
 		full := room <= 0 // a prefetch from a worker that has not delivered yet
-		var replanned, moved bool
-		var err error
-		rep.Grants, replanned, moved, err = m.b.Grant(w, args.ACP, room, rep.Grants)
+		runs, replanned, moved, err := m.b.Grant(w, args.ACP, room)
 		if replanned {
 			m.publish(telemetry.StageAdvanced, w, 0, m.bus.Now())
 		}
@@ -701,8 +699,8 @@ func (m *Master) grants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt flo
 			s.mu.Unlock()
 			return err
 		}
-		if len(rep.Grants) > 0 || args.Prefetch || full {
-			m.book(args, rep, reqAt)
+		if len(runs) > 0 || args.Prefetch || full {
+			m.book(args, runs, rep, reqAt)
 			s.mu.Unlock()
 			return nil
 		}
@@ -747,34 +745,41 @@ func (m *Master) park(w int, yield bool, yields int) int {
 // it sleeps on the condition variable: some hundreds of microseconds.
 const parkYields = 1000
 
-// book publishes each of a reply's grants, which the book has entered
-// into the worker's holding, span-tagged and with its request-to-grant
-// latency, to the telemetry bus; an empty reply is published as the
-// prefetch miss it is. The spans ride back in the reply's span block
-// only when telemetry is attached, so a bus-less master's frames stay
-// byte-identical to protocol v1.
+// book ships a grant's runs, which the book has entered into the
+// worker's holding, in rep: a run as one grant without a telemetry bus,
+// and with one chunk by chunk, each published span-tagged and with its
+// request-to-grant latency, so that every chunk keeps its own span and
+// event. An empty grant is published as the prefetch miss it is. The
+// spans ride back in the reply's span block only when telemetry is
+// attached, so a bus-less master's frames carry no span block.
 //
 //lint:loopsched-hotpath
-func (m *Master) book(args *ChunkArgs, rep *wire.Reply, reqAt float64) {
-	if len(rep.Grants) == 0 {
+func (m *Master) book(args *ChunkArgs, runs []sched.Run, rep *wire.Reply, reqAt float64) {
+	if len(runs) == 0 {
 		m.publish(telemetry.PrefetchMissed, args.Worker, 0, reqAt)
 		return
 	}
 	if m.bus == nil {
+		for _, r := range runs {
+			rep.AddRun(r)
+		}
 		return
 	}
 	kind := telemetry.ChunkGranted
 	if args.Prefetch {
 		kind = telemetry.ChunkPrefetched
 	}
-	for _, a := range rep.Grants {
-		span := telemetry.SpanID(m.job, a.Start)
-		rep.Spans = append(rep.Spans, span)
-		now := m.bus.Now()
-		m.waitHist.Record(args.Worker, now-reqAt)
-		e := m.event(kind, args.Worker, now)
-		e.Start, e.Size, e.ACP, e.Span, e.Seconds = a.Start, a.Size, args.ACP, span, now-reqAt
-		m.bus.Publish(e)
+	for _, r := range runs {
+		for i := range r.Count {
+			a := r.Chunk(i)
+			span := telemetry.SpanID(m.job, a.Start)
+			rep.Grants, rep.Spans = append(rep.Grants, a), append(rep.Spans, span)
+			now := m.bus.Now()
+			m.waitHist.Record(args.Worker, now-reqAt)
+			e := m.event(kind, args.Worker, now)
+			e.Start, e.Size, e.ACP, e.Span, e.Seconds = a.Start, a.Size, args.ACP, span, now-reqAt
+			m.bus.Publish(e)
+		}
 	}
 }
 
@@ -908,8 +913,8 @@ func (m *Master) Outstanding() map[int][]sched.Assignment {
 	for w := range m.slots {
 		s := &m.slots[w]
 		s.mu.Lock()
-		if held := m.b.Held(w); len(held) > 0 {
-			out[w] = append([]sched.Assignment(nil), held...)
+		for _, r := range m.b.Held(w) {
+			out[w] = r.AppendChunks(out[w])
 		}
 		s.mu.Unlock()
 	}

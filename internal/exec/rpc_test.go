@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
+	"loopsched/internal/wire"
 )
 
 // startMaster spins up a master on an ephemeral localhost TCP port.
@@ -933,6 +935,74 @@ func TestRPCEmptyResultsTravelAsRuns(t *testing.T) {
 			if rep.Iterations != n || rep.CompLatency.Count != uint64(rep.Chunks) {
 				t.Errorf("%s pipeline=%v: report %+v", transport, pipeline, rep)
 			}
+		}
+	}
+}
+
+// TestFailWorkerRequeuesARunAtItsBoundaries: a worker holds one run of
+// 256 CSS(4) chunks and has delivered a prefix that ends mid-chunk when
+// it is declared dead. A survivor is re-granted exactly the chunks not
+// delivered in full, at their original boundaries — the cut chunk first
+// — before any fresh chunk: as one run when its room allows, and one
+// chunk at a time over gob, whose room is 1.
+func TestFailWorkerRequeuesARunAtItsBoundaries(t *testing.T) {
+	const k, held, cut = 4, 256, 100*4 + 2 // the prefix ends 2 iterations into chunk 100
+	for _, gob := range []bool{false, true} {
+		m, err := New(Config{Scheme: sched.CSSScheme{K: k}, Iterations: 1 << 16, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep wire.Reply
+		if err := m.nextBatch(ChunkArgs{Worker: 0, Prefetch: true}, held, &rep); err != nil {
+			t.Fatal(err)
+		}
+		run := sched.Run{Start: 0, Size: k, Count: held}
+		if len(rep.Grants) != 1 || rep.Run(0) != run {
+			t.Fatalf("worker 0 was granted %v %v, want one run %+v", rep.Grants, rep.Counts, run)
+		}
+		rep.Reset()
+		delivery := ChunkArgs{Worker: 0, Prefetch: true, Results: []ChunkResult{{Index: 0, Count: cut}}}
+		if err := m.nextBatch(delivery, 0, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if out := m.Outstanding()[0]; len(out) != held-100 || out[0] != (sched.Assignment{Start: 400, Size: k}) {
+			t.Fatalf("after the delivery worker 0 holds %d chunks from %v, want %d from chunk 100", len(out), out[:1], held-100)
+		}
+		if err := m.FailWorker(0); err != nil {
+			t.Fatal(err)
+		}
+		var want []sched.Assignment
+		for c := 100; c < held; c++ {
+			want = append(want, sched.Assignment{Start: c * k, Size: k})
+		}
+		var got []sched.Assignment
+		if gob {
+			for range want {
+				var reply ChunkReply
+				if err := m.NextChunk(ChunkArgs{Worker: 1, Prefetch: true}, &reply); err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, reply.Assign)
+			}
+		} else {
+			rep.Reset()
+			if err := m.nextBatch(ChunkArgs{Worker: 1}, len(want), &rep); err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Grants) != 1 {
+				t.Errorf("the survivor's re-grant is %d grants %v %v, want one run", len(rep.Grants), rep.Grants, rep.Counts)
+			}
+			got = replyChunks(&rep)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("gob %v: the survivor was re-granted %v, want chunks 100 to 255 of %d", gob, got, k)
+		}
+		var next ChunkReply
+		if err := m.NextChunk(ChunkArgs{Worker: 1, Prefetch: true}, &next); err != nil {
+			t.Fatal(err)
+		}
+		if fresh := (sched.Assignment{Start: held * k, Size: k}); next.Assign != fresh {
+			t.Fatalf("gob %v: after the requeue the survivor drew %+v, want the fresh %+v", gob, next.Assign, fresh)
 		}
 	}
 }

@@ -1,13 +1,16 @@
 package exec
 
 import (
+	"bytes"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
+	"loopsched/internal/wire"
 )
 
 // TestRPCTelemetrySession attaches a full telemetry session — bus,
@@ -66,3 +69,73 @@ func TestRPCTelemetrySession(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBusRepliesAreChunkByChunk: with a telemetry bus a master grants a
+// run chunk by chunk — one grant, one span and one ChunkPrefetched event
+// per chunk — so its reply frame is the one a master that booked chunk
+// by chunk sent: byte for byte the span-tagged encoding of those chunks.
+// Without a bus the same request is granted the same chunks as one run.
+func TestBusRepliesAreChunkByChunk(t *testing.T) {
+	const k, depth = 4, 64
+	var want []sched.Assignment
+	var spans []uint64
+	for c := range depth {
+		want = append(want, sched.Assignment{Start: c * k, Size: k})
+		spans = append(spans, telemetry.SpanID(0, c*k))
+	}
+	golden, err := appendFrame(&wire.Reply{Grants: want, Spans: spans})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, withBus := range []bool{true, false} {
+		cfg := Config{Scheme: sched.CSSScheme{K: k}, Iterations: 1 << 16, Workers: 2}
+		col := &grantCollector{}
+		if withBus {
+			cfg.Telemetry = telemetry.NewBus(0)
+			cfg.Telemetry.Subscribe(col)
+		}
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep wire.Reply
+		if err := m.nextBatch(ChunkArgs{Worker: 0, Prefetch: true}, depth, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if got := replyChunks(&rep); !slices.Equal(got, want) {
+			t.Fatalf("bus %v: granted %v, want the first %d chunks of %d", withBus, got, depth, k)
+		}
+		if !withBus {
+			if len(rep.Grants) != 1 || len(rep.Spans) != 0 {
+				t.Errorf("without a bus the grant is %d grants and %d spans, want one run", len(rep.Grants), len(rep.Spans))
+			}
+			continue
+		}
+		frame, err := appendFrame(&rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(frame, golden) {
+			t.Errorf("the bus master's reply frame is\n% x\nwant the per-chunk frame\n% x", frame, golden)
+		}
+		if err := cfg.Telemetry.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(col.grants, want) {
+			t.Errorf("the bus saw grants %v, want one event per chunk", col.grants)
+		}
+	}
+}
+
+// appendFrame is the reply frame a binary server writes for rep.
+func appendFrame(rep *wire.Reply) ([]byte, error) {
+	var buf bytes.Buffer
+	c := wire.NewServer(nopCloser{&buf}, nil)
+	err := c.WriteReply(rep)
+	return buf.Bytes(), err
+}
+
+// nopCloser is a byte sink a Conn can write to.
+type nopCloser struct{ *bytes.Buffer }
+
+func (nopCloser) Close() error { return nil }

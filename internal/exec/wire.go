@@ -195,6 +195,7 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		rep      wire.Reply    // the batch: only the next Recv, once its grants have run, writes it
 		head     int           // rep.Grants[head:] is the queue
 		queued   int           // iterations in the queue, past the stretch in hand
+		chunks   int           // chunks in the queue, the stretch in hand's included
 		pending  []wire.Record // computed, not yet shipped (a run of empty results is one record)
 		spans    []uint64      // parallel to pending: one span per record
 		comp     float64       // kernel seconds not yet reported
@@ -305,7 +306,7 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			for _, g := range rep.Grants {
 				queued += g.Size
 			}
-			head = 0
+			head, chunks = 0, rep.Chunks()
 			if sync && rep.Stop {
 				return nil // the one way out: this request shipped everything
 			}
@@ -313,12 +314,20 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		}
 		// A stretch (the grants that continue one another; one chunk on a
 		// bus or a span echo) runs as one range save where the prefetch
-		// test, which reads the chunk in hand (a), cuts it.
+		// test, which reads the chunk in hand (a), cuts it. A grant is a run
+		// of equal chunks (r): the chunk in hand and the chunks behind it
+		// are arithmetic on the run.
 		queue, n := rep.Grants[head:], 1
-		if bus == nil && !echo {
+		lo, end := queue[0].Start, queue[0].End()
+		r, c := rep.Run(head), 0 // the run holding iteration i, grant c of the queue
+		switch {
+		case bus == nil && !echo:
 			n = dispense.Stretch(queue)
+			end = queue[n-1].End()
+		case r.Count > 1: // one chunk of the run: the rest stays queued
+			end = lo + r.Size
 		}
-		lo, end, c := queue[0].Start, queue[n-1].End(), 0
+		rest := chunks - r.Count // chunks queued behind run r
 		queued, secs = queued-(end-lo), 0
 		// Without a span from the master the deterministic local id still
 		// pairs grant and completion on an in-process bus.
@@ -327,10 +336,13 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			span = rep.Spans[head]
 		}
 		for i := lo; i < end; {
-			for queue[c].End() <= i {
+			for r.End() <= i {
 				c++
+				r = rep.Run(head + c)
+				rest -= r.Count
 			}
-			a, behind, next := queue[c], len(queue)-c-1, end
+			k := (i - r.Start) / r.Size
+			a, behind, next := r.Chunk(k), rest+r.Count-k-1, end
 			size = a.Size
 			switch {
 			case !prefetch || inflight || stopSeen:
@@ -380,8 +392,17 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			}
 			since, i = since+next-i, next
 		}
-		a := queue[n-1]
-		head, size = head+n, a.Size
+		for ; c < n-1; c++ { // the stretch may have run to its end in one step
+			r = rep.Run(head + c + 1)
+			rest -= r.Count
+		}
+		a := sched.Assignment{Start: end - r.Size, Size: r.Size} // the chunk that closed the stretch
+		chunks, size = rest+r.Count-(end-r.Start)/r.Size, a.Size
+		if g := queue[0]; end < g.End() {
+			rep.Grants[head], rep.Counts[head] = sched.Assignment{Start: end, Size: g.End() - end}, r.Count-1
+		} else {
+			head += n
+		}
 		if bus != nil {
 			book(clock())
 			bus.Publish(telemetry.Event{

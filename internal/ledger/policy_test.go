@@ -103,7 +103,8 @@ func claimAll(t *testing.T, s sched.Scheme, acps, live []int, n, max int, seed i
 		if m == 0 {
 			m = 1 + rng.Intn(16)
 		}
-		batch, _ := d.Claim(w, live[w], m, nil)
+		runs, _ := d.Claim(w, live[w], m, nil)
+		batch := chunksOf(runs)
 		if len(batch) > m {
 			t.Fatalf("%d chunks for max %d", len(batch), m)
 		}
@@ -396,7 +397,8 @@ func TestBatchShareBound(t *testing.T) {
 					if claim%2 == 1 {
 						max = 1
 					}
-					batch, _ := d.Claim(claim%p, 1, max, nil)
+					runs, _ := d.Claim(claim%p, 1, max, nil)
+					batch := chunksOf(runs)
 					if len(batch) == 0 {
 						continue // the claim that found the stage dry
 					}
@@ -428,7 +430,7 @@ func TestBatchKeepsDecreasingChunksApart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for claim := 0; !tfss.Drained(); claim++ {
-		if got, _ := tfss.Claim(claim%2, 1, 8, nil); len(got) > 1 {
+		if got, _ := tfss.Claim(claim%2, 1, 8, nil); len(chunksOf(got)) > 1 {
 			t.Errorf("TFSS N=2000 p=2: claim %d takes %d chunks %v, want 1", claim, len(got), got)
 		}
 	}
@@ -438,8 +440,8 @@ func TestBatchKeepsDecreasingChunksApart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for claim := 0; !css.Drained(); claim++ {
-		got, _ := css.Claim(claim%2, 1, 8, nil)
-		if len(got) != 8 && len(got) > 0 && got[len(got)-1].End() != n {
+		runs, _ := css.Claim(claim%2, 1, 8, nil)
+		if got := chunksOf(runs); len(got) != 8 && len(got) > 0 && got[len(got)-1].End() != n {
 			t.Fatalf("CSS(4) N=65536 p=2: claim %d takes %d chunks, want the cap 8", claim, len(got))
 		}
 	}
@@ -451,5 +453,14 @@ func claimOne(d *dispense.Dispenser, worker, acpNow int) (a sched.Assignment, ok
 	if len(got) == 0 {
 		return sched.Assignment{}, false, replanned
 	}
-	return got[0], true, replanned
+	return got[0].Range(), true, replanned
+}
+
+// chunksOf expands runs into their chunks, in order.
+func chunksOf(runs []sched.Run) []sched.Assignment {
+	var out []sched.Assignment
+	for _, r := range runs {
+		out = r.AppendChunks(out)
+	}
+	return out
 }

@@ -101,6 +101,31 @@ type Assignment struct {
 // End returns the first iteration index past the assignment.
 func (a Assignment) End() int { return a.Start + a.Size }
 
+// Run is Count equal, contiguous chunks of Size iterations each, the
+// first from Start: how a master claims, books, ships and retires a
+// batch of equal chunks at once (DESIGN.md §9). A single chunk is a run
+// of Count 1.
+type Run struct {
+	Start, Size, Count int
+}
+
+// End returns the first iteration index past the run.
+func (r Run) End() int { return r.Start + r.Size*r.Count }
+
+// Range returns the run's iterations as one assignment.
+func (r Run) Range() Assignment { return Assignment{Start: r.Start, Size: r.Size * r.Count} }
+
+// Chunk returns the run's i-th chunk, from 0.
+func (r Run) Chunk(i int) Assignment { return Assignment{Start: r.Start + i*r.Size, Size: r.Size} }
+
+// AppendChunks appends the run's chunks to dst, in order.
+func (r Run) AppendChunks(dst []Assignment) []Assignment {
+	for i := range r.Count {
+		dst = append(dst, r.Chunk(i))
+	}
+	return dst
+}
+
 // Policy computes successive chunk sizes for a single run. Policies
 // are not safe for concurrent use; the master serialises requests
 // (which is exactly the paper's centralized model — the serialisation

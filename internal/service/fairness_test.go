@@ -39,10 +39,14 @@ func TestWeightedFairShare(t *testing.T) {
 			once.Do(func() { close(reached) })
 		}
 	}
+	// Each loop outlasts any window the test can see, so that neither
+	// job runs dry while the two compete: a fleet on empty bodies runs
+	// a 2^21-iteration loop in milliseconds, as long as the test's own
+	// goroutine may wait for a CPU on a loaded box.
 	submit := func(tenant string, weight float64) *Job {
 		j, err := s.Submit(ctx, JobSpec{
 			Scheme:   sched.CSSScheme{K: 4},
-			Workload: workload.Uniform{N: 1 << 21},
+			Workload: workload.Uniform{N: 1 << 26},
 			Body:     body,
 			Tenant:   tenant,
 			Weight:   weight,

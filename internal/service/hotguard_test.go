@@ -75,7 +75,7 @@ func fleetStepGuard(t *testing.T) {
 	w := &fleetWorker{s: s, scale: 1, now: time.Now()}
 	step := func() {
 		credits := w.ask(att)
-		if !w.request(att, credits) || len(w.rep.Grants) != credits {
+		if !w.request(att, credits) || w.rep.Chunks() != credits {
 			panic("fleet step guard: short grant")
 		}
 		w.run(att)

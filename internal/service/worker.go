@@ -185,7 +185,7 @@ func (w *fleetWorker) run(att *attempt) {
 	}
 	w.now = time.Now()
 	w.held, w.comp = att, w.now.Sub(start).Seconds()
-	att.paces[w.id] = pace{perIter: w.comp / float64(w.iters), size: grants[len(grants)-1].Size}
+	att.paces[w.id] = pace{perIter: w.comp / float64(w.iters), size: w.rep.Run(len(grants) - 1).Size}
 }
 
 // acpNow probes worker id's current ACP.

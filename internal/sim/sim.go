@@ -201,8 +201,7 @@ type simulator struct {
 	// time at; nil on a flat run.
 	grant     func(shard int, at float64) (sched.Assignment, bool)
 	workers   []workerState
-	one       [1]sched.Assignment // a grant's buffer
-	delivered int                 // iterations deposited at the masters, each once
+	delivered int // iterations deposited at the masters, each once
 	lastTime  float64
 	busBusy   bool
 	busQueue  []busJob
@@ -695,7 +694,7 @@ func (s *simulator) serve(m *master) error {
 		if req.dump {
 			ev.assign.Size = -1
 		} else { // one chunk, as the runtime's master answers one credit
-			got, replanned, _, err := m.b.Grant(st.local, req.acp, 1, s.one[:0])
+			got, replanned, _, err := m.b.Grant(st.local, req.acp, 1)
 			if replanned { // DTSS step 2(c): a majority of ACPs changed
 				s.params.Telemetry.Publish(telemetry.Event{
 					Kind: telemetry.StageAdvanced, Worker: req.worker, Shard: st.shard, At: ev.t,
@@ -711,7 +710,7 @@ func (s *simulator) serve(m *master) error {
 			case len(got) == 0:
 				ev.stop = true
 			default:
-				ev.assign = got[0]
+				ev.assign = got[0].Range()
 				s.params.Telemetry.Publish(telemetry.Event{
 					Kind: telemetry.ChunkGranted, Worker: req.worker, Shard: st.shard,
 					Start: ev.assign.Start, Size: ev.assign.Size, ACP: req.acp,

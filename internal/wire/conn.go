@@ -191,7 +191,7 @@ func (c *Conn) WriteReply(r *Reply) error {
 	if c.bus != nil {
 		enc = time.Since(t0).Seconds()
 	}
-	err = c.writeFrame(body, len(r.Grants), enc)
+	err = c.writeFrame(body, r.Chunks(), enc)
 	bufPool.Put(bp)
 	return err
 }
@@ -325,7 +325,7 @@ func (c *Conn) ReadReply(r *Reply) error {
 	if c.bus != nil {
 		dec = time.Since(t0).Seconds()
 	}
-	c.publishReceived(len(r.Grants), len(body), dec)
+	c.publishReceived(r.Chunks(), len(body), dec)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -20,6 +21,7 @@ import (
 var hotGuards = map[string]func(t *testing.T){
 	"(*Request).reset":        codecGuard,
 	"(*Reply).Reset":          codecGuard,
+	"(*Reply).AddRun":         runReplyGuard,
 	"appendRequest":           codecGuard,
 	"appendReply":             codecGuard,
 	"decodeRequest":           codecGuard,
@@ -113,6 +115,33 @@ func codecGuard(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("codec round trip allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// runReplyGuard pins a run reply to zero allocations per round trip:
+// built run by run into a reused reply (one run of 256 chunks between
+// single chunks, as a master books a CSS batch after a requeue), encoded,
+// and decoded into a reused reply.
+func runReplyGuard(t *testing.T) {
+	var rep Reply
+	decRep := Reply{Grants: make([]sched.Assignment, 0, 4), Counts: make([]int, 0, 4)}
+	buf := make([]byte, 0, 256)
+	cycle := func() {
+		rep.Reset()
+		rep.AddRun(sched.Run{Start: 40, Size: 4, Count: 1})
+		rep.AddRun(sched.Run{Start: 1000, Size: 4, Count: 256})
+		rep.AddRun(sched.Run{Start: 2024, Size: 3, Count: 1})
+		b, err := appendReply(buf[:0], &rep)
+		if err != nil {
+			panic(err)
+		}
+		if err := decodeReply(b, &decRep); err != nil || decRep.Chunks() != 258 {
+			panic(fmt.Sprint("run reply round trip: ", decRep, err))
+		}
+	}
+	cycle() // sizes the reply's buffers
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("run reply round trip allocates %.1f times per op, want 0", allocs)
 	}
 }
 

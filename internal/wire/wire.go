@@ -35,10 +35,14 @@
 //	              (bit3 set: uvarint dataLen<<1 | dataLen bytes, or
 //	               uvarint count<<1|1 — a run, no bytes)
 //
-//	reply body:   0x02 | flags (bit0 stop, bit1 error, bit2 spans) |
+//	reply body:   0x02 | flags (bit0 stop, bit1 error, bit2 spans,
+//	                     bit3 runs) |
 //	              [uvarint errLen | errLen bytes] |
-//	              uvarint nGrants | nGrants × (uvarint start | uvarint size) |
+//	              uvarint nGrants | nGrants × grant |
 //	              [nGrants × uvarint span]           (iff bit2 set)
+//	grant:        uvarint start | uvarint size
+//	              (bit3 set: uvarint start | uvarint size | uvarint count —
+//	               count chunks of size iterations from start)
 //
 //	fetchadd body: 0x03 | uvarint n                  (claim n steps)
 //	step body:     0x04 | uvarint step               (first claimed step)
@@ -58,6 +62,15 @@
 // v1, so records that carry data pay nothing for the coding. A run of
 // count 0, a run reaching past MaxFrame, and a runs flag on a frame with
 // no run are corrupt.
+//
+// A grant is a run too: count equal, contiguous chunks travel as one
+// grant (Reply.Counts). A reply carrying a run sets the runs flag
+// (bit3), and under it every grant carries its count; a reply without
+// runs is byte-identical to protocol v2. A run is never span-tagged — a
+// master with a telemetry bus grants chunk by chunk — so the runs and
+// span flags together are corrupt, and so are a count of 0, a run of
+// empty chunks, a run reaching past MaxFrame and a runs flag on a reply
+// with no run.
 //
 // Span blocks are optional trailing fields: a frame without the span
 // flag is byte-identical to protocol v1, so span-aware and span-less
@@ -94,8 +107,9 @@ const (
 	// Version is the protocol revision carried in the preamble's
 	// fourth byte. A peer speaking any other revision is refused with
 	// ErrVersion instead of misparsed: version 2 added run records,
-	// which a version-1 peer would read as single iterations.
-	Version = 2
+	// which a version-1 peer would read as single iterations, and
+	// version 3 run grants, which a version-2 peer would reject.
+	Version = 3
 
 	// MaxFrame bounds a frame body. Matches the mp transport's 1 GiB
 	// sanity limit; anything larger is a corrupt or hostile header.
@@ -111,10 +125,11 @@ const (
 	flagRuns        = 1 << 3 // request carries run records: record lengths are tagged
 	requestFlags    = flagPrefetch | flagRecordSpans | flagRuns
 
-	flagStop   = 1 << 0
-	flagError  = 1 << 1
-	flagSpans  = 1 << 2 // reply carries one span id per grant
-	replyFlags = flagStop | flagError | flagSpans
+	flagStop      = 1 << 0
+	flagError     = 1 << 1
+	flagSpans     = 1 << 2 // reply carries one span id per grant
+	flagGrantRuns = 1 << 3 // reply carries run grants: every grant has a count
+	replyFlags    = flagStop | flagError | flagSpans | flagGrantRuns
 )
 
 // Kind discriminates the client-originated frame types a server can
@@ -194,13 +209,18 @@ func (r *Request) reset() {
 	*r = Request{Results: r.Results, Spans: r.Spans}
 }
 
-// Reply is the master's answer: up to Credits grants, a stop flag, or
-// a protocol error. Spans, when non-empty, stamps one trace span id
-// per grant (same order); it must be empty or match len(Grants).
+// Reply is the master's answer: up to Credits chunks, a stop flag, or
+// a protocol error. Each grant is a range of iterations; Counts, when
+// non-empty, says how many equal chunks each one is (same order, so it
+// must be empty or match len(Grants)), and when empty every grant is one
+// chunk. Spans, when non-empty, stamps one trace span id per grant (same
+// order); it must be empty or match len(Grants), and a reply with spans
+// carries no run.
 type Reply struct {
 	Stop   bool
 	Err    string
 	Grants []sched.Assignment
+	Counts []int
 	Spans  []uint64
 }
 
@@ -209,8 +229,45 @@ type Reply struct {
 //lint:loopsched-hotpath
 func (r *Reply) Reset() {
 	r.Grants = r.Grants[:0]
+	r.Counts = r.Counts[:0]
 	r.Spans = r.Spans[:0]
-	*r = Reply{Grants: r.Grants, Spans: r.Spans}
+	*r = Reply{Grants: r.Grants, Counts: r.Counts, Spans: r.Spans}
+}
+
+// AddRun appends run as one grant. Counts is filled only from the first
+// run of more than one chunk on, so a reply of single chunks never
+// touches it.
+//
+//lint:loopsched-hotpath
+func (r *Reply) AddRun(run sched.Run) {
+	if run.Count > 1 || len(r.Counts) > 0 {
+		for len(r.Counts) < len(r.Grants) {
+			r.Counts = append(r.Counts, 1)
+		}
+		r.Counts = append(r.Counts, run.Count)
+	}
+	r.Grants = append(r.Grants, run.Range())
+}
+
+// Run returns grant i as a run.
+func (r *Reply) Run(i int) sched.Run {
+	g, n := r.Grants[i], 1
+	if len(r.Counts) > 0 {
+		n = r.Counts[i]
+	}
+	return sched.Run{Start: g.Start, Size: g.Size / n, Count: n}
+}
+
+// Chunks returns how many chunks the reply grants.
+func (r *Reply) Chunks() int {
+	if len(r.Counts) == 0 {
+		return len(r.Grants)
+	}
+	n := 0
+	for _, c := range r.Counts {
+		n += c
+	}
+	return n
 }
 
 // bufPool recycles frame encode buffers across connections.
@@ -286,6 +343,9 @@ func appendReply(b []byte, r *Reply) ([]byte, error) {
 	if len(r.Spans) != 0 && len(r.Spans) != len(r.Grants) {
 		return b, fmt.Errorf("%w: %d spans for %d grants", ErrCorrupt, len(r.Spans), len(r.Grants))
 	}
+	if len(r.Counts) != 0 && len(r.Counts) != len(r.Grants) {
+		return b, fmt.Errorf("%w: %d counts for %d grants", ErrCorrupt, len(r.Counts), len(r.Grants))
+	}
 	b = append(b, frameReply)
 	var flags byte
 	if r.Stop {
@@ -297,18 +357,35 @@ func appendReply(b []byte, r *Reply) ([]byte, error) {
 	if len(r.Spans) > 0 {
 		flags |= flagSpans
 	}
+	for _, c := range r.Counts {
+		if c != 1 {
+			flags |= flagGrantRuns
+			break
+		}
+	}
+	if flags&flagGrantRuns != 0 && flags&flagSpans != 0 {
+		return b, fmt.Errorf("%w: a span-tagged reply carries a run", ErrCorrupt)
+	}
 	b = append(b, flags)
 	if r.Err != "" {
 		b = binary.AppendUvarint(b, uint64(len(r.Err)))
 		b = append(b, r.Err...)
 	}
 	b = binary.AppendUvarint(b, uint64(len(r.Grants)))
-	for _, g := range r.Grants {
+	for i, g := range r.Grants {
 		if g.Start < 0 || g.Size < 0 {
 			return b, fmt.Errorf("%w: negative grant field", ErrCorrupt)
 		}
 		b = binary.AppendUvarint(b, uint64(g.Start))
-		b = binary.AppendUvarint(b, uint64(g.Size))
+		if flags&flagGrantRuns == 0 {
+			b = binary.AppendUvarint(b, uint64(g.Size))
+			continue
+		}
+		if c := r.Counts[i]; c < 1 || g.Size%c != 0 || c > 1 && g.Size == 0 {
+			return b, fmt.Errorf("%w: grant [%d, +%d) is not %d equal chunks", ErrCorrupt, g.Start, g.Size, c)
+		}
+		b = binary.AppendUvarint(b, uint64(g.Size/r.Counts[i]))
+		b = binary.AppendUvarint(b, uint64(r.Counts[i]))
 	}
 	for _, s := range r.Spans {
 		b = binary.AppendUvarint(b, s)
@@ -515,9 +592,17 @@ func decodeReply(body []byte, r *Reply) error {
 	if err != nil {
 		return err
 	}
-	if n > d.remaining()/2 {
+	runs, width := flags&flagGrantRuns != 0, 2 // the fewest bytes a grant takes
+	if runs {
+		if flags&flagSpans != 0 {
+			return fmt.Errorf("%w: span-tagged run grants", ErrCorrupt)
+		}
+		width = 3
+	}
+	if n > d.remaining()/width {
 		return fmt.Errorf("%w: %d grants cannot fit in %d bytes", ErrCorrupt, n, d.remaining())
 	}
+	run := false // a grant of more than one chunk seen
 	for i := 0; i < n; i++ {
 		var g sched.Assignment
 		if g.Start, err = d.smallInt("grant start"); err != nil {
@@ -526,7 +611,25 @@ func decodeReply(body []byte, r *Reply) error {
 		if g.Size, err = d.smallInt("grant size"); err != nil {
 			return err
 		}
+		if runs {
+			c, err := d.smallInt("grant chunks")
+			if err != nil {
+				return err
+			}
+			switch {
+			case c < 1 || c > 1 && g.Size < 1:
+				return fmt.Errorf("%w: run of %d chunks of %d", ErrCorrupt, c, g.Size)
+			case g.Size > 0 && c > (MaxFrame-g.Start)/g.Size:
+				return fmt.Errorf("%w: run of %d chunks of %d from %d reaches past %d", ErrCorrupt, c, g.Size, g.Start, MaxFrame)
+			}
+			g.Size *= c
+			r.Counts = append(r.Counts, c)
+			run = run || c > 1
+		}
 		r.Grants = append(r.Grants, g)
+	}
+	if runs && !run {
+		return fmt.Errorf("%w: runs flag with no run", ErrCorrupt)
 	}
 	if flags&flagSpans != 0 {
 		if n == 0 {

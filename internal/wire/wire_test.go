@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"testing"
 
 	"loopsched/internal/sched"
@@ -115,6 +116,12 @@ func sampleReplies() []Reply {
 			Grants: []sched.Assignment{{Start: 0, Size: 10}, {Start: 10, Size: 5}},
 			Spans:  []uint64{1, 11},
 		},
+		// Runs: one of 256 CSS(4) chunks, and a run between single chunks.
+		{Grants: []sched.Assignment{{Start: 0, Size: 1024}}, Counts: []int{256}},
+		{
+			Grants: []sched.Assignment{{Start: 0, Size: 7}, {Start: 7, Size: 1 << 20}, {Start: 1<<20 + 7, Size: 3}},
+			Counts: []int{1, 1 << 18, 1},
+		},
 	}
 }
 
@@ -157,7 +164,7 @@ func repEqual(a, b *Reply) bool {
 		return false
 	}
 	for i := range a.Grants {
-		if a.Grants[i] != b.Grants[i] {
+		if a.Grants[i] != b.Grants[i] || a.Run(i) != b.Run(i) {
 			return false
 		}
 	}
@@ -213,6 +220,14 @@ func TestEncodeRejectsNegativeFields(t *testing.T) {
 	for i, r := range []Reply{
 		{Grants: []sched.Assignment{{Start: -1, Size: 1}}},
 		{Grants: []sched.Assignment{{Start: 0, Size: -1}}},
+		// Runs: counts that do not match the grants, a count of 0, a
+		// grant that is not count equal chunks, a run of empty chunks,
+		// and a run with a span.
+		{Grants: []sched.Assignment{{Start: 0, Size: 8}}, Counts: []int{2, 1}},
+		{Grants: []sched.Assignment{{Start: 0, Size: 8}, {Start: 8, Size: 8}}, Counts: []int{2, 0}},
+		{Grants: []sched.Assignment{{Start: 0, Size: 9}}, Counts: []int{2}},
+		{Grants: []sched.Assignment{{Start: 0, Size: 0}}, Counts: []int{2}},
+		{Grants: []sched.Assignment{{Start: 0, Size: 8}}, Counts: []int{2}, Spans: []uint64{1}},
 	} {
 		if _, err := appendReply(nil, &r); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("reply case %d: err = %v, want ErrCorrupt", i, err)
@@ -272,6 +287,20 @@ func TestDecodeErrors(t *testing.T) {
 		{"request stray flag bit", append(reqHeader(1<<5), 0x00)},
 		{"request reserved flag bit 2", append(reqHeader(1<<2|flagPrefetch), 0x00)},
 		{"reply stray flag bit", []byte{frameReply, 1 << 5, 0x00}},
+		// Run grants: a count of 0, the flag on a reply whose every grant
+		// is one chunk, a run of empty chunks, a run reaching past
+		// MaxFrame and one whose iterations would overflow a 32-bit int,
+		// runs under the span flag, and a grant count no run grant's
+		// three bytes can back.
+		{"run grant of count 0", []byte{frameReply, flagGrantRuns, 0x01, 0x00, 0x04, 0x00}},
+		{"runs flag with no run grant", []byte{frameReply, flagGrantRuns, 0x02, 0x00, 0x04, 0x01, 0x04, 0x04, 0x01}},
+		{"run of empty chunks", []byte{frameReply, flagGrantRuns, 0x01, 0x00, 0x00, 0x02}},
+		{"run grant past MaxFrame", append(append([]byte{frameReply, flagGrantRuns, 0x01},
+			binary.AppendUvarint(nil, MaxFrame-8)...), 0x04, 0x03)},
+		{"run grant overflowing int", append(append([]byte{frameReply, flagGrantRuns, 0x01, 0x00},
+			binary.AppendUvarint(nil, MaxFrame)...), binary.AppendUvarint(nil, MaxFrame)...)},
+		{"run grants under the span flag", []byte{frameReply, flagGrantRuns | flagSpans, 0x01, 0x00, 0x04, 0x02, 0x05}},
+		{"lying run grant count", []byte{frameReply, flagGrantRuns, 0x03, 0x00, 0x04, 0x02, 0x08, 0x04}},
 	}
 	for _, c := range cases {
 		var req Request
@@ -312,6 +341,68 @@ func TestSpanlessEncodingMatchesV1(t *testing.T) {
 	}
 	if !bytes.Equal(repBody, repGolden) {
 		t.Errorf("span-less reply encoding drifted from v1:\ngot  % x\nwant % x", repBody, repGolden)
+	}
+}
+
+// TestRunGrantsCarryACount pins the run grant coding: a reply with a run
+// sets the runs flag and gives every grant a count, its size being one
+// chunk's, while the same grants as single chunks encode as protocol v2
+// (TestSpanlessEncodingMatchesV1). Decoding gives the grant back as the
+// run's whole range, and re-encoding the same bytes.
+func TestRunGrantsCarryACount(t *testing.T) {
+	rep := Reply{
+		Grants: []sched.Assignment{{Start: 100, Size: 50}, {Start: 150, Size: 1024}},
+		Counts: []int{1, 256},
+	}
+	golden := []byte{frameReply, flagGrantRuns, 2, 100, 50, 1, 150, 1, 4}
+	golden = binary.AppendUvarint(golden, 256)
+	body, err := appendReply(nil, &rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, golden) {
+		t.Errorf("run grant encoding:\ngot  % x\nwant % x", body, golden)
+	}
+	var got Reply
+	if err := decodeReply(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !repEqual(&rep, &got) || got.Chunks() != 257 {
+		t.Fatalf("round trip: sent %+v, got %+v (%d chunks)", rep, got, got.Chunks())
+	}
+	if re, err := appendReply(nil, &got); err != nil || !bytes.Equal(re, body) {
+		t.Errorf("re-encoding: % x, %v; want % x", re, err, body)
+	}
+	if r := got.Run(1); r != (sched.Run{Start: 150, Size: 4, Count: 256}) {
+		t.Errorf("grant 1 reads as %+v, want 256 chunks of 4 from 150", r)
+	}
+	// Counts of one only are no run: the v2 bytes, and no counts back.
+	single := Reply{Grants: rep.Grants[:1], Counts: []int{1}}
+	if body, err := appendReply(nil, &single); err != nil || !bytes.Equal(body, []byte{frameReply, 0x00, 1, 100, 50}) {
+		t.Errorf("a reply of single chunks encodes as % x, %v", body, err)
+	}
+}
+
+// TestAddRunFillsCountsFromTheFirstRun: a reply built of single chunks
+// never touches Counts — the gob path's one-grant buffer stays as it is —
+// and the first run of more than one chunk backfills a count of one for
+// the grants before it.
+func TestAddRunFillsCountsFromTheFirstRun(t *testing.T) {
+	var rep Reply
+	rep.AddRun(sched.Run{Start: 0, Size: 8, Count: 1})
+	rep.AddRun(sched.Run{Start: 8, Size: 4, Count: 1})
+	if rep.Counts != nil || rep.Chunks() != 2 {
+		t.Fatalf("single chunks: %+v", rep)
+	}
+	rep.AddRun(sched.Run{Start: 12, Size: 4, Count: 3})
+	rep.AddRun(sched.Run{Start: 24, Size: 2, Count: 1})
+	want := []sched.Assignment{{Start: 0, Size: 8}, {Start: 8, Size: 4}, {Start: 12, Size: 4}, {Start: 16, Size: 4}, {Start: 20, Size: 4}, {Start: 24, Size: 2}}
+	if got := replyChunks(&rep); !slices.Equal(got, want) || !slices.Equal(rep.Counts, []int{1, 1, 3, 1}) || rep.Chunks() != 6 {
+		t.Fatalf("reply %+v expands to %v, want %v", rep, got, want)
+	}
+	rep.Reset()
+	if len(rep.Grants) != 0 || len(rep.Counts) != 0 {
+		t.Fatalf("reset left %+v", rep)
 	}
 }
 
@@ -611,6 +702,15 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(append(reqHeader(1<<7), 0x00))
 	f.Add([]byte{frameReply, 1<<5 | flagStop, 0x00})
 	f.Add([]byte{frameReply, 1 << 7, 0x00})
+	// Run grants the decoder must refuse: count 0, the runs flag with no
+	// run, a run of empty chunks, one past MaxFrame, one overflowing a
+	// 32-bit int, and runs under the span flag.
+	f.Add([]byte{frameReply, flagGrantRuns, 0x01, 0x00, 0x04, 0x00})
+	f.Add([]byte{frameReply, flagGrantRuns, 0x02, 0x00, 0x04, 0x01, 0x04, 0x04, 0x01})
+	f.Add([]byte{frameReply, flagGrantRuns, 0x01, 0x00, 0x00, 0x02})
+	f.Add(append(append([]byte{frameReply, flagGrantRuns, 0x01}, binary.AppendUvarint(nil, MaxFrame-8)...), 0x04, 0x03))
+	f.Add(append(append([]byte{frameReply, flagGrantRuns, 0x01, 0x00}, binary.AppendUvarint(nil, MaxFrame)...), binary.AppendUvarint(nil, MaxFrame)...))
+	f.Add([]byte{frameReply, flagGrantRuns | flagSpans, 0x01, 0x00, 0x04, 0x02, 0x05})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req Request
@@ -640,6 +740,13 @@ func FuzzWireDecode(f *testing.F) {
 			if !repEqual(&rep, &rep2) {
 				t.Fatalf("reply not canonical:\nfirst  %+v\nsecond %+v", rep, rep2)
 			}
+			if re2, err := appendReply(nil, &rep2); err != nil || !bytes.Equal(re2, re) {
+				t.Fatalf("reply re-encodes as % x, %v; first as % x", re2, err, re)
+			}
+			if len(rep.Counts) > 0 && len(rep.Counts) != len(rep.Grants) || cap(rep.Grants) > len(body) || cap(rep.Counts) > len(body) {
+				t.Fatalf("reply of %d bytes decoded into %d grants (cap %d) and %d counts (cap %d)",
+					len(body), len(rep.Grants), cap(rep.Grants), len(rep.Counts), cap(rep.Counts))
+			}
 		}
 		if n, err := decodeFetchAdd(body); err == nil {
 			if n <= 0 || n > MaxFrame {
@@ -662,4 +769,13 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// replyChunks expands a reply's grants into their chunks, in order.
+func replyChunks(rep *Reply) []sched.Assignment {
+	var out []sched.Assignment
+	for i := range rep.Grants {
+		out = rep.Run(i).AppendChunks(out)
+	}
+	return out
 }

@@ -483,6 +483,9 @@ func RunMPMasterContext(ctx context.Context, c Comm, scheme Scheme, iterations i
 	if err != nil {
 		return nil, Report{}, err
 	}
+	if err := ctx.Err(); err != nil {
+		master.Cancel(err) // before any rank is served, so none is granted work
+	}
 	defer serveRanks(master, c)() // joined on the way out: every rank has its Stop
 	return master.WaitContext(ctx)
 }
