@@ -92,7 +92,10 @@ escape-check:
 # DefaultStealWindow ask of its own. And the one compute step: every
 # worker runs loop iterations through exec.Compute (compute.go), the one
 # place in exec and the service that recovers a body's panic, so no
-# per-chunk runChunk loop comes back.
+# per-chunk runChunk loop comes back. And the two bounds of a reply: the
+# share (sched.BatchLimit) and the worker's ask (exec.Ask), so neither a
+# master's grantCeiling nor any chunk-count constant in Ask's clamp comes
+# back; the clamp names wire.MaxFrame, what a frame carries, only.
 dup-check:
 	@! grep -rn 'NewPolicy(\|MajorityChanged(\|sched\.Offset(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/' \
@@ -121,6 +124,9 @@ dup-check:
 	@! grep -rn 'DefaultStealWindow' --include='*.go' internal/service | grep -v '_test.go'
 	@! grep -rn 'recover()' --include='*.go' internal/exec internal/service | grep -v '_test.go\|^internal/exec/compute.go:'
 	@! grep -rnE 'func (\([^)]*\) )?runChunk\(' --include='*.go' . | grep -v '^./benchmark/\|^./.bench_build/'
+	@! grep -rnw 'grantCeiling' --include='*.go' . | grep -v '^./benchmark/\|^./.bench_build/'
+	@! awk '/^func Ask\(/,/^}/' internal/exec/wire.go | grep 'min(' \
+		| sed -E 's/wire\.MaxFrame|math\.Ceil|max\(1,|\<(return|int|min|float64|need|size)\>//g' | grep '[[:alnum:]_]'
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -51,7 +51,8 @@ type Stager interface {
 }
 
 // NewBook returns the book of a loop of n iterations whose workers hold
-// at most ledger chunks each, around a Dispenser built from cfg, staging
+// at most ledger chunks each (math.MaxInt: no bound but the share and
+// the ask), around a Dispenser built from cfg, staging
 // what src hands over.
 func NewBook(cfg Config, n, ledger int, src Stager) *Book {
 	b := &Book{
@@ -61,16 +62,20 @@ func NewBook(cfg Config, n, ledger int, src Stager) *Book {
 		hold:      make([]holding, cfg.Workers),
 		ledger:    ledger,
 	}
-	// The holdings share one array, sized so that booking never grows
-	// one: a holding has a run per chunk at most. A ledger past 256
-	// chunks grows on demand.
-	c := min(ledger, 256)
+	// The holdings share one array of holdRuns runs each, however deep
+	// the ledger: a grant is a run or a few, whatever its chunk count. A
+	// holding past that grows on demand.
+	c := holdRuns
 	arr := make([]sched.Run, cfg.Workers*c)
 	for w := range b.hold {
 		b.hold[w].runs = arr[w*c : w*c : (w+1)*c]
 	}
 	return b
 }
+
+// holdRuns is the runs a worker's holding has room for before it grows:
+// the chunk in hand's run, a prefetched batch of a few, a split or two.
+const holdRuns = 16
 
 // Room is how many of credits chunks worker w may be granted: what its
 // ledger has room for.

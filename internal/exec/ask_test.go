@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"loopsched/internal/wire"
 )
 
 // TestAskIsTheDepthRule pins the depth rule (DESIGN.md §9) as a table:
@@ -29,13 +31,14 @@ func TestAskIsTheDepthRule(t *testing.T) {
 		{"held far beyond a trip asks the floor", 3, 100, 4, 1},
 		{"a trip below one chunk asks one", 0.001, 0, 4, 1},
 		{"large chunks ask one", 100, 0, 1000, 1},
-		{"the ceiling", 1e9, 0, 4, grantCeiling},
-		{"an infinite trip is the ceiling", math.Inf(1), 0, 4, grantCeiling},
+		{"a deep trip is asked whole", 1e9, 0, 4, 250_000_000},
+		{"a trip past any frame asks what a frame carries", 1e12, 0, 4, wire.MaxFrame},
+		{"an infinite trip asks what a frame carries", math.Inf(1), 0, 4, wire.MaxFrame},
 		// The scheduler fleet's case: fleetTrips = 4 round trips of 2 µs
 		// at 20 ns an iteration, nothing held (the fleet does not
 		// prefetch).
 		{"the fleet: 4 trips of 2µs at 20ns", 4 * 2e-6 / 20e-9, 0, 4, 100},
-		{"the fleet: 4 trips of 2µs at 1ns", 4 * 2e-6 / 1e-9, 0, 4, grantCeiling},
+		{"the fleet: 4 trips of 2µs at 1ns", 4 * 2e-6 / 1e-9, 0, 4, 2000},
 		{"the fleet: 4 trips of 2µs at 10µs", 4 * 2e-6 / 10e-6, 0, 4, 1},
 	}
 	for _, c := range cases {
@@ -55,7 +58,7 @@ func TestAskMatchesTheWindowLoop(t *testing.T) {
 		}
 		trip := rtt * float64(ran) / busy
 		need := trip - max(0, float64(held)-trip)
-		return int(min(max(1, math.Ceil(need/float64(size))), grantCeiling))
+		return int(min(max(1, math.Ceil(need/float64(size))), wire.MaxFrame))
 	}
 	rng := rand.New(rand.NewSource(41))
 	for range 100000 {

@@ -376,13 +376,13 @@ func TestMasterRepliesAreShareBounded(t *testing.T) {
 	}
 }
 
-// TestMasterDoesNotTrustCredits holds the master to a ceiling of its
-// own when no window is set: over a real wire connection a peer asking
-// for 2^30 chunks of a CSS(1) loop of 2^20 iterations gets one
-// share-bounded reply of at most grantCeiling chunks, and the prefetches
-// after it, which deliver nothing, get nothing — the worker's ledger
-// never holds more than the ceiling. The same holds for a shard master
-// whose source hands out the loop in super-chunks.
+// TestMasterDoesNotTrustCredits holds the master to the share bound
+// when no window is set: over a real wire connection a peer asking for
+// 2^30 chunks of a CSS(1) loop of 2^20 iterations gets share-bounded
+// replies (sched.BatchLimit over what is left), however often it asks
+// and although it delivers nothing, and the worker's ledger holds
+// exactly what it was granted. The same holds for a shard master whose
+// source hands out the loop in super-chunks.
 func TestMasterDoesNotTrustCredits(t *testing.T) {
 	const n, p = 1 << 20, 2
 	flat, err := NewMaster(sched.CSSScheme{K: 1}, n, p)
@@ -398,11 +398,11 @@ func TestMasterDoesNotTrustCredits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []*Master{flat, staged} {
-		checkCeiling(t, m, n, p)
+		checkShareBound(t, m, n, p)
 	}
 }
 
-func checkCeiling(t *testing.T, m *Master, n, p int) {
+func checkShareBound(t *testing.T, m *Master, n, p int) {
 	client, server := net.Pipe()
 	served := make(chan struct{})
 	go func() {
@@ -424,7 +424,7 @@ func checkCeiling(t *testing.T, m *Master, n, p int) {
 		if err := c.Call(&req, &rep); err != nil {
 			t.Fatal(err)
 		}
-		if limit := min(sched.BatchLimit(n-granted, n, p), grantCeiling); rep.Chunks() > limit {
+		if limit := sched.BatchLimit(n-granted, n, p); rep.Chunks() > limit {
 			t.Fatalf("request %d: reply of %d one-iteration chunks, want at most %d", i, rep.Chunks(), limit)
 		}
 		granted += rep.Chunks()
@@ -435,8 +435,8 @@ func checkCeiling(t *testing.T, m *Master, n, p int) {
 			held += r.Count
 		}
 		s.mu.Unlock()
-		if held > grantCeiling {
-			t.Fatalf("request %d: the worker holds %d chunks, the ceiling is %d", i, held, grantCeiling)
+		if held != granted {
+			t.Fatalf("request %d: the worker holds %d chunks, it was granted %d", i, held, granted)
 		}
 	}
 	if granted == 0 {
@@ -449,13 +449,17 @@ func checkMasterReplies(t *testing.T, s sched.Scheme, p, n, window int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	credits := window + 1 // all the window allows; with none, all a request can ask
+	if window < 1 {
+		credits = wire.MaxFrame
+	}
 	held := make([][]ChunkResult, p)
 	var rep wire.Reply
 	granted, multi := 0, 0
 	for w := 0; granted < n; w = (w + 1) % p {
 		rep.Reset()
 		args := ChunkArgs{Worker: w, ACP: 1 + w, Prefetch: true, Results: held[w]}
-		if err := m.nextBatch(args, m.window+1, &rep); err != nil {
+		if err := m.nextBatch(args, credits, &rep); err != nil {
 			t.Fatal(err)
 		}
 		held[w] = held[w][:0]
@@ -463,8 +467,8 @@ func checkMasterReplies(t *testing.T, s sched.Scheme, p, n, window int) {
 			t.Fatalf("stopped with %d of %d iterations granted", granted, n)
 		}
 		grants := replyChunks(&rep)
-		if len(grants) > m.window+1 {
-			t.Fatalf("reply of %d chunks, ledger cap %d", len(grants), m.window+1)
+		if window > 0 && len(grants) > window+1 {
+			t.Fatalf("reply of %d chunks, ledger cap %d", len(grants), window+1)
 		}
 		iters := 0
 		for _, g := range grants {
@@ -486,8 +490,11 @@ func checkMasterReplies(t *testing.T, s sched.Scheme, p, n, window int) {
 		granted += iters
 	}
 	// The floor keeps fine loops batching: a fixed-chunk scheme over a
-	// long loop must still fill its window.
-	if k, ok := sched.FixedChunk(s, sched.Config{Iterations: n, Workers: p}); ok && k*m.window+1 <= n/(32*p) && m.window > 1 && multi == 0 {
+	// long loop must still fill its window, or with none take two chunks
+	// or more where the floor holds two.
+	k, ok := sched.FixedChunk(s, sched.Config{Iterations: n, Workers: p})
+	fills := window < 1 && 2*k <= n/(32*p) || window > 1 && k*window+1 <= n/(32*p)
+	if ok && fills && multi == 0 {
 		t.Errorf("no reply on this fine loop (chunk %d, N %d) carried more than one chunk", k, n)
 	}
 }

@@ -161,7 +161,7 @@ type memLink struct {
 // local backend's workers and a hier-local shard's submaster reach their
 // master (memLink). Its requests are marked in-process (ChunkArgs.yield).
 func (m *Master) Link() Link {
-	return &memLink{batch: func(args ChunkArgs, credits int, rep *wire.Reply) error {
+	return &memLink{results: make([]ChunkResult, 0, 4), batch: func(args ChunkArgs, credits int, rep *wire.Reply) error {
 		args.yield = true
 		return m.nextBatch(args, credits, rep)
 	}}

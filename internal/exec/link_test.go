@@ -225,7 +225,7 @@ func (f *fakeLink) Send(req *wire.Request) error {
 			rep.AddRun(run)
 		}
 	}
-	if f.window > 0 && len(f.held) > f.window+1 || len(f.held) > grantCeiling {
+	if f.window > 0 && len(f.held) > f.window+1 {
 		t.Errorf("request %d: worker holds %d chunks, window is %d", f.requests, len(f.held), f.window)
 	}
 	f.reply = rep

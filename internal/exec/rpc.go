@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/rpc"
 	"runtime"
@@ -31,9 +32,9 @@ import (
 // codec: with Worker.Pipeline it refills one measured master round trip
 // before its work runs out, asking — unless a credit window caps it —
 // for what that round trip needs. A reply is one share-bounded batch
-// (sched.BatchLimit) within the worker's ledger room: W+1 chunks under a
-// window W (Config.Window), the master's own grantCeiling otherwise.
-// DESIGN.md §9 states the loop's rules.
+// (sched.BatchLimit) of at most what the worker asked: within W+1 chunks
+// held under a window W (Config.Window), bounded by the share and the ask
+// alone otherwise. DESIGN.md §9 states the loop's rules.
 //
 // Two codecs carry the dialogue between processes (transport.go):
 // net/rpc + gob, one chunk per round trip, and the binary framing of
@@ -49,8 +50,8 @@ import (
 // dispense.Book; the timing and the rest of per-worker protocol state
 // live in per-worker slots with their own locks. Every grant is the
 // book's Grant under Master.mu (grants), whatever the scheme — a reply
-// batches up to grantCeiling chunks, so the lock is taken once per
-// batch, not once per chunk — and every grant is a reply to a request:
+// is a batch of runs, so the lock is taken once per batch, not once per
+// chunk — and every grant is a reply to a request:
 // what a worker holds is in the book, so FailWorker can requeue all of
 // it. See docs/PROTOCOL.md for the dialogue.
 
@@ -171,7 +172,6 @@ type Master struct {
 	scheme     sched.Scheme
 	iterations int
 	workers    int
-	window     int            // credit window; per-worker ledger cap is window+1
 	bus        *telemetry.Bus // nil: publish nothing
 	shard      int            // telemetry labels: the shard, and members[w],
 	members    []int          // worker w's run-global id (nil: w itself)
@@ -233,9 +233,10 @@ type Master struct {
 //     beyond the one it is computing (the per-worker ledger caps at w+1;
 //     1 is a double buffer). It is a cap, not a quota: a reply is one
 //     share-bounded batch (dispense.Claim), filled on a fine loop, a
-//     chunk or two while chunks are large. Window < 1 means the master's
-//     own ceiling, grantCeiling. Whatever a request's Credits ask, the
-//     master clamps to the ledger room.
+//     chunk or two while chunks are large. Window < 1 sets no window:
+//     the ledger room is unbounded, and a reply is bounded only by the
+//     share and by what the request's Credits ask. With a window, the
+//     master clamps whatever Credits ask to the ledger room.
 //   - Shards. A shard master (Members != nil) stages the ranges Source
 //     hands it, each a fresh plan, and never re-plans mid-stage.
 //   - Gather. A non-nil InitACP is the step-1(a) gather done by the
@@ -295,9 +296,9 @@ func New(cfg Config) (*Master, error) {
 	case cfg.InitACP != nil && len(cfg.InitACP) != workers:
 		return nil, fmt.Errorf("exec: %d initial ACPs for %d workers", len(cfg.InitACP), workers)
 	}
-	window := cfg.Window
-	if window < 1 {
-		window = grantCeiling - 1
+	ledger := math.MaxInt // no window: the share and the ask bound a reply
+	if cfg.Window >= 1 {
+		ledger = cfg.Window + 1
 	}
 	src := cfg.Source
 	if src == nil {
@@ -307,7 +308,6 @@ func New(cfg Config) (*Master, error) {
 		scheme:     cfg.Scheme,
 		iterations: n,
 		workers:    workers,
-		window:     window,
 		bus:        cfg.Telemetry,
 		shard:      cfg.Shard,
 		members:    cfg.Members,
@@ -327,7 +327,7 @@ func New(cfg Config) (*Master, error) {
 	m.b = dispense.NewBook(dispense.Config{
 		Scheme: cfg.Scheme, Workers: workers, Powers: cfg.Powers,
 		NoReplan: cfg.NoReplan || cfg.Members != nil,
-	}, n, window+1, (*staging)(m))
+	}, n, ledger, (*staging)(m))
 	for w := range m.slots {
 		m.slots[w].lastSeen = m.started
 		if cfg.InitACP != nil {
@@ -388,10 +388,6 @@ func (m *Master) publish(kind telemetry.Kind, w, acp int, at float64) {
 	e.ACP = acp
 	m.bus.Publish(e)
 }
-
-// grantCeiling is the per-worker ledger cap while no window is set: the
-// master's own bound, never taken from a request's Credits.
-const grantCeiling = 256
 
 // Serve accepts connections until the listener closes, sniffing each
 // connection's first byte to route it: the binary wire preamble to
@@ -906,8 +902,8 @@ func (m *Master) WatchTimeouts(interval, timeout time.Duration, stop <-chan stru
 }
 
 // Outstanding returns the chunks currently in flight, keyed by worker.
-// A worker can hold up to window+1 entries: the chunk being computed
-// and its credit window, or grantCeiling with no window set.
+// Under a credit window a worker holds up to window+1 entries: the chunk
+// being computed and its window.
 func (m *Master) Outstanding() map[int][]sched.Assignment {
 	out := make(map[int][]sched.Assignment)
 	for w := range m.slots {

@@ -156,15 +156,17 @@ const DefaultStealWindow = 8
 // iterations in the chunk it last started (at least 1). The answer lands
 // one round trip from now and must keep the worker busy for one more:
 // trip, less what of held will be left by then, in chunks of size — at
-// least 1, at most the master's grantCeiling. A trip that is not
-// positive means nothing is measured yet: the answer is
-// DefaultStealWindow.
+// least 1. The ask is the worker's whole bound on a reply; the master's is
+// the share (sched.BatchLimit), so no chunk count caps either. The only
+// clamp is what a frame can carry, wire.MaxFrame, which has no
+// scheduling meaning. A trip that is not positive means nothing is
+// measured yet: the answer is DefaultStealWindow.
 func Ask(trip, held float64, size int) int {
 	if !(trip > 0) {
 		return DefaultStealWindow
 	}
 	need := trip - max(0, held-trip)
-	return int(min(max(1, math.Ceil(need/float64(size))), grantCeiling))
+	return int(min(max(1, math.Ceil(need/float64(size))), wire.MaxFrame))
 }
 
 // sampleSeconds is the least kernel time between two clock reads that
@@ -216,6 +218,10 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 	// What the loop reads per chunk, read once: a value-receiver call per
 	// chunk would copy the whole Worker.
 	clock, body, kernel, scale, bus := w.clock, w.Body, w.Kernel, w.WorkScale, w.Telemetry
+	// A request ships a record per stretch computed since the last one:
+	// the tail of the batch a prefetch left in hand and the next batch's
+	// head, and a few more where a delivery came back split.
+	pending, spans = make([]wire.Record, 0, 4), make([]uint64, 0, 4)
 	if clock == nil {
 		clock = time.Now
 	}

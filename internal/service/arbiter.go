@@ -3,35 +3,38 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 )
 
-// pick is the credit arbiter: it charges the worker's last grant — iters
-// iterations of job owed, if any — and chooses the job whose master the
-// worker's next request goes to, at the worker's latest clock reading. It
-// returns that job's attempt — nil when no job wants credit, together
-// with the generation to idle on — or false once the scheduler is
-// closed.
+// pick is the credit arbiter: it chooses the job whose master the
+// worker's next request goes to, at the worker's latest clock reading,
+// and charges the worker's allowance there. It returns that job's
+// attempt and the allowance the worker may ask of it, in iterations — nil
+// when no job wants credit, together with the generation to idle on — or
+// false once the scheduler is closed.
 // Arbitration is strict priority first — no job receives credit while a
 // job of a higher priority class still has chunks to hand out — and
 // weighted deficit-round-robin within a class: every round each such
-// job's deficit grows by weight·quantum iterations, a grant is charged
-// at the iterations it actually holds, and the job with the largest
-// positive deficit spends next. Because a grant may overdraw (the policy
-// decides chunk sizes, the arbiter doesn't split them), debt carries
-// across rounds and long-run granted-iteration totals converge to the
-// weight ratio. Preemption is implicit and exact: admitting a
-// higher-priority job merely redirects future requests — chunks already
-// granted stay where they are and run to completion, so no iteration is
-// ever lost or re-executed.
-func (s *Scheduler) pick(now time.Time, owed *Job, iters int) (*attempt, uint64, bool) {
+// job's deficit grows by weight·quantum iterations, and the job with the
+// largest positive deficit spends next. The pick charges the whole of
+// that deficit as the worker's allowance, so the class's other workers
+// pick another job or start a round rather than all spending the same
+// credit; the worker asks for no more than the allowance, rounded up to
+// whole chunks (fleetWorker.ask), and pays back what its grant left
+// (settle): a grant overdraws by less than a chunk, and the debt carries
+// across rounds, so long-run granted-iteration totals converge to the
+// weight ratio. A job alone in its class competes with no one: its
+// allowance is 0, no cap, and nothing is charged, so what it takes while
+// no other job wants credit is no debt once one does. Preemption is
+// implicit and exact: admitting a higher-priority job merely redirects
+// future requests — chunks already granted stay where they are and run
+// to completion, so no iteration is ever lost or re-executed.
+func (s *Scheduler) pick(now time.Time) (*attempt, float64, uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if owed != nil {
-		owed.deficit -= float64(iters)
-	}
 	if s.closed {
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
 	s.expireLocked(now)
 	for i := 0; i < len(s.active); {
@@ -39,38 +42,54 @@ func (s *Scheduler) pick(now time.Time, owed *Job, iters int) (*attempt, uint64,
 		for end < len(s.active) && s.active[end].spec.Priority == s.active[i].spec.Priority {
 			end++
 		}
-		if j := s.pickClassLocked(s.active[i:end]); j != nil {
-			return j.att.Load(), s.gen, true
+		if j, alone := s.pickClassLocked(s.active[i:end]); j != nil {
+			allow := 0.0
+			if !alone {
+				allow, j.deficit = j.deficit, 0
+			}
+			return j.att.Load(), allow, s.gen, true
 		}
 		i = end
 	}
-	return nil, s.gen, true
+	return nil, 0, s.gen, true
+}
+
+// settle pays back to j's deficit what of a contested pick's allowance
+// its grant did not use: unused iterations, negative for an overdraw.
+func (s *Scheduler) settle(j *Job, unused float64) {
+	s.mu.Lock()
+	j.deficit += unused
+	s.mu.Unlock()
 }
 
 // pickClassLocked runs deficit-round-robin over one priority class:
 // among its jobs whose master has chunks left, the one with the largest
-// positive deficit, replenishing the class as often as it takes; nil
-// when none has any. Callers hold s.mu.
-func (s *Scheduler) pickClassLocked(class []*Job) *Job {
+// positive deficit, replenishing the class by as many rounds as it takes
+// at once; nil when none has any. alone reports that the job is the only
+// one in the class that wants credit. Callers hold s.mu.
+func (s *Scheduler) pickClassLocked(class []*Job) (best *Job, alone bool) {
+	q := float64(s.quantum)
 	for {
-		var best *Job
-		wanting := false
+		wanting, rounds := 0, math.Inf(1)
 		for _, j := range class {
 			if !j.wantsCredit() {
 				continue
 			}
-			wanting = true
+			wanting++
 			if j.deficit > 0 && (best == nil || j.deficit > best.deficit) {
 				best = j
 			}
+			// The rounds after which j's deficit is positive.
+			rounds = min(rounds, math.Floor(-j.deficit/(j.weight()*q))+1)
 		}
-		if best != nil || !wanting {
-			return best
+		if best != nil || wanting == 0 {
+			return best, wanting == 1
 		}
-		// New round: replenish the class; debt carries.
+		// New rounds, as many as the first job back in credit needs; debt
+		// carries.
 		for _, j := range class {
 			if j.wantsCredit() {
-				j.deficit += j.weight() * float64(s.quantum)
+				j.deficit += rounds * j.weight() * q
 			}
 		}
 	}

@@ -38,7 +38,7 @@ func TestFleetAsk(t *testing.T) {
 		{"a new attempt is unmeasured", 0, 2e-6, b, exec.DefaultStealWindow},
 		{"a slow body asks a chunk", 0, 2e-6, slow, 1}, // 8 iterations: one chunk
 		{"a slower request asks more", 0, 4e-6, a, 200},
-		{"a request of ms asks the ceiling", 0, 1e-3, a, exec.Ask(math.Inf(1), 0, 1)},
+		{"a request of ms is asked whole", 0, 1e-3, a, 50000}, // 4 × 1 ms at 20 ns: 200 000 iterations
 	}
 	for _, c := range cases {
 		if got := askWorker(c.window, c.trip).ask(c.att); got != c.want {

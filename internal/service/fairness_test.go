@@ -82,6 +82,7 @@ func TestWeightedFairShare(t *testing.T) {
 		t.Fatal("light tenant starved: 0 iterations granted")
 	}
 	ratio := float64(gh) / float64(gl)
+	t.Logf("granted ratio heavy:light = %.3f (heavy=%d light=%d)", ratio, gh, gl)
 	if ratio < 1.8 || ratio > 2.2 {
 		t.Errorf("granted ratio heavy:light = %.3f (heavy=%d light=%d), want 2.0 within 10%%", ratio, gh, gl)
 	}

@@ -56,9 +56,11 @@ type Options struct {
 	// Window caps the chunks one arbitrated request is granted, and
 	// every request asks for that many. <= 0 leaves it unset: a worker
 	// asks for a few round trips' worth of work at its measured rate on
-	// the job (exec.Ask; 8 chunks before anything is measured), and the
-	// job's master caps it at its own ceiling. Either way a reply is
-	// share-bounded (docs/LEDGER.md "Share-bounded batches").
+	// the job (exec.Ask; 8 chunks before anything is measured). Either way
+	// a reply is share-bounded (docs/LEDGER.md "Share-bounded batches"),
+	// and in a contested priority class the ask is capped at the job's
+	// deficit-round-robin allowance (docs/SERVICE.md "Fairness and
+	// preemption").
 	Window int
 	// ACP is the availability model distributed schemes report with.
 	ACP acp.Model

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"loopsched/internal/dispense"
@@ -27,8 +28,8 @@ type fleetWorker struct {
 	now  time.Time     // the latest clock reading, which the arbiter's deadlines are checked at
 	trip float64       // seconds the latest request took: from the end of one batch to the start of the next
 
-	owed  *Job // the job of the last grant, not charged yet (nil: none)
-	iters int  // the iterations in that grant
+	allow float64 // iterations the arbiter allowed the last pick (0: no cap, the job is alone in its class)
+	iters int     // the iterations in the last grant
 }
 
 // runWorker is one fleet goroutine's lifetime: have the arbiter pick a
@@ -44,8 +45,7 @@ func (s *Scheduler) runWorker(id int) {
 	})
 	w := &fleetWorker{s: s, id: id, scale: s.opts.Workers[id].WorkScale, now: time.Now()}
 	for {
-		att, gen, ok := s.pick(w.now, w.owed, w.iters)
-		w.owed = nil
+		att, gen, ok := w.pick()
 		if !ok {
 			return
 		}
@@ -59,10 +59,31 @@ func (s *Scheduler) runWorker(id int) {
 			w.now = time.Now()
 			continue
 		}
-		if w.request(att, w.ask(att)) {
+		if w.take(att) {
 			w.run(att)
 		}
 	}
+}
+
+// pick has the arbiter pick the worker's next job (Scheduler.pick) and
+// keeps the allowance the pick charged it.
+func (w *fleetWorker) pick() (*attempt, uint64, bool) {
+	att, allow, gen, ok := w.s.pick(w.now)
+	w.allow = allow
+	return att, gen, ok
+}
+
+// take asks att's master for a batch within the pick's allowance and, in
+// a contested class, pays back to the job's deficit what of the
+// allowance the grant did not use — or charges what it overdrew — as
+// soon as the reply is in, so that the class's next pick sees it. It
+// reports whether a batch came back.
+func (w *fleetWorker) take(att *attempt) bool {
+	ok := w.request(att, w.ask(att))
+	if w.allow > 0 {
+		w.s.settle(att.job, w.allow-float64(w.iters))
+	}
+	return ok
 }
 
 // fleetTrips is how many round trips of work a fleet worker asks for
@@ -74,44 +95,70 @@ func (s *Scheduler) runWorker(id int) {
 // (docs/SERVICE.md "Fairness and preemption").
 const fleetTrips = 4
 
-// pace is what one fleet worker measured of one attempt's body in its
-// last batch there: the seconds an iteration took, and the size of the
-// chunk it ran last. A zero size means nothing is measured yet.
+// pace is what one fleet worker measured of one attempt: the least
+// request time before a batch there, a request's fixed part, and of its
+// last batch there the seconds an iteration took — the rest of the
+// request before it included — and the size of the chunk it ran last. A
+// zero size means nothing is measured yet.
 type pace struct {
 	perIter float64
 	size    int
+	trip    float64
 }
 
 // ask sizes the worker's next request to att's master: a set window
 // caps every reply and is asked for whole. Otherwise it is the depth
-// rule, exec.Ask, with nothing held: fleetTrips times the latest request
-// time, in iterations at this worker's rate on this attempt. A rate
+// rule, exec.Ask, with nothing held: fleetTrips times the least request
+// time the worker measured on this attempt (or the latest, if less), in
+// iterations at this worker's rate there. What a request takes beyond
+// the least grows with the batch before it — the master books the
+// results the request delivers — or comes of a preemption or a GC
+// pause, and no deeper batch amortises it: the rate counts it as the
+// batch's own time. Read from the latest request time and the body
+// alone, one batch could size the next larger and larger. A rate
 // measured on one attempt never sizes another's ask, so a new attempt
-// starts unmeasured.
+// starts unmeasured. In a contested class either ask is capped
+// at the arbiter's allowance, rounded up to whole chunks of the size the
+// worker last ran on the attempt — one chunk while it has run none — so
+// that a grant overdraws the job's deficit by less than a chunk.
 //
 //lint:loopsched-hotpath
 func (w *fleetWorker) ask(att *attempt) int {
-	if window := w.s.opts.Window; window > 0 {
-		return window
-	}
 	p := att.paces[w.id]
-	trip := 0.0 // nothing measured on this attempt yet
-	if p.size > 0 {
-		trip = fleetTrips * w.trip / p.perIter
+	n := w.s.opts.Window
+	if n <= 0 {
+		trip := 0.0 // nothing measured on this attempt yet
+		if p.size > 0 {
+			trip = w.trip
+			if p.trip > 0 {
+				trip = min(trip, p.trip)
+			}
+			trip = fleetTrips * trip / p.perIter
+		}
+		n = exec.Ask(trip, 0, p.size)
 	}
-	return exec.Ask(trip, 0, p.size)
+	if w.allow > 0 {
+		most := 1
+		if p.size > 0 {
+			most = int(math.Ceil(w.allow / float64(p.size)))
+		}
+		n = min(n, most)
+	}
+	return n
 }
 
 // request sends one prefetch to att's master — never a plain request,
 // which could park the worker there while other jobs want it — carrying
 // the results the worker holds for att, and asks for up to credits
 // chunks; 0 makes it a delivery. It reports whether a batch came back,
-// which the next pick charges to the job. A Stop completes the job, if
-// nothing ended it first; a master error fails the attempt.
+// whose iterations it keeps in w.iters (0 when none did). A Stop
+// completes the job, if nothing ended it first; a master error fails the
+// attempt.
 //
 //lint:loopsched-hotpath
 func (w *fleetWorker) request(att *attempt, credits int) bool {
 	s, j := w.s, att.job
+	w.iters = 0
 	w.req = wire.Request{Worker: w.id, ACP: s.acpNow(w.id), Prefetch: true, Credits: credits}
 	if w.held == att {
 		w.req.Results, w.req.CompSeconds = w.recs, w.comp
@@ -135,7 +182,7 @@ func (w *fleetWorker) request(att *attempt, credits int) bool {
 	if iters == 0 {
 		return false // drained since the pick
 	}
-	w.owed, w.iters = j, iters
+	w.iters = iters
 	return true
 }
 
@@ -145,8 +192,9 @@ func (w *fleetWorker) request(att *attempt, credits int) bool {
 // results for the next request. The clock is read as the batch starts
 // and as it ends: the first reading closes the request, whose time (since
 // the last batch ended) is the worker's trip; the last closes the batch,
-// whose seconds per iteration are the worker's pace on the attempt. Both
-// size its next ask there. A stretch of an attempt cancelled, failed or
+// whose seconds per iteration, the trip's excess over the least trip on
+// the attempt included, are the worker's pace there. Both size its next
+// ask there. A stretch of an attempt cancelled, failed or
 // requeued meanwhile is not started, and the batch's results are dropped.
 // A body's panic, an error from the compute step, is the fleet's
 // worker-death signal: the attempt is aborted and the job heads to the
@@ -185,7 +233,17 @@ func (w *fleetWorker) run(att *attempt) {
 	}
 	w.now = time.Now()
 	w.held, w.comp = att, w.now.Sub(start).Seconds()
-	att.paces[w.id] = pace{perIter: w.comp / float64(w.iters), size: w.rep.Run(len(grants) - 1).Size}
+	// The attempt's first request delivered nothing and met no results of
+	// its own: it understates what a request costs, so the least request
+	// time counts from the second.
+	p, excess := &att.paces[w.id], 0.0
+	if p.size > 0 && (p.trip == 0 || w.trip < p.trip) {
+		p.trip = w.trip
+	}
+	if p.trip > 0 {
+		excess = w.trip - p.trip
+	}
+	p.perIter, p.size = (w.comp+excess)/float64(w.iters), w.rep.Run(len(grants)-1).Size
 }
 
 // acpNow probes worker id's current ACP.

@@ -111,7 +111,8 @@ type RunSpec struct {
 	// and mp links: how many chunks a worker may hold beyond the one it
 	// is computing (1 is a double buffer). 0 leaves the depth to the
 	// workers: each asks for what outlasts its measured round trip to the
-	// master, up to the master's own ceiling (DESIGN.md §9). It is a cap
+	// master, and the master grants it up to the worker's share (DESIGN.md
+	// §9). It is a cap
 	// everywhere, never a quota: master replies are share-bounded
 	// batches, which fill the depth on a fine loop — amortising a round
 	// trip over many chunks — and shrink to a single chunk while chunks

@@ -69,8 +69,9 @@ type SchedulerOptions struct {
 	// request asks for and is granted at most. 0 leaves it unset: a
 	// fleet worker asks for a few of its measured round trips' worth of
 	// work at its measured rate on the job (8 chunks before anything is
-	// measured), up to the job's master's own ceiling — the depth rule
-	// of RunSpec.CreditWindow, the same knob on the local backend.
+	// measured) — the depth rule of RunSpec.CreditWindow, the same knob
+	// on the local backend — and, while other jobs of its priority want
+	// credit, no more than its job's fair-share allowance.
 	CreditWindow int
 	// ACP is the availability model distributed schemes report with.
 	ACP ACPModel
