@@ -96,6 +96,12 @@ escape-check:
 # share (sched.BatchLimit) and the worker's ask (exec.Ask), so neither a
 # master's grantCeiling nor any chunk-count constant in Ask's clamp comes
 # back; the clamp names wire.MaxFrame, what a frame carries, only.
+# And one protocol with or without a bus: a grant is a run whether or
+# not telemetry is attached, so the master's book ships every run the
+# same way and tests no bus (the bus adds events and the reply's span
+# block in a method of its own), no worker steps chunk by chunk for a
+# bus or cuts a stretch of grants of its own (Stretch), and the request
+# span echo (flagRecordSpans) stays gone.
 dup-check:
 	@! grep -rn 'NewPolicy(\|MajorityChanged(\|sched\.Offset(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/' \
@@ -127,6 +133,8 @@ dup-check:
 	@! grep -rnw 'grantCeiling' --include='*.go' . | grep -v '^./benchmark/\|^./.bench_build/'
 	@! awk '/^func Ask\(/,/^}/' internal/exec/wire.go | grep 'min(' \
 		| sed -E 's/wire\.MaxFrame|math\.Ceil|max\(1,|\<(return|int|min|float64|need|size)\>//g' | grep '[[:alnum:]_]'
+	@! grep -rn 'flagRecordSpans\|Stretch(' --include='*.go' . | grep -v '_test.go\|^./benchmark/\|^./.bench_build/'
+	@! awk '/^func \(m \*Master\) book\(/,/^}/' internal/exec/rpc.go | grep -E 'bus (==|!=) nil'
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -172,10 +180,13 @@ bench-smoke:
 
 # profile-fine profiles the worker's hot path on the finest loop the
 # benchmark runs, 1 500 times each: CSS(4) over 65 536 empty iterations
-# at p = 2 on the local backend (BenchmarkRunLocalFine) and as a job of a
-# warm scheduler fleet (BenchmarkServiceFine). It writes the CPU profiles
-# to bin/fine.cpu.pprof and bin/service-fine.cpu.pprof and prints, for
-# each, time.Now's share — the cost of the clock reads (DESIGN.md §9,
+# at p = 2 on the local backend (BenchmarkRunLocalFine), the same with a
+# telemetry session attached (BenchmarkRunLocalFineTraced: telemetry's
+# cost is its ns/op and allocs/op against the untraced line above it)
+# and as a job of a warm scheduler fleet (BenchmarkServiceFine). It
+# writes the CPU profiles to bin/fine.cpu.pprof,
+# bin/fine-traced.cpu.pprof and bin/service-fine.cpu.pprof and prints,
+# for each, its benchmark line, time.Now's share — the cost of the clock reads (DESIGN.md §9,
 # "the worker's clock") — and the cumulative share of the master's
 # request handler, exec.(*Master).nextBatch: what booking the chunks
 # costs (DESIGN.md §9, "the master's book"), and of the two parts of it
@@ -183,7 +194,7 @@ bench-smoke:
 # the retire, dispense.(*Book).Retire.
 profile-fine:
 	@mkdir -p bin
-	@for run in RunLocalFine:fine ServiceFine:service-fine; do \
+	@for run in RunLocalFine:fine RunLocalFineTraced:fine-traced ServiceFine:service-fine; do \
 		bench=$${run%%:*}; prof=bin/$${run#*:}.cpu.pprof; \
 		$(GO) test -run '^$$' -bench "^Benchmark$$bench\$$" -benchtime 1500x \
 			-cpuprofile $$prof -o bin/loopsched.test . || exit 1; \

@@ -462,8 +462,29 @@ func BenchmarkTreeSimulator(b *testing.B) {
 // two equal workers, pipelined with no credit window — the benchmark's
 // fine_css cell, where scheduling and timing overhead is nearly all of
 // the run.
-func BenchmarkRunLocalFine(b *testing.B) {
-	spec := loopsched.RunSpec{
+func BenchmarkRunLocalFine(b *testing.B) { runLocalFine(b, fineSpec()) }
+
+// BenchmarkRunLocalFineTraced is BenchmarkRunLocalFine with a telemetry
+// session (bus, aggregator and flight recorder) attached for the whole
+// benchmark: beside the untraced figure, what telemetry costs the fine
+// loop. dropped/op is the events the bus's ring had no room for.
+func BenchmarkRunLocalFineTraced(b *testing.B) {
+	tel, err := loopsched.NewTelemetry(loopsched.TelemetryOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tel.Close()
+	spec := fineSpec()
+	spec.Telemetry = tel
+	runLocalFine(b, spec)
+	b.ReportMetric(float64(tel.Bus().Dropped())/float64(b.N), "dropped/op")
+}
+
+// fineSpec is the fine loop the two local benchmarks run: CSS(4) over
+// 65 536 empty iterations on two equal workers, pipelined with no
+// credit window.
+func fineSpec() loopsched.RunSpec {
+	return loopsched.RunSpec{
 		Scheme:   loopsched.NewCSS(4),
 		Workload: loopsched.Uniform{N: 1 << 16},
 		Backend:  loopsched.BackendLocal,
@@ -471,6 +492,9 @@ func BenchmarkRunLocalFine(b *testing.B) {
 		Kernel:   func(int) []byte { return nil },
 		Pipeline: true,
 	}
+}
+
+func runLocalFine(b *testing.B, spec loopsched.RunSpec) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rep, err := loopsched.Run(context.Background(), spec)

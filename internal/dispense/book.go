@@ -292,15 +292,6 @@ func (b *Book) retire(held []sched.Run) (kept []sched.Run, chunks, iters int) {
 	return kept, chunks, iters
 }
 
-// Stretch returns how many of grants, from the first, continue one another.
-func Stretch(grants []sched.Assignment) int {
-	n := 1
-	for n < len(grants) && grants[n].Start == grants[n-1].End() {
-		n++
-	}
-	return n
-}
-
 // missing returns the first iteration in [lo, hi) not yet received, or
 // hi if every one has been.
 func (b *Book) missing(lo, hi int) int {

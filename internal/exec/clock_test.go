@@ -20,8 +20,9 @@ import (
 // samples, each at least sampleSeconds of kernel time after the one
 // before — and the first, of the first iteration — so no chunk reads the
 // clock, and a serial loop reads it only per request. With a bus every
-// chunk adds exactly one read, its close, so that ChunkCompleted carries
-// the chunk's own seconds.
+// run adds exactly one read, its close, so that ChunkCompleted carries
+// the run's own seconds; the scripted master grants single chunks, so
+// here that is one read per chunk.
 func TestWorkerClockReads(t *testing.T) {
 	const n, size = 1 << 16, 4
 	const cost, rtt = 10 * time.Nanosecond, 3005 * time.Nanosecond // the round trip is 300.5 iterations

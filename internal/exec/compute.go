@@ -12,20 +12,20 @@ import (
 // least once), and appends their completion records to dst. A non-nil
 // body is the bare arm, for results nobody reads: a plain loop, recorded
 // as one run. Otherwise kernel runs, and each result with bytes
-// is a record, each stretch without one run. With extend set the first
-// run continues dst's last record if that is a run ending at lo. A panic
+// is a record, each stretch without one run. The first run continues
+// dst's last record if that is a run ending at lo. A panic
 // is returned as an error naming [lo, hi), with dst emptied: the batch is
 // abandoned.
 //
 //lint:loopsched-hotpath
-func Compute(body func(i int), kernel Kernel, scale int, dst []wire.Record, lo, hi int, extend bool) (recs []wire.Record, err error) {
+func Compute(body func(i int), kernel Kernel, scale int, dst []wire.Record, lo, hi int) (recs []wire.Record, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			recs, err = dst[:0], fmt.Errorf("exec: body panicked on iteration range [%d,%d): %v", lo, hi, r)
 		}
 	}()
 	last := len(dst) - 1
-	open := extend && last >= 0 && dst[last].Count > 0 && dst[last].Index+dst[last].Count == lo // dst's last record is a run this call extends
+	open := last >= 0 && dst[last].Count > 0 && dst[last].Index+dst[last].Count == lo // dst's last record is a run this call extends
 	scale = max(1, scale)
 	if body != nil {
 		for range scale { // the range over again, so that the inner loop stays plain

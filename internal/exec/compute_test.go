@@ -12,8 +12,8 @@ import (
 // the bare arm records a range as one run whatever its body does, the
 // kernel arm a record per result with bytes and a run per stretch
 // without; every iteration runs scale times; a run continues dst's last
-// record only when extend allows it and that record is a run ending
-// where the range starts; and a panic is an error naming the range,
+// record only when that record is a run ending where the range starts;
+// and a panic is an error naming the range,
 // with the records dropped.
 func TestCompute(t *testing.T) {
 	data := []byte{7}
@@ -33,29 +33,24 @@ func TestCompute(t *testing.T) {
 		scale   int
 		dst     []wire.Record
 		lo, hi  int
-		extend  bool
 		panicAt int // -1: never
 		want    []wire.Record
 	}{
-		{"bare", true, even, 1, nil, 3, 10, true, -1, []wire.Record{run(3, 7)}},
-		{"kernel: runs and results", false, even, 1, nil, 3, 8, true, -1,
+		{"bare", true, even, 1, nil, 3, 10, -1, []wire.Record{run(3, 7)}},
+		{"kernel: runs and results", false, even, 1, nil, 3, 8, -1,
 			[]wire.Record{run(3, 1), one(4), run(5, 1), one(6), run(7, 1)}},
-		{"kernel without bytes: one run, as bare", false, empty, 1, nil, 3, 10, true, -1, []wire.Record{run(3, 7)}},
-		{"bare, scaled", true, empty, 3, nil, 0, 4, true, -1, []wire.Record{run(0, 4)}},
-		{"kernel, scaled", false, empty, 3, nil, 0, 4, true, -1, []wire.Record{run(0, 4)}},
-		{"bare extends the last run", true, empty, 1, []wire.Record{run(0, 3)}, 3, 10, true, -1, []wire.Record{run(0, 10)}},
-		{"kernel extends the last run", false, empty, 1, []wire.Record{run(0, 3)}, 3, 10, true, -1, []wire.Record{run(0, 10)}},
-		{"no extension under another span", true, empty, 1, []wire.Record{run(0, 3)}, 3, 10, false, -1,
-			[]wire.Record{run(0, 3), run(3, 7)}},
-		{"kernel: no extension under another span", false, empty, 1, []wire.Record{run(0, 3)}, 3, 10, false, -1,
-			[]wire.Record{run(0, 3), run(3, 7)}},
-		{"no extension past a gap", true, empty, 1, []wire.Record{run(0, 2)}, 3, 10, true, -1,
+		{"kernel without bytes: one run, as bare", false, empty, 1, nil, 3, 10, -1, []wire.Record{run(3, 7)}},
+		{"bare, scaled", true, empty, 3, nil, 0, 4, -1, []wire.Record{run(0, 4)}},
+		{"kernel, scaled", false, empty, 3, nil, 0, 4, -1, []wire.Record{run(0, 4)}},
+		{"bare extends the last run", true, empty, 1, []wire.Record{run(0, 3)}, 3, 10, -1, []wire.Record{run(0, 10)}},
+		{"kernel extends the last run", false, empty, 1, []wire.Record{run(0, 3)}, 3, 10, -1, []wire.Record{run(0, 10)}},
+		{"no extension past a gap", true, empty, 1, []wire.Record{run(0, 2)}, 3, 10, -1,
 			[]wire.Record{run(0, 2), run(3, 7)}},
-		{"no extension of a result", true, empty, 1, []wire.Record{one(2)}, 3, 10, true, -1,
+		{"no extension of a result", true, empty, 1, []wire.Record{one(2)}, 3, 10, -1,
 			[]wire.Record{one(2), run(3, 7)}},
-		{"an empty range records nothing", true, empty, 1, []wire.Record{run(0, 3)}, 3, 3, true, -1, []wire.Record{run(0, 3)}},
-		{"bare panic", true, empty, 1, []wire.Record{run(0, 3)}, 3, 10, true, 5, nil},
-		{"kernel panic", false, even, 1, []wire.Record{run(0, 3)}, 3, 10, true, 5, nil},
+		{"an empty range records nothing", true, empty, 1, []wire.Record{run(0, 3)}, 3, 3, -1, []wire.Record{run(0, 3)}},
+		{"bare panic", true, empty, 1, []wire.Record{run(0, 3)}, 3, 10, 5, nil},
+		{"kernel panic", false, even, 1, []wire.Record{run(0, 3)}, 3, 10, 5, nil},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			calls := make([]int, c.hi)
@@ -70,7 +65,7 @@ func TestCompute(t *testing.T) {
 			if c.bare {
 				body = func(i int) { kernel(i) }
 			}
-			got, err := Compute(body, kernel, c.scale, c.dst, c.lo, c.hi, c.extend)
+			got, err := Compute(body, kernel, c.scale, c.dst, c.lo, c.hi)
 			if c.panicAt >= 0 {
 				want := "panicked on iteration range [3,10): boom"
 				if err == nil || !strings.Contains(err.Error(), want) || len(got) != 0 {

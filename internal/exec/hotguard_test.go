@@ -132,11 +132,11 @@ func masterReplyGuard(t *testing.T) {
 
 // memLinkRefillGuard pins a steady-state refill over a memory link at
 // zero allocations with telemetry off, at the depth of masterReplyGuard:
-// ship the last reply's chunks — as one run record each, as a worker
-// echoing spans does, or the whole batch as one run, as a worker echoing
-// none does — have the master deposit and retire them, claim and book
-// 64 more, and take the reply over by the buffer swap: the whole round
-// trip of a local worker's prefetch.
+// ship the last reply's chunks — as one run record each, the most
+// records a batch of empty results can take, or the whole batch as one
+// run, as a worker ships it — have the master deposit and retire them,
+// claim and book 64 more, and take the reply over by the buffer swap:
+// the whole round trip of a local worker's prefetch.
 func memLinkRefillGuard(t *testing.T) {
 	memLinkRefill(t, true)
 	memLinkRefill(t, false)
@@ -194,11 +194,11 @@ func memLinkRefill(t *testing.T, perChunk bool) {
 func workerRunGuard(t *testing.T) {
 	kernel := func(int) []byte { return nil }
 	for _, body := range []func(int){nil, func(int) {}} {
-		recs, err := Compute(body, kernel, 1, nil, 0, 256, true)
+		recs, err := Compute(body, kernel, 1, nil, 0, 256)
 		if err != nil || len(recs) != 1 || recs[0].Index != 0 || recs[0].Count != 256 || recs[0].Data != nil {
 			t.Fatalf("256 empty results (bare: %v) coded as %+v, %v; want one run {0, 256}", body != nil, recs, err)
 		}
-		if avg := testing.AllocsPerRun(1000, func() { recs, _ = Compute(body, kernel, 1, recs[:0], 256, 512, true) }); avg > 0 {
+		if avg := testing.AllocsPerRun(1000, func() { recs, _ = Compute(body, kernel, 1, recs[:0], 256, 512) }); avg > 0 {
 			t.Errorf("a 256-iteration compute step (bare: %v) allocates %.1f objects, want 0", body != nil, avg)
 		}
 	}

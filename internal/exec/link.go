@@ -82,12 +82,8 @@ func (g *gobLink) Send(req *wire.Request) error {
 		Prefetch:    req.Prefetch,
 		Results:     slices.Grow(g.args.Results[:0], len(req.Results)),
 	}
-	for i, r := range req.Results {
-		cr := ChunkResult{Index: r.Index, Count: r.Count, Data: r.Data}
-		if i < len(req.Spans) {
-			cr.Span = req.Spans[i]
-		}
-		g.args.Results = append(g.args.Results, cr)
+	for _, r := range req.Results {
+		g.args.Results = append(g.args.Results, ChunkResult{Index: r.Index, Count: r.Count, Data: r.Data})
 	}
 	g.reply = ChunkReply{} // gob leaves zero-valued fields untouched
 	g.c.Go("Master.NextChunk", &g.args, &g.reply, g.done)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -668,24 +669,21 @@ func TestZeroCreditPrefetchIsADelivery(t *testing.T) {
 
 // TestWorkerShipsARunPerStretch pins the shape of what the worker ships
 // for a batch of chunks whose kernel returns no bytes: one run record
-// per contiguous stretch of the batch when it echoes no spans, and one
-// per chunk, each with that chunk's span, when it does — the span block
-// holds one span per record.
+// per contiguous stretch of the batch, whether the batch came as single
+// chunks, as runs, or as span-tagged runs — the spans a traced master
+// sends change nothing the worker ships.
 func TestWorkerShipsARunPerStretch(t *testing.T) {
 	// two stretches: [0, 12) and [20, 28)
 	grants := []sched.Assignment{{Start: 0, Size: 4}, {Start: 4, Size: 4}, {Start: 8, Size: 4}, {Start: 20, Size: 4}, {Start: 24, Size: 4}}
+	want := []ChunkResult{{Index: 0, Count: 12}, {Index: 20, Count: 8}}
 	for _, c := range []struct {
 		name  string
-		spans []uint64
-		runs  bool // the same chunks granted as two runs
-		want  []ChunkResult
+		runs  bool     // the same chunks granted as two runs
+		spans []uint64 // one per grant, or none
 	}{
-		{"no span echo", nil, false, []ChunkResult{{Index: 0, Count: 12}, {Index: 20, Count: 8}}},
-		{"run grants", nil, true, []ChunkResult{{Index: 0, Count: 12}, {Index: 20, Count: 8}}},
-		{"spans echoed", []uint64{11, 12, 13, 14, 15}, false, []ChunkResult{
-			{Index: 0, Count: 4, Span: 11}, {Index: 4, Count: 4, Span: 12}, {Index: 8, Count: 4, Span: 13},
-			{Index: 20, Count: 4, Span: 14}, {Index: 24, Count: 4, Span: 15},
-		}},
+		{"single chunks", false, nil},
+		{"run grants", true, nil},
+		{"span-tagged run grants", true, []uint64{11, 12}},
 	} {
 		var shipped [][]ChunkResult
 		l := &memLink{batch: func(args ChunkArgs, _ int, rep *wire.Reply) error {
@@ -696,8 +694,9 @@ func TestWorkerShipsARunPerStretch(t *testing.T) {
 			case c.runs:
 				rep.AddRun(sched.Run{Start: 0, Size: 4, Count: 3})
 				rep.AddRun(sched.Run{Start: 20, Size: 4, Count: 2})
+				rep.Spans = append(rep.Spans, c.spans...)
 			default:
-				rep.Grants, rep.Spans = append(rep.Grants, grants...), append(rep.Spans, c.spans...)
+				rep.Grants = append(rep.Grants, grants...)
 			}
 			return nil
 		}}
@@ -705,61 +704,108 @@ func TestWorkerShipsARunPerStretch(t *testing.T) {
 		if err := w.runWindow(l, 8, false, 0); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if len(shipped) != 2 || !reflect.DeepEqual(shipped[1], c.want) {
-			t.Errorf("%s: the requests shipped %+v, want the batch as %+v", c.name, shipped, c.want)
+		if len(shipped) != 2 || !reflect.DeepEqual(shipped[1], want) {
+			t.Errorf("%s: the requests shipped %+v, want the batch as %+v", c.name, shipped, want)
 		}
 	}
 }
 
-// TestWorkerRunsARunChunkByChunkOnABus: a worker with a telemetry bus
-// whose master grants runs (the master has no bus) still closes every
-// chunk on its own — one ChunkCompleted with the chunk's range — while
-// what it ships is one run record per contiguous stretch.
-func TestWorkerRunsARunChunkByChunkOnABus(t *testing.T) {
-	var shipped [][]ChunkResult
-	l := &memLink{batch: func(args ChunkArgs, _ int, rep *wire.Reply) error {
-		shipped = append(shipped, slices.Clone(args.Results))
-		if len(shipped) > 1 {
-			rep.Stop = true
-			return nil
+// TestTracedWorkerShipsTheSameFrames: a worker with a telemetry bus, on
+// a master with the same bus — whose replies carry a span per run —
+// writes request frames byte for byte the ones an untraced worker
+// writes to a bus-less master, prefetching on a scripted clock. The bus
+// adds one ChunkCompleted per run granted, which together close every
+// chunk of the loop once, and nothing to the dialogue.
+func TestTracedWorkerShipsTheSameFrames(t *testing.T) {
+	const n, k = 1 << 12, 4
+	frames := func(traced bool) ([]byte, []telemetry.Event) {
+		cfg := Config{Scheme: sched.CSSScheme{K: k}, Iterations: n, Workers: 1}
+		log := &eventLog{}
+		if traced {
+			cfg.Telemetry = telemetry.NewBus(0)
+			cfg.Telemetry.Subscribe(log)
 		}
-		rep.AddRun(sched.Run{Start: 0, Size: 4, Count: 3})
-		rep.AddRun(sched.Run{Start: 12, Size: 2, Count: 1})
-		rep.AddRun(sched.Run{Start: 20, Size: 4, Count: 2})
-		return nil
-	}}
-	bus := telemetry.NewBus(0)
-	col := &completionCollector{}
-	bus.Subscribe(col)
-	w := Worker{Kernel: func(int) []byte { return nil }, Telemetry: bus}
-	if err := w.runWindow(l, 8, false, 0); err != nil {
-		t.Fatal(err)
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := time.Unix(0, 0)
+		var buf bytes.Buffer
+		enc, err := wire.NewClient(nopCloser{&buf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := &frameRecorder{Link: m.Link(), enc: enc, after: func() { now = now.Add(50 * time.Microsecond) }}
+		w := Worker{
+			Kernel:    func(int) []byte { now = now.Add(time.Microsecond); return nil },
+			Telemetry: cfg.Telemetry,
+			clock:     func() time.Time { return now },
+		}
+		if err := w.runWindow(l, 0, true, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, rep, err := m.Wait(); err != nil || rep.Iterations != n {
+			t.Fatalf("traced %v: %+v, %v", traced, rep, err)
+		}
+		if traced {
+			if err := cfg.Telemetry.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes(), log.drain()
 	}
-	if err := bus.Close(); err != nil {
-		t.Fatal(err)
+	plain, _ := frames(false)
+	traced, events := frames(true)
+	if !bytes.Equal(plain, traced) {
+		t.Errorf("the traced worker wrote %d bytes of requests, the untraced one %d, and they differ", len(traced), len(plain))
 	}
-	want := []sched.Assignment{{Start: 0, Size: 4}, {Start: 4, Size: 4}, {Start: 8, Size: 4}, {Start: 12, Size: 2}, {Start: 20, Size: 4}, {Start: 24, Size: 4}}
-	if !slices.Equal(col.chunks, want) {
-		t.Errorf("the worker closed chunks %v, want %v", col.chunks, want)
+	var runs, completions, closed int
+	for _, e := range events {
+		switch e.Kind {
+		case telemetry.ChunkGranted, telemetry.ChunkPrefetched:
+			runs++
+		case telemetry.ChunkCompleted:
+			completions++
+			closed += e.Chunks()
+		}
 	}
-	if records := []ChunkResult{{Index: 0, Count: 14}, {Index: 20, Count: 8}}; len(shipped) != 2 || !reflect.DeepEqual(shipped[1], records) {
-		t.Errorf("the requests shipped %+v, want the batch as %+v", shipped, records)
+	if completions != runs || closed != n/k || runs >= n/k {
+		t.Errorf("%d runs granted, %d completions closing %d chunks; want a completion per run, closing all %d chunks",
+			runs, completions, closed, n/k)
 	}
 }
 
-// completionCollector records every ChunkCompleted event's range.
-type completionCollector struct{ chunks []sched.Assignment }
+// frameRecorder is a link that also writes every request it sends, as
+// the binary codec frames it, to enc, and calls after once each answer
+// is in.
+type frameRecorder struct {
+	Link
+	enc   *wire.Conn
+	after func()
+}
 
-func (c *completionCollector) BeginRun(telemetry.RunMeta) {}
-func (c *completionCollector) Close() error               { return nil }
-func (c *completionCollector) OnEvent(e telemetry.Event) {
-	if e.Kind == telemetry.ChunkCompleted {
-		c.chunks = append(c.chunks, sched.Assignment{Start: e.Start, Size: e.Size})
+func (r *frameRecorder) Send(req *wire.Request) error {
+	if err := r.enc.WriteRequest(req); err != nil {
+		return err
 	}
+	return r.Link.Send(req)
+}
+
+func (r *frameRecorder) Recv(rep *wire.Reply) error {
+	err := r.Link.Recv(rep)
+	r.after()
+	return err
+}
+
+func (r *frameRecorder) Call(req *wire.Request, rep *wire.Reply) error {
+	if err := r.Send(req); err != nil {
+		return err
+	}
+	return r.Recv(rep)
 }
 
 // TestAskReadsTheChunkThatClosedTheStretch: a stretch of runs of two
-// sizes — two chunks of 4, then one of 2 — runs in one step without
+// sizes — two chunks of 4, then one of 2 — runs a step per run without
 // prefetch, and the worker's next ask is sized by the chunk that closed
 // it, the 2-iteration one: with a round trip worth 8 iterations of its
 // kernel (scripted clock), 4 credits, not the 2 that chunks of 4 would

@@ -63,11 +63,6 @@ type ChunkResult struct {
 	Index int
 	Count int
 	Data  []byte
-	// Span echoes the trace span id of the chunk that produced this
-	// result (zero means untraced); see telemetry.SpanID. The binary
-	// transport carries it in the request's span block so a chunk's
-	// flow stays connected across processes.
-	Span uint64
 }
 
 // Iterations is how many iterations the result completes.
@@ -742,12 +737,8 @@ func (m *Master) park(w int, yield bool, yields int) int {
 const parkYields = 1000
 
 // book ships a grant's runs, which the book has entered into the
-// worker's holding, in rep: a run as one grant without a telemetry bus,
-// and with one chunk by chunk, each published span-tagged and with its
-// request-to-grant latency, so that every chunk keeps its own span and
-// event. An empty grant is published as the prefetch miss it is. The
-// spans ride back in the reply's span block only when telemetry is
-// attached, so a bus-less master's frames carry no span block.
+// worker's holding, in rep: each run as one grant, with or without a
+// telemetry bus. An empty grant is published as the prefetch miss it is.
 //
 //lint:loopsched-hotpath
 func (m *Master) book(args *ChunkArgs, runs []sched.Run, rep *wire.Reply, reqAt float64) {
@@ -755,28 +746,38 @@ func (m *Master) book(args *ChunkArgs, runs []sched.Run, rep *wire.Reply, reqAt 
 		m.publish(telemetry.PrefetchMissed, args.Worker, 0, reqAt)
 		return
 	}
-	if m.bus == nil {
-		for _, r := range runs {
-			rep.AddRun(r)
-		}
-		return
+	for _, r := range runs {
+		rep.AddRun(r)
+		m.observeGrant(args, r, rep, reqAt)
 	}
+}
+
+// observeGrant is all a telemetry bus adds to a grant of run r (see
+// traceGrant); without a bus it does nothing, so a bus-less master's
+// frames carry no span block. It keeps the event out of the request
+// path's frames, as publish does: net/rpc runs each gob call on a fresh
+// goroutine, whose stack a deeper frame there makes it copy per chunk.
+func (m *Master) observeGrant(args *ChunkArgs, r sched.Run, rep *wire.Reply, reqAt float64) {
+	if m.bus != nil {
+		m.traceGrant(args, r, rep, reqAt)
+	}
+}
+
+// traceGrant stamps run r's span in the reply's span block, publishes
+// one span-tagged ChunkGranted (or ChunkPrefetched) event covering the
+// run, and records its request-to-grant latency once for each of its
+// chunks.
+func (m *Master) traceGrant(args *ChunkArgs, r sched.Run, rep *wire.Reply, reqAt float64) {
 	kind := telemetry.ChunkGranted
 	if args.Prefetch {
 		kind = telemetry.ChunkPrefetched
 	}
-	for _, r := range runs {
-		for i := range r.Count {
-			a := r.Chunk(i)
-			span := telemetry.SpanID(m.job, a.Start)
-			rep.Grants, rep.Spans = append(rep.Grants, a), append(rep.Spans, span)
-			now := m.bus.Now()
-			m.waitHist.Record(args.Worker, now-reqAt)
-			e := m.event(kind, args.Worker, now)
-			e.Start, e.Size, e.ACP, e.Span, e.Seconds = a.Start, a.Size, args.ACP, span, now-reqAt
-			m.bus.Publish(e)
-		}
-	}
+	span, now := telemetry.SpanID(m.job, r.Start), m.bus.Now()
+	rep.Spans = append(rep.Spans, span)
+	m.waitHist.RecordN(args.Worker, now-reqAt, r.Count)
+	e := m.event(kind, args.Worker, now)
+	e.Start, e.Size, e.Count, e.ACP, e.Span, e.Seconds = r.Start, r.Size*r.Count, r.Count, args.ACP, span, now-reqAt
+	m.bus.Publish(e)
 }
 
 // now reads the clock the master times its workers by: the
@@ -1100,7 +1101,7 @@ type Worker struct {
 	// call whatever is asked: there 0 means DefaultStealWindow.
 	Window int
 	// Telemetry, when non-nil, receives a ChunkCompleted event for
-	// every chunk this worker computes. TelemetryID and TelemetryShard
+	// every run of chunks this worker computes. TelemetryID and TelemetryShard
 	// label those events; TelemetryID must be the run-global worker id
 	// (the hierarchical runtime hands workers shard-local IDs).
 	Telemetry      *telemetry.Bus

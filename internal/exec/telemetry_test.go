@@ -70,60 +70,65 @@ func TestRPCTelemetrySession(t *testing.T) {
 	}
 }
 
-// TestBusRepliesAreChunkByChunk: with a telemetry bus a master grants a
-// run chunk by chunk — one grant, one span and one ChunkPrefetched event
-// per chunk — so its reply frame is the one a master that booked chunk
-// by chunk sent: byte for byte the span-tagged encoding of those chunks.
-// Without a bus the same request is granted the same chunks as one run.
-func TestBusRepliesAreChunkByChunk(t *testing.T) {
+// TestBusRepliesAreTheSameRuns: a master with a telemetry bus answers a
+// request with the grants and counts a bus-less master answers it with —
+// here one run of the first 64 chunks — and adds only the reply's span
+// block, one span for the run, and one ChunkPrefetched event covering
+// it. So the traced reply frame is the untraced one with the span flag
+// set and the span appended.
+func TestBusRepliesAreTheSameRuns(t *testing.T) {
 	const k, depth = 4, 64
-	var want []sched.Assignment
-	var spans []uint64
-	for c := range depth {
-		want = append(want, sched.Assignment{Start: c * k, Size: k})
-		spans = append(spans, telemetry.SpanID(0, c*k))
-	}
-	golden, err := appendFrame(&wire.Reply{Grants: want, Spans: spans})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, withBus := range []bool{true, false} {
+	var replies [2]wire.Reply
+	log := &eventLog{}
+	for i, withBus := range []bool{false, true} {
 		cfg := Config{Scheme: sched.CSSScheme{K: k}, Iterations: 1 << 16, Workers: 2}
-		col := &grantCollector{}
 		if withBus {
 			cfg.Telemetry = telemetry.NewBus(0)
-			cfg.Telemetry.Subscribe(col)
+			cfg.Telemetry.Subscribe(log)
 		}
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep wire.Reply
-		if err := m.nextBatch(ChunkArgs{Worker: 0, Prefetch: true}, depth, &rep); err != nil {
+		if err := m.nextBatch(ChunkArgs{Worker: 0, Prefetch: true}, depth, &replies[i]); err != nil {
 			t.Fatal(err)
-		}
-		if got := replyChunks(&rep); !slices.Equal(got, want) {
-			t.Fatalf("bus %v: granted %v, want the first %d chunks of %d", withBus, got, depth, k)
-		}
-		if !withBus {
-			if len(rep.Grants) != 1 || len(rep.Spans) != 0 {
-				t.Errorf("without a bus the grant is %d grants and %d spans, want one run", len(rep.Grants), len(rep.Spans))
-			}
-			continue
-		}
-		frame, err := appendFrame(&rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(frame, golden) {
-			t.Errorf("the bus master's reply frame is\n% x\nwant the per-chunk frame\n% x", frame, golden)
 		}
 		if err := cfg.Telemetry.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(col.grants, want) {
-			t.Errorf("the bus saw grants %v, want one event per chunk", col.grants)
+	}
+	plain, traced := &replies[0], &replies[1]
+	if len(plain.Grants) != 1 || plain.Run(0) != (sched.Run{Start: 0, Size: k, Count: depth}) {
+		t.Fatalf("the bus-less master granted %+v, want one run of the first %d chunks of %d", plain, depth, k)
+	}
+	if !slices.Equal(traced.Grants, plain.Grants) || !slices.Equal(traced.Counts, plain.Counts) || traced.Stop != plain.Stop {
+		t.Errorf("the bus master granted %+v, the bus-less one %+v", traced, plain)
+	}
+	if span := telemetry.SpanID(0, 0); len(plain.Spans) != 0 || !slices.Equal(traced.Spans, []uint64{span}) {
+		t.Errorf("spans %v without a bus and %v with one, want none and [%d]", plain.Spans, traced.Spans, span)
+	}
+	var grants []telemetry.Event
+	for _, e := range log.drain() {
+		if e.Kind == telemetry.ChunkGranted || e.Kind == telemetry.ChunkPrefetched {
+			grants = append(grants, e)
 		}
+	}
+	if len(grants) != 1 || grants[0].Kind != telemetry.ChunkPrefetched || grants[0].Start != 0 ||
+		grants[0].Size != k*depth || grants[0].Chunks() != depth || grants[0].Span != telemetry.SpanID(0, 0) {
+		t.Errorf("the bus saw grants %+v, want one ChunkPrefetched covering the run", grants)
+	}
+	pf, err := appendFrame(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf, err := appendFrame(traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both frames are under 128 bytes: a one-byte length prefix, then
+	// the type byte and the flags.
+	if len(tf) != len(pf)+1 || tf[2] != pf[2]|1<<2 || !bytes.Equal(tf[3:len(pf)], pf[3:]) || tf[len(pf)] != byte(telemetry.SpanID(0, 0)) {
+		t.Errorf("the traced reply frame is\n% x\nwant the untraced one\n% x\nwith the span flag and one span", tf, pf)
 	}
 }
 

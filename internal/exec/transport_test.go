@@ -45,8 +45,9 @@ func (g *grantCollector) BeginRun(telemetry.RunMeta) {}
 func (g *grantCollector) Close() error               { return nil }
 func (g *grantCollector) OnEvent(e telemetry.Event) {
 	if e.Kind == telemetry.ChunkGranted || e.Kind == telemetry.ChunkPrefetched {
+		n := e.Chunks() // a grant event is a run: its chunks, in order
 		g.mu.Lock()
-		g.grants = append(g.grants, sched.Assignment{Start: e.Start, Size: e.Size})
+		g.grants = sched.Run{Start: e.Start, Size: e.Size / n, Count: n}.AppendChunks(g.grants)
 		g.mu.Unlock()
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"time"
 
-	"loopsched/internal/dispense"
 	"loopsched/internal/sched"
 	"loopsched/internal/telemetry"
 	"loopsched/internal/wire"
@@ -135,9 +134,6 @@ func chunkResults(dst []ChunkResult, req *wire.Request) []ChunkResult {
 		if len(r.Data) > 0 {
 			dst[i].Data = append([]byte(nil), r.Data...)
 		}
-		if i < len(req.Spans) {
-			dst[i].Span = req.Spans[i]
-		}
 	}
 	return dst
 }
@@ -189,22 +185,21 @@ const sampleSeconds = 50 * 100e-9
 // The clock is read where a request needs it — as it is sent, and
 // around the wait for its answer — and those reads book the kernel
 // time. Between requests it is read only where the prefetch test wants a
-// fresh rate (stale), and, with a telemetry bus, once as each chunk
-// closes, so that ChunkCompleted carries the chunk's own seconds.
+// fresh rate (stale), and, with a telemetry bus, once as each run
+// closes, so that ChunkCompleted carries the run's own seconds.
 func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error {
 	var (
 		req      wire.Request
 		rep      wire.Reply    // the batch: only the next Recv, once its grants have run, writes it
 		head     int           // rep.Grants[head:] is the queue
-		queued   int           // iterations in the queue, past the stretch in hand
-		chunks   int           // chunks in the queue, the stretch in hand's included
+		queued   int           // iterations in the queue, past the run in hand
+		chunks   int           // chunks in the queue, the run in hand's included
 		pending  []wire.Record // computed, not yet shipped (a run of empty results is one record)
-		spans    []uint64      // parallel to pending: one span per record
 		comp     float64       // kernel seconds not yet reported
 		busy     float64       // kernel seconds booked so far, over
 		ran      int           // this many iterations: the running cost estimate
 		since    int           // iterations run since mark, not yet booked
-		secs     float64       // kernel seconds booked to the chunk in hand: its ChunkCompleted reading
+		secs     float64       // kernel seconds booked to the run in hand: its ChunkCompleted reading
 		size     int           // iterations in the chunk last started: what a grant is expected to hold
 		lead     float64       // the round trip the time rule reads: the first measured, raised by late replies
 		rtt      float64       // the latest round trip measured: what an ask covers
@@ -212,7 +207,6 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		sentAt   time.Time     // when the unanswered refill left
 		inflight bool          // a refill is unanswered
 		stopSeen bool
-		echo     bool // the master span-tags its grants: echo the spans back
 		lastACP  int
 	)
 	// What the loop reads per chunk, read once: a value-receiver call per
@@ -221,7 +215,7 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 	// A request ships a record per stretch computed since the last one:
 	// the tail of the batch a prefetch left in hand and the next batch's
 	// head, and a few more where a delivery came back split.
-	pending, spans = make([]wire.Record, 0, 4), make([]uint64, 0, 4)
+	pending = make([]wire.Record, 0, 4)
 	if clock == nil {
 		clock = time.Now
 	}
@@ -256,7 +250,7 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		return Ask(trip, float64(held), size)
 	}
 	// send sends a refill of ask(held, room) chunks, shipping everything
-	// pending; the codec wants one span per record or none at all.
+	// pending.
 	send := func(pre bool, held, room int) error {
 		load := 0
 		if w.LoadProbe != nil {
@@ -265,10 +259,7 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 		lastACP = w.ACPModel.ACP(w.power(), 1+load)
 		req = wire.Request{Worker: w.ID, ACP: lastACP, CompSeconds: comp, IdleSeconds: idle,
 			Prefetch: pre, Credits: ask(held, room), Results: pending}
-		if echo {
-			req.Spans = spans
-		}
-		pending, spans, comp, idle = pending[:0], spans[:0], 0, 0
+		pending, comp, idle = pending[:0], 0, 0
 		return l.Send(&req)
 	}
 	for {
@@ -308,7 +299,7 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			}
 			mark = now // the batch's first chunk opens as it arrives
 			inflight = false
-			stopSeen, echo = stopSeen || rep.Stop, echo || len(rep.Spans) > 0
+			stopSeen = stopSeen || rep.Stop
 			for _, g := range rep.Grants {
 				queued += g.Size
 			}
@@ -318,45 +309,25 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			}
 			continue
 		}
-		// A stretch (the grants that continue one another; one chunk on a
-		// bus or a span echo) runs as one range save where the prefetch
-		// test, which reads the chunk in hand (a), cuts it. A grant is a run
-		// of equal chunks (r): the chunk in hand and the chunks behind it
-		// are arithmetic on the run.
-		queue, n := rep.Grants[head:], 1
-		lo, end := queue[0].Start, queue[0].End()
-		r, c := rep.Run(head), 0 // the run holding iteration i, grant c of the queue
-		switch {
-		case bus == nil && !echo:
-			n = dispense.Stretch(queue)
-			end = queue[n-1].End()
-		case r.Count > 1: // one chunk of the run: the rest stays queued
-			end = lo + r.Size
-		}
+		// A grant is a run of equal chunks (r), and it runs as one range
+		// save where the prefetch test, which reads the chunk in hand (a),
+		// cuts it: the chunk in hand and the chunks behind it are
+		// arithmetic on the run. Its records extend those of the run
+		// before it when the two continue one another.
+		r := rep.Run(head)
+		lo, end := r.Start, r.End()
 		rest := chunks - r.Count // chunks queued behind run r
-		queued, secs = queued-(end-lo), 0
-		// Without a span from the master the deterministic local id still
-		// pairs grant and completion on an in-process bus.
-		span := telemetry.SpanID(0, lo)
-		if head < len(rep.Spans) {
-			span = rep.Spans[head]
-		}
+		queued, secs, size = queued-(end-lo), 0, r.Size
 		for i := lo; i < end; {
-			for r.End() <= i {
-				c++
-				r = rep.Run(head + c)
-				rest -= r.Count
-			}
-			k := (i - r.Start) / r.Size
+			k := (i - lo) / r.Size
 			a, behind, next := r.Chunk(k), rest+r.Count-k-1, end
-			size = a.Size
 			switch {
 			case !prefetch || inflight || stopSeen:
 			case window >= 1 && behind >= window:
 				next = a.End() // the queue has room once this chunk closes
 			default:
 				// The refill leaves when what is still held — the rest of
-				// the stretch and the queue — costs no more than the lead at
+				// the run and the queue — costs no more than the lead at
 				// this worker's measured rate; until then it looks again
 				// after one iteration (nothing measured yet) or half the
 				// slack. Under a window that a full window of chunks like
@@ -375,9 +346,9 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 				case slack > 0:
 					next = min(i+max(1, int(slack/2)), end)
 				default:
-					// A request ships what is computed, this stretch's part
-					// and its kernel seconds included; the rest rides the
-					// next one. The send itself is nobody's kernel time.
+					// A request ships what is computed, this run's part and
+					// its kernel seconds included; the rest rides the next
+					// one. The send itself is nobody's kernel time.
 					book(clock())
 					sentAt = mark
 					if err := send(true, held, window-behind); err != nil {
@@ -387,36 +358,28 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 				}
 			}
 			// Send has consumed req, so the records may reuse the buffers
-			// it was built from. Under an echo a run continues only its
-			// own chunk's record.
+			// it was built from.
 			var err error
-			if pending, err = Compute(body, kernel, scale, pending, i, next, !echo || i > lo); err != nil {
+			if pending, err = Compute(body, kernel, scale, pending, i, next); err != nil {
 				return err
-			}
-			for range pending[len(spans):] {
-				spans = append(spans, span)
 			}
 			since, i = since+next-i, next
 		}
-		for ; c < n-1; c++ { // the stretch may have run to its end in one step
-			r = rep.Run(head + c + 1)
-			rest -= r.Count
-		}
-		a := sched.Assignment{Start: end - r.Size, Size: r.Size} // the chunk that closed the stretch
-		chunks, size = rest+r.Count-(end-r.Start)/r.Size, a.Size
-		if g := queue[0]; end < g.End() {
-			rep.Grants[head], rep.Counts[head] = sched.Assignment{Start: end, Size: g.End() - end}, r.Count-1
-		} else {
-			head += n
-		}
 		if bus != nil {
+			// Without a span from the master the deterministic local id
+			// still pairs grant and completion on an in-process bus.
+			span := telemetry.SpanID(0, lo)
+			if head < len(rep.Spans) {
+				span = rep.Spans[head]
+			}
 			book(clock())
 			bus.Publish(telemetry.Event{
 				Kind:   telemetry.ChunkCompleted,
 				Worker: w.TelemetryID, Shard: w.TelemetryShard,
-				Start: a.Start, Size: a.Size, ACP: lastACP, Span: span,
+				Start: lo, Size: end - lo, Count: r.Count, ACP: lastACP, Span: span,
 				At: bus.Now(), Seconds: secs,
 			})
 		}
+		head, chunks = head+1, rest
 	}
 }

@@ -175,9 +175,9 @@ func TestLoopEquivalenceAcrossTransports(t *testing.T) {
 	}
 }
 
-// TestEmptyBodyCompletionsReconcile: every granted chunk publishes its
-// ChunkCompleted and books its Comp even when it computes in well under
-// a microsecond. Completions are the workers' to publish, as on rpc, so
+// TestEmptyBodyCompletionsReconcile: every granted chunk is closed by a
+// ChunkCompleted — one per run, counting its chunks — and books its Comp
+// even when it computes in well under a microsecond. Completions are the workers' to publish, as on rpc, so
 // the run goes through Run(BackendMP), which hands them the bus.
 func TestEmptyBodyCompletionsReconcile(t *testing.T) {
 	const n = 4096
@@ -206,7 +206,7 @@ func TestEmptyBodyCompletionsReconcile(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if completed != rep.Chunks || rep.Chunks != n/4 {
-		t.Errorf("%d ChunkCompleted events for %d chunks (want %d)", completed, rep.Chunks, n/4)
+		t.Errorf("ChunkCompleted events closing %d chunks for %d chunks (want %d)", completed, rep.Chunks, n/4)
 	}
 	if rep.CompLatency.Count != uint64(rep.Chunks) {
 		t.Errorf("%d compute-latency samples for %d chunks", rep.CompLatency.Count, rep.Chunks)
@@ -223,7 +223,7 @@ func (completionCounter) Close() error               { return nil }
 func (c completionCounter) OnEvent(e telemetry.Event) {
 	if e.Kind == telemetry.ChunkCompleted {
 		c.mu.Lock()
-		*c.n++
+		*c.n += e.Chunks()
 		c.mu.Unlock()
 	}
 }

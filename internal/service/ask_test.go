@@ -90,8 +90,9 @@ func TestFleetPaceIsPerAttempt(t *testing.T) {
 // with scripted request times and paces and no clock. A higher-priority
 // admission waits for at most one batch per worker; with no window set a
 // batch's predicted time — its chunks at the worker's pace — is under
-// fleetTrips request times plus one chunk, and (below the master's
-// ceiling) at least fleetTrips request times, so the worker idles for at
+// fleetTrips request times plus one chunk, and (below what a frame can
+// carry, wire.MaxFrame chunks: the clamp Ask answers for an infinite
+// trip) at least fleetTrips request times, so the worker idles for at
 // most about 1/(fleetTrips+1) of its time. (A set window and an
 // attempt's first batch are TestFleetAsk's cases.)
 func TestFleetBatchBoundsPreemption(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"loopsched/internal/dispense"
 	"loopsched/internal/exec"
 	"loopsched/internal/telemetry"
 	"loopsched/internal/wire"
@@ -187,15 +186,16 @@ func (w *fleetWorker) request(att *attempt, credits int) bool {
 }
 
 // run executes the batch the last request was granted through exec's
-// compute step, a contiguous stretch per call (a chunk, with a telemetry
-// bus, whose close the clock reads for its ChunkCompleted), and holds its
-// results for the next request. The clock is read as the batch starts
-// and as it ends: the first reading closes the request, whose time (since
-// the last batch ended) is the worker's trip; the last closes the batch,
-// whose seconds per iteration, the trip's excess over the least trip on
-// the attempt included, are the worker's pace there. Both size its next
-// ask there. A stretch of an attempt cancelled, failed or
-// requeued meanwhile is not started, and the batch's results are dropped.
+// compute step, one run of equal chunks per call (with a telemetry bus
+// the clock reads the run's close, for its ChunkCompleted), and holds its
+// results, a record per contiguous stretch, for the next request. The
+// clock is read as the batch starts and as it ends: the first reading
+// closes the request, whose time (since the last batch ended) is the
+// worker's trip; the last closes the batch, whose seconds per iteration,
+// the trip's excess over the least trip on the attempt included, are the
+// worker's pace there. Both size its next ask there. A run of an attempt
+// cancelled, failed or requeued meanwhile is not started, and the
+// batch's results are dropped.
 // A body's panic, an error from the compute step, is the fleet's
 // worker-death signal: the attempt is aborted and the job heads to the
 // fail-queue (or fails terminally once its retry budget is spent).
@@ -206,27 +206,22 @@ func (w *fleetWorker) run(att *attempt) {
 	start := time.Now()
 	w.trip = start.Sub(w.now).Seconds()
 	at := bus.Now()
-	for k := 0; k < len(grants); {
+	for k, g := range grants {
 		if j.att.Load() != att || j.State() != StateRunning {
 			w.recs = w.recs[:0]
 			return
 		}
-		g, n := grants[k], 1
-		if bus == nil {
-			n = dispense.Stretch(grants[k:])
-		}
 		var err error
-		if w.recs, err = exec.Compute(j.spec.Body, nil, w.scale, w.recs, g.Start, grants[k+n-1].End(), true); err != nil {
+		if w.recs, err = exec.Compute(j.spec.Body, nil, w.scale, w.recs, g.Start, g.End()); err != nil {
 			w.s.failAttempt(att, fmt.Errorf("service: job %d: %w", j.id, err))
 			return
 		}
-		k += n
 		if bus != nil {
 			now := bus.Now()
 			bus.Publish(telemetry.Event{
 				Kind: telemetry.ChunkCompleted, Worker: w.id, Job: j.id, Tenant: j.tenant.id,
-				Start: g.Start, Size: g.Size, ACP: w.req.ACP, Span: telemetry.SpanID(j.id, g.Start),
-				At: now, Seconds: now - at,
+				Start: g.Start, Size: g.Size, Count: w.rep.Run(k).Count, ACP: w.req.ACP,
+				Span: telemetry.SpanID(j.id, g.Start), At: now, Seconds: now - at,
 			})
 			at = now
 		}

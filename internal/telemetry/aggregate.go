@@ -31,7 +31,7 @@ type workerStats struct {
 	Iterations uint64  // iterations granted
 	Completed  uint64  // chunks the worker reported computed
 	CompSec    float64 // computation seconds (sum of ChunkCompleted.Seconds)
-	WaitSec    float64 // scheduling-latency seconds (sum of grant latencies)
+	WaitSec    float64 // scheduling-latency seconds (a grant's latency once per chunk)
 	ACP        int     // last reported available computing power, percent
 }
 
@@ -186,27 +186,34 @@ func (a *Aggregator) OnEvent(e Event) {
 	}
 	switch e.Kind {
 	case ChunkGranted, ChunkPrefetched:
+		// A grant is a run: its chunks are counted, and each waited the
+		// run's latency.
+		n := e.Chunks()
 		w := a.worker(e)
-		w.Chunks++
+		w.Chunks += uint64(n)
 		w.Iterations += uint64(e.Size)
-		w.WaitSec += e.Seconds
-		a.observeLatency(e.Seconds)
+		w.WaitSec += float64(n) * e.Seconds
+		a.observeLatency(e.Seconds, n)
 		h := a.hist()
-		h.queueWait.Record(e.Seconds)
+		h.queueWait.RecordN(e.Seconds, n)
 		if len(a.pending) < maxPending {
 			a.pending[pendKey{e.Job, e.Start}] = e.At
 		}
 		if e.Tenant != 0 {
 			t := a.tenant(e.Tenant)
-			t.Chunks++
+			t.Chunks += uint64(n)
 			t.Iterations += uint64(e.Size)
 		}
 	case ChunkCompleted:
+		// A completion is a run too: each of its chunks took an even
+		// share of its seconds, and the run's grant-to-complete time.
+		n := e.Chunks()
+		per := e.Seconds / float64(n)
 		w := a.worker(e)
-		w.Completed++
+		w.Completed += uint64(n)
 		w.CompSec += e.Seconds
 		h := a.hist()
-		h.comp.Record(e.Seconds)
+		h.comp.RecordN(per, n)
 		k := pendKey{e.Job, e.Start}
 		if grantAt, ok := a.pending[k]; ok {
 			delete(a.pending, k)
@@ -214,12 +221,12 @@ func (a *Aggregator) OnEvent(e Event) {
 			if g2c < 0 {
 				g2c = 0
 			}
-			h.g2c.Record(g2c)
+			h.g2c.RecordN(g2c, n)
 			comm := g2c - e.Seconds
 			if comm < 0 {
 				comm = 0
 			}
-			h.comm.Record(comm)
+			h.comm.RecordN(comm, n)
 		}
 		if e.Tenant != 0 {
 			a.tenant(e.Tenant).CompSec += e.Seconds
@@ -228,7 +235,7 @@ func (a *Aggregator) OnEvent(e Event) {
 				tc = &hist.Hist{}
 				a.tenantComp[e.Tenant] = tc
 			}
-			tc.Record(e.Seconds)
+			tc.RecordN(per, n)
 			busy := a.tenantBusy[e.Tenant]
 			if busy == nil {
 				busy = make(map[int]float64)
@@ -340,12 +347,13 @@ func (a *Aggregator) tenant(id int) *TenantStats {
 	return t
 }
 
-// observeLatency records one scheduling latency. Callers hold a.mu.
-func (a *Aggregator) observeLatency(sec float64) {
+// observeLatency records one scheduling latency n times, once per chunk
+// of a run. Callers hold a.mu.
+func (a *Aggregator) observeLatency(sec float64, n int) {
 	i := sort.SearchFloat64s(latencyBuckets, sec)
-	a.latCount[i]++
-	a.latSum += sec
-	a.latN++
+	a.latCount[i] += uint64(n)
+	a.latSum += float64(n) * sec
+	a.latN += uint64(n)
 }
 
 // Snapshot is a point-in-time copy of the aggregator's state, used by
@@ -415,7 +423,6 @@ func (a *Aggregator) Snapshot() Snapshot {
 
 		PrefetchHits:   a.kinds[ChunkPrefetched],
 		PrefetchMisses: a.kinds[PrefetchMissed],
-		ChunksGranted:  a.kinds[ChunkGranted] + a.kinds[ChunkPrefetched],
 		WireSent:       a.wire[0],
 		WireReceived:   a.wire[1],
 		LatencySum:     a.latSum,
@@ -434,6 +441,7 @@ func (a *Aggregator) Snapshot() Snapshot {
 	}
 	for k, w := range a.workers {
 		s.Workers[fmt.Sprintf("%d/%d", k.Shard, k.Worker)] = *w
+		s.ChunksGranted += w.Chunks
 		s.Iterations += w.Iterations
 	}
 	for id, t := range a.tenants {

@@ -18,8 +18,9 @@ const (
 )
 
 // FlightSample is one completion observation kept in the recorder's
-// ring: which worker finished a chunk, when, how long the chunk took,
-// and the worker's smoothed latency at that instant.
+// ring: which worker finished a run of chunks, when, how long a chunk of
+// it took (the run's seconds over its chunks), and the worker's smoothed
+// latency at that instant.
 type FlightSample struct {
 	At      float64 `json:"at"`
 	Worker  int     `json:"worker"`
@@ -145,18 +146,21 @@ func (f *FlightRecorder) OnEvent(e Event) {
 	}
 }
 
-// observe folds one completion into the per-worker state, appends it
-// to the ring, and runs the straggler detector.
+// observe folds one completion — a run of chunks — into the per-worker
+// state, appends it to the ring, and runs the straggler detector. The
+// EWMA and the sample read a chunk's latency: the run's seconds over its
+// chunks.
 func (f *FlightRecorder) observe(e Event) {
+	per := e.Seconds / float64(e.Chunks())
 	f.mu.Lock()
 	w := f.workers[e.Worker]
 	if w == nil {
-		w = &flightWorker{ewma: e.Seconds}
+		w = &flightWorker{ewma: per}
 		f.workers[e.Worker] = w
 	}
-	w.chunks++
+	w.chunks += uint64(e.Chunks())
 	w.busy += e.Seconds
-	w.ewma = flightEWMAAlpha*e.Seconds + (1-flightEWMAAlpha)*w.ewma
+	w.ewma = flightEWMAAlpha*per + (1-flightEWMAAlpha)*w.ewma
 	if e.At > w.lastFinish {
 		w.lastFinish = e.At
 	}
@@ -164,7 +168,7 @@ func (f *FlightRecorder) observe(e Event) {
 	if f.samples == nil {
 		f.samples = make([]FlightSample, f.ring)
 	}
-	f.samples[f.next] = FlightSample{At: e.At, Worker: e.Worker, Seconds: e.Seconds, EWMA: w.ewma}
+	f.samples[f.next] = FlightSample{At: e.At, Worker: e.Worker, Seconds: per, EWMA: w.ewma}
 	f.next++
 	if f.next == len(f.samples) {
 		f.next = 0

@@ -16,13 +16,14 @@ import (
 // one "thread" (tid = worker id), so every worker gets its own track.
 // Scheduler tenants get their own processes (pid = tenantPidBase +
 // tenant id) named from JobMeta, so a multi-tenant trace groups each
-// tenant's chunks under a readable track. ChunkCompleted events become
-// complete ("X") slices on the worker's track; steals, timeouts and
-// stage advances become instant ("i") events; span-tagged grants and
-// completions become flow ("s"/"f") events keyed by the span id, so
-// one chunk draws one arrow from grant to completion even across
-// processes. Timestamps are microseconds on the backend clock (bus
-// epoch for real backends, virtual time for sim).
+// tenant's chunks under a readable track. ChunkCompleted events — runs
+// of equal chunks — become complete ("X") slices on the worker's track,
+// with the run's chunk count in their args; steals, timeouts and stage
+// advances become instant ("i") events; span-tagged grants and
+// completions become flow ("s"/"f") events keyed by the span id, so one
+// run draws one arrow from grant to completion even across processes.
+// Timestamps are microseconds on the backend clock (bus epoch for real
+// backends, virtual time for sim).
 //
 // The writer never seeks: JSON is emitted strictly append-only so it
 // can stream to a pipe, and Close finishes the document.
@@ -141,23 +142,24 @@ func (p *PerfettoWriter) OnEvent(e Event) {
 	us := e.At * 1e6
 	switch e.Kind {
 	case ChunkGranted, ChunkPrefetched:
-		// Span-tagged grants open a flow: the arrow's tail sits on the
-		// granted worker's track at the grant instant.
+		// Span-tagged grants open a flow, one per run: the arrow's tail
+		// sits on the granted worker's track at the grant instant.
 		if e.Span != 0 {
 			pid := p.pidFor(e)
 			p.nameThread(pid, e.Worker)
 			p.emit(fmt.Sprintf(
-				`{"name":"chunk-flow","cat":"flow","ph":"s","id":%d,"ts":%s,"pid":%d,"tid":%d,"args":{"start":%d,"size":%d,"job":%d}}`,
-				e.Span, jsonNum(us), pid, e.Worker, e.Start, e.Size, e.Job))
+				`{"name":"chunk-flow","cat":"flow","ph":"s","id":%d,"ts":%s,"pid":%d,"tid":%d,"args":{"start":%d,"size":%d,"count":%d,"job":%d}}`,
+				e.Span, jsonNum(us), pid, e.Worker, e.Start, e.Size, e.Chunks(), e.Job))
 		}
 	case ChunkCompleted:
-		// One complete slice per computed chunk: [At-Seconds, At].
+		// One complete slice per computed run: [At-Seconds, At], its
+		// chunks in count.
 		pid := p.pidFor(e)
 		p.nameThread(pid, e.Worker)
 		dur := e.Seconds * 1e6
 		p.emit(fmt.Sprintf(
-			`{"name":"chunk","cat":"chunk","ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d,"args":{"start":%d,"size":%d,"shard":%d,"acp":%d,"job":%d}}`,
-			jsonNum(us-dur), jsonNum(dur), pid, e.Worker, e.Start, e.Size, e.Shard, e.ACP, e.Job))
+			`{"name":"chunk","cat":"chunk","ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d,"args":{"start":%d,"size":%d,"count":%d,"shard":%d,"acp":%d,"job":%d}}`,
+			jsonNum(us-dur), jsonNum(dur), pid, e.Worker, e.Start, e.Size, e.Chunks(), e.Shard, e.ACP, e.Job))
 		if e.Span != 0 {
 			// Close the chunk's flow on the completion slice.
 			p.emit(fmt.Sprintf(

@@ -43,14 +43,15 @@ const (
 	// submaster. Worker/Shard/ACP identify the requester.
 	ChunkRequested
 
-	// ChunkGranted marks a chunk handed to a worker in direct reply
-	// to a request. Start/Size give the iteration range, Seconds the
+	// ChunkGranted marks a run of Count equal chunks (see
+	// Event.Chunks) handed to a worker in direct reply to a request.
+	// Start/Size give the run's whole iteration range, Seconds the
 	// scheduling latency from request arrival to grant.
 	ChunkGranted
 
 	// ChunkPrefetched is a grant satisfying a pipelined prefetch
 	// request (the worker asked for work ahead of need). Counted as a
-	// grant and as a prefetch hit.
+	// grant of its chunks and as one prefetch hit.
 	ChunkPrefetched
 
 	// PrefetchMissed marks a prefetch request the master could not
@@ -58,9 +59,10 @@ const (
 	// bubble the prefetch protocol tries to avoid.
 	PrefetchMissed
 
-	// ChunkCompleted marks a worker finishing the computation of a
-	// chunk. Seconds is the computation time; At is the completion
-	// instant, so the chunk occupied [At-Seconds, At].
+	// ChunkCompleted marks a worker finishing the computation of a run
+	// of Count equal chunks over [Start, Start+Size). Seconds is the
+	// run's computation time, so a chunk's is Seconds/Chunks(); At is
+	// the completion instant, so the run occupied [At-Seconds, At].
 	ChunkCompleted
 
 	// WorkerJoined marks the first contact from a worker.
@@ -211,13 +213,14 @@ type Event struct {
 	Shard  int // shard index; 0 for flat runs, victim shard for ShardStealDone
 	Job    int // scheduler job id; 0 for single-run executions
 	Tenant int // scheduler tenant id; 0 for single-run executions
-	Start  int // first iteration of the chunk / stolen range
-	Size   int // iterations in the chunk / stolen range
+	Start  int // first iteration of the chunk, run or stolen range
+	Size   int // iterations in the chunk, run or stolen range
+	Count  int // chunks in a granted or completed run; 0 reads as 1 (Chunks)
 	ACP    int // available computing power the requester reported, percent
 
-	// Span is the chunk's trace/span id (see SpanID), carried by
+	// Span is the run's trace/span id (see SpanID), carried by
 	// ChunkGranted, ChunkPrefetched and ChunkCompleted so the
-	// Perfetto export can draw one flow per chunk across processes.
+	// Perfetto export can draw one flow per run across processes.
 	// Zero means untraced.
 	Span uint64
 
@@ -232,14 +235,20 @@ type Event struct {
 	Seconds float64
 }
 
-// SpanID derives a chunk's deterministic trace/span id from its job id
-// and first iteration. A job's chunks partition its iteration space,
-// so (job, start) identifies a chunk uniquely and both the granting
-// master and the completing worker can compute the same id without
-// threading state between them. The id is never zero (zero means "no
-// span"); a requeued chunk re-granted after a worker failure reuses
-// the id — it is the same chunk, and the trace shows the retry as a
-// second slice on the same flow.
+// Chunks is how many chunks a grant or completion event covers: its
+// Count, and 1 for an event that leaves Count zero — a publisher that
+// grants chunk by chunk, as the simulator does.
+func (e Event) Chunks() int { return max(e.Count, 1) }
+
+// SpanID derives a grant's deterministic trace/span id from its job id
+// and first iteration. A job's grants — chunks, or runs of equal chunks —
+// partition its iteration space, so (job, start) identifies a grant
+// uniquely and both the granting master and the completing worker can
+// compute the same id without threading state between them. The id is
+// never zero (zero means "no span"); a requeued run re-granted from the
+// same start after a worker failure reuses the id — it is the same
+// work, and the trace shows the retry as a second slice on the same
+// flow.
 //
 //lint:loopsched-hotpath
 func SpanID(job, start int) uint64 {
@@ -298,7 +307,7 @@ type Subscriber interface {
 }
 
 // DefaultBufferSize is the ring capacity used when NewBus is given a
-// non-positive size. At 72 bytes per Event this is ~1.2 MiB.
+// non-positive size. At 96 bytes per Event this is 1.5 MiB.
 const DefaultBufferSize = 1 << 14
 
 // Bus is the event ring. Create with NewBus, stop with Close.

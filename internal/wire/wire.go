@@ -26,11 +26,10 @@
 //
 //	request body: 0x01 | uvarint worker | uvarint acp |
 //	              fixed64 compSeconds | fixed64 idleSeconds |
-//	              flags (bit0 prefetch, bit1 record spans, bit3 runs;
-//	                     bit2 reserved, rejected) |
+//	              flags (bit0 prefetch, bit3 runs;
+//	                     bits 1 and 2 reserved, rejected) |
 //	              uvarint credits |
-//	              uvarint nResults | nResults × record |
-//	              [nResults × uvarint span]          (iff bit1 set)
+//	              uvarint nResults | nResults × record
 //	record:       uvarint index | uvarint dataLen | dataLen bytes
 //	              (bit3 set: uvarint dataLen<<1 | dataLen bytes, or
 //	               uvarint count<<1|1 — a run, no bytes)
@@ -51,8 +50,9 @@
 // steps, get the first back — carrying a single uvarint each instead of
 // a grant batch. It is codec-only: exec.Master does not answer it and
 // drops a connection that sends it (docs/PROTOCOL.md "Codec-only
-// frames"). Request flag bit2 is reserved: like every flag bit the
-// decoder does not know, it fails decoding with ErrCorrupt.
+// frames"). Request flag bits 1 (once a span echo) and 2 (once
+// "no-reply") are reserved: like every flag bit the decoder does not
+// know, they fail decoding with ErrCorrupt.
 //
 // A completion record is a range, not an iteration: a run of count
 // consecutive iterations whose kernel returned no bytes travels as one
@@ -66,19 +66,18 @@
 // A grant is a run too: count equal, contiguous chunks travel as one
 // grant (Reply.Counts). A reply carrying a run sets the runs flag
 // (bit3), and under it every grant carries its count; a reply without
-// runs is byte-identical to protocol v2. A run is never span-tagged — a
-// master with a telemetry bus grants chunk by chunk — so the runs and
-// span flags together are corrupt, and so are a count of 0, a run of
-// empty chunks, a run reaching past MaxFrame and a runs flag on a reply
-// with no run.
+// runs is byte-identical to protocol v2. A count of 0, a run of empty
+// chunks, a run reaching past MaxFrame and a runs flag on a reply with no
+// run are corrupt.
 //
-// Span blocks are optional trailing fields: a frame without the span
-// flag is byte-identical to protocol v1, so span-aware and span-less
-// peers interoperate on the same sniffed listener, and the gob
-// fallback is unaffected. A span flag with a zero item count is
-// rejected as non-canonical (the encoder never produces it), and so is
-// any flag bit the decoder does not know, which keeps decode→re-encode
-// byte-stable.
+// The span block is an optional trailing field of a reply: one trace
+// span id per grant, a run's included, which a master with a telemetry
+// bus attaches. A reply without the span flag is byte-identical to one
+// without telemetry, so span-aware and span-less peers interoperate on
+// the same sniffed listener, and the gob fallback is unaffected. A span
+// flag with a zero grant count is rejected as non-canonical (the encoder
+// never produces it), and so is any flag bit the decoder does not know,
+// which keeps decode→re-encode byte-stable.
 //
 // A connection opens with a 4-byte preamble (Magic 'L' 'S' Version)
 // written by the client, which lets a server share one listener
@@ -107,9 +106,10 @@ const (
 	// Version is the protocol revision carried in the preamble's
 	// fourth byte. A peer speaking any other revision is refused with
 	// ErrVersion instead of misparsed: version 2 added run records,
-	// which a version-1 peer would read as single iterations, and
-	// version 3 run grants, which a version-2 peer would reject.
-	Version = 3
+	// which a version-1 peer would read as single iterations, version 3
+	// run grants, which a version-2 peer would reject, and version 4
+	// span-tagged run grants, which a version-3 peer would reject.
+	Version = 4
 
 	// MaxFrame bounds a frame body. Matches the mp transport's 1 GiB
 	// sanity limit; anything larger is a corrupt or hostile header.
@@ -120,10 +120,9 @@ const (
 	frameFetchAdd = 0x03
 	frameStep     = 0x04
 
-	flagPrefetch    = 1 << 0
-	flagRecordSpans = 1 << 1 // request carries one span id per record
-	flagRuns        = 1 << 3 // request carries run records: record lengths are tagged
-	requestFlags    = flagPrefetch | flagRecordSpans | flagRuns
+	flagPrefetch = 1 << 0
+	flagRuns     = 1 << 3 // request carries run records: record lengths are tagged
+	requestFlags = flagPrefetch | flagRuns
 
 	flagStop      = 1 << 0
 	flagError     = 1 << 1
@@ -177,8 +176,7 @@ func (r Record) Iterations() int { return max(r.Count, 1) }
 
 // Request is a slave's work request: the previous batch's completion
 // records ride along, and Credits asks for up to that many grants in
-// the reply. Spans, when non-empty, echoes one trace span id per
-// record (same order); it must be empty or match len(Results).
+// the reply.
 type Request struct {
 	Worker      int
 	ACP         int
@@ -187,7 +185,6 @@ type Request struct {
 	Prefetch    bool
 	Credits     int
 	Results     []Record
-	Spans       []uint64
 }
 
 // iterations is how many iterations the request's records complete —
@@ -204,18 +201,15 @@ func (r *Request) iterations() int {
 //
 //lint:loopsched-hotpath
 func (r *Request) reset() {
-	r.Results = r.Results[:0]
-	r.Spans = r.Spans[:0]
-	*r = Request{Results: r.Results, Spans: r.Spans}
+	*r = Request{Results: r.Results[:0]}
 }
 
 // Reply is the master's answer: up to Credits chunks, a stop flag, or
 // a protocol error. Each grant is a range of iterations; Counts, when
 // non-empty, says how many equal chunks each one is (same order, so it
 // must be empty or match len(Grants)), and when empty every grant is one
-// chunk. Spans, when non-empty, stamps one trace span id per grant (same
-// order); it must be empty or match len(Grants), and a reply with spans
-// carries no run.
+// chunk. Spans, when non-empty, stamps one trace span id per grant, a
+// run's included (same order); it must be empty or match len(Grants).
 type Reply struct {
 	Stop   bool
 	Err    string
@@ -285,9 +279,6 @@ func appendRequest(b []byte, r *Request) ([]byte, error) {
 	if r.Worker < 0 || r.ACP < 0 || r.Credits < 0 {
 		return b, fmt.Errorf("%w: negative request field", ErrCorrupt)
 	}
-	if len(r.Spans) != 0 && len(r.Spans) != len(r.Results) {
-		return b, fmt.Errorf("%w: %d spans for %d results", ErrCorrupt, len(r.Spans), len(r.Results))
-	}
 	b = append(b, frameRequest)
 	b = binary.AppendUvarint(b, uint64(r.Worker))
 	b = binary.AppendUvarint(b, uint64(r.ACP))
@@ -296,9 +287,6 @@ func appendRequest(b []byte, r *Request) ([]byte, error) {
 	var flags byte
 	if r.Prefetch {
 		flags |= flagPrefetch
-	}
-	if len(r.Spans) > 0 {
-		flags |= flagRecordSpans
 	}
 	for i := range r.Results {
 		if r.Results[i].Count != 0 {
@@ -330,9 +318,6 @@ func appendRequest(b []byte, r *Request) ([]byte, error) {
 		}
 		b = append(b, rec.Data...)
 	}
-	for _, s := range r.Spans {
-		b = binary.AppendUvarint(b, s)
-	}
 	return b, nil
 }
 
@@ -362,9 +347,6 @@ func appendReply(b []byte, r *Reply) ([]byte, error) {
 			flags |= flagGrantRuns
 			break
 		}
-	}
-	if flags&flagGrantRuns != 0 && flags&flagSpans != 0 {
-		return b, fmt.Errorf("%w: a span-tagged reply carries a run", ErrCorrupt)
 	}
 	b = append(b, flags)
 	if r.Err != "" {
@@ -533,18 +515,6 @@ func decodeRequest(body []byte, r *Request) error {
 	if tagged && !runs {
 		return fmt.Errorf("%w: runs flag with no run", ErrCorrupt)
 	}
-	if flags&flagRecordSpans != 0 {
-		if n == 0 {
-			return fmt.Errorf("%w: span flag with no records", ErrCorrupt)
-		}
-		for i := 0; i < n; i++ {
-			s, err := d.uvarint()
-			if err != nil {
-				return err
-			}
-			r.Spans = append(r.Spans, s)
-		}
-	}
 	if d.remaining() != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.remaining())
 	}
@@ -594,9 +564,6 @@ func decodeReply(body []byte, r *Reply) error {
 	}
 	runs, width := flags&flagGrantRuns != 0, 2 // the fewest bytes a grant takes
 	if runs {
-		if flags&flagSpans != 0 {
-			return fmt.Errorf("%w: span-tagged run grants", ErrCorrupt)
-		}
 		width = 3
 	}
 	if n > d.remaining()/width {

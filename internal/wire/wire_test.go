@@ -68,14 +68,13 @@ func sampleRequests() []Request {
 				{Index: 3, Data: []byte{9}},
 				{Index: 4, Data: []byte{8, 7}},
 			},
-			Spans: []uint64{1<<40 | 101, 0},
 		},
 		{
 			Worker: 5, Prefetch: true,
 			Results: []Record{{Index: 12, Data: []byte{6, 6, 6}}},
 		},
 		// Run records: alone, with no credits, mixed with data records
-		// (an empty one among them), and mixed with a span block.
+		// (an empty one among them), and before a data record.
 		{Worker: 1, Credits: 8, Results: []Record{{Index: 0, Count: 256}}},
 		{Worker: 4, Results: []Record{{Index: 1 << 20, Count: 1}}},
 		{
@@ -91,7 +90,6 @@ func sampleRequests() []Request {
 		{
 			Worker: 7, Credits: 1,
 			Results: []Record{{Index: 40, Count: 8}, {Index: 48, Data: []byte{0xEE}}},
-			Spans:   []uint64{1<<40 | 40, 1<<40 | 48},
 		},
 	}
 }
@@ -116,11 +114,17 @@ func sampleReplies() []Reply {
 			Grants: []sched.Assignment{{Start: 0, Size: 10}, {Start: 10, Size: 5}},
 			Spans:  []uint64{1, 11},
 		},
-		// Runs: one of 256 CSS(4) chunks, and a run between single chunks.
+		// Runs: one of 256 CSS(4) chunks, a run between single chunks, and
+		// span-tagged runs, one span per grant.
 		{Grants: []sched.Assignment{{Start: 0, Size: 1024}}, Counts: []int{256}},
 		{
 			Grants: []sched.Assignment{{Start: 0, Size: 7}, {Start: 7, Size: 1 << 20}, {Start: 1<<20 + 7, Size: 3}},
 			Counts: []int{1, 1 << 18, 1},
+		},
+		{
+			Grants: []sched.Assignment{{Start: 0, Size: 1024}, {Start: 1024, Size: 3}},
+			Counts: []int{256, 1},
+			Spans:  []uint64{1<<40 | 1, 1<<40 | 1025},
 		},
 	}
 }
@@ -156,7 +160,7 @@ func reqEqual(a, b *Request) bool {
 			return false
 		}
 	}
-	return spansEqual(a.Spans, b.Spans)
+	return true
 }
 
 func repEqual(a, b *Reply) bool {
@@ -221,13 +225,11 @@ func TestEncodeRejectsNegativeFields(t *testing.T) {
 		{Grants: []sched.Assignment{{Start: -1, Size: 1}}},
 		{Grants: []sched.Assignment{{Start: 0, Size: -1}}},
 		// Runs: counts that do not match the grants, a count of 0, a
-		// grant that is not count equal chunks, a run of empty chunks,
-		// and a run with a span.
+		// grant that is not count equal chunks, and a run of empty chunks.
 		{Grants: []sched.Assignment{{Start: 0, Size: 8}}, Counts: []int{2, 1}},
 		{Grants: []sched.Assignment{{Start: 0, Size: 8}, {Start: 8, Size: 8}}, Counts: []int{2, 0}},
 		{Grants: []sched.Assignment{{Start: 0, Size: 9}}, Counts: []int{2}},
 		{Grants: []sched.Assignment{{Start: 0, Size: 0}}, Counts: []int{2}},
-		{Grants: []sched.Assignment{{Start: 0, Size: 8}}, Counts: []int{2}, Spans: []uint64{1}},
 	} {
 		if _, err := appendReply(nil, &r); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("reply case %d: err = %v, want ErrCorrupt", i, err)
@@ -269,7 +271,6 @@ func TestDecodeErrors(t *testing.T) {
 		// Span-block corruption: the flag with nothing to attach spans
 		// to is non-canonical, and a flagged frame must carry exactly
 		// one span per item.
-		{"request span flag without records", []byte{frameRequest, 0x00, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, flagRecordSpans, 0x01, 0x00}},
 		{"reply span flag without grants", []byte{frameReply, flagSpans, 0x00}},
 		{"reply span block truncated", []byte{frameReply, flagSpans, 0x02, 0x00, 0x01, 0x01, 0x02, 0x07}},
 		{"reply span block overlong", []byte{frameReply, flagSpans, 0x01, 0x00, 0x01, 0x07, 0x08}},
@@ -283,15 +284,16 @@ func TestDecodeErrors(t *testing.T) {
 		{"run tag without the runs flag", append(reqHeader(0), 0x01, 0x00, 0x81, 0x04)},
 		{"runs flag with no run", append(reqHeader(flagRuns), 0x01, 0x00, 0x00)},
 		// Flag bits the decoders do not know would be dropped on re-encode;
-		// bit 2 is reserved.
+		// bits 1 (a version-3 span echo, here with its one record's span)
+		// and 2 are reserved.
 		{"request stray flag bit", append(reqHeader(1<<5), 0x00)},
+		{"request reserved flag bit 1", append(reqHeader(1<<1), 0x01, 0x03, 0x01, 0x09, 0x05)},
 		{"request reserved flag bit 2", append(reqHeader(1<<2|flagPrefetch), 0x00)},
 		{"reply stray flag bit", []byte{frameReply, 1 << 5, 0x00}},
 		// Run grants: a count of 0, the flag on a reply whose every grant
 		// is one chunk, a run of empty chunks, a run reaching past
 		// MaxFrame and one whose iterations would overflow a 32-bit int,
-		// runs under the span flag, and a grant count no run grant's
-		// three bytes can back.
+		// and a grant count no run grant's three bytes can back.
 		{"run grant of count 0", []byte{frameReply, flagGrantRuns, 0x01, 0x00, 0x04, 0x00}},
 		{"runs flag with no run grant", []byte{frameReply, flagGrantRuns, 0x02, 0x00, 0x04, 0x01, 0x04, 0x04, 0x01}},
 		{"run of empty chunks", []byte{frameReply, flagGrantRuns, 0x01, 0x00, 0x00, 0x02}},
@@ -299,7 +301,6 @@ func TestDecodeErrors(t *testing.T) {
 			binary.AppendUvarint(nil, MaxFrame-8)...), 0x04, 0x03)},
 		{"run grant overflowing int", append(append([]byte{frameReply, flagGrantRuns, 0x01, 0x00},
 			binary.AppendUvarint(nil, MaxFrame)...), binary.AppendUvarint(nil, MaxFrame)...)},
-		{"run grants under the span flag", []byte{frameReply, flagGrantRuns | flagSpans, 0x01, 0x00, 0x04, 0x02, 0x05}},
 		{"lying run grant count", []byte{frameReply, flagGrantRuns, 0x03, 0x00, 0x04, 0x02, 0x08, 0x04}},
 	}
 	for _, c := range cases {
@@ -512,8 +513,24 @@ func TestSpanEncodingAppendsOnly(t *testing.T) {
 	if _, err := appendReply(nil, &Reply{Grants: grants, Spans: spans[:1]}); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("span/grant count mismatch: err = %v, want ErrCorrupt", err)
 	}
-	if _, err := appendRequest(nil, &Request{Results: []Record{{Index: 1}}, Spans: []uint64{1, 2}}); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("span/result count mismatch: err = %v, want ErrCorrupt", err)
+}
+
+// TestSpanTaggedRunsRoundTrip: a run grant takes one span, as a single
+// chunk does, so a reply of span-tagged runs — what a master with a
+// telemetry bus sends — decodes to the run and its span and re-encodes to
+// the same bytes: one grant of two chunks of 4 from 0, span 5.
+func TestSpanTaggedRunsRoundTrip(t *testing.T) {
+	body := []byte{frameReply, flagGrantRuns | flagSpans, 0x01, 0x00, 0x04, 0x02, 0x05}
+	var got Reply
+	if err := decodeReply(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := Reply{Grants: []sched.Assignment{{Start: 0, Size: 8}}, Counts: []int{2}, Spans: []uint64{5}}
+	if !repEqual(&got, &want) || got.Run(0) != (sched.Run{Start: 0, Size: 4, Count: 2}) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+	if re, err := appendReply(nil, &got); err != nil || !bytes.Equal(re, body) {
+		t.Errorf("re-encoding: % x, %v; want % x", re, err, body)
 	}
 }
 
@@ -528,6 +545,7 @@ func TestConsumePreamble(t *testing.T) {
 		{"bad tag", []byte{Magic, 'X', 'S', Version}, ErrCorrupt},
 		{"future version", []byte{Magic, 'L', 'S', Version + 1}, ErrVersion},
 		{"v1 peer, which cannot read runs", []byte{Magic, 'L', 'S', 1}, ErrVersion},
+		{"v3 peer, which rejects span-tagged runs", []byte{Magic, 'L', 'S', 3}, ErrVersion},
 		{"truncated", preamble[:2], io.ErrUnexpectedEOF},
 	}
 	for _, c := range cases {
@@ -699,12 +717,13 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(append(reqHeader(0), 0x01, 0x00, 0x81, 0x04))
 	f.Add(append(reqHeader(0), 0x01, 0x00, 0x03, 0x01, 0x02, 0x03))
 	f.Add(append(reqHeader(1<<5|flagPrefetch), 0x00))
+	f.Add(append(reqHeader(1<<1), 0x01, 0x03, 0x01, 0x09, 0x05))
 	f.Add(append(reqHeader(1<<7), 0x00))
 	f.Add([]byte{frameReply, 1<<5 | flagStop, 0x00})
 	f.Add([]byte{frameReply, 1 << 7, 0x00})
-	// Run grants the decoder must refuse: count 0, the runs flag with no
+	// Run grants the decoder must refuse — count 0, the runs flag with no
 	// run, a run of empty chunks, one past MaxFrame, one overflowing a
-	// 32-bit int, and runs under the span flag.
+	// 32-bit int — and a span-tagged run, which it must take back.
 	f.Add([]byte{frameReply, flagGrantRuns, 0x01, 0x00, 0x04, 0x00})
 	f.Add([]byte{frameReply, flagGrantRuns, 0x02, 0x00, 0x04, 0x01, 0x04, 0x04, 0x01})
 	f.Add([]byte{frameReply, flagGrantRuns, 0x01, 0x00, 0x00, 0x02})

@@ -67,8 +67,21 @@ func sumMetric(t *testing.T, text, name string) float64 {
 // the three views of the same run against each other: the scraped
 // /metrics counters, the post-hoc metrics.Report, and the execution
 // trace rebuilt from the event stream. It also checks the Perfetto
-// export is valid JSON with one complete slice per traced chunk.
+// export is valid JSON with one complete slice per traced run, whose
+// chunk counts add up to the trace's chunks. DTSS grants its chunks one
+// at a time; CSS(4) grants runs of many, which every view must count as
+// chunks, not events.
 func TestTelemetryEndToEnd(t *testing.T) {
+	dtss, err := loopsched.LookupScheme("DTSS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []loopsched.Scheme{dtss, loopsched.NewCSS(4)} {
+		t.Run(scheme.Name(), func(t *testing.T) { checkTelemetryEndToEnd(t, scheme) })
+	}
+}
+
+func checkTelemetryEndToEnd(t *testing.T, scheme loopsched.Scheme) {
 	params := loopsched.MandelbrotParams{
 		Region: loopsched.PaperRegion, Width: 96, Height: 64, MaxIter: 120,
 	}
@@ -88,10 +101,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatal("no debug server address")
 	}
 
-	scheme, err := loopsched.LookupScheme("DTSS")
-	if err != nil {
-		t.Fatal(err)
-	}
 	tr := &loopsched.Trace{}
 	rep, err := loopsched.Run(context.Background(), loopsched.RunSpec{
 		Scheme:    scheme,
@@ -133,7 +142,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if got := sumMetric(t, text, "loopsched_dropped_events_total"); got != 0 {
 		t.Errorf("%g events dropped", got)
 	}
-	if !strings.Contains(text, `scheme="DTSS"`) || !strings.Contains(text, `backend="rpc"`) {
+	if !strings.Contains(text, `scheme="`+scheme.Name()+`"`) || !strings.Contains(text, `backend="rpc"`) {
 		t.Errorf("run info labels missing:\n%s", text)
 	}
 
@@ -147,7 +156,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 
 	// Closing the session finishes the Perfetto document: valid JSON,
-	// one complete ("X") slice per traced chunk.
+	// one complete ("X") slice per traced run, carrying its chunks.
 	if err := tele.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,21 +165,24 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 	var doc struct {
 		TraceEvents []struct {
-			Ph  string  `json:"ph"`
-			Dur float64 `json:"dur"`
+			Ph   string  `json:"ph"`
+			Dur  float64 `json:"dur"`
+			Args struct {
+				Count int `json:"count"`
+			} `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(perfetto.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	slices := 0
+	slices, chunks := 0, 0
 	for _, e := range doc.TraceEvents {
 		if e.Ph == "X" {
-			slices++
+			slices, chunks = slices+1, chunks+e.Args.Count
 		}
 	}
-	if slices != tr.Len() {
-		t.Errorf("perfetto has %d complete slices, trace has %d chunks", slices, tr.Len())
+	if chunks != tr.Len() || slices == 0 || slices > chunks {
+		t.Errorf("perfetto has %d complete slices of %d chunks, trace has %d chunks", slices, chunks, tr.Len())
 	}
 }
 
@@ -292,6 +304,25 @@ func TestTelemetryHistogramsReconcile(t *testing.T) {
 		{"rpc", func(t *testing.T, tele *loopsched.Telemetry) result {
 			rep := runForTelemetry(t, loopsched.RunSpec{
 				Scheme: scheme, Workload: loopsched.Uniform{N: n, C: 1},
+				Backend: loopsched.BackendRPC, Workers: runWorkers(),
+				Kernel: kernel, Telemetry: tele,
+			})
+			return result{rep.Chunks, rep, true, false}
+		}},
+		// CSS(4) grants runs of many chunks — TSS's, DTSS's and TFSS's
+		// here are one chunk each — so a view that counts events instead
+		// of chunks breaks these two rows' identities.
+		{"local-css", func(t *testing.T, tele *loopsched.Telemetry) result {
+			rep := runForTelemetry(t, loopsched.RunSpec{
+				Scheme: loopsched.NewCSS(4), Workload: loopsched.Uniform{N: n, C: 1},
+				Backend: loopsched.BackendLocal, Workers: runWorkers(),
+				Body: func(i int) {}, Telemetry: tele,
+			})
+			return result{rep.Chunks, rep, true, false}
+		}},
+		{"rpc-css", func(t *testing.T, tele *loopsched.Telemetry) result {
+			rep := runForTelemetry(t, loopsched.RunSpec{
+				Scheme: loopsched.NewCSS(4), Workload: loopsched.Uniform{N: n, C: 1},
 				Backend: loopsched.BackendRPC, Workers: runWorkers(),
 				Kernel: kernel, Telemetry: tele,
 			})
