@@ -101,7 +101,12 @@ escape-check:
 # same way and tests no bus (the bus adds events and the reply's span
 # block in a method of its own), no worker steps chunk by chunk for a
 # bus or cuts a stretch of grants of its own (Stretch), and the request
-# span echo (flagRecordSpans) stays gone.
+# span echo (flagRecordSpans) stays gone. And one rule sizes every
+# batch on every link: the worker's depth-rule ask, capped by the
+# master's share, so no credit window comes back — no Window field in
+# exec, the service or a command, no window parameter on runWindow, no
+# ledger room (Book.Room) or ledger bound on NewBook in the book, and no
+# -window flag.
 dup-check:
 	@! grep -rn 'NewPolicy(\|MajorityChanged(\|sched\.Offset(' --include='*.go' . \
 		| grep -v '_test.go\|^./benchmark/\|^./.bench_build/\|^./internal/sched/\|^./internal/ledger/\|^./internal/dispense/' \
@@ -135,6 +140,10 @@ dup-check:
 		| sed -E 's/wire\.MaxFrame|math\.Ceil|max\(1,|\<(return|int|min|float64|need|size)\>//g' | grep '[[:alnum:]_]'
 	@! grep -rn 'flagRecordSpans\|Stretch(' --include='*.go' . | grep -v '_test.go\|^./benchmark/\|^./.bench_build/'
 	@! awk '/^func \(m \*Master\) book\(/,/^}/' internal/exec/rpc.go | grep -E 'bus (==|!=) nil'
+	@! grep -rnw 'Window' --include='*.go' internal/exec internal/service cmd | grep -v '_test.go'
+	@! grep -rnE 'runWindow\([^)]*\bwindow\b' --include='*.go' internal/exec | grep -v '_test.go'
+	@! grep -rnE '\bRoom\(|func NewBook\([^)]*\bledger\b|^[[:space:]]+ledger[[:space:]]+int' --include='*.go' internal/dispense
+	@! grep -rnE 'flag\.[A-Za-z]+\((&[^,]+, *)?"window"' --include='*.go' cmd
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

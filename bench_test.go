@@ -459,9 +459,8 @@ func BenchmarkTreeSimulator(b *testing.B) {
 
 // BenchmarkRunLocalFine is the loop make profile-fine profiles: one Run
 // on the local backend per op, CSS(4) over 65 536 empty iterations on
-// two equal workers, pipelined with no credit window — the benchmark's
-// fine_css cell, where scheduling and timing overhead is nearly all of
-// the run.
+// two equal workers, pipelined — the benchmark's fine_css cell, where
+// scheduling and timing overhead is nearly all of the run.
 func BenchmarkRunLocalFine(b *testing.B) { runLocalFine(b, fineSpec()) }
 
 // BenchmarkRunLocalFineTraced is BenchmarkRunLocalFine with a telemetry
@@ -481,8 +480,7 @@ func BenchmarkRunLocalFineTraced(b *testing.B) {
 }
 
 // fineSpec is the fine loop the two local benchmarks run: CSS(4) over
-// 65 536 empty iterations on two equal workers, pipelined with no
-// credit window.
+// 65 536 empty iterations on two equal workers, pipelined.
 func fineSpec() loopsched.RunSpec {
 	return loopsched.RunSpec{
 		Scheme:   loopsched.NewCSS(4),

@@ -39,7 +39,6 @@ func main() {
 		real         = flag.Bool("real", false, "execute with real goroutine workers instead of the simulator")
 		rpcReal      = flag.Bool("rpc", false, "execute with real RPC slaves self-hosted on loopback (overrides -real)")
 		transport    = flag.String("transport", "", "rpc wire format: binary or netrpc (default: $LOOPSCHED_TRANSPORT, else binary)")
-		window       = flag.Int("window", 0, "credit window: chunks a worker holds beyond the one computing (-real, -rpc; 0 = sized by the measured round trip)")
 		tree         = flag.Bool("tree", false, "use Tree Scheduling (ignores -scheme)")
 		gantt        = flag.Bool("gantt", false, "print an ASCII Gantt chart of the simulated run")
 		traceCSV     = flag.String("trace-csv", "", "write the chunk-level execution trace to this CSV file")
@@ -150,12 +149,10 @@ func main() {
 				spec.Body = burnBody(w)
 				spec.Pipeline = true
 				spec.Transport = *transport
-				spec.CreditWindow = *window
 			} else if *real {
 				spec.Backend = loopsched.BackendLocal
 				spec.Workers = realWorkers(*p)
 				spec.Body = burnBody(w)
-				spec.CreditWindow = *window
 			} else {
 				spec.Backend = loopsched.BackendSim
 				spec.Cluster = cluster

@@ -16,7 +16,7 @@ import (
 // of job templates submitted against it. Example:
 //
 //	{
-//	  "workers": 8, "window": 8, "retries": 1,
+//	  "workers": 8, "retries": 1,
 //	  "jobs": [
 //	    {"scheme": "TSS",  "workload": "uniform", "iterations": 20000,
 //	     "tenant": "alpha", "weight": 2, "count": 6, "delay_ms": 2},
@@ -28,9 +28,6 @@ type jobScript struct {
 	// Workers is the fleet size; the paper's fast/slow mix, like -real
 	// (default 8).
 	Workers int `json:"workers"`
-	// Window is the refill credit window (0 = each ask sized by the
-	// measured cost, as SchedulerOptions.CreditWindow).
-	Window int `json:"window"`
 	// Retries is the default re-admission budget for dying jobs.
 	Retries int `json:"retries"`
 	// Admission quota knobs; 0 means uncapped.
@@ -82,7 +79,6 @@ func serve(path string, tele *loopsched.Telemetry, width, height, maxIter, sf in
 
 	s, err := loopsched.NewScheduler(loopsched.SchedulerOptions{
 		Workers:            realWorkers(script.Workers),
-		CreditWindow:       script.Window,
 		Retries:            script.Retries,
 		MaxActive:          script.MaxActive,
 		MaxActivePerTenant: script.MaxActivePerTenant,

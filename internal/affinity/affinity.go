@@ -109,12 +109,7 @@ func Run(c sim.Cluster, o Options, w workload.Workload, p sim.Params) (metrics.R
 	if err := c.Validate(); err != nil {
 		return metrics.Report{}, err
 	}
-	if p.BaseRate <= 0 {
-		p.BaseRate = 3e6
-	}
-	if p.ReplyBytes <= 0 {
-		p.ReplyBytes = 64
-	}
+	p = p.WithDefaults()
 	k := o.K
 	if k < 1 {
 		k = len(c.Machines)
@@ -160,35 +155,7 @@ func (s *simulator) push(e event) {
 
 func (s *simulator) run() error {
 	heap.Init(&s.events)
-	p := len(s.cluster.Machines)
-	total := s.work.Len()
-
-	shares := make([]int, p)
-	if s.opts.Weighted {
-		tp := s.cluster.TotalPower()
-		given := 0
-		for i, m := range s.cluster.Machines {
-			shares[i] = int(float64(total)*m.Power/tp + 0.5)
-			given += shares[i]
-		}
-		shares[p-1] += total - given
-		if shares[p-1] < 0 {
-			for i := range shares {
-				if shares[i] >= -shares[p-1] {
-					shares[i] += shares[p-1]
-					shares[p-1] = 0
-					break
-				}
-			}
-		}
-	} else {
-		for i := range shares {
-			shares[i] = total / p
-			if i < total%p {
-				shares[i]++
-			}
-		}
-	}
+	shares := s.cluster.Shares(s.work.Len(), s.opts.Weighted)
 	lo := 0
 	for i := range s.cluster.Machines {
 		sp := span{lo, lo + shares[i]}

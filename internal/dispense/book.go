@@ -18,14 +18,13 @@ import (
 //
 // Concurrency: a Book has no lock. The result ledger is atomic: Deposit
 // and Delivered may be called from any goroutine. Worker w's holding and
-// what it learnt (Room, Retire, Held, Learn) are serialised per worker;
+// what it learnt (Retire, Held, Learn) are serialised per worker;
 // Grant, which touches both, Fail, Requeue, Restage, Turn and the
 // Dispenser's methods by the master's lock besides.
 type Book struct {
 	*Dispenser
 	got      []atomic.Uint64
 	hold     []holding    // per worker
-	ledger   int          // how many chunks a worker may hold
 	requeued []sched.Run  // abandoned chunks to re-issue
 	turn     []int        // the gather's release line, first to draw first
 	chunks   atomic.Int64 // chunks granted, re-issues counted again,
@@ -36,7 +35,6 @@ type Book struct {
 // holding is what a Book keeps per worker.
 type holding struct {
 	runs   []sched.Run // granted, not yet retired, in grant order
-	chunks int         // the chunks in runs
 	learnt [2]float64  // work and seconds not yet fed back
 }
 
@@ -50,21 +48,19 @@ type Stager interface {
 	Waiting(w int) bool
 }
 
-// NewBook returns the book of a loop of n iterations whose workers hold
-// at most ledger chunks each (math.MaxInt: no bound but the share and
-// the ask), around a Dispenser built from cfg, staging
-// what src hands over.
-func NewBook(cfg Config, n, ledger int, src Stager) *Book {
+// NewBook returns the book of a loop of n iterations around a Dispenser
+// built from cfg, staging what src hands over. No count bounds what a
+// worker holds: a grant is bounded by the share and the ask.
+func NewBook(cfg Config, n int, src Stager) *Book {
 	b := &Book{
 		Dispenser: New(cfg),
 		src:       src,
 		got:       make([]atomic.Uint64, (n+63)/64),
 		hold:      make([]holding, cfg.Workers),
-		ledger:    ledger,
 	}
-	// The holdings share one array of holdRuns runs each, however deep
-	// the ledger: a grant is a run or a few, whatever its chunk count. A
-	// holding past that grows on demand.
+	// The holdings share one array of holdRuns runs each: a grant is a
+	// run or a few, whatever its chunk count. A holding past that grows
+	// on demand.
 	c := holdRuns
 	arr := make([]sched.Run, cfg.Workers*c)
 	for w := range b.hold {
@@ -76,10 +72,6 @@ func NewBook(cfg Config, n, ledger int, src Stager) *Book {
 // holdRuns is the runs a worker's holding has room for before it grows:
 // the chunk in hand's run, a prefetched batch of a few, a split or two.
 const holdRuns = 16
-
-// Room is how many of credits chunks worker w may be granted: what its
-// ledger has room for.
-func (b *Book) Room(w, credits int) int { return min(credits, b.ledger-b.hold[w].chunks) }
 
 // Held returns the runs worker w holds, in grant order; the slice is the
 // book's until the worker's next Grant or Retire.
@@ -108,7 +100,7 @@ func (b *Book) Learn(w int, work, secs float64) {
 	h.learnt[1] += secs
 }
 
-// Grant books to worker w its next chunks, at most room, as runs of
+// Grant books to worker w its next chunks, at most credits, as runs of
 // equal, contiguous chunks, and returns them — the tail of the worker's
 // holding, so the slice is the book's until the worker's next Grant or
 // Retire: requeued chunks first, then one share-bounded Claim at acpNow,
@@ -120,7 +112,7 @@ func (b *Book) Learn(w int, work, secs float64) {
 // now draw. A stage that fails to plan is err.
 //
 //lint:loopsched-hotpath
-func (b *Book) Grant(w, acpNow, room int) (granted []sched.Run, replanned, moved bool, err error) {
+func (b *Book) Grant(w, acpNow, credits int) (granted []sched.Run, replanned, moved bool, err error) {
 	h := &b.hold[w]
 	held, n := h.runs, len(h.runs)
 	b.Feedback(w, h.learnt[0], h.learnt[1])
@@ -133,14 +125,14 @@ func (b *Book) Grant(w, acpNow, room int) (granted []sched.Run, replanned, moved
 			b.turn, moved = b.turn[1:], true
 		}
 		if len(b.requeued) > 0 {
-			held, room = b.takeRequeued(held, room)
+			held, credits = b.takeRequeued(held, credits)
 		}
-		if room > 0 {
+		if credits > 0 {
 			var re bool
-			held, re = b.Claim(w, acpNow, room, held)
+			held, re = b.Claim(w, acpNow, credits, held)
 			replanned = replanned || re
 		}
-		if len(held) > n || room <= 0 {
+		if len(held) > n || credits <= 0 {
 			break
 		}
 		staged, serr := b.Restage(w)
@@ -156,7 +148,6 @@ func (b *Book) Grant(w, acpNow, room int) (granted []sched.Run, replanned, moved
 		chunks, iters = chunks+r.Count, iters+r.Size*r.Count
 	}
 	if chunks > 0 {
-		h.chunks += chunks
 		b.chunks.Add(int64(chunks))
 		b.granted.Add(int64(iters))
 	}
@@ -199,34 +190,34 @@ func (b *Book) Requeue(runs ...sched.Run) { b.requeued = append(b.requeued, runs
 func (b *Book) Fail(w int) {
 	h := &b.hold[w]
 	b.Requeue(h.runs...)
-	h.runs, h.chunks = h.runs[:0], 0
+	h.runs = h.runs[:0]
 	b.turn = slices.DeleteFunc(b.turn, func(v int) bool { return v == w })
 }
 
 // takeRequeued appends to dst the next requeued chunks that still have
 // undelivered iterations (a failed worker may have delivered some after
-// the requeue), at most room, at their original boundaries, and returns
-// the room left. A run's delivered leading chunks drop at once; the
+// the requeue), at most credits, at their original boundaries, and returns
+// the credits left. A run's delivered leading chunks drop at once; the
 // chunks after its first undelivered one are tested one by one, and the
-// run is split where one was delivered or the room ends.
-func (b *Book) takeRequeued(dst []sched.Run, room int) ([]sched.Run, int) {
-	for room > 0 && len(b.requeued) > 0 {
+// run is split where one was delivered or the credits end.
+func (b *Book) takeRequeued(dst []sched.Run, credits int) ([]sched.Run, int) {
+	for credits > 0 && len(b.requeued) > 0 {
 		r := &b.requeued[0]
 		d := (b.missing(r.Start, r.End()) - r.Start) / r.Size
 		r.Start, r.Count = r.Start+d*r.Size, r.Count-d
 		if r.Count > 0 {
 			k := 1
-			for k < min(room, r.Count) && !b.Delivered(r.Chunk(k)) {
+			for k < min(credits, r.Count) && !b.Delivered(r.Chunk(k)) {
 				k++
 			}
 			dst = append(dst, sched.Run{Start: r.Start, Size: r.Size, Count: k})
-			r.Start, r.Count, room = r.Start+k*r.Size, r.Count-k, room-k
+			r.Start, r.Count, credits = r.Start+k*r.Size, r.Count-k, credits-k
 		}
 		if r.Count == 0 {
 			b.requeued = b.requeued[1:]
 		}
 	}
-	return dst, room
+	return dst, credits
 }
 
 // Retire drops from worker w's holding every chunk whose iterations have
@@ -237,9 +228,8 @@ func (b *Book) takeRequeued(dst []sched.Run, room int) ([]sched.Run, int) {
 func (b *Book) Retire(w int, sync bool) (chunks, iters int, abandoned []sched.Run) {
 	h := &b.hold[w]
 	kept, chunks, iters := b.retire(h.runs)
-	h.chunks -= chunks
 	if sync && len(kept) > 0 {
-		abandoned, kept, h.chunks = slices.Clone(kept), kept[:0], 0
+		abandoned, kept = slices.Clone(kept), kept[:0]
 	}
 	h.runs = kept
 	return chunks, iters, abandoned

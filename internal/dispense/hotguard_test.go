@@ -54,7 +54,7 @@ func TestHotPathAllocGuards(t *testing.T) {
 // holding, and grant 64 more into the reused reply buffer.
 func bookRequestGuard(t *testing.T) {
 	const depth = 64
-	b := NewBook(Config{Scheme: sched.CSSScheme{K: 4}, Workers: 2}, 1<<18, 256, &stages{sizes: []int{1 << 18}})
+	b := NewBook(Config{Scheme: sched.CSSScheme{K: 4}, Workers: 2}, 1<<18, &stages{sizes: []int{1 << 18}})
 	var dst []sched.Run
 	cycle := func() {
 		for _, r := range dst {

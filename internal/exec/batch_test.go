@@ -62,17 +62,21 @@ func (g *starveGate) check(t *testing.T) {
 // TFSS N=2000 p=2 loop — 8 chunks — the first worker to arrive must not
 // take them all. The master's replies are share-bounded batches, over
 // the wire and over memory links, to a scheduler fleet's prefetches
-// (local-steal) as to a slave loop, at any window and with or without
-// the pipeline, and with two workers at their default depth
+// (local-steal) as to a slave loop, with or without the pipeline, and
+// with two workers at their default depth
 // (rpc-binary-ledger) the run is TFSS's nominal steps, each granted once.
 // The fleet's ledger-on leg grants what its ledger-off leg grants, and
 // no ledger fetch.
 func TestNoWorkerHoldsTheWholeLoop(t *testing.T) {
 	const n, p = 2000, 2
 	for _, pipeline := range []bool{false, true} {
-		for _, window := range []int{0, 8} {
-			t.Run(fmt.Sprintf("rpc-binary/pipeline=%v/w%d", pipeline, window), func(t *testing.T) {
-				m, addr, stop := serveMaster(t, Config{Scheme: sched.TFSSScheme{}, Iterations: n, Workers: p, Window: window})
+		// A wK leg's workers ask for what outlasts K round trips (w0 is
+		// the default of one): at w8 every ask after the first is eight
+		// times greedier than a link's, and the share bound alone stops
+		// one worker taking the loop, as a credit window of 8 once did.
+		for _, trips := range []int{0, 8} {
+			t.Run(fmt.Sprintf("rpc-binary/pipeline=%v/w%d", pipeline, trips), func(t *testing.T) {
+				m, addr, stop := serveMaster(t, Config{Scheme: sched.TFSSScheme{}, Iterations: n, Workers: p})
 				defer stop()
 				g := newStarveGate()
 				kernel := func(i int) []byte {
@@ -80,8 +84,8 @@ func TestNoWorkerHoldsTheWholeLoop(t *testing.T) {
 					return intKernel(i)
 				}
 				runWorkers(t, addr, []Worker{
-					{ID: 0, Kernel: kernel, Transport: TransportBinary, Window: window, Pipeline: pipeline},
-					{ID: 1, Kernel: kernel, Transport: TransportBinary, Window: window, Pipeline: pipeline},
+					{ID: 0, Kernel: kernel, Transport: TransportBinary, Pipeline: pipeline, trips: float64(trips)},
+					{ID: 1, Kernel: kernel, Transport: TransportBinary, Pipeline: pipeline, trips: float64(trips)},
 				})
 				if _, rep, err := m.Wait(); err != nil || rep.Iterations != n {
 					t.Fatalf("run: %d iterations, err %v", rep.Iterations, err)
@@ -232,14 +236,15 @@ func (l *eventLog) drain() []telemetry.Event {
 // TestRefillBatchesAreShareBounded is the JobState property behind the
 // rule, for every registered scheme and both ledger modes: a refill's
 // DequeRefilled event carries the number of chunks it really took, at
-// most the window, and the iterations in it stay within
+// most what it asked, and the iterations in it stay within
 // sched.BatchLimit of what was left when it started unless it is a
 // single chunk. The policy predicts the next chunk by the last one, so
 // the bound holds for the batch with its last chunk replaced by its
 // predecessor — the same thing for the non-increasing sequences of the
 // paper's schemes. Every refill draws from the policy: a ledger-on job
 // grants exactly what a ledger-off one does, and publishes no
-// LedgerFetch.
+// LedgerFetch. A refill asks for DefaultStealWindow chunks (w0); a w3
+// leg asks for 3, a batch the share bound cuts less often than the ask.
 func TestRefillBatchesAreShareBounded(t *testing.T) {
 	for _, name := range sched.Names() {
 		s, err := sched.Lookup(name)
@@ -249,11 +254,11 @@ func TestRefillBatchesAreShareBounded(t *testing.T) {
 		for _, mode := range []LedgerMode{LedgerOff, LedgerOn} {
 			for _, p := range []int{2, 3, 8} {
 				for _, n := range []int{p - 1, 2000, 20000} {
-					for _, window := range []int{0, 3} {
-						t.Run(fmt.Sprintf("%s/ledger-%s/p%d/n%d/w%d", name, mode, p, n, window), func(t *testing.T) {
-							grants := checkRefillBatches(t, s, mode, p, n, window)
+					for _, ask := range []int{0, 3} {
+						t.Run(fmt.Sprintf("%s/ledger-%s/p%d/n%d/w%d", name, mode, p, n, ask), func(t *testing.T) {
+							grants := checkRefillBatches(t, s, mode, p, n, ask)
 							if mode == LedgerOn {
-								if want := checkRefillBatches(t, s, LedgerOff, p, n, window); !slices.Equal(grants, want) {
+								if want := checkRefillBatches(t, s, LedgerOff, p, n, ask); !slices.Equal(grants, want) {
 									t.Fatalf("ledger-on grants %v, ledger-off %v", grants, want)
 								}
 							}
@@ -266,21 +271,25 @@ func TestRefillBatchesAreShareBounded(t *testing.T) {
 }
 
 // checkRefillBatches drives one job to its end, checking every refill,
-// and returns its grants in grant order.
-func checkRefillBatches(t *testing.T, s sched.Scheme, mode LedgerMode, p, n, window int) []sched.Assignment {
+// and returns its grants in grant order. A refill asks for as many chunks
+// as its worker's scratch holds: an ask above 0 narrows that to ask.
+func checkRefillBatches(t *testing.T, s sched.Scheme, mode LedgerMode, p, n, ask int) []sched.Assignment {
 	bus := telemetry.NewBus(256) // flushed after every refill: a batch of events at most
 	defer bus.Close()
 	log := &eventLog{}
 	bus.Subscribe(log)
 	js, err := NewJobState(JobConfig{
 		Scheme: s, Workload: workload.Uniform{N: n}, Workers: p,
-		Window: window, Ledger: mode, Telemetry: bus,
+		Ledger: mode, Telemetry: bus,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if window <= 0 {
-		window = DefaultStealWindow
+	if ask <= 0 {
+		ask = DefaultStealWindow
+	}
+	for w := range js.scratch {
+		js.scratch[w] = make([]sched.Run, 0, ask)
 	}
 	multi, completed := 0, 0
 	var grants []sched.Assignment
@@ -317,8 +326,8 @@ func checkRefillBatches(t *testing.T, s sched.Scheme, mode LedgerMode, p, n, win
 			continue
 		}
 		dry = 0
-		if len(sizes) < 1 || len(sizes) > window {
-			t.Fatalf("refill took %d chunks, window %d", len(sizes), window)
+		if len(sizes) < 1 || len(sizes) > ask {
+			t.Fatalf("refill took %d chunks, ask %d", len(sizes), ask)
 		}
 		iters := 0
 		for _, sz := range sizes {
@@ -342,21 +351,22 @@ func checkRefillBatches(t *testing.T, s sched.Scheme, mode LedgerMode, p, n, win
 		t.Fatalf("granted %d, completed %d of %d", granted, completed, n)
 	}
 	// The floor keeps fine loops batching: a fixed-chunk scheme over a
-	// long loop must still fill its window.
-	if k, ok := sched.FixedChunk(s, sched.Config{Iterations: n, Workers: p}); ok && k*window <= n/(32*p) && multi == 0 {
+	// long loop must still fill its ask.
+	if k, ok := sched.FixedChunk(s, sched.Config{Iterations: n, Workers: p}); ok && k*ask <= n/(32*p) && multi == 0 {
 		t.Errorf("no refill of this fine loop (chunk %d, N %d) took more than one chunk", k, n)
 	}
 	return grants
 }
 
 // TestMasterRepliesAreShareBounded is the same property on the rpc
-// master path, for every registered scheme: whatever the window, the
-// chunks of one reply stay within sched.BatchLimit of what was left
-// when it was cut, unless it is a single chunk — with the last chunk
-// replaced by its predecessor, as on JobState's refills.
+// master path, for every registered scheme: the chunks of one reply
+// stay within sched.BatchLimit of what was left when it was cut, unless
+// it is a single chunk — with the last chunk replaced by its
+// predecessor, as on JobState's refills.
 // One goroutine plays every worker: each request delivers what the
-// worker holds and asks, as a prefetch so that nothing parks, for all
-// the window allows; the gather of a distributed scheme is the same
+// worker holds and asks, as a prefetch so that nothing parks, for all a
+// request can ask (w0) or, in a wK leg, for K+1 chunks — a chunk in hand
+// and K more, the ask of a worker whose round trip is K chunks; the gather of a distributed scheme is the same
 // requests, answered empty until the last report is in.
 func TestMasterRepliesAreShareBounded(t *testing.T) {
 	for _, name := range sched.Names() {
@@ -366,9 +376,9 @@ func TestMasterRepliesAreShareBounded(t *testing.T) {
 		}
 		for _, p := range []int{1, 2, 3, 8} {
 			for _, n := range []int{p - 1, 2000, 65536} {
-				for _, window := range []int{0, 1, 8} {
-					t.Run(fmt.Sprintf("%s/p%d/n%d/w%d", name, p, n, window), func(t *testing.T) {
-						checkMasterReplies(t, s, p, n, window)
+				for _, k := range []int{0, 1, 8} {
+					t.Run(fmt.Sprintf("%s/p%d/n%d/w%d", name, p, n, k), func(t *testing.T) {
+						checkMasterReplies(t, s, p, n, k)
 					})
 				}
 			}
@@ -376,8 +386,8 @@ func TestMasterRepliesAreShareBounded(t *testing.T) {
 	}
 }
 
-// TestMasterDoesNotTrustCredits holds the master to the share bound
-// when no window is set: over a real wire connection a peer asking for
+// TestMasterDoesNotTrustCredits holds the master to the share bound:
+// over a real wire connection a peer asking for
 // 2^30 chunks of a CSS(1) loop of 2^20 iterations gets share-bounded
 // replies (sched.BatchLimit over what is left), however often it asks
 // and although it delivers nothing, and the worker's ledger holds
@@ -444,14 +454,14 @@ func checkShareBound(t *testing.T, m *Master, n, p int) {
 	}
 }
 
-func checkMasterReplies(t *testing.T, s sched.Scheme, p, n, window int) {
-	m, err := New(Config{Scheme: s, Iterations: n, Workers: p, Window: window})
+func checkMasterReplies(t *testing.T, s sched.Scheme, p, n, k int) {
+	m, err := New(Config{Scheme: s, Iterations: n, Workers: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	credits := window + 1 // all the window allows; with none, all a request can ask
-	if window < 1 {
-		credits = wire.MaxFrame
+	credits := k + 1
+	if k < 1 {
+		credits = wire.MaxFrame // all a request can ask
 	}
 	held := make([][]ChunkResult, p)
 	var rep wire.Reply
@@ -467,8 +477,8 @@ func checkMasterReplies(t *testing.T, s sched.Scheme, p, n, window int) {
 			t.Fatalf("stopped with %d of %d iterations granted", granted, n)
 		}
 		grants := replyChunks(&rep)
-		if window > 0 && len(grants) > window+1 {
-			t.Fatalf("reply of %d chunks, ledger cap %d", len(grants), window+1)
+		if len(grants) > credits {
+			t.Fatalf("reply of %d chunks for %d credits", len(grants), credits)
 		}
 		iters := 0
 		for _, g := range grants {
@@ -490,12 +500,12 @@ func checkMasterReplies(t *testing.T, s sched.Scheme, p, n, window int) {
 		granted += iters
 	}
 	// The floor keeps fine loops batching: a fixed-chunk scheme over a
-	// long loop must still fill its window, or with none take two chunks
-	// or more where the floor holds two.
-	k, ok := sched.FixedChunk(s, sched.Config{Iterations: n, Workers: p})
-	fills := window < 1 && 2*k <= n/(32*p) || window > 1 && k*window+1 <= n/(32*p)
+	// long loop must still fill an ask of K+1, or take two chunks or more
+	// of an unbounded one where the floor holds two.
+	chunk, ok := sched.FixedChunk(s, sched.Config{Iterations: n, Workers: p})
+	fills := k < 1 && 2*chunk <= n/(32*p) || k > 1 && chunk*k+1 <= n/(32*p)
 	if ok && fills && multi == 0 {
-		t.Errorf("no reply on this fine loop (chunk %d, N %d) carried more than one chunk", k, n)
+		t.Errorf("no reply on this fine loop (chunk %d, N %d) carried more than one chunk", chunk, n)
 	}
 }
 

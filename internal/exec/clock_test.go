@@ -11,7 +11,7 @@ import (
 
 // TestWorkerClockReads pins how often the slave loop reads its clock on
 // a fine loop: 16 384 CSS(4)-sized chunks of 10 ns iterations behind a
-// 3 µs round trip, with no window, serial and pipelined, over the
+// 3 µs round trip, serial and pipelined, over the
 // scripted link — which also holds every refill to the time and depth
 // rules on the way. A synchronous request reads the clock twice (as it
 // leaves, as its answer lands) and a prefetch four times (before and
@@ -46,7 +46,7 @@ func checkClockReads(t *testing.T, prefetch, traced bool, n, size int, cost, rtt
 		w.Telemetry = telemetry.NewBus(0)
 		defer w.Telemetry.Close()
 	}
-	if err := w.runWindow(f, 0, prefetch, 0); err != nil {
+	if err := w.runWindow(f, prefetch, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {

@@ -84,7 +84,7 @@ func BenchmarkCompletionPath(b *testing.B) {
 				if len(spare) == 0 {
 					b.StopTimer()
 					for range 1024 {
-						spare = append(spare, dispense.NewBook(dispense.Config{Scheme: sched.CSSScheme{K: size}, Workers: 1}, size, 1, nil))
+						spare = append(spare, dispense.NewBook(dispense.Config{Scheme: sched.CSSScheme{K: size}, Workers: 1}, size, nil))
 					}
 					b.StartTimer()
 				}

@@ -27,7 +27,7 @@ import (
 type stealRun struct {
 	Scheme    sched.Scheme
 	Workers   []*WorkerSpec
-	Window    int
+	Credits   int        // asked per request; 0 asks DefaultStealWindow
 	Ledger    LedgerMode // accepted and ignored, as the service does
 	Telemetry *telemetry.Bus
 }
@@ -43,12 +43,12 @@ func (r *stealRun) RunContext(ctx context.Context, w workload.Workload, body fun
 			initACP[id] = acpNow(id)
 		}
 	}
-	credits := r.Window
+	credits := r.Credits
 	if credits <= 0 {
 		credits = DefaultStealWindow
 	}
 	m, err := New(Config{
-		Scheme: r.Scheme, Iterations: w.Len(), Workers: p, Powers: powers, Window: credits,
+		Scheme: r.Scheme, Iterations: w.Len(), Workers: p, Powers: powers,
 		Telemetry: r.Telemetry, InitACP: initACP,
 	})
 	if err != nil {
@@ -123,26 +123,26 @@ func TestStealExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestStealExactlyOnceWindows: window 1 degenerates to one chunk per
-// request and must still cover the loop; an oversized window makes deep
-// replies.
+// TestStealExactlyOnceWindows: an ask of one credit — a window of one
+// chunk per request — must still cover the loop; an oversized ask makes
+// deep replies.
 func TestStealExactlyOnceWindows(t *testing.T) {
 	const n = 3000
-	for _, window := range []int{1, 2, 64} {
+	for _, credits := range []int{1, 2, 64} {
 		counts := make([]int32, n)
-		l := &stealRun{Scheme: sched.GSSScheme{}, Workers: specs(1, 1, 1), Window: window}
+		l := &stealRun{Scheme: sched.GSSScheme{}, Workers: specs(1, 1, 1), Credits: credits}
 		rep, err := l.RunContext(context.Background(), workload.Uniform{N: n}, func(i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
 		if err != nil {
-			t.Fatalf("window %d: %v", window, err)
+			t.Fatalf("credits %d: %v", credits, err)
 		}
 		if rep.Iterations != n {
-			t.Errorf("window %d: %d iterations", window, rep.Iterations)
+			t.Errorf("credits %d: %d iterations", credits, rep.Iterations)
 		}
 		for i, c := range counts {
 			if c != 1 {
-				t.Fatalf("window %d: iteration %d ran %d times", window, i, c)
+				t.Fatalf("credits %d: iteration %d ran %d times", credits, i, c)
 			}
 		}
 	}
@@ -323,17 +323,18 @@ func (p *recordingPolicy) Feedback(worker int, work, elapsed float64) {
 
 // TestFeedbackElapsedMatchesComp is the regression for the
 // double-time.Since drift: one worker computes two chunks, one per
-// request (window 1). The elapsed time the master feeds back for the
-// first — on the request that asks for the second — must be the very
-// reading its ChunkCompleted event (and so its trace span) carries, and
-// the Comp metric the sum of the two chunks' readings.
+// request (each half the loop, beyond the share of a batch). The elapsed
+// time the master feeds back for the first — on the request that asks
+// for the second — must be the very reading its ChunkCompleted event
+// (and so its trace span) carries, and the Comp metric the sum of the
+// two chunks' readings.
 func TestFeedbackElapsedMatchesComp(t *testing.T) {
 	var fed []float64
 	bus := telemetry.NewBus(0)
 	log := &eventLog{}
 	bus.Subscribe(log)
 	sink := 0.0
-	l := &localRun{Scheme: recordingScheme{fed: &fed}, Workers: specs(1), Window: 1, Telemetry: bus}
+	l := &localRun{Scheme: recordingScheme{fed: &fed}, Workers: specs(1), Telemetry: bus}
 	rep, err := l.RunContext(context.Background(), workload.Uniform{N: 5000}, func(i int) {
 		sink += math.Sqrt(float64(i))
 	})

@@ -83,8 +83,9 @@ func (keepOpen) Close() error { return nil }
 // chunks it retires must reach the policy, so on workers 3:1 apart its
 // stages split 3:1 — over a socket and over a message-passing world
 // alike. Time is scripted (a millisecond per kernel call on each
-// worker's own clock) and the assertion is on granted sizes, so no wall
-// clock is involved; a gate holds whoever starts the second stage first
+// worker's own clock, and a microsecond per round trip, so that each
+// measured ask is one chunk) and the assertion is on granted sizes, so no
+// wall clock is involved; a gate holds whoever starts the second stage first
 // until the other has too, so both have been measured from the third
 // stage on.
 func TestAWFLearnsFromReportedTimings(t *testing.T) {
@@ -137,10 +138,13 @@ func TestAWFLearnsFromReportedTimings(t *testing.T) {
 			reached := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
 			var workers sync.WaitGroup
 			for id, scale := range []int{1, 3} {
-				var ticks time.Duration
-				var once sync.Once
+				var (
+					ticks time.Duration
+					reads int
+					once  sync.Once
+				)
 				w := Worker{
-					ID: id, WorkScale: scale, Window: 1,
+					ID: id, WorkScale: scale,
 					Kernel: func(i int) []byte {
 						if i >= n/2 { // past the first stage
 							once.Do(func() { close(reached[id]) })
@@ -149,7 +153,14 @@ func TestAWFLearnsFromReportedTimings(t *testing.T) {
 						ticks += time.Millisecond
 						return nil
 					},
-					clock: func() time.Time { return time.Unix(0, 0).Add(ticks) },
+					// A synchronous request reads the clock as it leaves and
+					// as its reply lands: the round trip is the second read's.
+					clock: func() time.Time {
+						if reads++; reads%2 == 0 {
+							ticks += time.Microsecond
+						}
+						return time.Unix(0, 0).Add(ticks)
+					},
 				}
 				workers.Add(1)
 				go func() {

@@ -93,7 +93,7 @@ func (discardConn) Close() error                { return nil }
 
 // masterReplyGuard pins the rpc master's steady-state request at zero
 // allocations with telemetry off, at the depth a worker derives on a
-// fine loop (no window set): deposit the 64 chunks of the last reply,
+// fine loop: deposit the 64 chunks of the last reply,
 // retire them from the worker's ledger, claim and book 64 more in one
 // share-bounded batch — one run — and encode the reply. The benchmark's
 // allocs_per_chunk.rpc_binary rests on this staying flat however deep a

@@ -20,10 +20,6 @@ type JobConfig struct {
 	Workload workload.Workload
 	// Workers is the fleet size p.
 	Workers int
-	// Window is the credit window (DefaultStealWindow when <= 0): a
-	// reply holds at most this many chunks, fewer while chunks are large
-	// against the worker's share of what is left (dispense.Claim).
-	Window int
 	// Powers are the workers' static virtual powers, which the
 	// static-weight schemes (WF, WS) split by; nil weighs them equally.
 	Powers []float64
@@ -36,9 +32,10 @@ type JobConfig struct {
 	Ledger LedgerMode
 }
 
-// JobState is a work-stealing deque core: one job's per-worker deques
-// over a dispenser. No runtime uses it; the benchmark's exec.refill_ns
-// probes drive its Pop → Refill → Complete cycle.
+// JobState is a work-stealing deque core: one job's per-worker deques of
+// DefaultStealWindow chunks over a dispenser. No runtime uses it; the
+// benchmark's exec.refill_ns probes drive its Pop → Refill → Complete
+// cycle.
 type JobState struct {
 	bus *telemetry.Bus
 
@@ -52,10 +49,6 @@ type JobState struct {
 // NewJobState plans the job's first policy and allocates its deques.
 func NewJobState(cfg JobConfig) (*JobState, error) {
 	p := cfg.Workers
-	window := cfg.Window
-	if window <= 0 {
-		window = DefaultStealWindow
-	}
 	if _, ok := cfg.Ledger.Normalize(); !ok {
 		return nil, fmt.Errorf("exec: unknown ledger mode %q", cfg.Ledger)
 	}
@@ -71,8 +64,8 @@ func NewJobState(cfg JobConfig) (*JobState, error) {
 		}),
 	}
 	for i := 0; i < p; i++ {
-		s.deques[i] = steal.NewDeque(window)
-		s.scratch[i] = make([]sched.Run, 0, window)
+		s.deques[i] = steal.NewDeque(DefaultStealWindow)
+		s.scratch[i] = make([]sched.Run, 0, DefaultStealWindow)
 		s.d.Report(i, 1) // every worker reports ACP 1 until its first request
 	}
 	if err := s.d.Stage(0, cfg.Workload.Len()); err != nil {
@@ -89,10 +82,10 @@ func (s *JobState) Pop(worker int) (sched.Assignment, bool) {
 }
 
 // Refill is one trip to the dispenser for an empty deque: it applies the
-// feedback given and claims a share-bounded batch (at most a window,
-// dispense.Claim), returning the first chunk for immediate execution and
-// pushing the rest onto the worker's deque. The int result is the number
-// of iterations the refill granted.
+// feedback given and claims a share-bounded batch (at most
+// DefaultStealWindow chunks, dispense.Claim), returning the first chunk
+// for immediate execution and pushing the rest onto the worker's deque.
+// The int result is the number of iterations the refill granted.
 func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.Assignment, int, bool) {
 	reqAt := s.bus.Now()
 	s.bus.Publish(telemetry.Event{Kind: telemetry.ChunkRequested, Worker: worker, ACP: acpNow, At: reqAt})
@@ -111,7 +104,7 @@ func (s *JobState) Refill(worker, acpNow int, fbWork, fbElapsed float64) (sched.
 			if chunks == 0 {
 				first = a
 			} else {
-				s.deques[worker].Push(a) // cannot fail: deque empty, cap >= window
+				s.deques[worker].Push(a) // cannot fail: deque empty, cap >= the batch
 			}
 			chunks, iters = chunks+1, iters+a.Size
 			now := s.bus.Now()

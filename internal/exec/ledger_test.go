@@ -10,8 +10,8 @@ import (
 )
 
 // TestLedgerMixedTransportsOneListener runs a mixed fleet on one sniffed
-// listener — a gob worker, a binary worker with a window and a binary
-// worker with the pipeline, at three different powers. Every grant,
+// listener — a gob worker, a serial binary worker and a binary worker
+// with the pipeline, at three different powers. Every grant,
 // whichever transport asked, is a draw on the policy. For a
 // step-deterministic scheme the chunk tally
 // must still equal the scheme's nominal step count (ledger.Build's), and
@@ -28,8 +28,8 @@ func TestLedgerMixedTransportsOneListener(t *testing.T) {
 
 			runWorkers(t, addr, []Worker{
 				{ID: 0, Kernel: intKernel, Transport: TransportNetRPC, Pipeline: true, VirtualPower: 2},
-				{ID: 1, Kernel: intKernel, Transport: TransportBinary, Window: 2, VirtualPower: 3},
-				{ID: 2, Kernel: intKernel, Transport: TransportBinary, Window: 2, Pipeline: true},
+				{ID: 1, Kernel: intKernel, Transport: TransportBinary, VirtualPower: 3},
+				{ID: 2, Kernel: intKernel, Transport: TransportBinary, Pipeline: true},
 			})
 			results, rep, err := m.Wait()
 			if err != nil {
@@ -106,8 +106,8 @@ func TestLedgerReplanClosesTheUnitTable(t *testing.T) {
 	}
 }
 
-// TestLedgerAllWireWorkers puts every worker on the binary wire, at
-// three windows and one of them at half speed: every grant is a reply to
+// TestLedgerAllWireWorkers puts every worker on the binary wire, one of
+// them at half speed: every grant is a reply to
 // a request, drawn from FSS's policy, so the run is the scheme's nominal
 // steps, each granted once.
 func TestLedgerAllWireWorkers(t *testing.T) {
@@ -116,9 +116,9 @@ func TestLedgerAllWireWorkers(t *testing.T) {
 	defer stop()
 
 	runWorkers(t, addr, []Worker{
-		{ID: 0, Kernel: intKernel, Transport: TransportBinary, Window: 2},
-		{ID: 1, Kernel: intKernel, Transport: TransportBinary, Window: 4, WorkScale: 2},
-		{ID: 2, Kernel: intKernel, Transport: TransportBinary, Window: 1},
+		{ID: 0, Kernel: intKernel, Transport: TransportBinary},
+		{ID: 1, Kernel: intKernel, Transport: TransportBinary, WorkScale: 2},
+		{ID: 2, Kernel: intKernel, Transport: TransportBinary},
 	})
 	results, rep, err := m.Wait()
 	if err != nil {

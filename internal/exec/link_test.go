@@ -48,14 +48,15 @@ var linkScripts = []linkScript{
 // sockets, no goroutines, and a clock of its own — the kernel takes cost
 // per iteration, a reply lands rtt after its request, nothing else takes
 // time. It grants fixed-size chunks of [0, n) one credit each — as runs,
-// under a script that says so — keeps the master's ledger of what the
+// under a script that says so, and at most perReply of them a reply when
+// that is set, as the share bound trims an ask — keeps the master's ledger of what the
 // worker holds, and checks every request against the rules of DESIGN.md
 // §9.
 type fakeLink struct {
 	t         *testing.T
 	script    linkScript
-	window    int
 	prefetch  bool
+	perReply  int // most chunks one reply grants; 0: all the credits ask
 	n, size   int
 	cost, rtt time.Duration
 
@@ -80,28 +81,16 @@ type fakeLink struct {
 
 func (f *fakeLink) clock() time.Time { return time.Unix(0, 0).Add(f.now) }
 
-func (f *fakeLink) hold() int {
-	if f.prefetch {
-		return f.window + 1
-	}
-	return f.window
-}
-
 // due is the time rule, evaluated before the next iteration: the work
-// still held lasts no longer than a round trip, the worker has timed at
-// least one iteration and — under a window — its queue has room and a
-// full window of chunks like the one in hand would outlast the round
-// trip.
+// still held lasts no longer than a round trip and the worker has timed
+// at least one iteration.
 func (f *fakeLink) due() bool {
-	chunk := min(f.size, f.n-f.entered/f.size*f.size)
-	queued := (f.arrived+f.size-1)/f.size - f.entered/f.size - 1 // chunks behind the one in hand
-	capped := f.window == 0 || queued < f.window && time.Duration(f.hold()*chunk)*f.cost >= f.rtt
-	return f.prefetch && !f.stopped && f.entered > 0 && capped &&
+	return f.prefetch && !f.stopped && f.entered > 0 &&
 		time.Duration(f.arrived-f.entered)*f.cost <= f.rtt
 }
 
-// checkDepth holds a request's credits to the depth rule that sizes them
-// when no window is set: the first asks for DefaultStealWindow, every
+// checkDepth holds a request's credits to the depth rule that sizes
+// them: the first asks for DefaultStealWindow, every
 // later one for the chunks that, when its reply lands, leave the worker
 // one more round trip of work — the round trip in iterations, less what
 // of the held iterations will be left then. That is at least one lead of
@@ -168,26 +157,16 @@ func (f *fakeLink) Send(req *wire.Request) error {
 	for len(f.held) > 0 && f.shipped[f.held[0].End()-1] > 0 {
 		f.held = f.held[1:]
 	}
-	// Credits are the worker's to size (DESIGN.md §9):
-	// a synchronous request holds nothing and asks for all it may hold,
-	// a prefetch asks for the window less what is still queued behind
-	// the chunk in hand.
-	wantCredits := f.hold()
+	// Credits are the worker's to size, by the depth rule (DESIGN.md §9).
 	if req.Prefetch {
 		f.prefetchs++
 		if !f.due() {
 			t.Errorf("request %d: prefetch with %d iterations held, before the time rule wants one", f.requests, f.arrived-f.entered)
 		}
-		wantCredits = f.window + 1 - len(f.held)
 	} else if len(f.held) != 0 {
 		t.Errorf("request %d: synchronous with %d chunks unshipped", f.requests, len(f.held))
 	}
-	if f.window == 0 {
-		f.checkDepth(req)
-	} else if req.Credits != wantCredits {
-		t.Errorf("request %d (prefetch %v, %d held): %d credits, want %d",
-			f.requests, req.Prefetch, len(f.held), req.Credits, wantCredits)
-	}
+	f.checkDepth(req)
 
 	rep := &wire.Reply{}
 	switch s := f.script; {
@@ -206,7 +185,11 @@ func (f *fakeLink) Send(req *wire.Request) error {
 		// nothing to grant right now
 	default:
 		var run sched.Run
-		for c := 0; c < req.Credits && f.next < f.n; c++ {
+		grant := req.Credits
+		if f.perReply > 0 {
+			grant = min(grant, f.perReply)
+		}
+		for c := 0; c < grant && f.next < f.n; c++ {
 			a := sched.Assignment{Start: f.next, Size: min(f.size, f.n-f.next)}
 			f.next = a.End()
 			f.held = append(f.held, a)
@@ -225,9 +208,6 @@ func (f *fakeLink) Send(req *wire.Request) error {
 		if run.Count > 0 {
 			rep.AddRun(run)
 		}
-	}
-	if f.window > 0 && len(f.held) > f.window+1 {
-		t.Errorf("request %d: worker holds %d chunks, window is %d", f.requests, len(f.held), f.window)
 	}
 	f.reply = rep
 	return nil
@@ -260,38 +240,35 @@ func (f *fakeLink) Call(req *wire.Request, rep *wire.Reply) error {
 func (f *fakeLink) Close() error { return nil }
 
 // TestWindowLoopAgainstScriptedLink drives the one slave loop over
-// every window × prefetch × grain × script cell and holds it to the
-// rules: each granted iteration computed once and shipped once, never
-// more than window+1 chunks held, credits sized as documented, a refill
-// in flight exactly from the iteration at which the work still held
-// lasts no longer than a round trip, every kernel second reported
-// exactly once, and a return only on a Stop to a synchronous request (or
-// the link's own error). The grains put the round trip at two and a half
-// iterations (the refill leaves mid-chunk, near the end of what is
-// held), at ten and a half (it leaves with chunks still queued, or at
-// once) and beyond a full window (nothing to hide it behind: under a
-// window every request is synchronous). Window 0 is no window: each ask
-// is sized by the depth rule (checkDepth), so even the coarsest grain
-// prefetches. The memory-link cells enter through Worker.RunLink, which
-// picks the window by the link's nature: only the gob link, which grants
-// one chunk per call, trades the depth rule for DefaultStealWindow, so
-// an unset window over any other link — the memory link's case — stays
-// the depth rule checkDepth holds it to.
+// every prefetch × grain × script cell and holds it to the rules: each
+// granted iteration computed once and shipped once, credits sized by the
+// depth rule (checkDepth), a refill in flight exactly from the iteration
+// at which the work still held lasts no longer than a round trip, every
+// kernel second reported exactly once, and a return only on a Stop to a
+// synchronous request (or the link's own error). The grains put the
+// round trip at two and a half iterations (the refill leaves mid-chunk,
+// near the end of what is held), at ten and a half (it leaves with
+// chunks still queued, or at once) and at a thousand, beyond anything
+// held: the ask covers it, so even the coarsest grain prefetches. A wK
+// cell's master grants at most K chunks a reply however many are asked,
+// as the share bound trims an ask (w1 is the gob server's one chunk per
+// call); w0 grants all the credits ask. The memory-link cells enter
+// through Worker.RunLink.
 func TestWindowLoopAgainstScriptedLink(t *testing.T) {
 	const cost = time.Millisecond
-	cell := func(name string, window int, prefetch, viaRunLink bool, script linkScript) {
+	cell := func(name string, perReply int, prefetch, viaRunLink bool, script linkScript) {
 		t.Run(name, func(t *testing.T) {
 			for _, rtt := range []time.Duration{cost * 5 / 2, cost * 21 / 2, cost * 1000} {
 				t.Run(fmt.Sprintf("rtt=%v", rtt), func(t *testing.T) {
-					checkWindowLoop(t, script, window, prefetch, viaRunLink, cost, rtt)
+					checkWindowLoop(t, script, perReply, prefetch, viaRunLink, cost, rtt)
 				})
 			}
 		})
 	}
-	for _, window := range []int{0, 1, 2, 4, 8} {
+	for _, perReply := range []int{0, 1, 2, 4, 8} {
 		for _, prefetch := range []bool{false, true} {
 			for _, script := range linkScripts {
-				cell(fmt.Sprintf("w%d/prefetch=%v/%s", window, prefetch, script.name), window, prefetch, false, script)
+				cell(fmt.Sprintf("w%d/prefetch=%v/%s", perReply, prefetch, script.name), perReply, prefetch, false, script)
 			}
 		}
 	}
@@ -302,18 +279,18 @@ func TestWindowLoopAgainstScriptedLink(t *testing.T) {
 	}
 }
 
-func checkWindowLoop(t *testing.T, script linkScript, window int, prefetch, viaRunLink bool, cost, rtt time.Duration) {
+func checkWindowLoop(t *testing.T, script linkScript, perReply int, prefetch, viaRunLink bool, cost, rtt time.Duration) {
 	const n, size = 103, 4
 	f := &fakeLink{
-		t: t, script: script, window: window, prefetch: prefetch, cost: cost, rtt: rtt,
+		t: t, script: script, prefetch: prefetch, perReply: perReply, cost: cost, rtt: rtt,
 		n: n, size: size, computed: make([]int, n), shipped: make([]int, n),
 	}
-	w := Worker{ID: 3, Kernel: f.kernel, clock: f.clock, Window: window, Pipeline: prefetch}
+	w := Worker{ID: 3, Kernel: f.kernel, clock: f.clock, Pipeline: prefetch}
 	var err error
 	if viaRunLink {
 		err = w.RunLink(context.Background(), f)
 	} else {
-		err = w.runWindow(f, window, prefetch, 0)
+		err = w.runWindow(f, prefetch, 0)
 	}
 	wantErr := script.wantErr
 	if f.requests < max(script.errAt, script.dropAt) {
@@ -325,10 +302,8 @@ func checkWindowLoop(t *testing.T, script linkScript, window int, prefetch, viaR
 	if err == nil && !f.finalStop {
 		t.Error("returned without a Stop to a synchronous request")
 	}
-	if fine := window > 0 && rtt > time.Duration((window+1)*size)*cost; fine && f.prefetchs > 0 {
-		t.Errorf("%d prefetches on a loop too fine to hide a round trip behind", f.prefetchs)
-	} else if prefetch && !fine && f.prefetchs == 0 {
-		t.Error("no prefetch on a loop whose window outlasts the round trip")
+	if prefetch && f.prefetchs == 0 {
+		t.Error("no prefetch, although every ask outlasts the round trip")
 	}
 	if want := (time.Duration(f.entered) * cost).Seconds(); err == nil && math.Abs(f.comp-want) > 1e-9 {
 		t.Errorf("requests reported %.6fs of kernel time, the kernel ran %.6fs", f.comp, want)
@@ -472,7 +447,7 @@ func TestLinksCarryTheSameDialogue(t *testing.T) {
 				ticks += time.Millisecond
 				return time.Unix(0, 0).Add(ticks)
 			}}
-			if err := w.runWindow(link.open(t, rec), 1, prefetch, 0); err != nil {
+			if err := w.runWindow(link.open(t, rec), prefetch, 0); err != nil {
 				t.Fatalf("%s prefetch=%v: %v", link.name, prefetch, err)
 			}
 			if i == 0 {
@@ -701,7 +676,7 @@ func TestWorkerShipsARunPerStretch(t *testing.T) {
 			return nil
 		}}
 		w := Worker{Kernel: func(int) []byte { return nil }}
-		if err := w.runWindow(l, 8, false, 0); err != nil {
+		if err := w.runWindow(l, false, 0); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if len(shipped) != 2 || !reflect.DeepEqual(shipped[1], want) {
@@ -741,7 +716,7 @@ func TestTracedWorkerShipsTheSameFrames(t *testing.T) {
 			Telemetry: cfg.Telemetry,
 			clock:     func() time.Time { return now },
 		}
-		if err := w.runWindow(l, 0, true, 0); err != nil {
+		if err := w.runWindow(l, true, 0); err != nil {
 			t.Fatal(err)
 		}
 		if _, rep, err := m.Wait(); err != nil || rep.Iterations != n {
@@ -825,10 +800,48 @@ func TestAskReadsTheChunkThatClosedTheStretch(t *testing.T) {
 		return nil
 	}}
 	w := Worker{Kernel: func(int) []byte { now = now.Add(cost); return nil }, clock: func() time.Time { return now }}
-	if err := w.runWindow(l, 0, false, 0); err != nil {
+	if err := w.runWindow(l, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{DefaultStealWindow, int(trip / cost / 2)}; !slices.Equal(credits, want) {
 		t.Errorf("the worker asked for %v credits, want %v", credits, want)
+	}
+}
+
+// TestAMemoryLinkAsksUnhiddenTrips: over a memory link the master's
+// handler runs on the worker's own goroutine, so Worker.RunLink has the
+// loop ask for UnhiddenTrips round trips where any other link asks for
+// one. The scripted exchange of TestAskReadsTheChunkThatClosedTheStretch
+// — a round trip worth 8 iterations, a stretch closed by a chunk of 2 —
+// asks 4 credits over a link that is not the memory link, and 16 over it.
+func TestAMemoryLinkAsksUnhiddenTrips(t *testing.T) {
+	const cost, trip = time.Millisecond, 8 * time.Millisecond
+	for _, c := range []struct {
+		name string
+		wrap func(*memLink) Link
+		want int
+	}{
+		{"memory link", func(l *memLink) Link { return l }, UnhiddenTrips * int(trip/cost/2)},
+		{"another link", func(l *memLink) Link { return ctxLink{Link: l} }, int(trip / cost / 2)},
+	} {
+		now := time.Unix(0, 0)
+		var credits []int
+		l := &memLink{batch: func(args ChunkArgs, n int, rep *wire.Reply) error {
+			now = now.Add(trip)
+			if credits = append(credits, n); len(credits) > 1 {
+				rep.Stop = true
+				return nil
+			}
+			rep.AddRun(sched.Run{Start: 0, Size: 4, Count: 2})
+			rep.AddRun(sched.Run{Start: 8, Size: 2, Count: 1})
+			return nil
+		}}
+		w := Worker{Kernel: func(int) []byte { now = now.Add(cost); return nil }, clock: func() time.Time { return now }}
+		if err := w.RunLink(context.Background(), c.wrap(l)); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if want := []int{DefaultStealWindow, c.want}; !slices.Equal(credits, want) {
+			t.Errorf("%s: the worker asked for %v credits, want %v", c.name, credits, want)
+		}
 	}
 }

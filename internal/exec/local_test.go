@@ -30,7 +30,6 @@ type localRun struct {
 	Scheme    sched.Scheme
 	Workers   []*WorkerSpec
 	ACP       acp.Model
-	Window    int
 	Pipeline  bool
 	Telemetry *telemetry.Bus
 	// Trace records every completed chunk, from Telemetry or a private
@@ -54,7 +53,7 @@ func (l *localRun) RunContext(ctx context.Context, w workload.Workload, body fun
 	powers := VirtualPowers(l.Workers)
 	m, err := New(Config{
 		Scheme: l.Scheme, Iterations: w.Len(), Workers: len(l.Workers), Powers: powers,
-		Window: l.Window, Telemetry: bus,
+		Telemetry: bus,
 	})
 	if err != nil {
 		return metrics.Report{}, err
@@ -64,7 +63,7 @@ func (l *localRun) RunContext(ctx context.Context, w workload.Workload, body fun
 		w := Worker{
 			ID: i, Kernel: func(i int) []byte { body(i); return nil },
 			VirtualPower: powers[i], LoadProbe: ws.Load, ACPModel: l.ACP, WorkScale: ws.WorkScale,
-			Window: l.Window, Pipeline: l.Pipeline, Telemetry: bus, TelemetryID: i,
+			Pipeline: l.Pipeline, Telemetry: bus, TelemetryID: i,
 		}
 		wg.Add(1)
 		go func() {

@@ -33,7 +33,7 @@ func TestMasterPlansOncePerStage(t *testing.T) {
 	}{
 		{"plain", Config{}, 1},
 		{"no-replan", Config{NoReplan: true}, 1},
-		{"job", Config{Window: DefaultStealWindow, Job: 1, Tenant: 1, InitACP: []int{1, 1}}, 1},
+		{"job", Config{Job: 1, Tenant: 1, InitACP: []int{1, 1}}, 1},
 		{"shard", Config{Members: []int{0, 1}, Source: &scriptSource{
 			held: []sched.Assignment{{Start: 0, Size: 600}, {Start: 600, Size: 400}},
 		}}, 2},

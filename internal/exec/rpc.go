@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/rpc"
 	"runtime"
@@ -30,11 +29,10 @@ import (
 // This file is the master and the Worker type. The slave side is one
 // loop (runWindow in wire.go) over one Link (link.go), whatever the
 // codec: with Worker.Pipeline it refills one measured master round trip
-// before its work runs out, asking — unless a credit window caps it —
-// for what that round trip needs. A reply is one share-bounded batch
-// (sched.BatchLimit) of at most what the worker asked: within W+1 chunks
-// held under a window W (Config.Window), bounded by the share and the ask
-// alone otherwise. DESIGN.md §9 states the loop's rules.
+// before its work runs out, asking for what that round trip needs. A
+// reply is one share-bounded batch (sched.BatchLimit) of at most what
+// the worker asked: the share and the ask are its only bounds. DESIGN.md
+// §9 states the loop's rules.
 //
 // Two codecs carry the dialogue between processes (transport.go):
 // net/rpc + gob, one chunk per round trip, and the binary framing of
@@ -224,14 +222,9 @@ type Master struct {
 // Config configures a Master, once: New builds its dispenser from it and
 // plans each stage once. Nothing about a master is set after New.
 //
-//   - Window is the credit window w: a worker holds at most w chunks
-//     beyond the one it is computing (the per-worker ledger caps at w+1;
-//     1 is a double buffer). It is a cap, not a quota: a reply is one
-//     share-bounded batch (dispense.Claim), filled on a fine loop, a
-//     chunk or two while chunks are large. Window < 1 sets no window:
-//     the ledger room is unbounded, and a reply is bounded only by the
-//     share and by what the request's Credits ask. With a window, the
-//     master clamps whatever Credits ask to the ledger room.
+//   - Batches. A reply is one share-bounded batch (dispense.Claim) of at
+//     most what the request's Credits ask; no count caps what a worker
+//     holds.
 //   - Shards. A shard master (Members != nil) stages the ranges Source
 //     hands it, each a fresh plan, and never re-plans mid-stage.
 //   - Gather. A non-nil InitACP is the step-1(a) gather done by the
@@ -249,7 +242,6 @@ type Config struct {
 	// knows nothing of its slaves' hardware before they connect — weighs
 	// every worker equally.
 	Powers   []float64
-	Window   int
 	NoReplan bool // turns off the step-2(c) majority re-plan
 	// Telemetry receives the master's protocol events (requests, grants,
 	// prefetch hits/misses, worker joins, timeouts, rejected
@@ -291,10 +283,6 @@ func New(cfg Config) (*Master, error) {
 	case cfg.InitACP != nil && len(cfg.InitACP) != workers:
 		return nil, fmt.Errorf("exec: %d initial ACPs for %d workers", len(cfg.InitACP), workers)
 	}
-	ledger := math.MaxInt // no window: the share and the ask bound a reply
-	if cfg.Window >= 1 {
-		ledger = cfg.Window + 1
-	}
 	src := cfg.Source
 	if src == nil {
 		src = &whole{n: n}
@@ -322,7 +310,7 @@ func New(cfg Config) (*Master, error) {
 	m.b = dispense.NewBook(dispense.Config{
 		Scheme: cfg.Scheme, Workers: workers, Powers: cfg.Powers,
 		NoReplan: cfg.NoReplan || cfg.Members != nil,
-	}, n, ledger, (*staging)(m))
+	}, n, (*staging)(m))
 	for w := range m.slots {
 		m.slots[w].lastSeen = m.started
 		if cfg.InitACP != nil {
@@ -451,12 +439,11 @@ func (m *Master) NextChunk(args ChunkArgs, reply *ChunkReply) error {
 
 // nextBatch is the transport-independent request handler: deposit the
 // piggy-backed results, account the worker's timing, then grant one
-// share-bounded batch of up to `credits` chunks into rep (clamped to the
-// ledger room) — or park a drained worker, Stop on completion, or
-// answer an unlucky prefetch empty. A prefetch that asks for no chunks
-// is a delivery: its results are booked and it is granted nothing — a
-// Stop says the run has ended — while a plain request asks for one at
-// least.
+// share-bounded batch of up to `credits` chunks into rep — or park a
+// drained worker, Stop on completion, or answer an unlucky prefetch
+// empty. A prefetch that asks for no chunks is a delivery: its results
+// are booked and it is granted nothing — a Stop says the run has ended —
+// while a plain request asks for one at least.
 func (m *Master) nextBatch(args ChunkArgs, credits int, rep *wire.Reply) (err error) {
 	if args.Worker < 0 || args.Worker >= m.workers {
 		return fmt.Errorf("exec: unknown worker %d", args.Worker)
@@ -676,9 +663,7 @@ func (m *Master) grants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt flo
 			return nil
 		}
 		s.mu.Lock()
-		room := m.b.Room(w, credits)
-		full := room <= 0 // a prefetch from a worker that has not delivered yet
-		runs, replanned, moved, err := m.b.Grant(w, args.ACP, room)
+		runs, replanned, moved, err := m.b.Grant(w, args.ACP, credits)
 		if replanned {
 			m.publish(telemetry.StageAdvanced, w, 0, m.bus.Now())
 		}
@@ -690,7 +675,7 @@ func (m *Master) grants(args *ChunkArgs, credits int, rep *wire.Reply, reqAt flo
 			s.mu.Unlock()
 			return err
 		}
-		if len(runs) > 0 || args.Prefetch || full {
+		if len(runs) > 0 || args.Prefetch {
 			m.book(args, runs, rep, reqAt)
 			s.mu.Unlock()
 			return nil
@@ -902,9 +887,8 @@ func (m *Master) WatchTimeouts(interval, timeout time.Duration, stop <-chan stru
 	}
 }
 
-// Outstanding returns the chunks currently in flight, keyed by worker.
-// Under a credit window a worker holds up to window+1 entries: the chunk
-// being computed and its window.
+// Outstanding returns the chunks currently in flight, keyed by worker:
+// the chunk each is computing and the batches it holds behind it.
 func (m *Master) Outstanding() map[int][]sched.Assignment {
 	out := make(map[int][]sched.Assignment)
 	for w := range m.slots {
@@ -1088,18 +1072,13 @@ type Worker struct {
 	// Pipeline turns the slave loop's prefetch on: the next chunks are
 	// requested, and the results so far uploaded, one measured master
 	// round trip before the work in hand runs out, hiding the round trip
-	// whenever it is shorter than that work.
+	// whenever it is shorter than that work. Over gob, whose server
+	// grants one chunk per call, the worker asks when dry regardless.
 	Pipeline bool
 	// Transport selects the wire format (empty uses DefaultTransport,
 	// i.e. the LOOPSCHED_TRANSPORT environment variable or the binary
 	// codec).
 	Transport Transport
-	// Window is the credit window: how many granted chunks the worker
-	// queues at most. 0 sizes each ask by what outlasts the worker's
-	// measured round trip instead (DESIGN.md §9) — over a memory link as
-	// over the wire — except over gob, whose server grants one chunk per
-	// call whatever is asked: there 0 means DefaultStealWindow.
-	Window int
 	// Telemetry, when non-nil, receives a ChunkCompleted event for
 	// every run of chunks this worker computes. TelemetryID and TelemetryShard
 	// label those events; TelemetryID must be the run-global worker id
@@ -1109,6 +1088,7 @@ type Worker struct {
 	TelemetryShard int
 
 	clock func() time.Time // scripted time, for tests; nil means time.Now
+	trips float64          // round trips an ask covers, set by RunLink; 0 means 1
 }
 
 func (w Worker) power() float64 {
@@ -1145,16 +1125,20 @@ func (w Worker) RunLink(ctx context.Context, link Link) (err error) {
 	}
 	stop := context.AfterFunc(ctx, func() { link.Close() }) // unblocks an in-flight call
 	defer stop()
-	window := w.Window
+	prefetch := w.Pipeline
 	switch c := link.(type) {
 	case *wire.Conn:
 		c.SetTelemetry(w.Telemetry, w.TelemetryID, w.TelemetryShard)
+	case *memLink:
+		// Send runs the handler on this goroutine: no prefetch hides it.
+		w.trips = UnhiddenTrips
 	case *gobLink:
-		if window < 1 {
-			window = DefaultStealWindow // one chunk per call: no depth to size
-		}
+		// Its server grants one chunk per call whatever is asked, so no
+		// ask outlasts a round trip: a prefetch would hide one chunk at
+		// most, less than it costs on a fine loop. It asks when dry.
+		prefetch = false
 	}
-	err = w.runWindow(ctxLink{link, ctx.Done()}, window, w.Pipeline, 0)
+	err = w.runWindow(ctxLink{link, ctx.Done()}, prefetch, 0)
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
 	}

@@ -618,40 +618,29 @@ func TestRPCPipelinedDistributed(t *testing.T) {
 	}
 }
 
-// TestRPCPipelinedFailWorker: a pipelined worker dies holding two
-// outstanding chunks (computing + prefetched); both are requeued, the
-// third slot is refused, and the survivors compute everything exactly
-// once.
+// TestRPCPipelinedFailWorker: a pipelined worker dies holding three
+// outstanding chunks (computing + two prefetched); all are requeued, and
+// the survivors compute everything exactly once.
 func TestRPCPipelinedFailWorker(t *testing.T) {
 	const n = 400
-	// Window 1 is the classic double buffer: a ledger of two slots.
-	m, addr, stop := serveMaster(t, Config{Scheme: sched.FSSScheme{}, Iterations: n, Workers: 3, Window: 1})
+	m, addr, stop := serveMaster(t, Config{Scheme: sched.FSSScheme{}, Iterations: n, Workers: 3})
 	defer stop()
 
-	// Worker 2 double-buffers two chunks into flight…
-	var r1, r2 ChunkReply
-	if err := m.NextChunk(ChunkArgs{Worker: 2}, &r1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.NextChunk(ChunkArgs{Worker: 2, Prefetch: true}, &r2); err != nil {
-		t.Fatal(err)
-	}
-	if r1.Stop || r1.Assign.Size == 0 || r2.Stop || r2.Assign.Size == 0 {
-		t.Fatalf("no double buffer: %+v %+v", r1, r2)
+	// Worker 2 takes a chunk and prefetches two more, one per call…
+	var r [3]ChunkReply
+	for i := range r {
+		if err := m.NextChunk(ChunkArgs{Worker: 2, Prefetch: i > 0}, &r[i]); err != nil {
+			t.Fatal(err)
+		}
+		if r[i].Stop || r[i].Assign.Size == 0 {
+			t.Fatalf("call %d: no chunk: %+v", i, r[i])
+		}
 	}
 	out := m.Outstanding()
-	if len(out[2]) != 2 {
+	if len(out[2]) != 3 {
 		t.Fatalf("outstanding ledger: %v", out)
 	}
-	// …a third prefetch is refused (two-slot cap)…
-	var r3 ChunkReply
-	if err := m.NextChunk(ChunkArgs{Worker: 2, Prefetch: true}, &r3); err != nil {
-		t.Fatal(err)
-	}
-	if r3.Stop || r3.Assign.Size != 0 {
-		t.Fatalf("two-slot cap not enforced: %+v", r3)
-	}
-	// …and dies. Both chunks must be requeued.
+	// …and dies. Every chunk must be requeued.
 	if err := m.FailWorker(2); err != nil {
 		t.Fatal(err)
 	}

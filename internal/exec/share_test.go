@@ -68,8 +68,8 @@ var shareReaches = []struct {
 	}},
 }
 
-// TestAnUnwindowedReplyIsTheShare pins what bounds a reply when no
-// window is set: the share and the ask, not a chunk count. Over every
+// TestAnUnwindowedReplyIsTheShare pins what bounds a reply: the share
+// and the ask, not a chunk count. Over every
 // reach, a CSS(4) master at p = 2 over 65 536 iterations answers an ask
 // of 4 096 chunks with one reply, the whole sched.BatchLimit — 16 384
 // iterations — as one run.
@@ -127,8 +127,8 @@ func (l *timedLink) Call(req *wire.Request, rep *wire.Reply) error {
 }
 
 // TestAFineRunTakesFewRequests runs the fine loop of
-// TestAnUnwindowedReplyIsTheShare with two pipelined workers, no window
-// set, over every reach. Their round trip (100 µs of scripted time) is
+// TestAnUnwindowedReplyIsTheShare with two pipelined workers, over
+// every reach. Their round trip (100 µs of scripted time) is
 // worth 100 000 one-nanosecond iterations, so every ask after the first
 // passes the share, and the share alone cuts the loop: fewer than 64
 // requests in all, where replies of 256 chunks would have taken 64 at

@@ -85,7 +85,7 @@ func grantSequence(t *testing.T, transport Transport, pipeline bool, s sched.Sch
 // TestTransportsGrantIdenticalSequence is the codec-equivalence
 // property: with a deterministic scheme and a single worker, the gob
 // protocol (one chunk per call), the binary one (share-bounded batches
-// at the default window) and the binary one pipelined (refills sent
+// at the default depth) and the binary one pipelined (refills sent
 // late, possibly mid-chunk) must produce the exact same chunk sequence
 // — same starts, same sizes, same order. Batching and late binding move
 // who holds a chunk when, never the sequence; any framing or batching
@@ -240,35 +240,35 @@ func TestSpanTaggingPreservesGrantSequence(t *testing.T) {
 }
 
 // TestRPCWireCreditWindow runs the batched-grant protocol in anger: the
-// default credit window and explicit ones, narrow and wide, pipelined
-// heterogeneous workers, and a fixed-chunk scheme whose fine chunks fill
-// deep replies. Every result must arrive exactly once,
-// and every chunk's compute time be sampled exactly once however many
-// chunks one request reports on.
+// credits a request carries are the window of chunks it may take, sized
+// by the depth rule over one round trip (0 means 1) and over two and
+// eight, narrow and deep asks, with pipelined heterogeneous workers and a
+// fixed-chunk scheme whose fine chunks fill deep replies. Every result
+// must arrive exactly once, and every chunk's compute time be sampled
+// exactly once however many chunks one request reports on.
 func TestRPCWireCreditWindow(t *testing.T) {
 	const n = 900
-	for _, window := range []int{0, 2, 8} {
-		m, addr, stop := serveMaster(t, Config{Scheme: sched.CSSScheme{K: 5}, Iterations: n, Workers: 3, Window: window})
-
+	for _, trips := range []float64{0, 2, 8} {
+		m, addr, stop := serveMaster(t, Config{Scheme: sched.CSSScheme{K: 5}, Iterations: n, Workers: 3})
 		runWorkers(t, addr, []Worker{
-			{ID: 0, Kernel: intKernel, Transport: TransportBinary, Window: window, Pipeline: true},
-			{ID: 1, Kernel: intKernel, Transport: TransportBinary, Window: window, Pipeline: true, WorkScale: 2},
-			{ID: 2, Kernel: intKernel, Transport: TransportBinary, Window: window},
+			{ID: 0, Kernel: intKernel, Transport: TransportBinary, Pipeline: true, trips: trips},
+			{ID: 1, Kernel: intKernel, Transport: TransportBinary, Pipeline: true, WorkScale: 2, trips: trips},
+			{ID: 2, Kernel: intKernel, Transport: TransportBinary, trips: trips},
 		})
 		results, rep, err := m.Wait()
 		stop()
 		if err != nil {
-			t.Fatalf("window %d: %v", window, err)
+			t.Fatalf("trips %v: %v", trips, err)
 		}
 		if rep.Iterations != n {
-			t.Fatalf("window %d: iterations = %d", window, rep.Iterations)
+			t.Fatalf("trips %v: iterations = %d", trips, rep.Iterations)
 		}
 		if got := int(rep.CompLatency.Count); got != rep.Chunks {
-			t.Errorf("window %d: %d compute-time samples for %d chunks", window, got, rep.Chunks)
+			t.Errorf("trips %v: %d compute-time samples for %d chunks", trips, got, rep.Chunks)
 		}
 		for i, r := range results {
 			if !bytes.Equal(r, intKernel(i)) {
-				t.Fatalf("window %d: result %d corrupted", window, i)
+				t.Fatalf("trips %v: result %d corrupted", trips, i)
 			}
 		}
 	}
@@ -325,8 +325,8 @@ func TestMixedTransportsOneListener(t *testing.T) {
 
 	runWorkers(t, addr, []Worker{
 		{ID: 0, Kernel: intKernel, Transport: TransportNetRPC, Pipeline: true, VirtualPower: 2},
-		{ID: 1, Kernel: intKernel, Transport: TransportBinary, Window: 2, VirtualPower: 3},
-		{ID: 2, Kernel: intKernel, Transport: TransportBinary, Window: 2, Pipeline: true},
+		{ID: 1, Kernel: intKernel, Transport: TransportBinary, VirtualPower: 3},
+		{ID: 2, Kernel: intKernel, Transport: TransportBinary, Pipeline: true},
 	})
 	results, rep, err := m.Wait()
 	if err != nil {

@@ -139,21 +139,28 @@ func chunkResults(dst []ChunkResult, req *wire.Request) []ChunkResult {
 }
 
 // DefaultStealWindow is what Ask answers while nothing is measured: a
-// worker with no window set asks for this many chunks before it has
-// timed a round trip to size its asks by, and on every request over the
-// gob link, which grants one chunk per call (DESIGN.md §9). It is also a
-// JobState's credit window when none is set.
+// worker asks for this many chunks before it has timed a round trip to
+// size its asks by (DESIGN.md §9). It is also the depth of a JobState's
+// deques.
 const DefaultStealWindow = 8
 
+// UnhiddenTrips is how many round trips of work an ask covers where no
+// prefetch hides a round trip behind the kernel: over a memory link,
+// whose Send runs the master's handler on the worker's own goroutine,
+// and for the scheduler fleet's worker, which does not prefetch. Every
+// request then costs the worker a round trip of its own time, and a
+// batch worth UnhiddenTrips of them bounds that to about
+// 1/(UnhiddenTrips+1) of it.
+const UnhiddenTrips = 4
+
 // Ask is the depth rule (DESIGN.md §9, "how deep a worker asks"): the
-// chunks a refill asks for when no window caps it. trip is what one
-// round trip is worth in iterations at the worker's measured rate, held
-// the iterations it still holds as the refill leaves, and size the
-// iterations in the chunk it last started (at least 1). The answer lands
-// one round trip from now and must keep the worker busy for one more:
-// trip, less what of held will be left by then, in chunks of size — at
-// least 1. The ask is the worker's whole bound on a reply; the master's is
-// the share (sched.BatchLimit), so no chunk count caps either. The only
+// chunks a refill asks for. trip is what one round trip is worth in
+// iterations at the worker's measured rate, held the iterations it still
+// holds as the refill leaves, and size the iterations in the chunk it
+// last started (at least 1). The answer lands one round trip from now
+// and must keep the worker busy for one more: trip, less what of held
+// will be left by then, in chunks of size — at least 1. The ask is the
+// worker's whole bound on a reply; the master's is the share (sched.BatchLimit), so no chunk count caps either. The only
 // clamp is what a frame can carry, wire.MaxFrame, which has no
 // scheduling meaning. A trip that is not positive means nothing is
 // measured yet: the answer is DefaultStealWindow.
@@ -177,23 +184,22 @@ const sampleSeconds = 50 * 100e-9
 // need: when the work still held is estimated to last no longer than one
 // master round trip (the lead). Its answer is collected when the queue
 // has run dry, so the round trip hides behind computation and a chunk
-// is bound to this worker only when it is about to need it. A window ≥ 1
-// caps the chunks held and sizes every ask; below 1 each ask covers what
-// will outlast the next round trip (ask). idle is stall time the caller
-// has yet to report; it rides the first request.
+// is bound to this worker only when it is about to need it. Each ask
+// (ask) covers what will outlast the next w.trips round trips:
+// UnhiddenTrips over a memory link, one elsewhere (RunLink sets it). idle
+// is stall time the caller has yet to report; it rides the first request.
 //
 // The clock is read where a request needs it — as it is sent, and
 // around the wait for its answer — and those reads book the kernel
 // time. Between requests it is read only where the prefetch test wants a
 // fresh rate (stale), and, with a telemetry bus, once as each run
 // closes, so that ChunkCompleted carries the run's own seconds.
-func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error {
+func (w Worker) runWindow(l Link, prefetch bool, idle float64) error {
 	var (
 		req      wire.Request
 		rep      wire.Reply    // the batch: only the next Recv, once its grants have run, writes it
 		head     int           // rep.Grants[head:] is the queue
 		queued   int           // iterations in the queue, past the run in hand
-		chunks   int           // chunks in the queue, the run in hand's included
 		pending  []wire.Record // computed, not yet shipped (a run of empty results is one record)
 		comp     float64       // kernel seconds not yet reported
 		busy     float64       // kernel seconds booked so far, over
@@ -212,16 +218,13 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 	// What the loop reads per chunk, read once: a value-receiver call per
 	// chunk would copy the whole Worker.
 	clock, body, kernel, scale, bus := w.clock, w.Body, w.Kernel, w.WorkScale, w.Telemetry
+	trips := max(1, w.trips)
 	// A request ships a record per stretch computed since the last one:
 	// the tail of the batch a prefetch left in hand and the next batch's
 	// head, and a few more where a delivery came back split.
 	pending = make([]wire.Record, 0, 4)
 	if clock == nil {
 		clock = time.Now
-	}
-	hold := window // chunks held at most: the queue, plus the one in hand a prefetch overlaps
-	if prefetch {
-		hold++
 	}
 	// book books the time from mark to now as the kernel time of the
 	// iterations run since, and moves mark there.
@@ -236,29 +239,26 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 	stale := func() bool {
 		return since > 0 && (busy == 0 || float64(since)*busy >= sampleSeconds*float64(ran))
 	}
-	// ask sizes a refill sent while held iterations are still to run:
-	// under a window, room, what the cap leaves; otherwise the depth rule
-	// over the latest round trip in iterations at the running cost.
-	ask := func(held, room int) int {
-		if window >= 1 {
-			return room
-		}
+	// ask sizes a refill sent while held iterations are still to run: the
+	// depth rule over trips of the latest round trip, in iterations at the
+	// running cost.
+	ask := func(held int) int {
 		trip := 0.0 // nothing measured yet
 		if rtt > 0 && ran > 0 {
-			trip = rtt * float64(ran) / busy
+			trip = trips * rtt * float64(ran) / busy
 		}
 		return Ask(trip, float64(held), size)
 	}
-	// send sends a refill of ask(held, room) chunks, shipping everything
+	// send sends a refill of ask(held) chunks, shipping everything
 	// pending.
-	send := func(pre bool, held, room int) error {
+	send := func(pre bool, held int) error {
 		load := 0
 		if w.LoadProbe != nil {
 			load = w.LoadProbe()
 		}
 		lastACP = w.ACPModel.ACP(w.power(), 1+load)
 		req = wire.Request{Worker: w.ID, ACP: lastACP, CompSeconds: comp, IdleSeconds: idle,
-			Prefetch: pre, Credits: ask(held, room), Results: pending}
+			Prefetch: pre, Credits: ask(held), Results: pending}
 		pending, comp, idle = pending[:0], 0, 0
 		return l.Send(&req)
 	}
@@ -277,7 +277,7 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			}
 			if sync {
 				sentAt = waitStart
-				if err := send(false, 0, hold); err != nil {
+				if err := send(false, 0); err != nil {
 					return err
 				}
 			}
@@ -303,36 +303,26 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 			for _, g := range rep.Grants {
 				queued += g.Size
 			}
-			head, chunks = 0, rep.Chunks()
+			head = 0
 			if sync && rep.Stop {
 				return nil // the one way out: this request shipped everything
 			}
 			continue
 		}
 		// A grant is a run of equal chunks (r), and it runs as one range
-		// save where the prefetch test, which reads the chunk in hand (a),
-		// cuts it: the chunk in hand and the chunks behind it are
-		// arithmetic on the run. Its records extend those of the run
-		// before it when the two continue one another.
+		// save where the prefetch test cuts it. Its records extend those
+		// of the run before it when the two continue one another.
 		r := rep.Run(head)
 		lo, end := r.Start, r.End()
-		rest := chunks - r.Count // chunks queued behind run r
 		queued, secs, size = queued-(end-lo), 0, r.Size
 		for i := lo; i < end; {
-			k := (i - lo) / r.Size
-			a, behind, next := r.Chunk(k), rest+r.Count-k-1, end
-			switch {
-			case !prefetch || inflight || stopSeen:
-			case window >= 1 && behind >= window:
-				next = a.End() // the queue has room once this chunk closes
-			default:
+			next := end
+			if prefetch && !inflight && !stopSeen {
 				// The refill leaves when what is still held — the rest of
 				// the run and the queue — costs no more than the lead at
 				// this worker's measured rate; until then it looks again
 				// after one iteration (nothing measured yet) or half the
-				// slack. Under a window that a full window of chunks like
-				// this one would not outlast, an early request would only
-				// come back smaller: the loop asks when dry, for all it may.
+				// slack.
 				if stale() {
 					book(clock())
 				}
@@ -341,8 +331,6 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 				held := end - i + queued
 				switch slack := float64(held) - trip; {
 				case ran == 0:
-				case window >= 1 && float64(hold*a.Size) < trip:
-					next = a.End()
 				case slack > 0:
 					next = min(i+max(1, int(slack/2)), end)
 				default:
@@ -351,7 +339,7 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 					// one. The send itself is nobody's kernel time.
 					book(clock())
 					sentAt = mark
-					if err := send(true, held, window-behind); err != nil {
+					if err := send(true, held); err != nil {
 						return err
 					}
 					inflight, next, mark = true, end, clock()
@@ -380,6 +368,6 @@ func (w Worker) runWindow(l Link, window int, prefetch bool, idle float64) error
 				At: bus.Now(), Seconds: secs,
 			})
 		}
-		head, chunks = head+1, rest
+		head++
 	}
 }

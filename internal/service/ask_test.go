@@ -10,38 +10,34 @@ import (
 	"loopsched/internal/workload"
 )
 
-// askWorker is fleet worker 0 of a one-worker scheduler with the given
-// window, its latest request having taken trip seconds.
-func askWorker(window int, trip float64) *fleetWorker {
-	s := &Scheduler{opts: Options{Workers: fleet(1), Window: window}, p: 1, virtual: []float64{1}}
+// askWorker is fleet worker 0 of a one-worker scheduler, its latest
+// request having taken trip seconds.
+func askWorker(trip float64) *fleetWorker {
+	s := &Scheduler{opts: Options{Workers: fleet(1)}, p: 1, virtual: []float64{1}}
 	return &fleetWorker{s: s, scale: 1, trip: trip}
 }
 
-// TestFleetAsk pins how deep a fleet worker asks, as a table: a set
-// window is asked for whole; with none, the depth rule over fleetTrips
-// request times at the worker's pace on the attempt asked, or
-// DefaultStealWindow while that attempt has measured nothing.
+// TestFleetAsk pins how deep a fleet worker asks, as a table: the depth
+// rule over fleetTrips request times at the worker's pace on the attempt
+// asked, or DefaultStealWindow while that attempt has measured nothing.
 func TestFleetAsk(t *testing.T) {
 	a := &attempt{paces: []pace{{perIter: 20e-9, size: 4}}} // job A, measured
 	b := &attempt{paces: []pace{{}}}                        // job B, nothing measured
 	slow := &attempt{paces: []pace{{perIter: 1e-6, size: 8}}}
 	cases := []struct {
-		name   string
-		window int
-		trip   float64
-		att    *attempt
-		want   int
+		name string
+		trip float64
+		att  *attempt
+		want int
 	}{
-		{"a set window wins over a pace", 5, 2e-6, a, 5},
-		{"a set window wins over no pace", 5, 2e-6, b, 5},
-		{"a measured job", 0, 2e-6, a, 100}, // 4 × 2 µs at 20 ns: 400 iterations
-		{"a new attempt is unmeasured", 0, 2e-6, b, exec.DefaultStealWindow},
-		{"a slow body asks a chunk", 0, 2e-6, slow, 1}, // 8 iterations: one chunk
-		{"a slower request asks more", 0, 4e-6, a, 200},
-		{"a request of ms is asked whole", 0, 1e-3, a, 50000}, // 4 × 1 ms at 20 ns: 200 000 iterations
+		{"a measured job", 2e-6, a, 100}, // 4 × 2 µs at 20 ns: 400 iterations
+		{"a new attempt is unmeasured", 2e-6, b, exec.DefaultStealWindow},
+		{"a slow body asks a chunk", 2e-6, slow, 1}, // 8 iterations: one chunk
+		{"a slower request asks more", 4e-6, a, 200},
+		{"a request of ms is asked whole", 1e-3, a, 50000}, // 4 × 1 ms at 20 ns: 200 000 iterations
 	}
 	for _, c := range cases {
-		if got := askWorker(c.window, c.trip).ask(c.att); got != c.want {
+		if got := askWorker(c.trip).ask(c.att); got != c.want {
 			t.Errorf("%s: asks %d chunks, want %d", c.name, got, c.want)
 		}
 	}
@@ -88,13 +84,13 @@ func TestFleetPaceIsPerAttempt(t *testing.T) {
 // TestFleetBatchBoundsPreemption pins the preemption bound of
 // docs/SERVICE.md "Fairness and preemption" on the ask rule alone,
 // with scripted request times and paces and no clock. A higher-priority
-// admission waits for at most one batch per worker; with no window set a
-// batch's predicted time — its chunks at the worker's pace — is under
-// fleetTrips request times plus one chunk, and (below what a frame can
-// carry, wire.MaxFrame chunks: the clamp Ask answers for an infinite
-// trip) at least fleetTrips request times, so the worker idles for at
-// most about 1/(fleetTrips+1) of its time. (A set window and an
-// attempt's first batch are TestFleetAsk's cases.)
+// admission waits for at most one batch per worker; a batch's predicted
+// time — its chunks at the worker's pace — is under fleetTrips request
+// times plus one chunk, and (below what a frame can carry, wire.MaxFrame
+// chunks: the clamp Ask answers for an infinite trip) at least
+// fleetTrips request times, so the worker idles for at most about
+// 1/(fleetTrips+1) of its time. (An attempt's first batch is
+// TestFleetAsk's case.)
 func TestFleetBatchBoundsPreemption(t *testing.T) {
 	ceiling := exec.Ask(math.Inf(1), 0, 1)
 	for _, trip := range []float64{100e-9, 1e-6, 10e-6, 1e-3} {
@@ -102,7 +98,7 @@ func TestFleetBatchBoundsPreemption(t *testing.T) {
 			for _, size := range []int{1, 4, 64, 1000} {
 				att := &attempt{paces: []pace{{perIter: perIter, size: size}}}
 				chunk := float64(size) * perIter
-				n := askWorker(0, trip).ask(att)
+				n := askWorker(trip).ask(att)
 				batch := float64(n) * chunk
 				const eps = 1e-9
 				if n < 1 || n > ceiling {

@@ -16,7 +16,7 @@ import (
 // granted-iteration totals track the weights. CSS is a fixed-chunk
 // scheme, so every refill costs the same and deficit-round-robin's
 // long-run ratio is the weight ratio; the tolerance absorbs the
-// bounded per-round overdraft (one credit window of chunks).
+// bounded per-round overdraft (less than a chunk past the allowance).
 func TestWeightedFairShare(t *testing.T) {
 	s := newTestScheduler(t, Options{
 		Workers: fleet(1, 1, 1, 1),
@@ -136,7 +136,7 @@ func TestStrictPriority(t *testing.T) {
 	low.Cancel()
 	// While the high-priority job had backlog, low could only be
 	// granted by a refill already in flight at admission or during the
-	// high job's drained tail — a few credit windows, not a share.
+	// high job's drained tail — a few batches, not a share.
 	if lowDuring > 2000 {
 		t.Errorf("low-priority job was granted %d iterations while a high-priority backlog existed (high ran %d)", lowDuring, hiN)
 	}

@@ -54,7 +54,7 @@ func TestHotPathAllocGuards(t *testing.T) {
 
 // fleetStepGuard pins a fleet worker's steady-state step at zero
 // allocations with telemetry off: the ask, sized by the worker's own
-// rule with no window set; a request over its memory link to one job's
+// rule; a request over its memory link to one job's
 // master that delivers the last batch's results and is granted the next
 // batch of CSS(4) chunks; then the run of that batch, which measures the
 // worker's trip and pace. The attempt is built as startLocked builds it,
@@ -65,7 +65,7 @@ func fleetStepGuard(t *testing.T) {
 	j := &Job{s: s, id: 1, tenant: &tenant{id: 1}, spec: JobSpec{
 		Scheme: sched.CSSScheme{K: 4}, Workload: workload.Uniform{N: 1 << 24}, Body: func(int) {},
 	}}
-	m, err := exec.New(exec.Config{Scheme: j.spec.Scheme, Iterations: j.spec.Workload.Len(), Workers: 1, Window: s.opts.Window, InitACP: []int{1}})
+	m, err := exec.New(exec.Config{Scheme: j.spec.Scheme, Iterations: j.spec.Workload.Len(), Workers: 1, InitACP: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,15 +53,6 @@ type Options struct {
 	// Workers is the shared fleet: one long-lived goroutine per entry,
 	// heterogeneity emulated by WorkScale exactly as by exec.Worker.
 	Workers []*exec.WorkerSpec
-	// Window caps the chunks one arbitrated request is granted, and
-	// every request asks for that many. <= 0 leaves it unset: a worker
-	// asks for a few round trips' worth of work at its measured rate on
-	// the job (exec.Ask; 8 chunks before anything is measured). Either way
-	// a reply is share-bounded (docs/LEDGER.md "Share-bounded batches"),
-	// and in a contested priority class the ask is capped at the job's
-	// deficit-round-robin allowance (docs/SERVICE.md "Fairness and
-	// preemption").
-	Window int
 	// ACP is the availability model distributed schemes report with.
 	ACP acp.Model
 	// MaxActive caps concurrently running jobs fleet-wide (0 = no cap).
@@ -480,7 +471,6 @@ func (s *Scheduler) startLocked(j *Job, now time.Time) error {
 		Iterations: j.spec.Workload.Len(),
 		Workers:    s.p,
 		Powers:     s.virtual,
-		Window:     s.opts.Window,
 		NoReplan:   s.opts.DisableReplan,
 		Telemetry:  s.bus,
 		Job:        j.id,

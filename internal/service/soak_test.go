@@ -50,7 +50,6 @@ func TestSoakMultiTenant(t *testing.T) {
 	// emulation), which would break the exactly-once counts below.
 	s, err := New(Options{
 		Workers:      fleet(1, 1, 1, 1, 1, 1),
-		Window:       4,
 		Retries:      1,
 		RetryBackoff: time.Millisecond,
 		Telemetry:    bus,

@@ -85,14 +85,15 @@ func (w *fleetWorker) take(att *attempt) bool {
 	return ok
 }
 
-// fleetTrips is how many round trips of work a fleet worker asks for
-// when no window is set. The worker does not prefetch, so every request
-// idles it for a round trip; a batch worth fleetTrips of them bounds
-// that idle time to about 1/(fleetTrips+1) of the worker's time, and a
-// batch's predicted time to fleetTrips round trips plus one chunk, which
-// is how long a higher-priority admission can wait on the worker
-// (docs/SERVICE.md "Fairness and preemption").
-const fleetTrips = 4
+// fleetTrips is how many round trips of work a fleet worker asks for:
+// exec.UnhiddenTrips, as the local backend's workers over their memory
+// links. The worker does not prefetch, so every request idles it for a
+// round trip; a batch worth fleetTrips of them bounds that idle time to
+// about 1/(fleetTrips+1) of the worker's time, and a batch's predicted
+// time to fleetTrips round trips plus one chunk, which is how long a
+// higher-priority admission can wait on the worker (docs/SERVICE.md
+// "Fairness and preemption").
+const fleetTrips = exec.UnhiddenTrips
 
 // pace is what one fleet worker measured of one attempt: the least
 // request time before a batch there, a request's fixed part, and of its
@@ -105,8 +106,7 @@ type pace struct {
 	trip    float64
 }
 
-// ask sizes the worker's next request to att's master: a set window
-// caps every reply and is asked for whole. Otherwise it is the depth
+// ask sizes the worker's next request to att's master by the depth
 // rule, exec.Ask, with nothing held: fleetTrips times the least request
 // time the worker measured on this attempt (or the latest, if less), in
 // iterations at this worker's rate there. What a request takes beyond
@@ -116,7 +116,7 @@ type pace struct {
 // batch's own time. Read from the latest request time and the body
 // alone, one batch could size the next larger and larger. A rate
 // measured on one attempt never sizes another's ask, so a new attempt
-// starts unmeasured. In a contested class either ask is capped
+// starts unmeasured. In a contested class the ask is capped
 // at the arbiter's allowance, rounded up to whole chunks of the size the
 // worker last ran on the attempt — one chunk while it has run none — so
 // that a grant overdraws the job's deficit by less than a chunk.
@@ -124,18 +124,15 @@ type pace struct {
 //lint:loopsched-hotpath
 func (w *fleetWorker) ask(att *attempt) int {
 	p := att.paces[w.id]
-	n := w.s.opts.Window
-	if n <= 0 {
-		trip := 0.0 // nothing measured on this attempt yet
-		if p.size > 0 {
-			trip = w.trip
-			if p.trip > 0 {
-				trip = min(trip, p.trip)
-			}
-			trip = fleetTrips * trip / p.perIter
+	trip := 0.0 // nothing measured on this attempt yet
+	if p.size > 0 {
+		trip = w.trip
+		if p.trip > 0 {
+			trip = min(trip, p.trip)
 		}
-		n = exec.Ask(trip, 0, p.size)
+		trip = fleetTrips * trip / p.perIter
 	}
+	n := exec.Ask(trip, 0, p.size)
 	if w.allow > 0 {
 		most := 1
 		if p.size > 0 {

@@ -176,3 +176,40 @@ func (c Cluster) TotalPower() float64 {
 	}
 	return t
 }
+
+// Shares splits total iterations over the machines for a simulator whose
+// master hands each worker one initial range (Tree Scheduling, affinity
+// scheduling): in proportion to the virtual powers when weighted, the
+// rounding drift settled on the last machine (or, should that go
+// negative, on the first share large enough to absorb it); otherwise
+// evenly, the first total mod p machines one iteration more.
+func (c Cluster) Shares(total int, weighted bool) []int {
+	p := len(c.Machines)
+	shares := make([]int, p)
+	if !weighted {
+		for i := range shares {
+			shares[i] = total / p
+			if i < total%p {
+				shares[i]++
+			}
+		}
+		return shares
+	}
+	tp := c.TotalPower()
+	given := 0
+	for i, m := range c.Machines {
+		shares[i] = int(float64(total)*m.Power/tp + 0.5)
+		given += shares[i]
+	}
+	shares[p-1] += total - given
+	if shares[p-1] < 0 {
+		for i := range shares {
+			if shares[i] >= -shares[p-1] {
+				shares[i] += shares[p-1]
+				shares[p-1] = 0
+				break
+			}
+		}
+	}
+	return shares
+}

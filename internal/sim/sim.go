@@ -69,7 +69,9 @@ type Params struct {
 	Telemetry *telemetry.Bus
 }
 
-func (p Params) withDefaults() Params {
+// WithDefaults returns p with every unset cost field at its default: what
+// every simulator here charges when a caller leaves a field zero.
+func (p Params) WithDefaults() Params {
 	if p.BaseRate <= 0 {
 		p.BaseRate = 3e6
 	}
@@ -276,7 +278,7 @@ func RunShards(ctx context.Context, c Cluster, s sched.Scheme, w workload.Worklo
 	if p.Prefetch && p.CollectAtEnd {
 		return metrics.Report{}, fmt.Errorf("sim: Prefetch piggy-backs results and cannot be combined with CollectAtEnd")
 	}
-	p = p.withDefaults()
+	p = p.WithDefaults()
 	if p.Trace != nil {
 		p.Trace.Scheme = s.Name()
 		p.Trace.Workload = w.Name()
@@ -306,12 +308,11 @@ func RunShards(ctx context.Context, c Cluster, s sched.Scheme, w workload.Worklo
 		m := &sim.masters[k]
 		m.s, m.k = sim, k
 		m.stats = metrics.ShardStats{Shard: k, Workers: len(members)}
-		// A super-chunk is re-planned at its boundary, never mid-stage. A
-		// worker holds a chunk in hand and one prefetched.
+		// A super-chunk is re-planned at its boundary, never mid-stage.
 		m.b = dispense.NewBook(dispense.Config{
 			Scheme: s, Workers: len(members), Powers: powers,
 			NoReplan: p.DisableReplan || grant != nil,
-		}, w.Len(), 2, m)
+		}, w.Len(), m)
 		if grant == nil {
 			m.stages, m.rootDone = []sched.Assignment{{Size: w.Len()}}, true
 		}

@@ -7,8 +7,8 @@
 // decreasing-chunk schemes the largest — work, amortising the steal).
 //
 // The algorithm is the classic Chase & Le (SPAA 2005) dynamic circular
-// deque, restricted to a fixed-capacity ring: a refill puts at most a
-// credit-window of chunks on a worker's deque at a time, so the ring
+// deque, restricted to a fixed-capacity ring: a refill puts at most the
+// deque's capacity of chunks on a worker's deque at a time, so the ring
 // never needs to grow and push can simply report "full". Two deviations
 // keep the Go race detector honest without giving up the lock-freedom:
 //

@@ -133,7 +133,7 @@ func Run(c sim.Cluster, o Options, w workload.Workload, p sim.Params) (metrics.R
 	if err := c.Validate(); err != nil {
 		return metrics.Report{}, err
 	}
-	p = withDefaults(p)
+	p = p.WithDefaults()
 	if p.Trace != nil {
 		p.Trace.Scheme = o.Name()
 		p.Trace.Workload = w.Name()
@@ -172,27 +172,6 @@ func Run(c sim.Cluster, o Options, w workload.Workload, p sim.Params) (metrics.R
 	return rep, nil
 }
 
-// withDefaults mirrors sim.Params' implicit defaults (kept in sync
-// with sim; the fields used here are documented there).
-func withDefaults(p sim.Params) sim.Params {
-	if p.BaseRate <= 0 {
-		p.BaseRate = 3e6
-	}
-	if p.RequestBytes <= 0 {
-		p.RequestBytes = 64
-	}
-	if p.ReplyBytes <= 0 {
-		p.ReplyBytes = 64
-	}
-	if p.BytesPerIter <= 0 {
-		p.BytesPerIter = 4096
-	}
-	if p.MasterOverhead <= 0 {
-		p.MasterOverhead = 1e-3
-	}
-	return p
-}
-
 // partnerOrder returns the deterministic partner probe sequence for
 // worker i: its hypercube neighbours (i XOR 2^k), the tree edges along
 // which Kim & Purtilo migrate work. Migration is deliberately limited
@@ -228,36 +207,9 @@ func (s *simulator) push(e event) {
 func (s *simulator) run() error {
 	heap.Init(&s.events)
 	p := len(s.cluster.Machines)
-	total := s.work.Len()
 
 	// Initial allocation (the master's only scheduling act).
-	shares := make([]int, p)
-	if s.opts.Weighted {
-		tp := s.cluster.TotalPower()
-		given := 0
-		for i, m := range s.cluster.Machines {
-			shares[i] = int(float64(total)*m.Power/tp + 0.5)
-			given += shares[i]
-		}
-		shares[p-1] += total - given // fix rounding drift
-		if shares[p-1] < 0 {
-			// Pathological rounding; rebalance from the largest share.
-			for i := range shares {
-				if shares[i] >= -shares[p-1] {
-					shares[i] += shares[p-1]
-					shares[p-1] = 0
-					break
-				}
-			}
-		}
-	} else {
-		for i := range shares {
-			shares[i] = total / p
-			if i < total%p {
-				shares[i]++
-			}
-		}
-	}
+	shares := s.cluster.Shares(s.work.Len(), s.opts.Weighted)
 	lo := 0
 	for i := range s.cluster.Machines {
 		sp := span{lo, lo + shares[i]}

@@ -17,8 +17,8 @@
 //     arrive, so a lying length header cannot reserve gigabytes.
 //  3. One frame carries a batch. A request ships N completion
 //     records and asks for up to Credits grants; a reply grants up to
-//     that many chunks. This generalises the RPC runtime's two-slot
-//     prefetch to a configurable credit window.
+//     that many chunks. This generalises the RPC runtime's prefetch to
+//     a batch as deep as the worker asks.
 //
 // Frame layout (see docs/PROTOCOL.md for the normative description):
 //

@@ -2,6 +2,7 @@ package loopsched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -107,16 +108,11 @@ type RunSpec struct {
 	// configuration — it serves both on one listener. The mp backend
 	// always speaks binary.
 	Transport string
-	// CreditWindow caps the batched-grant depth on the local, binary
-	// and mp links: how many chunks a worker may hold beyond the one it
-	// is computing (1 is a double buffer). 0 leaves the depth to the
-	// workers: each asks for what outlasts its measured round trip to the
-	// master, and the master grants it up to the worker's share (DESIGN.md
-	// §9). It is a cap
-	// everywhere, never a quota: master replies are share-bounded
-	// batches, which fill the depth on a fine loop — amortising a round
-	// trip over many chunks — and shrink to a single chunk while chunks
-	// are large (docs/LEDGER.md "Share-bounded batches").
+	// CreditWindow is retired: a positive value is ErrCreditWindow, and
+	// zero or below runs. Every batch is sized by the worker's ask for
+	// what outlasts its measured round trip to the master, granted up to
+	// the worker's share (DESIGN.md §9). The field goes when the
+	// benchmark stops setting it (ROADMAP item 2).
 	CreditWindow int
 	// Ledger is accepted and ignored: every backend grants only through
 	// the master's request/reply dialogue, one locked dispense.Claim per
@@ -245,6 +241,11 @@ func beginTelemetry(spec *RunSpec) func() {
 	}
 }
 
+// ErrCreditWindow is Run's and NewScheduler's answer to a positive
+// CreditWindow: no count caps a batch, which the worker's depth-rule ask
+// and the master's share bound alone (DESIGN.md §9).
+var ErrCreditWindow = errors.New("loopsched: CreditWindow is retired; the depth rule and the share size every batch")
+
 // validate checks the whole spec: the backend-independent requirements
 // plus every per-backend structural check (worker lists, transports,
 // hierarchy support). Run and every executor reject bad specs through
@@ -265,6 +266,9 @@ func (s RunSpec) validate() error {
 	}
 	if _, ok := exec.LedgerMode(s.Ledger).Normalize(); !ok {
 		return fmt.Errorf("loopsched: unknown ledger mode %q", s.Ledger)
+	}
+	if s.CreditWindow > 0 {
+		return ErrCreditWindow
 	}
 	switch s.Backend {
 	case "", BackendSim:
@@ -380,7 +384,6 @@ func rpcWorker(spec RunSpec, bus *telemetry.Bus, powers []float64, i int) exec.W
 		WorkScale:    ws.WorkScale,
 		Pipeline:     spec.Pipeline,
 		Transport:    exec.Transport(spec.Transport),
-		Window:       spec.CreditWindow,
 		Telemetry:    bus,
 		TelemetryID:  i,
 	}
@@ -462,7 +465,7 @@ func runFlat(ctx context.Context, spec RunSpec, bus *telemetry.Bus, open reach) 
 	powers := exec.VirtualPowers(spec.Workers)
 	master, err := exec.New(exec.Config{
 		Scheme: spec.Scheme, Iterations: n, Workers: p, Powers: powers,
-		Window: spec.CreditWindow, NoReplan: spec.DisableReplan, Telemetry: bus,
+		NoReplan: spec.DisableReplan, Telemetry: bus,
 	})
 	if err != nil {
 		return Report{}, err
@@ -573,7 +576,7 @@ func runHierarchy(ctx context.Context, spec RunSpec, bus *telemetry.Bus, open re
 		}
 		sub, err := hier.NewSubmaster(exec.Config{
 			Scheme: spec.Scheme, Iterations: n, Workers: len(ids), Powers: shardPowers,
-			Window: spec.CreditWindow, Telemetry: bus, Shard: si, Members: ids,
+			Telemetry: bus, Shard: si, Members: ids,
 		}, rootLink{link, ctx, root})
 		if err != nil {
 			root.Cancel(err)

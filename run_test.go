@@ -2,6 +2,7 @@ package loopsched_test
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"sync"
@@ -462,6 +463,37 @@ func TestRunSpecValidationPerBackend(t *testing.T) {
 			spec:    loopsched.RunSpec{Scheme: scheme, Backend: loopsched.BackendLocal, Workers: runWorkers(), Body: noop},
 			wantErr: "loopsched: RunSpec.Workload is required",
 		},
+		{
+			// Zero and below set no credit window, as always.
+			name: "local credit window 0",
+			spec: loopsched.RunSpec{
+				Scheme: scheme, Workload: w, Backend: loopsched.BackendLocal,
+				Workers: runWorkers(), Body: noop, CreditWindow: 0,
+			},
+		},
+		{
+			name: "rpc credit window -1",
+			spec: loopsched.RunSpec{
+				Scheme: scheme, Workload: w, Backend: loopsched.BackendRPC,
+				Workers: runWorkers(), Body: noop, CreditWindow: -1,
+			},
+		},
+	}
+	// A positive credit window is refused on every backend: no count
+	// caps a batch.
+	for _, b := range []loopsched.Backend{loopsched.BackendSim, loopsched.BackendLocal, loopsched.BackendRPC, loopsched.BackendMP} {
+		cases = append(cases, struct {
+			name    string
+			spec    loopsched.RunSpec
+			wantErr string
+		}{
+			name: string(b) + " credit window 8",
+			spec: loopsched.RunSpec{
+				Scheme: scheme, Workload: w, Backend: b, Cluster: loopsched.PaperCluster(4, false),
+				Workers: runWorkers(), Body: noop, CreditWindow: 8,
+			},
+			wantErr: loopsched.ErrCreditWindow.Error(),
+		})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -474,6 +506,9 @@ func TestRunSpecValidationPerBackend(t *testing.T) {
 			}
 			if err == nil || err.Error() != tc.wantErr {
 				t.Fatalf("Run error = %v, want %q", err, tc.wantErr)
+			}
+			if tc.spec.CreditWindow > 0 && !errors.Is(err, loopsched.ErrCreditWindow) {
+				t.Fatalf("Run error = %v, want ErrCreditWindow", err)
 			}
 			ex, exErr := loopsched.NewExecutor(tc.spec.Backend)
 			if exErr != nil {

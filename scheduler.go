@@ -65,13 +65,11 @@ type SchedulerOptions struct {
 	// Workers is the shared fleet: one long-lived goroutine per entry,
 	// heterogeneity emulated by WorkScale exactly as on BackendLocal.
 	Workers []*WorkerSpec
-	// CreditWindow caps the batch: how many chunks one arbitrated
-	// request asks for and is granted at most. 0 leaves it unset: a
-	// fleet worker asks for a few of its measured round trips' worth of
-	// work at its measured rate on the job (8 chunks before anything is
-	// measured) — the depth rule of RunSpec.CreditWindow, the same knob
-	// on the local backend — and, while other jobs of its priority want
-	// credit, no more than its job's fair-share allowance.
+	// CreditWindow is retired, as RunSpec.CreditWindow is: a positive
+	// value is ErrCreditWindow. A fleet worker asks for a few of its
+	// measured round trips' worth of work at its measured rate on the job
+	// (8 chunks before anything is measured) and, while other jobs of its
+	// priority want credit, no more than its job's fair-share allowance.
 	CreditWindow int
 	// ACP is the availability model distributed schemes report with.
 	ACP ACPModel
@@ -110,9 +108,11 @@ type SchedulerOptions struct {
 // checks a JobSpec on the service's own path (scheme, workload and body
 // required), not RunSpec's. Close the scheduler to release the fleet.
 func NewScheduler(o SchedulerOptions) (*Scheduler, error) {
+	if o.CreditWindow > 0 {
+		return nil, ErrCreditWindow
+	}
 	so := service.Options{
 		Workers:            o.Workers,
-		Window:             o.CreditWindow,
 		ACP:                o.ACP,
 		MaxActive:          o.MaxActive,
 		MaxActivePerTenant: o.MaxActivePerTenant,

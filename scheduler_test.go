@@ -27,8 +27,7 @@ func TestSchedulerPublicSurface(t *testing.T) {
 		Workers: []*loopsched.WorkerSpec{
 			{WorkScale: 1}, {WorkScale: 1}, {WorkScale: 1}, {WorkScale: 1},
 		},
-		CreditWindow: 4,
-		Telemetry:    tele,
+		Telemetry: tele,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,6 +132,31 @@ func validJobSpec() loopsched.JobSpec {
 		Scheme:   loopsched.NewCSS(4),
 		Workload: loopsched.Uniform{N: 100},
 		Body:     func(int) {},
+	}
+}
+
+// TestSchedulerRefusesACreditWindow: NewScheduler answers a positive
+// CreditWindow with ErrCreditWindow, since no count caps a batch, and
+// starts a fleet at zero, the field's only other use.
+func TestSchedulerRefusesACreditWindow(t *testing.T) {
+	workers := []*loopsched.WorkerSpec{{WorkScale: 1}}
+	if s, err := loopsched.NewScheduler(loopsched.SchedulerOptions{Workers: workers, CreditWindow: 4}); !errors.Is(err, loopsched.ErrCreditWindow) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("CreditWindow 4: NewScheduler error = %v, want ErrCreditWindow", err)
+	}
+	s, err := loopsched.NewScheduler(loopsched.SchedulerOptions{Workers: workers, CreditWindow: 0})
+	if err != nil {
+		t.Fatalf("CreditWindow 0: %v", err)
+	}
+	defer s.Close()
+	j, err := s.Submit(context.Background(), validJobSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := j.Wait(context.Background()); err != nil || rep.Iterations != 100 {
+		t.Fatalf("CreditWindow 0: %d iterations, err %v", rep.Iterations, err)
 	}
 }
 

@@ -33,24 +33,24 @@ func (f *firstGrants) OnEvent(e telemetry.Event) {
 // static-weight schemes (DESIGN.md "The dispenser"): where the caller
 // knows the workers' virtual powers — every runtime Run and the
 // scheduler service start themselves — WF splits each stage by them.
-// On a 3:1 pair the first stage of a 1600-iteration loop is 800
-// iterations, 600 for the fast worker and 200 for the slow one,
+// On a 2:1 pair the first stage of an 1800-iteration loop is 900
+// iterations, 600 for the fast worker and 300 for the slow one,
 // whichever asks first. The body holds the first chunk until both
-// workers are executing one, and every request is for a single chunk,
-// so both first chunks come from that first stage whatever the
-// goroutine schedule. Before the dispenser only the simulators and the
-// hierarchy passed the powers on; the flat real runtimes ran WF as FSS
-// (400 and 400).
+// workers are executing one, and every reply is a single chunk — two of
+// either worker's chunks exceed the share (sched.BatchLimit), whoever
+// asks first — so both first chunks come from that first stage whatever
+// the goroutine schedule. Before the dispenser only the simulators and
+// the hierarchy passed the powers on; the flat real runtimes ran WF as
+// FSS (450 and 450).
 func TestStaticWeightsReachEveryFlatRuntime(t *testing.T) {
-	const n = 1600
+	const n = 1800
 	workers := func() []*loopsched.WorkerSpec {
-		return []*loopsched.WorkerSpec{{WorkScale: 1}, {WorkScale: 3}}
+		return []*loopsched.WorkerSpec{{WorkScale: 1}, {WorkScale: 2}}
 	}
 	viaRun := func(spec loopsched.RunSpec) func(*testing.T, *loopsched.Telemetry, func(int)) {
 		return func(t *testing.T, tele *loopsched.Telemetry, body func(int)) {
 			spec.Scheme, spec.Workload = loopsched.NewWF(), loopsched.Uniform{N: n, C: 1}
 			spec.Workers, spec.Body, spec.Telemetry = workers(), body, tele
-			spec.CreditWindow = 1
 			if _, err := loopsched.Run(context.Background(), spec); err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +66,7 @@ func TestStaticWeightsReachEveryFlatRuntime(t *testing.T) {
 		{"mp", viaRun(loopsched.RunSpec{Backend: loopsched.BackendMP})},
 		{"service", func(t *testing.T, tele *loopsched.Telemetry, body func(int)) {
 			s, err := loopsched.NewScheduler(loopsched.SchedulerOptions{
-				Workers: workers(), CreditWindow: 1, Telemetry: tele,
+				Workers: workers(), Telemetry: tele,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -107,8 +107,8 @@ func TestStaticWeightsReachEveryFlatRuntime(t *testing.T) {
 
 			first.mu.Lock()
 			defer first.mu.Unlock()
-			if fast, slow := first.sizes[0], first.sizes[1]; fast != 600 || slow != 200 {
-				t.Errorf("first chunks: fast worker %d, slow worker %d iterations; want 600 and 200 (3/4 and 1/4 of the 800-iteration first stage)", fast, slow)
+			if fast, slow := first.sizes[0], first.sizes[1]; fast != 600 || slow != 300 {
+				t.Errorf("first chunks: fast worker %d, slow worker %d iterations; want 600 and 300 (2/3 and 1/3 of the 900-iteration first stage)", fast, slow)
 			}
 		})
 	}
